@@ -15,10 +15,10 @@
 // network front-end. Multi-key commands (MGET/MSET/DEL) group their
 // keys by home shard and execute one locked batch per shard, charging
 // exactly the modeled cycles of N sequential ops. Backpressure knobs:
-// -pipeline bounds in-flight commands per drain, -writebuf caps
-// buffered reply bytes before an early flush, -idle-timeout reaps
-// silent connections, and -maxconns sheds new clients gracefully with
-// an error reply.
+// -pipeline bounds in-flight commands per drain, -writebuf sizes the
+// reply buffer (a burst's replies beyond it flush early),
+// -idle-timeout reaps silent connections, and -maxconns sheds new
+// clients gracefully with an error reply.
 //
 // Commands: PING, ECHO, GET, SET, DEL, EXISTS, MGET, MSET, DBSIZE,
 // SCAN cursor [MATCH pat] [COUNT n], RANGE start end [limit], EXPIRE,
@@ -96,11 +96,12 @@ const drainTimeout = 5 * time.Second
 const defaultSlowlogCap = 128
 
 // Networking defaults: how many pipelined commands one drain may pick
-// up, and how many reply bytes may sit unflushed before an early
-// flush relieves the write buffer.
+// up, and the size of a connection's reply buffer — the same size as
+// its read buffer, so a burst that arrived in one read is by default
+// answered in one write.
 const (
 	defaultMaxPipeline = 1024
-	defaultWriteBufCap = 256 << 10
+	defaultWriteBufCap = resp.IOBufLen
 )
 
 // defaultScanCount is SCAN's page size without an explicit COUNT.
@@ -115,9 +116,10 @@ type netConfig struct {
 	// maxPipeline caps commands drained (and thus replies buffered)
 	// per serve-loop iteration.
 	maxPipeline int
-	// writeBufCap flushes the reply writer early once this many bytes
-	// are buffered, bounding per-connection memory under deep
-	// pipelines of large values.
+	// writeBufCap is the size of each connection's reply buffer. A
+	// burst whose replies outgrow it is written out as the buffer fills
+	// (counted as early flushes) instead of being held whole, bounding
+	// per-connection memory under deep pipelines of large values.
 	writeBufCap int
 	// idleTimeout, when positive, is the per-connection read deadline:
 	// a client silent for longer is disconnected.
@@ -213,7 +215,7 @@ func main() {
 		slowCap = flag.Int("slowlog", defaultSlowlogCap, "how many slowest commands SLOWLOG keeps")
 
 		maxPipe  = flag.Int("pipeline", defaultMaxPipeline, "max pipelined commands drained per read batch")
-		writeBuf = flag.Int("writebuf", defaultWriteBufCap, "reply bytes buffered per connection before an early flush")
+		writeBuf = flag.Int("writebuf", defaultWriteBufCap, "per-connection reply buffer size in bytes; a burst's replies beyond it are flushed early")
 		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")
 
@@ -498,7 +500,7 @@ func (s *server) shed(conn net.Conn) {
 	defer s.wg.Done()
 	s.tele.shedConns.Inc()
 	s.tracer.NoteAnomaly("maxconns_shed")
-	w := resp.NewWriter(conn)
+	w := resp.NewWriterSize(conn, 64) // one short line: no full reply buffer per refused client
 	_ = w.WriteError("ERR max number of clients reached")
 	_ = w.Flush()
 	_ = conn.Close()
@@ -576,9 +578,9 @@ func (s *server) stopSweeper() {
 // write. A whole N-deep pipeline therefore costs one read burst and
 // one flush instead of N of each — the per-request amortization the
 // batching literature (LaKe, the SmartNIC KV offloads) attributes
-// most of its networking win to. The write-buffer cap bounds reply
-// memory: past it the writer flushes early instead of buffering an
-// entire deep pipeline of bulk values.
+// most of its networking win to. The reply buffer's size (-writebuf)
+// bounds reply memory: once full it writes itself out early instead
+// of holding an entire deep pipeline of bulk values.
 func (s *server) serve(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
@@ -597,7 +599,7 @@ func (s *server) serve(conn net.Conn) {
 		src = &idleConn{conn: conn, s: s}
 	}
 	r := resp.NewReader(src)
-	w := resp.NewWriter(conn)
+	w := s.newReplyWriter(conn)
 	for {
 		// The arena-reuse read path: everything cmds references is valid
 		// until the next ReadPipelineReuse call, i.e. across this whole
@@ -660,14 +662,17 @@ func (s *server) runBurstCmds(w *resp.Writer, cs *connState, cmds [][][]byte) (q
 		if quit || monitor {
 			return
 		}
-		if w.Buffered() >= s.net.writeBufCap {
-			s.tele.earlyFlush.Inc()
-			if werr = w.Flush(); werr != nil {
-				return
-			}
-		}
 	}
 	return
+}
+
+// newReplyWriter builds a connection's reply writer: a -writebuf sized
+// buffer whose early flushes (it filled before the burst's own flush)
+// feed the early_flushes counter. Both front-ends build theirs here.
+func (s *server) newReplyWriter(conn net.Conn) *resp.Writer {
+	w := resp.NewWriterSize(conn, s.net.writeBufCap)
+	w.OnSpill(s.tele.earlyFlush.Inc)
+	return w
 }
 
 // idleConn arms the -idle-timeout read deadline before every

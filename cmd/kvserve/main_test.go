@@ -679,28 +679,31 @@ func TestServePipelineDepthCap(t *testing.T) {
 	}
 }
 
-// TestServeWriteBufEarlyFlush: replies larger than the write-buffer
-// cap force early flushes instead of buffering the whole pipeline.
+// TestServeWriteBufEarlyFlush: a burst whose replies outgrow the
+// -writebuf sized reply buffer is flushed early instead of being held
+// whole — at a tiny size and at the default one.
 func TestServeWriteBufEarlyFlush(t *testing.T) {
-	s := newTestServer(t)
-	s.net.writeBufCap = 64
-	r, w, _ := pipeClient(t, s)
-	big := strings.Repeat("x", 200)
-	w.WriteCommand([]byte("SET"), []byte("big"), []byte(big))
-	for i := 0; i < 8; i++ {
-		w.WriteCommand([]byte("GET"), []byte("big"))
-	}
-	w.Flush()
-	if v, err := r.ReadReply(); err != nil || v != "OK" {
-		t.Fatalf("SET reply = %v, %v", v, err)
-	}
-	for i := 0; i < 8; i++ {
-		if v, err := r.ReadReply(); err != nil || string(v.([]byte)) != big {
-			t.Fatalf("GET %d reply wrong: %v", i, err)
+	for _, size := range []int{64, defaultWriteBufCap} {
+		s := newTestServer(t)
+		s.net.writeBufCap = size
+		r, w, _ := pipeClient(t, s)
+		big := strings.Repeat("x", size/4+200) // 8 of them overflow the buffer
+		w.WriteCommand([]byte("SET"), []byte("big"), []byte(big))
+		for i := 0; i < 8; i++ {
+			w.WriteCommand([]byte("GET"), []byte("big"))
 		}
-	}
-	if s.tele.earlyFlush.Load() == 0 {
-		t.Fatal("no early flush despite tiny write buffer")
+		w.Flush()
+		if v, err := r.ReadReply(); err != nil || v != "OK" {
+			t.Fatalf("writebuf %d: SET reply = %v, %v", size, v, err)
+		}
+		for i := 0; i < 8; i++ {
+			if v, err := r.ReadReply(); err != nil || string(v.([]byte)) != big {
+				t.Fatalf("writebuf %d: GET %d reply wrong: %v", size, i, err)
+			}
+		}
+		if s.tele.earlyFlush.Load() == 0 {
+			t.Fatalf("writebuf %d: no early flush though the replies outgrew the buffer", size)
+		}
 	}
 }
 

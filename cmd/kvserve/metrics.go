@@ -61,7 +61,7 @@ type serverTele struct {
 
 	// Networking/pipelining telemetry: drained pipeline batches, the
 	// commands inside them, their depth distribution, early flushes
-	// forced by the write-buffer cap, multi-key batch commands and the
+	// of a full reply buffer, multi-key batch commands and the
 	// keys they carried, and connection accounting.
 	pipeBatches *telemetry.Counter
 	pipeCmds    *telemetry.Counter
@@ -126,7 +126,7 @@ func newServerTele(sys *addrkv.System, slowlogCap int) *serverTele {
 	t.pipeDepth = r.Histogram("addrkv_pipeline_depth",
 		"Commands per drained pipeline batch.", 1, nil)
 	t.earlyFlush = r.Counter("addrkv_early_flushes_total",
-		"Flushes forced mid-pipeline by the write-buffer cap.", nil)
+		"Reply buffers (-writebuf) written out mid-burst because they filled.", nil)
 	t.batchCmds = r.Counter("addrkv_batch_commands_total",
 		"Multi-key commands (MGET/MSET/DEL) executed via shard batches.", nil)
 	t.batchKeys = r.Counter("addrkv_batched_keys_total",

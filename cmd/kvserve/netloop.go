@@ -20,8 +20,7 @@
 //   - -pipeline bounds commands per burst; a connection whose burst
 //     hit the cap is re-processed in the same wakeup (no new reads)
 //     until its buffer holds no complete command.
-//   - -writebuf forces early flushes (inside runBurstCmds/flushPending,
-//     shared code).
+//   - -writebuf sizes the reply buffer (newReplyWriter, shared code).
 //   - -maxconns sheds at accept, before a shard is ever chosen.
 //   - -idle-timeout means "no bytes arrived for the timeout": epoll
 //     shards reap by last-read stamp, the portable poller by per-read
@@ -55,8 +54,9 @@ import (
 
 const (
 	// loopReadSize is the read segment requested from the stream per
-	// socket read.
-	loopReadSize = 16 << 10
+	// socket read: the goroutine front-end's read buffer size, so both
+	// front-ends cut a client's pipeline into the same bursts.
+	loopReadSize = resp.IOBufLen
 	// loopReadCap bounds bytes drained from one connection per wakeup
 	// (fairness across the shard's connections; level-triggered epoll
 	// re-arms for the rest).
@@ -280,7 +280,7 @@ func (ls *loopState) add(conn net.Conn) {
 		conn: conn,
 		sh:   sh,
 		st:   resp.NewStream(),
-		w:    resp.NewWriter(conn),
+		w:    ls.s.newReplyWriter(conn),
 		cs:   &connState{id: ls.s.connSeq.Add(1), netloop: true, reader: sh.id},
 	}
 	if ls.poller == "portable" {

@@ -103,6 +103,23 @@ func runScriptTCP(t *testing.T, addr string, cmds [][]string, flushEvery int) []
 	return replies
 }
 
+// frontend names one networking front-end for tcpFrontend.
+type frontend struct {
+	name    string
+	netloop bool
+	poller  string
+}
+
+// testFrontends lists every front-end this platform has, the
+// goroutine path (the differentials' baseline) first.
+func testFrontends() []frontend {
+	fes := []frontend{{"goroutine", false, ""}}
+	if epollSupported {
+		fes = append(fes, frontend{"netloop-epoll", true, "epoll"})
+	}
+	return append(fes, frontend{"netloop-portable", true, "portable"})
+}
+
 // netloopScript is the differential workload: async single-key ops,
 // sync barriers, batch commands, arity errors, and misses interleaved
 // so both the worker fast path and every barrier path run.
@@ -144,16 +161,7 @@ func netloopScript() [][]string {
 // multi-round (full-burst) path.
 func TestNetloopMatchesGoroutine(t *testing.T) {
 	script := netloopScript()
-	type frontend struct {
-		name    string
-		netloop bool
-		poller  string
-	}
-	frontends := []frontend{{"goroutine", false, ""}}
-	if epollSupported {
-		frontends = append(frontends, frontend{"netloop-epoll", true, "epoll"})
-	}
-	frontends = append(frontends, frontend{"netloop-portable", true, "portable"})
+	frontends := testFrontends()
 
 	for _, dispatch := range []string{"worker", "mutex"} {
 		var baseReplies []string

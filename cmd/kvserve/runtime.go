@@ -126,8 +126,7 @@ func (s *server) enqueueAsync(cs *connState, kind shard.OpKind, cmd string, args
 // writes its reply, and records its telemetry. On a write error the
 // remaining requests are still awaited (their slots must not be reused
 // while a worker may complete them) and observed; the first error is
-// returned. The write-buffer cap triggers early flushes exactly like
-// the synchronous path.
+// returned.
 func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 	if len(cs.pend) == 0 {
 		return nil
@@ -162,10 +161,6 @@ func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 				} else {
 					werr = w.WriteInt(0)
 				}
-			}
-			if werr == nil && w.Buffered() >= s.net.writeBufCap {
-				s.tele.earlyFlush.Inc()
-				werr = w.Flush()
 			}
 		}
 		s.tele.observeCmd(p.cmd, p.args, &r.Out, nil, time.Since(p.start), r.Out.Denied)

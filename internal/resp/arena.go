@@ -20,6 +20,8 @@ import (
 	"io"
 )
 
+var errLineTooLong = errors.New("resp: line too long")
+
 // ReadPipelineReuse reads one command (blocking), then drains every
 // further command already buffered, up to max (<= 0 for no limit) —
 // the exact semantics of ReadPipeline, minus the allocations. On a
@@ -100,10 +102,10 @@ func (r *Reader) splitInline(line []byte) [][]byte {
 // readCommandArena is the blocking arena twin of ReadCommand: same
 // accepted inputs (arrays of bulks, inline lines, skipped "*0"
 // arrays), same validation, but every argument lands in the arena.
-// One deliberate tightening: a protocol line longer than the bufio
-// buffer (~4 KiB — only reachable via absurd inline commands or
-// integer lines) is rejected instead of accepted, keeping the line
-// scanner on the underlying buffer without copies.
+// One deliberate tightening: a protocol line longer than maxLineLen
+// (only reachable via absurd inline commands or integer lines) is
+// rejected instead of accepted, keeping the line scanner on the
+// underlying buffer without copies.
 func (r *Reader) readCommandArena() ([][]byte, error) {
 	for {
 		c, err := r.br.ReadByte()
@@ -182,10 +184,10 @@ func (r *Reader) readBulkArena() error {
 // slice aliases the bufio buffer: consume before the next read).
 func (r *Reader) readLineSlice() ([]byte, error) {
 	line, err := r.br.ReadSlice('\n')
+	if len(line) > maxLineLen || errors.Is(err, bufio.ErrBufferFull) {
+		return nil, errLineTooLong
+	}
 	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, fmt.Errorf("resp: line too long")
-		}
 		return nil, err
 	}
 	if len(line) < 2 || line[len(line)-2] != '\r' {
@@ -268,9 +270,14 @@ func (r *Reader) tryReadCommandArena() ([][]byte, error) {
 }
 
 // peekedLine finds the CRLF line starting at p; ok is false when the
-// terminator has not arrived yet.
+// terminator has not arrived yet. A line that is, or can only become,
+// longer than maxLineLen is an error whether or not it has ended, so
+// a caller that keeps feeding a newline-free line is stopped here.
 func peekedLine(buf []byte, p int) (line []byte, next int, ok bool, err error) {
 	idx := bytes.IndexByte(buf[p:], '\n')
+	if idx >= maxLineLen || (idx < 0 && len(buf)-p >= maxLineLen) {
+		return nil, 0, false, errLineTooLong
+	}
 	if idx < 0 {
 		return nil, 0, false, nil
 	}

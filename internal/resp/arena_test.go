@@ -3,6 +3,7 @@ package resp
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -201,6 +202,68 @@ func TestWriterOutputUnchanged(t *testing.T) {
 		"*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
 	if buf.String() != want {
 		t.Fatalf("output changed:\ngot  %q\nwant %q", buf.String(), want)
+	}
+}
+
+// onceReader hands out everything it has, up to len(p), on each Read
+// — a socket holding one client write — and counts the reads, so a
+// test can show that no read was attempted which on a drained socket
+// would have blocked.
+type onceReader struct {
+	data  []byte
+	reads int
+}
+
+func (o *onceReader) Read(p []byte) (int, error) {
+	o.reads++
+	if len(o.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, o.data)
+	o.data = o.data[n:]
+	return n, nil
+}
+
+// setPipeline encodes n SETs of a 24-byte key and a 256-byte value,
+// 308 bytes each.
+func setPipeline(n int) []byte {
+	var cmds [][][]byte
+	for i := 0; i < n; i++ {
+		cmds = append(cmds, [][]byte{[]byte("SET"), fmt.Appendf(nil, "user%020d", i), bytes.Repeat([]byte("v"), 256)})
+	}
+	return encodePipeline(cmds)
+}
+
+// TestReadPipelineReuseWholeBurst: a 16-SET pipeline of 4928 bytes —
+// more than the 4 KiB a default bufio.Reader holds — that arrives in
+// one read comes back as one burst.
+func TestReadPipelineReuseWholeBurst(t *testing.T) {
+	in := setPipeline(16)
+	if len(in) != 4928 {
+		t.Fatalf("pipeline is %d bytes, want 4928", len(in))
+	}
+	src := &onceReader{data: in}
+	cmds, err := NewReader(src).ReadPipelineReuse(0)
+	if err != nil || len(cmds) != 16 || src.reads != 1 {
+		t.Fatalf("got %d commands in %d read(s), err %v; want 16 in 1", len(cmds), src.reads, err)
+	}
+}
+
+// TestReadPipelineReuseSplitsPastBuffer: a pipeline larger than the
+// read buffer comes back as the commands that fit whole, without a
+// second read for the one cut by the buffer's end (which on a socket
+// could block with replies unflushed); the next call picks the rest up.
+func TestReadPipelineReuseSplitsPastBuffer(t *testing.T) {
+	const n = 64
+	src := &onceReader{data: setPipeline(n)}
+	r := NewReader(src)
+	first, err := r.ReadPipelineReuse(0)
+	if want := IOBufLen / 308; err != nil || len(first) != want || src.reads != 1 {
+		t.Fatalf("first burst: %d commands in %d read(s), err %v; want %d in 1", len(first), src.reads, err, want)
+	}
+	rest, err := r.ReadPipelineReuse(0)
+	if err != nil || len(first)+len(rest) != n || src.reads != 2 {
+		t.Fatalf("second burst: %d commands after %d read(s), err %v; want %d after 2", len(rest), src.reads, err, n-len(first))
 	}
 }
 

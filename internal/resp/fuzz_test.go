@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -299,9 +298,10 @@ func TestEmptyArraySkipped(t *testing.T) {
 // FuzzReadPipelineReuse is the differential check behind the arena
 // read path: on any input and fragmentation, ReadPipelineReuse must
 // yield the same command sequence as ReadPipeline. The arena path
-// deliberately rejects protocol lines longer than the bufio buffer
-// ("line too long"); streams that trip that are exempt from the
-// error-class comparison (the parsed prefix must still agree).
+// deliberately rejects protocol lines longer than maxLineLen ("line
+// too long"), which the allocating path accepts; streams that trip
+// that are exempt from the error-class comparison (the parsed prefix
+// must still agree).
 func FuzzReadPipelineReuse(f *testing.F) {
 	f.Add([]byte("*1\r\n$4\r\nPING\r\n*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"), uint16(3))
 	f.Add([]byte("PING\r\nGET a\r\n*0\r\n*1\r\n$4\r\nQUIT\r\n"), uint16(1))
@@ -337,7 +337,7 @@ func FuzzReadPipelineReuse(f *testing.F) {
 				break
 			}
 		}
-		tooLong := gotErr != nil && strings.Contains(gotErr.Error(), "line too long")
+		tooLong := errors.Is(gotErr, errLineTooLong)
 		n := min(len(got), len(want))
 		for i := 0; i < n; i++ {
 			if len(got[i]) != len(want[i]) {

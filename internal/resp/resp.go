@@ -21,6 +21,21 @@ const MaxBulkLen = 64 << 20
 // MaxArrayLen bounds a command's argument count.
 const MaxArrayLen = 1 << 20
 
+// IOBufLen is the per-connection I/O buffer size, each way (Redis's
+// PROTO_IOBUF_LEN): what one read can pick up off the socket, and so
+// the most a pipelining client can have parsed as ONE burst. A burst
+// that is cut in two costs every layer below a second round — under
+// -aof-fsync always, a second fsync per shard — so the buffer is sized
+// to hold the pipelines clients actually send, and every front-end
+// reads with the same size so all of them cut bursts in the same place.
+const IOBufLen = 16 << 10
+
+// maxLineLen bounds one protocol line (an inline command, or the
+// integer after '*', '$' or ':'), CRLF included. It is what the arena
+// and Stream parsers enforce whatever the I/O buffer size is: a peer
+// that never sends a newline is refused instead of being buffered.
+const maxLineLen = 4096
+
 // Reader decodes RESP values from a stream.
 type Reader struct {
 	br *bufio.Reader
@@ -35,8 +50,8 @@ type Reader struct {
 	crlf [2]byte
 }
 
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReader(r)} }
+// NewReader wraps r with an IOBufLen read buffer.
+func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, IOBufLen)} }
 
 // ReadCommand reads one client command: either a RESP array of bulk
 // strings or an inline command line. It returns a non-empty argument
@@ -281,20 +296,53 @@ func splitWords(line []byte) [][]byte {
 // scratch buffer, never through fmt), so a pipelined reply burst
 // costs only the bufio copies.
 type Writer struct {
-	bw *bufio.Writer
+	bw  *bufio.Writer
+	dst spillSink
 	// scratch formats integer headers ("$123", ":42", "*7").
 	scratch [24]byte
 }
 
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w)} }
+// spillSink sits between the buffer and the destination to tell the
+// two reasons bytes leave apart: the caller's Flush, or the buffer
+// writing itself out because it filled (a spill).
+type spillSink struct {
+	w        io.Writer
+	flushing bool
+	onSpill  func()
+}
+
+func (s *spillSink) Write(p []byte) (int, error) {
+	if !s.flushing && s.onSpill != nil {
+		s.onSpill()
+	}
+	return s.w.Write(p)
+}
+
+// NewWriter wraps w with an IOBufLen write buffer.
+func NewWriter(w io.Writer) *Writer { return NewWriterSize(w, IOBufLen) }
+
+// NewWriterSize wraps w with a write buffer of size bytes. The buffer
+// bounds the reply memory one connection can hold: output past it is
+// written out as it is produced instead of waiting for Flush.
+func NewWriterSize(w io.Writer, size int) *Writer {
+	wr := &Writer{dst: spillSink{w: w}}
+	wr.bw = bufio.NewWriterSize(&wr.dst, size)
+	return wr
+}
+
+// OnSpill registers f to run each time the buffer fills and writes
+// itself out before the caller's Flush (just before the bytes leave).
+func (w *Writer) OnSpill(f func()) { w.dst.onSpill = f }
 
 // Flush flushes buffered output.
-func (w *Writer) Flush() error { return w.bw.Flush() }
+func (w *Writer) Flush() error {
+	w.dst.flushing = true
+	err := w.bw.Flush()
+	w.dst.flushing = false
+	return err
+}
 
-// Buffered reports how many reply bytes are waiting unflushed — the
-// number a pipelined server checks against its per-connection
-// write-buffer cap to decide on an early flush.
+// Buffered reports how many reply bytes are waiting unflushed.
 func (w *Writer) Buffered() int { return w.bw.Buffered() }
 
 // WriteBulkArray writes an array of bulk strings in one call (the

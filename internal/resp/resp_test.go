@@ -305,6 +305,31 @@ func TestWriterBuffered(t *testing.T) {
 	}
 }
 
+// TestWriterSpills: output past the buffer's size leaves before Flush
+// and is reported through OnSpill; the caller's own Flush is not a
+// spill. Checked at a tiny size and at the default one.
+func TestWriterSpills(t *testing.T) {
+	for _, size := range []int{64, IOBufLen} {
+		var buf bytes.Buffer
+		w := NewWriterSize(&buf, size)
+		spills := 0
+		w.OnSpill(func() { spills++ })
+		w.WriteSimple("OK")
+		if spills != 0 || buf.Len() != 0 {
+			t.Fatalf("size %d: %d spill(s), %d bytes out before the buffer filled", size, spills, buf.Len())
+		}
+		w.WriteBulk(bytes.Repeat([]byte("x"), size))
+		if spills == 0 || buf.Len() == 0 {
+			t.Fatalf("size %d: no spill after writing more than the buffer holds", size)
+		}
+		n := spills
+		w.Flush()
+		if spills != n {
+			t.Fatalf("size %d: Flush counted as a spill", size)
+		}
+	}
+}
+
 func TestBulkRoundTripProperty(t *testing.T) {
 	f := func(payload []byte) bool {
 		var buf bytes.Buffer

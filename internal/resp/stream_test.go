@@ -2,6 +2,7 @@ package resp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -128,6 +129,52 @@ func TestStreamMatchesReader(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLineCapMatchesReader: the longest protocol line is maxLineLen
+// bytes, CRLF included, on the blocking reader and on the stream
+// alike, whatever the I/O buffer size. One byte more is refused by
+// both, after the same good prefix.
+func TestLineCapMatchesReader(t *testing.T) {
+	inline := func(total int) []byte {
+		return append(bytes.Repeat([]byte("a"), total-2), '\r', '\n')
+	}
+	for _, tc := range []struct {
+		total int
+		ok    bool
+	}{{maxLineLen, true}, {maxLineLen + 1, false}} {
+		in := append([]byte("PING\r\n"), inline(tc.total)...)
+		want, rerr := readerDrain(t, in, 16)
+		got, serr := streamDrain(t, in, len(in), 16)
+		if (rerr == nil) != tc.ok || (serr == nil) != tc.ok {
+			t.Fatalf("%d-byte line: reader err %v, stream err %v, want accepted=%v", tc.total, rerr, serr, tc.ok)
+		}
+		if !tc.ok && (!errors.Is(rerr, errLineTooLong) || !errors.Is(serr, errLineTooLong)) {
+			t.Fatalf("%d-byte line: reader err %v, stream err %v, want line too long", tc.total, rerr, serr)
+		}
+		if !cmdsEqual(got, want) {
+			t.Fatalf("%d-byte line: stream parsed %d commands, reader %d (or bytes differ)", tc.total, len(got), len(want))
+		}
+	}
+}
+
+// TestStreamRefusesEndlessLine: a peer that never sends a newline is
+// refused once maxLineLen bytes are buffered, instead of growing the
+// stream's buffer for as long as it keeps sending.
+func TestStreamRefusesEndlessLine(t *testing.T) {
+	s := NewStream()
+	chunk := bytes.Repeat([]byte("a"), 1000)
+	for fed := 0; fed < 10*maxLineLen; fed += len(chunk) {
+		n := copy(s.Writable(len(chunk)), chunk)
+		s.Advance(n)
+		if _, err := s.NextBurst(16); err != nil {
+			if !errors.Is(err, errLineTooLong) || s.Buffered() >= maxLineLen+len(chunk) {
+				t.Fatalf("after %d bytes: err %v with %d buffered", fed+n, err, s.Buffered())
+			}
+			return
+		}
+	}
+	t.Fatalf("newline-free line never refused; %d bytes buffered", s.Buffered())
 }
 
 // TestStreamIncomplete checks a partial command stays buffered and
