@@ -1,8 +1,8 @@
 // Burst integrity: what a client sends as one pipelined write must
-// reach dispatch as ONE burst on every front-end, because everything
-// below amortises per burst — one ring hop and one drain per touched
-// shard, and under -aof-fsync always one write+fsync per touched
-// shard. A front-end that cuts the burst doubles all of those.
+// reach dispatch as ONE burst, because everything below amortises per
+// burst — one ring hop and one drain per touched shard, and under
+// -aof-fsync always one write+fsync per touched shard. Ingress that
+// cuts the burst doubles all of those.
 package main
 
 import (
@@ -45,23 +45,20 @@ func sendBurst(t *testing.T, conn net.Conn, r *resp.Reader, raw []byte, n int) {
 }
 
 // TestBurstIntegrity: 16 SETs written with one conn.Write are one
-// pipeline batch of depth 16 on the goroutine front-end and on the
-// event loop under both pollers.
+// pipeline batch of depth 16.
 func TestBurstIntegrity(t *testing.T) {
 	raw, _ := setBurst(16)
 	if len(raw) != 4928 {
 		t.Fatalf("burst is %d bytes, want 4928", len(raw))
 	}
-	for _, fe := range testFrontends() {
-		t.Run(fe.name, func(t *testing.T) {
-			s := newWorkerServer(t, 2)
-			r, _, conn := tcpClient(t, tcpFrontend(t, s, fe.netloop, fe.poller))
-			sendBurst(t, conn, r, raw, 16)
-			if b, c := s.tele.pipeBatches.Load(), s.tele.pipeCmds.Load(); b != 1 || c != 16 {
-				t.Fatalf("burst of 16 parsed as %d batch(es) holding %d commands, want 1 of 16", b, c)
-			}
-		})
-	}
+	t.Run("goroutine", func(t *testing.T) {
+		s := newWorkerServer(t, 2)
+		r, _, conn := tcpClient(t, tcpFrontend(t, s))
+		sendBurst(t, conn, r, raw, 16)
+		if b, c := s.tele.pipeBatches.Load(), s.tele.pipeCmds.Load(); b != 1 || c != 16 {
+			t.Fatalf("burst of 16 parsed as %d batch(es) holding %d commands, want 1 of 16", b, c)
+		}
+	})
 }
 
 // TestBurstIntegrityFsyncs: with the log on and -aof-fsync always, a
@@ -76,7 +73,7 @@ func TestBurstIntegrityFsyncs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := newPersistServer(t, 2, t.TempDir(), "always", true)
 	t.Cleanup(func() { shutdownPersist(s) })
-	r, _, conn := tcpClient(t, tcpFrontend(t, s, false, ""))
+	r, _, conn := tcpClient(t, tcpFrontend(t, s))
 
 	raw, keys := setBurst(16)
 	c := s.sys.Cluster()

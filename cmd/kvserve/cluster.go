@@ -12,9 +12,10 @@
 // shard lock (shard.SetOpGate), so a migration can never race a
 // buffered op into serving a key that already left the node. Denied
 // ops surface as OpOutcome.Denied and are rewritten into redirects
-// here — in execute() for the mutex path and flushPending() for the
-// worker path. ASKING arms a one-shot gate bypass for the next
-// command, honored only while the key's slot is actually importing.
+// here — in execute() for commands run in place and flushPending() for
+// those a shard worker ran. ASKING arms a one-shot gate bypass for the
+// next command, honored only while the key's slot is actually
+// importing.
 //
 // CLUSTER MIGRATE <slot> <node> runs a live migration: records stream
 // to the destination in CRC'd batches while the slot dual-serves,

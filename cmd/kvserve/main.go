@@ -35,10 +35,11 @@
 // after the last key), so a cursor walk under concurrent writes never
 // duplicates a key and covers every key present for the whole walk.
 // EXPIRE/PEXPIRE arm per-key TTLs: expired keys are reaped lazily on
-// access plus by an active sweep (-sweep-interval for -dispatch mutex;
-// the worker runtime sweeps off its own drain bursts). -maxmemory caps
-// each shard's record bytes, evicting by the STLT's in-set LFU rule
-// once a SET crosses the cap.
+// access plus by an active sweep — a ticker every -sweep-interval, so
+// an idle server still reaps, and one pass per worker drain burst, so
+// a busy shard reaps at traffic speed (-sweep-interval 0 = lazy only).
+// -maxmemory caps each shard's record bytes, evicting by the STLT's
+// in-set LFU rule once a SET crosses the cap.
 //
 // With -cluster-nodes the server joins a hash-slot cluster: keys map
 // to 16384 slots, each node owns a share and redirects the rest with
@@ -46,7 +47,7 @@
 // while both keep serving it (see cluster.go).
 //
 // With -aof every mutation is appended to a per-shard append-only log
-// (group-committed at the dispatch mode's batch boundary, fsynced per
+// (group-committed once per worker drain burst, fsynced per
 // -aof-fsync) and replayed on startup; BGSAVE — or a positive
 // -snapshot-interval — compacts each shard's log into a snapshot
 // generation in the background while traffic continues.
@@ -135,10 +136,12 @@ type server struct {
 	net          netConfig
 	opsSinceMark atomic.Uint64 // GET/SET/EXISTS dispatched since RESETSTATS
 
-	// workers selects the per-shard worker runtime (-dispatch worker):
-	// single-key commands are enqueued on their home shard's request
-	// ring and completed by the shard's owning goroutine. queueCap is
-	// the per-shard ring capacity.
+	// workers is set once the per-shard worker runtime is up (main
+	// always starts it): single-key commands are enqueued on their home
+	// shard's request ring and completed by the shard's owning
+	// goroutine. A server without it dispatches lock-per-op — the
+	// reference model the worker-vs-reference differential tests run
+	// against. queueCap is the per-shard ring capacity.
 	workers  bool
 	queueCap int
 
@@ -153,13 +156,11 @@ type server struct {
 	// persist is the durability runtime (nil without -aof).
 	persist *persistState
 
-	// Active-expiry sweeper for -dispatch mutex (the worker runtime
-	// sweeps off its own drain bursts instead — see SetSweepLimit).
-	// With -expire-cycle-budget the ticker runs in BOTH dispatch modes
-	// and these counters feed the "# expiry" INFO section.
+	// Active-expiry ticker (see startExpiry); its counters feed the
+	// "# expiry" INFO section.
 	sweepStop       chan struct{}
 	sweepDone       chan struct{}
-	sweepBudget     int           // -expire-cycle-budget (0 = per-mode defaults)
+	sweepBudget     int           // -expire-cycle-budget (0 = -sweep-limit per shard)
 	sweepCycles     atomic.Uint64 // completed sweep cycles
 	sweepReaped     atomic.Uint64 // keys reaped by sweeps, lifetime
 	sweepLastReaped atomic.Uint64 // keys reaped by the most recent cycle
@@ -167,10 +168,6 @@ type server struct {
 	// clus is the cluster runtime (nil in standalone mode — every
 	// cluster hook checks it, so standalone behavior is untouched).
 	clus *clusterState
-
-	// loop is the event-loop networking front-end (nil without
-	// -netloop; the accept path then serves goroutine-per-connection).
-	loop *loopState
 
 	// Span tracing: the sampling tracer shared with every shard engine,
 	// the flight-recorder dump sink (nil without -trace-dir), and a
@@ -219,18 +216,13 @@ func main() {
 		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")
 
-		netloop   = flag.Bool("netloop", false, "event-loop front-end: reader shards multiplex connections instead of one goroutine per connection")
-		readers   = flag.Int("readers", 0, "reader shards for -netloop (0 = GOMAXPROCS/2, capped at 8)")
-		netPoller = flag.String("netloop-poller", "auto", "netloop poller: auto|epoll|portable")
-
-		dispatch = flag.String("dispatch", "worker", "worker: per-shard owning goroutines drain request rings; mutex: lock-per-op dispatch")
-		queueCap = flag.Int("queue", 0, "per-shard request ring capacity for -dispatch worker (0 = default, rounded up to a power of two)")
+		queueCap = flag.Int("queue", 0, "per-shard request ring capacity (0 = default, rounded up to a power of two)")
 
 		maxMem     = flag.Int64("maxmemory", 0, "per-shard record-byte cap; past it SETs evict keys by the STLT's in-set LFU rule (0 = unlimited)")
 		fastHash   = flag.String("fast-hash", "", "STLT/SLB fast-path hash: sipHash|murmurHash|xxh64|djb2|xxh3 (default xxh3)")
-		sweepEvery = flag.Duration("sweep-interval", 100*time.Millisecond, "active TTL sweep period (-dispatch mutex; worker mode sweeps on drain bursts; 0 = lazy expiry only)")
+		sweepEvery = flag.Duration("sweep-interval", 100*time.Millisecond, "active TTL sweep ticker period; busy shards also sweep once per drain burst (0 = lazy expiry only)")
 		sweepLimit = flag.Int("sweep-limit", 0, "armed deadlines sampled per shard per sweep (0 = default)")
-		expBudget  = flag.Int("expire-cycle-budget", 0, "total armed deadlines sampled per sweep cycle across ALL shards; >0 splits the budget over shards and runs the ticker sweeper in both dispatch modes (0 = per-mode defaults)")
+		expBudget  = flag.Int("expire-cycle-budget", 0, "total armed deadlines sampled per ticker cycle across ALL shards; >0 splits the budget over shards and turns the drain-burst sweeps off (0 = -sweep-limit per shard)")
 
 		aof       = flag.Bool("aof", false, "enable the per-shard append-only log (durability)")
 		aofDir    = flag.String("aof-dir", "aof", "directory for AOF segments and snapshots")
@@ -253,17 +245,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if *maxPipe < 1 || *writeBuf < 1 {
-		fmt.Fprintln(os.Stderr, "kvserve: -pipeline and -writebuf must be >= 1")
+	if *maxPipe < 1 || *writeBuf < 1 || *shards < 1 {
+		fmt.Fprintln(os.Stderr, "kvserve: -pipeline, -writebuf and -shards must be >= 1")
 		os.Exit(2)
 	}
 
 	if (*sock == "") == (*addr == "") {
 		fmt.Fprintln(os.Stderr, "kvserve: exactly one of -sock or -addr is required")
-		os.Exit(2)
-	}
-	if *dispatch != "worker" && *dispatch != "mutex" {
-		fmt.Fprintln(os.Stderr, "kvserve: -dispatch must be worker or mutex")
 		os.Exit(2)
 	}
 	if *clusterNodes != "" {
@@ -355,43 +343,12 @@ func main() {
 		log.Printf("kvserve: cluster node %d/%d, bus on %s, owning %d slots, heartbeat every %v",
 			*clusterSelf, len(nodes), s.clus.bus.Addr(), s.clus.node.OwnedSlots(), *hbEvery)
 	}
-	sweepLim := *sweepLimit
-	if sweepLim <= 0 {
-		sweepLim = defaultSweepLimit
+	s.startExpiry(*sweepEvery, *sweepLimit, *expBudget)
+	if err := s.startWorkers(*queueCap); err != nil {
+		log.Fatalf("kvserve: %v", err)
 	}
-	if *expBudget > 0 {
-		// A cycle budget overrides -sweep-limit: split it evenly across
-		// shards (ceiling, so a tiny budget still samples something) and
-		// drive the ticker in BOTH dispatch modes. Worker drain-burst
-		// sweeps stay off so the budget is the only active-expiry source
-		// and each cycle's cost is bounded by the budget alone.
-		sweepLim = (*expBudget + *shards - 1) / *shards
-		s.sweepBudget = *expBudget
-	}
-	if *dispatch == "worker" {
-		if *sweepEvery > 0 && *expBudget <= 0 {
-			// Must land before StartWorkers: workers read the limit once.
-			sys.Cluster().SetSweepLimit(sweepLim)
-		}
-		if err := s.startWorkers(*queueCap); err != nil {
-			log.Fatalf("kvserve: %v", err)
-		}
-		log.Printf("kvserve: worker runtime up (%d shard workers, ring cap %d)",
-			*shards, s.queueCap)
-		if *sweepEvery > 0 && *expBudget > 0 {
-			s.startSweeper(*sweepEvery, sweepLim)
-		}
-	} else if *sweepEvery > 0 {
-		s.startSweeper(*sweepEvery, sweepLim)
-	}
-
-	if *netloop {
-		if err := s.startNetloop(*readers, *netPoller); err != nil {
-			log.Fatalf("kvserve: %v", err)
-		}
-		log.Printf("kvserve: netloop front-end up (%d reader shard(s), %s poller)",
-			len(s.loop.shards), s.loop.poller)
-	}
+	log.Printf("kvserve: worker runtime up (%d shard workers, ring cap %d)",
+		*shards, s.queueCap)
 
 	if *maddr != "" {
 		msrv, bound, err := startMetricsServer(*maddr, s)
@@ -422,14 +379,12 @@ func main() {
 		log.Printf("kvserve: %v — stopping accept, draining connections", sig)
 		s.closing.Store(true)
 		ln.Close()
-		s.nudgeConns()  // wake readers blocked on idle connections
-		s.wakeNetloop() // wake reader shards parked in their pollers
+		s.nudgeConns() // wake readers blocked on idle connections
 	}()
 
 	s.acceptLoop(ln)
 
 	s.drain()
-	s.stopNetloop()      // loops closed their conns during drain; join them
 	s.stopSweeper()      // before the logs close: sweeps append expiry records
 	s.stopWorkers()      // after drain: no connection is producing anymore
 	s.closePersistence() // after workers: nothing appends; sync + close the logs
@@ -442,8 +397,8 @@ func main() {
 }
 
 // acceptLoop accepts until the listener closes, shedding past the
-// -maxconns ceiling and handing tracked connections to the event loop
-// (-netloop) or a per-connection serve goroutine.
+// -maxconns ceiling and handing each tracked connection to its own
+// serve goroutine.
 func (s *server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
@@ -462,11 +417,7 @@ func (s *server) acceptLoop(ln net.Listener) {
 			go s.shed(conn)
 			continue
 		}
-		if s.loop != nil {
-			s.loop.add(conn)
-		} else {
-			go s.serve(conn)
-		}
+		go s.serve(conn)
 	}
 }
 
@@ -536,12 +487,36 @@ func (s *server) drain() {
 	}
 }
 
+// startExpiry wires active TTL expiry from the three sweep flags; it
+// must run before startWorkers, whose workers read the drain-burst
+// limit unsynchronised. every > 0 starts the ticker, so a shard with no
+// traffic still reaps, and lets every worker drain burst sweep its own
+// shard too, so a busy shard reaps at traffic speed. A cycle budget
+// overrides limit — split evenly across shards (ceiling, so a tiny
+// budget still samples something) — and turns the drain-burst sweeps
+// off: the ticker is then the only active source and each cycle's cost
+// is bounded by the budget alone. every == 0 leaves expiry lazy-only.
+func (s *server) startExpiry(every time.Duration, limit, budget int) {
+	s.sweepBudget = budget
+	if every <= 0 {
+		return
+	}
+	if limit <= 0 {
+		limit = defaultSweepLimit
+	}
+	if budget > 0 {
+		n := s.sys.Cluster().NumShards()
+		limit = (budget + n - 1) / n
+	} else {
+		s.sys.Cluster().SetSweepLimit(limit)
+	}
+	s.startSweeper(every, limit)
+}
+
 // startSweeper runs the ticker-driven active-expiry loop: every
 // period, each shard samples up to limit armed deadlines and reaps the
-// dead ones (Redis's activeExpireCycle). Mutex dispatch always uses
-// it; worker dispatch uses it only under -expire-cycle-budget, where
-// the ticker replaces the drain-burst sweeps (SweepExpired takes each
-// shard's own mutex, so the two dispatch modes need no extra locking).
+// dead ones (Redis's activeExpireCycle). SweepExpired takes each
+// shard's own mutex, so it needs no coordination with the workers.
 func (s *server) startSweeper(every time.Duration, limit int) {
 	s.sweepStop = make(chan struct{})
 	s.sweepDone = make(chan struct{})
@@ -630,16 +605,12 @@ func (s *server) serve(conn net.Conn) {
 	}
 }
 
-// runBurstCmds dispatches one parsed pipeline burst — the dispatch
-// core shared verbatim by the goroutine path (serve) and the event
-// loop (processReady), which is what makes the two front-ends
-// bit-for-bit identical in replies and modeled stats. Worker mode
-// classifies each command: async single-key ops enqueue on their
-// shard rings; anything else is an ordering barrier that flushes the
-// pending window first. quit/monitor report the command that
-// requested them (later commands in the burst are dropped, exactly
-// like the blocking loop's break). The caller owns the trailing
-// flushPending + Flush.
+// runBurstCmds dispatches one parsed pipeline burst. With the worker
+// runtime up each command is classified: async single-key ops enqueue
+// on their shard rings; anything else is an ordering barrier that
+// flushes the pending window first. quit/monitor report the command
+// that requested them (later commands in the burst are dropped). The
+// caller owns the trailing flushPending + Flush.
 func (s *server) runBurstCmds(w *resp.Writer, cs *connState, cmds [][][]byte) (quit, monitor bool, werr error) {
 	if len(cmds) > 0 {
 		s.tele.pipeBatches.Inc()
@@ -668,7 +639,7 @@ func (s *server) runBurstCmds(w *resp.Writer, cs *connState, cmds [][][]byte) (q
 
 // newReplyWriter builds a connection's reply writer: a -writebuf sized
 // buffer whose early flushes (it filled before the burst's own flush)
-// feed the early_flushes counter. Both front-ends build theirs here.
+// feed the early_flushes counter.
 func (s *server) newReplyWriter(conn net.Conn) *resp.Writer {
 	w := resp.NewWriterSize(conn, s.net.writeBufCap)
 	w.OnSpill(s.tele.earlyFlush.Inc)
@@ -707,12 +678,6 @@ func isTimeout(err error) bool {
 type connState struct {
 	id  int64
 	ops uint64
-
-	// netloop marks connections served by the event-loop front-end;
-	// reader is the owning reader shard (sampled spans stamp it on an
-	// EvNetRead event so traces attribute ingress).
-	netloop bool
-	reader  int
 
 	// asking is the one-shot ASKING flag (cluster mode): the next
 	// command may bypass the op gate if its slot is importing here.
@@ -755,9 +720,6 @@ func (s *server) dispatch(w *resp.Writer, args [][]byte, cs *connState) (quit, m
 			if cs.ops%every == 0 {
 				sp = s.tracer.BeginSampled(cmd, args[1])
 				sp.Conn = cs.id
-				if cs.netloop {
-					sp.EventRel(trace.EvNetRead, 0, int64(cs.reader), 0, 0)
-				}
 				sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
 				oc.Trace = sp
 			}
@@ -1241,9 +1203,6 @@ func (s *server) info() string {
 	fmt.Fprintf(&b, "early_flushes:%d\r\n", s.tele.earlyFlush.Load())
 	fmt.Fprintf(&b, "batch_commands:%d\r\n", s.tele.batchCmds.Load())
 	fmt.Fprintf(&b, "batched_keys:%d\r\n", s.tele.batchKeys.Load())
-	s.netloopInfo(func(format string, args ...any) {
-		fmt.Fprintf(&b, format, args...)
-	})
 
 	fmt.Fprintf(&b, "# expiry\r\n")
 	fmt.Fprintf(&b, "expire_cycle_budget:%d\r\n", s.sweepBudget)

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,6 +58,45 @@ func call(t *testing.T, s *server, args ...string) any {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// TestMain lets a test run kvserve's real main in a child process: the
+// test binary re-executes itself with kvserveArgsEnv set to the argv.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(kvserveArgsEnv); ok {
+		os.Args = append([]string{"kvserve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const kvserveArgsEnv = "KVSERVE_TEST_MAIN_ARGS"
+
+// TestMainRejectsBadFlags: flag values main cannot serve with, and
+// flags that no longer exist, exit 2 with a message naming the flag
+// before anything is built or bound.
+func TestMainRejectsBadFlags(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "kv.sock")
+	for _, tc := range []struct{ args, want string }{
+		{"-shards 0", "-shards must be >= 1"},
+		{"-shards 0 -expire-cycle-budget 5", "-shards must be >= 1"},
+		{"-pipeline 0", "-pipeline"},
+		{"-dispatch mutex", "not defined: -dispatch"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0])
+		cmd.Env = append(os.Environ(), kvserveArgsEnv+"=-sock "+sock+" "+tc.args)
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("kvserve %s: %v, want exit status 2\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Fatalf("kvserve %s: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
 }
 
 func TestServerBasicCommands(t *testing.T) {
@@ -617,6 +661,37 @@ func pipeClient(t *testing.T, s *server) (*resp.Reader, *resp.Writer, net.Conn) 
 	return resp.NewReader(client), resp.NewWriter(client), client
 }
 
+// tcpFrontend serves s on a real TCP listener through acceptLoop and
+// registers main's shutdown sequence: closing, listener close, nudge,
+// drain.
+func tcpFrontend(t *testing.T, s *server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.acceptLoop(ln)
+	t.Cleanup(func() {
+		s.closing.Store(true)
+		ln.Close()
+		s.nudgeConns()
+		s.drain()
+	})
+	return ln.Addr().String()
+}
+
+// tcpClient dials the front-end and returns RESP ends plus the raw
+// conn.
+func tcpClient(t *testing.T, addr string) (*resp.Reader, *resp.Writer, net.Conn) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return resp.NewReader(conn), resp.NewWriter(conn), conn
+}
+
 // TestServePipelinedConnection: a burst of pipelined commands over one
 // connection gets every reply in order, and INFO records the drain.
 func TestServePipelinedConnection(t *testing.T) {
@@ -778,5 +853,166 @@ func TestServerIdleTimeout(t *testing.T) {
 	// Stay silent; the server must close the connection.
 	if _, err := r.ReadReply(); err == nil {
 		t.Fatal("idle connection not closed")
+	}
+}
+
+// dribble writes raw bytes in small chunks with a gap between chunks,
+// simulating a client trickling a pipelined burst slower than the
+// idle timeout but never going fully silent.
+func dribble(t *testing.T, conn net.Conn, raw []byte, chunk int, gap time.Duration) {
+	t.Helper()
+	for off := 0; off < len(raw); off += chunk {
+		end := off + chunk
+		if end > len(raw) {
+			end = len(raw)
+		}
+		if _, err := conn.Write(raw[off:end]); err != nil {
+			t.Fatalf("dribble write at %d: %v", off, err)
+		}
+		time.Sleep(gap)
+	}
+}
+
+// TestIdleTimeoutMidBurst is the regression pin for the idle-reap
+// semantics: "idle" means no BYTES for the timeout, so a client
+// trickling a pipelined burst slower than the timeout (but with
+// steady byte arrival) is never reaped mid-burst — idleConn re-arms
+// the deadline per read. A genuinely silent connection on the same
+// server IS reaped.
+func TestIdleTimeoutMidBurst(t *testing.T) {
+	// The burst: enough pipelined PINGs that dribbling it at chunk/gap
+	// spans several idle timeouts end to end.
+	var burst bytes.Buffer
+	bw := resp.NewWriter(&burst)
+	const pings = 12
+	for i := 0; i < pings; i++ {
+		bw.WriteCommand([]byte("PING"))
+	}
+	bw.Flush()
+	raw := burst.Bytes()
+
+	t.Run("goroutine", func(t *testing.T) {
+		s := newTestServerShards(t, 1)
+		const idle = 120 * time.Millisecond
+		s.net.idleTimeout = idle
+		addr := tcpFrontend(t, s)
+
+		// Trickling connection: ~30ms per chunk, total well past the
+		// timeout, never silent for 120ms. Must survive and answer
+		// every command.
+		r, _, conn := tcpClient(t, addr)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			dribble(t, conn, raw, 8, 30*time.Millisecond)
+		}()
+		for i := 0; i < pings; i++ {
+			v, err := r.ReadReply()
+			if err != nil {
+				t.Fatalf("trickled reply %d: %v (mid-burst reap?)", i, err)
+			}
+			if v != "PONG" {
+				t.Fatalf("trickled reply %d = %v", i, v)
+			}
+		}
+		<-done
+
+		// Silent connection: must be reaped within a few timeouts.
+		_, _, quiet := tcpClient(t, addr)
+		quiet.SetReadDeadline(time.Now().Add(10 * idle))
+		if _, err := quiet.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			t.Fatalf("silent conn not reaped: %v", err)
+		}
+	})
+}
+
+// TestServeMonitorSocket drives monitorLoop over a live socket: the
+// monitor sees another connection's traffic, any command detaches it
+// and closes the connection, and a command pipelined right behind
+// MONITOR — still unparsed in the connection's reader — detaches at
+// once.
+func TestServeMonitorSocket(t *testing.T) {
+	s := newWorkerServer(t, 1)
+	// Burst cap 1: a command pipelined behind MONITOR stays UNPARSED in
+	// the reader's buffer, where monitorLoop's own read finds it. (At
+	// larger caps it parses into the same burst and is dropped.)
+	s.net.maxPipeline = 1
+	addr := tcpFrontend(t, s)
+
+	// Live monitor: sees another connection's traffic.
+	mr, mw, mconn := tcpClient(t, addr)
+	if err := mw.WriteCommand([]byte("MONITOR")); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := mr.ReadReply(); err != nil || v != "OK" {
+		t.Fatalf("MONITOR ack: %v, %v", v, err)
+	}
+	_, ow, _ := tcpClient(t, addr)
+	ow.WriteCommand([]byte("SET"), []byte("spied"), []byte("on"))
+	if err := ow.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mconn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	v, err := mr.ReadReply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, ok := v.(string); !ok || !strings.Contains(line, "spied") {
+		t.Fatalf("monitor line = %v", v)
+	}
+	// Any command detaches; the serve goroutine closes the conn.
+	if err := mw.WriteCommand([]byte("PING")); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mr.ReadReply(); err == nil || isTimeout(err) {
+		t.Fatalf("monitor conn still open after detach command: %v", err)
+	}
+
+	// Pipelined MONITOR+PING in one segment: PING waits in the reader's
+	// buffer, monitorLoop reads it, and the monitor detaches at once.
+	lr, lw, lconn := tcpClient(t, addr)
+	lw.WriteCommand([]byte("MONITOR"))
+	lw.WriteCommand([]byte("PING"))
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := lr.ReadReply(); err != nil || v != "OK" {
+		t.Fatalf("pipelined MONITOR ack: %v, %v", v, err)
+	}
+	lconn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		v, err := lr.ReadReply()
+		if err != nil {
+			if isTimeout(err) {
+				t.Fatal("command pipelined behind MONITOR did not detach")
+			}
+			break // detached and closed — success
+		}
+		if _, ok := v.(string); !ok {
+			t.Fatalf("unexpected monitor reply %v", v)
+		}
+	}
+}
+
+// TestServeMalformedSocket: a malformed command closes the connection,
+// but only after every complete command ahead of it has been answered.
+func TestServeMalformedSocket(t *testing.T) {
+	s := newWorkerServer(t, 1)
+	r, _, conn := tcpClient(t, tcpFrontend(t, s))
+	if _, err := conn.Write([]byte("*1\r\n$4\r\nPING\r\n*1\r\n$-5\r\nbogus\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if v, err := r.ReadReply(); err != nil || v != "PONG" {
+		t.Fatalf("reply ahead of malformed input: %v, %v", v, err)
+	}
+	if _, err := r.ReadReply(); err == nil {
+		t.Fatal("connection survived malformed input")
 	}
 }

@@ -223,7 +223,7 @@ func newServerTele(sys *addrkv.System, slowlogCap int) *serverTele {
 	for i := 0; i < shards; i++ {
 		i := i
 		r.GaugeFunc("addrkv_queue_depth",
-			"Requests queued in the shard worker's ring (0 with -dispatch mutex).",
+			"Requests queued in the shard worker's ring.",
 			telemetry.Labels{"shard": strconv.Itoa(i)}, func() float64 {
 				t.mu.Lock()
 				defer t.mu.Unlock()

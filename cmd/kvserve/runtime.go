@@ -1,10 +1,10 @@
-// Worker-runtime dispatch for kvserve (-dispatch worker, the default):
-// connection goroutines classify single-key commands, enqueue them on
-// their home shard's request ring, and write replies when the shard's
-// owning worker completes them. Commands that cannot run asynchronously
-// (multi-key batches, INFO, admin) act as ordering barriers: every
-// pending reply is flushed first, so each connection's replies always
-// arrive in command order.
+// Worker-runtime dispatch for kvserve: connection goroutines classify
+// single-key commands, enqueue them on their home shard's request
+// ring, and write replies when the shard's owning worker completes
+// them. Commands that cannot run asynchronously (multi-key batches,
+// INFO, admin) act as ordering barriers: every pending reply is
+// flushed first, so each connection's replies always arrive in command
+// order.
 //
 // The steady-state path is allocation-free: each connection reuses a
 // slab of shard.Req slots (their Val buffers double as pooled reply
@@ -107,9 +107,6 @@ func (s *server) enqueueAsync(cs *connState, kind shard.OpKind, cmd string, args
 		if cs.ops%every == 0 {
 			sp = s.tracer.BeginSampled(cmd, args[1])
 			sp.Conn = cs.id
-			if cs.netloop {
-				sp.EventRel(trace.EvNetRead, 0, int64(cs.reader), 0, 0)
-			}
 			sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
 		}
 	}
@@ -199,15 +196,10 @@ func (s *server) stopWorkers() {
 	}
 }
 
-// runtimeInfo renders the INFO "# runtime" section: dispatch mode,
-// ring sizing, and the aggregate worker counters when running.
+// runtimeInfo renders the INFO "# runtime" section: ring sizing and
+// the aggregate worker counters when running.
 func (s *server) runtimeInfo(add func(format string, args ...any)) {
 	add("# runtime\r\n")
-	mode := "mutex"
-	if s.workers {
-		mode = "worker"
-	}
-	add("dispatch:%s\r\n", mode)
 	add("queue_cap:%d\r\n", s.queueCap)
 	ws := s.sys.Cluster().RuntimeStats()
 	if ws == nil {

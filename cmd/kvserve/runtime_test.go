@@ -14,12 +14,13 @@ import (
 	"addrkv/internal/telemetry"
 )
 
-// newWorkerServer builds a test server with the per-shard worker
-// runtime up, and tears it down (drain first: no producers while the
-// rings empty out) when the test ends.
-func newWorkerServer(t *testing.T, shards int) *server {
+// startTestWorkers brings the per-shard worker runtime up on s — what
+// main always does — and tears it down (drain first: no producers
+// while the rings empty out) when the test ends. A test server without
+// it is the lock-per-op reference model the differentials compare
+// against.
+func startTestWorkers(t *testing.T, s *server) {
 	t.Helper()
-	s := newTestServerShards(t, shards)
 	if err := s.startWorkers(0); err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +30,13 @@ func newWorkerServer(t *testing.T, shards int) *server {
 		s.drain()
 		s.stopWorkers()
 	})
+}
+
+// newWorkerServer builds a test server with the worker runtime up.
+func newWorkerServer(t *testing.T, shards int) *server {
+	t.Helper()
+	s := newTestServerShards(t, shards)
+	startTestWorkers(t, s)
 	return s
 }
 
@@ -98,9 +106,9 @@ func runScript(t *testing.T, s *server, cmds [][]string, flushEvery int) []strin
 // TestServerWorkerMatchesMutex is the server-level determinism pin for
 // the worker runtime: the same single-connection command stream must
 // produce byte-identical replies AND bit-for-bit identical modeled
-// statistics under -dispatch worker and -dispatch mutex. Single-key
-// async ops, multi-key barriers, admin commands, errors, and misses
-// are all interleaved.
+// statistics on the worker runtime and on the lock-per-op reference
+// server. Single-key async ops, multi-key barriers, admin commands,
+// errors, and misses are all interleaved.
 func TestServerWorkerMatchesMutex(t *testing.T) {
 	var script [][]string
 	for i := 0; i < 24; i++ {
@@ -233,7 +241,7 @@ func TestServerRuntimeInfoAndMetrics(t *testing.T) {
 
 	info := string(call(t, s, "INFO").([]byte))
 	for _, want := range []string{
-		"# runtime", "dispatch:worker", "queue_cap:", "queue_depth:",
+		"# runtime", "queue_cap:", "queue_depth:",
 		"worker_drains:", "worker_drained_ops:4", "drain_mean:", "drain_max:",
 		"queue_full_spins:",
 	} {
@@ -270,15 +278,12 @@ func TestServerRuntimeInfoAndMetrics(t *testing.T) {
 		}
 	}
 
-	// A mutex-mode server reports its dispatch mode and no worker
-	// counters (the runtime is down).
+	// The reference server reports no worker counters (the runtime is
+	// down).
 	m := newTestServer(t)
 	info = string(call(t, m, "INFO").([]byte))
-	if !strings.Contains(info, "dispatch:mutex") {
-		t.Fatalf("mutex INFO missing dispatch mode:\n%s", info)
-	}
 	if strings.Contains(info, "worker_drains:") {
-		t.Fatalf("mutex INFO has worker counters:\n%s", info)
+		t.Fatalf("reference-server INFO has worker counters:\n%s", info)
 	}
 }
 

@@ -35,15 +35,7 @@ func newScenarioServer(t *testing.T, shards int, index addrkv.IndexKind, maxMem 
 	}
 	s := newServer(sys, defaultSlowlogCap)
 	if workers {
-		if err := s.startWorkers(0); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			s.closing.Store(true)
-			s.nudgeConns()
-			s.drain()
-			s.stopWorkers()
-		})
+		startTestWorkers(t, s)
 	}
 	return s
 }
@@ -285,8 +277,7 @@ func TestServerExpireCycleBudget(t *testing.T) {
 				call(t, s, "SET", fmt.Sprintf("k:%02d", i), "v")
 				call(t, s, "PEXPIRE", fmt.Sprintf("k:%02d", i), "1000")
 			}
-			s.sweepBudget = budget
-			s.startSweeper(time.Millisecond, (budget+shards-1)/shards)
+			s.startExpiry(time.Millisecond, 0, budget)
 			defer s.stopSweeper()
 
 			clock.Add(5_000_000_000) // every deadline is now dead
@@ -310,6 +301,93 @@ func TestServerExpireCycleBudget(t *testing.T) {
 				t.Fatal("INFO reports zero sweep cycles after a completed sweep")
 			}
 		})
+	}
+}
+
+// TestServerIdleExpiry: with a sweep interval set, the served
+// configuration (worker runtime, no cycle budget) reaps keys whose
+// deadline passed although no command ever reaches their shards again —
+// the ticker does it, not traffic.
+func TestServerIdleExpiry(t *testing.T) {
+	s := newTestServerShards(t, 2)
+	var clock atomic.Int64
+	clock.Store(1_000_000_000)
+	s.sys.SetClock(clock.Load)
+	for i := 0; i < 8; i++ {
+		call(t, s, "SET", fmt.Sprintf("k:%02d", i), "v")
+		call(t, s, "PEXPIRE", fmt.Sprintf("k:%02d", i), "200")
+	}
+	s.startExpiry(time.Millisecond, 0, 0)
+	t.Cleanup(s.stopSweeper)
+	startTestWorkers(t, s)
+
+	clock.Add(3_000_000_000) // every deadline is now dead; send nothing
+	waitFor(t, 5*time.Second, "the idle server to reap all 8 keys", func() bool {
+		return s.sweepReaped.Load() == 8
+	})
+	if got := s.sys.Len(); got != 0 {
+		t.Fatalf("%d keys left after the sweep, want 0", got)
+	}
+	info := string(call(t, s, "INFO").([]byte))
+	for _, want := range []string{"sweep_reaped_total:8", "expired_keys:8", "expires_armed:0"} {
+		if !strings.Contains(info, want) {
+			t.Fatalf("INFO missing %q:\n%s", want, info)
+		}
+	}
+}
+
+// TestServerDrainBurstSweep: each worker drain burst sweeps its own
+// shard, so traffic to OTHER keys reaps a shard's dead keys without
+// waiting for the ticker (an hour away here), and the removals are
+// logged — a restart replays them instead of resurrecting the keys.
+func TestServerDrainBurstSweep(t *testing.T) {
+	const armed = 16
+	dir := t.TempDir()
+	s := newPersistServer(t, 2, dir, "always", false)
+	var clock atomic.Int64
+	clock.Store(1_000_000_000)
+	s.sys.SetClock(clock.Load)
+	for i := 0; i < armed; i++ {
+		call(t, s, "SET", fmt.Sprintf("ttl:%02d", i), "v")
+		call(t, s, "PEXPIRE", fmt.Sprintf("ttl:%02d", i), "1000")
+	}
+	s.startExpiry(time.Hour, 0, 0)
+	if err := s.startWorkers(0); err != nil {
+		t.Fatal(err)
+	}
+	clock.Add(5_000_000_000)
+
+	r, w, conn := pipeClient(t, s)
+	for i := 0; s.sys.ExpiresArmed() > 0; i++ {
+		if i == 1000 {
+			t.Fatalf("%d deadlines still armed after 1000 unrelated GETs", s.sys.ExpiresArmed())
+		}
+		w.WriteCommand([]byte("GET"), []byte(fmt.Sprintf("other:%d", i)))
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := r.ReadReply(); err != nil || v != nil {
+			t.Fatalf("GET other:%d = %v, %v", i, v, err)
+		}
+	}
+	if got := s.sys.Len(); got != 0 {
+		t.Fatalf("%d keys left after the drain-burst sweeps, want 0", got)
+	}
+	if n := s.sweepCycles.Load(); n != 0 {
+		t.Fatalf("the ticker ran %d cycle(s); the drain bursts were meant to reap", n)
+	}
+	conn.Close()
+	s.drain()
+	s.stopSweeper()
+	shutdownPersist(s)
+
+	re := newPersistServer(t, 2, dir, "always", false)
+	defer shutdownPersist(re)
+	if got := re.persist.recovered.ExpireDels; got != armed {
+		t.Fatalf("recovery replayed %d logged expiry removals, want %d", got, armed)
+	}
+	if got := re.sys.Len(); got != 0 {
+		t.Fatalf("%d keys resurrected by recovery", got)
 	}
 }
 

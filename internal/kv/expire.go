@@ -323,9 +323,9 @@ func (e *Engine) ExpiresArmed() int { return len(e.expires) }
 
 // SweepExpired is the active expiry cycle: examine up to limit armed
 // deadlines (round-robin over arming order, so successive sweeps cover
-// the whole set) and reap the dead ones. Runs off the worker drain (or
-// the mutex-mode ticker) under the shard lock; removals are untimed
-// and queued for the WAL like lazy expiries. Returns keys reaped.
+// the whole set) and reap the dead ones. Runs off the worker drain and
+// the sweep ticker, under the shard lock; removals are untimed and
+// queued for the WAL like lazy expiries. Returns keys reaped.
 func (e *Engine) SweepExpired(limit int) int {
 	if len(e.expires) == 0 || e.replay || limit <= 0 {
 		return 0

@@ -12,6 +12,15 @@
 // same Stream. Argument bytes are interned into the arena, never
 // aliased to the raw buffer, so the raw buffer may be compacted or
 // grown between bursts while returned commands stay valid.
+//
+// Nothing in this repository serves through a Stream any more: its one
+// consumer, kvserve's -netloop event-loop front-end, was measured
+// against the goroutine-per-connection path and deleted (EXPERIMENTS.md
+// "One request path"). The type stays, unchanged, only because the
+// repository benchmark compiles against NewStream (bench/ledger.go, row
+// resp.stream_parse_ns_per_cmd) and the change that removed the
+// front-end was not allowed to edit bench/. A benchmark change can drop
+// that row and this file, with its tests, together.
 package resp
 
 // streamMinRead is the smallest read segment Writable hands out; a

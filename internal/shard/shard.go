@@ -489,9 +489,9 @@ func (c *Cluster) Now() int64 {
 }
 
 // SweepExpired runs one active-expiry cycle on every shard, examining
-// up to limit armed deadlines per shard, and logs the reaped keys. The
-// mutex-path ticker calls this; the worker runtime sweeps off its own
-// drain loop.
+// up to limit armed deadlines per shard, and logs the reaped keys.
+// kvserve's sweep ticker calls this, with or without the worker
+// runtime, whose drain loop also sweeps on its own (SetSweepLimit).
 func (c *Cluster) SweepExpired(limit int) int {
 	reaped := 0
 	for i, s := range c.shards {

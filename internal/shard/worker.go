@@ -132,7 +132,8 @@ func (c *Cluster) WorkersRunning() bool { return c.wset.Load() != nil }
 
 // SetSweepLimit sets how many armed TTL deadlines each worker examines
 // per drain burst (0 disables the drain-loop sweep). Set before
-// StartWorkers; the mutex path sweeps via Cluster.SweepExpired instead.
+// StartWorkers. A shard with no traffic drains nothing, so callers
+// that must reap on an idle shard also tick Cluster.SweepExpired.
 func (c *Cluster) SetSweepLimit(limit int) { c.sweepLimit = limit }
 
 // SetDrainObserver installs a callback the worker invokes after each

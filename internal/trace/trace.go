@@ -132,14 +132,8 @@ const (
 	// the batch round-trip plus extraction.
 	EvMigProgress
 
-	// EvNetRead marks a command that entered through the event-loop
-	// front-end (-netloop): A = the reader shard whose poller drained
-	// the socket. Absent on the goroutine-per-connection path. No
-	// cycle stamp — the simulated machine is not chosen yet.
-	EvNetRead
-
 	// NumEventKinds bounds the kind space (for per-kind counters).
-	NumEventKinds = int(EvNetRead) + 1
+	NumEventKinds = int(EvMigProgress) + 1
 )
 
 var kindNames = [NumEventKinds]string{
@@ -147,7 +141,7 @@ var kindNames = [NumEventKinds]string{
 	"stlt.loadva", "stlt.probe", "ipb.check", "stb.hit", "stb.miss",
 	"tlb.refill", "walk.level", "page.walk", "index.walk", "stlt.insert",
 	"stlt.scrub", "reply.flush", "wal.append", "wal.fsync", "stlt.rewarm",
-	"expire", "evict", "mig.progress", "net.read",
+	"expire", "evict", "mig.progress",
 }
 
 // String returns the stable wire name of the kind.

@@ -4,33 +4,23 @@
 // sweeping three axes:
 //
 //   - cores:  the server's GOMAXPROCS (set via env), so one artifact
-//     captures how both dispatch modes and both networking front-ends
-//     scale with available parallelism
-//   - shards: the engine shard count (worker dispatch owns one
-//     goroutine per shard)
+//     captures how the server scales with available parallelism
+//   - shards: the engine shard count (one owning worker goroutine per
+//     shard)
 //   - depth:  the client pipeline depth
 //
-// plus the networking front-end (-netloop event loop vs the default
-// goroutine-per-connection) as an A/B leg, and it pins two headline
-// comparisons at the top configuration: worker vs mutex dispatch, and
-// netloop vs goroutine front-end (both interleaved round-robin so the
-// legs share the machine's noise regime).
+// Every cell carries ops/sec and p50/p99/p999, and the artifact embeds
+// the host fingerprint (internal/hostmeta) so a 1-CPU container
+// capture is never misread as a multi-core regression. The matrix
+// describes one build; comparing two builds is the repository
+// benchmark's job (bench/), which runs them in interleaved pairs.
 //
 // Usage (from the repo root):
 //
 //	go build -o /tmp/kvserve ./cmd/kvserve
 //	go build -o /tmp/kvbench ./cmd/kvbench
 //	go run ./scripts/throughput -kvserve /tmp/kvserve -kvbench /tmp/kvbench \
-//	    -json results/BENCH_throughput.json -check 1.5
-//
-// The headline speedup is contention-bound: the worker runtime wins by
-// replacing a mutex contended by every connection goroutine with one
-// owning goroutine per shard, so the gap scales with hardware threads.
-// On a single-CPU host both modes are serialized behind the simulated
-// engine (the dominant real CPU cost) and measure ~1.0x — so -check is
-// enforced only when the host has more than one CPU, and the artifact
-// embeds the host fingerprint (internal/hostmeta) so a 1-CPU container
-// capture is never misread as a multi-core regression.
+//	    -json results/BENCH_throughput.json
 package main
 
 import (
@@ -70,33 +60,15 @@ type benchArtifact struct {
 }
 
 // runSpec is one kvserve configuration to benchmark: a cell of the
-// cores x shards x front-end matrix (depth sweeps inside the cell).
+// cores x shards matrix (depth sweeps inside the cell).
 type runSpec struct {
-	Dispatch string `json:"dispatch"`
-	Frontend string `json:"frontend"` // "goroutine" or "netloop"
-	Cores    int    `json:"cores"`    // server GOMAXPROCS
-	Shards   int    `json:"shards"`
-	sweep    string
+	Cores  int `json:"cores"` // server GOMAXPROCS
+	Shards int `json:"shards"`
 }
 
 type runResult struct {
 	runSpec
 	Sweep []depthPoint `json:"sweep"`
-}
-
-// headline is an interleaved A/B at one configuration: per-leg ops/sec
-// per round plus the best of each (best-of damps scheduler jitter on
-// small hosts; alternating rounds cancel warmth drift).
-type headline struct {
-	Shards int `json:"shards"`
-	Depth  int `json:"depth"`
-	Cores  int `json:"cores"`
-	// A = the baseline leg, B = the candidate leg.
-	ARounds    []float64 `json:"a_rounds"`
-	BRounds    []float64 `json:"b_rounds"`
-	AOpsPerSec float64   `json:"a_ops_per_sec"`
-	BOpsPerSec float64   `json:"b_ops_per_sec"`
-	Speedup    float64   `json:"speedup"` // B / A
 }
 
 type matrixArtifact struct {
@@ -105,13 +77,10 @@ type matrixArtifact struct {
 	Host   hostmeta.Meta  `json:"host"`
 	Params map[string]any `json:"params"`
 	Runs   []runResult    `json:"runs"`
-	// WorkerHeadline: A = mutex dispatch, B = worker dispatch
-	// (goroutine front-end, top core count).
-	WorkerHeadline headline `json:"worker_headline"`
-	// NetloopHeadline: A = goroutine front-end, B = netloop front-end
-	// (worker dispatch, top core count).
-	NetloopHeadline headline `json:"netloop_headline"`
 }
+
+// depths is the pipeline-depth sweep kvbench runs inside every cell.
+const depths = "1,4,16"
 
 func main() {
 	var (
@@ -122,9 +91,7 @@ func main() {
 		conns    = flag.Int("conns", 16, "concurrent benchmark connections")
 		keys     = flag.Int("keys", 10_000, "key-space size (server preloads it)")
 		vsize    = flag.Int("vsize", 64, "value size")
-		rounds   = flag.Int("rounds", 3, "interleaved rounds per headline comparison")
 		coresArg = flag.String("cores", "", "comma-separated server GOMAXPROCS values (default: 1 and NumCPU, deduped)")
-		check    = flag.Float64("check", 0, "fail unless worker/mutex speedup at the headline point is >= this; only enforced on hosts with >1 CPU (0 = report only)")
 	)
 	flag.Parse()
 	if *kvserve == "" || *kvbench == "" {
@@ -135,7 +102,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	topCores := cores[len(cores)-1]
 
 	tmp, err := os.MkdirTemp("", "throughput-*")
 	if err != nil {
@@ -143,72 +109,18 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 
-	bench := func(spec runSpec) []depthPoint {
-		sweep, err := benchOne(tmp, *kvserve, *kvbench, spec, *ops, *conns, *keys, *vsize)
-		if err != nil {
-			fatal(fmt.Errorf("%s/%s/cores=%d/shards=%d: %w",
-				spec.Dispatch, spec.Frontend, spec.Cores, spec.Shards, err))
-		}
-		return sweep
-	}
-
-	// The matrix: cores x shards x front-end, each cell a depth sweep on
-	// the worker runtime (the seeded bench trajectory).
 	var runs []runResult
 	for _, c := range cores {
 		for _, shards := range []int{1, 4} {
-			for _, fe := range []string{"goroutine", "netloop"} {
-				spec := runSpec{Dispatch: "worker", Frontend: fe, Cores: c, Shards: shards, sweep: "1,4,16"}
-				fmt.Printf("== worker dispatch, %s front-end, %d core(s), %d shard(s), depths %s ==\n",
-					fe, c, shards, spec.sweep)
-				runs = append(runs, runResult{runSpec: spec, Sweep: bench(spec)})
+			spec := runSpec{Cores: c, Shards: shards}
+			fmt.Printf("== %d core(s), %d shard(s), depths %s ==\n", c, shards, depths)
+			sweep, err := benchOne(tmp, *kvserve, *kvbench, spec, *ops, *conns, *keys, *vsize)
+			if err != nil {
+				fatal(fmt.Errorf("cores=%d/shards=%d: %w", c, shards, err))
 			}
+			runs = append(runs, runResult{runSpec: spec, Sweep: sweep})
 		}
 	}
-
-	// Headlines at the top core count, interleaved so both legs of each
-	// comparison sample the same noise regime.
-	interleave := func(name string, a, b runSpec) (headline, []runResult) {
-		hl := headline{Shards: a.Shards, Depth: 16, Cores: a.Cores}
-		var bestA, bestB []depthPoint
-		for r := 0; r < *rounds; r++ {
-			legs := [2]runSpec{a, b}
-			if r%2 == 1 {
-				legs[0], legs[1] = b, a
-			}
-			for _, spec := range legs {
-				fmt.Printf("== %s headline round %d/%d: %s dispatch, %s front-end ==\n",
-					name, r+1, *rounds, spec.Dispatch, spec.Frontend)
-				sweep := bench(spec)
-				rate := sweep[len(sweep)-1].OpsPerSec
-				if spec == a {
-					hl.ARounds = append(hl.ARounds, rate)
-					if rate > hl.AOpsPerSec {
-						hl.AOpsPerSec, bestA = rate, sweep
-					}
-				} else {
-					hl.BRounds = append(hl.BRounds, rate)
-					if rate > hl.BOpsPerSec {
-						hl.BOpsPerSec, bestB = rate, sweep
-					}
-				}
-			}
-		}
-		if hl.AOpsPerSec > 0 {
-			hl.Speedup = hl.BOpsPerSec / hl.AOpsPerSec
-		}
-		return hl, []runResult{{runSpec: a, Sweep: bestA}, {runSpec: b, Sweep: bestB}}
-	}
-
-	depth16 := fmt.Sprint(16)
-	workerHL, workerRuns := interleave("worker-vs-mutex",
-		runSpec{Dispatch: "mutex", Frontend: "goroutine", Cores: topCores, Shards: 8, sweep: depth16},
-		runSpec{Dispatch: "worker", Frontend: "goroutine", Cores: topCores, Shards: 8, sweep: depth16})
-	netloopHL, netloopRuns := interleave("netloop-vs-goroutine",
-		runSpec{Dispatch: "worker", Frontend: "goroutine", Cores: topCores, Shards: 8, sweep: depth16},
-		runSpec{Dispatch: "worker", Frontend: "netloop", Cores: topCores, Shards: 8, sweep: depth16})
-	runs = append(runs, workerRuns...)
-	runs = append(runs, netloopRuns...)
 
 	art := matrixArtifact{
 		Name: "throughput",
@@ -217,28 +129,14 @@ func main() {
 		Params: map[string]any{
 			"ops": *ops, "conns": *conns, "keys": *keys, "vsize": *vsize,
 			"transport": "unix", "get_ratio": 0.9, "seed": 42,
-			"rounds": *rounds, "cores": cores, "cpus": runtime.NumCPU(),
+			"cores": cores, "cpus": runtime.NumCPU(),
 		},
-		Runs:            runs,
-		WorkerHeadline:  workerHL,
-		NetloopHeadline: netloopHL,
+		Runs: runs,
 	}
 	if err := writeJSON(*out, art); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("worker headline  (cores=%d shards=%d depth=%d): mutex %.0f ops/sec, worker %.0f ops/sec, speedup %.2fx\n",
-		workerHL.Cores, workerHL.Shards, workerHL.Depth, workerHL.AOpsPerSec, workerHL.BOpsPerSec, workerHL.Speedup)
-	fmt.Printf("netloop headline (cores=%d shards=%d depth=%d): goroutine %.0f ops/sec, netloop %.0f ops/sec, speedup %.2fx\n",
-		netloopHL.Cores, netloopHL.Shards, netloopHL.Depth, netloopHL.AOpsPerSec, netloopHL.BOpsPerSec, netloopHL.Speedup)
 	fmt.Printf("wrote %s\n", *out)
-	if *check > 0 {
-		if runtime.NumCPU() <= 1 {
-			fmt.Printf("single-CPU host: %.2fx worker-speedup floor not enforced (both modes serialize behind the engine; the artifact's host stamp records this)\n", *check)
-		} else if workerHL.Speedup < *check {
-			fmt.Fprintf(os.Stderr, "throughput: worker speedup %.2fx below the %.2fx floor\n", workerHL.Speedup, *check)
-			os.Exit(1)
-		}
-	}
 }
 
 // parseCores parses -cores; the default sweeps 1 and every hardware
@@ -262,21 +160,15 @@ func parseCores(s string) ([]int, error) {
 	return cores, nil
 }
 
-// benchOne boots kvserve for one spec (GOMAXPROCS via env, -netloop
-// for the event-loop front-end), drives kvbench against it, and
-// returns the parsed sweep.
+// benchOne boots kvserve for one spec (GOMAXPROCS via env), drives
+// kvbench against it, and returns the parsed sweep.
 func benchOne(tmp, kvserve, kvbench string, spec runSpec, ops, conns, keys, vsize int) ([]depthPoint, error) {
-	sock := filepath.Join(tmp, fmt.Sprintf("kv-%s-%s-%d-%d.sock", spec.Dispatch, spec.Frontend, spec.Cores, spec.Shards))
-	args := []string{
+	sock := filepath.Join(tmp, fmt.Sprintf("kv-%d-%d.sock", spec.Cores, spec.Shards))
+	srv := exec.Command(kvserve,
 		"-sock", sock,
 		"-shards", fmt.Sprint(spec.Shards),
-		"-dispatch", spec.Dispatch,
 		"-preload", "-keys", fmt.Sprint(keys), "-vsize", fmt.Sprint(vsize),
-	}
-	if spec.Frontend == "netloop" {
-		args = append(args, "-netloop")
-	}
-	srv := exec.Command(kvserve, args...)
+	)
 	srv.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(spec.Cores))
 	srv.Stderr = os.Stderr
 	if err := srv.Start(); err != nil {
@@ -297,10 +189,10 @@ func benchOne(tmp, kvserve, kvbench string, spec runSpec, ops, conns, keys, vsiz
 		return nil, err
 	}
 
-	art := filepath.Join(tmp, fmt.Sprintf("sweep-%s-%s-%d-%d.json", spec.Dispatch, spec.Frontend, spec.Cores, spec.Shards))
+	art := filepath.Join(tmp, fmt.Sprintf("sweep-%d-%d.json", spec.Cores, spec.Shards))
 	bench := exec.Command(kvbench,
 		"-sock", sock,
-		"-sweep", spec.sweep,
+		"-sweep", depths,
 		"-ops", fmt.Sprint(ops),
 		"-conns", fmt.Sprint(conns),
 		"-keys", fmt.Sprint(keys),

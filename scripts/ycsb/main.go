@@ -188,8 +188,7 @@ func main() {
 		Params: map[string]any{
 			"ops": *ops, "conns": *conns, "depth": *depth,
 			"keys": *keys, "vsize": *vsize,
-			"index": "btree", "dispatch": "worker",
-			"transport": "unix", "seed": 42,
+			"index": "btree", "transport": "unix", "seed": 42,
 			"rounds": *rounds, "cpus": runtime.NumCPU(),
 		},
 		Runs:     runs,
@@ -224,7 +223,6 @@ func (c benchCfg) benchOne(spec mixRun) (mixRun, error) {
 	args := []string{
 		"-sock", sock,
 		"-index", "btree",
-		"-dispatch", "worker",
 		"-shards", "4",
 		"-preload", "-keys", strconv.Itoa(c.keys), "-vsize", strconv.Itoa(c.vsize),
 	}
