@@ -196,57 +196,34 @@ func (s *System) Delete(key []byte) bool { return s.c.Delete(key) }
 // without the value read or value reply.
 func (s *System) Exists(key []byte) bool { return s.c.Exists(key) }
 
-// OpOutcome is the per-operation telemetry report of the *O data-path
-// variants: home shard, modeled cycle cost, and how the addressing
-// path resolved. Filling it reads counters only — observed runs stay
-// bit-for-bit identical to unobserved ones.
+// OpOutcome is the per-operation telemetry report a shard.Req carries
+// (Cluster().Do, Cluster().Enqueue): home shard, modeled cycle cost,
+// and how the addressing path resolved. Filling it reads counters only
+// — observed runs stay bit-for-bit identical to unobserved ones.
 type OpOutcome = shard.OpOutcome
-
-// GetO is Get with a per-op outcome report (out may be nil).
-func (s *System) GetO(key []byte, out *OpOutcome) ([]byte, bool) { return s.c.GetO(key, out) }
-
-// GetTouchO is GetTouch with a per-op outcome report.
-func (s *System) GetTouchO(key []byte, out *OpOutcome) bool { return s.c.GetTouchO(key, out) }
-
-// SetO is Set with a per-op outcome report.
-func (s *System) SetO(key, value []byte, out *OpOutcome) { s.c.SetO(key, value, out) }
-
-// DeleteO is Delete with a per-op outcome report.
-func (s *System) DeleteO(key []byte, out *OpOutcome) bool { return s.c.DeleteO(key, out) }
-
-// ExistsO is Exists with a per-op outcome report.
-func (s *System) ExistsO(key []byte, out *OpOutcome) bool { return s.c.ExistsO(key, out) }
 
 // BatchOutcome is the per-batch telemetry report of the *BatchO
 // methods: one exact probe delta per shard touched. Like OpOutcome,
 // filling it reads counters only.
 type BatchOutcome = shard.BatchOutcome
 
-// GetBatch retrieves keys with full timing, grouped by home shard and
-// executed as one locked call per shard. Results are positional:
-// vals[i]/oks[i] answer keys[i]. Modeled cycles are bit-for-bit
-// identical to len(keys) sequential Get calls.
-func (s *System) GetBatch(keys [][]byte) (vals [][]byte, oks []bool) { return s.c.GetBatch(keys) }
-
-// GetBatchO is GetBatch with a per-batch outcome report (out may be nil).
+// GetBatchO retrieves keys with full timing, grouped by home shard and
+// executed as one locked call per shard, with a per-batch outcome
+// report (out may be nil). Results are positional: vals[i]/oks[i]
+// answer keys[i]. Modeled cycles are bit-for-bit identical to
+// len(keys) sequential Get calls.
 func (s *System) GetBatchO(keys [][]byte, out *BatchOutcome) (vals [][]byte, oks []bool) {
 	return s.c.GetBatchO(keys, out)
 }
 
-// SetBatch inserts or updates keys[i] = values[i] with full timing,
-// one locked call per home shard.
-func (s *System) SetBatch(keys, values [][]byte) { s.c.SetBatch(keys, values) }
-
-// SetBatchO is SetBatch with a per-batch outcome report.
+// SetBatchO inserts or updates keys[i] = values[i] with full timing,
+// one locked call per home shard, with a per-batch outcome report.
 func (s *System) SetBatchO(keys, values [][]byte, out *BatchOutcome) {
 	s.c.SetBatchO(keys, values, out)
 }
 
-// DeleteBatch removes keys with full timing, one locked call per home
-// shard, returning how many existed.
-func (s *System) DeleteBatch(keys [][]byte) int { return s.c.DeleteBatch(keys) }
-
-// DeleteBatchO is DeleteBatch with a per-batch outcome report.
+// DeleteBatchO removes keys with full timing, one locked call per home
+// shard, returning how many existed, with a per-batch outcome report.
 func (s *System) DeleteBatchO(keys [][]byte, out *BatchOutcome) int {
 	return s.c.DeleteBatchO(keys, out)
 }
@@ -295,14 +272,10 @@ func (s *System) ScanO(start []byte, limit int, fn func(key []byte) bool, out *B
 	return s.c.ScanO(start, limit, fn, out)
 }
 
-// Range visits up to limit stored pairs with start <= key <= end in
-// ascending key order with full timing (end nil = unbounded). Returns
-// pairs emitted, or ErrUnordered for a hash index.
-func (s *System) Range(start, end []byte, limit int, fn func(key, value []byte) bool) (int, error) {
-	return s.c.Range(start, end, limit, fn)
-}
-
-// RangeO is Range with a per-shard outcome report (out may be nil).
+// RangeO visits up to limit stored pairs with start <= key <= end in
+// ascending key order with full timing (end nil = unbounded), with a
+// per-shard outcome report (out may be nil). Returns pairs emitted, or
+// ErrUnordered for a hash index.
 func (s *System) RangeO(start, end []byte, limit int, fn func(key, value []byte) bool, out *BatchOutcome) (int, error) {
 	return s.c.RangeO(start, end, limit, fn, out)
 }
@@ -313,17 +286,9 @@ func (s *System) RangeO(start, end []byte, limit int, fn func(key, value []byte)
 // replays both the arm and the reap, so TTL state survives restarts.
 func (s *System) ExpireAt(key []byte, deadline int64) int { return s.c.ExpireAt(key, deadline) }
 
-// ExpireAtO is ExpireAt with a per-op outcome report (out may be nil).
-func (s *System) ExpireAtO(key []byte, deadline int64, out *OpOutcome) int {
-	return s.c.ExpireAtO(key, deadline, out)
-}
-
 // TTL reports a key's remaining TTL in nanoseconds with full timing
 // (-2 absent, -1 present without deadline).
 func (s *System) TTL(key []byte) int64 { return s.c.TTL(key) }
-
-// TTLO is TTL with a per-op outcome report (out may be nil).
-func (s *System) TTLO(key []byte, out *OpOutcome) int64 { return s.c.TTLO(key, out) }
 
 // Now reads the TTL clock (shard 0's time source) — the base servers
 // use to turn relative EXPIRE/PEXPIRE into absolute deadlines.
@@ -335,8 +300,8 @@ func (s *System) SetClock(fn func() int64) { s.c.SetClock(fn) }
 
 // SweepExpired runs one active-expiry cycle over every shard, sampling
 // up to limit armed deadlines per shard; returns keys reaped. Servers
-// call this off a ticker (mutex dispatch) — the worker runtime sweeps
-// off its own drain loop.
+// call this off a ticker, so idle shards reap too; the worker runtime
+// also sweeps off its own drain loop.
 func (s *System) SweepExpired(limit int) int { return s.c.SweepExpired(limit) }
 
 // UsedBytes reports the record bytes tracked by the eviction policy (0

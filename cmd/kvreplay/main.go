@@ -47,6 +47,7 @@ import (
 	"strconv"
 
 	"addrkv"
+	"addrkv/internal/shard"
 	"addrkv/internal/telemetry"
 )
 
@@ -119,14 +120,14 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 	}
 	sys.Load(cfg.keys, cfg.vsize)
 
-	// The cycle histogram costs two atomic adds per op; skip the
-	// outcome probing entirely without -json.
+	// The cycle histogram costs two atomic adds per op; skip it
+	// without -json.
 	var cycleHist *telemetry.Histogram
-	var oc *addrkv.OpOutcome
 	if cfg.jsonOut != "" {
 		cycleHist = &telemetry.Histogram{}
-		oc = &addrkv.OpOutcome{}
 	}
+	c := sys.Cluster()
+	var req shard.Req // reused: one in-place op at a time
 
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -146,7 +147,8 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 		rest := line[sp+1:]
 		switch verb {
 		case "GET":
-			if !sys.GetTouchO(rest, oc) {
+			req.Kind, req.Key = shard.OpGetTouch, rest
+			if c.Do(&req); !req.OK {
 				missing++
 			}
 		case "SET":
@@ -157,13 +159,14 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 					value = make([]byte, n)
 				}
 			}
-			sys.SetO(key, value, oc)
+			req.Kind, req.Key, req.Value = shard.OpSet, key, value
+			c.Do(&req)
 			setsSeen++
 		default:
 			return fmt.Errorf("bad trace line %q", line)
 		}
 		if cycleHist != nil {
-			cycleHist.Observe(oc.Cycles)
+			cycleHist.Observe(req.Out.Cycles)
 		}
 		ops++
 		if cfg.warm > 0 && ops == cfg.warm {

@@ -11,11 +11,9 @@
 // routing: every single-key op consults the node's slot view UNDER its
 // shard lock (shard.SetOpGate), so a migration can never race a
 // buffered op into serving a key that already left the node. Denied
-// ops surface as OpOutcome.Denied and are rewritten into redirects
-// here — in execute() for commands run in place and flushPending() for
-// those a shard worker ran. ASKING arms a one-shot gate bypass for the
-// next command, honored only while the key's slot is actually
-// importing.
+// ops surface as OpOutcome.Denied and flushPending rewrites them into
+// redirects. ASKING arms a one-shot gate bypass for the next command,
+// honored only while the key's slot is actually importing.
 //
 // CLUSTER MIGRATE <slot> <node> runs a live migration: records stream
 // to the destination in CRC'd batches while the slot dual-serves,
@@ -257,19 +255,16 @@ func (s *server) busHandler(m cluster.Msg) (cluster.MsgType, []byte) {
 }
 
 // clusterConsumeAsking consumes the connection's one-shot ASKING flag
-// (it covers exactly the next command, Redis semantics) and reports
-// whether that command may bypass the op gate — only when its key's
-// slot is actually importing here; ASKING toward a slot this node has
-// no claim on still answers MOVED.
-func (s *server) clusterConsumeAsking(cs *connState, args [][]byte) bool {
+// (it covers exactly the next command, Redis semantics) for a
+// single-key command and reports whether it may bypass the op gate —
+// only when its key's slot is actually importing here; ASKING toward a
+// slot this node has no claim on still answers MOVED.
+func (s *server) clusterConsumeAsking(cs *connState, key []byte) bool {
 	if !cs.asking {
 		return false
 	}
 	cs.asking = false
-	if len(args) < 2 {
-		return false
-	}
-	_, act, _ := s.clus.node.RouteKey(args[1], true)
+	_, act, _ := s.clus.node.RouteKey(key, true)
 	return act == cluster.RouteServeBypass
 }
 
@@ -291,51 +286,39 @@ func (s *server) clusterRedirectMsg(key []byte) string {
 	}
 }
 
-// clusterRedirect writes the redirect reply for a denied single-key op
-// (the synchronous execute path; the worker path writes the same
-// message from flushPending).
-func (s *server) clusterRedirect(w *resp.Writer, key []byte) (quit, monitor, isErr bool) {
-	w.WriteError(s.clusterRedirectMsg(key))
-	return false, false, true
-}
-
-// clusterBatchCheck classifies a multi-key command: every key must
+// clusterRefuses applies the classify-time slot rules to a barrier
+// command, from its row. A keyed (multi-key) command: every key must
 // hash to ONE slot (CROSSSLOT otherwise), the slot must be owned here
-// (MOVED otherwise) and stable (TRYAGAIN while migrating or importing
-// — batches get no per-key dual-serve split). Returns true when it
-// wrote a reply.
-func (s *server) clusterBatchCheck(w *resp.Writer, keys [][]byte) bool {
-	slot := cluster.SlotOf(keys[0])
-	for _, k := range keys[1:] {
-		if cluster.SlotOf(k) != slot {
-			w.WriteError("CROSSSLOT Keys in request don't hash to the same slot")
+// (MOVED otherwise) and stable (TRYAGAIN while migrating or importing —
+// batches get no per-key dual-serve split). A keyspace walk
+// (SCAN/RANGE) is refused while ANY slot is migrating or importing
+// here: it has no single home key for the shard gate to rule on, and
+// mid-migration a key can legitimately live on either node, so an
+// ordered page would silently skip or duplicate records crossing
+// nodes. Returns true when it wrote the refusal.
+func (s *server) clusterRefuses(w *resp.Writer, c *command, args [][]byte) bool {
+	n := s.clus.node
+	moving := false
+	switch {
+	case c.first > 0:
+		slot := cluster.SlotOf(args[c.first])
+		for i, last := c.first+c.step, c.lastKey(len(args)); i <= last; i += c.step {
+			if cluster.SlotOf(args[i]) != slot {
+				w.WriteError("CROSSSLOT Keys in request don't hash to the same slot")
+				return true
+			}
+		}
+		owner, ownerAddr, migrating, importing := n.SlotInfo(slot)
+		if owner != n.Self() {
+			n.Metrics.Moved.Add(1)
+			w.WriteError(fmt.Sprintf("MOVED %d %s", slot, ownerAddr))
 			return true
 		}
+		moving = migrating || importing
+	case c.scan:
+		moving = len(n.MigratingSlots()) > 0 || len(n.ImportingSlots()) > 0
 	}
-	owner, ownerAddr, migrating, importing := s.clus.node.SlotInfo(slot)
-	if owner != s.clus.node.Self() {
-		s.clus.node.Metrics.Moved.Add(1)
-		w.WriteError(fmt.Sprintf("MOVED %d %s", slot, ownerAddr))
-		return true
-	}
-	if migrating || importing {
-		s.clus.node.Metrics.TryAgain.Add(1)
-		w.WriteError("TRYAGAIN slot is migrating, retry")
-		return true
-	}
-	return false
-}
-
-// clusterScanCheck refuses SCAN/RANGE while any slot is migrating or
-// importing here. Scans have no single home key for the shard gate to
-// rule on — mid-migration, a key can legitimately live on either node,
-// so an ordered page would silently skip or duplicate records crossing
-// nodes. TRYAGAIN until the slot map is stable is the honest answer
-// (batches over a migrating slot get the same treatment). Returns true
-// when it wrote the reply.
-func (s *server) clusterScanCheck(w *resp.Writer) bool {
-	n := s.clus.node
-	if len(n.MigratingSlots()) == 0 && len(n.ImportingSlots()) == 0 {
+	if !moving {
 		return false
 	}
 	n.Metrics.TryAgain.Add(1)
@@ -347,22 +330,17 @@ func (s *server) clusterScanCheck(w *resp.Writer) bool {
 // slot started migrating between the classify check and execution.
 func (s *server) clusterTryAgain(w *resp.Writer) (quit, monitor, isErr bool) {
 	s.clus.node.Metrics.TryAgain.Add(1)
-	w.WriteError("TRYAGAIN slot is migrating, retry")
-	return false, false, true
+	return fail(w, "TRYAGAIN slot is migrating, retry")
 }
 
 // clusterCmd handles CLUSTER SLOTS | INFO | HEALTH | HEARTBEAT |
 // MIGRATE <slot> <node> | MIGRATE STATUS.
-func (s *server) clusterCmd(w *resp.Writer, args [][]byte) (quit, monitor, isErr bool) {
-	fail := func(msg string) (bool, bool, bool) {
-		w.WriteError(msg)
-		return false, false, true
-	}
+func (s *server) clusterCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, monitor, isErr bool) {
 	if s.clus == nil {
-		return fail("ERR This instance has cluster support disabled")
+		return fail(w, "ERR This instance has cluster support disabled")
 	}
 	if len(args) < 2 {
-		return fail("ERR wrong number of arguments for 'cluster'")
+		return wrongArity(w, "cluster")
 	}
 	switch strings.ToLower(string(args[1])) {
 	case "slots":
@@ -392,17 +370,17 @@ func (s *server) clusterCmd(w *resp.Writer, args [][]byte) (quit, monitor, isErr
 		w.WriteBulk([]byte(b.String()))
 	case "health":
 		if len(args) != 2 {
-			return fail("ERR wrong number of arguments for 'cluster health'")
+			return wrongArity(w, "cluster health")
 		}
 		w.WriteBulk([]byte(s.clusterHealthText()))
 	case "heartbeat":
 		if len(args) != 3 {
-			return fail("ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
+			return fail(w, "ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
 		}
 		switch strings.ToLower(string(args[2])) {
 		case "on":
 			if s.clus.hbEvery <= 0 {
-				return fail("ERR heartbeats disabled (-heartbeat-interval 0)")
+				return fail(w, "ERR heartbeats disabled (-heartbeat-interval 0)")
 			}
 			s.clus.hbOn.Store(true)
 			w.WriteSimple("OK")
@@ -412,34 +390,34 @@ func (s *server) clusterCmd(w *resp.Writer, args [][]byte) (quit, monitor, isErr
 		case "status":
 			w.WriteBulk([]byte(s.heartbeatStatusText()))
 		default:
-			return fail("ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
+			return fail(w, "ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
 		}
 	case "migrate":
 		if len(args) == 3 && strings.EqualFold(string(args[2]), "status") {
 			txt, ok := s.migrateStatusText()
 			if !ok {
-				return fail("ERR no migration has run on this node")
+				return fail(w, "ERR no migration has run on this node")
 			}
 			w.WriteBulk([]byte(txt))
 			break
 		}
 		if len(args) != 4 {
-			return fail("ERR usage: CLUSTER MIGRATE <slot> <dest-node> | CLUSTER MIGRATE STATUS")
+			return fail(w, "ERR usage: CLUSTER MIGRATE <slot> <dest-node> | CLUSTER MIGRATE STATUS")
 		}
 		slot, err1 := strconv.Atoi(string(args[2]))
 		dest, err2 := strconv.Atoi(string(args[3]))
 		if err1 != nil || err2 != nil || slot < 0 || slot >= cluster.NumSlots {
-			return fail("ERR invalid slot or node index")
+			return fail(w, "ERR invalid slot or node index")
 		}
 		res, err := s.clusterMigrate(uint16(slot), dest)
 		if err != nil {
-			return fail(fmt.Sprintf("ERR migrate: %v", err))
+			return fail(w, fmt.Sprintf("ERR migrate: %v", err))
 		}
 		w.WriteSimple(fmt.Sprintf("OK slot=%d dest=%d keys=%d bytes=%d batches=%d rewarm=%v us=%d",
 			res.Slot, res.Dest, res.Keys, res.Bytes, res.Batches, res.Rewarm,
 			res.Duration.Microseconds()))
 	default:
-		return fail(fmt.Sprintf("ERR unknown CLUSTER subcommand '%s'", args[1]))
+		return fail(w, fmt.Sprintf("ERR unknown CLUSTER subcommand '%s'", args[1]))
 	}
 	return false, false, false
 }

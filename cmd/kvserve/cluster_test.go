@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"reflect"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"addrkv/internal/cluster"
-	"addrkv/internal/resp"
 	"addrkv/internal/wal"
 )
 
@@ -58,27 +56,6 @@ func newTestClusterOpts(t *testing.T, n int, workers bool, o clusterOpts) []*ser
 		srvs[i] = s
 	}
 	return srvs
-}
-
-// callCS is call with a caller-owned connState, so ASKING's one-shot
-// flag survives across commands like it would on a real connection.
-func callCS(t *testing.T, s *server, cs *connState, args ...string) any {
-	t.Helper()
-	var buf bytes.Buffer
-	w := resp.NewWriter(&buf)
-	ba := make([][]byte, len(args))
-	for i, a := range args {
-		ba[i] = []byte(a)
-	}
-	s.dispatch(w, ba, cs)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	v, err := resp.NewReader(&buf).ReadReply()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }
 
 // keysInSlot generates count distinct keys that all hash to slot.
@@ -241,15 +218,30 @@ func TestClusterMovedRedirect(t *testing.T) {
 	}
 }
 
-// TestClusterCrossSlot: multi-key commands spanning slots are refused.
+// TestClusterCrossSlot: multi-key commands spanning slots are refused,
+// all three by the one check dispatch makes from the row's key
+// positions — so none of them counts toward server_ops, which is keys
+// that ran.
 func TestClusterCrossSlot(t *testing.T) {
 	cl := newTestCluster(t, 1, false)[0]
 	a := keysInSlot(t, 10, 1)[0]
 	b := keysInSlot(t, 11, 1)[0]
-	got := callCS(t, cl, &connState{id: 1}, "MGET", a, b)
-	err, ok := got.(error)
-	if !ok || !strings.HasPrefix(err.Error(), "CROSSSLOT") {
-		t.Fatalf("MGET across slots = %v, want CROSSSLOT", got)
+	for _, args := range [][]string{
+		{"MGET", a, b}, {"DEL", a, b}, {"MSET", a, "1", b, "2"},
+	} {
+		got := call(t, cl, args...)
+		err, ok := got.(error)
+		if !ok || !strings.HasPrefix(err.Error(), "CROSSSLOT") {
+			t.Fatalf("%s across slots = %v, want CROSSSLOT", args[0], got)
+		}
+		if n := cl.opsSinceMark.Load(); n != 0 {
+			t.Fatalf("refused %s moved server_ops to %d", args[0], n)
+		}
+	}
+	// MSET's values are not keys: a value hashing elsewhere is no
+	// cross-slot command.
+	if got := call(t, cl, "MSET", a, b); got != "OK" {
+		t.Fatalf("MSET %s <value in another slot> = %v", a, got)
 	}
 }
 

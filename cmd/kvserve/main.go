@@ -75,7 +75,6 @@ import (
 	"os"
 	"os/signal"
 	rtrace "runtime/trace"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -134,15 +133,14 @@ type server struct {
 	sys          *addrkv.System
 	tele         *serverTele
 	net          netConfig
-	opsSinceMark atomic.Uint64 // GET/SET/EXISTS dispatched since RESETSTATS
+	opsSinceMark atomic.Uint64 // keys of keyed commands plus SCAN/RANGE pages run since RESETSTATS
 
-	// workers is set once the per-shard worker runtime is up (main
-	// always starts it): single-key commands are enqueued on their home
-	// shard's request ring and completed by the shard's owning
-	// goroutine. A server without it dispatches lock-per-op — the
-	// reference model the worker-vs-reference differential tests run
-	// against. queueCap is the per-shard ring capacity.
-	workers  bool
+	// queueCap is the per-shard ring capacity once startWorkers has
+	// brought the worker runtime up (main always does). Nothing in the
+	// server branches on whether it did: single-key commands go to
+	// Cluster.Enqueue either way, and a server that never started the
+	// workers has them executed in place, lock per op — the reference
+	// model the worker-vs-reference differential tests run against.
 	queueCap int
 
 	// statsMu orders RESETSTATS/FLUSHALL against INFO and snapshot
@@ -582,9 +580,6 @@ func (s *server) serve(conn net.Conn) {
 		cmds, rerr := r.ReadPipelineReuse(s.net.maxPipeline)
 		reg := rtrace.StartRegion(ctx, "pipeline.batch")
 		quit, monitor, werr := s.runBurstCmds(w, cs, cmds)
-		if s.workers && werr == nil {
-			werr = s.flushPending(w, cs)
-		}
 		reg.End()
 		if werr != nil {
 			return
@@ -605,12 +600,12 @@ func (s *server) serve(conn net.Conn) {
 	}
 }
 
-// runBurstCmds dispatches one parsed pipeline burst. With the worker
-// runtime up each command is classified: async single-key ops enqueue
-// on their shard rings; anything else is an ordering barrier that
-// flushes the pending window first. quit/monitor report the command
-// that requested them (later commands in the burst are dropped). The
-// caller owns the trailing flushPending + Flush.
+// runBurstCmds runs one parsed pipeline burst. Single-key commands
+// join the pending window on their way to their shards; anything else
+// is an ordering barrier that flushes the window first. quit/monitor
+// report the command that requested them (later commands in the burst
+// are dropped). On return the window is flushed; the caller owns the
+// writer's Flush.
 func (s *server) runBurstCmds(w *resp.Writer, cs *connState, cmds [][][]byte) (quit, monitor bool, werr error) {
 	if len(cmds) > 0 {
 		s.tele.pipeBatches.Inc()
@@ -618,23 +613,19 @@ func (s *server) runBurstCmds(w *resp.Writer, cs *connState, cmds [][][]byte) (q
 		s.tele.pipeDepth.Observe(uint64(len(cmds)))
 	}
 	for _, args := range cmds {
-		if s.workers {
-			if kind, cmd, ok := asyncKind(args); ok {
-				s.enqueueAsync(cs, kind, cmd, args)
-				continue
-			}
-			// A command the workers cannot serve is an ordering
-			// barrier: earlier async replies must be written first.
-			if werr = s.flushPending(w, cs); werr != nil {
-				return
-			}
+		c := lookupCommand(args[0])
+		if c != nil && c.rides(len(args)) {
+			s.enqueue(cs, c, args)
+			continue
 		}
-		quit, monitor = s.dispatch(w, args, cs)
-		if quit || monitor {
+		if werr = s.flushPending(w, cs); werr != nil {
+			return
+		}
+		if quit, monitor = s.dispatch(w, c, args, cs); quit || monitor {
 			return
 		}
 	}
-	return
+	return false, false, s.flushPending(w, cs)
 }
 
 // newReplyWriter builds a connection's reply writer: a -writebuf sized
@@ -683,442 +674,17 @@ type connState struct {
 	// command may bypass the op gate if its slot is importing here.
 	asking bool
 
-	// Worker-dispatch state: a slab of reusable request slots (pointer
-	// slice — addresses stay stable while it grows, and each slot's Val
-	// buffer stays warm) and the pending window of enqueued commands
-	// awaiting completion, both reset by flushPending.
+	// The single-key route's state: a slab of reusable request slots
+	// (pointer slice — addresses stay stable while it grows, and each
+	// slot's Val buffer stays warm) and the pending window of enqueued
+	// commands awaiting completion, both reset by flushPending.
 	reqs []*shard.Req
 	used int
 	pend []pending
-}
 
-// dispatch executes one command and records its telemetry: wall-clock
-// latency, per-command counters, the engine's per-op (or per-batch)
-// outcome — shard, modeled cycles, addressing-path result — a slowlog
-// offer, and — when a MONITOR client is attached — a feed line. It
-// takes no global lock on the data path: System's *O methods lock only
-// the key's home shard, and all telemetry writes are atomic.
-func (s *server) dispatch(w *resp.Writer, args [][]byte, cs *connState) (quit, monitor bool) {
-	start := time.Now()
-	cmd := strings.ToLower(string(args[0]))
-	oc := addrkv.OpOutcome{Shard: -1}
-	var bo addrkv.BatchOutcome
-	if s.clus != nil && cmd != "asking" {
-		oc.Bypass = s.clusterConsumeAsking(cs, args)
-	}
-	// Span lifecycle for sampled single-key ops: dispatch here, the
-	// cluster anchors the cycle base and emits shard.lock/engine-level
-	// events while the op runs under its shard lock (via oc.Trace), and
-	// reply.flush + Finish close the timeline once the reply is
-	// buffered. The sampling decision uses the connection's own counter
-	// against the shared rate, so an unsampled op costs one atomic load
-	// and never writes a shared cache line.
-	var sp *trace.Op
-	if traceSpanFor(cmd, len(args)) {
-		if every := s.tracer.Sample(); every != 0 {
-			cs.ops++
-			if cs.ops%every == 0 {
-				sp = s.tracer.BeginSampled(cmd, args[1])
-				sp.Conn = cs.id
-				sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
-				oc.Trace = sp
-			}
-		}
-	}
-	quit, monitor, isErr := s.execute(w, cmd, args, &oc, &bo, cs)
-	if sp != nil {
-		sp.EventRel(trace.EvReplyFlush, sp.Cycles, 0, 0, 0)
-		s.tracer.Finish(sp, oc.Shard, oc.FastHit, oc.Missed)
-	}
-	dur := time.Since(start)
-	var ocp *addrkv.OpOutcome
-	var bop *addrkv.BatchOutcome
-	switch {
-	case len(bo.PerShard) > 0:
-		oc = bo.Merged()
-		ocp, bop = &oc, &bo
-	case oc.Shard >= 0:
-		ocp = &oc
-	}
-	s.tele.observeCmd(cmd, args, ocp, bop, dur, isErr)
-	if s.tele.feed.Active() {
-		s.tele.feed.Publish(monitorLine(args, oc.Shard))
-	}
-	return quit, monitor
-}
-
-// execute runs one command's switch arm. Single-key commands fill oc
-// (oc.Shard stays -1 for commands that never reach an engine);
-// multi-key commands (MGET/MSET/DEL) fill bo with one exact probe
-// delta per shard touched. PING and ECHO are pure protocol fast
-// paths: no engine, no keys, a reply straight into the write buffer.
-// In cluster mode an op the shard gate denied (slot not served here)
-// is rewritten into its redirect instead of a normal reply.
-func (s *server) execute(w *resp.Writer, cmd string, args [][]byte, oc *addrkv.OpOutcome, bo *addrkv.BatchOutcome, cs *connState) (quit, monitor, isErr bool) {
-	fail := func(msg string) (bool, bool, bool) {
-		w.WriteError(msg)
-		return false, false, true
-	}
-	switch cmd {
-	case "ping":
-		w.WriteSimple("PONG")
-	case "echo":
-		if len(args) != 2 {
-			return fail("ERR wrong number of arguments for 'echo'")
-		}
-		w.WriteBulk(args[1])
-	case "quit":
-		w.WriteSimple("OK")
-		return true, false, false
-	case "get":
-		if len(args) != 2 {
-			return fail("ERR wrong number of arguments for 'get'")
-		}
-		s.opsSinceMark.Add(1)
-		v, ok := s.sys.GetO(args[1], oc)
-		if oc.Denied {
-			return s.clusterRedirect(w, args[1])
-		}
-		if ok {
-			w.WriteBulk(v)
-		} else {
-			w.WriteBulk(nil)
-		}
-	case "set":
-		if len(args) != 3 {
-			return fail("ERR wrong number of arguments for 'set'")
-		}
-		s.opsSinceMark.Add(1)
-		s.sys.SetO(args[1], args[2], oc)
-		if oc.Denied {
-			return s.clusterRedirect(w, args[1])
-		}
-		w.WriteSimple("OK")
-	case "del":
-		if len(args) < 2 {
-			return fail("ERR wrong number of arguments for 'del'")
-		}
-		s.opsSinceMark.Add(uint64(len(args) - 1))
-		if len(args) == 2 {
-			// Single-key DEL takes the per-op path so it fills oc (and
-			// carries a span when sampled) instead of a one-shard batch.
-			deleted := s.sys.DeleteO(args[1], oc)
-			if oc.Denied {
-				return s.clusterRedirect(w, args[1])
-			}
-			if deleted {
-				w.WriteInt(1)
-			} else {
-				w.WriteInt(0)
-			}
-			break
-		}
-		if s.clus != nil && s.clusterBatchCheck(w, args[1:]) {
-			return false, false, true
-		}
-		n := s.sys.DeleteBatchO(args[1:], bo)
-		if bo.Denied {
-			return s.clusterTryAgain(w)
-		}
-		w.WriteInt(int64(n))
-	case "mget":
-		if len(args) < 2 {
-			return fail("ERR wrong number of arguments for 'mget'")
-		}
-		if s.clus != nil && s.clusterBatchCheck(w, args[1:]) {
-			return false, false, true
-		}
-		s.opsSinceMark.Add(uint64(len(args) - 1))
-		vals, oks := s.sys.GetBatchO(args[1:], bo)
-		if bo.Denied {
-			return s.clusterTryAgain(w)
-		}
-		for i := range vals {
-			if !oks[i] {
-				vals[i] = nil // null bulk, matching single-key GET misses
-			}
-		}
-		w.WriteBulkArray(vals)
-	case "mset":
-		if len(args) < 3 || len(args)%2 != 1 {
-			return fail("ERR wrong number of arguments for 'mset'")
-		}
-		n := (len(args) - 1) / 2
-		keys := make([][]byte, n)
-		vals := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			keys[i], vals[i] = args[1+2*i], args[2+2*i]
-		}
-		if s.clus != nil && s.clusterBatchCheck(w, keys) {
-			return false, false, true
-		}
-		s.opsSinceMark.Add(uint64(n))
-		s.sys.SetBatchO(keys, vals, bo)
-		if bo.Denied {
-			return s.clusterTryAgain(w)
-		}
-		w.WriteSimple("OK")
-	case "exists":
-		if len(args) != 2 {
-			return fail("ERR wrong number of arguments for 'exists'")
-		}
-		s.opsSinceMark.Add(1)
-		present := s.sys.ExistsO(args[1], oc)
-		if oc.Denied {
-			return s.clusterRedirect(w, args[1])
-		}
-		if present {
-			w.WriteInt(1)
-		} else {
-			w.WriteInt(0)
-		}
-	case "scan":
-		// SCAN cursor [MATCH pat] [COUNT n]: one stateless page of an
-		// ordered cursor walk. MATCH filters server-side after the page
-		// is scanned — COUNT bounds keys SCANNED, not keys returned, and
-		// the continuation cursor follows the last scanned key so a page
-		// of non-matching keys still makes progress. Worker mode runs it
-		// as an ordering barrier (not an async kind), so pipelined
-		// replies stay in command order.
-		if len(args) != 2 && len(args) != 4 && len(args) != 6 {
-			return fail("ERR wrong number of arguments for 'scan'")
-		}
-		count := defaultScanCount
-		var pattern []byte
-		for i := 2; i+1 < len(args); i += 2 {
-			switch {
-			case asciiLowerEq(args[i], "count"):
-				v, err := strconv.Atoi(string(args[i+1]))
-				if err != nil || v < 1 {
-					return fail("ERR COUNT must be a positive integer")
-				}
-				count = v
-			case asciiLowerEq(args[i], "match"):
-				pattern = args[i+1]
-			default:
-				return fail("ERR syntax error")
-			}
-		}
-		if s.clus != nil && s.clusterScanCheck(w) {
-			return false, false, true
-		}
-		after, resume, err := addrkv.ParseCursor(args[1], nil)
-		if err != nil {
-			return fail("ERR invalid cursor")
-		}
-		s.opsSinceMark.Add(1)
-		var keys [][]byte
-		var last []byte
-		n, err := s.sys.ScanO(addrkv.ScanStart(after, resume, nil), count, func(k []byte) bool {
-			last = k
-			if pattern == nil || addrkv.MatchGlob(pattern, k) {
-				keys = append(keys, k)
-			}
-			return true
-		}, bo)
-		if err != nil {
-			return fail("ERR SCAN requires an ordered index (-index rbtree or btree)")
-		}
-		w.WriteArrayHeader(2)
-		if n == count {
-			w.WriteBulk(addrkv.AppendCursor(nil, last))
-		} else {
-			// A short page proves the walk reached the end of the
-			// keyspace: the terminal cursor.
-			w.WriteBulkString("0")
-		}
-		w.WriteBulkArray(keys)
-	case "range":
-		// RANGE start end [limit]: ordered key/value pairs, bounds
-		// inclusive; "-" starts at the smallest key, "+" is unbounded
-		// above. Replies a flat [k1, v1, k2, v2, ...] array.
-		if len(args) != 3 && len(args) != 4 {
-			return fail("ERR wrong number of arguments for 'range'")
-		}
-		limit := 0
-		if len(args) == 4 {
-			v, err := strconv.Atoi(string(args[3]))
-			if err != nil || v < 1 {
-				return fail("ERR limit must be a positive integer")
-			}
-			limit = v
-		}
-		if s.clus != nil && s.clusterScanCheck(w) {
-			return false, false, true
-		}
-		start, end := args[1], args[2]
-		if len(start) == 1 && start[0] == '-' {
-			start = nil
-		}
-		if len(end) == 1 && end[0] == '+' {
-			end = nil
-		}
-		s.opsSinceMark.Add(1)
-		var flat [][]byte
-		_, err := s.sys.RangeO(start, end, limit, func(k, v []byte) bool {
-			flat = append(flat, k, v)
-			return true
-		}, bo)
-		if err != nil {
-			return fail("ERR RANGE requires an ordered index (-index rbtree or btree)")
-		}
-		w.WriteBulkArray(flat)
-	case "expire", "pexpire":
-		if len(args) != 3 {
-			return fail(fmt.Sprintf("ERR wrong number of arguments for '%s'", cmd))
-		}
-		n, err := strconv.ParseInt(string(args[2]), 10, 64)
-		if err != nil {
-			return fail("ERR value is not an integer or out of range")
-		}
-		unit := int64(time.Second)
-		if cmd == "pexpire" {
-			unit = int64(time.Millisecond)
-		}
-		// Clamp so now+n*unit cannot overflow; a deadline centuries out
-		// is indistinguishable from the clamp.
-		if lim := int64(1) << 62 / unit; n > lim {
-			n = lim
-		} else if n < -lim {
-			n = -lim
-		}
-		s.opsSinceMark.Add(1)
-		armed := s.sys.ExpireAtO(args[1], s.sys.Now()+n*unit, oc)
-		if oc.Denied {
-			return s.clusterRedirect(w, args[1])
-		}
-		w.WriteInt(int64(armed))
-	case "ttl", "pttl":
-		if len(args) != 2 {
-			return fail(fmt.Sprintf("ERR wrong number of arguments for '%s'", cmd))
-		}
-		s.opsSinceMark.Add(1)
-		ns := s.sys.TTLO(args[1], oc)
-		if oc.Denied {
-			return s.clusterRedirect(w, args[1])
-		}
-		if ns < 0 {
-			w.WriteInt(ns) // -2 absent, -1 present without a deadline
-			break
-		}
-		unit := int64(time.Second)
-		if cmd == "pttl" {
-			unit = int64(time.Millisecond)
-		}
-		w.WriteInt((ns + unit - 1) / unit) // round up: 1ns left is still alive
-	case "dbsize":
-		w.WriteInt(int64(s.sys.Len()))
-	case "info":
-		s.statsMu.RLock()
-		payload := s.info()
-		s.statsMu.RUnlock()
-		w.WriteBulk([]byte(payload))
-	case "resetstats":
-		s.statsMu.Lock()
-		s.sys.MarkMeasurement()
-		s.opsSinceMark.Store(0)
-		s.tele.resetWindow()
-		s.statsMu.Unlock()
-		// A measurement mark means the caches should be warm from here
-		// on: arm the page_walk_warm flight-recorder trigger.
-		s.tracer.SetWarm(true)
-		w.WriteSimple("OK")
-	case "flushall":
-		release, gerr := s.clusterFlushGuard()
-		if gerr != nil {
-			return fail(fmt.Sprintf("ERR flushall: %v", gerr))
-		}
-		s.statsMu.Lock()
-		err := s.sys.Reset()
-		if err == nil {
-			s.opsSinceMark.Store(0)
-			s.tele.resetWindow()
-		}
-		s.statsMu.Unlock()
-		release()
-		if err != nil {
-			return fail(fmt.Sprintf("ERR flushall: %v", err))
-		}
-		s.tracer.SetWarm(false) // fresh engines start cold again
-		w.WriteSimple("OK")
-	case "bgsave", "lastsave":
-		if len(args) != 1 {
-			return fail(fmt.Sprintf("ERR wrong number of arguments for '%s'", cmd))
-		}
-		return false, false, s.persistCmd(w, cmd)
-	case "cluster":
-		return s.clusterCmd(w, args)
-	case "asking":
-		if s.clus == nil {
-			return fail("ERR This instance has cluster support disabled")
-		}
-		cs.asking = true
-		s.clus.node.Metrics.Asking.Add(1)
-		w.WriteSimple("OK")
-	case "slowlog":
-		return s.slowlogCmd(w, args)
-	case "trace":
-		return s.traceCmd(w, args)
-	case "monitor":
-		if s.closing.Load() {
-			return fail("ERR server shutting down")
-		}
-		w.WriteSimple("OK")
-		return false, true, false
-	default:
-		return fail(fmt.Sprintf("ERR unknown command '%s'", strings.ToUpper(cmd)))
-	}
-	return false, false, false
-}
-
-// slowlogCmd handles SLOWLOG GET [n] / RESET / LEN. Each GET entry is
-// a 7-element array: id, unix seconds, duration in microseconds, the
-// (truncated) argument array, home shard, modeled cycles, and the
-// addressing-path breakdown string.
-func (s *server) slowlogCmd(w *resp.Writer, args [][]byte) (quit, monitor, isErr bool) {
-	fail := func(msg string) (bool, bool, bool) {
-		w.WriteError(msg)
-		return false, false, true
-	}
-	if len(args) < 2 {
-		return fail("ERR wrong number of arguments for 'slowlog'")
-	}
-	switch strings.ToLower(string(args[1])) {
-	case "get":
-		n := 10
-		if len(args) == 3 {
-			v, err := strconv.Atoi(string(args[2]))
-			if err != nil || v < -1 {
-				return fail("ERR invalid slowlog count")
-			}
-			n = v // -1 and 0 mean "all", like Redis
-		} else if len(args) > 3 {
-			return fail("ERR wrong number of arguments for 'slowlog get'")
-		}
-		entries := s.tele.slowlog.Entries(n)
-		w.WriteArrayHeader(len(entries))
-		for _, e := range entries {
-			w.WriteArrayHeader(7)
-			w.WriteInt(e.ID)
-			w.WriteInt(e.UnixMicro / 1e6)
-			w.WriteInt(e.Duration.Microseconds())
-			w.WriteArrayHeader(len(e.Args))
-			for _, a := range e.Args {
-				w.WriteBulkString(a)
-			}
-			w.WriteInt(int64(e.Shard))
-			w.WriteInt(int64(e.Cycles))
-			w.WriteBulkString(e.Detail)
-		}
-	case "reset":
-		s.tele.slowlog.Reset()
-		w.WriteSimple("OK")
-	case "len":
-		w.WriteInt(int64(s.tele.slowlog.Len()))
-	default:
-		return fail(fmt.Sprintf("ERR unknown SLOWLOG subcommand '%s'", args[1]))
-	}
-	return false, false, false
+	// bo is the batch outcome of the barrier command being dispatched,
+	// kept here so its per-shard slice is reused.
+	bo addrkv.BatchOutcome
 }
 
 // monitorLoop streams the command feed to a MONITOR client until the

@@ -40,16 +40,32 @@ func newTestServerShards(t *testing.T, shards int) *server {
 
 func newTestServer(t *testing.T) *server { return newTestServerShards(t, 1) }
 
-// call dispatches a command and returns the decoded reply.
-func call(t *testing.T, s *server, args ...string) any {
-	t.Helper()
-	var buf bytes.Buffer
-	w := resp.NewWriter(&buf)
+// runOne takes one command down the served path as a burst of one —
+// through the pending window when it is a single-key verb, through
+// dispatch otherwise — buffering its reply in w.
+func runOne(s *server, w *resp.Writer, cs *connState, args ...string) (quit, monitor bool) {
 	ba := make([][]byte, len(args))
 	for i, a := range args {
 		ba[i] = []byte(a)
 	}
-	s.dispatch(w, ba, &connState{id: 1})
+	quit, monitor, _ = s.runBurstCmds(w, cs, [][][]byte{ba})
+	return quit, monitor
+}
+
+// call runs a command on a fresh connection state and returns the
+// decoded reply.
+func call(t *testing.T, s *server, args ...string) any {
+	t.Helper()
+	return callCS(t, s, &connState{id: 1}, args...)
+}
+
+// callCS is call with a caller-owned connState, so ASKING's one-shot
+// flag survives across commands like it would on a real connection.
+func callCS(t *testing.T, s *server, cs *connState, args ...string) any {
+	t.Helper()
+	var buf bytes.Buffer
+	w := resp.NewWriter(&buf)
+	runOne(s, w, cs, args...)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +237,10 @@ func TestServerQuit(t *testing.T) {
 	s := newTestServer(t)
 	var buf bytes.Buffer
 	w := resp.NewWriter(&buf)
-	if quit, _ := s.dispatch(w, [][]byte{[]byte("QUIT")}, &connState{id: 1}); !quit {
+	if quit, _ := runOne(s, w, &connState{id: 1}, "QUIT"); !quit {
 		t.Fatal("QUIT did not request close")
 	}
-	if quit, _ := s.dispatch(w, [][]byte{[]byte("PING")}, &connState{id: 1}); quit {
+	if quit, _ := runOne(s, w, &connState{id: 1}, "PING"); quit {
 		t.Fatal("PING requested close")
 	}
 }
@@ -327,7 +343,7 @@ func TestServerMonitorFeed(t *testing.T) {
 	s := newTestServer(t)
 	var buf bytes.Buffer
 	w := resp.NewWriter(&buf)
-	quit, monitor := s.dispatch(w, [][]byte{[]byte("MONITOR")}, &connState{id: 1})
+	quit, monitor := runOne(s, w, &connState{id: 1}, "MONITOR")
 	if quit || !monitor {
 		t.Fatalf("MONITOR: quit=%v monitor=%v", quit, monitor)
 	}
@@ -441,7 +457,7 @@ func TestServerResetStatsAtomic(t *testing.T) {
 			default:
 			}
 			gate.Lock()
-			s.dispatch(w, [][]byte{[]byte("SET"), []byte("k"), []byte("v")}, &connState{id: 1})
+			runOne(s, w, &connState{id: 1}, "SET", "k", "v")
 			gate.Unlock()
 			buf.Reset()
 		}
@@ -451,7 +467,7 @@ func TestServerResetStatsAtomic(t *testing.T) {
 		var buf bytes.Buffer
 		w := resp.NewWriter(&buf)
 		for i := 0; i < 50; i++ {
-			s.dispatch(w, [][]byte{[]byte("RESETSTATS")}, &connState{id: 1})
+			runOne(s, w, &connState{id: 1}, "RESETSTATS")
 			buf.Reset()
 		}
 	}()
@@ -504,12 +520,12 @@ func TestServerConcurrentDispatch(t *testing.T) {
 			w := resp.NewWriter(&buf)
 			for i := 0; i < opsEach; i++ {
 				key := fmt.Sprintf("key-%d-%d", g, i)
-				s.dispatch(w, [][]byte{[]byte("SET"), []byte(key), []byte("v")}, &connState{id: 1})
-				s.dispatch(w, [][]byte{[]byte("GET"), []byte(key)}, &connState{id: 1})
-				s.dispatch(w, [][]byte{[]byte("EXISTS"), []byte(key)}, &connState{id: 1})
+				runOne(s, w, &connState{id: 1}, "SET", key, "v")
+				runOne(s, w, &connState{id: 1}, "GET", key)
+				runOne(s, w, &connState{id: 1}, "EXISTS", key)
 				if i%64 == 0 {
-					s.dispatch(w, [][]byte{[]byte("INFO")}, &connState{id: 1})
-					s.dispatch(w, [][]byte{[]byte("DBSIZE")}, &connState{id: 1})
+					runOne(s, w, &connState{id: 1}, "INFO")
+					runOne(s, w, &connState{id: 1}, "DBSIZE")
 				}
 				buf.Reset()
 			}

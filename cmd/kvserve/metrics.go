@@ -25,14 +25,8 @@ import (
 	"addrkv/internal/telemetry"
 )
 
-// knownCmds get dedicated counters and latency histograms; everything
-// else lands in "other".
-var knownCmds = []string{
-	"get", "set", "del", "exists", "mget", "mset", "dbsize", "info",
-	"scan", "range", "expire", "pexpire", "ttl", "pttl",
-	"ping", "echo", "resetstats", "flushall", "slowlog", "monitor",
-	"bgsave", "lastsave", "cluster", "asking", "quit", "other",
-}
+// otherCmd labels the series of verbs the command table does not have.
+const otherCmd = "other"
 
 // serverTele bundles the server's telemetry state.
 type serverTele struct {
@@ -99,12 +93,16 @@ func newServerTele(sys *addrkv.System, slowlogCap int) *serverTele {
 	r := t.reg
 	t.latAll = r.Histogram("addrkv_command_latency_seconds",
 		"Real wall-clock latency of RESP commands.", 1e-9, telemetry.Labels{"cmd": "all"})
-	for _, c := range knownCmds {
+	perCmd := func(c string) {
 		t.cmdTotal[c] = r.Counter("addrkv_commands_total",
 			"RESP commands dispatched, by command.", telemetry.Labels{"cmd": c})
 		t.cmdLat[c] = r.Histogram("addrkv_command_latency_seconds",
 			"Real wall-clock latency of RESP commands.", 1e-9, telemetry.Labels{"cmd": c})
 	}
+	for i := range commands {
+		perCmd(commands[i].name)
+	}
+	perCmd(otherCmd)
 	t.errTotal = r.Counter("addrkv_command_errors_total",
 		"Commands rejected with an error reply.", nil)
 	t.fastHits = r.Counter("addrkv_fast_path_hits_total",
@@ -259,17 +257,19 @@ func newServerTele(sys *addrkv.System, slowlogCap int) *serverTele {
 	return t
 }
 
-// observeCmd records one dispatched command: wall latency, command
-// counters, per-shard cycle cost, outcome counters, and a slowlog
-// offer. oc is nil for commands that never reached an engine. For
-// multi-key commands bo carries the exact per-shard batch deltas (oc
-// is then the merged view: total cycles, home shard or -1); each
-// shard's op counter advances by its share of the batch, and its
-// cycle histogram records one sample per shard sub-batch.
-func (t *serverTele) observeCmd(cmd string, args [][]byte, oc *addrkv.OpOutcome, bo *addrkv.BatchOutcome, dur time.Duration, isErr bool) {
-	key := cmd
-	if _, ok := t.cmdTotal[key]; !ok {
-		key = "other"
+// observeCmd records one command: wall latency, command counters,
+// per-shard cycle cost, outcome counters, the MONITOR feed line, and a
+// slowlog offer. c is the command's table row, nil for an unknown verb.
+// oc is a single-key command's outcome. For multi-key commands bo
+// carries the exact per-shard batch deltas (and its merged view — total
+// cycles, home shard or -1 — stands in for oc); each shard's op counter
+// advances by its share of the batch, and its cycle histogram records
+// one sample per shard sub-batch. Both are nil or empty for commands
+// that never reached an engine.
+func (t *serverTele) observeCmd(c *command, args [][]byte, oc *addrkv.OpOutcome, bo *addrkv.BatchOutcome, dur time.Duration, isErr bool) {
+	key := otherCmd
+	if c != nil {
+		key = c.name
 	}
 	t.cmdTotal[key].Inc()
 	ns := uint64(dur.Nanoseconds())
@@ -284,6 +284,8 @@ func (t *serverTele) observeCmd(cmd string, args [][]byte, oc *addrkv.OpOutcome,
 	isOp := !isBatch && oc != nil && oc.Shard >= 0 && oc.Shard < len(t.shardOps)
 	switch {
 	case isBatch:
+		merged := bo.Merged()
+		oc = &merged
 		shard, cycles = oc.Shard, oc.Cycles
 		for _, sb := range bo.PerShard {
 			if sb.Shard < 0 || sb.Shard >= len(t.shardOps) {
@@ -294,7 +296,7 @@ func (t *serverTele) observeCmd(cmd string, args [][]byte, oc *addrkv.OpOutcome,
 			t.tlbMiss.Add(sb.TLBMisses)
 			t.stbHits.Add(sb.STBHits)
 			t.pageWalks.Add(sb.PageWalks)
-			if cmd == "mget" {
+			if c.fastPath {
 				t.fastHits.Add(sb.FastHits)
 				t.fastMiss.Add(uint64(sb.Ops) - sb.FastHits)
 			}
@@ -309,7 +311,7 @@ func (t *serverTele) observeCmd(cmd string, args [][]byte, oc *addrkv.OpOutcome,
 		t.tlbMiss.Add(oc.TLBMisses)
 		t.stbHits.Add(oc.STBHits)
 		t.pageWalks.Add(oc.PageWalks)
-		if cmd == "get" || cmd == "exists" {
+		if c.fastPath {
 			if oc.FastHit {
 				t.fastHits.Inc()
 			} else {
@@ -319,6 +321,9 @@ func (t *serverTele) observeCmd(cmd string, args [][]byte, oc *addrkv.OpOutcome,
 		if oc.Missed {
 			t.keyMiss.Inc()
 		}
+	}
+	if t.feed.Active() {
+		t.feed.Publish(monitorLine(args, shard))
 	}
 	// Building a slowlog entry formats arguments and the outcome
 	// breakdown (both allocate); skip the construction entirely for

@@ -220,24 +220,27 @@ func (s *server) lastSaveUnix() int64 {
 	return oldest / int64(time.Second)
 }
 
-// persistCmd handles BGSAVE and LASTSAVE.
-func (s *server) persistCmd(w *resp.Writer, cmd string) (isErr bool) {
+const errNoPersistence = "ERR persistence is disabled (start kvserve with -aof)"
+
+// bgsaveCmd and lastsaveCmd handle BGSAVE and LASTSAVE.
+func (s *server) bgsaveCmd(w *resp.Writer, _ [][]byte, _ *connState) (quit, monitor, isErr bool) {
 	if s.persist == nil {
-		w.WriteError("ERR persistence is disabled (start kvserve with -aof)")
-		return true
+		return fail(w, errNoPersistence)
 	}
-	switch cmd {
-	case "bgsave":
-		if !s.beginSave() {
-			w.WriteError("ERR background save already in progress")
-			return true
-		}
-		go s.runSave("bgsave")
-		w.WriteSimple("Background saving started")
-	case "lastsave":
-		w.WriteInt(s.lastSaveUnix())
+	if !s.beginSave() {
+		return fail(w, "ERR background save already in progress")
 	}
-	return false
+	go s.runSave("bgsave")
+	w.WriteSimple("Background saving started")
+	return false, false, false
+}
+
+func (s *server) lastsaveCmd(w *resp.Writer, _ [][]byte, _ *connState) (quit, monitor, isErr bool) {
+	if s.persist == nil {
+		return fail(w, errNoPersistence)
+	}
+	w.WriteInt(s.lastSaveUnix())
+	return false, false, false
 }
 
 // persistInfo renders the INFO "# persistence" section.

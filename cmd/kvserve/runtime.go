@@ -1,10 +1,20 @@
-// Worker-runtime dispatch for kvserve: connection goroutines classify
-// single-key commands, enqueue them on their home shard's request
-// ring, and write replies when the shard's owning worker completes
-// them. Commands that cannot run asynchronously (multi-key batches,
-// INFO, admin) act as ordering barriers: every pending reply is
-// flushed first, so each connection's replies always arrive in command
-// order.
+// The single-key route of kvserve: every one-key form of a ring verb in
+// the command table (GET, SET, DEL, EXISTS, EXPIRE, PEXPIRE, TTL, PTTL)
+// becomes a shard.Req built from its row, is handed to the key's home
+// shard, and joins the connection's pending window; flushPending
+// collects the window in command order and is the one place that
+// writes a single-key reply — or the redirect, when the shard's op
+// gate denied the op — closes its span and records its telemetry.
+// Every other command is an ordering barrier (see commands.go): the
+// window is flushed before it runs, so each connection's replies
+// always arrive in command order.
+//
+// Where the Req executes is the shard package's business, not this
+// file's: main starts the per-shard worker runtime, so Enqueue puts it
+// on the shard's ring and the owning worker completes it; a server on
+// which startWorkers was never called — the reference model of the
+// worker-vs-reference differential tests — gets it executed in place,
+// lock per op, by the same call.
 //
 // The steady-state path is allocation-free: each connection reuses a
 // slab of shard.Req slots (their Val buffers double as pooled reply
@@ -13,6 +23,7 @@
 package main
 
 import (
+	"strconv"
 	"time"
 
 	"addrkv"
@@ -21,55 +32,16 @@ import (
 	"addrkv/internal/trace"
 )
 
-// pending is one enqueued async command awaiting completion: the
-// request slot, the canonical command name (a constant, so observing
-// it allocates nothing), the raw args (valid until the next pipeline
-// read — consumed before that), and the span/start for telemetry.
+// pending is one single-key command of the window: its row, the
+// request slot (nil when the command was refused before it reached a
+// shard), the raw args (valid until the next pipeline read — consumed
+// before that), and the span/start for telemetry.
 type pending struct {
 	req   *shard.Req
-	cmd   string
+	cmd   *command
 	args  [][]byte
 	start time.Time
 	sp    *trace.Op
-}
-
-// asciiLowerEq reports whether b equals the lowercase ASCII string s,
-// ignoring letter case in b, without allocating. s must be lowercase.
-func asciiLowerEq(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if b[i]|0x20 != s[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// asyncKind classifies a command for worker dispatch: single-key
-// GET/SET/EXISTS/DEL with correct arity run asynchronously on the
-// shard worker; everything else (including wrong-arity forms, which
-// must produce their error reply in order) goes through the
-// synchronous dispatch path.
-func asyncKind(args [][]byte) (shard.OpKind, string, bool) {
-	c := args[0]
-	switch len(c) {
-	case 3:
-		switch {
-		case asciiLowerEq(c, "get") && len(args) == 2:
-			return shard.OpGet, "get", true
-		case asciiLowerEq(c, "set") && len(args) == 3:
-			return shard.OpSet, "set", true
-		case asciiLowerEq(c, "del") && len(args) == 2:
-			return shard.OpDelete, "del", true
-		}
-	case 6:
-		if asciiLowerEq(c, "exists") && len(args) == 2 {
-			return shard.OpExists, "exists", true
-		}
-	}
-	return 0, "", false
 }
 
 // nextReq hands out the connection's next request slot, reusing the
@@ -87,36 +59,56 @@ func (cs *connState) nextReq() *shard.Req {
 	return r
 }
 
-// enqueueAsync routes one classified single-key command to its shard
-// worker and appends it to the connection's pending window. The key
-// and value slices alias the reader's arena; the engine copies them
-// into simulated memory before the pending window is flushed, which
-// happens before the arena's next reuse.
-func (s *server) enqueueAsync(cs *connState, kind shard.OpKind, cmd string, args [][]byte) {
+// enqueue sends one single-key command (c.rides held) to its key's
+// home shard and appends it to the connection's pending window. The
+// key and value slices alias the reader's arena; the engine copies
+// them into simulated memory before the pending window is flushed,
+// which happens before the arena's next reuse.
+func (s *server) enqueue(cs *connState, c *command, args [][]byte) {
 	start := time.Now()
+	key := args[c.first]
+	bypass := s.clus != nil && s.clusterConsumeAsking(cs, key)
+	var deadline int64
+	if c.op == shard.OpExpireAt {
+		n, err := strconv.ParseInt(string(args[2]), 10, 64)
+		if err != nil {
+			// Refused here; flushPending answers it in command order.
+			cs.pend = append(cs.pend, pending{cmd: c, args: args, start: start})
+			return
+		}
+		// Clamp so now+n*unit cannot overflow; a deadline centuries out
+		// is indistinguishable from the clamp.
+		if lim := int64(1) << 62 / c.unit; n > lim {
+			n = lim
+		} else if n < -lim {
+			n = -lim
+		}
+		deadline = s.sys.Now() + n*c.unit
+	}
 	req := cs.nextReq()
-	req.Kind = kind
-	req.Key = args[1]
-	req.Value = nil
-	if kind == shard.OpSet {
+	req.Kind, req.Key, req.Value, req.Deadline = c.op, key, nil, deadline
+	if c.op == shard.OpSet {
 		req.Value = args[2]
 	}
+	// The sampling decision uses the connection's own counter against
+	// the shared rate, so an unsampled op costs one atomic load and
+	// never writes a shared cache line. A sampled op's span opens with
+	// dispatch here, collects the shard's events while the op runs
+	// under its shard lock (via Out.Trace), and is closed by
+	// flushPending with reply.flush.
 	var sp *trace.Op
 	if every := s.tracer.Sample(); every != 0 {
 		cs.ops++
 		if cs.ops%every == 0 {
-			sp = s.tracer.BeginSampled(cmd, args[1])
+			sp = s.tracer.BeginSampled(c.name, key)
 			sp.Conn = cs.id
 			sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
 		}
 	}
-	req.Out = addrkv.OpOutcome{Shard: -1, Trace: sp}
-	if s.clus != nil {
-		req.Out.Bypass = s.clusterConsumeAsking(cs, args)
-	}
+	req.Out = addrkv.OpOutcome{Shard: -1, Trace: sp, Bypass: bypass}
 	s.opsSinceMark.Add(1)
 	s.sys.Cluster().Enqueue(req)
-	cs.pend = append(cs.pend, pending{req: req, cmd: cmd, args: args, start: start, sp: sp})
+	cs.pend = append(cs.pend, pending{req: req, cmd: c, args: args, start: start, sp: sp})
 }
 
 // flushPending waits for every pending request in submission order,
@@ -132,6 +124,13 @@ func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 	for i := range cs.pend {
 		p := &cs.pend[i]
 		r := p.req
+		if r == nil { // EXPIRE/PEXPIRE whose integer did not parse
+			if werr == nil {
+				werr = w.WriteError("ERR value is not an integer or out of range")
+			}
+			s.tele.observeCmd(p.cmd, p.args, nil, nil, time.Since(p.start), true)
+			continue
+		}
 		r.Wait()
 		if p.sp != nil {
 			p.sp.EventRel(trace.EvReplyFlush, p.sp.Cycles, 0, 0, 0)
@@ -158,12 +157,17 @@ func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 				} else {
 					werr = w.WriteInt(0)
 				}
+			case r.Kind == shard.OpExpireAt:
+				werr = w.WriteInt(r.N)
+			case r.Kind == shard.OpTTL:
+				n := r.N // -2 absent, -1 present without a deadline
+				if n >= 0 {
+					n = (n + p.cmd.unit - 1) / p.cmd.unit // round up: 1ns left is still alive
+				}
+				werr = w.WriteInt(n)
 			}
 		}
 		s.tele.observeCmd(p.cmd, p.args, &r.Out, nil, time.Since(p.start), r.Out.Denied)
-		if s.tele.feed.Active() {
-			s.tele.feed.Publish(monitorLine(p.args, r.Out.Shard))
-		}
 	}
 	cs.pend = cs.pend[:0]
 	cs.used = 0
@@ -180,7 +184,6 @@ func (s *server) startWorkers(queueCap int) error {
 	if err := c.StartWorkers(queueCap); err != nil {
 		return err
 	}
-	s.workers = true
 	s.queueCap = queueCap
 	if s.queueCap <= 0 {
 		s.queueCap = shard.DefaultQueueCap
@@ -190,11 +193,7 @@ func (s *server) startWorkers(queueCap int) error {
 
 // stopWorkers tears the runtime down; callers must have drained every
 // connection first (no producers while the rings empty out).
-func (s *server) stopWorkers() {
-	if s.workers {
-		s.sys.Cluster().StopWorkers()
-	}
-}
+func (s *server) stopWorkers() { s.sys.Cluster().StopWorkers() }
 
 // runtimeInfo renders the INFO "# runtime" section: ring sizing and
 // the aggregate worker counters when running.

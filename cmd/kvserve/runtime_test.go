@@ -296,7 +296,7 @@ func TestServerRuntimeInfoAndMetrics(t *testing.T) {
 // Allocation budget table (steady state, per round trip of 2 commands):
 //
 //	resp.Reader.ReadPipelineReuse   0 allocs
-//	asyncKind + enqueue + Wait      0 allocs
+//	table lookup + enqueue + Wait   0 allocs
 //	Engine.GetInto / Engine.Set     0 allocs
 //	resp.Writer replies + Flush     0 allocs
 //	observeCmd (under slowlog floor) 0 allocs

@@ -86,6 +86,23 @@ func scenarioScript() (sec1, sec2 [][]string) {
 		[]string{"DEL", "k:29"},
 		[]string{"GET", "k:13"},
 	)
+	// The TTL verbs ride the shard rings between GETs and SETs of other
+	// keys (other shards, with 2 of them) without flushing the window,
+	// and a bad integer answers in its place in the burst.
+	for i := 15; i < 22; i++ {
+		k, n := fmt.Sprintf("k:%02d", i), fmt.Sprintf("n:%02d", i)
+		sec1 = append(sec1,
+			[]string{"GET", k},
+			[]string{"PEXPIRE", k, "90000"},
+			[]string{"SET", n, "fresh"},
+			[]string{"TTL", k},          // 90
+			[]string{"EXPIRE", n, "9x"}, // error
+			[]string{"PTTL", k},         // 90000
+			[]string{"EXPIRE", n, "200"},
+			[]string{"GET", n},
+			[]string{"TTL", n}, // 200
+		)
+	}
 	sec2 = append(sec2,
 		[]string{"GET", "k:10"},  // dead: lazy reap
 		[]string{"TTL", "k:11"},  // dead: -2 (the query reaps it)
@@ -105,9 +122,10 @@ func scenarioScript() (sec1, sec2 [][]string) {
 // TestServerScanTTLWorkerMatchesMutex extends the dispatch-mode
 // differential to the scenario surface: the same SCAN/RANGE/EXPIRE/
 // TTL/PTTL stream over a deterministic clock must produce identical
-// replies AND bit-for-bit identical modeled statistics under worker
-// and mutex dispatch. SCAN/RANGE/EXPIRE are ordering barriers in
-// worker mode; none of that machinery may perturb the engine model.
+// replies AND bit-for-bit identical modeled statistics on the worker
+// runtime and on the lock-per-op reference server. SCAN/RANGE are
+// ordering barriers, the TTL verbs ride the rings; none of that
+// machinery may perturb the engine model.
 func TestServerScanTTLWorkerMatchesMutex(t *testing.T) {
 	sec1, sec2 := scenarioScript()
 	for _, shards := range []int{1, 2} {
@@ -150,12 +168,33 @@ func TestServerScanTTLWorkerMatchesMutex(t *testing.T) {
 			}
 		}
 		// Spot-check absolute values (both modes could be wrong together):
-		// TTL k:00 before the advance is 100s, after it 94s.
+		// TTL k:00 before the advance is 100s, after it 94s; the last
+		// interleaved burst answers in command order.
 		if wr[45] != "int64:100" {
 			t.Fatalf("shards=%d: TTL k:00 = %q, want 100", shards, wr[45])
 		}
 		if got := wr[len(sec1)+3]; got != "int64:94" {
 			t.Fatalf("shards=%d: post-advance TTL k:00 = %q, want 94", shards, got)
+		}
+		want := []string{"$val-21", "int64:1", "string:OK", "int64:90",
+			"-ERR value is not an integer or out of range", "int64:90000", "int64:1", "$fresh", "int64:200"}
+		if got := wr[len(sec1)-9 : len(sec1)]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: interleaved TTL burst = %q, want %q", shards, got, want)
+		}
+		// Every well-formed single-key command went over a ring — the
+		// TTL verbs included — and nothing else did.
+		var rode, drained uint64
+		for _, c := range script {
+			if row := lookupCommand([]byte(c[0])); row != nil && row.rides(len(c)) {
+				rode++
+			}
+		}
+		rode -= 8 // the EXPIREs with a bad integer are refused before the ring
+		for _, st := range worker.sys.Cluster().RuntimeStats() {
+			drained += st.DrainedOps
+		}
+		if drained != rode {
+			t.Fatalf("shards=%d: workers drained %d ops, the script has %d single-key commands", shards, drained, rode)
 		}
 	}
 }
@@ -616,19 +655,19 @@ func TestServerMaxMemoryEviction(t *testing.T) {
 }
 
 // TestServerScanExpireHotPathAllocs extends the allocation budgets to
-// the scenario hot paths over a served worker-mode connection. These
-// are barrier commands, so unlike the async SET/GET path (pinned at 0
-// by TestServerHotPathZeroAlloc) they pay dispatch's per-command
-// constant — the lowercased verb string and the outcome record:
+// the scenario hot paths over a served worker-mode connection. The TTL
+// verbs ride the rings like SET/GET (pinned at 0 by
+// TestServerHotPathZeroAlloc) and pay only for EXPIRE's integer; SCAN
+// is a barrier command and copies its page out:
 //
-//	EXPIRE + TTL round trip   <= 6 allocs (2x barrier dispatch)
-//	SCAN page of 5 keys       <= 28 allocs (dispatch constant +
-//	                          per-shard key copies + page slice +
-//	                          cursor reply; copying out is the contract)
+//	EXPIRE + TTL round trip   <= 1 alloc (the string strconv parses)
+//	SCAN page of 5 keys       <= 25 allocs (per-shard key copies +
+//	                          page slice + cursor reply; copying out
+//	                          is the contract)
 //
-// The budgets are ceilings just above the measured steady state (5 and
-// 25): the point is catching per-key or per-byte regressions, which
-// add at least the page size.
+// The budgets are ceilings at or just above the measured steady state
+// (1 and 22): the point is catching per-command, per-key or per-byte
+// regressions, which add at least the page size.
 func TestServerScanExpireHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on channel handoffs")
@@ -650,7 +689,7 @@ func TestServerScanExpireHotPathAllocs(t *testing.T) {
 	go s.serve(srv)
 	t.Cleanup(func() { client.Close() })
 
-	// Capture each pipeline's exact reply bytes via direct dispatch,
+	// Capture each pipeline's exact reply bytes a command at a time,
 	// then drive the served connection against that expectation.
 	wire := func(cmds [][]string) (req, rep []byte) {
 		var reqBuf bytes.Buffer
@@ -666,11 +705,7 @@ func TestServerScanExpireHotPathAllocs(t *testing.T) {
 		var repBuf bytes.Buffer
 		rw := resp.NewWriter(&repBuf)
 		for _, c := range cmds {
-			ba := make([][]byte, len(c))
-			for i, a := range c {
-				ba[i] = []byte(a)
-			}
-			s.dispatch(rw, ba, &connState{id: 99})
+			runOne(s, rw, &connState{id: 99}, c...)
 		}
 		rw.Flush()
 		return reqBuf.Bytes(), repBuf.Bytes()
@@ -698,10 +733,10 @@ func TestServerScanExpireHotPathAllocs(t *testing.T) {
 		expireRT()
 		scanRT()
 	}
-	if n := testing.AllocsPerRun(200, expireRT); n > 6 {
-		t.Errorf("EXPIRE+TTL round trip: %.2f allocs, budget 6", n)
+	if n := testing.AllocsPerRun(200, expireRT); n > 1 {
+		t.Errorf("EXPIRE+TTL round trip: %.2f allocs, budget 1", n)
 	}
-	if n := testing.AllocsPerRun(200, scanRT); n > 28 {
-		t.Errorf("SCAN COUNT 5 round trip: %.2f allocs, budget 28", n)
+	if n := testing.AllocsPerRun(200, scanRT); n > 25 {
+		t.Errorf("SCAN COUNT 5 round trip: %.2f allocs, budget 25", n)
 	}
 }

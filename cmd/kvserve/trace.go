@@ -100,25 +100,18 @@ func (s *server) writeChromeTrace(label string) (string, error) {
 }
 
 // traceCmd handles TRACE ON [1-in-N] / OFF / STATUS / DUMP.
-func (s *server) traceCmd(w *resp.Writer, args [][]byte) (quit, monitor, isErr bool) {
-	fail := func(msg string) (bool, bool, bool) {
-		w.WriteError(msg)
-		return false, false, true
-	}
-	if len(args) < 2 {
-		return fail("ERR wrong number of arguments for 'trace'")
-	}
+func (s *server) traceCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, monitor, isErr bool) {
 	switch strings.ToLower(string(args[1])) {
 	case "on":
 		every := uint64(1)
 		if len(args) == 3 {
 			v, err := strconv.ParseUint(string(args[2]), 10, 64)
 			if err != nil || v < 1 {
-				return fail("ERR invalid trace sampling rate")
+				return fail(w, "ERR invalid trace sampling rate")
 			}
 			every = v
 		} else if len(args) > 3 {
-			return fail("ERR wrong number of arguments for 'trace on'")
+			return wrongArity(w, "trace on")
 		}
 		s.tracer.SetSample(every)
 		w.WriteSimple("OK")
@@ -143,24 +136,24 @@ func (s *server) traceCmd(w *resp.Writer, args [][]byte) (quit, monitor, isErr b
 		w.WriteBulk([]byte(b.String()))
 	case "dump":
 		if s.dumper == nil {
-			return fail("ERR no trace dump directory configured (start kvserve with -trace-dir)")
+			return fail(w, "ERR no trace dump directory configured (start kvserve with -trace-dir)")
 		}
 		reason := "manual"
 		if len(args) == 3 {
 			reason = string(args[2])
 		} else if len(args) > 3 {
-			return fail("ERR wrong number of arguments for 'trace dump'")
+			return wrongArity(w, "trace dump")
 		}
 		path, err := s.dumper.Dump(s.tracer, reason)
 		if err != nil {
-			return fail(fmt.Sprintf("ERR trace dump: %v", err))
+			return fail(w, fmt.Sprintf("ERR trace dump: %v", err))
 		}
 		if _, err := s.writeChromeTrace(reason); err != nil {
 			log.Printf("kvserve: chrome trace export: %v", err)
 		}
 		w.WriteBulk([]byte(path))
 	default:
-		return fail(fmt.Sprintf("ERR unknown TRACE subcommand '%s'", args[1]))
+		return fail(w, fmt.Sprintf("ERR unknown TRACE subcommand '%s'", args[1]))
 	}
 	return false, false, false
 }
@@ -173,18 +166,4 @@ func traceKindOrder() []string {
 		out[i] = trace.EventKind(i).String()
 	}
 	return out
-}
-
-// traceSpanFor reports whether cmd (with its argument count) is a
-// single-key data-path command the server attaches spans to. Multi-key
-// batches (MGET/MSET, multi-key DEL) span several shards and are left
-// to the aggregate BatchOutcome telemetry.
-func traceSpanFor(cmd string, nargs int) bool {
-	switch cmd {
-	case "get", "exists", "del", "ttl", "pttl":
-		return nargs == 2
-	case "set", "expire", "pexpire":
-		return nargs == 3
-	}
-	return false
 }

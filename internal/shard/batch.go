@@ -138,13 +138,9 @@ func observeBatch(i, ops int, e *kv.Engine, out *BatchOutcome, before kv.OpProbe
 	})
 }
 
-// GetBatch retrieves keys with full timing, one locked engine call per
-// home shard. Results are positional: vals[i]/oks[i] answer keys[i].
-func (c *Cluster) GetBatch(keys [][]byte) (vals [][]byte, oks []bool) {
-	return c.GetBatchO(keys, nil)
-}
-
-// GetBatchO is GetBatch with an optional per-batch outcome report.
+// GetBatchO retrieves keys with full timing, one locked engine call
+// per home shard, with an optional per-batch outcome report. Results
+// are positional: vals[i]/oks[i] answer keys[i].
 func (c *Cluster) GetBatchO(keys [][]byte, out *BatchOutcome) (vals [][]byte, oks []bool) {
 	vals = make([][]byte, len(keys))
 	oks = make([]bool, len(keys))
@@ -186,11 +182,9 @@ func (c *Cluster) GetBatchO(keys [][]byte, out *BatchOutcome) (vals [][]byte, ok
 	return vals, oks
 }
 
-// SetBatch inserts or updates keys[i] = values[i] with full timing,
-// one locked engine call per home shard.
-func (c *Cluster) SetBatch(keys, values [][]byte) { c.SetBatchO(keys, values, nil) }
-
-// SetBatchO is SetBatch with an optional per-batch outcome report.
+// SetBatchO inserts or updates keys[i] = values[i] with full timing,
+// one locked engine call per home shard, with an optional per-batch
+// outcome report.
 func (c *Cluster) SetBatchO(keys, values [][]byte, out *BatchOutcome) {
 	for si, idxs := range c.groupByShard(keys) {
 		if len(idxs) == 0 {
@@ -228,12 +222,9 @@ func (c *Cluster) SetBatchO(keys, values [][]byte, out *BatchOutcome) {
 	}
 }
 
-// DeleteBatch removes keys with full timing, one locked engine call
-// per home shard, returning how many existed.
-func (c *Cluster) DeleteBatch(keys [][]byte) int { return c.DeleteBatchO(keys, nil) }
-
-// DeleteBatchO is DeleteBatch with an optional per-batch outcome
-// report.
+// DeleteBatchO removes keys with full timing, one locked engine call
+// per home shard, returning how many existed, with an optional
+// per-batch outcome report.
 func (c *Cluster) DeleteBatchO(keys [][]byte, out *BatchOutcome) int {
 	n := 0
 	for si, idxs := range c.groupByShard(keys) {

@@ -167,11 +167,11 @@ func TestBatchMatchesSingleOpsMultiShard(t *testing.T) {
 			got := batched.DeleteBatchO(keys, &bo)
 			want := 0
 			for _, k := range keys {
-				var one OpOutcome
-				if single.DeleteO(k, &one) {
+				one := Req{Kind: OpDelete, Key: k}
+				if single.Do(&one); one.OK {
 					want++
 				}
-				note(one)
+				note(one.Out)
 			}
 			if got != want {
 				t.Fatalf("round %d DEL count %d != %d", round, got, want)

@@ -83,13 +83,15 @@ func TestObservedOpsMatchUnobserved(t *testing.T) {
 	for i := 0; i < nOps; i++ {
 		opP, opO := gp.Next(), go_.Next()
 		key := ycsb.KeyNameInto(buf[:], opO.KeyID)
+		req := Req{Kind: OpGetTouch, Key: key}
 		if opP.Type == ycsb.Set {
 			plain.Set(ycsb.KeyNameInto(buf[:], opP.KeyID), ycsb.Value(opP.KeyID, 1, 64))
-			observed.SetO(key, ycsb.Value(opO.KeyID, 1, 64), &oc)
+			req.Kind, req.Value = OpSet, ycsb.Value(opO.KeyID, 1, 64)
 		} else {
 			plain.GetTouch(ycsb.KeyNameInto(buf[:], opP.KeyID))
-			observed.GetTouchO(key, &oc)
 		}
+		observed.Do(&req)
+		oc = req.Out
 		if want := observed.ShardFor(key); oc.Shard != want {
 			t.Fatalf("outcome shard %d, want %d", oc.Shard, want)
 		}

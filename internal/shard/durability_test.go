@@ -267,8 +267,8 @@ func TestBatchOpsAreLogged(t *testing.T) {
 		keys = append(keys, fmt.Appendf(nil, "bk-%d", i))
 		vals = append(vals, fmt.Appendf(nil, "bv-%d", i))
 	}
-	c.SetBatch(keys, vals)
-	if n := c.DeleteBatch(keys[:20]); n != 20 {
+	c.SetBatchO(keys, vals, nil)
+	if n := c.DeleteBatchO(keys[:20], nil); n != 20 {
 		t.Fatalf("deleted %d, want 20", n)
 	}
 	if err := c.CloseWAL(); err != nil {

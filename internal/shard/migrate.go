@@ -6,7 +6,7 @@
 // home is made UNDER that key's shard lock. Routing checks in the
 // front-end are only an optimization — a command classified "local"
 // may race a migration that starts before the op executes (worker
-// rings buffer ops; the mutex path has the same classify-to-execute
+// rings buffer ops; an op run in place has the same classify-to-execute
 // window). The gate closes that window: it runs inside the same
 // critical section as the engine op, so an op either executes before
 // a batch extraction observes the store, or is denied and redirected

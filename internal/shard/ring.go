@@ -11,27 +11,33 @@ import (
 	"sync/atomic"
 )
 
-// Req is one queued single-key operation: the request fields the
-// connection goroutine fills, and the completion fields the worker
-// fills before signalling done. Reqs are pooled per connection and
-// reused across pipeline bursts, so the steady state allocates
-// nothing: Val is appended into at len 0 (keeping its capacity), and
-// the done channel (capacity 1) is created once per slot.
+// Req is one single-key operation and its per-op context: the request
+// fields the caller fills, and the result fields the shard fills. Do
+// executes it in place; Enqueue hands it to the key's shard worker,
+// which signals done. Reqs are pooled per connection and reused across
+// pipeline bursts, so the steady state allocates nothing: Val is
+// appended into at len 0 (keeping its capacity), and the done channel
+// (capacity 1) is created once per slot.
 type Req struct {
 	// Kind selects the engine operation.
 	Kind OpKind
 	// Key is the operation key. It may alias a connection read buffer;
-	// the worker only reads it during execution, and the engine copies
+	// the shard only reads it during execution, and the engine copies
 	// what it stores, so the producer may reuse the buffer after Wait.
 	Key []byte
 	// Value is the SET payload (same aliasing contract as Key).
 	Value []byte
+	// Deadline is OpExpireAt's absolute TTL deadline (unix ns).
+	Deadline int64
 
 	// Val receives a GET's value, appended into Val[:0] — the buffer
 	// is owned by the Req and reused across operations.
 	Val []byte
 	// OK is the boolean result: GET/EXISTS/DEL hit, always true for SET.
 	OK bool
+	// N is the integer result: OpExpireAt's 1 (armed) or 0 (key absent),
+	// OpTTL's remaining ns (-2 absent, -1 no deadline).
+	N int64
 	// Out is the per-op outcome (shard, modeled cycles, addressing-path
 	// flags). Set Out.Trace before Enqueue to trace the op.
 	Out OpOutcome
@@ -39,7 +45,7 @@ type Req struct {
 	done chan struct{}
 }
 
-// OpKind enumerates the operations the worker runtime executes.
+// OpKind enumerates the single-key operations a shard executes.
 type OpKind uint8
 
 const (
@@ -47,13 +53,20 @@ const (
 	OpSet
 	OpDelete
 	OpExists
+	// OpGetTouch is a GET that charges the value read without
+	// materializing it (the hot loop of replayers and benchmarks).
 	OpGetTouch
+	// OpExpireAt arms Req.Deadline on the key. A successful arm appends
+	// a RecExpire frame so recovery replays the deadline.
+	OpExpireAt
+	OpTTL
 )
 
-// NewReq returns a request slot ready for its first Enqueue.
+// NewReq returns a request slot ready for its first Enqueue. (Do needs
+// no completion channel: a Req literal is a valid argument to it.)
 func NewReq() *Req { return &Req{done: make(chan struct{}, 1)} }
 
-// Wait blocks until the worker has completed the request. Each
+// Wait blocks until the request Enqueue accepted has completed. Each
 // Enqueue must be matched by exactly one Wait before the Req is
 // reused.
 func (r *Req) Wait() { <-r.done }

@@ -65,15 +65,11 @@ type rangePair struct {
 	key, val []byte
 }
 
-// Range visits up to limit stored pairs with start <= key <= end in
+// RangeO visits up to limit stored pairs with start <= key <= end in
 // ascending key order (end nil = unbounded above, limit <= 0 =
-// unbounded). Slices passed to fn are copies. Returns pairs emitted,
-// or kv.ErrUnordered for a hash index.
-func (c *Cluster) Range(start, end []byte, limit int, fn func(key, value []byte) bool) (int, error) {
-	return c.RangeO(start, end, limit, fn, nil)
-}
-
-// RangeO is Range with an optional per-shard outcome report.
+// unbounded), with an optional per-shard outcome report. Slices passed
+// to fn are copies. Returns pairs emitted, or kv.ErrUnordered for a
+// hash index.
 func (c *Cluster) RangeO(start, end []byte, limit int, fn func(key, value []byte) bool, out *BatchOutcome) (int, error) {
 	perShard := make([][]rangePair, len(c.shards))
 	for si, s := range c.shards {

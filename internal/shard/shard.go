@@ -223,18 +223,10 @@ type OpOutcome struct {
 	Denied bool
 }
 
-// observe fills out (when non-nil) from the probe delta across an op.
-// Must be called with the shard's lock held.
-func observe(i int, e *kv.Engine, out *OpOutcome, before kv.OpProbe) {
-	if out == nil {
-		return
-	}
-	observeDelta(i, out, before, e.Probe())
-}
-
-// observeDelta fills out from an explicit pair of probe snapshots.
-// The worker's drain loop uses it with chained probes (op N's after
-// is op N+1's before), halving probe cost across a burst.
+// observeDelta fills out from a pair of probe snapshots taken under
+// the shard lock. Do takes one exact pair per op; the worker's drain
+// loop chains them (op N's after is op N+1's before), halving probe
+// cost across a burst.
 func observeDelta(i int, out *OpOutcome, before, after kv.OpProbe) {
 	*out = OpOutcome{
 		Shard:     i,
@@ -253,9 +245,6 @@ func observeDelta(i int, out *OpOutcome, before, after kv.OpProbe) {
 // engine: sets the cycle base, stamps shard.lock, and connects the
 // machine's event hooks. Must hold the shard lock.
 func attachTrace(i int, e *kv.Engine, out *OpOutcome) {
-	if out == nil || out.Trace == nil {
-		return
-	}
 	cyc := uint64(e.M.Cycles())
 	out.Trace.SetBase(cyc)
 	out.Trace.Event(trace.EvShardLock, cyc, int64(i), 0, 0)
@@ -265,208 +254,157 @@ func attachTrace(i int, e *kv.Engine, out *OpOutcome) {
 // detachTrace stamps the span's total cycle cost and disconnects the
 // event hooks. Must hold the shard lock.
 func detachTrace(e *kv.Engine, out *OpOutcome) {
-	if out == nil || out.Trace == nil {
-		return
-	}
 	out.Trace.End(uint64(e.M.Cycles()))
 	e.DetachTrace()
 }
 
-// Get retrieves a key with full timing on its home shard.
-func (c *Cluster) Get(key []byte) ([]byte, bool) { return c.GetO(key, nil) }
+// exec is the one copy of the per-op sequence: op gate, span attach,
+// engine call, WAL frames (the op's own plus the maintenance it
+// triggered — reads log too when they caused a lazy expiry), span
+// detach. Everything that differs between running in place and running
+// from a drain stays with the two callers, Do and serveBurst: the
+// lock, the probes, the commit, the completion. bi/n are r's position
+// in a drain burst and the burst's size; n == 0 means in place, which
+// has no queue.wait and drain events to stamp. ran is false when the
+// gate denied the op: no engine call ran, no cycles were charged, and
+// r.Out.Denied tells the front-end to answer with a redirect. wrote
+// reports frames pending commit. Must hold the shard lock.
+func (c *Cluster) exec(i int, s *shardSlot, r *Req, bi, n int) (ran, wrote bool) {
+	out := &r.Out
+	if !c.gateAllows(s.e, r.Key, out) {
+		r.OK, r.N = false, 0
+		return false, false
+	}
+	if out.Trace != nil {
+		if n > 0 {
+			out.Trace.EventRel(trace.EvQueueWait, 0, int64(i), int64(bi), int64(n))
+		}
+		attachTrace(i, s.e, out)
+		if n > 0 {
+			out.Trace.Event(trace.EvDrain, uint64(s.e.M.Cycles()), int64(n), int64(bi), 0)
+		}
+	}
+	var opKind wal.Kind // 0: the op writes no frame of its own
+	var opVal []byte
+	var dlb [8]byte
+	switch r.Kind {
+	case OpGet:
+		r.Val, r.OK = s.e.GetInto(r.Key, r.Val[:0])
+	case OpSet:
+		s.e.Set(r.Key, r.Value)
+		r.OK = true
+		opKind, opVal = wal.RecSet, r.Value
+	case OpDelete:
+		r.OK = s.e.Delete(r.Key)
+		opKind = wal.RecDel
+	case OpExists:
+		r.OK = s.e.Exists(r.Key)
+	case OpGetTouch:
+		r.OK = s.e.GetTouch(r.Key)
+	case OpExpireAt:
+		r.N = int64(s.e.ExpireAt(r.Key, r.Deadline))
+		if r.N == 1 {
+			binary.LittleEndian.PutUint64(dlb[:], uint64(r.Deadline))
+			opKind, opVal = wal.RecExpire, dlb[:]
+		}
+	case OpTTL:
+		r.N = s.e.TTL(r.Key)
+	}
+	wrote = c.walOp(i, s, opKind, r.Key, opVal, out)
+	if out.Trace != nil {
+		detachTrace(s.e, out)
+	}
+	return true, wrote
+}
 
-// GetO is Get with an optional per-op outcome report.
-func (c *Cluster) GetO(key []byte, out *OpOutcome) ([]byte, bool) {
-	i := c.ShardFor(key)
+// Do executes r in place on its key's home shard, with full timing:
+// one lock acquisition, one exact probe pair into r.Out, and — when
+// the op left frames in the shard's log — its own commit before the
+// lock is released. A Cluster on which StartWorkers was never called
+// serves everything this way; it is the reference model the worker
+// runtime is held to, op for op. Set r.Out.Trace and r.Out.Bypass
+// before the call; results are meaningful unless r.Out.Denied.
+func (c *Cluster) Do(r *Req) {
+	i := c.ShardFor(r.Key)
 	s := c.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !c.gateAllows(s.e, key, out) {
-		return nil, false
+	before := s.e.Probe()
+	ran, wrote := c.exec(i, s, r, 0, 0)
+	if !ran {
+		return
 	}
-	var before kv.OpProbe
-	if out != nil {
-		before = s.e.Probe()
-		attachTrace(i, s.e, out)
-	}
-	v, ok := s.e.Get(key)
-	wrote := c.walOp(i, s, 0, nil, nil, out)
-	detachTrace(s.e, out)
-	observe(i, s.e, out, before)
+	observeDelta(i, &r.Out, before, s.e.Probe())
 	if wrote {
-		c.walCommit(i, out, 1)
+		c.walCommit(i, &r.Out, 1)
 	}
-	return v, ok
+}
+
+// Get retrieves a key with full timing on its home shard.
+func (c *Cluster) Get(key []byte) ([]byte, bool) {
+	r := Req{Kind: OpGet, Key: key}
+	c.Do(&r)
+	return r.Val, r.OK
+}
+
+// GetO is Get reporting the op's outcome through out (non-nil). It and
+// SetO outlive the other outcome forms only because bench/ledger.go's
+// lock-per-op pass calls them and a change to served code may not edit
+// bench/; everything else that wants an outcome calls Do.
+func (c *Cluster) GetO(key []byte, out *OpOutcome) ([]byte, bool) {
+	r := Req{Kind: OpGet, Key: key, Out: *out}
+	c.Do(&r)
+	*out = r.Out
+	return r.Val, r.OK
 }
 
 // GetTouch performs a timed GET charging the value read without
 // materializing it.
-func (c *Cluster) GetTouch(key []byte) bool { return c.GetTouchO(key, nil) }
-
-// GetTouchO is GetTouch with an optional per-op outcome report.
-func (c *Cluster) GetTouchO(key []byte, out *OpOutcome) bool {
-	i := c.ShardFor(key)
-	s := c.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !c.gateAllows(s.e, key, out) {
-		return false
-	}
-	var before kv.OpProbe
-	if out != nil {
-		before = s.e.Probe()
-		attachTrace(i, s.e, out)
-	}
-	ok := s.e.GetTouch(key)
-	wrote := c.walOp(i, s, 0, nil, nil, out)
-	detachTrace(s.e, out)
-	observe(i, s.e, out, before)
-	if wrote {
-		c.walCommit(i, out, 1)
-	}
-	return ok
+func (c *Cluster) GetTouch(key []byte) bool {
+	r := Req{Kind: OpGetTouch, Key: key}
+	c.Do(&r)
+	return r.OK
 }
 
 // Set inserts or updates a key with full timing on its home shard.
-func (c *Cluster) Set(key, value []byte) { c.SetO(key, value, nil) }
+func (c *Cluster) Set(key, value []byte) { c.Do(&Req{Kind: OpSet, Key: key, Value: value}) }
 
-// SetO is Set with an optional per-op outcome report.
+// SetO is Set reporting the op's outcome through out (see GetO).
 func (c *Cluster) SetO(key, value []byte, out *OpOutcome) {
-	i := c.ShardFor(key)
-	s := c.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !c.gateAllows(s.e, key, out) {
-		return
-	}
-	var before kv.OpProbe
-	if out != nil {
-		before = s.e.Probe()
-		attachTrace(i, s.e, out)
-	}
-	s.e.Set(key, value)
-	c.walOp(i, s, wal.RecSet, key, value, out)
-	detachTrace(s.e, out)
-	observe(i, s.e, out, before)
-	c.walCommit(i, out, 1)
+	r := Req{Kind: OpSet, Key: key, Value: value, Out: *out}
+	c.Do(&r)
+	*out = r.Out
 }
 
 // Delete removes a key with full timing on its home shard.
-func (c *Cluster) Delete(key []byte) bool { return c.DeleteO(key, nil) }
-
-// DeleteO is Delete with an optional per-op outcome report.
-func (c *Cluster) DeleteO(key []byte, out *OpOutcome) bool {
-	i := c.ShardFor(key)
-	s := c.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !c.gateAllows(s.e, key, out) {
-		return false
-	}
-	var before kv.OpProbe
-	if out != nil {
-		before = s.e.Probe()
-		attachTrace(i, s.e, out)
-	}
-	ok := s.e.Delete(key)
-	c.walOp(i, s, wal.RecDel, key, nil, out)
-	detachTrace(s.e, out)
-	observe(i, s.e, out, before)
-	c.walCommit(i, out, 1)
-	return ok
+func (c *Cluster) Delete(key []byte) bool {
+	r := Req{Kind: OpDelete, Key: key}
+	c.Do(&r)
+	return r.OK
 }
 
 // Exists performs a timed existence-only check on the home shard.
-func (c *Cluster) Exists(key []byte) bool { return c.ExistsO(key, nil) }
-
-// ExistsO is Exists with an optional per-op outcome report.
-func (c *Cluster) ExistsO(key []byte, out *OpOutcome) bool {
-	i := c.ShardFor(key)
-	s := c.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !c.gateAllows(s.e, key, out) {
-		return false
-	}
-	var before kv.OpProbe
-	if out != nil {
-		before = s.e.Probe()
-		attachTrace(i, s.e, out)
-	}
-	ok := s.e.Exists(key)
-	wrote := c.walOp(i, s, 0, nil, nil, out)
-	detachTrace(s.e, out)
-	observe(i, s.e, out, before)
-	if wrote {
-		c.walCommit(i, out, 1)
-	}
-	return ok
+func (c *Cluster) Exists(key []byte) bool {
+	r := Req{Kind: OpExists, Key: key}
+	c.Do(&r)
+	return r.OK
 }
 
 // ExpireAt arms an absolute TTL deadline (unix ns) with full timing on
 // the key's home shard, returning 1 when armed and 0 when the key is
-// absent. Successful arms append a RecExpire frame so recovery replays
-// the deadline.
+// absent.
 func (c *Cluster) ExpireAt(key []byte, deadline int64) int {
-	return c.ExpireAtO(key, deadline, nil)
-}
-
-// ExpireAtO is ExpireAt with an optional per-op outcome report.
-func (c *Cluster) ExpireAtO(key []byte, deadline int64, out *OpOutcome) int {
-	i := c.ShardFor(key)
-	s := c.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !c.gateAllows(s.e, key, out) {
-		return 0
-	}
-	var before kv.OpProbe
-	if out != nil {
-		before = s.e.Probe()
-		attachTrace(i, s.e, out)
-	}
-	ret := s.e.ExpireAt(key, deadline)
-	opKind := wal.Kind(0)
-	var dlb [8]byte
-	if ret == 1 {
-		opKind = wal.RecExpire
-		binary.LittleEndian.PutUint64(dlb[:], uint64(deadline))
-	}
-	wrote := c.walOp(i, s, opKind, key, dlb[:], out)
-	detachTrace(s.e, out)
-	observe(i, s.e, out, before)
-	if wrote {
-		c.walCommit(i, out, 1)
-	}
-	return ret
+	r := Req{Kind: OpExpireAt, Key: key, Deadline: deadline}
+	c.Do(&r)
+	return int(r.N)
 }
 
 // TTL reports a key's remaining TTL with full timing on its home shard
 // (-2 absent, -1 no deadline, remaining ns otherwise).
-func (c *Cluster) TTL(key []byte) int64 { return c.TTLO(key, nil) }
-
-// TTLO is TTL with an optional per-op outcome report.
-func (c *Cluster) TTLO(key []byte, out *OpOutcome) int64 {
-	i := c.ShardFor(key)
-	s := c.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !c.gateAllows(s.e, key, out) {
-		return -2
-	}
-	var before kv.OpProbe
-	if out != nil {
-		before = s.e.Probe()
-		attachTrace(i, s.e, out)
-	}
-	ret := s.e.TTL(key)
-	wrote := c.walOp(i, s, 0, nil, nil, out)
-	detachTrace(s.e, out)
-	observe(i, s.e, out, before)
-	if wrote {
-		c.walCommit(i, out, 1)
-	}
-	return ret
+func (c *Cluster) TTL(key []byte) int64 {
+	r := Req{Kind: OpTTL, Key: key}
+	c.Do(&r)
+	return r.N
 }
 
 // SetClock installs one TTL time source on every shard engine (tests

@@ -52,15 +52,16 @@ func TestTracedOpsMatchUntraced(t *testing.T) {
 			t.Fatalf("op %d: 100%% sampling returned no span", i)
 		}
 		sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
-		oc.Trace = sp
+		req := Req{Kind: OpGetTouch, Key: keyT, Out: OpOutcome{Trace: sp}}
 
 		if opT.Type == ycsb.Set {
 			plain.Set(keyP, ycsb.Value(opP.KeyID, 1, 64))
-			traced.SetO(keyT, ycsb.Value(opT.KeyID, 1, 64), &oc)
+			req.Kind, req.Value = OpSet, ycsb.Value(opT.KeyID, 1, 64)
 		} else {
 			plain.GetTouch(keyP)
-			traced.GetTouchO(keyT, &oc)
 		}
+		traced.Do(&req)
+		oc = req.Out
 
 		sp.EventRel(trace.EvReplyFlush, sp.Cycles, 0, 0, 0)
 		tr.Finish(sp, oc.Shard, oc.FastHit, oc.Missed)

@@ -16,9 +16,12 @@
 // order, and each connection enqueues in command order, so a single
 // connection's ops execute in submission order on every shard. With
 // one shard and one connection the engine therefore sees the same
-// call sequence the mutex path would issue — modeled cycles, stats
+// call sequence Do, op by op, would issue — modeled cycles, stats
 // and replies are bit-for-bit identical (pinned by differential
-// tests).
+// tests). The per-op sequence itself is shared (exec, in shard.go);
+// what the differentials hold apart is everything around it: lock per
+// op vs per burst, exact vs chained probes, per-op commit vs group
+// commit, the drain sweep, the ring, and completion order.
 package shard
 
 import (
@@ -82,9 +85,9 @@ type workerSet struct {
 
 // StartWorkers launches one owning goroutine per shard, each draining
 // a bounded ring of queueCap requests (0 = DefaultQueueCap, rounded
-// up to a power of two). After StartWorkers, Enqueue routes requests;
-// the mutex-path *O methods remain safe concurrently (workers hold
-// the same shard locks while draining).
+// up to a power of two). After StartWorkers, Enqueue routes requests
+// over the rings; Do and the batch and scan calls remain safe
+// concurrently (workers hold the same shard locks while draining).
 func (c *Cluster) StartWorkers(queueCap int) error {
 	if c.wset.Load() != nil {
 		return fmt.Errorf("shard: workers already running")
@@ -144,9 +147,17 @@ func (c *Cluster) SetDrainObserver(f func(shard, burst int)) { c.onDrain = f }
 // Enqueue routes r to its key's home shard worker and returns once
 // the request is queued; the caller collects the result with r.Wait.
 // A full ring applies backpressure by yielding until a slot frees.
+// Without a running worker set the request executes in place (Do) and
+// is complete on return — which is all it takes to be the reference
+// model: a Cluster on which StartWorkers was never called.
 func (c *Cluster) Enqueue(r *Req) {
-	i := c.ShardFor(r.Key)
-	w := c.wset.Load().ws[i]
+	set := c.wset.Load()
+	if set == nil {
+		c.Do(r)
+		r.done <- struct{}{}
+		return
+	}
+	w := set.ws[c.ShardFor(r.Key)]
 	for !w.q.enqueue(r) {
 		w.fullSpins.Add(1)
 		w.kick()
@@ -242,44 +253,13 @@ func (c *Cluster) serveBurst(i int, s *shardSlot, w *worker, burst []*Req) {
 	s.mu.Lock()
 	before := s.e.Probe()
 	for bi, r := range burst {
-		out := &r.Out
-		if !c.gateAllows(s.e, r.Key, out) {
-			// Denied by the cluster op gate: no engine call, no probe
-			// movement (before stays chained). The front-end rewrites
-			// the reply as a redirect from out.Denied.
-			r.OK = false
-			continue
+		ran, framed := c.exec(i, s, r, bi, n)
+		if !ran {
+			continue // denied: no probe movement, before stays chained
 		}
-		if out.Trace != nil {
-			out.Trace.EventRel(trace.EvQueueWait, 0, int64(i), int64(bi), int64(n))
-			attachTrace(i, s.e, out)
-			out.Trace.Event(trace.EvDrain, uint64(s.e.M.Cycles()), int64(n), int64(bi), 0)
-		}
-		var opKind wal.Kind
-		var opVal []byte
-		switch r.Kind {
-		case OpGet:
-			r.Val, r.OK = s.e.GetInto(r.Key, r.Val[:0])
-		case OpSet:
-			s.e.Set(r.Key, r.Value)
-			r.OK = true
-			opKind, opVal = wal.RecSet, r.Value
-		case OpDelete:
-			r.OK = s.e.Delete(r.Key)
-			opKind = wal.RecDel
-		case OpExists:
-			r.OK = s.e.Exists(r.Key)
-		case OpGetTouch:
-			r.OK = s.e.GetTouch(r.Key)
-		}
-		// Reads log too when they triggered lazy expiry — the removal
-		// changed the index, so recovery must replay it.
-		if c.walOp(i, s, opKind, r.Key, opVal, out) {
-			wrote = true
-		}
-		detachTrace(s.e, out)
+		wrote = wrote || framed
 		after := s.e.Probe()
-		observeDelta(i, out, before, after)
+		observeDelta(i, &r.Out, before, after)
 		before = after
 	}
 	// Active expiry rides the drain: one bounded sampling pass per

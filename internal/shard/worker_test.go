@@ -3,11 +3,14 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 
 	"addrkv/internal/kv"
 	"addrkv/internal/trace"
+	"addrkv/internal/wal"
 	"addrkv/internal/ycsb"
 )
 
@@ -115,77 +118,116 @@ func workloadOps(n int) []ycsb.Op {
 	return ops
 }
 
-// reply captures one op's results for differential comparison.
-type reply struct {
-	val []byte
-	ok  bool
-	out OpOutcome
-}
-
 // TestWorkerMatchesMutexSequential: the tentpole determinism pin. A
 // single producer submitting ops one at a time through the worker
-// runtime must produce bit-for-bit the same replies, per-op outcomes
-// and engine stats as the mutex-path *O methods on an identically
-// configured cluster — for 1 shard (where it also equals the seed
-// engine, via TestOneShardMatchesSingleEngine) and for several.
+// runtime must produce bit-for-bit the same results, per-op outcomes,
+// engine stats and WAL bytes as Do, the in-place reference, on an
+// identically configured cluster — for 1 shard (where it also equals
+// the seed engine, via TestOneShardMatchesSingleEngine) and for
+// several, over every OpKind, with a clock that moves so reads reap
+// lazily and log it. A third cluster takes the same stream through
+// Enqueue with no worker set running: it must complete every request
+// in place and match too.
 func TestWorkerMatchesMutexSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := Config{Shards: shards, Engine: kv.Config{
 				Keys: 4000, Index: kv.KindChainHash, Mode: kv.ModeSTLT, Seed: 42, RedisLayer: true,
 			}}
-			cm, err := New(cfg)
-			if err != nil {
+			now := int64(1_000_000)
+			// do (Do), ring (workers up), idle (Enqueue, workers never started)
+			var cs [3]*Cluster
+			var dirs [3]string
+			for i := range cs {
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.SetClock(func() int64 { return now })
+				c.Load(4000, 64)
+				dirs[i] = t.TempDir()
+				logs, _ := openLogs(t, dirs[i], shards, wal.FsyncEverySec)
+				if err := c.AttachWAL(logs); err != nil {
+					t.Fatal(err)
+				}
+				cs[i] = c
+			}
+			if err := cs[1].StartWorkers(64); err != nil {
 				t.Fatal(err)
 			}
-			cw, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cm.Load(4000, 64)
-			cw.Load(4000, 64)
-			if err := cw.StartWorkers(64); err != nil {
-				t.Fatal(err)
-			}
-			defer cw.StopWorkers()
 
-			ops := workloadOps(6000)
-			req := NewReq()
+			var rs [3]*Req
+			for i := range rs {
+				rs[i] = NewReq()
+			}
 			var kbuf [ycsb.KeyLen]byte
-			for oi, op := range ops {
-				key := ycsb.KeyNameInto(kbuf[:], op.KeyID)
-				var mu, wk reply
-				switch op.Type {
-				case ycsb.Get:
-					mu.val, mu.ok = cm.GetO(key, &mu.out)
-					req.Kind = OpGet
-				case ycsb.Set:
-					cm.SetO(key, ycsb.Value(op.KeyID, 1, 64), &mu.out)
-					mu.ok = true
-					req.Kind = OpSet
-					req.Value = ycsb.Value(op.KeyID, 1, 64)
+			for oi, op := range workloadOps(6000) {
+				want := Req{Key: ycsb.KeyNameInto(kbuf[:], op.KeyID)}
+				switch {
+				case oi%13 == 3:
+					want.Kind = OpDelete
+				case oi%13 == 5:
+					want.Kind = OpExists
+				case oi%13 == 7:
+					want.Kind = OpGetTouch
+				case oi%13 == 9:
+					want.Kind, want.Deadline = OpExpireAt, now+int64(oi%700)
+				case oi%13 == 11:
+					want.Kind = OpTTL
+				case op.Type == ycsb.Set:
+					want.Kind, want.Value = OpSet, ycsb.Value(op.KeyID, 1, 64)
+				default:
+					want.Kind = OpGet
 				}
-				req.Key = key
-				req.Out = OpOutcome{Shard: -1}
-				cw.Enqueue(req)
-				req.Wait()
-				wk = reply{val: req.Val, ok: req.OK, out: req.Out}
-				if req.Kind == OpSet {
-					wk.val = nil
-				}
-				if wk.ok != mu.ok || !bytes.Equal(wk.val, mu.val) {
-					t.Fatalf("op %d: reply diverged: worker (%q,%v) vs mutex (%q,%v)",
-						oi, wk.val, wk.ok, mu.val, mu.ok)
-				}
-				if wk.out != mu.out {
-					t.Fatalf("op %d: outcome diverged:\nworker: %+v\nmutex:  %+v", oi, wk.out, mu.out)
+				now += 3 // armed deadlines come due: reads reap and log it
+				for i, c := range cs {
+					r := rs[i]
+					r.Kind, r.Key, r.Value, r.Deadline = want.Kind, want.Key, want.Value, want.Deadline
+					r.Out = OpOutcome{Shard: -1}
+					if i == 0 {
+						c.Do(r)
+						continue
+					}
+					c.Enqueue(r)
+					r.Wait()
+					d := rs[0]
+					if r.OK != d.OK || r.N != d.N || (r.Kind == OpGet && !bytes.Equal(r.Val, d.Val)) {
+						t.Fatalf("op %d (kind %d) leg %d: result (%q,%v,%d), Do has (%q,%v,%d)",
+							oi, r.Kind, i, r.Val, r.OK, r.N, d.Val, d.OK, d.N)
+					}
+					if r.Out != d.Out {
+						t.Fatalf("op %d (kind %d) leg %d: outcome diverged:\ngot: %+v\nDo:  %+v", oi, r.Kind, i, r.Out, d.Out)
+					}
 				}
 			}
-			ws, ms := cw.Stats(), cm.Stats()
-			for i := range ws.PerShard {
-				if ws.PerShard[i] != ms.PerShard[i] {
-					t.Fatalf("shard %d stats diverged:\nworker: %+v\nmutex:  %+v",
-						i, ws.PerShard[i], ms.PerShard[i])
+			cs[1].StopWorkers()
+			want := cs[0].Stats()
+			if want.Agg.Expired == 0 {
+				t.Fatal("stream never expired a key: the lazy-expiry frames went untested")
+			}
+			for i, c := range cs {
+				if err := c.CloseWAL(); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					continue
+				}
+				if got := c.Stats(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("leg %d stats diverged:\ngot: %+v\nDo:  %+v", i, got.Agg, want.Agg)
+				}
+				for sh := 0; sh < shards; sh++ {
+					name := fmt.Sprintf("/shard-%d.aof.1", sh)
+					w, err := os.ReadFile(dirs[0] + name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g, err := os.ReadFile(dirs[i] + name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(w) == 0 || !bytes.Equal(g, w) {
+						t.Fatalf("leg %d shard %d: log (%d B) differs from Do's (%d B)", i, sh, len(g), len(w))
+					}
 				}
 			}
 		})
