@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"addrkv"
 	"addrkv/internal/cluster"
 	"addrkv/internal/health"
 	"addrkv/internal/resp"
@@ -111,7 +110,7 @@ type clusterOpts struct {
 // setupCluster brings the cluster runtime up: the initial slot map
 // (even split unless o.assign overrides it), the bus listener, peer
 // handles (plus the dedicated heartbeat handles), the health tracker,
-// the shard op gate, the cluster metrics, and the heartbeat loops.
+// the shard op gate, the cluster series, and the heartbeat loops.
 func (s *server) setupCluster(nodes []cluster.NodeInfo, self int, o clusterOpts) error {
 	if self < 0 || self >= len(nodes) {
 		return fmt.Errorf("cluster: -cluster-self %d out of range (%d nodes)", self, len(nodes))
@@ -156,7 +155,7 @@ func (s *server) setupCluster(nodes []cluster.NodeInfo, self int, o clusterOpts)
 	s.clus = cl
 	cl.bus = cluster.ServeBus(ln, s.busHandler)
 	s.sys.Cluster().SetOpGate(cl.node.Gate)
-	s.tele.registerClusterMetrics(s)
+	s.exportSeries(withCluster)
 	s.startHeartbeats()
 	return nil
 }
@@ -359,20 +358,12 @@ func (s *server) clusterCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, 
 			w.WriteBulkString(s.clus.health.State(r.Node).String())
 		}
 	case "info":
-		s.statsMu.RLock()
-		rep := s.sys.Report()
-		s.statsMu.RUnlock()
-		var b strings.Builder
-		fmt.Fprintf(&b, "cluster_state:%s\r\n", s.clusterStateName())
-		s.clusterInfo(func(format string, args ...any) {
-			fmt.Fprintf(&b, format, args...)
-		}, rep)
-		w.WriteBulk([]byte(b.String()))
+		w.WriteBulk([]byte(renderText(s.view(), onClusterInfo)))
 	case "health":
 		if len(args) != 2 {
 			return wrongArity(w, "cluster health")
 		}
-		w.WriteBulk([]byte(s.clusterHealthText()))
+		w.WriteBulk([]byte(fleetText(s.collectFleet())))
 	case "heartbeat":
 		if len(args) != 3 {
 			return fail(w, "ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
@@ -388,17 +379,18 @@ func (s *server) clusterCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, 
 			s.clus.hbOn.Store(false)
 			w.WriteSimple("OK")
 		case "status":
-			w.WriteBulk([]byte(s.heartbeatStatusText()))
+			status := renderText(s.view(), onHeartbeat)
+			w.WriteBulk([]byte(strings.ReplaceAll(status, "cluster_heartbeat", "heartbeat")))
 		default:
 			return fail(w, "ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
 		}
 	case "migrate":
 		if len(args) == 3 && strings.EqualFold(string(args[2]), "status") {
-			txt, ok := s.migrateStatusText()
-			if !ok {
+			v := s.view()
+			if !v.migOK {
 				return fail(w, "ERR no migration has run on this node")
 			}
-			w.WriteBulk([]byte(txt))
+			w.WriteBulk([]byte(renderText(v, onMigrate)))
 			break
 		}
 		if len(args) != 4 {
@@ -470,161 +462,4 @@ func (s *server) clusterMigrate(slot uint16, dest int) (cluster.MigrationResult,
 			s.tracer.Finish(sp, -1, false, false)
 		},
 	})
-}
-
-// clusterInfo renders the INFO "# cluster" section. Emits nothing in
-// standalone mode, keeping standalone INFO byte-identical to earlier
-// releases. cluster_gets_total/cluster_fast_hits_total sum the
-// per-shard counters so clients can sample the STLT hit rate over a
-// window (the migration warm-up cliff measurement).
-func (s *server) clusterInfo(add func(format string, args ...any), rep addrkv.Report) {
-	if s.clus == nil {
-		return
-	}
-	n := s.clus.node
-	m := n.Map()
-	met := &n.Metrics
-	add("# cluster\r\n")
-	add("cluster_enabled:1\r\n")
-	add("cluster_node_index:%d\r\n", n.Self())
-	add("cluster_known_nodes:%d\r\n", len(m.Nodes))
-	add("cluster_addr:%s\r\n", m.Nodes[n.Self()].Addr)
-	add("cluster_bus_addr:%s\r\n", s.clus.bus.Addr())
-	add("cluster_map_version:%d\r\n", m.Version)
-	add("cluster_slots_owned:%d\r\n", n.OwnedSlots())
-	add("cluster_slots_migrating:%d\r\n", len(n.MigratingSlots()))
-	add("cluster_slots_importing:%d\r\n", len(n.ImportingSlots()))
-	add("cluster_moved_total:%d\r\n", met.Moved.Load())
-	add("cluster_ask_total:%d\r\n", met.Asked.Load())
-	add("cluster_asking_total:%d\r\n", met.Asking.Load())
-	add("cluster_tryagain_total:%d\r\n", met.TryAgain.Load())
-	add("cluster_migrations_started:%d\r\n", met.MigStarted.Load())
-	add("cluster_migrations_completed:%d\r\n", met.MigCompleted.Load())
-	add("cluster_migrations_failed:%d\r\n", met.MigFailed.Load())
-	add("cluster_migrated_keys:%d\r\n", met.MigKeys.Load())
-	add("cluster_migrated_bytes:%d\r\n", met.MigBytes.Load())
-	add("cluster_import_batches:%d\r\n", met.ImpBatches.Load())
-	add("cluster_import_records:%d\r\n", met.ImpRecords.Load())
-	add("cluster_import_rewarmed:%d\r\n", met.ImpRewarmed.Load())
-	add("cluster_last_migration_slot:%d\r\n", met.LastMigSlot.Load())
-	add("cluster_last_migration_us:%d\r\n", met.LastMigUS.Load())
-	add("cluster_bus_requests:%d\r\n", s.clus.bus.Served())
-	var gets, fastHits uint64
-	for _, st := range rep.PerShard {
-		gets += st.Gets
-		fastHits += st.FastHits
-	}
-	add("cluster_gets_total:%d\r\n", gets)
-	add("cluster_fast_hits_total:%d\r\n", fastHits)
-	add("cluster_heartbeat_enabled:%d\r\n", b2i(s.clus.hbEvery > 0))
-	add("cluster_heartbeat_on:%d\r\n", b2i(s.clus.hbOn.Load()))
-	add("cluster_heartbeat_interval_ms:%.0f\r\n", float64(s.clus.hbEvery)/1e6)
-	add("cluster_heartbeats_sent:%d\r\n", s.clus.hbSent.Load())
-	add("cluster_heartbeat_failures:%d\r\n", s.clus.hbFails.Load())
-	var nOK, nSuspect, nDown int
-	states := make([]string, 0, len(m.Nodes))
-	for _, nh := range s.clus.health.Snapshot() {
-		switch nh.State {
-		case health.StateOK:
-			nOK++
-		case health.StateSuspect:
-			nSuspect++
-		default:
-			nDown++
-		}
-		states = append(states, fmt.Sprintf("%d=%s", nh.Node, nh.State))
-	}
-	add("cluster_nodes_ok:%d\r\n", nOK)
-	add("cluster_nodes_suspect:%d\r\n", nSuspect)
-	add("cluster_nodes_down:%d\r\n", nDown)
-	add("cluster_node_states:%s\r\n", strings.Join(states, ","))
-}
-
-// registerClusterMetrics exposes the node's cluster counters on
-// /metrics, read at scrape time like registerTraceMetrics.
-func (t *serverTele) registerClusterMetrics(s *server) {
-	n := s.clus.node
-	met := &n.Metrics
-	g := func(name, help string, f func() float64) {
-		t.reg.GaugeFunc(name, help, nil, f)
-	}
-	g("addrkv_cluster_map_version", "Installed slot map epoch.",
-		func() float64 { return float64(n.Version()) })
-	g("addrkv_cluster_slots_owned", "Hash slots owned by this node.",
-		func() float64 { return float64(n.OwnedSlots()) })
-	g("addrkv_cluster_slots_migrating", "Slots currently leaving this node.",
-		func() float64 { return float64(len(n.MigratingSlots())) })
-	g("addrkv_cluster_slots_importing", "Slots currently arriving at this node.",
-		func() float64 { return float64(len(n.ImportingSlots())) })
-	g("addrkv_cluster_moved_total", "MOVED redirects answered.",
-		func() float64 { return float64(met.Moved.Load()) })
-	g("addrkv_cluster_ask_total", "ASK redirects answered.",
-		func() float64 { return float64(met.Asked.Load()) })
-	g("addrkv_cluster_asking_total", "ASKING commands accepted.",
-		func() float64 { return float64(met.Asking.Load()) })
-	g("addrkv_cluster_tryagain_total", "TRYAGAIN answers.",
-		func() float64 { return float64(met.TryAgain.Load()) })
-	g("addrkv_cluster_migrations_completed_total", "Slot migrations committed from this node.",
-		func() float64 { return float64(met.MigCompleted.Load()) })
-	g("addrkv_cluster_migrated_keys_total", "Records shipped out by slot migrations.",
-		func() float64 { return float64(met.MigKeys.Load()) })
-	g("addrkv_cluster_migrated_bytes_total", "Frame bytes shipped out by slot migrations.",
-		func() float64 { return float64(met.MigBytes.Load()) })
-	g("addrkv_cluster_import_records_total", "Records installed by slot imports.",
-		func() float64 { return float64(met.ImpRecords.Load()) })
-	g("addrkv_cluster_import_rewarmed_total", "STLT rows re-warmed during slot imports.",
-		func() float64 { return float64(met.ImpRewarmed.Load()) })
-	g("addrkv_cluster_bus_requests_total", "Node-to-node bus requests served.",
-		func() float64 { return float64(s.clus.bus.Served()) })
-	g("addrkv_cluster_heartbeats_sent_total", "Heartbeat frames acked by peers.",
-		func() float64 { return float64(s.clus.hbSent.Load()) })
-	g("addrkv_cluster_heartbeat_failures_total", "Heartbeat calls that errored.",
-		func() float64 { return float64(s.clus.hbFails.Load()) })
-	g("addrkv_cluster_degraded", "1 when any slot-owning node is suspect or down.",
-		func() float64 {
-			if s.clus.health.Degraded(n.Map().Owners()) {
-				return 1
-			}
-			return 0
-		})
-	countState := func(want health.State) float64 {
-		var c float64
-		for _, nh := range s.clus.health.Snapshot() {
-			if nh.State == want {
-				c++
-			}
-		}
-		return c
-	}
-	g("addrkv_cluster_nodes_suspect", "Peers currently classified suspect.",
-		func() float64 { return countState(health.StateSuspect) })
-	g("addrkv_cluster_nodes_down", "Peers currently classified down.",
-		func() float64 { return countState(health.StateDown) })
-	// Migration progress gauges: the source-side view of the current
-	// (or most recent) slot migration, zero before any migration runs.
-	mg := func(name, help string, f func(cluster.MigrationProgress) float64) {
-		g(name, help, func() float64 {
-			mp, ok := n.Progress()
-			if !ok {
-				return 0
-			}
-			return f(mp)
-		})
-	}
-	mg("addrkv_cluster_migration_active", "1 while a slot migration is running here.",
-		func(mp cluster.MigrationProgress) float64 { return float64(b2i(mp.Active)) })
-	mg("addrkv_cluster_migration_slot", "Slot of the current/last migration.",
-		func(mp cluster.MigrationProgress) float64 { return float64(mp.Slot) })
-	mg("addrkv_cluster_migration_keys_total", "Records in the migration's work list.",
-		func(mp cluster.MigrationProgress) float64 { return float64(mp.KeysTotal) })
-	mg("addrkv_cluster_migration_keys_shipped", "Records shipped so far.",
-		func(mp cluster.MigrationProgress) float64 { return float64(mp.KeysShipped) })
-	mg("addrkv_cluster_migration_batches_shipped", "Batches shipped so far.",
-		func(mp cluster.MigrationProgress) float64 { return float64(mp.BatchesShipped) })
-	mg("addrkv_cluster_migration_bytes", "Frame bytes shipped so far.",
-		func(mp cluster.MigrationProgress) float64 { return float64(mp.Bytes) })
-	mg("addrkv_cluster_migration_elapsed_seconds", "Elapsed wall time of the migration.",
-		func(mp cluster.MigrationProgress) float64 { return mp.Elapsed.Seconds() })
-	mg("addrkv_cluster_migration_eta_seconds", "Estimated remaining ship time (0 when idle).",
-		func(mp cluster.MigrationProgress) float64 { return mp.ETA.Seconds() })
 }

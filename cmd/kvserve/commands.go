@@ -333,10 +333,7 @@ func (s *server) dbsizeCmd(w *resp.Writer, _ [][]byte, _ *connState) (quit, moni
 }
 
 func (s *server) infoCmd(w *resp.Writer, _ [][]byte, _ *connState) (quit, monitor, isErr bool) {
-	s.statsMu.RLock()
-	payload := s.info()
-	s.statsMu.RUnlock()
-	w.WriteBulk([]byte(payload))
+	w.WriteBulk([]byte(renderText(s.view(), onInfo)))
 	return false, false, false
 }
 

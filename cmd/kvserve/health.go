@@ -29,15 +29,12 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"addrkv/internal/cluster"
 	"addrkv/internal/health"
-	"addrkv/internal/telemetry"
 )
 
 // defaultHeartbeatEvery is the -heartbeat-interval default: frequent
@@ -51,11 +48,8 @@ const defaultHeartbeatEvery = 500 * time.Millisecond
 // and no modeled cycles are charged.
 func (s *server) buildDigest() *health.Digest {
 	cl := s.clus
-	s.statsMu.RLock()
-	rep := s.sys.Report()
-	s.statsMu.RUnlock()
-	ws := s.sys.Cluster().RuntimeStats()
-	lat := telemetry.QuantilesOf(s.tele.latencySnapshot())
+	v := s.view()
+	rep := v.rep
 	d := &health.Digest{
 		Node:           cl.node.Self(),
 		MapVersion:     cl.node.Version(),
@@ -63,23 +57,18 @@ func (s *server) buildDigest() *health.Digest {
 		SlotsMigrating: uint32(len(cl.node.MigratingSlots())),
 		SlotsImporting: uint32(len(cl.node.ImportingSlots())),
 		Ops:            rep.Ops,
-		UsedBytes:      uint64(s.sys.UsedBytes()),
-		LatP50US:       float64(lat.P50) / 1e3,
-		LatP99US:       float64(lat.P99) / 1e3,
+		Gets:           rep.Stats.Gets,
+		FastHits:       rep.Stats.FastHits,
+		UsedBytes:      uint64(v.used),
+		LatP50US:       us(v.lat.P50),
+		LatP99US:       us(v.lat.P99),
 		Shards:         make([]health.ShardDigest, len(rep.PerShard)),
 	}
 	for i, st := range rep.PerShard {
-		sd := health.ShardDigest{
-			Ops:      st.Ops,
-			Gets:     st.Gets,
-			FastHits: st.FastHits,
-			Keys:     uint64(s.sys.Cluster().ShardLen(i)),
+		sd := health.ShardDigest{Ops: st.Ops, Gets: st.Gets, FastHits: st.FastHits, Keys: uint64(v.keys[i])}
+		if i < len(v.ws) {
+			sd.QueueDepth = uint32(v.ws[i].Depth)
 		}
-		if i < len(ws) {
-			sd.QueueDepth = uint32(ws[i].Depth)
-		}
-		d.Gets += sd.Gets
-		d.FastHits += sd.FastHits
 		d.Keys += sd.Keys
 		d.Shards[i] = sd
 	}
@@ -178,18 +167,6 @@ func (cl *clusterState) stopHeartbeats() {
 	}
 }
 
-// fleetNode is one node's slice of an aggregated fleet view: the local
-// tracker's liveness verdict plus (for reachable nodes) a fresh digest.
-type fleetNode struct {
-	Node   int
-	Info   cluster.NodeInfo
-	State  health.State
-	Age    time.Duration
-	Beats  uint64
-	Up     bool           // digest fetched (self always; down peers never dialed)
-	Digest *health.Digest // nil when !Up
-}
-
 // collectFleet fans a DigestGet out to every peer the tracker does not
 // already consider down (dialing a declared-dead node would stall the
 // aggregation behind connect timeouts for no information) and merges
@@ -233,161 +210,22 @@ func (s *server) collectFleet() []fleetNode {
 	return out
 }
 
-// clusterStateName is the CLUSTER INFO cluster_state value: degraded
-// once any slot-owning node is suspect or down, ok otherwise.
-func (s *server) clusterStateName() string {
-	if s.clus.health.Degraded(s.clus.node.Map().Owners()) {
+// degraded reports whether any slot-owning node is suspect or down;
+// stateName is the cluster_state value that says so.
+func (cl *clusterState) degraded() bool { return cl.health.Degraded(cl.node.Map().Owners()) }
+
+func (cl *clusterState) stateName() string {
+	if cl.degraded() {
 		return "degraded"
 	}
 	return "ok"
 }
 
-// clusterHealthText renders CLUSTER HEALTH: one parse-friendly line
-// per node, field:value separated by spaces, nodes in index order.
-func (s *server) clusterHealthText() string {
-	var b strings.Builder
-	for _, fn := range s.collectFleet() {
-		fmt.Fprintf(&b, "node:%d addr:%s bus:%s state:%s age_ms:%.0f beats:%d up:%d",
-			fn.Node, fn.Info.Addr, fn.Info.Bus, fn.State, float64(fn.Age)/1e6, fn.Beats, b2i(fn.Up))
-		if d := fn.Digest; d != nil {
-			fmt.Fprintf(&b, " map_version:%d slots_owned:%d slots_migrating:%d slots_importing:%d"+
-				" ops:%d keys:%d used_bytes:%d hit_rate:%.4f queue_depth:%d"+
-				" ops_per_sec:%.1f lat_p50_us:%.1f lat_p99_us:%.1f",
-				d.MapVersion, d.SlotsOwned, d.SlotsMigrating, d.SlotsImporting,
-				d.Ops, d.Keys, d.UsedBytes, d.HitRate(), d.QueueDepth(),
-				d.OpsPerSec, d.LatP50US, d.LatP99US)
-		}
-		b.WriteString("\r\n")
-	}
-	return b.String()
-}
-
-// heartbeatStatusText renders CLUSTER HEARTBEAT STATUS.
-func (s *server) heartbeatStatusText() string {
-	cl := s.clus
-	var b strings.Builder
-	fmt.Fprintf(&b, "heartbeat_enabled:%d\r\n", b2i(cl.hbEvery > 0))
-	fmt.Fprintf(&b, "heartbeat_on:%d\r\n", b2i(cl.hbOn.Load()))
-	fmt.Fprintf(&b, "heartbeat_interval_ms:%.0f\r\n", float64(cl.hbEvery)/1e6)
-	fmt.Fprintf(&b, "heartbeat_down_after:%d\r\n", cl.health.DownAfter())
-	fmt.Fprintf(&b, "heartbeats_sent:%d\r\n", cl.hbSent.Load())
-	fmt.Fprintf(&b, "heartbeat_failures:%d\r\n", cl.hbFails.Load())
-	return b.String()
-}
-
-// migrateStatusText renders CLUSTER MIGRATE STATUS from the node's
-// progress tracker. ok is false when no migration has ever run here.
-func (s *server) migrateStatusText() (string, bool) {
-	mp, ok := s.clus.node.Progress()
-	if !ok {
-		return "", false
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "migration_slot:%d\r\n", mp.Slot)
-	fmt.Fprintf(&b, "migration_dest:%d\r\n", mp.Dest)
-	fmt.Fprintf(&b, "migration_active:%d\r\n", b2i(mp.Active))
-	fmt.Fprintf(&b, "migration_resumed:%d\r\n", b2i(mp.Resumed))
-	fmt.Fprintf(&b, "migration_failed:%d\r\n", b2i(mp.Failed))
-	fmt.Fprintf(&b, "migration_keys_total:%d\r\n", mp.KeysTotal)
-	fmt.Fprintf(&b, "migration_keys_shipped:%d\r\n", mp.KeysShipped)
-	fmt.Fprintf(&b, "migration_keys_remaining:%d\r\n", mp.KeysTotal-mp.KeysShipped)
-	fmt.Fprintf(&b, "migration_batches_total:%d\r\n", mp.BatchesTotal)
-	fmt.Fprintf(&b, "migration_batches_shipped:%d\r\n", mp.BatchesShipped)
-	fmt.Fprintf(&b, "migration_bytes:%d\r\n", mp.Bytes)
-	fmt.Fprintf(&b, "migration_elapsed_us:%d\r\n", mp.Elapsed.Microseconds())
-	fmt.Fprintf(&b, "migration_eta_us:%d\r\n", mp.ETA.Microseconds())
-	return b.String(), true
-}
-
-// promFleet writes the aggregated fleet view as Prometheus text. Every
-// node contributes its liveness series (up, state, age, beats); only
-// reachable nodes contribute digest-derived series — a dead node's
-// series disappear from the scrape instead of freezing at stale values.
-func promFleet(w *strings.Builder, fleet []fleetNode) {
-	metric := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	series := func(name string, node int, v float64) {
-		fmt.Fprintf(w, "%s{node=\"%d\"} %g\n", name, node, v)
-	}
-	metric("addrkv_fleet_up", "1 when the node answered digest collection (self included).")
-	for _, fn := range fleet {
-		series("addrkv_fleet_up", fn.Node, float64(b2i(fn.Up)))
-	}
-	metric("addrkv_fleet_state", "Node liveness: 0 ok, 1 suspect, 2 down.")
-	for _, fn := range fleet {
-		series("addrkv_fleet_state", fn.Node, float64(fn.State))
-	}
-	metric("addrkv_fleet_age_seconds", "Time since the node was last heard from (0 for self).")
-	for _, fn := range fleet {
-		series("addrkv_fleet_age_seconds", fn.Node, fn.Age.Seconds())
-	}
-	metric("addrkv_fleet_beats_total", "Heartbeats/acks observed from the node.")
-	for _, fn := range fleet {
-		series("addrkv_fleet_beats_total", fn.Node, float64(fn.Beats))
-	}
-	digestGauge := func(name, help string, f func(*health.Digest) float64) {
-		metric(name, help)
-		for _, fn := range fleet {
-			if fn.Digest != nil {
-				series(name, fn.Node, f(fn.Digest))
-			}
-		}
-	}
-	digestGauge("addrkv_fleet_map_version", "Slot map epoch installed at the node.",
-		func(d *health.Digest) float64 { return float64(d.MapVersion) })
-	digestGauge("addrkv_fleet_slots_owned", "Hash slots owned by the node.",
-		func(d *health.Digest) float64 { return float64(d.SlotsOwned) })
-	digestGauge("addrkv_fleet_slots_migrating", "Slots currently leaving the node.",
-		func(d *health.Digest) float64 { return float64(d.SlotsMigrating) })
-	digestGauge("addrkv_fleet_slots_importing", "Slots currently arriving at the node.",
-		func(d *health.Digest) float64 { return float64(d.SlotsImporting) })
-	digestGauge("addrkv_fleet_ops", "Engine ops since the node's RESETSTATS.",
-		func(d *health.Digest) float64 { return float64(d.Ops) })
-	digestGauge("addrkv_fleet_keys", "Keys resident at the node.",
-		func(d *health.Digest) float64 { return float64(d.Keys) })
-	digestGauge("addrkv_fleet_used_bytes", "Record bytes tracked by the node's eviction policy.",
-		func(d *health.Digest) float64 { return float64(d.UsedBytes) })
-	digestGauge("addrkv_fleet_hit_rate", "Node-wide STLT/SLB fast-path hit rate.",
-		(*health.Digest).HitRate)
-	digestGauge("addrkv_fleet_queue_depth", "Worker ring depth summed over the node's shards.",
-		func(d *health.Digest) float64 { return float64(d.QueueDepth()) })
-	digestGauge("addrkv_fleet_ops_per_sec", "Node-reported op rate over its heartbeat window.",
-		func(d *health.Digest) float64 { return d.OpsPerSec })
-	digestGauge("addrkv_fleet_latency_p50_us", "Node-reported wall-clock command latency p50.",
-		func(d *health.Digest) float64 { return d.LatP50US })
-	digestGauge("addrkv_fleet_latency_p99_us", "Node-reported wall-clock command latency p99.",
-		func(d *health.Digest) float64 { return d.LatP99US })
-	shardSeries := func(name string, node, shard int, v float64) {
-		fmt.Fprintf(w, "%s{node=\"%d\",shard=\"%d\"} %g\n", name, node, shard, v)
-	}
-	metric("addrkv_fleet_shard_hit_rate", "Per-shard fast-path hit rate, by node.")
-	for _, fn := range fleet {
-		if fn.Digest == nil {
-			continue
-		}
-		for si, sd := range fn.Digest.Shards {
-			shardSeries("addrkv_fleet_shard_hit_rate", fn.Node, si, sd.HitRate())
-		}
-	}
-	metric("addrkv_fleet_shard_queue_depth", "Per-shard worker ring depth, by node.")
-	for _, fn := range fleet {
-		if fn.Digest == nil {
-			continue
-		}
-		for si, sd := range fn.Digest.Shards {
-			shardSeries("addrkv_fleet_shard_queue_depth", fn.Node, si, float64(sd.QueueDepth))
-		}
-	}
-}
-
 // clusterMetricsHandler serves /cluster/metrics: the fleet view as
 // Prometheus text, every series labeled by node index.
 func (s *server) clusterMetricsHandler(w http.ResponseWriter, _ *http.Request) {
-	var b strings.Builder
-	promFleet(&b, s.collectFleet())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	_, _ = w.Write([]byte(fleetMetrics(s.collectFleet())))
 }
 
 // The /cluster/snapshot.json schema. Field order and node ordering are
@@ -468,7 +306,7 @@ func (s *server) clusterSnapshotPayload() *clusterSnapshot {
 		Name:       "kvserve-cluster",
 		SourceNode: cl.node.Self(),
 		MapVersion: cl.node.Version(),
-		State:      s.clusterStateName(),
+		State:      cl.stateName(),
 		Heartbeat: heartbeatSnapshot{
 			Enabled:    cl.hbEvery > 0,
 			On:         cl.hbOn.Load(),

@@ -75,7 +75,6 @@ import (
 	"os"
 	"os/signal"
 	rtrace "runtime/trace"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -84,7 +83,6 @@ import (
 	"addrkv"
 	"addrkv/internal/resp"
 	"addrkv/internal/shard"
-	"addrkv/internal/telemetry"
 	"addrkv/internal/trace"
 )
 
@@ -188,11 +186,12 @@ func newServer(sys *addrkv.System, slowlogCap int) *server {
 			maxPipeline: defaultMaxPipeline,
 			writeBufCap: defaultWriteBufCap,
 		},
-		tele:  newServerTele(sys, slowlogCap),
+		tele:  newServerTele(sys.Cluster().NumShards(), slowlogCap),
 		conns: map[net.Conn]struct{}{},
 	}
 	s.initTrace(traceConfig{}) // sampling off until TRACE ON or -trace-sample
-	s.tele.registerTraceMetrics(s)
+	s.tele.reg.OnScrape(func() { s.tele.view.Store(s.view()) })
+	s.exportSeries(always)
 	return s
 }
 
@@ -714,101 +713,4 @@ func (s *server) monitorLoop(r *resp.Reader, w *resp.Writer) {
 			return
 		}
 	}
-}
-
-// info renders the INFO payload: the aggregate simulated statistics,
-// the server's real wall-clock latency and modeled per-op cycle
-// percentiles, then one section per shard. Callers hold statsMu.
-func (s *server) info() string {
-	rep := s.sys.Report()
-	var b strings.Builder
-	fmt.Fprintf(&b, "# addrkv simulated statistics (since RESETSTATS)\r\n")
-	fmt.Fprintf(&b, "shards:%d\r\n", rep.Shards)
-	fmt.Fprintf(&b, "server_ops:%d\r\n", s.opsSinceMark.Load())
-	fmt.Fprintf(&b, "ops:%d\r\n", rep.Ops)
-	fmt.Fprintf(&b, "cycles:%d\r\n", rep.Cycles)
-	fmt.Fprintf(&b, "max_shard_cycles:%d\r\n", rep.MaxShardCycles)
-	fmt.Fprintf(&b, "cycles_per_op:%.1f\r\n", rep.CyclesPerOp)
-	fmt.Fprintf(&b, "modeled_ops_per_kcycle:%.3f\r\n", 1000*rep.ModeledThroughput())
-	fmt.Fprintf(&b, "tlb_misses_per_op:%.3f\r\n", rep.TLBMissesPerOp)
-	fmt.Fprintf(&b, "page_walks_per_op:%.3f\r\n", rep.PageWalksPerOp)
-	fmt.Fprintf(&b, "llc_misses_per_op:%.3f\r\n", rep.CacheMissesPerOp)
-	fmt.Fprintf(&b, "fast_path_hit_rate:%.4f\r\n", rep.FastPathHitRate)
-	fmt.Fprintf(&b, "table_miss_rate:%.4f\r\n", rep.TableMissRate)
-	fmt.Fprintf(&b, "scans:%d\r\n", rep.Scans)
-	fmt.Fprintf(&b, "expired_keys:%d\r\n", rep.Expired)
-	fmt.Fprintf(&b, "evicted_keys:%d\r\n", rep.Evicted)
-	fmt.Fprintf(&b, "expires_armed:%d\r\n", s.sys.ExpiresArmed())
-	fmt.Fprintf(&b, "used_bytes:%d\r\n", s.sys.UsedBytes())
-
-	lat := telemetry.QuantilesOf(s.tele.latencySnapshot())
-	fmt.Fprintf(&b, "# latency (real wall clock, since RESETSTATS)\r\n")
-	fmt.Fprintf(&b, "latency_samples:%d\r\n", lat.Count)
-	fmt.Fprintf(&b, "latency_mean_us:%.1f\r\n", lat.Mean/1e3)
-	fmt.Fprintf(&b, "latency_p50_us:%.1f\r\n", float64(lat.P50)/1e3)
-	fmt.Fprintf(&b, "latency_p90_us:%.1f\r\n", float64(lat.P90)/1e3)
-	fmt.Fprintf(&b, "latency_p99_us:%.1f\r\n", float64(lat.P99)/1e3)
-	fmt.Fprintf(&b, "latency_p999_us:%.1f\r\n", float64(lat.P999)/1e3)
-	fmt.Fprintf(&b, "latency_max_us:%.1f\r\n", float64(lat.Max)/1e3)
-	cyc := telemetry.QuantilesOf(s.tele.cycleSnapshot())
-	fmt.Fprintf(&b, "op_cycles_p50:%d\r\n", cyc.P50)
-	fmt.Fprintf(&b, "op_cycles_p99:%d\r\n", cyc.P99)
-	fmt.Fprintf(&b, "op_cycles_max:%d\r\n", cyc.Max)
-	fmt.Fprintf(&b, "slowlog_len:%d\r\n", s.tele.slowlog.Len())
-	fmt.Fprintf(&b, "monitor_clients:%d\r\n", s.tele.feed.Subscribers())
-
-	pd := telemetry.QuantilesOf(s.tele.pipeDepth.Snapshot())
-	fmt.Fprintf(&b, "# networking\r\n")
-	fmt.Fprintf(&b, "active_conns:%d\r\n", s.tele.activeConns.Load())
-	fmt.Fprintf(&b, "shed_conns:%d\r\n", s.tele.shedConns.Load())
-	fmt.Fprintf(&b, "pipeline_batches:%d\r\n", s.tele.pipeBatches.Load())
-	fmt.Fprintf(&b, "pipelined_commands:%d\r\n", s.tele.pipeCmds.Load())
-	fmt.Fprintf(&b, "pipeline_depth_mean:%.2f\r\n", pd.Mean)
-	fmt.Fprintf(&b, "pipeline_depth_p99:%d\r\n", pd.P99)
-	fmt.Fprintf(&b, "pipeline_depth_max:%d\r\n", pd.Max)
-	fmt.Fprintf(&b, "early_flushes:%d\r\n", s.tele.earlyFlush.Load())
-	fmt.Fprintf(&b, "batch_commands:%d\r\n", s.tele.batchCmds.Load())
-	fmt.Fprintf(&b, "batched_keys:%d\r\n", s.tele.batchKeys.Load())
-
-	fmt.Fprintf(&b, "# expiry\r\n")
-	fmt.Fprintf(&b, "expire_cycle_budget:%d\r\n", s.sweepBudget)
-	fmt.Fprintf(&b, "sweep_cycles:%d\r\n", s.sweepCycles.Load())
-	fmt.Fprintf(&b, "sweep_reaped_total:%d\r\n", s.sweepReaped.Load())
-	fmt.Fprintf(&b, "sweep_last_reaped:%d\r\n", s.sweepLastReaped.Load())
-
-	s.runtimeInfo(func(format string, args ...any) {
-		fmt.Fprintf(&b, format, args...)
-	})
-
-	s.persistInfo(func(format string, args ...any) {
-		fmt.Fprintf(&b, format, args...)
-	})
-
-	s.clusterInfo(func(format string, args ...any) {
-		fmt.Fprintf(&b, format, args...)
-	}, rep)
-
-	fmt.Fprintf(&b, "# tracing\r\n")
-	fmt.Fprintf(&b, "trace_sample_every:%d\r\n", s.tracer.Sample())
-	fmt.Fprintf(&b, "trace_ops:%d\r\n", s.tracer.Traced())
-	fmt.Fprintf(&b, "trace_anomalies:%d\r\n", s.tracer.AnomalyCount())
-	fmt.Fprintf(&b, "trace_auto_dumps:%d\r\n", s.tracer.Dumps())
-	fmt.Fprintf(&b, "trace_warm_phase:%v\r\n", s.tracer.Warm())
-
-	for i, st := range rep.PerShard {
-		fmt.Fprintf(&b, "# shard %d\r\n", i)
-		fmt.Fprintf(&b, "shard%d_ops:%d\r\n", i, st.Ops)
-		fmt.Fprintf(&b, "shard%d_keys:%d\r\n", i, s.sys.Cluster().ShardLen(i))
-		fmt.Fprintf(&b, "shard%d_cycles:%d\r\n", i, uint64(st.Machine.Cycles))
-		fmt.Fprintf(&b, "shard%d_cycles_per_op:%.1f\r\n", i, st.CyclesPerOp())
-		fmt.Fprintf(&b, "shard%d_fast_hits:%d\r\n", i, st.FastHits)
-		if st.Gets > 0 {
-			fmt.Fprintf(&b, "shard%d_fast_hit_rate:%.4f\r\n", i, float64(st.FastHits)/float64(st.Gets))
-		}
-		if i < len(s.tele.shardCycles) {
-			q := telemetry.QuantilesOf(s.tele.shardCycles[i].Snapshot())
-			fmt.Fprintf(&b, "shard%d_cycles_p99:%d\r\n", i, q.P99)
-		}
-	}
-	return b.String()
 }

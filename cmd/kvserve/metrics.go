@@ -16,12 +16,10 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"addrkv"
-	"addrkv/internal/shard"
 	"addrkv/internal/telemetry"
 )
 
@@ -66,29 +64,25 @@ type serverTele struct {
 	shedConns   *telemetry.Counter
 	activeConns atomic.Int64
 
-	// Worker-runtime telemetry: requests coalesced per drain burst
-	// (fed by the cluster's drain observer) plus scrape-time gauges
-	// over the per-shard worker counters.
+	// Requests coalesced per worker drain burst (fed by the cluster's
+	// drain observer).
 	drainSize *telemetry.Histogram
 
-	// Scrape-time cache: one Report per /metrics scrape feeds all the
-	// hit-rate/cycles-per-op gauges below.
-	mu     sync.Mutex
-	rep    addrkv.Report
-	keys   []int
-	wstats []shard.WorkerStats
+	// view is the snapshot the current /metrics scrape reads: taken once
+	// by the scrape hook, read by every table-exported sample (series.go).
+	view atomic.Pointer[view]
 }
 
-// newServerTele builds the registry and registers every metric.
-func newServerTele(sys *addrkv.System, slowlogCap int) *serverTele {
-	shards := sys.Cluster().NumShards()
+// newServerTele builds the registry and registers the hot-path
+// instruments; what is read at scrape time is exported from the series
+// table.
+func newServerTele(shards, slowlogCap int) *serverTele {
 	t := &serverTele{
 		reg:      telemetry.NewRegistry(),
 		slowlog:  telemetry.NewSlowlog(slowlogCap),
 		feed:     telemetry.NewFeed(),
 		cmdLat:   map[string]*telemetry.Histogram{},
 		cmdTotal: map[string]*telemetry.Counter{},
-		keys:     make([]int, shards),
 	}
 	r := t.reg
 	t.latAll = r.Histogram("addrkv_command_latency_seconds",
@@ -133,8 +127,6 @@ func newServerTele(sys *addrkv.System, slowlogCap int) *serverTele {
 		"Connections refused at the -maxconns ceiling.", nil)
 	t.drainSize = r.Histogram("addrkv_drain_size",
 		"Requests coalesced per worker drain burst (cross-connection batching).", 1, nil)
-	r.GaugeFunc("addrkv_active_connections", "Currently served connections.", nil,
-		func() float64 { return float64(t.activeConns.Load()) })
 	for i := 0; i < shards; i++ {
 		lbl := telemetry.Labels{"shard": strconv.Itoa(i)}
 		t.shardOps = append(t.shardOps, r.Counter("addrkv_shard_ops_total",
@@ -142,118 +134,6 @@ func newServerTele(sys *addrkv.System, slowlogCap int) *serverTele {
 		t.shardCycles = append(t.shardCycles, r.Histogram("addrkv_op_cycles",
 			"Modeled cycle cost per engine op, by home shard.", 1, lbl))
 	}
-
-	// Engine-derived gauges: one Report snapshot per scrape (the
-	// OnScrape hook) feeds them all.
-	r.OnScrape(func() {
-		rep := sys.Report()
-		keys := make([]int, shards)
-		for i := 0; i < shards; i++ {
-			keys[i] = sys.Cluster().ShardLen(i)
-		}
-		ws := sys.Cluster().RuntimeStats()
-		t.mu.Lock()
-		t.rep, t.keys, t.wstats = rep, keys, ws
-		t.mu.Unlock()
-	})
-	repGauge := func(name, help string, f func(addrkv.Report) float64) {
-		r.GaugeFunc(name, help, nil, func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return f(t.rep)
-		})
-	}
-	repGauge("addrkv_engine_ops", "Engine ops since RESETSTATS.",
-		func(rep addrkv.Report) float64 { return float64(rep.Ops) })
-	repGauge("addrkv_cycles_per_op", "Modeled mean cycles per op since RESETSTATS.",
-		func(rep addrkv.Report) float64 { return rep.CyclesPerOp })
-	repGauge("addrkv_fast_path_hit_rate", "Fraction of GETs served by the STLT/SLB fast path.",
-		func(rep addrkv.Report) float64 { return rep.FastPathHitRate })
-	repGauge("addrkv_table_miss_rate", "STLT (or SLB) table miss ratio.",
-		func(rep addrkv.Report) float64 { return rep.TableMissRate })
-	repGauge("addrkv_tlb_misses_per_op", "Modeled full TLB misses per op.",
-		func(rep addrkv.Report) float64 { return rep.TLBMissesPerOp })
-	repGauge("addrkv_page_walks_per_op", "Modeled page walks per op.",
-		func(rep addrkv.Report) float64 { return rep.PageWalksPerOp })
-	repGauge("addrkv_llc_misses_per_op", "Modeled LLC misses (DRAM demand) per op.",
-		func(rep addrkv.Report) float64 { return rep.CacheMissesPerOp })
-	repGauge("addrkv_modeled_ops_per_kcycle", "Ops per thousand modeled wall-clock cycles.",
-		func(rep addrkv.Report) float64 { return 1000 * rep.ModeledThroughput() })
-	repGauge("addrkv_scans_total", "SCAN/RANGE ops since RESETSTATS.",
-		func(rep addrkv.Report) float64 { return float64(rep.Scans) })
-	repGauge("addrkv_expired_keys_total", "Keys reaped by TTL expiry (lazy + sweep) since RESETSTATS.",
-		func(rep addrkv.Report) float64 { return float64(rep.Expired) })
-	repGauge("addrkv_evicted_keys_total", "Keys evicted by the maxmemory LFU policy since RESETSTATS.",
-		func(rep addrkv.Report) float64 { return float64(rep.Evicted) })
-	r.GaugeFunc("addrkv_expires_armed", "Keys currently carrying a TTL deadline.", nil,
-		func() float64 { return float64(sys.ExpiresArmed()) })
-	r.GaugeFunc("addrkv_used_bytes", "Record bytes tracked by the eviction policy (0 without -maxmemory).", nil,
-		func() float64 { return float64(sys.UsedBytes()) })
-	for i := 0; i < shards; i++ {
-		i := i
-		lbl := telemetry.Labels{"shard": strconv.Itoa(i)}
-		r.GaugeFunc("addrkv_shard_fast_hit_rate",
-			"Per-shard fast-path hit rate.", lbl, func() float64 {
-				t.mu.Lock()
-				defer t.mu.Unlock()
-				if i >= len(t.rep.PerShard) || t.rep.PerShard[i].Gets == 0 {
-					return 0
-				}
-				st := t.rep.PerShard[i]
-				return float64(st.FastHits) / float64(st.Gets)
-			})
-		r.GaugeFunc("addrkv_shard_cycles_per_op",
-			"Per-shard modeled cycles per op.", lbl, func() float64 {
-				t.mu.Lock()
-				defer t.mu.Unlock()
-				if i >= len(t.rep.PerShard) {
-					return 0
-				}
-				return t.rep.PerShard[i].CyclesPerOp()
-			})
-		r.GaugeFunc("addrkv_shard_keys",
-			"Keys stored, by shard.", lbl, func() float64 {
-				t.mu.Lock()
-				defer t.mu.Unlock()
-				return float64(t.keys[i])
-			})
-	}
-	for i := 0; i < shards; i++ {
-		i := i
-		r.GaugeFunc("addrkv_queue_depth",
-			"Requests queued in the shard worker's ring.",
-			telemetry.Labels{"shard": strconv.Itoa(i)}, func() float64 {
-				t.mu.Lock()
-				defer t.mu.Unlock()
-				if i >= len(t.wstats) {
-					return 0
-				}
-				return float64(t.wstats[i].Depth)
-			})
-	}
-	workerGauge := func(name, help string, f func(shard.WorkerStats) uint64) {
-		r.GaugeFunc(name, help, nil, func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			var sum uint64
-			for _, st := range t.wstats {
-				sum += f(st)
-			}
-			return float64(sum)
-		})
-	}
-	workerGauge("addrkv_worker_drains_total", "Worker drain bursts across all shards.",
-		func(st shard.WorkerStats) uint64 { return st.Drains })
-	workerGauge("addrkv_worker_drained_ops_total", "Requests completed by worker drains.",
-		func(st shard.WorkerStats) uint64 { return st.DrainedOps })
-	workerGauge("addrkv_queue_full_spins_total", "Producer yields on a full worker ring.",
-		func(st shard.WorkerStats) uint64 { return st.FullSpins })
-	r.GaugeFunc("addrkv_slowlog_len", "Entries in the slowlog.", nil,
-		func() float64 { return float64(t.slowlog.Len()) })
-	r.GaugeFunc("addrkv_monitor_clients", "Attached MONITOR clients.", nil,
-		func() float64 { return float64(t.feed.Subscribers()) })
-	r.GaugeFunc("addrkv_monitor_dropped_total", "MONITOR lines dropped on slow clients.", nil,
-		func() float64 { return float64(t.feed.Dropped()) })
 	return t
 }
 
@@ -398,20 +278,6 @@ func monitorLine(args [][]byte, shard int) string {
 	return b.String()
 }
 
-// latencySnapshot merges per-command wall latency into one snapshot.
-func (t *serverTele) latencySnapshot() telemetry.HistSnapshot {
-	return t.latAll.Snapshot()
-}
-
-// cycleSnapshot merges the per-shard op-cycle histograms.
-func (t *serverTele) cycleSnapshot() telemetry.HistSnapshot {
-	var s telemetry.HistSnapshot
-	for _, h := range t.shardCycles {
-		s.Merge(h.Snapshot())
-	}
-	return s
-}
-
 // resetWindow clears the stats-window histograms (RESETSTATS) and the
 // slowlog: the slowest ops of the warmup phase are exactly what a
 // fresh measurement window must not keep reporting. Counters stay
@@ -426,20 +292,6 @@ func (t *serverTele) resetWindow() {
 	}
 	t.pipeDepth.Reset()
 	t.slowlog.Reset()
-}
-
-// registerTraceMetrics exposes the span tracer's state on /metrics.
-// The gauges read s.tracer at scrape time, so main() swapping in the
-// flag-configured tracer after newServer needs no re-registration.
-func (t *serverTele) registerTraceMetrics(s *server) {
-	t.reg.GaugeFunc("addrkv_trace_sample_every", "1-in-N trace sampling rate (0 = off).", nil,
-		func() float64 { return float64(s.tracer.Sample()) })
-	t.reg.GaugeFunc("addrkv_traced_ops_total", "Ops completed with a trace span attached.", nil,
-		func() float64 { return float64(s.tracer.Traced()) })
-	t.reg.GaugeFunc("addrkv_trace_anomalies_total", "Flight-recorder anomaly trigger firings.", nil,
-		func() float64 { return float64(s.tracer.AnomalyCount()) })
-	t.reg.GaugeFunc("addrkv_trace_auto_dumps_total", "Auto-dumps requested by anomaly triggers.", nil,
-		func() float64 { return float64(s.tracer.Dumps()) })
 }
 
 // startMetricsServer serves /metrics (Prometheus text), /snapshot.json
@@ -483,35 +335,25 @@ func startMetricsServer(addr string, s *server) (*http.Server, net.Addr, error) 
 // benchSnapshot renders the current stats window as a JSON snapshot
 // (the /snapshot.json payload).
 func (s *server) benchSnapshot() *telemetry.Snapshot {
-	s.statsMu.RLock()
-	rep := s.sys.Report()
-	s.statsMu.RUnlock()
+	v := s.view()
 	return &telemetry.Snapshot{
 		Name:     "kvserve",
 		Kind:     "server",
 		UnixTime: time.Now().Unix(),
 		Params: map[string]any{
-			"shards": rep.Shards,
+			"shards": v.rep.Shards,
 		},
-		Runs: []telemetry.RunRecord{reportRecord("live", rep)},
-		Latency: map[string]telemetry.Quantiles{
-			"wall_ns":   telemetry.QuantilesOf(s.tele.latencySnapshot()),
-			"op_cycles": telemetry.QuantilesOf(s.tele.cycleSnapshot()),
-		},
-	}
-}
-
-// reportRecord converts an addrkv.Report into a RunRecord.
-func reportRecord(spec string, rep addrkv.Report) telemetry.RunRecord {
-	return telemetry.RunRecord{
-		Spec:           spec,
-		Ops:            rep.Ops,
-		Cycles:         rep.Cycles,
-		CyclesPerOp:    rep.CyclesPerOp,
-		FastPathHits:   rep.Stats.FastHits,
-		TableMissRate:  rep.TableMissRate,
-		TLBMissesPerOp: rep.TLBMissesPerOp,
-		PageWalksPerOp: rep.PageWalksPerOp,
-		LLCMissesPerOp: rep.CacheMissesPerOp,
+		Runs: []telemetry.RunRecord{{
+			Spec:           "live",
+			Ops:            v.rep.Ops,
+			Cycles:         v.rep.Cycles,
+			CyclesPerOp:    v.rep.CyclesPerOp,
+			FastPathHits:   v.rep.Stats.FastHits,
+			TableMissRate:  v.rep.TableMissRate,
+			TLBMissesPerOp: v.rep.TLBMissesPerOp,
+			PageWalksPerOp: v.rep.PageWalksPerOp,
+			LLCMissesPerOp: v.rep.CacheMissesPerOp,
+		}},
+		Latency: map[string]telemetry.Quantiles{"wall_ns": v.lat, "op_cycles": v.cyc},
 	}
 }

@@ -5,14 +5,14 @@
 // background (shard by shard, so traffic keeps flowing), LASTSAVE
 // reports the oldest shard's last completed save, and a positive
 // -snapshot-interval runs BGSAVE on a timer. INFO gains a
-// "# persistence" section and /metrics the aof_* series, including the
-// fsync latency histogram the everysec-vs-always tradeoff is judged by.
+// "# persistence" section and /metrics the aof_* series (the rows are in
+// series.go), including the fsync latency histogram the
+// everysec-vs-always tradeoff is judged by.
 package main
 
 import (
 	"fmt"
 	"log"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +20,6 @@ import (
 	"addrkv"
 	"addrkv/internal/resp"
 	"addrkv/internal/shard"
-	"addrkv/internal/telemetry"
 	"addrkv/internal/wal"
 )
 
@@ -199,18 +198,26 @@ func (s *server) closePersistence() {
 	}
 }
 
+// walStats snapshots every shard log's counters (nil without -aof).
+func (s *server) walStats() []wal.Stats {
+	c := s.sys.Cluster()
+	if !c.WALAttached() {
+		return nil
+	}
+	out := make([]wal.Stats, c.NumShards())
+	for i := range out {
+		out[i] = c.WAL(i).Stats()
+	}
+	return out
+}
+
 // lastSaveUnix returns the oldest shard's last completed snapshot time
 // (0 = some shard has never been snapshotted): the conservative answer
 // to "since when is everything compact?".
-func (s *server) lastSaveUnix() int64 {
-	c := s.sys.Cluster()
-	if !c.WALAttached() {
-		return 0
-	}
+func lastSaveUnix(logs []wal.Stats) int64 {
 	var oldest int64 = -1
-	for i := 0; i < c.NumShards(); i++ {
-		ls := c.WAL(i).Stats().LastSaveUnixNS
-		if oldest < 0 || ls < oldest {
+	for _, st := range logs {
+		if ls := st.LastSaveUnixNS; oldest < 0 || ls < oldest {
 			oldest = ls
 		}
 	}
@@ -239,97 +246,22 @@ func (s *server) lastsaveCmd(w *resp.Writer, _ [][]byte, _ *connState) (quit, mo
 	if s.persist == nil {
 		return fail(w, errNoPersistence)
 	}
-	w.WriteInt(s.lastSaveUnix())
+	w.WriteInt(lastSaveUnix(s.walStats()))
 	return false, false, false
 }
 
-// persistInfo renders the INFO "# persistence" section.
-func (s *server) persistInfo(emit func(format string, args ...any)) {
-	emit("# persistence\r\n")
-	ps := s.persist
-	if ps == nil {
-		emit("aof_enabled:0\r\n")
-		return
-	}
-	emit("aof_enabled:1\r\n")
-	emit("aof_fsync:%s\r\n", ps.policy)
-	c := s.sys.Cluster()
-	var agg wal.Stats
-	for i := 0; i < c.NumShards(); i++ {
-		st := c.WAL(i).Stats()
-		agg.SizeBytes += st.SizeBytes
-		agg.Appends += st.Appends
-		agg.Commits += st.Commits
-		agg.Fsyncs += st.Fsyncs
-		agg.FsyncNS += st.FsyncNS
-		agg.Rewrites += st.Rewrites
-	}
-	emit("aof_size_bytes:%d\r\n", agg.SizeBytes)
-	emit("aof_appends:%d\r\n", agg.Appends)
-	emit("aof_commits:%d\r\n", agg.Commits)
-	emit("aof_fsyncs:%d\r\n", agg.Fsyncs)
-	if agg.Fsyncs > 0 {
-		emit("aof_fsync_mean_us:%.1f\r\n", float64(agg.FsyncNS)/float64(agg.Fsyncs)/1e3)
-	}
-	emit("aof_rewrites:%d\r\n", agg.Rewrites)
-	emit("bgsave_in_progress:%d\r\n", b2i(ps.saving.Load()))
-	emit("bgsaves_ok:%d\r\n", ps.saves.Load())
-	emit("bgsaves_err:%d\r\n", ps.saveErrs.Load())
-	emit("last_save_unix:%d\r\n", s.lastSaveUnix())
-	emit("recovered_records:%d\r\n", ps.recovered.Ops())
-	emit("recovered_torn_bytes:%d\r\n", ps.tornBytes)
-	for i := 0; i < c.NumShards(); i++ {
-		st := c.WAL(i).Stats()
-		emit("aof_shard%d_gen:%d\r\n", i, st.Gen)
-		emit("aof_shard%d_size_bytes:%d\r\n", i, st.SizeBytes)
-	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // registerPersistMetrics exposes the durability series on /metrics:
-// the fsync latency histogram (fed by the logs' fsync observer) plus
-// per-shard log size/generation gauges and save counters.
+// the fsync latency histogram (fed by the logs' fsync observer) and the
+// AOF rows of the series table.
 func (t *serverTele) registerPersistMetrics(s *server) {
-	ps := s.persist
-	if ps == nil {
+	if s.persist == nil {
 		return
 	}
-	r := t.reg
-	fsyncHist := r.Histogram("addrkv_aof_fsync_seconds",
+	fsyncHist := t.reg.Histogram("addrkv_aof_fsync_seconds",
 		"Wall-clock latency of AOF fsync barriers.", 1e-9, nil)
 	c := s.sys.Cluster()
 	for i := 0; i < c.NumShards(); i++ {
 		c.WAL(i).SetFsyncObserver(func(ns int64) { fsyncHist.Observe(uint64(ns)) })
 	}
-	walGauge := func(name, help string, f func(wal.Stats) float64) {
-		for i := 0; i < c.NumShards(); i++ {
-			l := c.WAL(i)
-			r.GaugeFunc(name, help, telemetry.Labels{"shard": strconv.Itoa(l.Shard())},
-				func() float64 { return f(l.Stats()) })
-		}
-	}
-	walGauge("addrkv_aof_size_bytes", "Current AOF segment size, by shard.",
-		func(st wal.Stats) float64 { return float64(st.SizeBytes) })
-	walGauge("addrkv_aof_generation", "Current AOF/snapshot generation, by shard.",
-		func(st wal.Stats) float64 { return float64(st.Gen) })
-	walGauge("addrkv_aof_appends_total", "Records appended to the AOF, by shard.",
-		func(st wal.Stats) float64 { return float64(st.Appends) })
-	walGauge("addrkv_aof_fsyncs_total", "AOF fsync barriers, by shard.",
-		func(st wal.Stats) float64 { return float64(st.Fsyncs) })
-	walGauge("addrkv_aof_rewrites_total", "Compacting snapshot rewrites, by shard.",
-		func(st wal.Stats) float64 { return float64(st.Rewrites) })
-	walGauge("addrkv_aof_last_save_timestamp_seconds", "Unix time of the shard's last completed snapshot.",
-		func(st wal.Stats) float64 { return float64(st.LastSaveUnixNS) / 1e9 })
-	r.GaugeFunc("addrkv_bgsave_in_progress", "1 while a background save is running.", nil,
-		func() float64 { return float64(b2i(ps.saving.Load())) })
-	r.GaugeFunc("addrkv_bgsaves_total", "Completed background saves.", nil,
-		func() float64 { return float64(ps.saves.Load()) })
-	r.GaugeFunc("addrkv_bgsave_errors_total", "Failed background saves.", nil,
-		func() float64 { return float64(ps.saveErrs.Load()) })
+	s.exportSeries(withAOF)
 }

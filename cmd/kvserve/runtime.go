@@ -194,35 +194,3 @@ func (s *server) startWorkers(queueCap int) error {
 // stopWorkers tears the runtime down; callers must have drained every
 // connection first (no producers while the rings empty out).
 func (s *server) stopWorkers() { s.sys.Cluster().StopWorkers() }
-
-// runtimeInfo renders the INFO "# runtime" section: ring sizing and
-// the aggregate worker counters when running.
-func (s *server) runtimeInfo(add func(format string, args ...any)) {
-	add("# runtime\r\n")
-	add("queue_cap:%d\r\n", s.queueCap)
-	ws := s.sys.Cluster().RuntimeStats()
-	if ws == nil {
-		return
-	}
-	var depth int
-	var drains, dops, spins, maxBurst uint64
-	for _, st := range ws {
-		depth += st.Depth
-		drains += st.Drains
-		dops += st.DrainedOps
-		spins += st.FullSpins
-		if st.MaxBurst > maxBurst {
-			maxBurst = st.MaxBurst
-		}
-	}
-	add("queue_depth:%d\r\n", depth)
-	add("worker_drains:%d\r\n", drains)
-	add("worker_drained_ops:%d\r\n", dops)
-	mean := 0.0
-	if drains > 0 {
-		mean = float64(dops) / float64(drains)
-	}
-	add("drain_mean:%.2f\r\n", mean)
-	add("drain_max:%d\r\n", maxBurst)
-	add("queue_full_spins:%d\r\n", spins)
-}

@@ -373,6 +373,10 @@ func TestServerIdleExpiry(t *testing.T) {
 			t.Fatalf("INFO missing %q:\n%s", want, info)
 		}
 	}
+	// Active expiry has series of its own, so it can be alerted on.
+	if got := samples(t, scrape(t, s))["addrkv_expiry_sweep_reaped_total"]; got != 8 {
+		t.Fatalf("addrkv_expiry_sweep_reaped_total = %v after the sweep reaped 8", got)
+	}
 }
 
 // TestServerDrainBurstSweep: each worker drain burst sweeps its own

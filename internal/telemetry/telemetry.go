@@ -1,8 +1,8 @@
 // Package telemetry is the observability layer of the addrkv server
-// stack: a lock-free metrics registry (atomic counters, gauges, and
-// log-bucketed histograms) with Prometheus text-format rendering, a
-// slowlog of the slowest commands, a MONITOR-style command feed, and
-// JSON benchmark snapshots.
+// stack: a lock-free metrics registry (atomic counters, log-bucketed
+// histograms, and gauges or counters read at scrape time) with
+// Prometheus text-format rendering, a slowlog of the slowest commands,
+// a MONITOR-style command feed, and JSON benchmark snapshots.
 //
 // Everything on the record path is a handful of atomic operations, so
 // instrumentation can sit inside the per-shard serving loop without
@@ -21,7 +21,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,20 +91,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Gauge is an atomically settable float64.
-type Gauge struct {
-	labels Labels
-	bits   atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Load returns the current value.
-func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// gaugeFunc is a gauge computed at scrape time.
-type gaugeFunc struct {
+// valueFunc is a gauge or counter computed at scrape time.
+type valueFunc struct {
 	labels Labels
 	f      func() float64
 }
@@ -118,8 +105,7 @@ type family struct {
 	typ  string // "counter", "gauge", "histogram"
 
 	counters   []*Counter
-	gauges     []*Gauge
-	gaugeFns   []gaugeFunc
+	funcs      []valueFunc
 	histograms []*Histogram
 }
 
@@ -164,21 +150,22 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return c
 }
 
-// Gauge registers a settable gauge.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	f := r.family(name, help, "gauge")
-	g := &Gauge{labels: labels}
-	r.mu.Lock()
-	f.gauges = append(f.gauges, g)
-	r.mu.Unlock()
-	return g
-}
-
 // GaugeFunc registers a gauge computed by f at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, f func() float64) {
-	fam := r.family(name, help, "gauge")
+	r.valueFunc(name, help, "gauge", labels, f)
+}
+
+// CounterFunc registers a counter whose value f reads at scrape time
+// from a count kept elsewhere (TYPE counter; a restart of that count's
+// window, like any counter reset, is the scraper's to detect).
+func (r *Registry) CounterFunc(name, help string, labels Labels, f func() float64) {
+	r.valueFunc(name, help, "counter", labels, f)
+}
+
+func (r *Registry) valueFunc(name, help, typ string, labels Labels, f func() float64) {
+	fam := r.family(name, help, typ)
 	r.mu.Lock()
-	fam.gaugeFns = append(fam.gaugeFns, gaugeFunc{labels: labels, f: f})
+	fam.funcs = append(fam.funcs, valueFunc{labels: labels, f: f})
 	r.mu.Unlock()
 }
 
@@ -226,13 +213,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		for _, g := range f.gauges {
-			if _, err := fmt.Fprintf(w, "%s%s %g\n", f.name, g.labels.render(), g.Load()); err != nil {
-				return err
-			}
-		}
-		for _, gf := range f.gaugeFns {
-			if _, err := fmt.Fprintf(w, "%s%s %g\n", f.name, gf.labels.render(), gf.f()); err != nil {
+		for _, vf := range f.funcs {
+			if _, err := fmt.Fprintf(w, "%s%s %g\n", f.name, vf.labels.render(), vf.f()); err != nil {
 				return err
 			}
 		}

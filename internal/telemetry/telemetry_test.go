@@ -117,9 +117,9 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 	c.Add(5)
 	c2 := reg.Counter("addrkv_ops_total", "ops served", Labels{"shard": "1"})
 	c2.Add(7)
-	g := reg.Gauge("addrkv_hit_rate", "fast-path hit rate", nil)
-	g.Set(0.75)
+	reg.GaugeFunc("addrkv_hit_rate", "fast-path hit rate", nil, func() float64 { return 0.75 })
 	reg.GaugeFunc("addrkv_keys", "stored keys", Labels{"shard": "0"}, func() float64 { return 42 })
+	reg.CounterFunc("addrkv_drains_total", "drain bursts", nil, func() float64 { return 9 })
 	h := reg.Histogram("addrkv_latency_seconds", "command latency", 1e-9, Labels{"cmd": "get"})
 	h.Observe(1500) // 1.5us
 	h.Observe(3000)
@@ -143,6 +143,8 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 		"# TYPE addrkv_hit_rate gauge",
 		"addrkv_hit_rate 0.75",
 		`addrkv_keys{shard="0"} 42`,
+		"# TYPE addrkv_drains_total counter",
+		"addrkv_drains_total 9",
 		"# TYPE addrkv_latency_seconds histogram",
 		`addrkv_latency_seconds_bucket{cmd="get",le="+Inf"} 2`,
 		`addrkv_latency_seconds_count{cmd="get"} 2`,
@@ -170,7 +172,7 @@ func TestRegistryTypeClash(t *testing.T) {
 			t.Fatal("type clash not detected")
 		}
 	}()
-	reg.Gauge("m", "h", nil)
+	reg.GaugeFunc("m", "h", nil, func() float64 { return 0 })
 }
 
 func TestSlowlogKeepsSlowest(t *testing.T) {
