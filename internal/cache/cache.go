@@ -10,24 +10,26 @@ import (
 	"fmt"
 
 	"addrkv/internal/arch"
+	"addrkv/internal/setassoc"
 )
-
-type way struct {
-	tag        uint64
-	valid      bool
-	lru        uint64 // higher = more recently used
-	prefetched bool   // filled by a prefetcher and not yet demanded
-	dirty      bool   // modified since fill (write-back tracking)
-}
 
 // Cache is one level of set-associative cache, indexed by physical
 // line address.
 type Cache struct {
-	name string
 	sets int
 	ways int
 	tick uint64
-	data []way // sets*ways, row-major by set
+	// data holds, set after set, the set's ways tag words and then its
+	// ways LRU words: an 8-way set is 128 contiguous bytes, so a hit
+	// reads one host cache line and writes one word of the next.
+	data []uint64
+
+	// A missing Access has scanned the set, so it also picks the way the
+	// Fill of that line will replace. Fill uses it only if nothing else
+	// touched this cache since: every Access and Fill advances tick, and
+	// Invalidate and Reset forget it.
+	missLine, missTick uint64
+	missWay            int
 
 	// Statistics.
 	Hits      uint64
@@ -47,7 +49,7 @@ func NewCache(name string, size, ways int) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d is not a positive power of two", name, sets))
 	}
-	return &Cache{name: name, sets: sets, ways: ways, data: make([]way, sets*ways)}
+	return &Cache{sets: sets, ways: ways, data: make([]uint64, 2*sets*ways), missLine: setassoc.NoKey}
 }
 
 // NewCacheSets builds a cache from an explicit set count.
@@ -55,29 +57,17 @@ func NewCacheSets(name string, sets, ways int) *Cache {
 	return NewCache(name, sets*ways*arch.LineSize, ways)
 }
 
-// Name returns the cache's display name.
-func (c *Cache) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-func (c *Cache) set(line uint64) []way {
-	s := int(line) & (c.sets - 1)
-	return c.data[s*c.ways : (s+1)*c.ways]
+// set returns the tag words and the LRU words of line's set.
+func (c *Cache) set(line uint64) (tags, lrus []uint64) {
+	s := (int(line) & (c.sets - 1)) * 2 * c.ways
+	set := c.data[s : s+2*c.ways]
+	return set[:c.ways], set[c.ways:]
 }
 
 // Lookup probes for the line without changing replacement state.
 func (c *Cache) Lookup(line uint64) bool {
-	for i := range c.set(line) {
-		w := &c.set(line)[i]
-		if w.valid && w.tag == line {
-			return true
-		}
-	}
-	return false
+	tags, _ := c.set(line)
+	return setassoc.Find(tags, line+1) >= 0
 }
 
 // Access performs a demand access for line, updating LRU and
@@ -85,21 +75,20 @@ func (c *Cache) Lookup(line uint64) bool {
 // hierarchy does that after resolving the lower level.
 func (c *Cache) Access(line uint64) bool {
 	c.tick++
-	set := c.set(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			w.lru = c.tick
-			if w.prefetched {
-				w.prefetched = false
-				c.PrefetchHits++
-			}
-			c.Hits++
-			return true
-		}
+	tags, lrus := c.set(line)
+	i := setassoc.Find(tags, line+1)
+	if i < 0 {
+		c.Misses++
+		c.missLine, c.missTick, c.missWay = line, c.tick, setassoc.Victim(tags, lrus)
+		return false
 	}
-	c.Misses++
-	return false
+	lrus[i] = c.tick
+	if tags[i]&setassoc.FlagPrefetched != 0 {
+		tags[i] &^= setassoc.FlagPrefetched
+		c.PrefetchHits++
+	}
+	c.Hits++
+	return true
 }
 
 // Fill inserts line, evicting the LRU way if needed. prefetched marks
@@ -107,85 +96,70 @@ func (c *Cache) Access(line uint64) bool {
 // whether a dirty line was evicted (the caller owes a write-back).
 func (c *Cache) Fill(line uint64, prefetched bool) (evictedDirty bool) {
 	c.tick++
-	set := c.set(line)
-	victim := 0
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			// Already present (e.g. racing prefetch): refresh.
-			w.lru = c.tick
+	tags, lrus := c.set(line)
+	v := c.missWay
+	if c.missLine != line || c.missTick+1 != c.tick {
+		// Not the fill of the last miss: scan.
+		var present bool
+		if v, present = setassoc.Place(tags, lrus, line+1); present {
+			// Already there (e.g. racing prefetch): refresh.
+			lrus[v] = c.tick
 			return false
 		}
-		if !w.valid {
-			victim = i
-			goto place
-		}
-		if w.lru < set[victim].lru {
-			victim = i
-		}
 	}
-	if set[victim].valid {
+	if tags[v] != 0 {
 		c.Evictions++
-		evictedDirty = set[victim].dirty
+		evictedDirty = tags[v]&setassoc.FlagDirty != 0
 	}
-place:
-	lru := c.tick
+	tags[v] = line + 1
 	if prefetched {
 		// Prefetched lines are inserted at low replacement priority
 		// (they inherit the victim's LRU age rather than MRU), so a
 		// speculative line only survives until the set's next fill
 		// unless a demand access promotes it — standard low-priority
 		// prefetch insertion, and what keeps an inaccurate prefetcher
-		// from monopolizing the cache.
-		lru = set[victim].lru
+		// from monopolizing the cache. An invalid way's LRU word is
+		// whatever its last occupant left.
+		tags[v] |= setassoc.FlagPrefetched
+	} else {
+		lrus[v] = c.tick
 	}
-	set[victim] = way{tag: line, valid: true, lru: lru, prefetched: prefetched}
 	return evictedDirty
 }
 
 // MarkDirty flags the line as modified if present.
 func (c *Cache) MarkDirty(line uint64) bool {
-	for i := range c.set(line) {
-		w := &c.set(line)[i]
-		if w.valid && w.tag == line {
-			w.dirty = true
-			return true
-		}
+	tags, _ := c.set(line)
+	i := setassoc.Find(tags, line+1)
+	if i >= 0 {
+		tags[i] |= setassoc.FlagDirty
 	}
-	return false
+	return i >= 0
 }
 
 // IsDirty reports the line's dirty flag (tests).
 func (c *Cache) IsDirty(line uint64) bool {
-	for i := range c.set(line) {
-		w := &c.set(line)[i]
-		if w.valid && w.tag == line {
-			return w.dirty
-		}
-	}
-	return false
+	tags, _ := c.set(line)
+	i := setassoc.Find(tags, line+1)
+	return i >= 0 && tags[i]&setassoc.FlagDirty != 0
 }
 
 // Invalidate drops the line if present, returning whether it was.
 func (c *Cache) Invalidate(line uint64) bool {
-	set := c.set(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			w.valid = false
-			return true
-		}
+	tags, _ := c.set(line)
+	i := setassoc.Find(tags, line+1)
+	if i >= 0 {
+		tags[i] = 0
+		c.missLine = setassoc.NoKey
 	}
-	return false
+	return i >= 0
 }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.data {
-		c.data[i] = way{}
-	}
-	c.tick = 0
-	c.Hits, c.Misses, c.Evictions, c.PrefetchHits = 0, 0, 0, 0
+	clear(c.data)
+	c.tick, c.missLine = 0, setassoc.NoKey
+	c.ResetStats()
 }
 
 // ResetStats clears statistics but keeps contents (used between the

@@ -144,7 +144,7 @@ func TestHierarchyLatencies(t *testing.T) {
 
 	// Evict from L1 only: touch enough distinct lines mapping to the
 	// same L1 set but different L2 sets.
-	l1sets := h.L1.Sets()
+	l1sets := h.L1.sets
 	for i := 1; i <= p.L1Ways; i++ {
 		h.Access(pa+arch.Addr(i*l1sets*arch.LineSize), false, arch.KindOther)
 	}
@@ -278,7 +278,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 		t.Fatal("written line not dirty in L3")
 	}
 	// Evict it from L3 by filling its set with conflicting lines.
-	l3sets := h.L3.Sets()
+	l3sets := h.L3.sets
 	for i := 1; i <= p.L3Ways; i++ {
 		h.Access(pa+arch.Addr(i*l3sets*arch.LineSize), false, arch.KindRecord)
 	}
@@ -292,7 +292,7 @@ func TestNoWritebackForCleanLines(t *testing.T) {
 	h := NewHierarchy(p)
 	pa := arch.Addr(0x40000)
 	h.Access(pa, false, arch.KindRecord) // read only
-	l3sets := h.L3.Sets()
+	l3sets := h.L3.sets
 	for i := 1; i <= p.L3Ways; i++ {
 		h.Access(pa+arch.Addr(i*l3sets*arch.LineSize), false, arch.KindRecord)
 	}

@@ -138,21 +138,6 @@ func (h *Hierarchy) AccessRange(pa arch.Addr, size int, write bool, kind arch.Ac
 	return total
 }
 
-// Contains reports whether the line holding pa is in any level
-// (probe-only, no stats).
-func (h *Hierarchy) Contains(pa arch.Addr) bool {
-	line := pa.Line()
-	return h.L1.Lookup(line) || h.L2.Lookup(line) || h.L3.Lookup(line)
-}
-
-// InvalidateLine drops the line holding pa from all levels.
-func (h *Hierarchy) InvalidateLine(pa arch.Addr) {
-	line := pa.Line()
-	h.L1.Invalidate(line)
-	h.L2.Invalidate(line)
-	h.L3.Invalidate(line)
-}
-
 // Stats returns a copy of the per-kind counters.
 func (h *Hierarchy) Stats(kind arch.AccessKind) KindStats { return h.byKind[kind] }
 

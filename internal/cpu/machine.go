@@ -10,6 +10,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"addrkv/internal/arch"
@@ -273,25 +274,18 @@ func (m *Machine) tlbPrefetch(vpn uint64) {
 	m.TLBs.L2.InsertPrefetched(pred, pte)
 }
 
-// access performs a timed load or store of size bytes at va,
-// charging data-cache latency to cat. It handles page-spanning ranges.
-func (m *Machine) access(va arch.Addr, size int, write bool, kind arch.AccessKind, cat arch.CostCategory) {
-	if write {
-		m.stores++
-	} else {
-		m.loads++
+// span is the timed part of every load and store: translate va, touch
+// the lines of [va, va+size) up to the end of va's page, and charge
+// their latency to cat. It returns where the bytes are and how many of
+// the size it covered; a caller with more goes round again.
+func (m *Machine) span(va arch.Addr, size int, write bool, kind arch.AccessKind, cat arch.CostCategory) (pa arch.Addr, n int) {
+	pa = m.Translate(va)
+	n = arch.PageSize - int(va.Offset())
+	if n > size {
+		n = size
 	}
-	for size > 0 {
-		pa := m.Translate(va)
-		n := arch.PageSize - int(va.Offset())
-		if n > size {
-			n = size
-		}
-		c := m.Caches.AccessRange(pa, n, write, kind)
-		m.charge(c, cat)
-		va += arch.Addr(n)
-		size -= n
-	}
+	m.charge(m.Caches.AccessRange(pa, n, write, kind), cat)
+	return pa, n
 }
 
 // Read performs a timed load and returns the bytes read. The physical
@@ -304,12 +298,7 @@ func (m *Machine) Read(va arch.Addr, buf []byte, kind arch.AccessKind, cat arch.
 	}
 	m.loads++
 	for len(buf) > 0 {
-		pa := m.Translate(va)
-		n := arch.PageSize - int(va.Offset())
-		if n > len(buf) {
-			n = len(buf)
-		}
-		m.charge(m.Caches.AccessRange(pa, n, false, kind), cat)
+		pa, n := m.span(va, len(buf), false, kind, cat)
 		m.AS.Phys.ReadAt(pa, buf[:n])
 		buf = buf[n:]
 		va += arch.Addr(n)
@@ -324,12 +313,7 @@ func (m *Machine) Write(va arch.Addr, buf []byte, kind arch.AccessKind, cat arch
 	}
 	m.stores++
 	for len(buf) > 0 {
-		pa := m.Translate(va)
-		n := arch.PageSize - int(va.Offset())
-		if n > len(buf) {
-			n = len(buf)
-		}
-		m.charge(m.Caches.AccessRange(pa, n, true, kind), cat)
+		pa, n := m.span(va, len(buf), true, kind, cat)
 		m.AS.Phys.WriteAt(pa, buf[:n])
 		buf = buf[n:]
 		va += arch.Addr(n)
@@ -344,12 +328,10 @@ func (m *Machine) ReadU64(va arch.Addr, kind arch.AccessKind, cat arch.CostCateg
 	if va.Offset() > arch.PageSize-8 {
 		var b [8]byte
 		m.Read(va, b[:], kind, cat)
-		return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		return binary.LittleEndian.Uint64(b[:])
 	}
 	m.loads++
-	pa := m.Translate(va)
-	m.charge(m.Caches.AccessRange(pa, 8, false, kind), cat)
+	pa, _ := m.span(va, 8, false, kind, cat)
 	return m.AS.Phys.ReadU64(pa)
 }
 
@@ -361,14 +343,12 @@ func (m *Machine) WriteU64(va arch.Addr, v uint64, kind arch.AccessKind, cat arc
 	}
 	if va.Offset() > arch.PageSize-8 {
 		var b [8]byte
-		b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+		binary.LittleEndian.PutUint64(b[:], v)
 		m.Write(va, b[:], kind, cat)
 		return
 	}
 	m.stores++
-	pa := m.Translate(va)
-	m.charge(m.Caches.AccessRange(pa, 8, true, kind), cat)
+	pa, _ := m.span(va, 8, true, kind, cat)
 	m.AS.Phys.WriteU64(pa, v)
 }
 
@@ -379,7 +359,16 @@ func (m *Machine) Touch(va arch.Addr, size int, write bool, kind arch.AccessKind
 	if m.Fast {
 		return
 	}
-	m.access(va, size, write, kind, cat)
+	if write {
+		m.stores++
+	} else {
+		m.loads++
+	}
+	for size > 0 {
+		_, n := m.span(va, size, write, kind, cat)
+		va += arch.Addr(n)
+		size -= n
+	}
 }
 
 // Stats snapshots all counters.

@@ -174,6 +174,19 @@ func run(sc Scale, sp spec) result {
 		fmt.Printf("  [run] %s\n", k)
 	}
 
+	st := simulate(sp).Stats()
+	r := result{Stats: st, CPO: st.CyclesPerOp()}
+
+	runCacheMu.Lock()
+	runCache[k] = r
+	runCacheMu.Unlock()
+	record(k, r)
+	return r
+}
+
+// simulate builds, loads, warms and measures one fully specified run
+// and returns the engine, so a caller can read more than kv.Stats.
+func simulate(sp spec) *kv.Engine {
 	cfg := kv.Config{
 		Keys:           sp.keys,
 		Index:          sp.index,
@@ -222,14 +235,7 @@ func run(sc Scale, sp spec) result {
 	for i := 0; i < sp.measureOps; i++ {
 		e.RunOp(g.Next(), sp.valueSize)
 	}
-	st := e.Stats()
-	r := result{Stats: st, CPO: st.CyclesPerOp()}
-
-	runCacheMu.Lock()
-	runCache[k] = r
-	runCacheMu.Unlock()
-	record(k, r)
-	return r
+	return e
 }
 
 // speedup is baselineCPO / modeCPO.

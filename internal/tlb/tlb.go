@@ -7,25 +7,21 @@ import (
 	"fmt"
 
 	"addrkv/internal/arch"
+	"addrkv/internal/setassoc"
 	"addrkv/internal/vm"
 )
-
-type way struct {
-	vpn        uint64
-	pte        vm.PTE
-	valid      bool
-	lru        uint64
-	prefetched bool
-}
 
 // TLB is one set-associative translation lookaside buffer level,
 // mapping virtual page numbers to PTEs.
 type TLB struct {
-	name string
 	sets int
 	ways int
 	tick uint64
-	data []way
+	// data holds, set after set, the set's ways tag words (vpn+1 under
+	// setassoc.FlagPrefetched), then its ways LRU words, then its ways
+	// PTEs: a 4-way set is 96 contiguous bytes, of which a lookup scans
+	// the first 32.
+	data []uint64
 
 	Hits         uint64
 	Misses       uint64
@@ -41,91 +37,80 @@ func New(name string, entries, ways int) *TLB {
 	if sets <= 0 {
 		panic(fmt.Sprintf("tlb %s: non-positive set count %d", name, sets))
 	}
-	return &TLB{name: name, sets: sets, ways: ways, data: make([]way, sets*ways)}
+	return &TLB{sets: sets, ways: ways, data: make([]uint64, 3*sets*ways)}
 }
 
-func (t *TLB) set(vpn uint64) []way {
-	s := int(vpn % uint64(t.sets))
-	return t.data[s*t.ways : (s+1)*t.ways]
+// set returns the tag, LRU and PTE words of vpn's set. The index is vpn
+// modulo the set count, without the 64-bit divide where it can be had
+// cheaper: a mask for a power of two (L1: 16 sets), a 32-bit modulo
+// while the page number fits (L2: 384 sets).
+func (t *TLB) set(vpn uint64) (tags, lrus, ptes []uint64) {
+	var s int
+	switch {
+	case t.sets&(t.sets-1) == 0:
+		s = int(vpn) & (t.sets - 1)
+	case vpn>>32 == 0:
+		s = int(uint32(vpn) % uint32(t.sets))
+	default:
+		s = int(vpn % uint64(t.sets))
+	}
+	set := t.data[s*3*t.ways : (s+1)*3*t.ways]
+	return set[:t.ways], set[t.ways : 2*t.ways], set[2*t.ways:]
 }
 
 // Lookup probes for vpn, updating LRU and hit/miss statistics.
 func (t *TLB) Lookup(vpn uint64) (vm.PTE, bool) {
 	t.tick++
-	set := t.set(vpn)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.vpn == vpn {
-			w.lru = t.tick
-			if w.prefetched {
-				w.prefetched = false
-				t.PrefetchHits++
-			}
-			t.Hits++
-			return w.pte, true
-		}
+	tags, lrus, ptes := t.set(vpn)
+	i := setassoc.Find(tags, vpn+1)
+	if i < 0 {
+		t.Misses++
+		return 0, false
 	}
-	t.Misses++
-	return 0, false
+	lrus[i] = t.tick
+	if tags[i]&setassoc.FlagPrefetched != 0 {
+		tags[i] &^= setassoc.FlagPrefetched
+		t.PrefetchHits++
+	}
+	t.Hits++
+	return vm.PTE(ptes[i]), true
 }
 
 // Probe checks for vpn without touching statistics or LRU state.
 func (t *TLB) Probe(vpn uint64) bool {
-	for i := range t.set(vpn) {
-		w := &t.set(vpn)[i]
-		if w.valid && w.vpn == vpn {
-			return true
-		}
-	}
-	return false
+	tags, _, _ := t.set(vpn)
+	return setassoc.Find(tags, vpn+1) >= 0
 }
 
 // Insert fills vpn -> pte, evicting LRU if needed.
-func (t *TLB) Insert(vpn uint64, pte vm.PTE) { t.insert(vpn, pte, false) }
+func (t *TLB) Insert(vpn uint64, pte vm.PTE) { t.insert(vpn, pte, 0) }
 
 // InsertPrefetched fills an entry installed by a prefetcher.
-func (t *TLB) InsertPrefetched(vpn uint64, pte vm.PTE) { t.insert(vpn, pte, true) }
+func (t *TLB) InsertPrefetched(vpn uint64, pte vm.PTE) { t.insert(vpn, pte, setassoc.FlagPrefetched) }
 
-func (t *TLB) insert(vpn uint64, pte vm.PTE, prefetched bool) {
+func (t *TLB) insert(vpn uint64, pte vm.PTE, flag uint64) {
 	t.tick++
-	set := t.set(vpn)
-	victim := 0
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.vpn == vpn {
-			w.pte = pte
-			w.lru = t.tick
-			return
-		}
-		if !w.valid {
-			victim = i
-			goto place
-		}
-		if w.lru < set[victim].lru {
-			victim = i
-		}
+	tags, lrus, ptes := t.set(vpn)
+	v, present := setassoc.Place(tags, lrus, vpn+1)
+	if present {
+		flag = tags[v] & setassoc.FlagPrefetched // new PTE and age, the flag stays
 	}
-place:
-	set[victim] = way{vpn: vpn, pte: pte, valid: true, lru: t.tick, prefetched: prefetched}
+	tags[v], lrus[v], ptes[v] = (vpn+1)|flag, t.tick, uint64(pte)
 }
 
 // InvalidatePage drops the entry for vpn if present (invlpg).
 func (t *TLB) InvalidatePage(vpn uint64) bool {
-	for i := range t.set(vpn) {
-		w := &t.set(vpn)[i]
-		if w.valid && w.vpn == vpn {
-			w.valid = false
-			return true
-		}
+	tags, _, _ := t.set(vpn)
+	i := setassoc.Find(tags, vpn+1)
+	if i >= 0 {
+		tags[i] = 0
 	}
-	return false
+	return i >= 0
 }
 
 // Flush drops all entries (full TLB flush, e.g. context switch).
 func (t *TLB) Flush() {
-	for i := range t.data {
-		t.data[i] = way{}
-	}
+	clear(t.data)
 }
 
 // ResetStats clears counters, preserving contents.

@@ -10,6 +10,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"addrkv/internal/arch"
@@ -102,9 +103,7 @@ func (pm *PhysMem) frame(pa arch.Addr) []byte {
 // buf. The range may span contiguous frames.
 func (pm *PhysMem) ReadAt(pa arch.Addr, buf []byte) {
 	for len(buf) > 0 {
-		f := pm.frame(pa)
-		off := pa.Offset()
-		n := copy(buf, f[off:])
+		n := copy(buf, pm.frame(pa)[pa.Offset():])
 		buf = buf[n:]
 		pa += arch.Addr(n)
 	}
@@ -114,9 +113,7 @@ func (pm *PhysMem) ReadAt(pa arch.Addr, buf []byte) {
 // may span contiguous frames.
 func (pm *PhysMem) WriteAt(pa arch.Addr, buf []byte) {
 	for len(buf) > 0 {
-		f := pm.frame(pa)
-		off := pa.Offset()
-		n := copy(f[off:], buf)
+		n := copy(pm.frame(pa)[pa.Offset():], buf)
 		buf = buf[n:]
 		pa += arch.Addr(n)
 	}
@@ -125,40 +122,21 @@ func (pm *PhysMem) WriteAt(pa arch.Addr, buf []byte) {
 // ReadU64 reads a little-endian 64-bit word at pa (must not span frames
 // unless contiguous).
 func (pm *PhysMem) ReadU64(pa arch.Addr) uint64 {
-	if off := pa.Offset(); off <= arch.PageSize-8 {
-		f := pm.frame(pa)
-		return uint64(f[off]) | uint64(f[off+1])<<8 | uint64(f[off+2])<<16 |
-			uint64(f[off+3])<<24 | uint64(f[off+4])<<32 | uint64(f[off+5])<<40 |
-			uint64(f[off+6])<<48 | uint64(f[off+7])<<56
+	if f := pm.frame(pa)[pa.Offset():]; len(f) >= 8 {
+		return binary.LittleEndian.Uint64(f)
 	}
 	var b [8]byte
 	pm.ReadAt(pa, b[:])
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // WriteU64 writes a little-endian 64-bit word at pa.
 func (pm *PhysMem) WriteU64(pa arch.Addr, v uint64) {
-	if off := pa.Offset(); off <= arch.PageSize-8 {
-		f := pm.frame(pa)
-		f[off] = byte(v)
-		f[off+1] = byte(v >> 8)
-		f[off+2] = byte(v >> 16)
-		f[off+3] = byte(v >> 24)
-		f[off+4] = byte(v >> 32)
-		f[off+5] = byte(v >> 40)
-		f[off+6] = byte(v >> 48)
-		f[off+7] = byte(v >> 56)
+	if f := pm.frame(pa)[pa.Offset():]; len(f) >= 8 {
+		binary.LittleEndian.PutUint64(f, v)
 		return
 	}
 	var b [8]byte
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+	binary.LittleEndian.PutUint64(b[:], v)
 	pm.WriteAt(pa, b[:])
 }

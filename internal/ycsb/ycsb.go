@@ -224,10 +224,11 @@ type zipfGen struct {
 	zetan float64
 	zeta2 float64
 	eta   float64
+	rank1 float64 // uz below this (and at least 1) draws rank 1
 }
 
 func newZipfGen(n uint64, theta float64) *zipfGen {
-	z := &zipfGen{n: n, theta: theta}
+	z := &zipfGen{n: n, theta: theta, rank1: 1 + math.Pow(0.5, theta)}
 	z.alpha = 1 / (1 - theta)
 	z.zetan = zetaStatic(n, theta)
 	z.zeta2 = zetaStatic(2, theta)
@@ -242,7 +243,7 @@ func (z *zipfGen) next(r *rng) uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

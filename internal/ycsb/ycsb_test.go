@@ -200,3 +200,50 @@ func TestZipfGrowIncremental(t *testing.T) {
 		t.Fatalf("incremental zeta %v vs direct %v", a.zetan, b.zetan)
 	}
 }
+
+// streamHash folds the first n ops of a stream (type and key id) into
+// one FNV-1a word.
+func streamHash(next func() Op, n int) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < n; i++ {
+		op := next()
+		h = (h ^ uint64(op.Type)) * 1099511628211
+		h = (h ^ op.KeyID) * 1099511628211
+	}
+	return h
+}
+
+// TestKeySequencePinned holds the generated key sequence, and with it
+// every modeled number downstream, to values recorded at cccfd15 —
+// before zipfGen.next stopped recomputing its one constant per draw.
+// D is the latest distribution with inserts (zipfGen.grow), flood the
+// hotspot one.
+func TestKeySequencePinned(t *testing.T) {
+	const keys, n = 100_000, 100_000
+	mix := func(name string) Mix {
+		m, err := MixByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		seed uint64
+		next func() Op
+		want uint64
+	}{
+		{"zipf", 1, NewGenerator(Config{Keys: keys, Dist: Zipf, Seed: 1}).Next, 0x4714c083f09932c2},
+		{"zipf", 42, NewGenerator(Config{Keys: keys, Dist: Zipf, Seed: 42}).Next, 0x7e27057e79d8d119},
+		{"latest", 1, NewGenerator(Config{Keys: keys, Dist: Latest, Seed: 1}.WithPaperSetFraction()).Next, 0x278ad0bda34eb955},
+		{"latest", 42, NewGenerator(Config{Keys: keys, Dist: Latest, Seed: 42}.WithPaperSetFraction()).Next, 0x89ca8a4f09506fec},
+		{"mix-D", 1, NewMixGenerator(mix("D"), keys, 1).Next, 0x80afd39a3ff6cb06},
+		{"mix-D", 42, NewMixGenerator(mix("D"), keys, 42).Next, 0xf824a4fe319f2e74},
+		{"hotspot", 1, NewMixGenerator(mix("flood"), keys, 1).Next, 0x6ca70d7d5aee69b6},
+		{"hotspot", 42, NewMixGenerator(mix("flood"), keys, 42).Next, 0xf323a820d79c959e},
+	} {
+		if got := streamHash(tc.next, n); got != tc.want {
+			t.Errorf("%s seed %d: first %d ops hash to %#x, recorded %#x", tc.name, tc.seed, n, got, tc.want)
+		}
+	}
+}
