@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,19 +51,12 @@ func (st *slotTable) set(slot uint16, addr string) {
 
 // refresh rebuilds the whole table from one CLUSTER SLOTS call.
 func (st *slotTable) refresh(network, seedAddr string) error {
-	conn, err := net.Dial(network, seedAddr)
+	c, err := resp.Dial(network, seedAddr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	w := resp.NewWriter(conn)
-	if err := w.WriteCommand([]byte("CLUSTER"), []byte("SLOTS")); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	v, err := resp.NewReader(conn).ReadReply()
+	defer c.Close()
+	v, err := c.Do("CLUSTER", "SLOTS")
 	if err != nil {
 		return err
 	}
@@ -130,15 +122,8 @@ type benchOp struct {
 	val []byte
 }
 
-// nodeConn is one persistent connection to one cluster node.
-type nodeConn struct {
-	conn net.Conn
-	r    *resp.Reader
-	w    *resp.Writer
-}
-
 // clusterBench is one connection-slot's worth of cluster load: a
-// connection per node, lazily dialed. seedAddr is the bootstrap node
+// persistent connection per node, lazily dialed. seedAddr is the bootstrap node
 // the slot table is re-fetched from when a routed-to node turns out to
 // be dead.
 type clusterBench struct {
@@ -146,25 +131,24 @@ type clusterBench struct {
 	seedAddr string
 	st       *slotTable
 	cc       *clusterCounters
-	conns    map[string]*nodeConn
+	conns    map[string]*resp.Client
 }
 
-func (b *clusterBench) conn(addr string) (*nodeConn, error) {
+func (b *clusterBench) conn(addr string) (*resp.Client, error) {
 	if nc, ok := b.conns[addr]; ok {
 		return nc, nil
 	}
-	c, err := net.Dial(b.network, addr)
+	nc, err := resp.Dial(b.network, addr)
 	if err != nil {
 		return nil, err
 	}
-	nc := &nodeConn{conn: c, r: resp.NewReader(c), w: resp.NewWriter(c)}
 	b.conns[addr] = nc
 	return nc, nil
 }
 
 func (b *clusterBench) closeAll() {
 	for _, nc := range b.conns {
-		nc.conn.Close()
+		nc.Close()
 	}
 }
 
@@ -178,7 +162,7 @@ func (b *clusterBench) repairRoute(addr string, cause error) {
 	b.cc.repairs.Add(1)
 	log.Printf("kvbench: node %s unreachable (%v); refreshing slot table from %s", addr, cause, b.seedAddr)
 	if nc, ok := b.conns[addr]; ok {
-		nc.conn.Close()
+		nc.Close()
 		delete(b.conns, addr)
 	}
 	if err := b.st.refresh(b.network, b.seedAddr); err != nil {
@@ -205,7 +189,7 @@ func (b *clusterBench) retry(op benchOp, msg string) (any, error) {
 		if !ok {
 			return fmt.Errorf("%s", msg), nil // a genuine error reply
 		}
-		var nc *nodeConn
+		var nc *resp.Client
 		var err error
 		asking := false
 		target := raddr
@@ -238,22 +222,22 @@ func (b *clusterBench) retry(op benchOp, msg string) (any, error) {
 			continue
 		}
 		if asking {
-			if err := nc.w.WriteCommand([]byte("ASKING")); err != nil {
+			if err := nc.W.WriteCommand([]byte("ASKING")); err != nil {
 				return nil, err
 			}
 		}
-		if err := writeOp(nc.w, op); err != nil {
+		if err := writeOp(nc.W, op); err != nil {
 			return nil, err
 		}
-		if err := nc.w.Flush(); err != nil {
+		if err := nc.W.Flush(); err != nil {
 			return nil, err
 		}
 		if asking {
-			if _, err := nc.r.ReadReply(); err != nil { // the +OK for ASKING
+			if _, err := nc.R.ReadReply(); err != nil { // the +OK for ASKING
 				return nil, err
 			}
 		}
-		v, err := nc.r.ReadReply()
+		v, err := nc.R.ReadReply()
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +257,7 @@ func (b *clusterBench) retry(op benchOp, msg string) (any, error) {
 // not as lost ops.
 func benchClusterConn(cfg benchConfig, depth, ops int, seed uint64,
 	rt, lat *telemetry.Histogram, st *slotTable, cc *clusterCounters) (uint64, uint64, error) {
-	b := &clusterBench{network: cfg.network, seedAddr: cfg.addr, st: st, cc: cc, conns: map[string]*nodeConn{}}
+	b := &clusterBench{network: cfg.network, seedAddr: cfg.addr, st: st, cc: cc, conns: map[string]*resp.Client{}}
 	defer b.closeAll()
 	rng := rand.New(rand.NewSource(int64(seed)))
 
@@ -324,15 +308,15 @@ func benchClusterConn(cfg benchConfig, depth, ops int, seed uint64,
 				continue
 			}
 			for _, i := range idxs {
-				if err := writeOp(nc.w, batchOps[i]); err != nil {
+				if err := writeOp(nc.W, batchOps[i]); err != nil {
 					return sent, errs, err
 				}
 			}
-			if err := nc.w.Flush(); err != nil {
+			if err := nc.W.Flush(); err != nil {
 				return sent, errs, err
 			}
 			for _, i := range idxs {
-				v, err := nc.r.ReadReply()
+				v, err := nc.R.ReadReply()
 				if err != nil {
 					return sent, errs, fmt.Errorf("read reply: %w", err)
 				}

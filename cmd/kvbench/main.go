@@ -16,14 +16,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math"
 	"math/rand"
-	"net"
 	"os"
 	rtrace "runtime/trace"
 	"sort"
@@ -33,7 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"addrkv/internal/hostmeta"
+	"addrkv/internal/kvproc"
 	"addrkv/internal/resp"
 	"addrkv/internal/telemetry"
 	"addrkv/internal/ycsb"
@@ -59,55 +57,6 @@ type benchConfig struct {
 	// ttlMS, when positive, follows every SET with PEXPIRE <ttlMS> so
 	// the run churns the expiry machinery.
 	ttlMS int64
-}
-
-// depthResult is one measurement point of a sweep.
-type depthResult struct {
-	Depth     int     `json:"depth"`
-	Conns     int     `json:"conns"`
-	Ops       uint64  `json:"ops"`
-	Errors    uint64  `json:"errors"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// RoundtripUS summarizes the per-flush roundtrip (write batch,
-	// flush, read all replies) in microseconds.
-	RoundtripUS telemetry.Quantiles `json:"roundtrip_us"`
-	// LatencyUS approximates per-op latency percentiles: every op in a
-	// depth-D pipelined batch experiences ~the batch's full roundtrip,
-	// so each roundtrip contributes D samples of its duration.
-	LatencyUS telemetry.Quantiles `json:"latency_us"`
-	// Redirect traffic absorbed in cluster mode (zero otherwise).
-	Moved    uint64 `json:"moved,omitempty"`
-	Ask      uint64 `json:"ask,omitempty"`
-	TryAgain uint64 `json:"tryagain,omitempty"`
-	// Repairs counts slot-table rebuilds forced by routing to an
-	// unreachable (killed) node.
-	Repairs uint64 `json:"repairs,omitempty"`
-}
-
-// traceOverhead compares server throughput with tracing off vs
-// sampling 1 in SampleEvery ops — the cost of leaving the flight
-// recorder armed in production.
-type traceOverhead struct {
-	SampleEvery  uint64  `json:"sample_every"`
-	OpsPerSecOff float64 `json:"ops_per_sec_off"`
-	OpsPerSecOn  float64 `json:"ops_per_sec_on"`
-	// OverheadFrac is 1 - median(on/off) over the interleaved round
-	// pairs; negative values mean the traced leg measured faster
-	// (noise).
-	OverheadFrac float64 `json:"overhead_frac"`
-}
-
-// artifact is the -json output: a self-contained record of the sweep,
-// stamped with the host fingerprint so a 1-CPU container capture is
-// never mistaken for a multi-core bench run.
-type artifact struct {
-	Name          string         `json:"name"`
-	Kind          string         `json:"kind"`
-	Host          hostmeta.Meta  `json:"host"`
-	Params        map[string]any `json:"params"`
-	Sweep         []depthResult  `json:"sweep"`
-	TraceOverhead *traceOverhead `json:"trace_overhead,omitempty"`
 }
 
 func main() {
@@ -207,23 +156,12 @@ func main() {
 // serverCmd sends one out-of-band command (e.g. TRACE ON 1024) on its
 // own connection and fails on an error reply.
 func serverCmd(cfg benchConfig, args ...string) error {
-	conn, err := net.Dial(cfg.network, cfg.addr)
+	c, err := resp.Dial(cfg.network, cfg.addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	w := resp.NewWriter(conn)
-	ba := make([][]byte, len(args))
-	for i, a := range args {
-		ba[i] = []byte(a)
-	}
-	if err := w.WriteCommand(ba...); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	v, err := resp.NewReader(conn).ReadReply()
+	defer c.Close()
+	v, err := c.Do(args...)
 	if err != nil {
 		return err
 	}
@@ -243,7 +181,7 @@ func serverCmd(cfg benchConfig, args ...string) error {
 // cancelled (alternating which leg runs first cancels any residual
 // within-pair drift direction), and the MEDIAN over pairs discards
 // outlier rounds (GC, scheduler hiccups).
-func runTraceOverhead(cfg benchConfig, depth int, sample uint64, out io.Writer) (*traceOverhead, error) {
+func runTraceOverhead(cfg benchConfig, depth int, sample uint64, out io.Writer) (*kvproc.TraceOverhead, error) {
 	const rounds = 5
 	if err := serverCmd(cfg, "TRACE", "OFF"); err != nil {
 		return nil, err
@@ -251,7 +189,7 @@ func runTraceOverhead(cfg benchConfig, depth int, sample uint64, out io.Writer) 
 	if _, err := runDepth(cfg, depth); err != nil { // warmup, unmeasured
 		return nil, err
 	}
-	leg := func(on bool) (depthResult, error) {
+	leg := func(on bool) (kvproc.DepthResult, error) {
 		var err error
 		if on {
 			err = serverCmd(cfg, "TRACE", "ON", strconv.FormatUint(sample, 10))
@@ -259,7 +197,7 @@ func runTraceOverhead(cfg benchConfig, depth int, sample uint64, out io.Writer) 
 			err = serverCmd(cfg, "TRACE", "OFF")
 		}
 		if err != nil {
-			return depthResult{}, err
+			return kvproc.DepthResult{}, err
 		}
 		return runDepth(cfg, depth)
 	}
@@ -287,7 +225,7 @@ func runTraceOverhead(cfg benchConfig, depth int, sample uint64, out io.Writer) 
 		return nil, err
 	}
 	sort.Float64s(ratios)
-	to := &traceOverhead{
+	to := &kvproc.TraceOverhead{
 		SampleEvery:  sample,
 		OpsPerSecOff: bestOff,
 		OpsPerSecOn:  bestOn,
@@ -313,8 +251,8 @@ func parseSweep(s string) ([]int, error) {
 
 // run executes one depth point per entry of depths and reports each on
 // out as it completes.
-func run(cfg benchConfig, depths []int, out io.Writer) ([]depthResult, error) {
-	results := make([]depthResult, 0, len(depths))
+func run(cfg benchConfig, depths []int, out io.Writer) ([]kvproc.DepthResult, error) {
+	results := make([]kvproc.DepthResult, 0, len(depths))
 	for _, d := range depths {
 		r, err := runDepth(cfg, d)
 		if err != nil {
@@ -333,7 +271,7 @@ func run(cfg benchConfig, depths []int, out io.Writer) ([]depthResult, error) {
 
 // runDepth drives one closed-loop measurement at a fixed pipeline
 // depth across cfg.conns connections.
-func runDepth(cfg benchConfig, depth int) (depthResult, error) {
+func runDepth(cfg benchConfig, depth int) (kvproc.DepthResult, error) {
 	perConn := cfg.ops / cfg.conns
 	if perConn == 0 {
 		perConn = 1
@@ -350,7 +288,7 @@ func runDepth(cfg benchConfig, depth int) (depthResult, error) {
 	)
 	if cfg.cluster {
 		if err := st.refresh(cfg.network, cfg.addr); err != nil {
-			return depthResult{}, fmt.Errorf("slot table bootstrap: %w", err)
+			return kvproc.DepthResult{}, fmt.Errorf("slot table bootstrap: %w", err)
 		}
 	}
 	start := time.Now()
@@ -375,9 +313,9 @@ func runDepth(cfg benchConfig, depth int) (depthResult, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 	if firstErr != nil {
-		return depthResult{}, firstErr
+		return kvproc.DepthResult{}, firstErr
 	}
-	return depthResult{
+	return kvproc.DepthResult{
 		Depth:       depth,
 		Conns:       cfg.conns,
 		Ops:         done,
@@ -397,18 +335,17 @@ func runDepth(cfg benchConfig, depth int) (depthResult, error) {
 // commands, one flush per batch, then all replies. Returns ops
 // completed and error replies seen (protocol or dial errors abort).
 func benchConn(cfg benchConfig, depth, ops int, seed uint64, rt, lat *telemetry.Histogram) (uint64, uint64, error) {
-	conn, err := net.Dial(cfg.network, cfg.addr)
+	c, err := resp.Dial(cfg.network, cfg.addr)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer conn.Close()
+	defer c.Close()
+	r, w := c.R, c.W
 	// One runtime/trace task per connection, one region per pipelined
 	// roundtrip: `go tool trace` on a client capture then shows how
 	// batches from concurrent connections interleave.
 	ctx, task := rtrace.NewTask(context.Background(), "kvbench.conn")
 	defer task.End()
-	r := resp.NewReader(conn)
-	w := resp.NewWriter(conn)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	var gen *ycsb.MixGenerator
 	if cfg.mix != nil {
@@ -510,26 +447,28 @@ func writeMixOp(w *resp.Writer, op ycsb.Op, cfg benchConfig, version uint32) (in
 	}
 }
 
-// writeArtifact writes the sweep JSON artifact.
-func writeArtifact(path string, cfg benchConfig, depths []int, results []depthResult, to *traceOverhead) error {
+// writeArtifact writes the sweep JSON artifact, host-stamped so a
+// 1-CPU container capture is never mistaken for a multi-core run.
+func writeArtifact(path string, cfg benchConfig, depths []int, results []kvproc.DepthResult, to *kvproc.TraceOverhead) error {
 	name := "pipeline-sweep"
 	if to != nil {
 		name = "trace-overhead"
 	}
-	a := artifact{
-		Name: name,
-		Kind: "kvbench",
-		Host: hostmeta.Collect(),
-		Params: map[string]any{
-			"addr":      cfg.addr,
-			"conns":     cfg.conns,
-			"ops":       cfg.ops,
-			"keys":      cfg.keys,
-			"vsize":     cfg.vsize,
-			"get_ratio": cfg.getRatio,
-			"seed":      cfg.seed,
-			"cluster":   cfg.cluster,
-			"depths":    depths,
+	a := kvproc.BenchArtifact{
+		Header: kvproc.Header{
+			Name: name,
+			Kind: "kvbench",
+			Params: map[string]any{
+				"addr":      cfg.addr,
+				"conns":     cfg.conns,
+				"ops":       cfg.ops,
+				"keys":      cfg.keys,
+				"vsize":     cfg.vsize,
+				"get_ratio": cfg.getRatio,
+				"seed":      cfg.seed,
+				"cluster":   cfg.cluster,
+				"depths":    depths,
+			},
 		},
 		Sweep:         results,
 		TraceOverhead: to,
@@ -541,9 +480,5 @@ func writeArtifact(path string, cfg benchConfig, depths []int, results []depthRe
 	if cfg.ttlMS > 0 {
 		a.Params["ttl_ms"] = cfg.ttlMS
 	}
-	b, err := json.MarshalIndent(&a, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return kvproc.WriteJSON(path, &a)
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"addrkv/internal/kvproc"
 	"addrkv/internal/resp"
 )
 
@@ -195,7 +196,7 @@ func TestWriteArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a artifact
+	var a kvproc.BenchArtifact
 	if err := json.Unmarshal(b, &a); err != nil {
 		t.Fatalf("artifact not valid JSON: %v\n%s", err, b)
 	}
@@ -241,7 +242,7 @@ func TestTraceOverheadMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a artifact
+	var a kvproc.BenchArtifact
 	if err := json.Unmarshal(b, &a); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"strings"
 	"time"
@@ -47,32 +46,22 @@ func main() {
 	if *addr != "" {
 		network, target = "tcp", *addr
 	}
-	conn, err := net.Dial(network, target)
-	if err != nil {
-		log.Fatalf("kvcli: %v", err)
-	}
-	defer conn.Close()
-	r := resp.NewReader(conn)
-	w := resp.NewWriter(conn)
+	c, err := resp.Dial(network, target)
+	must(err)
+	defer c.Close()
 
 	switch {
 	case *load:
-		doLoad(r, w, *keys, *vsize, *pipeline)
+		doLoad(c.R, c.W, *keys, *vsize, *pipeline)
 	case *bench:
-		doBench(r, w, *keys, *ops, *vsize, *dist, *pipeline, *seed, *raw)
+		doBench(c, *keys, *ops, *vsize, *dist, *pipeline, *seed, *raw)
 	default:
 		args := flag.Args()
 		if len(args) == 0 {
 			fmt.Fprintln(os.Stderr, "kvcli: no command; try PING, INFO, GET <k>, SET <k> <v>")
 			os.Exit(2)
 		}
-		byteArgs := make([][]byte, len(args))
-		for i, a := range args {
-			byteArgs[i] = []byte(a)
-		}
-		must(w.WriteCommand(byteArgs...))
-		must(w.Flush())
-		reply, err := r.ReadReply()
+		reply, err := c.Do(args...)
 		must(err)
 		if b, ok := reply.([]byte); ok && !*raw && strings.EqualFold(args[0], "INFO") {
 			fmt.Print(prettyInfo(string(b)))
@@ -136,13 +125,12 @@ func doLoad(r *resp.Reader, w *resp.Writer, n, vsize, pipe int) {
 
 // doBench resets server stats, replays a YCSB stream, then prints both
 // wall-clock throughput and the server's simulated statistics.
-func doBench(r *resp.Reader, w *resp.Writer, keys, ops, vsize int, dist string, pipe int, seed uint64, raw bool) {
+func doBench(c *resp.Client, keys, ops, vsize int, dist string, pipe int, seed uint64, raw bool) {
 	d, err := ycsb.ParseDistribution(dist)
 	must(err)
-	must(w.WriteCommand([]byte("RESETSTATS")))
-	must(w.Flush())
-	_, err = r.ReadReply()
+	_, err = c.Do("RESETSTATS")
 	must(err)
+	r, w := c.R, c.W
 
 	cfg := ycsb.Config{Keys: keys, ValueSize: vsize, Dist: d, Seed: seed}.WithPaperSetFraction()
 	g := ycsb.NewGenerator(cfg)
@@ -176,9 +164,7 @@ func doBench(r *resp.Reader, w *resp.Writer, keys, ops, vsize int, dist string, 
 	fmt.Printf("%d ops in %v (%.0f op/s wall-clock)\n",
 		ops, wall.Round(time.Millisecond), float64(ops)/wall.Seconds())
 
-	must(w.WriteCommand([]byte("INFO")))
-	must(w.Flush())
-	info, err := r.ReadReply()
+	info, err := c.Do("INFO")
 	must(err)
 	fmt.Println("--- simulated statistics ---")
 	if b, ok := info.([]byte); ok && !raw {

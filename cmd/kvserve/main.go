@@ -106,7 +106,7 @@ const (
 const defaultScanCount = 10
 
 // defaultSweepLimit is how many armed deadlines each shard samples per
-// active-expiry sweep when -sweep-limit is unset.
+// active-expiry sweep.
 const defaultSweepLimit = 20
 
 // netConfig bundles the connection-path backpressure knobs.
@@ -156,7 +156,6 @@ type server struct {
 	// "# expiry" INFO section.
 	sweepStop       chan struct{}
 	sweepDone       chan struct{}
-	sweepBudget     int           // -expire-cycle-budget (0 = -sweep-limit per shard)
 	sweepCycles     atomic.Uint64 // completed sweep cycles
 	sweepReaped     atomic.Uint64 // keys reaped by sweeps, lifetime
 	sweepLastReaped atomic.Uint64 // keys reaped by the most recent cycle
@@ -213,13 +212,9 @@ func main() {
 		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")
 
-		queueCap = flag.Int("queue", 0, "per-shard request ring capacity (0 = default, rounded up to a power of two)")
-
 		maxMem     = flag.Int64("maxmemory", 0, "per-shard record-byte cap; past it SETs evict keys by the STLT's in-set LFU rule (0 = unlimited)")
 		fastHash   = flag.String("fast-hash", "", "STLT/SLB fast-path hash: sipHash|murmurHash|xxh64|djb2|xxh3 (default xxh3)")
 		sweepEvery = flag.Duration("sweep-interval", 100*time.Millisecond, "active TTL sweep ticker period; busy shards also sweep once per drain burst (0 = lazy expiry only)")
-		sweepLimit = flag.Int("sweep-limit", 0, "armed deadlines sampled per shard per sweep (0 = default)")
-		expBudget  = flag.Int("expire-cycle-budget", 0, "total armed deadlines sampled per ticker cycle across ALL shards; >0 splits the budget over shards and turns the drain-burst sweeps off (0 = -sweep-limit per shard)")
 
 		aof       = flag.Bool("aof", false, "enable the per-shard append-only log (durability)")
 		aofDir    = flag.String("aof-dir", "aof", "directory for AOF segments and snapshots")
@@ -230,14 +225,10 @@ func main() {
 		clusterSelf   = flag.Int("cluster-self", 0, "this node's index into -cluster-nodes")
 		clusterSlots  = flag.String("cluster-slots", "", "initial slot assignment overrides, e.g. '0:0-8191,1:8192-16383' (default: even split)")
 		clusterRewarm = flag.Bool("cluster-rewarm", true, "re-warm the STLT for records arriving via slot migration")
-		clusterBatch  = flag.Int("cluster-batch", 0, "keys per migration batch (0 = default)")
 		hbEvery       = flag.Duration("heartbeat-interval", defaultHeartbeatEvery, "cluster heartbeat period H (0 = heartbeats off)")
-		hbSuspect     = flag.Int("heartbeat-suspect", 0, "missed heartbeat intervals before a peer is suspect (0 = default)")
-		hbDown        = flag.Int("heartbeat-down", 0, "missed heartbeat intervals K before a peer is down (0 = default)")
 
 		traceSample = flag.Uint64("trace-sample", 0, "trace 1 in N single-key ops (1 = every op, 0 = off; TRACE ON/OFF adjusts at runtime)")
 		traceDir    = flag.String("trace-dir", "", "directory for flight-recorder dump bundles (TRACE DUMP, anomaly auto-dumps, final dump on shutdown)")
-		traceRing   = flag.Int("trace-ring", defaultTraceRing, "completed traces the flight recorder keeps per shard")
 		traceSlow   = flag.Uint64("trace-anomaly-cycles", 0, "auto-dump when a traced op exceeds this many modeled cycles (0 = off)")
 	)
 	flag.Parse()
@@ -315,12 +306,11 @@ func main() {
 	s.initTrace(traceConfig{
 		sampleEvery: *traceSample,
 		dir:         *traceDir,
-		ringCap:     *traceRing,
 		slowCycles:  *traceSlow,
 	})
 	if *traceSample > 0 {
 		log.Printf("kvserve: tracing 1 in %d ops (ring %d/shard, dir %q)",
-			*traceSample, *traceRing, *traceDir)
+			*traceSample, defaultTraceRing, *traceDir)
 	}
 	if *clusterNodes != "" {
 		nodes, err := parseClusterNodes(*clusterNodes)
@@ -328,20 +318,17 @@ func main() {
 			log.Fatalf("kvserve: %v", err)
 		}
 		if err := s.setupCluster(nodes, *clusterSelf, clusterOpts{
-			assign:    *clusterSlots,
-			rewarm:    *clusterRewarm,
-			batch:     *clusterBatch,
-			hbEvery:   *hbEvery,
-			hbSuspect: *hbSuspect,
-			hbDown:    *hbDown,
+			assign:  *clusterSlots,
+			rewarm:  *clusterRewarm,
+			hbEvery: *hbEvery,
 		}); err != nil {
 			log.Fatalf("kvserve: %v", err)
 		}
 		log.Printf("kvserve: cluster node %d/%d, bus on %s, owning %d slots, heartbeat every %v",
 			*clusterSelf, len(nodes), s.clus.bus.Addr(), s.clus.node.OwnedSlots(), *hbEvery)
 	}
-	s.startExpiry(*sweepEvery, *sweepLimit, *expBudget)
-	if err := s.startWorkers(*queueCap); err != nil {
+	s.startExpiry(*sweepEvery)
+	if err := s.startWorkers(); err != nil {
 		log.Fatalf("kvserve: %v", err)
 	}
 	log.Printf("kvserve: worker runtime up (%d shard workers, ring cap %d)",
@@ -484,37 +471,20 @@ func (s *server) drain() {
 	}
 }
 
-// startExpiry wires active TTL expiry from the three sweep flags; it
-// must run before startWorkers, whose workers read the drain-burst
-// limit unsynchronised. every > 0 starts the ticker, so a shard with no
-// traffic still reaps, and lets every worker drain burst sweep its own
-// shard too, so a busy shard reaps at traffic speed. A cycle budget
-// overrides limit — split evenly across shards (ceiling, so a tiny
-// budget still samples something) — and turns the drain-burst sweeps
-// off: the ticker is then the only active source and each cycle's cost
-// is bounded by the budget alone. every == 0 leaves expiry lazy-only.
-func (s *server) startExpiry(every time.Duration, limit, budget int) {
-	s.sweepBudget = budget
+// startExpiry starts active TTL expiry; it must run before
+// startWorkers, whose workers read the drain-burst limit
+// unsynchronised. Two sources sample up to defaultSweepLimit armed
+// deadlines per shard and reap the dead ones (Redis's
+// activeExpireCycle): a ticker, so a shard with no traffic still
+// reaps, and every worker drain burst on its own shard, so a busy
+// shard reaps at traffic speed. SweepExpired takes each shard's own
+// mutex, so the ticker needs no coordination with the workers.
+// every == 0 leaves expiry lazy-only.
+func (s *server) startExpiry(every time.Duration) {
 	if every <= 0 {
 		return
 	}
-	if limit <= 0 {
-		limit = defaultSweepLimit
-	}
-	if budget > 0 {
-		n := s.sys.Cluster().NumShards()
-		limit = (budget + n - 1) / n
-	} else {
-		s.sys.Cluster().SetSweepLimit(limit)
-	}
-	s.startSweeper(every, limit)
-}
-
-// startSweeper runs the ticker-driven active-expiry loop: every
-// period, each shard samples up to limit armed deadlines and reaps the
-// dead ones (Redis's activeExpireCycle). SweepExpired takes each
-// shard's own mutex, so it needs no coordination with the workers.
-func (s *server) startSweeper(every time.Duration, limit int) {
+	s.sys.Cluster().SetSweepLimit(defaultSweepLimit)
 	s.sweepStop = make(chan struct{})
 	s.sweepDone = make(chan struct{})
 	go func() {
@@ -524,7 +494,7 @@ func (s *server) startSweeper(every time.Duration, limit int) {
 		for {
 			select {
 			case <-t.C:
-				n := s.sys.SweepExpired(limit)
+				n := s.sys.SweepExpired(defaultSweepLimit)
 				s.sweepCycles.Add(1)
 				s.sweepReaped.Add(uint64(n))
 				s.sweepLastReaped.Store(uint64(n))

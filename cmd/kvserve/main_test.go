@@ -96,9 +96,15 @@ func TestMainRejectsBadFlags(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "kv.sock")
 	for _, tc := range []struct{ args, want string }{
 		{"-shards 0", "-shards must be >= 1"},
-		{"-shards 0 -expire-cycle-budget 5", "-shards must be >= 1"},
 		{"-pipeline 0", "-pipeline"},
 		{"-dispatch mutex", "not defined: -dispatch"},
+		{"-queue 64", "not defined: -queue"},
+		{"-trace-ring 8", "not defined: -trace-ring"},
+		{"-cluster-batch 16", "not defined: -cluster-batch"},
+		{"-heartbeat-suspect 1", "not defined: -heartbeat-suspect"},
+		{"-heartbeat-down 2", "not defined: -heartbeat-down"},
+		{"-sweep-limit 5", "not defined: -sweep-limit"},
+		{"-expire-cycle-budget 5", "not defined: -expire-cycle-budget"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0])

@@ -31,7 +31,7 @@ func newPersistServer(t *testing.T, shards int, dir, fsync string, workers bool)
 	s.persist = ps
 	s.tele.registerPersistMetrics(s)
 	if workers {
-		if err := s.startWorkers(0); err != nil {
+		if err := s.startWorkers(); err != nil {
 			t.Fatal(err)
 		}
 	}

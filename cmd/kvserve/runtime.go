@@ -176,18 +176,15 @@ func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 
 // startWorkers brings up the per-shard worker runtime and wires its
 // drain-size observations into the metrics registry.
-func (s *server) startWorkers(queueCap int) error {
+func (s *server) startWorkers() error {
 	c := s.sys.Cluster()
 	c.SetDrainObserver(func(_, burst int) {
 		s.tele.drainSize.Observe(uint64(burst))
 	})
-	if err := c.StartWorkers(queueCap); err != nil {
+	if err := c.StartWorkers(shard.DefaultQueueCap); err != nil {
 		return err
 	}
-	s.queueCap = queueCap
-	if s.queueCap <= 0 {
-		s.queueCap = shard.DefaultQueueCap
-	}
+	s.queueCap = shard.DefaultQueueCap
 	return nil
 }
 

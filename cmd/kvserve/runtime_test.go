@@ -21,7 +21,7 @@ import (
 // against.
 func startTestWorkers(t *testing.T, s *server) {
 	t.Helper()
-	if err := s.startWorkers(0); err != nil {
+	if err := s.startWorkers(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

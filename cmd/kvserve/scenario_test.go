@@ -300,49 +300,6 @@ func TestServerScanMatch(t *testing.T) {
 	}
 }
 
-// TestServerExpireCycleBudget: the -expire-cycle-budget ticker sweeper
-// reaps dead keys in both dispatch modes (worker drain-burst sweeps
-// stay off — the budget is the only active source) and the "# expiry"
-// INFO section reports the budget and cycle counters.
-func TestServerExpireCycleBudget(t *testing.T) {
-	for _, workers := range []bool{false, true} {
-		t.Run(map[bool]string{false: "mutex", true: "worker"}[workers], func(t *testing.T) {
-			const shards, budget = 2, 16
-			s := newScenarioServer(t, shards, addrkv.IndexBTree, 0, workers)
-			var clock atomic.Int64
-			clock.Store(1_000_000_000)
-			s.sys.SetClock(clock.Load)
-			for i := 0; i < 40; i++ {
-				call(t, s, "SET", fmt.Sprintf("k:%02d", i), "v")
-				call(t, s, "PEXPIRE", fmt.Sprintf("k:%02d", i), "1000")
-			}
-			s.startExpiry(time.Millisecond, 0, budget)
-			defer s.stopSweeper()
-
-			clock.Add(5_000_000_000) // every deadline is now dead
-			deadline := time.Now().Add(5 * time.Second)
-			for s.sweepReaped.Load() < 40 {
-				if time.Now().After(deadline) {
-					t.Fatalf("sweeper reaped only %d/40 keys", s.sweepReaped.Load())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if got := call(t, s, "DBSIZE").(int64); got != 0 {
-				t.Fatalf("DBSIZE after sweep = %d, want 0", got)
-			}
-			info := string(call(t, s, "INFO").([]byte))
-			for _, want := range []string{"# expiry", "expire_cycle_budget:16", "sweep_reaped_total:"} {
-				if !strings.Contains(info, want) {
-					t.Fatalf("INFO missing %q", want)
-				}
-			}
-			if strings.Contains(info, "sweep_cycles:0\r\n") {
-				t.Fatal("INFO reports zero sweep cycles after a completed sweep")
-			}
-		})
-	}
-}
-
 // TestServerIdleExpiry: with a sweep interval set, the served
 // configuration (worker runtime, no cycle budget) reaps keys whose
 // deadline passed although no command ever reaches their shards again —
@@ -356,7 +313,7 @@ func TestServerIdleExpiry(t *testing.T) {
 		call(t, s, "SET", fmt.Sprintf("k:%02d", i), "v")
 		call(t, s, "PEXPIRE", fmt.Sprintf("k:%02d", i), "200")
 	}
-	s.startExpiry(time.Millisecond, 0, 0)
+	s.startExpiry(time.Millisecond)
 	t.Cleanup(s.stopSweeper)
 	startTestWorkers(t, s)
 
@@ -394,8 +351,8 @@ func TestServerDrainBurstSweep(t *testing.T) {
 		call(t, s, "SET", fmt.Sprintf("ttl:%02d", i), "v")
 		call(t, s, "PEXPIRE", fmt.Sprintf("ttl:%02d", i), "1000")
 	}
-	s.startExpiry(time.Hour, 0, 0)
-	if err := s.startWorkers(0); err != nil {
+	s.startExpiry(time.Hour)
+	if err := s.startWorkers(); err != nil {
 		t.Fatal(err)
 	}
 	clock.Add(5_000_000_000)

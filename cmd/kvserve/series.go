@@ -341,7 +341,6 @@ var series = []section{
 		{"batched_keys", "%d", "", "", func(v *view, _ int) any { return v.s.tele.batchKeys.Load() }},
 	}},
 	{title: "# expiry", on: onInfo, rows: []row[*view]{
-		{"expire_cycle_budget", "%d", "", "", func(v *view, _ int) any { return v.s.sweepBudget }},
 		{"sweep_cycles", "%d", "addrkv_expiry_sweep_cycles_total", "Active-expiry ticker cycles completed.",
 			func(v *view, _ int) any { return v.s.sweepCycles.Load() }},
 		{"sweep_reaped_total", "%d", "addrkv_expiry_sweep_reaped_total", "Keys reaped by the active-expiry ticker.",

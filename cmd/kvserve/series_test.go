@@ -130,7 +130,7 @@ func TestTotalFamiliesAreCounters(t *testing.T) {
 // that has neither a family nor an entry here.
 var derivedRows = map[string][]string{
 	"echoes a flag or the topology; does not move while serving": {
-		"shards", "expire_cycle_budget", "queue_cap", "aof_enabled", "cluster_enabled", "cluster_node_index",
+		"shards", "queue_cap", "aof_enabled", "cluster_enabled", "cluster_node_index",
 		"cluster_known_nodes", "cluster_heartbeat_enabled", "cluster_heartbeat_on", "cluster_heartbeat_interval_ms",
 		"cluster_heartbeat_down_after"},
 	"count, mean or percentile of an exported histogram (command_latency_seconds, op_cycles, pipeline_depth, aof_fsync_seconds)": {

@@ -16,20 +16,8 @@ import (
 	"addrkv/internal/trace"
 )
 
-// writeJSONFile marshals v (indented) into path, creating the
-// directory if needed.
-func writeJSONFile(path string, v any) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// defaultTraceRing is the default per-shard flight-recorder depth.
+// defaultTraceRing is the per-shard flight-recorder depth: how many
+// completed traces each shard keeps.
 const defaultTraceRing = 64
 
 // traceConfig bundles the tracing knobs from the -trace-* flags.
@@ -40,18 +28,13 @@ type traceConfig struct {
 	// (TRACE DUMP, anomaly auto-dumps, and the final dump on
 	// shutdown) plus the Chrome trace_event export.
 	dir string
-	// ringCap is the per-shard flight-recorder depth.
-	ringCap int
 	// slowCycles arms the slow-op anomaly trigger (0 = off).
 	slowCycles uint64
 }
 
 // initTrace builds the server's tracer and dump sink.
 func (s *server) initTrace(cfg traceConfig) {
-	if cfg.ringCap < 1 {
-		cfg.ringCap = defaultTraceRing
-	}
-	tr := trace.NewTracer(s.sys.Cluster().NumShards(), cfg.ringCap, cfg.sampleEvery)
+	tr := trace.NewTracer(s.sys.Cluster().NumShards(), defaultTraceRing, cfg.sampleEvery)
 	tr.SetAnomalyConfig(trace.AnomalyConfig{
 		SlowCycles: cfg.slowCycles,
 		WalkInWarm: true,
@@ -93,10 +76,15 @@ func (s *server) finalTraceDump() {
 // writeChromeTrace renders the current flight-recorder contents as
 // Chrome trace_event JSON under the dump directory.
 func (s *server) writeChromeTrace(label string) (string, error) {
-	b := s.tracer.Snapshot("kvserve", label)
 	path := filepath.Join(s.traceDir, fmt.Sprintf("kvserve-chrome-%s.json", label))
-	ct := trace.ChromeTraceOf(b)
-	return path, writeJSONFile(path, ct)
+	if err := os.MkdirAll(s.traceDir, 0o755); err != nil {
+		return "", err
+	}
+	b, err := json.MarshalIndent(trace.ChromeTraceOf(s.tracer.Snapshot("kvserve", label)), "", " ")
+	if err != nil {
+		return "", err
+	}
+	return path, os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // traceCmd handles TRACE ON [1-in-N] / OFF / STATUS / DUMP.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,5 +347,65 @@ func TestBulkRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestClientRoundTrip: Dial/Do against a listener that answers with the
+// package's own Writer — one command out, each reply kind back decoded
+// as ReadReply documents, an error reply as a value rather than an err.
+func TestClientRoundTrip(t *testing.T) {
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "s.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cases := []struct {
+		cmd   []string
+		reply func(w *Writer)
+		want  any
+	}{
+		{[]string{"PING"}, func(w *Writer) { w.WriteSimple("PONG") }, "PONG"},
+		{[]string{"GET", "a", "b"}, func(w *Writer) { w.WriteError("ERR wrong number of arguments") }, fmt.Errorf("ERR wrong number of arguments")},
+		{[]string{"GET", "k"}, func(w *Writer) { w.WriteBulkString("v with\r\nCRLF") }, []byte("v with\r\nCRLF")},
+		{[]string{"GET", "absent"}, func(w *Writer) { w.WriteBulk(nil) }, nil},
+		{[]string{"DBSIZE"}, func(w *Writer) { w.WriteInt(42) }, int64(42)},
+		{[]string{"MGET", "k", "absent"}, func(w *Writer) { w.WriteBulkArray([][]byte{[]byte("v"), nil}) }, []any{[]byte("v"), nil}},
+	}
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r, w := NewReader(conn), NewWriter(conn)
+		for _, tc := range cases {
+			args, err := r.ReadCommand()
+			if err != nil || len(args) != len(tc.cmd) || string(args[0]) != tc.cmd[0] {
+				w.WriteError(fmt.Sprintf("ERR server read %q, %v", args, err))
+			} else {
+				tc.reply(w)
+			}
+			w.Flush()
+		}
+	}()
+	c, err := Dial("unix", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range cases {
+		got, err := c.Do(tc.cmd...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.cmd, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v = %#v, want %#v", tc.cmd, got, tc.want)
+		}
+	}
+	if _, err := c.Do("PING"); err == nil {
+		t.Error("Do on a connection the server closed returned no error")
+	}
+	if _, err := Dial("unix", ln.Addr().String()+".absent"); err == nil {
+		t.Error("Dial of a missing socket returned no error")
 	}
 }

@@ -27,13 +27,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -41,34 +37,15 @@ import (
 	"time"
 
 	"addrkv/internal/cluster"
+	"addrkv/internal/kvproc"
 	"addrkv/internal/resp"
 )
 
-// depthPoint mirrors the kvbench depthResult fields this tool keeps.
-type depthPoint struct {
-	Depth     int     `json:"depth"`
-	Ops       uint64  `json:"ops"`
-	Errors    uint64  `json:"errors"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	LatencyUS struct {
-		P50  uint64 `json:"p50"`
-		P99  uint64 `json:"p99"`
-		P999 uint64 `json:"p999"`
-	} `json:"latency_us"`
-	Moved    uint64 `json:"moved,omitempty"`
-	Ask      uint64 `json:"ask,omitempty"`
-	TryAgain uint64 `json:"tryagain,omitempty"`
-}
-
-type benchArtifact struct {
-	Sweep []depthPoint `json:"sweep"`
-}
-
 // sweepResult is one cell of the nodes × conns matrix.
 type sweepResult struct {
-	Nodes int          `json:"nodes"`
-	Conns int          `json:"conns"`
-	Sweep []depthPoint `json:"sweep"`
+	Nodes int                  `json:"nodes"`
+	Conns int                  `json:"conns"`
+	Sweep []kvproc.DepthResult `json:"sweep"`
 }
 
 // migrationAudit records the under-load migration and its key audit.
@@ -103,9 +80,7 @@ type rewarmResult struct {
 }
 
 type clusterReport struct {
-	Name      string         `json:"name"`
-	Kind      string         `json:"kind"`
-	Params    map[string]any `json:"params"`
+	kvproc.Header
 	Sweeps    []sweepResult  `json:"sweeps"`
 	Migration migrationAudit `json:"migration"`
 	Rewarm    []rewarmResult `json:"rewarm"`
@@ -131,13 +106,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cluster: -kvserve and -kvbench are required")
 		os.Exit(2)
 	}
-	tmp, err := os.MkdirTemp("", "cluster-*")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(tmp)
-
-	report := clusterReport{
+	report := clusterReport{Header: kvproc.Header{
 		Name: "cluster",
 		Kind: "kvbench-cluster-matrix",
 		Params: map[string]any{
@@ -145,45 +114,24 @@ func main() {
 			"mig_keys": *migKeys, "windows": *windows, "window_gets": *winGets,
 			"cpus": runtime.NumCPU(),
 		},
-	}
+	}}
 
 	for _, n := range parseInts(*nodesArg) {
-		cl := boot(*kvserve, n, true)
+		cl := startCluster(*kvserve, n, true)
 		for _, conns := range parseInts(*connsArg) {
 			fmt.Printf("== sweep: %d node(s), %d conn(s), depths %s ==\n", n, conns, *depths)
-			art := filepath.Join(tmp, fmt.Sprintf("sweep-%d-%d.json", n, conns))
-			bench := exec.Command(*kvbench,
-				"-addr", cl.addrs[0], "-cluster",
+			sweep, err := kvproc.Bench(*kvbench,
+				"-addr", cl.Addrs[0], "-cluster",
 				"-sweep", *depths,
 				"-ops", fmt.Sprint(*ops), "-conns", fmt.Sprint(conns),
 				"-keys", fmt.Sprint(*keys), "-vsize", fmt.Sprint(*vsize),
-				"-json", art,
 			)
-			bench.Stdout = os.Stdout
-			bench.Stderr = os.Stderr
-			if err := bench.Run(); err != nil {
-				cl.stop()
-				fatal(fmt.Errorf("kvbench nodes=%d conns=%d: %w", n, conns, err))
-			}
-			raw, err := os.ReadFile(art)
 			if err != nil {
-				cl.stop()
-				fatal(err)
+				kvproc.Fatal("cluster", fmt.Errorf("nodes=%d conns=%d: %w", n, conns, err))
 			}
-			var parsed benchArtifact
-			if err := json.Unmarshal(raw, &parsed); err != nil {
-				cl.stop()
-				fatal(err)
-			}
-			for _, p := range parsed.Sweep {
-				if p.Errors > 0 {
-					cl.stop()
-					fatal(fmt.Errorf("nodes=%d conns=%d depth=%d: %d error replies", n, conns, p.Depth, p.Errors))
-				}
-			}
-			report.Sweeps = append(report.Sweeps, sweepResult{Nodes: n, Conns: conns, Sweep: parsed.Sweep})
+			report.Sweeps = append(report.Sweeps, sweepResult{Nodes: n, Conns: conns, Sweep: sweep})
 		}
-		cl.stop()
+		cl.Stop()
 	}
 
 	report.Migration = migrationUnderLoad(*kvserve, *migKeys)
@@ -191,8 +139,8 @@ func main() {
 		report.Rewarm = append(report.Rewarm, rewarmCliff(*kvserve, rewarm, *migKeys, *windows, *winGets))
 	}
 
-	if err := writeJSON(*out, report); err != nil {
-		fatal(err)
+	if err := kvproc.WriteJSON(*out, &report); err != nil {
+		kvproc.Fatal("cluster", err)
 	}
 	m := report.Migration
 	fmt.Printf("migration audit: %d keys, %d acked writes, %d lost, %d stale, %d duplicated (%d moved, %d ask seen)\n",
@@ -209,119 +157,54 @@ func main() {
 	}
 }
 
-// procCluster is one booted N-node kvserve cluster.
-type procCluster struct {
-	addrs []string
-	procs []*exec.Cmd
+// startCluster starts an n-node cluster of 2-shard nodes.
+func startCluster(kvserve string, n int, rewarm bool) *kvproc.Cluster {
+	return must(kvproc.StartCluster(kvserve, n, fmt.Sprintf("-cluster-rewarm=%v", rewarm), "-shards", "2"))
 }
 
-// boot starts n kvserve cluster nodes on reserved loopback ports and
-// waits until every client listener answers.
-func boot(kvserve string, n int, rewarm bool) *procCluster {
-	addrs := make([]string, n)
-	buses := make([]string, n)
-	var spec []string
-	for i := 0; i < n; i++ {
-		addrs[i], buses[i] = reservePort(), reservePort()
-		spec = append(spec, addrs[i]+"@"+buses[i])
+// must unwraps (v, err); an error stops the children and exits.
+func must[T any](v T, err error) T {
+	if err != nil {
+		kvproc.Fatal("cluster", err)
 	}
-	cl := &procCluster{addrs: addrs}
-	for i := 0; i < n; i++ {
-		srv := exec.Command(kvserve,
-			"-addr", addrs[i],
-			"-cluster-nodes", strings.Join(spec, ","),
-			"-cluster-self", fmt.Sprint(i),
-			fmt.Sprintf("-cluster-rewarm=%v", rewarm),
-			"-shards", "2",
-		)
-		srv.Stderr = os.Stderr
-		if err := srv.Start(); err != nil {
-			cl.stop()
-			fatal(fmt.Errorf("start node %d: %w", i, err))
-		}
-		cl.procs = append(cl.procs, srv)
-	}
-	for _, a := range addrs {
-		if err := waitTCP(a, 15*time.Second); err != nil {
-			cl.stop()
-			fatal(err)
-		}
-	}
-	return cl
-}
-
-func (cl *procCluster) stop() {
-	for _, p := range cl.procs {
-		if p.Process != nil {
-			p.Process.Signal(os.Interrupt)
-		}
-	}
-	for _, p := range cl.procs {
-		if p.Process == nil {
-			continue
-		}
-		done := make(chan struct{})
-		go func(p *exec.Cmd) { p.Wait(); close(done) }(p)
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			p.Process.Kill()
-			<-done
-		}
-	}
+	return v
 }
 
 // rclient is a minimal redirect-following cluster client: one
 // persistent connection per node, commands issued one at a time.
 type rclient struct {
-	conns                map[string]*nodeConn
+	conns                map[string]*resp.Client
 	moved, ask, tryagain uint64
 }
 
-type nodeConn struct {
-	c net.Conn
-	r *resp.Reader
-	w *resp.Writer
-}
-
-func newClient() *rclient { return &rclient{conns: map[string]*nodeConn{}} }
+func newClient() *rclient { return &rclient{conns: map[string]*resp.Client{}} }
 
 func (rc *rclient) close() {
-	for _, nc := range rc.conns {
-		nc.c.Close()
+	for _, c := range rc.conns {
+		c.Close()
 	}
 }
 
-func (rc *rclient) conn(addr string) (*nodeConn, error) {
-	if nc, ok := rc.conns[addr]; ok {
-		return nc, nil
+// node returns the connection to addr, dialing it on first use.
+func (rc *rclient) node(addr string) (*resp.Client, error) {
+	if c, ok := rc.conns[addr]; ok {
+		return c, nil
 	}
-	c, err := net.Dial("tcp", addr)
+	c, err := resp.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	nc := &nodeConn{c: c, r: resp.NewReader(c), w: resp.NewWriter(c)}
-	rc.conns[addr] = nc
-	return nc, nil
+	rc.conns[addr] = c
+	return c, nil
 }
 
 // cmd runs one command against one node and returns the decoded reply.
 func (rc *rclient) cmd(addr string, args ...string) (any, error) {
-	nc, err := rc.conn(addr)
+	c, err := rc.node(addr)
 	if err != nil {
 		return nil, err
 	}
-	ba := make([][]byte, len(args))
-	for i, a := range args {
-		ba[i] = []byte(a)
-	}
-	if err := nc.w.WriteCommand(ba...); err != nil {
-		return nil, err
-	}
-	if err := nc.w.Flush(); err != nil {
-		return nil, err
-	}
-	return nc.r.ReadReply()
+	return c.Do(args...)
 }
 
 // do runs one command starting at addr and follows MOVED/ASK/TRYAGAIN
@@ -380,15 +263,15 @@ func slotKeys(slot uint16, count int) []string {
 // one slot while that slot migrates, and audits every acked write.
 func migrationUnderLoad(kvserve string, nkeys int) migrationAudit {
 	const slot = 42 // owned by node 0 under the even split
-	cl := boot(kvserve, 2, true)
-	defer cl.stop()
+	cl := startCluster(kvserve, 2, true)
+	defer cl.Stop()
 	keys := slotKeys(slot, nkeys)
 
 	// Seed every key so the audit's "lost" check covers the full set.
 	seedc := newClient()
 	for i, k := range keys {
-		if v, err := seedc.do(cl.addrs[0], "SET", k, fmt.Sprintf("seed-%d", i)); err != nil || v != "OK" {
-			fatal(fmt.Errorf("seed %s: %v %v", k, v, err))
+		if v, err := seedc.do(cl.Addrs[0], "SET", k, fmt.Sprintf("seed-%d", i)); err != nil || v != "OK" {
+			kvproc.Fatal("cluster", fmt.Errorf("seed %s: %v %v", k, v, err))
 		}
 	}
 	seedc.close()
@@ -416,9 +299,9 @@ func migrationUnderLoad(kvserve string, nkeys int) migrationAudit {
 				default:
 				}
 				val := fmt.Sprintf("r%d-%d", round, i)
-				v, err := wc.do(cl.addrs[0], "SET", k, val)
+				v, err := wc.do(cl.Addrs[0], "SET", k, val)
 				if err != nil {
-					fatal(fmt.Errorf("writer: %w", err))
+					kvproc.Fatal("cluster", fmt.Errorf("writer: %w", err))
 				}
 				if v == "OK" {
 					mu.Lock()
@@ -432,12 +315,12 @@ func migrationUnderLoad(kvserve string, nkeys int) migrationAudit {
 
 	time.Sleep(150 * time.Millisecond) // migrate mid-traffic
 	migc := newClient()
-	rep, err := migc.cmd(cl.addrs[0], "CLUSTER", "MIGRATE", fmt.Sprint(slot), "1")
+	rep, err := migc.cmd(cl.Addrs[0], "CLUSTER", "MIGRATE", fmt.Sprint(slot), "1")
 	if err != nil {
-		fatal(fmt.Errorf("CLUSTER MIGRATE: %w", err))
+		kvproc.Fatal("cluster", fmt.Errorf("CLUSTER MIGRATE: %w", err))
 	}
 	if s, ok := rep.(string); !ok || !strings.HasPrefix(s, "OK slot=42") {
-		fatal(fmt.Errorf("CLUSTER MIGRATE reply: %v", rep))
+		kvproc.Fatal("cluster", fmt.Errorf("CLUSTER MIGRATE reply: %v", rep))
 	}
 	time.Sleep(150 * time.Millisecond) // keep writing against the new owner
 	close(stop)
@@ -452,10 +335,7 @@ func migrationUnderLoad(kvserve string, nkeys int) migrationAudit {
 	}
 	ac := newClient()
 	for _, k := range keys {
-		v, err := ac.do(cl.addrs[0], "GET", k)
-		if err != nil {
-			fatal(err)
-		}
+		v := must(ac.do(cl.Addrs[0], "GET", k))
 		b, ok := v.([]byte)
 		if !ok || b == nil {
 			audit.Lost++
@@ -464,17 +344,14 @@ func migrationUnderLoad(kvserve string, nkeys int) migrationAudit {
 		if string(b) != acked[k] {
 			audit.Stale++
 		}
-		direct, err := ac.cmd(cl.addrs[0], "GET", k)
-		if err != nil {
-			fatal(err)
-		}
+		direct := must(ac.cmd(cl.Addrs[0], "GET", k))
 		if _, isErr := direct.(error); !isErr {
 			audit.Duplicated++
 		}
 	}
-	info := fetchInfo(ac, cl.addrs[0])
-	audit.MigrationUS = infoField(info, "cluster_last_migration_us")
-	audit.MigratedKeys = infoField(info, "cluster_migrated_keys")
+	info := fetchInfo(ac, cl.Addrs[0])
+	audit.MigrationUS = must(info.Uint("cluster_last_migration_us"))
+	audit.MigratedKeys = must(info.Uint("cluster_migrated_keys"))
 	wc.close()
 	migc.close()
 	ac.close()
@@ -485,44 +362,40 @@ func migrationUnderLoad(kvserve string, nkeys int) migrationAudit {
 // windowed fast-path hit rate, with STLT re-warm on or off.
 func rewarmCliff(kvserve string, rewarm bool, nkeys, windows, winGets int) rewarmResult {
 	const slot = 42
-	cl := boot(kvserve, 2, rewarm)
-	defer cl.stop()
+	cl := startCluster(kvserve, 2, rewarm)
+	defer cl.Stop()
 	keys := slotKeys(slot, nkeys)
 	c := newClient()
 	defer c.close()
 	for i, k := range keys {
-		if v, err := c.do(cl.addrs[0], "SET", k, fmt.Sprintf("w-%d", i)); err != nil || v != "OK" {
-			fatal(fmt.Errorf("seed %s: %v %v", k, v, err))
+		if v, err := c.do(cl.Addrs[0], "SET", k, fmt.Sprintf("w-%d", i)); err != nil || v != "OK" {
+			kvproc.Fatal("cluster", fmt.Errorf("seed %s: %v %v", k, v, err))
 		}
 	}
 	// Warm the SOURCE fast path so the migration moves a hot slot.
 	for _, k := range keys {
-		if _, err := c.do(cl.addrs[0], "GET", k); err != nil {
-			fatal(err)
-		}
+		must(c.do(cl.Addrs[0], "GET", k))
 	}
-	if _, err := c.cmd(cl.addrs[0], "CLUSTER", "MIGRATE", fmt.Sprint(slot), "1"); err != nil {
-		fatal(fmt.Errorf("CLUSTER MIGRATE: %w", err))
+	if _, err := c.cmd(cl.Addrs[0], "CLUSTER", "MIGRATE", fmt.Sprint(slot), "1"); err != nil {
+		kvproc.Fatal("cluster", fmt.Errorf("CLUSTER MIGRATE: %w", err))
 	}
 
 	res := rewarmResult{Rewarm: rewarm}
-	info := fetchInfo(c, cl.addrs[1])
-	res.Rewarmed = infoField(info, "cluster_import_rewarmed")
-	res.MigrationUS = infoField(fetchInfo(c, cl.addrs[0]), "cluster_last_migration_us")
+	info := fetchInfo(c, cl.Addrs[1])
+	res.Rewarmed = must(info.Uint("cluster_import_rewarmed"))
+	res.MigrationUS = must(fetchInfo(c, cl.Addrs[0]).Uint("cluster_last_migration_us"))
 	// Timeline: windows of GETs against the new owner; the per-window
 	// hit-rate delta exposes (or rules out) the warm-up cliff.
-	prevGets := infoField(info, "cluster_gets_total")
-	prevHits := infoField(info, "cluster_fast_hits_total")
+	prevGets := must(info.Uint("cluster_gets_total"))
+	prevHits := must(info.Uint("cluster_fast_hits_total"))
 	for w := 0; w < windows; w++ {
 		for g := 0; g < winGets; g++ {
 			k := keys[g%len(keys)]
-			if _, err := c.do(cl.addrs[1], "GET", k); err != nil {
-				fatal(err)
-			}
+			must(c.do(cl.Addrs[1], "GET", k))
 		}
-		info := fetchInfo(c, cl.addrs[1])
-		gets := infoField(info, "cluster_gets_total")
-		hits := infoField(info, "cluster_fast_hits_total")
+		info := fetchInfo(c, cl.Addrs[1])
+		gets := must(info.Uint("cluster_gets_total"))
+		hits := must(info.Uint("cluster_fast_hits_total"))
 		win := rewarmWindow{Window: w + 1, Gets: gets - prevGets, FastHits: hits - prevHits}
 		if win.Gets > 0 {
 			win.HitRate = float64(win.FastHits) / float64(win.Gets)
@@ -533,31 +406,9 @@ func rewarmCliff(kvserve string, rewarm bool, nkeys, windows, winGets int) rewar
 	return res
 }
 
-// fetchInfo pulls one INFO payload.
-func fetchInfo(rc *rclient, addr string) string {
-	v, err := rc.cmd(addr, "INFO")
-	if err != nil {
-		fatal(err)
-	}
-	b, ok := v.([]byte)
-	if !ok {
-		fatal(fmt.Errorf("INFO reply %T", v))
-	}
-	return string(b)
-}
-
-// infoField extracts one numeric "key:value" INFO field (0 if absent).
-func infoField(payload, key string) uint64 {
-	for _, line := range strings.Split(payload, "\n") {
-		line = strings.TrimSuffix(line, "\r")
-		if v, ok := strings.CutPrefix(line, key+":"); ok {
-			n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-			if err == nil {
-				return n
-			}
-		}
-	}
-	return 0
+// fetchInfo pulls and parses one node's INFO.
+func fetchInfo(rc *rclient, addr string) kvproc.Fields {
+	return must(kvproc.Info(must(rc.node(addr)), "INFO"))
 }
 
 func parseInts(s string) []int {
@@ -565,49 +416,9 @@ func parseInts(s string) []int {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			fatal(fmt.Errorf("bad list entry %q", part))
+			kvproc.Fatal("cluster", fmt.Errorf("bad list entry %q", part))
 		}
 		out = append(out, n)
 	}
 	return out
-}
-
-// reservePort grabs a free loopback port and releases it for the node
-// to re-bind (benign race on a loopback test host).
-func reservePort() string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-func waitTCP(addr string, limit time.Duration) error {
-	deadline := time.Now().Add(limit)
-	for time.Now().Before(deadline) {
-		if conn, err := net.Dial("tcp", addr); err == nil {
-			conn.Close()
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("kvserve %s not ready after %s", addr, limit)
-}
-
-func writeJSON(path string, v any) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cluster:", err)
-	os.Exit(1)
 }

@@ -29,20 +29,19 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
+	"addrkv/internal/kvproc"
 	"addrkv/internal/resp"
 )
 
@@ -70,9 +69,7 @@ type downDetection struct {
 }
 
 type healthReport struct {
-	Name      string         `json:"name"`
-	Kind      string         `json:"kind"`
-	Params    map[string]any `json:"params"`
+	kvproc.Header
 	Overhead  overheadResult `json:"overhead"`
 	Detection downDetection  `json:"detection"`
 }
@@ -97,31 +94,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "health: -kvserve and -kvbench are required")
 		os.Exit(2)
 	}
-	tmp, err := os.MkdirTemp("", "health-*")
-	if err != nil {
-		fatal(err)
+	cl := &fleet{Cluster: must(kvproc.StartCluster(*kvserve, 3,
+		"-heartbeat-interval", fmt.Sprintf("%dms", *hbMS), "-shards", "2"))}
+	defer cl.Stop()
+	for _, a := range cl.Addrs {
+		cl.nodes = append(cl.nodes, must(resp.Dial("tcp", a)))
 	}
-	defer os.RemoveAll(tmp)
-
-	cl := boot(*kvserve, 3, *hbMS)
-	defer cl.stop()
 
 	// Phase 1: the fleet converges — a survivor's aggregated view shows
 	// every node ok and answering digest collection.
 	waitHealthy(cl, 3, 20*time.Second)
-	fmt.Printf("fleet healthy: 3 nodes ok on %s\n", cl.addrs[0])
+	fmt.Printf("fleet healthy: 3 nodes ok on %s\n", cl.Addrs[0])
 
-	report := healthReport{
+	report := healthReport{Header: kvproc.Header{
 		Name: "health",
 		Kind: "fleet-observability",
 		Params: map[string]any{
 			"nodes": 3, "hb_ms": *hbMS, "ops": *ops, "conns": *conns,
 			"depth": *depth, "keys": *keys, "rounds": *rounds, "cpus": runtime.NumCPU(),
 		},
-	}
+	}}
 
 	// Phase 2: interleaved overhead legs.
-	report.Overhead = measureOverhead(cl, *kvbench, tmp, *ops, *conns, *depth, *keys, *rounds, *maxOver)
+	report.Overhead = measureOverhead(cl, *kvbench, *ops, *conns, *depth, *keys, *rounds, *maxOver)
 	fmt.Printf("heartbeat overhead: off %.0f ops/s, on %.0f ops/s, frac %+.4f (max %.2f)\n",
 		report.Overhead.OpsPerSecOff, report.Overhead.OpsPerSecOn,
 		report.Overhead.OverheadFrac, *maxOver)
@@ -132,8 +127,8 @@ func main() {
 		report.Detection.KilledNode, report.Detection.DetectedMS, report.Detection.DeadlineMS,
 		report.Detection.SeriesDropped, report.Detection.StateDegraded)
 
-	if err := writeJSON(*out, report); err != nil {
-		fatal(err)
+	if err := kvproc.WriteJSON(*out, &report); err != nil {
+		kvproc.Fatal("health", err)
 	}
 	fmt.Printf("wrote %s\n", *out)
 
@@ -153,97 +148,27 @@ func main() {
 		fail = true
 	}
 	if fail {
-		os.Exit(1)
+		kvproc.Fatal("health", errors.New("gate failed")) // not os.Exit: the survivors must be stopped
 	}
 }
 
-// procCluster is one booted kvserve fleet with per-node metrics ports.
-type procCluster struct {
-	addrs   []string
-	metrics []string
-	procs   []*exec.Cmd
+// fleet is the booted cluster plus one open connection per node.
+type fleet struct {
+	*kvproc.Cluster
+	nodes []*resp.Client
 }
 
-func boot(kvserve string, n, hbMS int) *procCluster {
-	addrs := make([]string, n)
-	buses := make([]string, n)
-	metrics := make([]string, n)
-	var spec []string
-	for i := 0; i < n; i++ {
-		addrs[i], buses[i], metrics[i] = reservePort(), reservePort(), reservePort()
-		spec = append(spec, addrs[i]+"@"+buses[i])
-	}
-	cl := &procCluster{addrs: addrs, metrics: metrics}
-	for i := 0; i < n; i++ {
-		srv := exec.Command(kvserve,
-			"-addr", addrs[i],
-			"-metrics-addr", metrics[i],
-			"-cluster-nodes", strings.Join(spec, ","),
-			"-cluster-self", fmt.Sprint(i),
-			"-heartbeat-interval", fmt.Sprintf("%dms", hbMS),
-			"-shards", "2",
-		)
-		srv.Stderr = os.Stderr
-		if err := srv.Start(); err != nil {
-			cl.stop()
-			fatal(fmt.Errorf("start node %d: %w", i, err))
-		}
-		cl.procs = append(cl.procs, srv)
-	}
-	for _, a := range addrs {
-		if err := waitTCP(a, 15*time.Second); err != nil {
-			cl.stop()
-			fatal(err)
-		}
-	}
-	return cl
-}
-
-func (cl *procCluster) stop() {
-	for _, p := range cl.procs {
-		if p != nil && p.Process != nil {
-			p.Process.Signal(os.Interrupt)
-		}
-	}
-	for _, p := range cl.procs {
-		if p == nil || p.Process == nil {
-			continue
-		}
-		done := make(chan struct{})
-		go func(p *exec.Cmd) { p.Wait(); close(done) }(p)
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			p.Process.Kill()
-			<-done
-		}
-	}
-}
-
-// cmd runs one RESP command on a fresh short-lived connection.
-func cmd(addr string, args ...string) (any, error) {
-	conn, err := net.Dial("tcp", addr)
+// must unwraps (v, err); an error stops the children and exits.
+func must[T any](v T, err error) T {
 	if err != nil {
-		return nil, err
+		kvproc.Fatal("health", err)
 	}
-	defer conn.Close()
-	w := resp.NewWriter(conn)
-	ba := make([][]byte, len(args))
-	for i, a := range args {
-		ba[i] = []byte(a)
-	}
-	if err := w.WriteCommand(ba...); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return resp.NewReader(conn).ReadReply()
+	return v
 }
 
-// clusterHealth fetches and splits a node's CLUSTER HEALTH lines.
-func clusterHealth(addr string) ([]string, error) {
-	v, err := cmd(addr, "CLUSTER", "HEALTH")
+// clusterHealth fetches and splits node 0's CLUSTER HEALTH lines.
+func clusterHealth(cl *fleet) ([]string, error) {
+	v, err := cl.nodes[0].Do("CLUSTER", "HEALTH")
 	if err != nil {
 		return nil, err
 	}
@@ -256,10 +181,10 @@ func clusterHealth(addr string) ([]string, error) {
 
 // waitHealthy blocks until node 0's aggregated view shows n rows all
 // state:ok up:1.
-func waitHealthy(cl *procCluster, n int, limit time.Duration) {
+func waitHealthy(cl *fleet, n int, limit time.Duration) {
 	deadline := time.Now().Add(limit)
 	for time.Now().Before(deadline) {
-		lines, err := clusterHealth(cl.addrs[0])
+		lines, err := clusterHealth(cl)
 		if err == nil && len(lines) == n {
 			ok := 0
 			for _, ln := range lines {
@@ -273,50 +198,32 @@ func waitHealthy(cl *procCluster, n int, limit time.Duration) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	fatal(fmt.Errorf("fleet did not converge to %d healthy nodes within %s", n, limit))
+	kvproc.Fatal("health", fmt.Errorf("fleet did not converge to %d healthy nodes within %s", n, limit))
 }
 
 // benchLeg runs one kvbench -cluster leg and returns its ops/sec.
-func benchLeg(kvbench, addr, art string, ops, conns, depth, keys int) float64 {
-	bench := exec.Command(kvbench,
+func benchLeg(kvbench, addr string, ops, conns, depth, keys int) float64 {
+	sweep := must(kvproc.Bench(kvbench,
 		"-addr", addr, "-cluster",
 		"-sweep", fmt.Sprint(depth),
 		"-ops", fmt.Sprint(ops), "-conns", fmt.Sprint(conns),
 		"-keys", fmt.Sprint(keys),
-		"-json", art,
-	)
-	bench.Stdout = io.Discard
-	bench.Stderr = os.Stderr
-	if err := bench.Run(); err != nil {
-		fatal(fmt.Errorf("kvbench leg: %w", err))
+	))
+	if len(sweep) != 1 {
+		kvproc.Fatal("health", fmt.Errorf("kvbench artifact has %d sweep points, want 1", len(sweep)))
 	}
-	raw, err := os.ReadFile(art)
-	if err != nil {
-		fatal(err)
-	}
-	var parsed struct {
-		Sweep []struct {
-			OpsPerSec float64 `json:"ops_per_sec"`
-		} `json:"sweep"`
-	}
-	if err := json.Unmarshal(raw, &parsed); err != nil {
-		fatal(err)
-	}
-	if len(parsed.Sweep) != 1 {
-		fatal(fmt.Errorf("kvbench artifact has %d sweep points, want 1", len(parsed.Sweep)))
-	}
-	return parsed.Sweep[0].OpsPerSec
+	return sweep[0].OpsPerSec
 }
 
 // setHeartbeats toggles the loops on every node.
-func setHeartbeats(cl *procCluster, on bool) {
+func setHeartbeats(cl *fleet, on bool) {
 	arg := "OFF"
 	if on {
 		arg = "ON"
 	}
-	for _, a := range cl.addrs {
-		if v, err := cmd(a, "CLUSTER", "HEARTBEAT", arg); err != nil || v != "OK" {
-			fatal(fmt.Errorf("CLUSTER HEARTBEAT %s on %s: %v %v", arg, a, v, err))
+	for i, c := range cl.nodes {
+		if v, err := c.Do("CLUSTER", "HEARTBEAT", arg); err != nil || v != "OK" {
+			kvproc.Fatal("health", fmt.Errorf("CLUSTER HEARTBEAT %s on node %d: %v %v", arg, i, v, err))
 		}
 	}
 }
@@ -325,11 +232,11 @@ func setHeartbeats(cl *procCluster, on bool) {
 // legs. During the on legs a scraper loops over /cluster/metrics so
 // the measured cost includes digest collection fan-outs, not just the
 // background beat.
-func measureOverhead(cl *procCluster, kvbench, tmp string, ops, conns, depth, keys, rounds int, maxOver float64) overheadResult {
+func measureOverhead(cl *fleet, kvbench string, ops, conns, depth, keys, rounds int, maxOver float64) overheadResult {
 	var offs, ons, ratios []float64
 	for r := 0; r < rounds; r++ {
 		setHeartbeats(cl, false)
-		off := benchLeg(kvbench, cl.addrs[0], filepath.Join(tmp, fmt.Sprintf("off-%d.json", r)), ops, conns, depth, keys)
+		off := benchLeg(kvbench, cl.Addrs[0], ops, conns, depth, keys)
 
 		setHeartbeats(cl, true)
 		stop := make(chan struct{})
@@ -343,15 +250,15 @@ func measureOverhead(cl *procCluster, kvbench, tmp string, ops, conns, depth, ke
 					return
 				default:
 				}
-				resp, err := c.Get("http://" + cl.metrics[0] + "/cluster/metrics")
+				res, err := c.Get("http://" + cl.Metrics[0] + "/cluster/metrics")
 				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
+					io.Copy(io.Discard, res.Body)
+					res.Body.Close()
 				}
 				time.Sleep(100 * time.Millisecond)
 			}
 		}()
-		on := benchLeg(kvbench, cl.addrs[0], filepath.Join(tmp, fmt.Sprintf("on-%d.json", r)), ops, conns, depth, keys)
+		on := benchLeg(kvbench, cl.Addrs[0], ops, conns, depth, keys)
 		close(stop)
 		<-scraped
 
@@ -372,27 +279,20 @@ func measureOverhead(cl *procCluster, kvbench, tmp string, ops, conns, depth, ke
 // detectDown SIGKILLs node 2 and times the survivor's state:down
 // verdict, then verifies the metric-series drop and saves the
 // survivor's snapshot.
-func detectDown(cl *procCluster, snapOut string, hbMS, marginMS int) downDetection {
+func detectDown(cl *fleet, snapOut string, hbMS, marginMS int) downDetection {
 	const victim = 2
 	det := downDetection{KilledNode: victim, IntervalMS: float64(hbMS)}
 
 	// down_after from the survivor's own config (CLUSTER HEARTBEAT
 	// STATUS), so the deadline tracks the server defaults.
-	v, err := cmd(cl.addrs[0], "CLUSTER", "HEARTBEAT", "STATUS")
-	if err != nil {
-		fatal(err)
-	}
-	det.DownAfter = infoField(string(v.([]byte)), "heartbeat_down_after")
-	if det.DownAfter == 0 {
-		fatal(fmt.Errorf("survivor reports heartbeat_down_after:0"))
-	}
+	det.DownAfter = must(must(kvproc.Info(cl.nodes[0], "CLUSTER", "HEARTBEAT", "STATUS")).Uint("heartbeat_down_after"))
 	det.DeadlineMS = float64(det.DownAfter)*float64(hbMS) + float64(marginMS)
 
 	killed := time.Now()
-	cl.procs[victim].Process.Kill()
+	cl.Procs[victim].Kill()
 
 	for {
-		lines, err := clusterHealth(cl.addrs[0])
+		lines, err := clusterHealth(cl)
 		if err == nil {
 			for _, ln := range lines {
 				if strings.HasPrefix(ln, fmt.Sprintf("node:%d ", victim)) && strings.Contains(ln, "state:down") {
@@ -405,14 +305,14 @@ func detectDown(cl *procCluster, snapOut string, hbMS, marginMS int) downDetecti
 			break
 		}
 		if time.Since(killed) > 30*time.Second {
-			fatal(fmt.Errorf("node %d never went down on the survivor's view", victim))
+			kvproc.Fatal("health", fmt.Errorf("node %d never went down on the survivor's view", victim))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	// The dead node's digest series must be gone; liveness series says
 	// down; survivors still serve theirs.
-	body := httpGet("http://" + cl.metrics[0] + "/cluster/metrics")
+	body := httpGet("http://" + cl.Metrics[0] + "/cluster/metrics")
 	det.SeriesDropped = !strings.Contains(body, fmt.Sprintf("addrkv_fleet_ops{node=\"%d\"}", victim)) &&
 		strings.Contains(body, fmt.Sprintf("addrkv_fleet_up{node=\"%d\"} 0", victim)) &&
 		strings.Contains(body, `addrkv_fleet_ops{node="1"}`)
@@ -422,18 +322,14 @@ func detectDown(cl *procCluster, snapOut string, hbMS, marginMS int) downDetecti
 		}
 	}
 
-	info, err := cmd(cl.addrs[0], "CLUSTER", "INFO")
-	if err != nil {
-		fatal(err)
-	}
-	det.StateDegraded = strings.Contains(string(info.([]byte)), "cluster_state:degraded")
+	det.StateDegraded = must(kvproc.Info(cl.nodes[0], "CLUSTER", "INFO"))["cluster_state"] == "degraded"
 
-	snap := httpGet("http://" + cl.metrics[0] + "/cluster/snapshot.json")
+	snap := httpGet("http://" + cl.Metrics[0] + "/cluster/snapshot.json")
 	if err := os.MkdirAll(filepath.Dir(snapOut), 0o755); err != nil {
-		fatal(err)
+		kvproc.Fatal("health", err)
 	}
 	if err := os.WriteFile(snapOut, []byte(snap), 0o644); err != nil {
-		fatal(err)
+		kvproc.Fatal("health", err)
 	}
 	det.SnapshotSaved = snapOut
 	return det
@@ -441,14 +337,14 @@ func detectDown(cl *procCluster, snapOut string, hbMS, marginMS int) downDetecti
 
 func httpGet(url string) string {
 	c := &http.Client{Timeout: 10 * time.Second}
-	resp, err := c.Get(url)
+	res, err := c.Get(url)
 	if err != nil {
-		fatal(err)
+		kvproc.Fatal("health", err)
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	defer res.Body.Close()
+	b, err := io.ReadAll(res.Body)
 	if err != nil {
-		fatal(err)
+		kvproc.Fatal("health", err)
 	}
 	return string(b)
 }
@@ -464,56 +360,4 @@ func median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// infoField extracts one numeric "key:value" field (0 if absent).
-func infoField(payload, key string) uint64 {
-	for _, line := range strings.Split(payload, "\n") {
-		line = strings.TrimSuffix(line, "\r")
-		if v, ok := strings.CutPrefix(line, key+":"); ok {
-			var n uint64
-			if _, err := fmt.Sscanf(strings.TrimSpace(v), "%d", &n); err == nil {
-				return n
-			}
-		}
-	}
-	return 0
-}
-
-func reservePort() string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-func waitTCP(addr string, limit time.Duration) error {
-	deadline := time.Now().Add(limit)
-	for time.Now().Before(deadline) {
-		if conn, err := net.Dial("tcp", addr); err == nil {
-			conn.Close()
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("kvserve %s not ready after %s", addr, limit)
-}
-
-func writeJSON(path string, v any) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "health:", err)
-	os.Exit(1)
 }

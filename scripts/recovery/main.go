@@ -22,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"addrkv/internal/kv"
+	"addrkv/internal/kvproc"
 	"addrkv/internal/shard"
 	"addrkv/internal/wal"
 )
@@ -52,9 +52,8 @@ type cell struct {
 }
 
 type artifact struct {
-	Name   string         `json:"name"`
-	Params map[string]any `json:"params"`
-	Matrix []cell         `json:"matrix"`
+	kvproc.Header
+	Matrix []cell `json:"matrix"`
 }
 
 func main() {
@@ -70,7 +69,7 @@ func main() {
 	// the stream after the snapshot; 0.05 = freshly compacted.
 	snapAges := []float64{1.0, 0.5, 0.05}
 
-	art := artifact{
+	art := artifact{Header: kvproc.Header{
 		Name: "recovery",
 		Params: map[string]any{
 			"shards":     *shards,
@@ -79,7 +78,7 @@ func main() {
 			"cpus":       runtime.NumCPU(),
 			"go":         runtime.Version(),
 		},
-	}
+	}}
 	for _, ops := range opsSizes {
 		for _, age := range snapAges {
 			c, err := runCell(ops, age, *shards, *vsize)
@@ -92,14 +91,7 @@ func main() {
 		}
 	}
 
-	if err := os.MkdirAll(filepath.Dir(*jsonOut), 0o755); err != nil {
-		log.Fatal(err)
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
+	if err := kvproc.WriteJSON(*jsonOut, &art); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d cells)\n", *jsonOut, len(art.Matrix))

@@ -24,40 +24,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
-	"addrkv/internal/hostmeta"
-	"addrkv/internal/telemetry"
+	"addrkv/internal/kvproc"
 )
-
-// depthPoint mirrors the fields this tool consumes from kvbench's
-// depthResult JSON, percentiles included — the merged artifact carries
-// p50/p99/p999 for every matrix cell, not just ops/sec.
-type depthPoint struct {
-	Depth       int                 `json:"depth"`
-	Conns       int                 `json:"conns"`
-	Ops         uint64              `json:"ops"`
-	Errors      uint64              `json:"errors"`
-	OpsPerSec   float64             `json:"ops_per_sec"`
-	RoundtripUS telemetry.Quantiles `json:"roundtrip_us"`
-	LatencyUS   telemetry.Quantiles `json:"latency_us"`
-}
-
-type benchArtifact struct {
-	Name   string         `json:"name"`
-	Params map[string]any `json:"params"`
-	Sweep  []depthPoint   `json:"sweep"`
-}
 
 // runSpec is one kvserve configuration to benchmark: a cell of the
 // cores x shards matrix (depth sweeps inside the cell).
@@ -66,17 +42,16 @@ type runSpec struct {
 	Shards int `json:"shards"`
 }
 
+// runResult carries the cell's whole kvbench sweep, percentiles
+// included: p50/p99/p999 for every matrix cell, not just ops/sec.
 type runResult struct {
 	runSpec
-	Sweep []depthPoint `json:"sweep"`
+	Sweep []kvproc.DepthResult `json:"sweep"`
 }
 
 type matrixArtifact struct {
-	Name   string         `json:"name"`
-	Kind   string         `json:"kind"`
-	Host   hostmeta.Meta  `json:"host"`
-	Params map[string]any `json:"params"`
-	Runs   []runResult    `json:"runs"`
+	kvproc.Header
+	Runs []runResult `json:"runs"`
 }
 
 // depths is the pipeline-depth sweep kvbench runs inside every cell.
@@ -100,12 +75,12 @@ func main() {
 	}
 	cores, err := parseCores(*coresArg)
 	if err != nil {
-		fatal(err)
+		kvproc.Fatal("throughput", err)
 	}
 
 	tmp, err := os.MkdirTemp("", "throughput-*")
 	if err != nil {
-		fatal(err)
+		kvproc.Fatal("throughput", err)
 	}
 	defer os.RemoveAll(tmp)
 
@@ -116,25 +91,26 @@ func main() {
 			fmt.Printf("== %d core(s), %d shard(s), depths %s ==\n", c, shards, depths)
 			sweep, err := benchOne(tmp, *kvserve, *kvbench, spec, *ops, *conns, *keys, *vsize)
 			if err != nil {
-				fatal(fmt.Errorf("cores=%d/shards=%d: %w", c, shards, err))
+				kvproc.Fatal("throughput", fmt.Errorf("cores=%d/shards=%d: %w", c, shards, err))
 			}
 			runs = append(runs, runResult{runSpec: spec, Sweep: sweep})
 		}
 	}
 
 	art := matrixArtifact{
-		Name: "throughput",
-		Kind: "kvbench-matrix",
-		Host: hostmeta.Collect(),
-		Params: map[string]any{
-			"ops": *ops, "conns": *conns, "keys": *keys, "vsize": *vsize,
-			"transport": "unix", "get_ratio": 0.9, "seed": 42,
-			"cores": cores, "cpus": runtime.NumCPU(),
+		Header: kvproc.Header{
+			Name: "throughput",
+			Kind: "kvbench-matrix",
+			Params: map[string]any{
+				"ops": *ops, "conns": *conns, "keys": *keys, "vsize": *vsize,
+				"transport": "unix", "get_ratio": 0.9, "seed": 42,
+				"cores": cores, "cpus": runtime.NumCPU(),
+			},
 		},
 		Runs: runs,
 	}
-	if err := writeJSON(*out, art); err != nil {
-		fatal(err)
+	if err := kvproc.WriteJSON(*out, &art); err != nil {
+		kvproc.Fatal("throughput", err)
 	}
 	fmt.Printf("wrote %s\n", *out)
 }
@@ -161,89 +137,24 @@ func parseCores(s string) ([]int, error) {
 }
 
 // benchOne boots kvserve for one spec (GOMAXPROCS via env), drives
-// kvbench against it, and returns the parsed sweep.
-func benchOne(tmp, kvserve, kvbench string, spec runSpec, ops, conns, keys, vsize int) ([]depthPoint, error) {
+// kvbench against it, and returns the sweep.
+func benchOne(tmp, kvserve, kvbench string, spec runSpec, ops, conns, keys, vsize int) ([]kvproc.DepthResult, error) {
 	sock := filepath.Join(tmp, fmt.Sprintf("kv-%d-%d.sock", spec.Cores, spec.Shards))
-	srv := exec.Command(kvserve,
+	srv, err := kvproc.StartEnv([]string{"GOMAXPROCS=" + strconv.Itoa(spec.Cores)}, kvserve,
 		"-sock", sock,
 		"-shards", fmt.Sprint(spec.Shards),
 		"-preload", "-keys", fmt.Sprint(keys), "-vsize", fmt.Sprint(vsize),
 	)
-	srv.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(spec.Cores))
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		return nil, fmt.Errorf("start kvserve: %w", err)
-	}
-	defer func() {
-		srv.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { srv.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			srv.Process.Kill()
-			<-done
-		}
-	}()
-	if err := waitSocket(sock, 15*time.Second); err != nil {
+	if err != nil {
 		return nil, err
 	}
-
-	art := filepath.Join(tmp, fmt.Sprintf("sweep-%d-%d.json", spec.Cores, spec.Shards))
-	bench := exec.Command(kvbench,
+	defer srv.Stop()
+	return kvproc.Bench(kvbench,
 		"-sock", sock,
 		"-sweep", depths,
 		"-ops", fmt.Sprint(ops),
 		"-conns", fmt.Sprint(conns),
 		"-keys", fmt.Sprint(keys),
 		"-vsize", fmt.Sprint(vsize),
-		"-json", art,
 	)
-	bench.Stdout = os.Stdout
-	bench.Stderr = os.Stderr
-	if err := bench.Run(); err != nil {
-		return nil, fmt.Errorf("kvbench: %w", err)
-	}
-	raw, err := os.ReadFile(art)
-	if err != nil {
-		return nil, err
-	}
-	var parsed benchArtifact
-	if err := json.Unmarshal(raw, &parsed); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", art, err)
-	}
-	for _, p := range parsed.Sweep {
-		if p.Errors > 0 {
-			return nil, fmt.Errorf("depth %d reported %d errors", p.Depth, p.Errors)
-		}
-	}
-	return parsed.Sweep, nil
-}
-
-func waitSocket(path string, limit time.Duration) error {
-	deadline := time.Now().Add(limit)
-	for time.Now().Before(deadline) {
-		if conn, err := net.Dial("unix", path); err == nil {
-			conn.Close()
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("kvserve socket %s not ready after %s", path, limit)
-}
-
-func writeJSON(path string, v any) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "throughput:", err)
-	os.Exit(1)
 }

@@ -22,35 +22,16 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
-	"time"
+
+	"addrkv/internal/kvproc"
+	"addrkv/internal/resp"
 )
-
-// depthPoint mirrors the fields this tool consumes from kvbench's
-// depthResult JSON.
-type depthPoint struct {
-	Depth     int     `json:"depth"`
-	Conns     int     `json:"conns"`
-	Ops       uint64  `json:"ops"`
-	Errors    uint64  `json:"errors"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-}
-
-type benchArtifact struct {
-	Name   string         `json:"name"`
-	Params map[string]any `json:"params"`
-	Sweep  []depthPoint   `json:"sweep"`
-}
 
 // serverStats is the slice of kvserve's INFO output the artifact
 // keeps per run (stats are RESETSTATS'd after preload, so they cover
@@ -95,11 +76,9 @@ type headline struct {
 }
 
 type matrixArtifact struct {
-	Name     string         `json:"name"`
-	Kind     string         `json:"kind"`
-	Params   map[string]any `json:"params"`
-	Runs     []mixRun       `json:"runs"`
-	Headline headline       `json:"headline"`
+	kvproc.Header
+	Runs     []mixRun `json:"runs"`
+	Headline headline `json:"headline"`
 }
 
 func main() {
@@ -122,7 +101,7 @@ func main() {
 
 	tmp, err := os.MkdirTemp("", "ycsb-*")
 	if err != nil {
-		fatal(err)
+		kvproc.Fatal("ycsb", err)
 	}
 	defer os.RemoveAll(tmp)
 
@@ -148,7 +127,7 @@ func main() {
 		fmt.Printf("== workload %s ==\n", label)
 		run, err := cfg.benchOne(spec)
 		if err != nil {
-			fatal(fmt.Errorf("workload %s: %w", label, err))
+			kvproc.Fatal("ycsb", fmt.Errorf("workload %s: %w", label, err))
 		}
 		runs = append(runs, run)
 	}
@@ -165,7 +144,7 @@ func main() {
 			fmt.Printf("== flood round %d/%d: fast-hash %s ==\n", r+1, *rounds, hash)
 			run, err := cfg.benchOne(mixRun{Workload: "flood", FastHash: hash})
 			if err != nil {
-				fatal(fmt.Errorf("flood/%s: %w", hash, err))
+				kvproc.Fatal("ycsb", fmt.Errorf("flood/%s: %w", hash, err))
 			}
 			leg := legs[hash]
 			leg.Rounds = append(leg.Rounds, run.OpsPerSec)
@@ -183,19 +162,21 @@ func main() {
 	hl.Xxh3HitRateDelta = hl.Xxh3.HitRate - hl.SipHash.HitRate
 
 	art := matrixArtifact{
-		Name: "ycsb",
-		Kind: "kvbench-ycsb",
-		Params: map[string]any{
-			"ops": *ops, "conns": *conns, "depth": *depth,
-			"keys": *keys, "vsize": *vsize,
-			"index": "btree", "transport": "unix", "seed": 42,
-			"rounds": *rounds, "cpus": runtime.NumCPU(),
+		Header: kvproc.Header{
+			Name: "ycsb",
+			Kind: "kvbench-ycsb",
+			Params: map[string]any{
+				"ops": *ops, "conns": *conns, "depth": *depth,
+				"keys": *keys, "vsize": *vsize,
+				"index": "btree", "transport": "unix", "seed": 42,
+				"rounds": *rounds, "cpus": runtime.NumCPU(),
+			},
 		},
 		Runs:     runs,
 		Headline: hl,
 	}
-	if err := writeJSON(*out, art); err != nil {
-		fatal(err)
+	if err := kvproc.WriteJSON(*out, &art); err != nil {
+		kvproc.Fatal("ycsb", err)
 	}
 	fmt.Printf("flood headline: sipHash %.0f ops/sec (hit %.4f), xxh3 %.0f ops/sec (hit %.4f), hit-rate delta %+.4f\n",
 		hl.SipHash.OpsPerSec, hl.SipHash.HitRate,
@@ -229,32 +210,22 @@ func (c benchCfg) benchOne(spec mixRun) (mixRun, error) {
 	if spec.FastHash != "" {
 		args = append(args, "-fast-hash", spec.FastHash)
 	}
-	srv := exec.Command(c.kvserve, args...)
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		return mixRun{}, fmt.Errorf("start kvserve: %w", err)
-	}
-	defer func() {
-		srv.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { srv.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			srv.Process.Kill()
-			<-done
-		}
-	}()
-	if err := waitSocket(sock, 15*time.Second); err != nil {
+	srv, err := kvproc.Start(c.kvserve, args...)
+	if err != nil {
 		return mixRun{}, err
 	}
+	defer srv.Stop()
+	cli, err := resp.Dial(srv.Network, srv.Addr)
+	if err != nil {
+		return mixRun{}, err
+	}
+	defer cli.Close()
 	// Clear preload traffic from the simulated counters so INFO
 	// reflects only the benchmark stream.
-	if _, err := command(sock, "RESETSTATS"); err != nil {
-		return mixRun{}, fmt.Errorf("resetstats: %w", err)
+	if v, err := cli.Do("RESETSTATS"); err != nil || v != "OK" {
+		return mixRun{}, fmt.Errorf("RESETSTATS: %v %v", v, err)
 	}
 
-	art := filepath.Join(c.tmp, "run-"+tag+".json")
 	bargs := []string{
 		"-sock", sock,
 		"-workload", spec.Workload,
@@ -263,150 +234,43 @@ func (c benchCfg) benchOne(spec mixRun) (mixRun, error) {
 		"-depth", strconv.Itoa(c.depth),
 		"-keys", strconv.Itoa(c.keys),
 		"-vsize", strconv.Itoa(c.vsize),
-		"-json", art,
 	}
 	if spec.TTLMillis > 0 {
 		bargs = append(bargs, "-ttl", fmt.Sprintf("%dms", spec.TTLMillis))
 	}
-	bench := exec.Command(c.kvbench, bargs...)
-	bench.Stdout = os.Stdout
-	bench.Stderr = os.Stderr
-	if err := bench.Run(); err != nil {
-		return mixRun{}, fmt.Errorf("kvbench: %w", err)
-	}
-
-	stats, err := scrapeInfo(sock)
+	sweep, err := kvproc.Bench(c.kvbench, bargs...)
 	if err != nil {
 		return mixRun{}, err
 	}
-
-	raw, err := os.ReadFile(art)
-	if err != nil {
-		return mixRun{}, err
-	}
-	var parsed benchArtifact
-	if err := json.Unmarshal(raw, &parsed); err != nil {
-		return mixRun{}, fmt.Errorf("parse %s: %w", art, err)
-	}
-	if len(parsed.Sweep) == 0 {
-		return mixRun{}, fmt.Errorf("%s: empty sweep", art)
-	}
-	p := parsed.Sweep[len(parsed.Sweep)-1]
-	if p.Errors > 0 {
-		return mixRun{}, fmt.Errorf("workload %s reported %d errors", spec.Workload, p.Errors)
-	}
+	p := sweep[len(sweep)-1]
 	spec.OpsPerSec = p.OpsPerSec
 	spec.Ops = p.Ops
-	spec.Server = stats
-	return spec, nil
+	spec.Server, err = scrapeInfo(cli)
+	return spec, err
 }
 
-// command sends one RESP command and returns the raw reply line or
-// bulk payload.
-func command(sock string, name string) (string, error) {
-	conn, err := net.Dial("unix", sock)
+// scrapeInfo pulls the per-run counters out of kvserve's INFO reply. A
+// counter the artifact reports must be there: an absent one is an error.
+func scrapeInfo(cli *resp.Client) (s serverStats, err error) {
+	info, err := kvproc.Info(cli, "INFO")
 	if err != nil {
-		return "", err
+		return s, err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	fmt.Fprintf(conn, "*1\r\n$%d\r\n%s\r\n", len(name), name)
-	r := bufio.NewReader(conn)
-	head, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	head = strings.TrimRight(head, "\r\n")
-	switch {
-	case strings.HasPrefix(head, "+"):
-		return head[1:], nil
-	case strings.HasPrefix(head, "-"):
-		return "", fmt.Errorf("%s: %s", name, head[1:])
-	case strings.HasPrefix(head, "$"):
-		n, err := strconv.Atoi(head[1:])
-		if err != nil || n < 0 {
-			return "", fmt.Errorf("%s: bad bulk header %q", name, head)
-		}
-		buf := make([]byte, n+2)
-		if _, err := readFull(r, buf); err != nil {
-			return "", err
-		}
-		return string(buf[:n]), nil
-	default:
-		return "", fmt.Errorf("%s: unexpected reply %q", name, head)
-	}
-}
-
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
+	for key, dst := range map[string]*uint64{
+		"ops": &s.Ops, "scans": &s.Scans, "expired_keys": &s.ExpiredKeys,
+		"evicted_keys": &s.EvictedKeys, "expires_armed": &s.ExpiresArmed,
+	} {
+		if *dst, err = info.Uint(key); err != nil {
+			return s, err
 		}
 	}
-	return total, nil
-}
-
-// scrapeInfo pulls the per-run counters out of kvserve's INFO reply.
-func scrapeInfo(sock string) (serverStats, error) {
-	text, err := command(sock, "INFO")
-	if err != nil {
-		return serverStats{}, err
-	}
-	var s serverStats
-	for _, line := range strings.Split(text, "\r\n") {
-		k, v, ok := strings.Cut(line, ":")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "ops":
-			s.Ops, _ = strconv.ParseUint(v, 10, 64)
-		case "cycles_per_op":
-			s.CyclesPerOp, _ = strconv.ParseFloat(v, 64)
-		case "fast_path_hit_rate":
-			s.FastPathHitRate, _ = strconv.ParseFloat(v, 64)
-		case "table_miss_rate":
-			s.TableMissRate, _ = strconv.ParseFloat(v, 64)
-		case "scans":
-			s.Scans, _ = strconv.ParseUint(v, 10, 64)
-		case "expired_keys":
-			s.ExpiredKeys, _ = strconv.ParseUint(v, 10, 64)
-		case "evicted_keys":
-			s.EvictedKeys, _ = strconv.ParseUint(v, 10, 64)
-		case "expires_armed":
-			s.ExpiresArmed, _ = strconv.ParseUint(v, 10, 64)
+	for key, dst := range map[string]*float64{
+		"cycles_per_op": &s.CyclesPerOp, "fast_path_hit_rate": &s.FastPathHitRate,
+		"table_miss_rate": &s.TableMissRate,
+	} {
+		if *dst, err = info.Float(key); err != nil {
+			return s, err
 		}
 	}
 	return s, nil
-}
-
-func waitSocket(path string, limit time.Duration) error {
-	deadline := time.Now().Add(limit)
-	for time.Now().Before(deadline) {
-		if conn, err := net.Dial("unix", path); err == nil {
-			conn.Close()
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("kvserve socket %s not ready after %s", path, limit)
-}
-
-func writeJSON(path string, v any) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ycsb:", err)
-	os.Exit(1)
 }
