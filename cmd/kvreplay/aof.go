@@ -67,12 +67,8 @@ func runAOF(cfg replayConfig, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res := wal.Scan(buf)
-		rec := &wal.Recovery{Gen: 1, Tail: res.Records}
-		if res.Torn {
-			rec.TornBytes = int64(len(buf)) - res.Valid
-			rec.TornErr = res.TornErr
-		}
+		rec := &wal.Recovery{Gen: 1}
+		rec.ScanTail(buf)
 		recs = append(recs, rec)
 	}
 

@@ -218,7 +218,7 @@ func (s *server) busHandler(m cluster.Msg) (cluster.MsgType, []byte) {
 			return cluster.MsgErr, []byte(fmt.Sprintf("slot %d not importing from node %d", slot, src))
 		}
 		res := wal.Scan(frames)
-		if res.Torn {
+		if res.Valid != int64(len(frames)) {
 			return cluster.MsgErr, []byte("torn migration batch")
 		}
 		// One stlt.rewarm span per installed batch: how many records

@@ -32,7 +32,7 @@ var addedFamilies = map[string][]string{
 // unmodeled matches the text keys whose value depends on wall time,
 // scheduling or a kernel-chosen port; their layout line records the
 // value's format class instead of the value.
-var unmodeled = regexp.MustCompile(`^(latency_(mean|p50|p90|p99|p999|max)_us|aof_fsync_mean_us|aof_commits|aof_fsyncs|` +
+var unmodeled = regexp.MustCompile(`^(latency_(mean|p50|p90|p99|p999|max)_us|aof_fsync_mean_us|aof_commits|aof_extends|aof_padding_bytes|aof_fsyncs|` +
 	`worker_drains|drain_mean|drain_max|queue_depth|cluster_bus_addr|bus|age_ms|beats|ops_per_sec|lat_p50_us|lat_p99_us|` +
 	`migration_elapsed_us|migration_eta_us|cluster_last_migration_us)$`)
 

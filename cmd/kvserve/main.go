@@ -74,6 +74,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
@@ -281,6 +282,15 @@ func main() {
 		})
 		if err != nil {
 			log.Fatalf("kvserve: %v", err)
+		}
+		// A worker inside the log's barrier holds its P in a system call
+		// that is over before the runtime's monitor would hand the P on
+		// (two of its ticks, ~100 µs on a busy CPU). A process with one P
+		// does nothing else meanwhile — it does not even poll the network,
+		// so a connection that kept the log busy starved the others until
+		// the monitor's own poll, 10-20 ms later. A second P polls.
+		if runtime.GOMAXPROCS(0) < 2 {
+			runtime.GOMAXPROCS(2)
 		}
 	}
 	if *pre {

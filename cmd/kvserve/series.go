@@ -389,6 +389,10 @@ var series = []section{
 		{"aof_appends", "%d", "", "", logSum(func(st wal.Stats) uint64 { return st.Appends })},
 		{"aof_commits", "%d", "addrkv_aof_commits_total", "AOF group commits (one write per worker drain burst), all shards.",
 			logSum(func(st wal.Stats) uint64 { return st.Commits })},
+		{"aof_extends", "%d", "addrkv_aof_extends_total", "AOF commits that also zero-filled a step of tail (their barrier paid a journal commit), all shards.",
+			logSum(func(st wal.Stats) uint64 { return st.Extends })},
+		{"aof_padding_bytes", "%d", "addrkv_aof_padding_bytes", "Zero-filled bytes ahead of the AOF write position, all shards.",
+			logSum(func(st wal.Stats) uint64 { return uint64(st.AllocBytes - st.SizeBytes) })},
 		{"aof_fsyncs", "%d", "", "", logSum(func(st wal.Stats) uint64 { return st.Fsyncs })},
 		{"aof_fsync_mean_us", "%.1f", "", "", func(v *view, _ int) any {
 			var n, ns uint64

@@ -2,8 +2,11 @@
 // offsets by truncating a copy of a real log at seeded random cuts,
 // then prove recovery returns exactly the acked frame-prefix — no op
 // acknowledged under the always policy is lost, and no torn or
-// duplicated record ever surfaces. A second round flips single bytes
-// (media corruption rather than a crash) and asserts the weaker
+// duplicated record ever surfaces. Three more rounds are the shapes a
+// crash leaves in a log that zero-fills ahead of its writes: the cut
+// followed by zeros, a burst in flight with one sector that never
+// landed, and garbage after a run of zeros. A last round flips single
+// bytes (media corruption rather than a crash) and asserts the weaker
 // prefix property: recovery still succeeds and yields some exact
 // prefix of the issued stream.
 package shard
@@ -24,6 +27,8 @@ const (
 	crashTruncTrials = 120
 	crashFlipTrials  = 40
 	crashSeed        = 0x5EED_C0DE
+	crashStep        = 256 << 10 // the log's zero-fill step
+	crashSector      = 512
 )
 
 // buildCrashLog runs a small always-fsync stream on a 1-shard cluster
@@ -89,56 +94,128 @@ func assertRecordsArePrefix(t *testing.T, got []wal.Record, ws []testWrite, labe
 	}
 }
 
+// crashImages are the shapes a kill -9 can leave, each a function from
+// a seeded rng to a log image and the number of bytes of it that are
+// the intact frame prefix (everything acknowledged is inside it).
+var crashImages = []struct {
+	name string
+	make func(rng *rand.Rand, ends []int64, raw []byte) (image []byte, intact int64)
+}{
+	{"trunc", func(rng *rand.Rand, _ []int64, raw []byte) ([]byte, int64) {
+		cut := int64(rng.Intn(len(raw) + 1))
+		return raw[:cut], cut
+	}},
+	// Cut anywhere, then the zeros the log had filled ahead, up to the
+	// next step boundary.
+	{"trunc+padding", func(rng *rand.Rand, _ []int64, raw []byte) ([]byte, int64) {
+		cut := int64(rng.Intn(len(raw) + 1))
+		image := make([]byte, (cut/crashStep+1)*crashStep)
+		copy(image, raw[:cut])
+		return image, cut
+	}},
+	// A burst in flight over the zero-filled tail: everything before it
+	// acknowledged, all of it written except one sector that stayed
+	// zero, later frames of the burst intact behind the gap.
+	{"zero sector", func(rng *rand.Rand, ends []int64, raw []byte) ([]byte, int64) {
+		first := rng.Intn(len(ends))
+		last := min(first+rng.Intn(16), len(ends)-1)
+		acked := int64(0)
+		if first > 0 {
+			acked = ends[first-1]
+		}
+		image := make([]byte, crashStep)
+		copy(image, raw[:ends[last]])
+		at := (acked + rng.Int63n(ends[last]-acked)) / crashSector * crashSector
+		clear(image[max(at, acked):min(at+crashSector, ends[last])])
+		intact := ends[last]
+		for i := acked; i < ends[last]; i++ {
+			if image[i] != raw[i] {
+				intact = i
+				break
+			}
+		}
+		return image, intact
+	}},
+	// Garbage after a run of zeros: the zeros are no clean end.
+	{"zeros+garbage", func(rng *rand.Rand, _ []int64, raw []byte) ([]byte, int64) {
+		cut := int64(rng.Intn(len(raw) + 1))
+		image := make([]byte, cut+int64(1+rng.Intn(4096)), cut+8192)
+		copy(image, raw[:cut])
+		for n := 1 + rng.Intn(64); n > 0; n-- {
+			image = append(image, byte(1+rng.Intn(255)))
+		}
+		return append(image, make([]byte, rng.Intn(64))...), cut
+	}},
+}
+
 // TestCrashPointFaultInjection is the ISSUE acceptance gate: ≥100
-// deterministic seeded kill offsets, each recovered independently,
-// asserting the recovered stream is the exact acked frame-prefix.
+// deterministic seeded crash images of every shape, each recovered
+// independently, asserting the recovered stream is the exact acked
+// frame-prefix, that the log reopens at its end, and that a record
+// appended there is itself recovered by the next open.
 func TestCrashPointFaultInjection(t *testing.T) {
 	ws, ends, raw := buildCrashLog(t)
-	rng := rand.New(rand.NewSource(crashSeed))
 	scratch := t.TempDir()
+	seg := filepath.Join(scratch, "shard-0.aof.1")
 
-	for trial := 0; trial < crashTruncTrials; trial++ {
-		cut := int64(rng.Intn(len(raw) + 1))
-		dir := filepath.Join(scratch, fmt.Sprintf("trunc-%d", trial))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
+	for shape, sh := range crashImages {
+		seed := crashSeed + int64(shape)
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < crashTruncTrials; trial++ {
+			image, intact := sh.make(rng, ends, raw)
+			label := fmt.Sprintf("%s seed %#x trial %d (%d of %d bytes intact)", sh.name, seed, trial, intact, len(image))
+			if err := os.WriteFile(seg, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, rec, err := wal.OpenShard(scratch, 0, wal.FsyncNo)
+			if err != nil {
+				t.Fatalf("%s: open: %v", label, err)
+			}
+			got := rec.Records()
+			want := ackedPrefix(ends, intact)
+			if len(got) != want {
+				t.Fatalf("%s: recovered %d records, want %d", label, len(got), want)
+			}
+			assertRecordsArePrefix(t, got, ws, label)
+			validEnd := int64(0)
+			if want > 0 {
+				validEnd = ends[want-1]
+			}
+			// Torn is what is left after the whole frames and before the
+			// trailing zeros; a torn remainder must be physically gone, a
+			// zero-filled one is the reopened log's preallocation.
+			wantTorn := int64(len(bytes.TrimRight(image[validEnd:], "\x00")))
+			wantSize := int64(len(image))
+			if wantTorn > 0 {
+				wantSize = validEnd
+			}
+			if rec.TornBytes != wantTorn || (rec.TornErr != nil) != (wantTorn > 0) {
+				t.Fatalf("%s: TornBytes=%d (err=%v), want %d", label, rec.TornBytes, rec.TornErr, wantTorn)
+			}
+			if st, err := os.Stat(seg); err != nil || st.Size() != wantSize || l.Stats().SizeBytes != validEnd {
+				t.Fatalf("%s: reopened at byte %d of a %d-byte file (%v), want %d of %d",
+					label, l.Stats().SizeBytes, st.Size(), err, validEnd, wantSize)
+			}
+			if trial%10 == 0 {
+				verifyCrashReplay(t, rec, ws[:want], label)
+			}
+			// Appends resume on the frame boundary.
+			l.Append(wal.RecSet, []byte("post"), []byte("crash"))
+			if err := l.Close(); err != nil {
+				t.Fatalf("%s: close: %v", label, err)
+			}
+			rec, err = wal.ReadShard(scratch, 0)
+			if err != nil {
+				t.Fatalf("%s: second open: %v", label, err)
+			}
+			if got = rec.Records(); len(got) != want+1 || rec.TornBytes != 0 || string(got[want].Key) != "post" {
+				t.Fatalf("%s: after one more append: %d records (%d torn), want %d", label, len(got), rec.TornBytes, want+1)
+			}
+			assertRecordsArePrefix(t, got[:want], ws, label)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "shard-0.aof.1"), raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		l, rec, err := wal.OpenShard(dir, 0, wal.FsyncNo)
-		if err != nil {
-			t.Fatalf("trial %d (cut %d): open: %v", trial, cut, err)
-		}
-		label := fmt.Sprintf("trunc trial %d cut %d", trial, cut)
-		got := rec.Records()
-		want := ackedPrefix(ends, cut)
-		if len(got) != want {
-			t.Fatalf("%s: recovered %d records, want %d", label, len(got), want)
-		}
-		assertRecordsArePrefix(t, got, ws, label)
-		validEnd := int64(0)
-		if want > 0 {
-			validEnd = ends[want-1]
-		}
-		wantTorn := cut > validEnd
-		if (rec.TornBytes > 0) != wantTorn {
-			t.Fatalf("%s: TornBytes=%d (err=%v), torn expectation %v", label, rec.TornBytes, rec.TornErr, wantTorn)
-		}
-		// The torn remainder must be physically gone: appends after
-		// recovery start at a clean frame boundary.
-		if st, err := os.Stat(filepath.Join(dir, "shard-0.aof.1")); err != nil {
-			t.Fatal(err)
-		} else if want > 0 && st.Size() != ends[want-1] || want == 0 && st.Size() != 0 {
-			t.Fatalf("%s: file size %d after open, want clean boundary", label, st.Size())
-		}
-		if trial%10 == 0 {
-			verifyCrashReplay(t, rec, ws[:want], label)
-		}
-		l.Close()
-		os.RemoveAll(dir)
 	}
 
+	rng := rand.New(rand.NewSource(crashSeed))
 	for trial := 0; trial < crashFlipTrials; trial++ {
 		if len(raw) == 0 {
 			t.Fatal("empty log")

@@ -166,29 +166,44 @@ func DecodeFrame(b []byte) (rec Record, n int, err error) {
 	return Record{Kind: kind, Key: body[:keyLen], Value: body[keyLen:]}, frameHeaderSize + payloadLen, nil
 }
 
-// ScanResult reports what Scan found in a log image.
+// ScanResult reports what Scan found in a log image: Valid bytes of
+// whole frames, then TornBytes of a damaged tail, then Padding zeros.
 type ScanResult struct {
 	// Records are the decoded frames, in file order (aliasing the
 	// scanned buffer).
 	Records []Record
 	// Valid is the byte offset just past the last whole frame.
 	Valid int64
-	// Torn reports bytes past Valid (a truncated or corrupt tail).
-	Torn bool
-	// TornErr describes the tail defect when Torn.
-	TornErr error
+	// Padding counts the zero bytes that end the image: the tail a Log
+	// fills ahead of its writes, left behind when it was not closed.
+	Padding int64
+	// Torn reports TornBytes > 0: bytes past Valid that are neither a
+	// whole frame nor padding (a truncated or corrupt tail). TornErr
+	// describes the defect.
+	Torn      bool
+	TornBytes int64
+	TornErr   error
 }
 
 // Scan decodes every whole frame in b. It never fails: a torn or
 // corrupt tail ends the scan, reported via Torn/TornErr, and the
 // records before it stand — the crash-recovery semantic (satellite:
-// torn writes at the tail must not fail startup).
+// torn writes at the tail must not fail startup). An all-zero
+// remainder is the clean end of a preallocated log, not a torn one: no
+// frame starts with a zero length word.
 func Scan(b []byte) ScanResult {
 	var res ScanResult
 	for {
 		rec, n, err := DecodeFrame(b[res.Valid:])
 		if err != nil {
-			res.Torn, res.TornErr = true, err
+			end := int64(len(b))
+			for end > res.Valid && b[end-1] == 0 {
+				end--
+			}
+			res.Padding = int64(len(b)) - end
+			if res.TornBytes = end - res.Valid; res.TornBytes > 0 {
+				res.Torn, res.TornErr = true, err
+			}
 			return res
 		}
 		if n == 0 {

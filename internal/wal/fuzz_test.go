@@ -46,8 +46,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Scan must terminate, never over-count, and its records must
 		// round-trip to exactly the valid prefix.
 		res := Scan(b)
-		if res.Valid > int64(len(b)) || (res.Torn == (res.Valid == int64(len(b)))) {
-			t.Fatalf("scan: valid=%d torn=%v len=%d", res.Valid, res.Torn, len(b))
+		if res.Valid+res.TornBytes+res.Padding != int64(len(b)) || res.Torn != (res.TornBytes > 0) ||
+			res.Torn != (res.TornErr != nil) || !allZero(b[int64(len(b))-res.Padding:]) {
+			t.Fatalf("scan: valid=%d torn=%v/%d (%v) padding=%d len=%d",
+				res.Valid, res.Torn, res.TornBytes, res.TornErr, res.Padding, len(b))
 		}
 		var re []byte
 		for _, r := range res.Records {

@@ -68,19 +68,29 @@ func snapPath(dir string, shard int, gen uint64) string {
 // The write path is two-phase to match the worker runtime's burst
 // shape: Append encodes frames into a pending buffer (no syscalls, no
 // allocations in steady state), and Commit writes the whole buffer
-// with one write(2) and at most one fsync — group commit over a drain
-// burst.
+// with one pwrite(2) and at most one fdatasync — group commit over a
+// drain burst.
+//
+// The segment is zero-filled ahead of the writes. Three invariants:
+// bytes [0,size) are whole frames, [size,alloc) are written zeros
+// (never a hole), and the file is alloc bytes long. A burst therefore
+// overwrites blocks the file already owns and its fdatasync has no
+// size or extent change to push through the filesystem journal — the
+// journal commit is what a barrier on a growing file mostly costs.
+// Nothing depends on the zeros being there: every commit is write,
+// then a sync that covers the data and any size change, then ack.
 type Log struct {
 	dir    string
 	shard  int
 	policy Policy
 
-	mu   sync.Mutex
-	f    *os.File
-	gen  uint64
-	pend []byte
-	size int64 // committed bytes in the current segment
-	err  error // sticky I/O error; appends/commits stop after the first
+	mu    sync.Mutex
+	f     *os.File
+	gen   uint64
+	pend  []byte
+	size  int64 // committed bytes in the current segment
+	alloc int64 // segment file length; [size,alloc) is the zero-filled tail
+	err   error // sticky I/O error; appends/commits stop after the first
 
 	// unsynced tracks whether bytes written since the last fsync exist,
 	// so an always-policy Commit on a write-free burst skips the
@@ -89,6 +99,7 @@ type Log struct {
 
 	appends  uint64
 	commits  uint64
+	extends  uint64
 	fsyncs   uint64
 	fsyncNS  uint64
 	rewrites uint64
@@ -106,9 +117,6 @@ type Log struct {
 // SetFsyncObserver installs a callback invoked (under the log mutex)
 // with each fsync's wall-clock nanoseconds. Install before traffic.
 func (l *Log) SetFsyncObserver(fn func(ns int64)) { l.onFsync = fn }
-
-// Shard returns the shard index this log belongs to.
-func (l *Log) Shard() int { return l.shard }
 
 // Policy returns the fsync policy.
 func (l *Log) Policy() Policy { return l.policy }
@@ -139,8 +147,21 @@ func (l *Log) Append(kind Kind, key, value []byte) int {
 	return n
 }
 
-// Commit writes the pending buffer to the segment with one write(2)
-// and applies the fsync policy: always → fsync now (group commit —
+// tailLead is how far ahead of the write position the zero-filled tail
+// is kept; tailStep is how much one commit adds when it has fallen
+// short. A step is small enough to ride inside a commit (it costs
+// about what a barrier on a growing file always did, once per
+// tailStep of log) — extending megabytes at a time buys nothing more
+// and stalls every writer behind it for tens of milliseconds.
+const (
+	tailLead = 1 << 20
+	tailStep = 256 << 10
+)
+
+var zeroStep [tailStep]byte
+
+// Commit writes the pending buffer to the segment with one pwrite(2)
+// and applies the fsync policy: always → sync now (group commit —
 // one barrier for every record appended since the last Commit);
 // everysec → mark dirty for the background syncer; no → nothing.
 // The returned error is sticky: after an I/O error the log stops
@@ -148,43 +169,49 @@ func (l *Log) Append(kind Kind, key, value []byte) int {
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.commitLocked()
+	return l.writeOutLocked(l.policy == FsyncAlways)
 }
 
-func (l *Log) commitLocked() error {
+// writeOutLocked is the one write-out: the pending burst goes to
+// offset size, one more step of zeros to offset alloc when the tail
+// has run short (a failed extension is a failed write), then the
+// barrier if asked for and anything is unsynced — which under always
+// includes records another path (a mutex-mode op between worker
+// bursts) wrote without waiting.
+func (l *Log) writeOutLocked(barrier bool) error {
 	if l.err != nil {
 		return l.err
 	}
 	if len(l.pend) > 0 {
-		n, err := l.f.Write(l.pend)
+		n, err := l.f.WriteAt(l.pend, l.size)
 		l.size += int64(n)
+		l.alloc = max(l.alloc, l.size)
 		l.pend = l.pend[:0]
 		l.commits++
 		l.unsynced = true
+		if err == nil && l.alloc-l.size < tailLead {
+			n, err = l.f.WriteAt(zeroStep[:], l.alloc)
+			l.alloc += int64(n)
+			l.extends++
+		}
 		if err != nil {
 			l.err = fmt.Errorf("wal shard %d: append: %w", l.shard, err)
 			return l.err
 		}
 	}
-	switch l.policy {
-	case FsyncAlways:
-		// Group commit: one barrier covers every record written since
-		// the last fsync — including records another path (a mutex-mode
-		// op between worker bursts) committed without waiting.
-		if l.unsynced {
-			return l.fsyncLocked()
-		}
-	case FsyncEverySec:
-		if l.unsynced {
-			l.dirty.Store(true)
-		}
+	switch {
+	case !l.unsynced:
+	case barrier:
+		return l.fsyncLocked()
+	case l.policy == FsyncEverySec:
+		l.dirty.Store(true)
 	}
 	return nil
 }
 
 func (l *Log) fsyncLocked() error {
 	t0 := time.Now()
-	err := l.f.Sync()
+	err := datasync(l.f)
 	ns := time.Since(t0).Nanoseconds()
 	l.fsyncs++
 	l.fsyncNS += uint64(ns)
@@ -199,25 +226,12 @@ func (l *Log) fsyncLocked() error {
 	return nil
 }
 
-// Sync force-commits pending records and fsyncs regardless of policy
+// Sync force-commits pending records and syncs regardless of policy
 // (shutdown, snapshot barriers).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if len(l.pend) > 0 {
-		n, err := l.f.Write(l.pend)
-		l.size += int64(n)
-		l.pend = l.pend[:0]
-		l.commits++
-		if err != nil {
-			l.err = fmt.Errorf("wal shard %d: append: %w", l.shard, err)
-			return l.err
-		}
-	}
-	return l.fsyncLocked()
+	return l.writeOutLocked(true)
 }
 
 // Err returns the sticky I/O error, if any.
@@ -227,8 +241,9 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Close stops the background syncer, commits and fsyncs pending
-// records, and closes the segment.
+// Close stops the background syncer, commits and syncs pending
+// records, cuts the zero-filled tail off — a cleanly closed segment is
+// exactly its frames — and closes the segment.
 func (l *Log) Close() error {
 	if l.stop != nil {
 		close(l.stop)
@@ -240,28 +255,16 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return l.err
 	}
-	syncErr := error(nil)
-	if l.err == nil {
-		if len(l.pend) > 0 {
-			n, err := l.f.Write(l.pend)
-			l.size += int64(n)
-			l.pend = l.pend[:0]
-			l.commits++
-			if err != nil {
-				l.err = err
-			}
-		}
-		if l.err == nil {
-			syncErr = l.fsyncLocked()
+	err := l.writeOutLocked(true)
+	if err == nil && l.alloc > l.size {
+		if err = l.f.Truncate(l.size); err == nil {
+			l.alloc = l.size
 		}
 	}
 	closeErr := l.f.Close()
 	l.f = nil
-	if l.err != nil {
-		return l.err
-	}
-	if syncErr != nil {
-		return syncErr
+	if err != nil {
+		return err
 	}
 	return closeErr
 }
@@ -291,14 +294,19 @@ func (l *Log) runSyncer() {
 type Stats struct {
 	// Gen is the current file generation (bumped by every rewrite).
 	Gen uint64
-	// SizeBytes counts committed bytes in the current segment;
-	// PendBytes counts encoded-but-uncommitted bytes.
-	SizeBytes int64
-	PendBytes int
-	// Appends/Commits/Fsyncs count records, write(2) batches, and
-	// fsync(2) barriers — Appends/Commits is the group-commit factor.
+	// SizeBytes counts committed bytes in the current segment,
+	// AllocBytes the segment file's length (SizeBytes plus the
+	// zero-filled tail); PendBytes counts encoded-but-uncommitted bytes.
+	SizeBytes  int64
+	AllocBytes int64
+	PendBytes  int
+	// Appends/Commits/Fsyncs count records, pwrite(2) batches, and
+	// sync barriers — Appends/Commits is the group-commit factor.
+	// Extends counts the commits that also zero-filled a step of tail:
+	// the ones whose barrier paid a filesystem journal commit.
 	Appends uint64
 	Commits uint64
+	Extends uint64
 	Fsyncs  uint64
 	// FsyncNS is total wall time spent in fsync.
 	FsyncNS uint64
@@ -315,9 +323,11 @@ func (l *Log) Stats() Stats {
 	return Stats{
 		Gen:            l.gen,
 		SizeBytes:      l.size,
+		AllocBytes:     l.alloc,
 		PendBytes:      len(l.pend),
 		Appends:        l.appends,
 		Commits:        l.commits,
+		Extends:        l.extends,
 		Fsyncs:         l.fsyncs,
 		FsyncNS:        l.fsyncNS,
 		Rewrites:       l.rewrites,

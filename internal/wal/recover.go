@@ -1,10 +1,9 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -21,14 +20,26 @@ type Recovery struct {
 	Snapshot []Record
 	// Tail holds the log records appended after the snapshot.
 	Tail []Record
+	// TailBytes is the log segment's length in whole frames.
+	TailBytes int64
 	// TornBytes counts trailing log bytes dropped because the final
 	// frame was truncated or failed its checksum; TornErr describes the
 	// defect. A torn tail is expected after a crash — it is a warning,
-	// never a startup failure.
+	// never a startup failure. The zeros a log that was not closed had
+	// filled ahead of its writes are not torn and not counted.
 	TornBytes int64
 	TornErr   error
 
-	snapBuf, tailBuf []byte // backing stores for the record slices
+	padding          int64    // zero-filled bytes after the tail (and any torn bytes)
+	stale            []string // files of older generations
+	snapBuf, tailBuf []byte   // backing stores for the record slices
+}
+
+// ScanTail makes buf, one log segment's image, the recovery's tail.
+func (r *Recovery) ScanTail(buf []byte) {
+	res := Scan(buf)
+	r.tailBuf, r.Tail, r.TailBytes = buf, res.Records, res.Valid
+	r.TornBytes, r.TornErr, r.padding = res.TornBytes, res.TornErr, res.Padding
 }
 
 // Records returns the full surviving stream: snapshot, then tail.
@@ -106,91 +117,41 @@ func DetectShards(dir string) (int, error) {
 }
 
 // OpenShard opens (creating if necessary) shard i's log under dir and
-// recovers its surviving record stream. The highest complete
-// generation wins: its snapshot (if any) plus its log segment, with a
-// torn or corrupt log tail truncated in place so the segment ends on a
-// frame boundary before appends resume. Stale generations and
-// half-written snapshot temporaries (debris of a rewrite interrupted
-// by a crash) are removed.
+// recovers its surviving record stream: ReadShard, plus the side
+// effects of taking the directory over. A torn or corrupt log tail is
+// truncated in place so the segment ends on a frame boundary before
+// appends resume; an all-zero remainder stays as the reopened log's
+// preallocation. Stale generations and half-written snapshot
+// temporaries (debris of a rewrite interrupted by a crash) are removed.
 func OpenShard(dir string, shard int, policy Policy) (*Log, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	os.Remove(tmpSnapPath(dir, shard)) // crashed-rewrite debris
-	snaps, segs, err := shardFiles(dir, shard)
+	rec, err := ReadShard(dir, shard)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, err
 	}
-	gen := uint64(1)
-	for g := range snaps {
-		if g > gen {
-			gen = g
+	seg, alloc := segPath(dir, shard, rec.Gen), rec.TailBytes+rec.padding
+	if rec.TornBytes > 0 {
+		if err := os.Truncate(seg, rec.TailBytes); err != nil {
+			return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
+		alloc = rec.TailBytes
 	}
-	for g := range segs {
-		if g > gen {
-			gen = g
-		}
-	}
-
-	rec := &Recovery{Gen: gen}
-	if snaps[gen] {
-		buf, err := os.ReadFile(snapPath(dir, shard, gen))
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: read snapshot: %w", err)
-		}
-		res := Scan(buf)
-		if res.Torn {
-			// Snapshots are written to a temporary and renamed into place
-			// only after fsync, so a damaged one is real corruption, not
-			// a crash artifact.
-			return nil, nil, fmt.Errorf("wal: shard %d snapshot gen %d corrupt at byte %d: %w",
-				shard, gen, res.Valid, res.TornErr)
-		}
-		rec.snapBuf, rec.Snapshot = buf, res.Records
-	}
-
-	seg := segPath(dir, shard, gen)
-	segSize := int64(0)
-	if buf, err := os.ReadFile(seg); err == nil {
-		res := Scan(buf)
-		rec.tailBuf, rec.Tail = buf, res.Records
-		segSize = res.Valid
-		if res.Torn {
-			rec.TornBytes = int64(len(buf)) - res.Valid
-			rec.TornErr = res.TornErr
-			if err := os.Truncate(seg, res.Valid); err != nil {
-				return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("wal: read segment: %w", err)
-	}
-
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-
-	// Drop every stale generation: recovery committed to gen, so older
-	// files are dead weight (and would confuse a later recovery if gen's
-	// files were ever lost).
-	for g := range snaps {
-		if g != gen {
-			os.Remove(snapPath(dir, shard, g))
-		}
-	}
-	for g := range segs {
-		if g != gen {
-			os.Remove(segPath(dir, shard, g))
-		}
+	// Recovery committed to rec.Gen, so older files are dead weight (and
+	// would confuse a later recovery if its files were ever lost).
+	for _, p := range rec.stale {
+		os.Remove(p)
 	}
 
-	l := &Log{dir: dir, shard: shard, policy: policy, f: f, gen: gen, size: segSize}
-	if snaps[gen] {
-		if st, err := os.Stat(snapPath(dir, shard, gen)); err == nil {
-			l.lastSave = st.ModTime().UnixNano()
-		}
+	l := &Log{dir: dir, shard: shard, policy: policy, f: f, gen: rec.Gen, size: rec.TailBytes, alloc: alloc}
+	if st, err := os.Stat(snapPath(dir, shard, rec.Gen)); err == nil {
+		l.lastSave = st.ModTime().UnixNano()
 	}
 	if policy == FsyncEverySec {
 		l.stop = make(chan struct{})
@@ -202,45 +163,49 @@ func OpenShard(dir string, shard int, policy Policy) (*Log, *Recovery, error) {
 
 // ReadShard loads shard i's surviving record stream without side
 // effects: no file creation, no torn-tail truncation, no stale-
-// generation cleanup. This is the offline reference-executor path
-// (kvreplay -format aof) — it must be able to examine a log directory
-// it does not own.
+// generation cleanup. The highest generation present wins: its
+// snapshot (if any) plus its log segment. This is the offline
+// reference-executor path (kvreplay -format aof) — it must be able to
+// examine a log directory it does not own.
 func ReadShard(dir string, shard int) (*Recovery, error) {
 	snaps, segs, err := shardFiles(dir, shard)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	gen := uint64(1)
+	rec := &Recovery{Gen: 1}
 	for g := range snaps {
-		if g > gen {
-			gen = g
+		rec.Gen = max(rec.Gen, g)
+	}
+	for g := range segs {
+		rec.Gen = max(rec.Gen, g)
+	}
+	for g := range snaps {
+		if g != rec.Gen {
+			rec.stale = append(rec.stale, snapPath(dir, shard, g))
 		}
 	}
 	for g := range segs {
-		if g > gen {
-			gen = g
+		if g != rec.Gen {
+			rec.stale = append(rec.stale, segPath(dir, shard, g))
 		}
 	}
-	rec := &Recovery{Gen: gen}
-	if snaps[gen] {
-		buf, err := os.ReadFile(snapPath(dir, shard, gen))
+	if snaps[rec.Gen] {
+		buf, err := os.ReadFile(snapPath(dir, shard, rec.Gen))
 		if err != nil {
 			return nil, fmt.Errorf("wal: read snapshot: %w", err)
 		}
 		res := Scan(buf)
-		if res.Torn {
+		if res.Valid != int64(len(buf)) {
+			// Snapshots are written to a temporary and renamed into place
+			// only after fsync, so a damaged one (or one with anything
+			// after its frames) is real corruption, not a crash artifact.
 			return nil, fmt.Errorf("wal: shard %d snapshot gen %d corrupt at byte %d: %w",
-				shard, gen, res.Valid, res.TornErr)
+				shard, rec.Gen, res.Valid, cmp.Or(res.TornErr, ErrCorrupt))
 		}
 		rec.snapBuf, rec.Snapshot = buf, res.Records
 	}
-	if buf, err := os.ReadFile(segPath(dir, shard, gen)); err == nil {
-		res := Scan(buf)
-		rec.tailBuf, rec.Tail = buf, res.Records
-		if res.Torn {
-			rec.TornBytes = int64(len(buf)) - res.Valid
-			rec.TornErr = res.TornErr
-		}
+	if buf, err := os.ReadFile(segPath(dir, shard, rec.Gen)); err == nil {
+		rec.ScanTail(buf)
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("wal: read segment: %w", err)
 	}
@@ -256,29 +221,4 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// RemoveShardFiles deletes every durability file of every shard in dir
-// (test and tooling helper).
-func RemoveShardFiles(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "shard-") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := os.Remove(filepath.Join(dir, n)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -12,10 +12,13 @@ func tmpSnapPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.snap.tmp", shard))
 }
 
-// Rewrite compacts the log: emit streams the shard's live records (the
-// BGSAVE body — typically kv.Engine.RangeRecords under the shard
-// lock), which Rewrite serializes as RecLoad frames into a new
-// snapshot generation, after which the log segment restarts empty.
+// RewriteKinds compacts the log: emit streams the shard's live state
+// (the BGSAVE body — typically kv.Engine.RangeRecords under the shard
+// lock) as records of the caller's choice of kind — RecLoad for the
+// bodies, then RecExpire for armed TTL deadlines, keeping a compacted
+// log equivalent to the uncompacted one — which RewriteKinds
+// serializes into a new snapshot generation, after which the log
+// segment restarts empty.
 //
 // The swap is crash-safe by construction, following the onvakv
 // entry-file scheme of pruning the head by replacing files rather than
@@ -36,18 +39,6 @@ func tmpSnapPath(dir string, shard int) string {
 // is a consistent cut; records appended before the rewrite but not yet
 // committed are dropped from the buffer — their effects are inside the
 // cut, so replay must not see them again.
-func (l *Log) Rewrite(emit func(add func(key, value []byte) error) error) error {
-	return l.RewriteKinds(func(add func(kind Kind, key, value []byte) error) error {
-		return emit(func(key, value []byte) error {
-			return add(RecLoad, key, value)
-		})
-	})
-}
-
-// RewriteKinds is Rewrite with caller-chosen record kinds, so a
-// snapshot can persist state beyond the record bodies — armed TTL
-// deadlines are written as RecExpire frames after the RecLoad stream,
-// keeping a compacted log equivalent to the uncompacted one.
 func (l *Log) RewriteKinds(emit func(add func(kind Kind, key, value []byte) error) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -87,7 +78,7 @@ func (l *Log) RewriteKinds(emit func(add func(kind Kind, key, value []byte) erro
 		return fmt.Errorf("wal shard %d: rewrite commit: %w", l.shard, err)
 	}
 	nf, err := os.OpenFile(segPath(l.dir, l.shard, newGen),
-		os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+		os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal shard %d: rewrite segment: %w", l.shard, err)
 	}
@@ -100,7 +91,7 @@ func (l *Log) RewriteKinds(emit func(add func(kind Kind, key, value []byte) erro
 	l.f.Close()
 	l.f = nf
 	l.gen = newGen
-	l.size = 0
+	l.size, l.alloc = 0, 0
 	l.pend = l.pend[:0]
 	l.unsynced = false
 	l.rewrites++

@@ -103,8 +103,20 @@ func TestScanTornTail(t *testing.T) {
 	// Half a frame appended: scan keeps the 10 whole frames.
 	torn := append(append([]byte(nil), buf...), AppendFrame(nil, RecSet, []byte("tail"), []byte("v"))[:9]...)
 	res = Scan(torn)
-	if !res.Torn || len(res.Records) != 10 || res.Valid != whole {
+	if !res.Torn || res.TornBytes != 9 || len(res.Records) != 10 || res.Valid != whole {
 		t.Fatalf("torn scan: torn=%v n=%d valid=%d want %d", res.Torn, len(res.Records), res.Valid, whole)
+	}
+	// Zeros after the last whole frame are a preallocated tail, not a
+	// torn one — however few, and whether or not torn bytes precede them.
+	for _, pad := range []int{1, 7, 8, 4096} {
+		res = Scan(append(append([]byte(nil), buf...), make([]byte, pad)...))
+		if res.Torn || res.TornErr != nil || res.Padding != int64(pad) || len(res.Records) != 10 || res.Valid != whole {
+			t.Fatalf("%d zeros: torn=%v (%v) padding=%d n=%d valid=%d", pad, res.Torn, res.TornErr, res.Padding, len(res.Records), res.Valid)
+		}
+		res = Scan(append(append([]byte(nil), torn...), make([]byte, pad)...))
+		if res.TornBytes != 9 || res.TornErr == nil || res.Padding != int64(pad) || res.Valid != whole {
+			t.Fatalf("torn + %d zeros: torn bytes=%d (%v) padding=%d valid=%d", pad, res.TornBytes, res.TornErr, res.Padding, res.Valid)
+		}
 	}
 }
 
@@ -227,9 +239,9 @@ func TestRewriteCompactsAndSurvivesReopen(t *testing.T) {
 	}
 	// Live state after those 20 sets: 4 keys, last-writer-wins.
 	live := map[string]string{"k0": "v16", "k1": "v17", "k2": "v18", "k3": "v19"}
-	err = l.Rewrite(func(add func(key, value []byte) error) error {
+	err = l.RewriteKinds(func(add func(kind Kind, key, value []byte) error) error {
 		for _, k := range []string{"k0", "k1", "k2", "k3"} {
-			if err := add([]byte(k), []byte(live[k])); err != nil {
+			if err := add(RecLoad, []byte(k), []byte(live[k])); err != nil {
 				return err
 			}
 		}

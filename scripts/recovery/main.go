@@ -157,9 +157,7 @@ func runCell(ops int, snapAge float64, shards, vsize int) (cell, error) {
 		if st, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%d.snap.%d", i, rec.Gen))); err == nil {
 			snapBytes += st.Size()
 		}
-		if st, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%d.aof.%d", i, rec.Gen))); err == nil {
-			tailBytes += st.Size()
-		}
+		tailBytes += rec.TailBytes
 	}
 
 	recoverOnce := func() (*shard.Cluster, shard.RecoveryApplyStats, time.Duration, error) {
