@@ -197,36 +197,10 @@ func (s *System) Delete(key []byte) bool { return s.c.Delete(key) }
 func (s *System) Exists(key []byte) bool { return s.c.Exists(key) }
 
 // OpOutcome is the per-operation telemetry report a shard.Req carries
-// (Cluster().Do, Cluster().Enqueue): home shard, modeled cycle cost,
+// (Cluster().Do, DoBatch, Enqueue): home shard, modeled cycle cost,
 // and how the addressing path resolved. Filling it reads counters only
 // — observed runs stay bit-for-bit identical to unobserved ones.
 type OpOutcome = shard.OpOutcome
-
-// BatchOutcome is the per-batch telemetry report of the *BatchO
-// methods: one exact probe delta per shard touched. Like OpOutcome,
-// filling it reads counters only.
-type BatchOutcome = shard.BatchOutcome
-
-// GetBatchO retrieves keys with full timing, grouped by home shard and
-// executed as one locked call per shard, with a per-batch outcome
-// report (out may be nil). Results are positional: vals[i]/oks[i]
-// answer keys[i]. Modeled cycles are bit-for-bit identical to
-// len(keys) sequential Get calls.
-func (s *System) GetBatchO(keys [][]byte, out *BatchOutcome) (vals [][]byte, oks []bool) {
-	return s.c.GetBatchO(keys, out)
-}
-
-// SetBatchO inserts or updates keys[i] = values[i] with full timing,
-// one locked call per home shard, with a per-batch outcome report.
-func (s *System) SetBatchO(keys, values [][]byte, out *BatchOutcome) {
-	s.c.SetBatchO(keys, values, out)
-}
-
-// DeleteBatchO removes keys with full timing, one locked call per home
-// shard, returning how many existed, with a per-batch outcome report.
-func (s *System) DeleteBatchO(keys [][]byte, out *BatchOutcome) int {
-	return s.c.DeleteBatchO(keys, out)
-}
 
 // ErrUnordered reports a SCAN/RANGE against a hash index (no key
 // order to iterate); the server surfaces it as a typed RESP error.
@@ -267,16 +241,17 @@ func (s *System) Scan(start []byte, limit int, fn func(key []byte) bool) (int, e
 	return s.c.Scan(start, limit, fn)
 }
 
-// ScanO is Scan with a per-shard outcome report (out may be nil).
-func (s *System) ScanO(start []byte, limit int, fn func(key []byte) bool, out *BatchOutcome) (int, error) {
+// ScanO is Scan reporting one OpOutcome per shard walk, appended to
+// *out (out may be nil).
+func (s *System) ScanO(start []byte, limit int, fn func(key []byte) bool, out *[]OpOutcome) (int, error) {
 	return s.c.ScanO(start, limit, fn, out)
 }
 
 // RangeO visits up to limit stored pairs with start <= key <= end in
-// ascending key order with full timing (end nil = unbounded), with a
-// per-shard outcome report (out may be nil). Returns pairs emitted, or
-// ErrUnordered for a hash index.
-func (s *System) RangeO(start, end []byte, limit int, fn func(key, value []byte) bool, out *BatchOutcome) (int, error) {
+// ascending key order with full timing (end nil = unbounded), reporting
+// one OpOutcome per shard walk, appended to *out (out may be nil).
+// Returns pairs emitted, or ErrUnordered for a hash index.
+func (s *System) RangeO(start, end []byte, limit int, fn func(key, value []byte) bool, out *[]OpOutcome) (int, error) {
 	return s.c.RangeO(start, end, limit, fn, out)
 }
 

@@ -23,9 +23,9 @@ import (
 	"addrkv/internal/shard"
 )
 
-// handler runs one barrier command and writes its reply. Multi-key and
-// scan handlers fill cs.bo with one exact probe delta per shard
-// touched.
+// handler runs one barrier command and writes its reply. Handlers that
+// reach an engine note one OpOutcome per engine op in cs.outs: one per
+// key for the multi-key verbs, one per shard walk for SCAN/RANGE.
 type handler func(s *server, w *resp.Writer, args [][]byte, cs *connState) (quit, monitor, isErr bool)
 
 type command struct {
@@ -141,18 +141,18 @@ func wrongArity(w *resp.Writer, name string) (quit, monitor, isErr bool) {
 
 // dispatch runs one barrier command — the caller has flushed the
 // pending window — and records its telemetry: wall-clock latency, the
-// per-command counters, the per-batch outcome of a multi-key command,
-// a slowlog offer and the MONITOR feed line. c is args[0]'s row, nil
-// for an unknown verb.
+// per-command counters, the outcomes of the engine ops it ran, a
+// slowlog offer and the MONITOR feed line. c is args[0]'s row, nil for
+// an unknown verb.
 func (s *server) dispatch(w *resp.Writer, c *command, args [][]byte, cs *connState) (quit, monitor bool) {
 	start := time.Now()
 	// ASKING covers exactly the next command, whatever it is; only a
 	// single-key command can use it (see enqueue), and askingCmd re-arms
 	// the flag after this.
 	cs.asking = false
-	cs.bo.PerShard, cs.bo.Denied = cs.bo.PerShard[:0], false
+	cs.outs = cs.outs[:0]
 	quit, monitor, isErr := s.execute(w, c, args, cs)
-	s.tele.observeCmd(c, args, nil, &cs.bo, time.Since(start), isErr)
+	s.tele.observeCmd(c, args, cs.outs, time.Since(start), isErr)
 	return quit, monitor
 }
 
@@ -189,47 +189,63 @@ func (s *server) quitCmd(w *resp.Writer, _ [][]byte, _ *connState) (quit, monito
 	return true, false, false
 }
 
-// delCmd is DEL of several keys: one locked batch per home shard. (One
-// key rides the ring, so it fills a per-op outcome and can carry a
-// span instead of a one-shard batch.)
+// doKeys runs a multi-key command as the N single-key requests it is
+// defined as: one op Req per key (step 2: key/value pairs, MSET's
+// layout) from the connection's slab — free here, because dispatch runs
+// after flushPending — executed together by Cluster.DoBatch. ok is
+// false when the op gate refused the command (cluster mode: the caller
+// answers TRYAGAIN); otherwise each request's outcome is noted in
+// cs.outs.
+func (s *server) doKeys(cs *connState, op shard.OpKind, args [][]byte, step int) (reqs []*shard.Req, ok bool) {
+	for i := 1; i < len(args); i += step {
+		r := cs.nextReq()
+		r.Kind, r.Key, r.Value, r.Out = op, args[i], nil, addrkv.OpOutcome{}
+		if step == 2 {
+			r.Value = args[i+1]
+		}
+	}
+	reqs, cs.used = cs.reqs[:cs.used], 0
+	s.opsSinceMark.Add(uint64(len(reqs)))
+	if !s.sys.Cluster().DoBatch(reqs) {
+		return nil, false
+	}
+	for _, r := range reqs {
+		cs.outs = append(cs.outs, r.Out)
+	}
+	return reqs, true
+}
+
+// delCmd is DEL of several keys. (One key rides the ring, so it can
+// carry a span.)
 func (s *server) delCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, monitor, isErr bool) {
-	bo := &cs.bo
-	s.opsSinceMark.Add(uint64(len(args) - 1))
-	n := s.sys.DeleteBatchO(args[1:], bo)
-	if bo.Denied {
+	reqs, ok := s.doKeys(cs, shard.OpDelete, args, 1)
+	if !ok {
 		return s.clusterTryAgain(w)
+	}
+	n := 0
+	for _, r := range reqs {
+		if r.OK {
+			n++
+		}
 	}
 	w.WriteInt(int64(n))
 	return false, false, false
 }
 
 func (s *server) mgetCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, monitor, isErr bool) {
-	bo := &cs.bo
-	s.opsSinceMark.Add(uint64(len(args) - 1))
-	vals, oks := s.sys.GetBatchO(args[1:], bo)
-	if bo.Denied {
+	reqs, ok := s.doKeys(cs, shard.OpGet, args, 1)
+	if !ok {
 		return s.clusterTryAgain(w)
 	}
-	for i := range vals {
-		if !oks[i] {
-			vals[i] = nil // null bulk, matching single-key GET misses
-		}
+	w.WriteArrayHeader(len(reqs))
+	for _, r := range reqs {
+		writeGet(w, r)
 	}
-	w.WriteBulkArray(vals)
 	return false, false, false
 }
 
 func (s *server) msetCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, monitor, isErr bool) {
-	bo := &cs.bo
-	n := (len(args) - 1) / 2
-	keys := make([][]byte, n)
-	vals := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		keys[i], vals[i] = args[1+2*i], args[2+2*i]
-	}
-	s.opsSinceMark.Add(uint64(n))
-	s.sys.SetBatchO(keys, vals, bo)
-	if bo.Denied {
+	if _, ok := s.doKeys(cs, shard.OpSet, args, 2); !ok {
 		return s.clusterTryAgain(w)
 	}
 	w.WriteSimple("OK")
@@ -242,7 +258,6 @@ func (s *server) msetCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, mo
 // continuation cursor follows the last scanned key so a page of
 // non-matching keys still makes progress.
 func (s *server) scanCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, monitor, isErr bool) {
-	bo := &cs.bo
 	if len(args) > 6 || len(args)%2 != 0 {
 		return wrongArity(w, "scan")
 	}
@@ -275,7 +290,7 @@ func (s *server) scanCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, mo
 			keys = append(keys, k)
 		}
 		return true
-	}, bo)
+	}, &cs.outs)
 	if err != nil {
 		return fail(w, "ERR SCAN requires an ordered index (-index rbtree or btree)")
 	}
@@ -295,7 +310,6 @@ func (s *server) scanCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, mo
 // inclusive; "-" starts at the smallest key, "+" is unbounded above.
 // Replies a flat [k1, v1, k2, v2, ...] array.
 func (s *server) rangeCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, monitor, isErr bool) {
-	bo := &cs.bo
 	if len(args) > 4 {
 		return wrongArity(w, "range")
 	}
@@ -319,7 +333,7 @@ func (s *server) rangeCmd(w *resp.Writer, args [][]byte, cs *connState) (quit, m
 	_, err := s.sys.RangeO(start, end, limit, func(k, v []byte) bool {
 		flat = append(flat, k, v)
 		return true
-	}, bo)
+	}, &cs.outs)
 	if err != nil {
 		return fail(w, "ERR RANGE requires an ordered index (-index rbtree or btree)")
 	}

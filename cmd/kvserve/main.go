@@ -661,9 +661,9 @@ type connState struct {
 	used int
 	pend []pending
 
-	// bo is the batch outcome of the barrier command being dispatched,
-	// kept here so its per-shard slice is reused.
-	bo addrkv.BatchOutcome
+	// outs holds the engine-op outcomes of the barrier command being
+	// dispatched, kept here so the slice is reused.
+	outs []addrkv.OpOutcome
 }
 
 // monitorLoop streams the command feed to a MONITOR client until the

@@ -619,6 +619,86 @@ func TestServerMultiKeyCommands(t *testing.T) {
 	}
 }
 
+// TestServerMultiKeyOpCyclesPerOp: addrkv_op_cycles is the modeled cost
+// per engine op, so an MGET of 8 keys records 8 samples — not one
+// summed sample per shard group, which inflated the cycle quantiles of
+// every multi-key command.
+func TestServerMultiKeyOpCyclesPerOp(t *testing.T) {
+	s := newTestServer(t)
+	mget := []string{"MGET"}
+	for i := 0; i < 8; i++ {
+		mget = append(mget, fmt.Sprintf("oc-%d", i))
+		call(t, s, "SET", mget[i+1], "v")
+	}
+	call(t, s, "RESETSTATS")
+	call(t, s, mget...)
+	var buf bytes.Buffer
+	if err := s.tele.reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `addrkv_op_cycles_count{shard="0"} 8` + "\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, buf.String())
+	}
+}
+
+// TestServerMultiKeySlowlogAndMonitor: a multi-key command's slowlog
+// entry and MONITOR line sum its ops — the home shard when every key
+// lives on one shard and -1 otherwise, the modeled cycles of all its
+// ops, and a detail naming the shards touched, the keys and the misses.
+func TestServerMultiKeySlowlogAndMonitor(t *testing.T) {
+	s := newTestServerShards(t, 2)
+	c := s.sys.Cluster()
+	var on [2][]string // stored keys by home shard
+	for i := 0; len(on[0]) < 2 || len(on[1]) < 1; i++ {
+		k := fmt.Sprintf("sm-%d", i)
+		call(t, s, "SET", k, "v")
+		on[c.ShardFor([]byte(k))] = append(on[c.ShardFor([]byte(k))], k)
+	}
+	id, feed := s.tele.feed.Subscribe(16)
+	defer s.tele.feed.Unsubscribe(id)
+	for _, tc := range []struct {
+		args          []string
+		shard         int
+		detail, count string
+	}{
+		{[]string{"MGET", on[0][0], on[0][1]}, 0, "shards=1 keys=2 ", " misses=0 "},
+		{[]string{"MGET", on[0][0], on[1][0], "sm-absent"}, -1, "shards=2 keys=3 ", " misses=1 "},
+	} {
+		before := s.sys.Report().Cycles
+		call(t, s, tc.args...)
+		cycles := s.sys.Report().Cycles - before
+		var got *telemetry.SlowlogEntry
+		for _, e := range s.tele.slowlog.Entries(-1) {
+			if strings.Join(e.Args, " ") == strings.Join(tc.args, " ") {
+				got = &e
+			}
+		}
+		if got == nil || got.Shard != tc.shard || got.Cycles != uint64(cycles) ||
+			!strings.HasPrefix(got.Detail, tc.detail) || !strings.Contains(got.Detail, tc.count) {
+			t.Fatalf("%v: slowlog entry %+v, want shard %d, cycles %d, detail %q…%q…",
+				tc.args, got, tc.shard, cycles, tc.detail, tc.count)
+		}
+		if line := <-feed; !strings.Contains(line, fmt.Sprintf("[shard %d]", tc.shard)) {
+			t.Fatalf("%v: monitor line %q, want shard %d", tc.args, line, tc.shard)
+		}
+	}
+}
+
+// TestServerEmptyValueIsNotAMiss: a stored empty value reads back as an
+// empty bulk through GET and MGET, on a connection whose request slots
+// have never held a value, and only an absent key is a null bulk.
+func TestServerEmptyValueIsNotAMiss(t *testing.T) {
+	s := newTestServer(t)
+	call(t, s, "SET", "empty", "")
+	if got, ok := call(t, s, "GET", "empty").([]byte); !ok || len(got) != 0 {
+		t.Fatalf("GET of an empty value = %#v", got)
+	}
+	arr := call(t, s, "MGET", "empty", "absent").([]any)
+	if got, ok := arr[0].([]byte); !ok || len(got) != 0 || arr[1] != nil {
+		t.Fatalf("MGET = %#v", arr)
+	}
+}
+
 // TestServerBatchedMatchesSequentialServer: the same traffic sent as
 // multi-key commands and as single-key commands must leave two
 // servers' engines bit-for-bit identical — the server-level face of

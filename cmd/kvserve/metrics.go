@@ -140,13 +140,14 @@ func newServerTele(shards, slowlogCap int) *serverTele {
 // observeCmd records one command: wall latency, command counters,
 // per-shard cycle cost, outcome counters, the MONITOR feed line, and a
 // slowlog offer. c is the command's table row, nil for an unknown verb.
-// oc is a single-key command's outcome. For multi-key commands bo
-// carries the exact per-shard batch deltas (and its merged view — total
-// cycles, home shard or -1 — stands in for oc); each shard's op counter
-// advances by its share of the batch, and its cycle histogram records
-// one sample per shard sub-batch. Both are nil or empty for commands
-// that never reached an engine.
-func (t *serverTele) observeCmd(c *command, args [][]byte, oc *addrkv.OpOutcome, bo *addrkv.BatchOutcome, dur time.Duration, isErr bool) {
+// outs holds one outcome per engine op the command ran — a single-key
+// command's one, a multi-key command's one per key, a SCAN/RANGE's one
+// per shard walk — and is empty for commands that never reached an
+// engine; a denied op's (Shard -1) is skipped. Each op advances its
+// shard's op counter and records one sample in its cycle histogram. A
+// command that is not a ring verb's one-key form also counts as a batch
+// command, and its slowlog detail sums the ops.
+func (t *serverTele) observeCmd(c *command, args [][]byte, outs []addrkv.OpOutcome, dur time.Duration, isErr bool) {
 	key := otherCmd
 	if c != nil {
 		key = c.name
@@ -158,48 +159,52 @@ func (t *serverTele) observeCmd(c *command, args [][]byte, oc *addrkv.OpOutcome,
 	if isErr {
 		t.errTotal.Inc()
 	}
-	shard := -1
-	var cycles uint64
-	isBatch := bo != nil && len(bo.PerShard) > 0
-	isOp := !isBatch && oc != nil && oc.Shard >= 0 && oc.Shard < len(t.shardOps)
-	switch {
-	case isBatch:
-		merged := bo.Merged()
-		oc = &merged
-		shard, cycles = oc.Shard, oc.Cycles
-		for _, sb := range bo.PerShard {
-			if sb.Shard < 0 || sb.Shard >= len(t.shardOps) {
-				continue
-			}
-			t.shardOps[sb.Shard].Add(uint64(sb.Ops))
-			t.shardCycles[sb.Shard].Observe(sb.Cycles)
-			t.tlbMiss.Add(sb.TLBMisses)
-			t.stbHits.Add(sb.STBHits)
-			t.pageWalks.Add(sb.PageWalks)
-			if c.fastPath {
-				t.fastHits.Add(sb.FastHits)
-				t.fastMiss.Add(uint64(sb.Ops) - sb.FastHits)
-			}
-			t.keyMiss.Add(sb.Misses)
+	// shard is the home shard when every op ran on one, -1 otherwise.
+	shard, ops := -1, 0
+	var cycles, fast, missed, tlb, stb, walks uint64
+	for i := range outs {
+		oc := &outs[i]
+		if oc.Shard < 0 || oc.Shard >= len(t.shardOps) {
+			continue
 		}
-		t.batchCmds.Inc()
-		t.batchKeys.Add(uint64(bo.TotalOps()))
-	case isOp:
-		shard, cycles = oc.Shard, oc.Cycles
+		if ops == 0 {
+			shard = oc.Shard
+		} else if oc.Shard != shard {
+			shard = -1
+		}
+		ops++
 		t.shardOps[oc.Shard].Inc()
 		t.shardCycles[oc.Shard].Observe(oc.Cycles)
-		t.tlbMiss.Add(oc.TLBMisses)
-		t.stbHits.Add(oc.STBHits)
-		t.pageWalks.Add(oc.PageWalks)
-		if c.fastPath {
-			if oc.FastHit {
-				t.fastHits.Inc()
-			} else {
-				t.fastMiss.Inc()
-			}
+		cycles += oc.Cycles
+		tlb += oc.TLBMisses
+		stb += oc.STBHits
+		walks += oc.PageWalks
+		if oc.FastHit {
+			fast++
 		}
 		if oc.Missed {
-			t.keyMiss.Inc()
+			missed++
+		}
+	}
+	batch := false
+	if ops > 0 {
+		t.tlbMiss.Add(tlb)
+		t.stbHits.Add(stb)
+		t.pageWalks.Add(walks)
+		if c.fastPath {
+			if fast > 0 {
+				t.fastHits.Add(fast)
+			}
+			if fast < uint64(ops) {
+				t.fastMiss.Add(uint64(ops) - fast)
+			}
+		}
+		if missed > 0 {
+			t.keyMiss.Add(missed)
+		}
+		if batch = !c.rides(len(args)); batch {
+			t.batchCmds.Inc()
+			t.batchKeys.Add(uint64(ops))
 		}
 	}
 	if t.feed.Active() {
@@ -214,13 +219,20 @@ func (t *serverTele) observeCmd(c *command, args [][]byte, oc *addrkv.OpOutcome,
 	}
 	detail := ""
 	switch {
-	case isBatch:
+	case batch:
+		seen := make([]bool, len(t.shardOps))
+		shards := 0
+		for _, oc := range outs {
+			if oc.Shard >= 0 && oc.Shard < len(seen) && !seen[oc.Shard] {
+				seen[oc.Shard] = true
+				shards++
+			}
+		}
 		detail = fmt.Sprintf("shards=%d keys=%d fast_hits=%d misses=%d tlb_misses=%d stb_hits=%d page_walks=%d",
-			len(bo.PerShard), bo.TotalOps(), batchFastHits(bo), batchMisses(bo),
-			oc.TLBMisses, oc.STBHits, oc.PageWalks)
-	case isOp:
+			shards, ops, fast, missed, tlb, stb, walks)
+	case ops > 0:
 		detail = fmt.Sprintf("fast_hit=%v tlb_misses=%d stb_hits=%d page_walks=%d",
-			oc.FastHit, oc.TLBMisses, oc.STBHits, oc.PageWalks)
+			fast > 0, tlb, stb, walks)
 	}
 	t.slowlog.Note(telemetry.SlowlogEntry{
 		UnixMicro: time.Now().UnixMicro(),
@@ -230,23 +242,6 @@ func (t *serverTele) observeCmd(c *command, args [][]byte, oc *addrkv.OpOutcome,
 		Cycles:    cycles,
 		Detail:    detail,
 	})
-}
-
-// batchFastHits and batchMisses sum outcome fields over a batch.
-func batchFastHits(bo *addrkv.BatchOutcome) uint64 {
-	var n uint64
-	for _, sb := range bo.PerShard {
-		n += sb.FastHits
-	}
-	return n
-}
-
-func batchMisses(bo *addrkv.BatchOutcome) uint64 {
-	var n uint64
-	for _, sb := range bo.PerShard {
-		n += sb.Misses
-	}
-	return n
 }
 
 // formatArgs renders a command for the slowlog / monitor feed,

@@ -128,7 +128,7 @@ func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 			if werr == nil {
 				werr = w.WriteError("ERR value is not an integer or out of range")
 			}
-			s.tele.observeCmd(p.cmd, p.args, nil, nil, time.Since(p.start), true)
+			s.tele.observeCmd(p.cmd, p.args, nil, time.Since(p.start), true)
 			continue
 		}
 		r.Wait()
@@ -144,11 +144,7 @@ func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 				// redirect, resolved against the current slot view.
 				werr = w.WriteError(s.clusterRedirectMsg(r.Key))
 			case r.Kind == shard.OpGet:
-				if r.OK {
-					werr = w.WriteBulk(r.Val)
-				} else {
-					werr = w.WriteBulk(nil)
-				}
+				werr = writeGet(w, r)
 			case r.Kind == shard.OpSet:
 				werr = w.WriteSimple("OK")
 			case r.Kind == shard.OpDelete, r.Kind == shard.OpExists:
@@ -167,11 +163,25 @@ func (s *server) flushPending(w *resp.Writer, cs *connState) error {
 				werr = w.WriteInt(n)
 			}
 		}
-		s.tele.observeCmd(p.cmd, p.args, &r.Out, nil, time.Since(p.start), r.Out.Denied)
+		one := [1]addrkv.OpOutcome{r.Out}
+		s.tele.observeCmd(p.cmd, p.args, one[:], time.Since(p.start), r.Out.Denied)
 	}
 	cs.pend = cs.pend[:0]
 	cs.used = 0
 	return werr
+}
+
+// writeGet writes a GET's reply: the value, or a null bulk for a miss.
+// A found empty value is "$0" even when it was read into a Val buffer
+// that was never grown (nil).
+func writeGet(w *resp.Writer, r *shard.Req) error {
+	switch {
+	case !r.OK:
+		return w.WriteBulk(nil)
+	case r.Val == nil:
+		return w.WriteBulk([]byte{})
+	}
+	return w.WriteBulk(r.Val)
 }
 
 // startWorkers brings up the per-shard worker runtime and wires its

@@ -619,16 +619,21 @@ func TestServerMaxMemoryEviction(t *testing.T) {
 // the scenario hot paths over a served worker-mode connection. The TTL
 // verbs ride the rings like SET/GET (pinned at 0 by
 // TestServerHotPathZeroAlloc) and pay only for EXPIRE's integer; SCAN
-// is a barrier command and copies its page out:
+// is a barrier command and copies its page out; the multi-key verbs
+// are barrier commands whose Reqs come from the connection's slab:
 //
 //	EXPIRE + TTL round trip   <= 1 alloc (the string strconv parses)
 //	SCAN page of 5 keys       <= 25 allocs (per-shard key copies +
 //	                          page slice + cursor reply; copying out
 //	                          is the contract)
+//	MGET of 8 keys            <= 1 alloc (DoBatch's per-shard groups)
+//	MSET of 4 pairs           <= 9 allocs (the groups + the btree
+//	DEL of 4 absent keys      <= 9 allocs  index's node reads, 2/key)
 //
-// The budgets are ceilings at or just above the measured steady state
-// (1 and 22): the point is catching per-command, per-key or per-byte
-// regressions, which add at least the page size.
+// SCAN's budget is a ceiling just above the measured steady state
+// (22); the others are the measured numbers (at a8c76a5, before
+// multi-key commands became Reqs: 15, 14 and 11). The point is catching
+// per-command, per-key or per-byte regressions.
 func TestServerScanExpireHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on channel handoffs")
@@ -687,17 +692,31 @@ func TestServerScanExpireHotPathAllocs(t *testing.T) {
 		{"TTL", "hot:3"},
 	})
 	scanReq, scanRep := wire([][]string{{"SCAN", "0", "COUNT", "5"}})
+	mgetReq, mgetRep := wire([][]string{{"MGET", "hot:0", "hot:1", "hot:2", "hot:3", "hot:4", "hot:5", "hot:6", "hot:7"}})
+	msetReq, msetRep := wire([][]string{{"MSET", "hot:0", "v", "hot:1", "v", "hot:2", "v", "hot:3", "v"}})
+	delReq, delRep := wire([][]string{{"DEL", "gone:0", "gone:1", "gone:2", "gone:3"}})
 
-	expireRT := roundTrip(expireReq, make([]byte, len(expireRep)))
-	scanRT := roundTrip(scanReq, make([]byte, len(scanRep)))
+	rts := []struct {
+		name   string
+		rt     func()
+		budget float64
+	}{
+		{"EXPIRE+TTL", roundTrip(expireReq, make([]byte, len(expireRep))), 1},
+		{"SCAN COUNT 5", roundTrip(scanReq, make([]byte, len(scanRep))), 25},
+		{"MGET of 8", roundTrip(mgetReq, make([]byte, len(mgetRep))), 1},
+		{"MSET of 4", roundTrip(msetReq, make([]byte, len(msetRep))), 9},
+		{"DEL of 4", roundTrip(delReq, make([]byte, len(delRep))), 9},
+	}
 	for i := 0; i < 64; i++ {
-		expireRT()
-		scanRT()
+		for _, c := range rts {
+			c.rt()
+		}
 	}
-	if n := testing.AllocsPerRun(200, expireRT); n > 1 {
-		t.Errorf("EXPIRE+TTL round trip: %.2f allocs, budget 1", n)
-	}
-	if n := testing.AllocsPerRun(200, scanRT); n > 25 {
-		t.Errorf("SCAN COUNT 5 round trip: %.2f allocs, budget 25", n)
+	for _, c := range rts {
+		n := testing.AllocsPerRun(200, c.rt)
+		t.Logf("%s round trip: %.2f allocs", c.name, n)
+		if n > c.budget {
+			t.Errorf("%s round trip: %.2f allocs, budget %.0f", c.name, n, c.budget)
+		}
 	}
 }

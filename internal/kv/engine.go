@@ -716,42 +716,6 @@ func (e *Engine) Delete(key []byte) bool {
 	return ok
 }
 
-// GetBatch performs len(keys) timed GETs in order. It is defined as
-// exactly N sequential Get calls — same modeled cycles, same counter
-// movement, same fast-path behavior — so batched front-ends (MGET)
-// charge the simulation identically to a client issuing the GETs one
-// at a time. What batching saves is real-world per-request overhead
-// (syscalls, locks, flushes), which the simulator deliberately does
-// not model.
-func (e *Engine) GetBatch(keys [][]byte) (vals [][]byte, oks []bool) {
-	vals = make([][]byte, len(keys))
-	oks = make([]bool, len(keys))
-	for i, k := range keys {
-		vals[i], oks[i] = e.Get(k)
-	}
-	return vals, oks
-}
-
-// SetBatch performs len(keys) timed SETs in order — exactly N
-// sequential Set calls (see GetBatch).
-func (e *Engine) SetBatch(keys, values [][]byte) {
-	for i, k := range keys {
-		e.Set(k, values[i])
-	}
-}
-
-// DeleteBatch removes keys in order, returning how many existed —
-// exactly N sequential Delete calls (see GetBatch).
-func (e *Engine) DeleteBatch(keys [][]byte) int {
-	n := 0
-	for _, k := range keys {
-		if e.Delete(k) {
-			n++
-		}
-	}
-	return n
-}
-
 // RunOp executes one generated workload operation. Scan ops on an
 // unordered index are charged nothing (the error path never reaches
 // the simulated machine) — harnesses validate index/workload pairing

@@ -307,53 +307,6 @@ func TestAutoTuneGrowsUndersizedSTLT(t *testing.T) {
 	}
 }
 
-// TestEngineBatchEqualsSequential: the batch entry points are defined
-// as exactly N sequential ops — two engines fed the same keys, one
-// batched and one looped, must end bit-for-bit identical.
-func TestEngineBatchEqualsSequential(t *testing.T) {
-	build := func() *Engine {
-		e, err := New(Config{Keys: 3000, Index: KindChainHash, Mode: ModeSTLT, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Load(3000, 64)
-		return e
-	}
-	batched, looped := build(), build()
-
-	keys := make([][]byte, 64)
-	vals := make([][]byte, 64)
-	for i := range keys {
-		keys[i] = ycsb.KeyName(uint64(i * 37 % 4000)) // a few absent
-		vals[i] = []byte("batchval")
-	}
-
-	bv, bok := batched.GetBatch(keys)
-	for i, k := range keys {
-		v, ok := looped.Get(k)
-		if ok != bok[i] || string(v) != string(bv[i]) {
-			t.Fatalf("GET %q diverged", k)
-		}
-	}
-	batched.SetBatch(keys, vals)
-	for i, k := range keys {
-		looped.Set(k, vals[i])
-	}
-	nb := batched.DeleteBatch(keys[:32])
-	nl := 0
-	for _, k := range keys[:32] {
-		if looped.Delete(k) {
-			nl++
-		}
-	}
-	if nb != nl {
-		t.Fatalf("DeleteBatch = %d, sequential = %d", nb, nl)
-	}
-	if a, b := batched.Stats(), looped.Stats(); a != b {
-		t.Fatalf("stats diverged:\nbatched: %+v\nlooped:  %+v", a, b)
-	}
-}
-
 // TestDeleteTinyRecordNoStaleHit pins the allocator-alias regression:
 // freeing a record overwrites its header with a tagged free-list link
 // whose low byte can read back as keyLen=1, so before eager STLT

@@ -4,7 +4,7 @@
 // construction — and commits follow the dispatch mode's natural batch
 // boundary: the worker runtime commits once per drain burst (group
 // commit: one fsync covers every op of the burst, across connections),
-// Do and the batch calls commit per call.
+// Do commits per op and DoBatch once per shard group.
 //
 // Replay discipline: recovery applies records through the same engine
 // entry points live traffic uses — RecLoad through the untimed bulk
@@ -112,9 +112,10 @@ func (c *Cluster) walOp(i int, s *shardSlot, opKind wal.Kind, key, value []byte,
 	return c.logs != nil
 }
 
-// walCommit publishes shard i's pending records (Do and the batch
-// calls: one commit per call). covered is the record count the barrier covers,
-// stamped on the traced op's wal.fsync event under the always policy.
+// walCommit publishes shard i's pending records (Do: one commit per op;
+// DoBatch: one per shard group). covered is the record count the barrier
+// covers, stamped on the traced op's wal.fsync event under the always
+// policy.
 func (c *Cluster) walCommit(i int, out *OpOutcome, covered int) {
 	if c.logs == nil {
 		return

@@ -248,9 +248,9 @@ func TestWorkerAndMutexProduceIdenticalLogs(t *testing.T) {
 	}
 }
 
-// TestBatchOpsAreLogged: MSET/DEL-style batch entry points append
-// their per-key records in sub-batch order, so recovery of a batch
-// workload replays it exactly.
+// TestBatchOpsAreLogged: MSET/DEL-style DoBatch calls append their
+// per-key records in group order, so recovery of a batch workload
+// replays it exactly.
 func TestBatchOpsAreLogged(t *testing.T) {
 	const shards = 3
 	dir := t.TempDir()
@@ -267,9 +267,17 @@ func TestBatchOpsAreLogged(t *testing.T) {
 		keys = append(keys, fmt.Appendf(nil, "bk-%d", i))
 		vals = append(vals, fmt.Appendf(nil, "bv-%d", i))
 	}
-	c.SetBatchO(keys, vals, nil)
-	if n := c.DeleteBatchO(keys[:20], nil); n != 20 {
-		t.Fatalf("deleted %d, want 20", n)
+	if !c.DoBatch(batchReqs(OpSet, keys, vals)) {
+		t.Fatal("MSET refused")
+	}
+	dels := batchReqs(OpDelete, keys[:20], nil)
+	if !c.DoBatch(dels) {
+		t.Fatal("DEL refused")
+	}
+	for _, r := range dels {
+		if !r.OK {
+			t.Fatalf("DEL %s missed", r.Key)
+		}
 	}
 	if err := c.CloseWAL(); err != nil {
 		t.Fatal(err)

@@ -85,22 +85,25 @@ func (c *Cluster) gateAllows(e *kv.Engine, key []byte, out *OpOutcome) bool {
 	return false
 }
 
-// gateDeniesBatch reports whether the op gate rejects any key of a
-// shard sub-batch, checked under the shard lock before any engine op
-// runs. Batches get no IfPresent dual-serve: a multi-key command
-// overlapping a migrating slot is denied whole (TRYAGAIN) rather than
-// split per key, matching the classify-time TRYAGAIN rule.
-func (c *Cluster) gateDeniesBatch(e *kv.Engine, sub [][]byte) bool {
-	gp := c.gate.Load()
-	if gp == nil {
-		return false
-	}
-	for _, k := range sub {
-		if (*gp)(k) != GateAllow {
-			return true
+// gateAllowsGroup takes the op gate's verdict once for a DoBatch group,
+// under the shard lock before any of its ops runs. The verdict is
+// deliberately per group, not per key: a multi-key command gets no
+// IfPresent dual-serve — one overlapping a migrating slot is refused
+// whole (TRYAGAIN) rather than split per key, matching the
+// classify-time TRYAGAIN rule. An allowed group's requests are marked
+// Out.Bypass so exec does not gate them again.
+func (c *Cluster) gateAllowsGroup(g []*Req) bool {
+	if gp := c.gate.Load(); gp != nil {
+		for _, r := range g {
+			if (*gp)(r.Key) != GateAllow {
+				return false
+			}
 		}
 	}
-	return false
+	for _, r := range g {
+		r.Out.Bypass = true
+	}
+	return true
 }
 
 // CollectKeys returns a copy of every stored key matching the
@@ -142,8 +145,8 @@ func (c *Cluster) CollectKeys(match func(key []byte) bool) [][]byte {
 func (c *Cluster) ExtractBatch(keys [][]byte, ship func(frames []byte, count int) error) (moved, bytes int, err error) {
 	var frames, vbuf []byte
 	var dlb [8]byte
-	for si, idxs := range c.groupByShard(keys) {
-		if len(idxs) == 0 {
+	for si, group := range groupByShard(c, keys, func(k []byte) []byte { return k }) {
+		if len(group) == 0 {
 			continue
 		}
 		s := c.shards[si]
@@ -152,8 +155,7 @@ func (c *Cluster) ExtractBatch(keys [][]byte, ship func(frames []byte, count int
 		var extK, extV [][]byte
 		var extDL []int64
 		var extArmed []bool
-		for _, ki := range idxs {
-			k := keys[ki]
+		for _, k := range group {
 			v, ok := s.e.PeekOne(k, vbuf)
 			if !ok {
 				continue

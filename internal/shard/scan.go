@@ -38,26 +38,23 @@ func (c *Cluster) Scan(start []byte, limit int, fn func(key []byte) bool) (int, 
 	return c.ScanO(start, limit, fn, nil)
 }
 
-// ScanO is Scan with an optional per-shard outcome report.
-func (c *Cluster) ScanO(start []byte, limit int, fn func(key []byte) bool, out *BatchOutcome) (int, error) {
+// ScanO is Scan reporting one OpOutcome per shard walk, appended to
+// *out (out may be nil).
+func (c *Cluster) ScanO(start []byte, limit int, fn func(key []byte) bool, out *[]OpOutcome) (int, error) {
 	perShard := make([][][]byte, len(c.shards))
-	for si, s := range c.shards {
-		s.mu.Lock()
-		var before kv.OpProbe
-		if out != nil {
-			before = s.e.Probe()
-		}
-		_, err := s.e.Scan(start, limit, func(key []byte) bool {
-			perShard[si] = append(perShard[si], append([]byte(nil), key...))
-			return true
+	for si := range c.shards {
+		err := c.walkShard(si, out, func(e *kv.Engine) error {
+			_, err := e.Scan(start, limit, func(key []byte) bool {
+				perShard[si] = append(perShard[si], append([]byte(nil), key...))
+				return true
+			})
+			return err
 		})
-		observeBatch(si, 1, s.e, out, before)
-		s.mu.Unlock()
 		if err != nil {
 			return 0, err
 		}
 	}
-	return mergeKeys(perShard, limit, fn), nil
+	return mergeRuns(perShard, limit, func(k []byte) []byte { return k }, fn), nil
 }
 
 // rangePair is one gathered key/value pair.
@@ -67,78 +64,70 @@ type rangePair struct {
 
 // RangeO visits up to limit stored pairs with start <= key <= end in
 // ascending key order (end nil = unbounded above, limit <= 0 =
-// unbounded), with an optional per-shard outcome report. Slices passed
-// to fn are copies. Returns pairs emitted, or kv.ErrUnordered for a
-// hash index.
-func (c *Cluster) RangeO(start, end []byte, limit int, fn func(key, value []byte) bool, out *BatchOutcome) (int, error) {
+// unbounded), reporting one OpOutcome per shard walk, appended to *out
+// (out may be nil). Slices passed to fn are copies. Returns pairs
+// emitted, or kv.ErrUnordered for a hash index.
+func (c *Cluster) RangeO(start, end []byte, limit int, fn func(key, value []byte) bool, out *[]OpOutcome) (int, error) {
 	perShard := make([][]rangePair, len(c.shards))
-	for si, s := range c.shards {
-		s.mu.Lock()
-		var before kv.OpProbe
-		if out != nil {
-			before = s.e.Probe()
-		}
-		_, err := s.e.Range(start, end, limit, func(key, value []byte) bool {
-			perShard[si] = append(perShard[si], rangePair{
-				key: append([]byte(nil), key...),
-				val: append([]byte(nil), value...),
+	for si := range c.shards {
+		err := c.walkShard(si, out, func(e *kv.Engine) error {
+			_, err := e.Range(start, end, limit, func(key, value []byte) bool {
+				perShard[si] = append(perShard[si], rangePair{
+					key: append([]byte(nil), key...),
+					val: append([]byte(nil), value...),
+				})
+				return true
 			})
-			return true
+			return err
 		})
-		observeBatch(si, 1, s.e, out, before)
-		s.mu.Unlock()
 		if err != nil {
 			return 0, err
 		}
 	}
-	// Merge the per-shard ascending runs.
-	heads := make([]int, len(perShard))
-	n := 0
-	for limit <= 0 || n < limit {
-		best := -1
-		for si := range perShard {
-			if heads[si] >= len(perShard[si]) {
-				continue
-			}
-			if best < 0 || bytes.Compare(perShard[si][heads[si]].key, perShard[best][heads[best]].key) < 0 {
-				best = si
-			}
-		}
-		if best < 0 {
-			break
-		}
-		p := perShard[best][heads[best]]
-		heads[best]++
-		n++
-		if !fn(p.key, p.val) {
-			break
-		}
-	}
-	return n, nil
+	return mergeRuns(perShard, limit, func(p rangePair) []byte { return p.key },
+		func(p rangePair) bool { return fn(p.key, p.val) }), nil
 }
 
-// mergeKeys merges per-shard ascending key runs into one ascending
-// emission of at most limit keys.
-func mergeKeys(perShard [][][]byte, limit int, fn func(key []byte) bool) int {
-	heads := make([]int, len(perShard))
+// walkShard runs one shard's walk under its lock and, when out is
+// non-nil, appends the walk's exact probe delta to *out — even for a
+// walk that failed, which still reached the engine.
+func (c *Cluster) walkShard(si int, out *[]OpOutcome, walk func(e *kv.Engine) error) error {
+	s := c.shards[si]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	before := s.e.Probe()
+	err := walk(s.e)
+	if out != nil {
+		var oc OpOutcome
+		observeDelta(si, &oc, before, s.e.Probe())
+		*out = append(*out, oc)
+	}
+	return err
+}
+
+// mergeRuns merges per-shard runs, each ascending by key, into one
+// ascending emission of at most limit items (limit <= 0 = unbounded),
+// stopping early when fn returns false. Returns items emitted.
+func mergeRuns[T any](runs [][]T, limit int, key func(T) []byte, fn func(T) bool) int {
+	heads := make([]int, len(runs))
 	n := 0
 	for limit <= 0 || n < limit {
 		best := -1
-		for si := range perShard {
-			if heads[si] >= len(perShard[si]) {
+		for si := range runs {
+			if heads[si] >= len(runs[si]) {
 				continue
 			}
-			if best < 0 || bytes.Compare(perShard[si][heads[si]], perShard[best][heads[best]]) < 0 {
+			if best < 0 || bytes.Compare(key(runs[si][heads[si]]), key(runs[best][heads[best]])) < 0 {
 				best = si
 			}
 		}
 		if best < 0 {
 			break
 		}
-		k := perShard[best][heads[best]]
+		it := runs[best][heads[best]]
 		heads[best]++
 		n++
-		if !fn(k) {
+		if !fn(it) {
 			break
 		}
 	}

@@ -261,9 +261,10 @@ func detachTrace(e *kv.Engine, out *OpOutcome) {
 // exec is the one copy of the per-op sequence: op gate, span attach,
 // engine call, WAL frames (the op's own plus the maintenance it
 // triggered — reads log too when they caused a lazy expiry), span
-// detach. Everything that differs between running in place and running
-// from a drain stays with the two callers, Do and serveBurst: the
-// lock, the probes, the commit, the completion. bi/n are r's position
+// detach — the only place a keyed engine op runs. Everything that
+// differs between running in place and running from a drain stays with
+// the callers, Do and runChained (serveBurst, DoBatch): the lock, the
+// probes, the commit, the completion. bi/n are r's position
 // in a drain burst and the burst's size; n == 0 means in place, which
 // has no queue.wait and drain events to stamp. ran is false when the
 // gate denied the op: no engine call ran, no cycles were charged, and

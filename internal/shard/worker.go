@@ -86,7 +86,7 @@ type workerSet struct {
 // StartWorkers launches one owning goroutine per shard, each draining
 // a bounded ring of queueCap requests (0 = DefaultQueueCap, rounded
 // up to a power of two). After StartWorkers, Enqueue routes requests
-// over the rings; Do and the batch and scan calls remain safe
+// over the rings; Do, DoBatch and the scan calls remain safe
 // concurrently (workers hold the same shard locks while draining).
 func (c *Cluster) StartWorkers(queueCap int) error {
 	if c.wset.Load() != nil {
@@ -244,24 +244,13 @@ func (c *Cluster) runWorker(set *workerSet, i int) {
 }
 
 // serveBurst executes one drained burst inside a single shard-lock
-// critical section. Probe snapshots chain across the burst, and every
-// completion is signalled only after the lock is released so waiters
-// never contend with the drain.
+// critical section. Probe snapshots chain across the burst (runChained),
+// and every completion is signalled only after the lock is released so
+// waiters never contend with the drain.
 func (c *Cluster) serveBurst(i int, s *shardSlot, w *worker, burst []*Req) {
 	n := len(burst)
-	wrote := false
 	s.mu.Lock()
-	before := s.e.Probe()
-	for bi, r := range burst {
-		ran, framed := c.exec(i, s, r, bi, n)
-		if !ran {
-			continue // denied: no probe movement, before stays chained
-		}
-		wrote = wrote || framed
-		after := s.e.Probe()
-		observeDelta(i, &r.Out, before, after)
-		before = after
-	}
+	wrote := c.runChained(i, s, burst, n)
 	// Active expiry rides the drain: one bounded sampling pass per
 	// burst, inside the same critical section, reaping dead keys the
 	// traffic never touches (untimed; the reaps are logged like lazy
