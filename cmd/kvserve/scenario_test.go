@@ -237,6 +237,32 @@ func TestServerScanReplyShape(t *testing.T) {
 	}
 }
 
+// TestServerScanEmptyKeyAndValue: a stored empty key or value is an
+// empty bulk in RANGE and SCAN replies, never the null bulk that means
+// "absent".
+func TestServerScanEmptyKeyAndValue(t *testing.T) {
+	s := newScenarioServer(t, 1, addrkv.IndexBTree, 0, false)
+	call(t, s, "SET", "a", "")
+	call(t, s, "SET", "", "v")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"RANGE", "", "z"}, "*4\r\n$0\r\n\r\n$1\r\nv\r\n$1\r\na\r\n$0\r\n\r\n"},
+		{[]string{"SCAN", "0"}, "*2\r\n$1\r\n0\r\n*2\r\n$0\r\n\r\n$1\r\na\r\n"},
+	} {
+		var buf bytes.Buffer
+		w := resp.NewWriter(&buf)
+		runOne(s, w, &connState{id: 1}, tc.args...)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != tc.want {
+			t.Errorf("%v = %q, want %q", tc.args, buf.String(), tc.want)
+		}
+	}
+}
+
 // TestServerScanMatch pins the MATCH contract: the filter applies
 // after the page is scanned, so COUNT bounds keys scanned (not keys
 // returned) and the continuation cursor follows the last SCANNED key —

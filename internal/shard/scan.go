@@ -32,8 +32,9 @@ func (c *Cluster) Ordered() bool {
 
 // Scan visits up to limit stored keys >= start in ascending order
 // (limit <= 0 = unbounded), calling fn with each key until it returns
-// false. Keys passed to fn are copies the caller may keep. Returns
-// keys emitted, or kv.ErrUnordered for a hash index.
+// false. Keys passed to fn are copies the caller may keep, and never
+// nil, which the reply writer renders as absent. Returns keys emitted,
+// or kv.ErrUnordered for a hash index.
 func (c *Cluster) Scan(start []byte, limit int, fn func(key []byte) bool) (int, error) {
 	return c.ScanO(start, limit, fn, nil)
 }
@@ -45,7 +46,7 @@ func (c *Cluster) ScanO(start []byte, limit int, fn func(key []byte) bool, out *
 	for si := range c.shards {
 		err := c.walkShard(si, out, func(e *kv.Engine) error {
 			_, err := e.Scan(start, limit, func(key []byte) bool {
-				perShard[si] = append(perShard[si], append([]byte(nil), key...))
+				perShard[si] = append(perShard[si], append([]byte{}, key...))
 				return true
 			})
 			return err
@@ -73,8 +74,8 @@ func (c *Cluster) RangeO(start, end []byte, limit int, fn func(key, value []byte
 		err := c.walkShard(si, out, func(e *kv.Engine) error {
 			_, err := e.Range(start, end, limit, func(key, value []byte) bool {
 				perShard[si] = append(perShard[si], rangePair{
-					key: append([]byte(nil), key...),
-					val: append([]byte(nil), value...),
+					key: append([]byte{}, key...),
+					val: append([]byte{}, value...),
 				})
 				return true
 			})
