@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -113,6 +114,19 @@ func TestDRAMContention(t *testing.T) {
 	}
 	if d.Accesses != 10001 || d.DemandAccesses != 10001 {
 		t.Fatalf("access counts %d/%d", d.Accesses, d.DemandAccesses)
+	}
+}
+
+// TestDecayTableIsExp2: the decay factor DRAM.settle applies is, bit for
+// bit, the math.Exp2 it used to compute per event, over the whole table
+// and past its end where it still computes.
+func TestDecayTableIsExp2(t *testing.T) {
+	window := 1500.0 // the half-life, spelled as the old per-event code had it
+	for dt := arch.Cycles(0); dt < 2*arch.Cycles(len(decayTable)); dt++ {
+		want := math.Exp2(-float64(dt) / window)
+		if got := decay(dt); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("decay(%d) = %v, math.Exp2 gives %v", dt, got, want)
+		}
 	}
 }
 

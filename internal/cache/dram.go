@@ -8,7 +8,7 @@ import (
 
 // DRAM models main memory with an unloaded latency plus a bandwidth
 // contention queue. Pressure rises by one unit per access and decays
-// *with simulated time* (half-life PressureWindow cycles), so a
+// *with simulated time* (half-life pressureWindow cycles), so a
 // configuration that issues more accesses per unit time — e.g. an
 // inaccurate prefetcher — raises the effective latency of everyone's
 // demand accesses. This reproduces the Section IV-F result that
@@ -25,8 +25,6 @@ type DRAM struct {
 
 	// Now returns the current simulated cycle; wired by the machine.
 	Now func() arch.Cycles
-	// PressureWindow is the half-life of queue pressure in cycles.
-	PressureWindow float64
 
 	decayPerAccess float64
 	pressure       float64
@@ -43,6 +41,27 @@ type DRAM struct {
 	TotalDemandLatency arch.Cycles
 }
 
+// pressureWindow is the half-life of queue pressure in cycles.
+const pressureWindow = 1500
+
+// decayTable[dt] is the factor pressure decays by over dt cycles,
+// computed once with the expression decay uses for longer gaps, so a
+// table read and a computed factor are the same float64.
+var decayTable = func() (t [4096]float64) {
+	for dt := range t {
+		t[dt] = math.Exp2(-float64(dt) / pressureWindow)
+	}
+	return t
+}()
+
+// decay returns the factor pressure decays by over dt cycles.
+func decay(dt arch.Cycles) float64 {
+	if dt < arch.Cycles(len(decayTable)) {
+		return decayTable[dt]
+	}
+	return math.Exp2(-float64(dt) / pressureWindow)
+}
+
 // NewDRAM builds a DRAM model from machine parameters.
 func NewDRAM(p arch.MachineParams) *DRAM {
 	window := p.DRAMQueueWindow
@@ -53,7 +72,6 @@ func NewDRAM(p arch.MachineParams) *DRAM {
 		Base:           p.DRAMLatency,
 		QueuePenalty:   p.DRAMQueuePenalty,
 		QueueMax:       p.DRAMQueueMax,
-		PressureWindow: 1500, // cycles of half-life
 		decayPerAccess: 1 - 1/float64(window),
 	}
 }
@@ -72,8 +90,7 @@ func (d *DRAM) settle() {
 		return
 	}
 	if now > d.lastAt {
-		dt := float64(now - d.lastAt)
-		d.pressure *= math.Exp2(-dt / d.PressureWindow)
+		d.pressure *= decay(now - d.lastAt)
 		d.lastAt = now
 	}
 }

@@ -57,7 +57,7 @@ func (h *Hierarchy) Access(pa arch.Addr, write bool, kind arch.AccessKind) arch.
 
 	if h.L1.Access(line) {
 		if write {
-			h.markDirty(line)
+			h.L3.MarkDirty(line)
 		}
 		return h.lat1
 	}
@@ -66,7 +66,7 @@ func (h *Hierarchy) Access(pa arch.Addr, write bool, kind arch.AccessKind) arch.
 		h.fill3(line)
 		h.L1.Fill(line, false)
 		if write {
-			h.markDirty(line)
+			h.L3.MarkDirty(line)
 		}
 		return h.lat1 + h.lat2
 	}
@@ -77,7 +77,7 @@ func (h *Hierarchy) Access(pa arch.Addr, write bool, kind arch.AccessKind) arch.
 		h.L2.Fill(line, false)
 		h.L1.Fill(line, false)
 		if write {
-			h.markDirty(line)
+			h.L3.MarkDirty(line)
 		}
 		return h.lat1 + h.lat2 + h.lat3
 	}
@@ -87,7 +87,7 @@ func (h *Hierarchy) Access(pa arch.Addr, write bool, kind arch.AccessKind) arch.
 	h.L2.Fill(line, false)
 	h.L1.Fill(line, false)
 	if write {
-		h.markDirty(line)
+		h.L3.MarkDirty(line)
 	}
 	return h.lat1 + h.lat2 + h.lat3 + lat
 }
@@ -99,11 +99,6 @@ func (h *Hierarchy) fill3(line uint64) {
 	if h.L3.Fill(line, false) {
 		h.Mem.Writeback()
 	}
-}
-
-// markDirty flags the written line at the L3 (write-back) level.
-func (h *Hierarchy) markDirty(line uint64) {
-	h.L3.MarkDirty(line)
 }
 
 // observe feeds the LLC prefetcher and executes its prefetches.

@@ -157,7 +157,3 @@ func (o *OS) ContextSwitch() {
 	}
 	o.m.Compute(2*SyscallCost, arch.CatOther)
 }
-
-// PendingInvalidations returns the size of the kernel-space
-// invalidated-VA array (diagnostics).
-func (o *OS) PendingInvalidations() int { return len(o.invalidatedVAs) }

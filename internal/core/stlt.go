@@ -96,6 +96,8 @@ type STLT struct {
 
 	rng uint64 // xorshift state for the probabilistic counter
 
+	walkBuf []vm.WalkStep // the SPTW's steps, reused across inserts
+
 	Stats Stats
 }
 
@@ -128,20 +130,17 @@ func (t *STLT) setIndex(integer uint64) int {
 func subInt(integer uint64) uint16 { return uint16(integer & subIntMask) }
 
 // readRow fetches a row functionally from simulated physical memory.
+// Word 0 holds the meta half-word in bytes 0-1 and the VA in bytes 2-7.
 func (t *STLT) readRow(s, w int) Row {
 	pa := t.rowPA(s, w)
 	pm := t.m.AS.Phys
-	meta := uint16(pm.ReadU64(pa) & 0xffff)
-	var vab [8]byte
-	pm.ReadAt(pa+2, vab[:6])
-	va := arch.Addr(uint64(vab[0]) | uint64(vab[1])<<8 | uint64(vab[2])<<16 |
-		uint64(vab[3])<<24 | uint64(vab[4])<<32 | uint64(vab[5])<<40)
-	pte := vm.PTE(pm.ReadU64(pa + 8))
+	w0 := pm.ReadU64(pa)
+	meta := uint16(w0)
 	return Row{
 		Counter: uint8(meta >> SubIntegerBits),
 		SubInt:  meta & subIntMask,
-		VA:      va,
-		PTE:     pte,
+		VA:      arch.Addr(w0 >> 16),
+		PTE:     vm.PTE(pm.ReadU64(pa + 8)),
 	}
 }
 
@@ -150,12 +149,7 @@ func (t *STLT) writeRow(s, w int, r Row) {
 	pa := t.rowPA(s, w)
 	pm := t.m.AS.Phys
 	meta := uint16(r.Counter)<<SubIntegerBits | r.SubInt&subIntMask
-	var b [8]byte
-	b[0], b[1] = byte(meta), byte(meta>>8)
-	v := uint64(r.VA)
-	b[2], b[3], b[4] = byte(v), byte(v>>8), byte(v>>16)
-	b[5], b[6], b[7] = byte(v>>24), byte(v>>32), byte(v>>40)
-	pm.WriteAt(pa, b[:])
+	pm.WriteU64(pa, uint64(meta)|uint64(r.VA)<<16)
 	pm.WriteU64(pa+8, uint64(r.PTE))
 }
 
@@ -167,13 +161,6 @@ func (t *STLT) chargeSetScan(s int, cat arch.CostCategory) {
 	// Comparator scan: ~1 extra cycle per 4 ways (one line's worth of
 	// rows compares in parallel; wider sets serialize).
 	c += arch.Cycles(t.ways / 4)
-	t.chargeCycles(c, cat)
-}
-
-func (t *STLT) chargeCycles(c arch.Cycles, cat arch.CostCategory) {
-	// The machine exposes Compute for pure cycles; memory cycles from
-	// Caches.AccessRange above are charged here so they land in the
-	// STLT category rather than the caller's.
 	t.m.Compute(c, cat)
 }
 
@@ -232,17 +219,18 @@ func (t *STLT) LoadVA(integer uint64) arch.Addr {
 
 	sub := subInt(integer)
 	match := -1
+	var r Row
 	for w := 0; w < t.ways; w++ {
-		r := t.readRow(s, w)
-		if r.Valid() && r.SubInt == sub {
+		rw := t.readRow(s, w)
+		if rw.Valid() && rw.SubInt == sub {
 			if match >= 0 {
 				t.Stats.MultiMatch++
 				// "one matching row is randomly selected"
 				if t.nextRand()&1 == 0 {
-					match = w
+					match, r = w, rw
 				}
 			} else {
-				match = w
+				match, r = w, rw
 			}
 		}
 	}
@@ -252,7 +240,6 @@ func (t *STLT) LoadVA(integer uint64) arch.Addr {
 	if match < 0 {
 		return 0
 	}
-	r := t.readRow(s, match)
 
 	// IPB filter: recently invalidated pages must miss. The software
 	// variant has no IPB; it relies on software validation alone.
@@ -277,7 +264,7 @@ func (t *STLT) LoadVA(integer uint64) arch.Addr {
 		t.writeRow(s, match, r)
 	}
 	c := t.m.Caches.Access(t.rowPA(s, match), true, arch.KindSTLT)
-	t.chargeCycles(c, arch.CatSTLT)
+	t.m.Compute(c, arch.CatSTLT)
 
 	// Forward the row to the MMU: the VA->PTE pair enters the STB so
 	// the dependent record access skips the page walk. Only the full
@@ -408,7 +395,7 @@ func (t *STLT) InsertSTLT(integer uint64, va arch.Addr) {
 		t.m.Touch(t.setVA(s)+arch.Addr(w*RowSize), RowSize, true, arch.KindSTLT, arch.CatSTLT)
 	} else {
 		c := t.m.Caches.Access(t.rowPA(s, w), true, arch.KindSTLT)
-		t.chargeCycles(c, arch.CatSTLT)
+		t.m.Compute(c, arch.CatSTLT)
 	}
 	if t.m.Trace != nil {
 		t.m.Trace.Event(trace.EvSTLTInsert, uint64(t.m.Cycles()), int64(s), int64(w), 0)
@@ -434,12 +421,13 @@ func (t *STLT) insertFunctional(integer uint64, va arch.Addr) {
 // sptw is the simplified page table walker: the normal walker with
 // exceptions disabled. PTE reads go through the data caches.
 func (t *STLT) sptw(va arch.Addr) vm.PTE {
-	pte, steps := t.m.AS.PT.Walk(va, nil)
+	var pte vm.PTE
+	pte, t.walkBuf = t.m.AS.PT.Walk(va, t.walkBuf[:0])
 	var c arch.Cycles
-	for _, st := range steps {
+	for _, st := range t.walkBuf {
 		c += t.m.Caches.Access(st.PTEAddr, false, arch.KindPageTable)
 	}
-	t.chargeCycles(c, arch.CatSTLT)
+	t.m.Compute(c, arch.CatSTLT)
 	return pte
 }
 

@@ -165,6 +165,7 @@ func (h *ChainHash) grow() {
 	h.nbkts <<= 1
 	h.buckets = m.AS.Alloc(h.nbkts * 8)
 	h.Grows++
+	var k []byte // one key buffer for the whole rehash
 	for i := 0; i < oldN; i++ {
 		eva := arch.Addr(m.AS.ReadU64(oldB + arch.Addr(i*8)))
 		for eva != 0 {
@@ -174,7 +175,10 @@ func (h *ChainHash) grow() {
 			next := arch.Addr(binary.LittleEndian.Uint64(b[8:]))
 			// Rehash by re-reading the stored key.
 			kl, _ := headerFunctional(m.AS, rec)
-			k := make([]byte, kl)
+			if cap(k) < kl {
+				k = make([]byte, kl)
+			}
+			k = k[:kl]
 			m.AS.ReadAt(rec+RecordHeaderSize, k)
 			nb := h.bucketVA(h.ctx.Hash.Hash(k, h.ctx.Seed))
 			oldHead := m.AS.ReadU64(nb)

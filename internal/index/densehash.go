@@ -31,9 +31,6 @@ type DenseHash struct {
 
 	// Grows counts rehashes.
 	Grows uint64
-	// ProbeLengthSum / Probes expose average probe distance.
-	ProbeLengthSum uint64
-	Probes         uint64
 }
 
 const (
@@ -103,19 +100,16 @@ func (d *DenseHash) Get(key []byte) (arch.Addr, bool) {
 	hash := d.ctx.HashKey(key)
 	m := d.ctx.M
 	next := d.probeSeq(hash)
-	d.Probes++
 	for n := 0; n < d.cap; n++ {
 		idx := next()
 		slot := d.readSlot(idx, arch.CatTraverse)
 		if slot == 0 {
-			d.ProbeLengthSum += uint64(n + 1)
 			return 0, false
 		}
 		if slot == denseTombstone {
 			continue
 		}
 		if KeyMatches(m, slot, key, arch.CatTraverse) {
-			d.ProbeLengthSum += uint64(n + 1)
 			return slot, true
 		}
 	}
@@ -234,12 +228,4 @@ func (d *DenseHash) grow() {
 	}
 	m.AS.Free(oldT, oldCap*denseSlotSize)
 	m.Compute(arch.Cycles(oldCap*12), arch.CatOther)
-}
-
-// MeanProbeLength returns the average probes per lookup (diagnostics).
-func (d *DenseHash) MeanProbeLength() float64 {
-	if d.Probes == 0 {
-		return 0
-	}
-	return float64(d.ProbeLengthSum) / float64(d.Probes)
 }

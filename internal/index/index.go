@@ -13,8 +13,6 @@
 package index
 
 import (
-	"bytes"
-
 	"addrkv/internal/arch"
 	"addrkv/internal/cpu"
 	"addrkv/internal/hashfn"
@@ -73,16 +71,3 @@ func (c *Context) HashKey(key []byte) uint64 {
 // keyCompareCost is the compute cost of a short memcmp (the memory
 // traffic is charged separately by the timed reads).
 func keyCompareCost(n int) arch.Cycles { return arch.Cycles(2 + n/8) }
-
-// compareKeys charges a compare and returns bytes.Compare(a, b).
-func (c *Context) compareKeys(a, b []byte) int {
-	c.M.Compute(keyCompareCost(min(len(a), len(b))), arch.CatTraverse)
-	return bytes.Compare(a, b)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

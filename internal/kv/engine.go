@@ -376,15 +376,10 @@ func (e *Engine) fastHash(key []byte) uint64 {
 // Load bulk-inserts n keys with valueSize-byte values in Fast
 // (functional-only) mode — the data-loading phase before warm-up.
 func (e *Engine) Load(n int, valueSize int) {
-	wasFast := e.M.Fast
-	e.M.Fast = true
+	val := make([]byte, valueSize)
 	for id := uint64(0); id < uint64(n); id++ {
-		key := ycsb.KeyNameInto(e.keyBuf[:], id)
-		val := ycsb.Value(id, 0, valueSize)
-		e.Idx.Put(key, val)
-		e.lfuAccount(key, val)
+		e.LoadOne(ycsb.KeyNameInto(e.keyBuf[:], id), ycsb.ValueInto(val, id, 0))
 	}
-	e.M.Fast = wasFast
 }
 
 // LoadOne inserts a single key/value pair in Fast (functional-only)

@@ -168,12 +168,13 @@ func (c *Cluster) Engine(i int) *kv.Engine { return c.shards[i].e }
 // preloaded server recovers to the same warm state.
 func (c *Cluster) Load(n, valueSize int) {
 	var buf [ycsb.KeyLen]byte
+	val := make([]byte, valueSize)
 	for id := uint64(0); id < uint64(n); id++ {
 		key := ycsb.KeyNameInto(buf[:], id)
 		i := c.ShardFor(key)
 		s := c.shards[i]
 		s.mu.Lock()
-		val := ycsb.Value(id, 0, valueSize)
+		ycsb.ValueInto(val, id, 0)
 		s.e.LoadOne(key, val)
 		c.walAppend(i, s.e, wal.RecLoad, key, val, nil)
 		s.mu.Unlock()
@@ -453,13 +454,17 @@ func (c *Cluster) SweepExpired(limit int) int {
 // is still drained (and discarded) so TTL/eviction runs cannot grow
 // it.
 func (c *Cluster) RunOp(op ycsb.Op, valueSize int) {
-	var buf [ycsb.KeyLen]byte
-	key := ycsb.KeyNameInto(buf[:], op.KeyID)
 	if op.Type == ycsb.Scan {
-		_, _ = c.Scan(key, op.ScanLen, func([]byte) bool { return true })
+		_, _ = c.Scan(ycsb.KeyName(op.KeyID), op.ScanLen, func([]byte) bool { return true })
 		return
 	}
-	s := c.slot(key)
+	// The engine renders its own key. Routing among several shards needs
+	// one here too, and a key passed to the route hash (a func value)
+	// escapes to the heap, so a single shard skips it.
+	s := c.shards[0]
+	if len(c.shards) > 1 {
+		s = c.slot(ycsb.KeyName(op.KeyID))
+	}
 	s.mu.Lock()
 	s.e.RunOp(op, valueSize)
 	if s.e.MaintPending() {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"addrkv/internal/arch"
@@ -33,12 +34,11 @@ type AddressSpace struct {
 	// translation is about to be removed or replaced.
 	OnInvalidate InvalidateFunc
 
-	brk        arch.Addr           // next unmapped heap VA
-	mappedEnd  arch.Addr           // heap VAs below this are mapped
-	kernelBrk  arch.Addr           // next unmapped kernel VA
-	freeLists  map[int][]arch.Addr // size class (power of two) -> free VAs
-	heapInUse  uint64              // bytes handed out minus bytes freed
-	totalAlloc uint64              // bytes handed out, cumulative
+	brk       arch.Addr           // next unmapped heap VA
+	mappedEnd arch.Addr           // heap VAs below this are mapped
+	kernelBrk arch.Addr           // next unmapped kernel VA
+	freeLists map[int][]arch.Addr // size class (power of two) -> free VAs
+	heapInUse uint64              // bytes handed out minus bytes freed
 }
 
 // NewAddressSpace creates an address space with a fresh page table in
@@ -80,7 +80,6 @@ func (as *AddressSpace) Alloc(size int) arch.Addr {
 		va := lst[len(lst)-1]
 		as.freeLists[c] = lst[:len(lst)-1]
 		as.heapInUse += uint64(c)
-		as.totalAlloc += uint64(c)
 		return va
 	}
 	// Carve from the bump pointer, aligned to the class size (or
@@ -93,7 +92,6 @@ func (as *AddressSpace) Alloc(size int) arch.Addr {
 	as.brk = va + arch.Addr(c)
 	as.ensureMapped(va, c)
 	as.heapInUse += uint64(c)
-	as.totalAlloc += uint64(c)
 	return va
 }
 
@@ -116,9 +114,6 @@ func (as *AddressSpace) Free(va arch.Addr, size int) {
 
 // HeapInUse returns the bytes currently handed out by the allocator.
 func (as *AddressSpace) HeapInUse() uint64 { return as.heapInUse }
-
-// TotalAllocated returns the cumulative bytes handed out.
-func (as *AddressSpace) TotalAllocated() uint64 { return as.totalAlloc }
 
 // ensureMapped maps every page overlapping [va, va+size).
 func (as *AddressSpace) ensureMapped(va arch.Addr, size int) {
@@ -204,34 +199,24 @@ func (as *AddressSpace) Translate(va arch.Addr) (arch.Addr, bool) {
 }
 
 // ReadAt reads len(buf) bytes from virtual memory (functional).
-func (as *AddressSpace) ReadAt(va arch.Addr, buf []byte) {
-	for len(buf) > 0 {
-		pa, ok := as.Translate(va)
-		if !ok {
-			panic(fmt.Sprintf("vm: read from unmapped address %v", va))
-		}
-		n := arch.PageSize - int(va.Offset())
-		if n > len(buf) {
-			n = len(buf)
-		}
-		as.Phys.ReadAt(pa, buf[:n])
-		buf = buf[n:]
-		va += arch.Addr(n)
-	}
-}
+func (as *AddressSpace) ReadAt(va arch.Addr, buf []byte) { as.copyAt(va, buf, false) }
 
 // WriteAt writes buf to virtual memory (functional).
-func (as *AddressSpace) WriteAt(va arch.Addr, buf []byte) {
+func (as *AddressSpace) WriteAt(va arch.Addr, buf []byte) { as.copyAt(va, buf, true) }
+
+// copyAt copies between buf and virtual memory at va, a page at a time.
+func (as *AddressSpace) copyAt(va arch.Addr, buf []byte, write bool) {
 	for len(buf) > 0 {
 		pa, ok := as.Translate(va)
 		if !ok {
-			panic(fmt.Sprintf("vm: write to unmapped address %v", va))
+			panic(fmt.Sprintf("vm: access to unmapped address %v (write %v)", va, write))
 		}
-		n := arch.PageSize - int(va.Offset())
-		if n > len(buf) {
-			n = len(buf)
+		n := min(arch.PageSize-int(va.Offset()), len(buf))
+		if write {
+			as.Phys.WriteAt(pa, buf[:n])
+		} else {
+			as.Phys.ReadAt(pa, buf[:n])
 		}
-		as.Phys.WriteAt(pa, buf[:n])
 		buf = buf[n:]
 		va += arch.Addr(n)
 	}
@@ -241,14 +226,12 @@ func (as *AddressSpace) WriteAt(va arch.Addr, buf []byte) {
 func (as *AddressSpace) ReadU64(va arch.Addr) uint64 {
 	var b [8]byte
 	as.ReadAt(va, b[:])
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // WriteU64 writes a little-endian 64-bit word at va (functional).
 func (as *AddressSpace) WriteU64(va arch.Addr, v uint64) {
 	var b [8]byte
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+	binary.LittleEndian.PutUint64(b[:], v)
 	as.WriteAt(va, b[:])
 }

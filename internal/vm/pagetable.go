@@ -66,11 +66,37 @@ func (s WalkStep) Leaf() bool { return s.Level == 1 }
 
 // PageTable is a 4-level radix page table whose table pages live in
 // simulated physical memory, exactly like a real OS page table.
+//
+// The host also remembers, per 2 MB region (one leaf table's reach), the
+// frames of the three tables below the root on the region's way down,
+// in a direct-mapped cache. With them Walk, Lookup and Translate read
+// the leaf PTE alone and still report the walk's four steps. An entry
+// cannot go stale: Map writes an upper-level PTE only where it is
+// absent, Unmap only zeroes leaves and no table page is ever freed, so
+// an upper-level PTE once present never changes. A path with an absent
+// level is not cached; such a walk descends from the root every time.
+// A leaf PTE is either present or zero.
 type PageTable struct {
 	pm   *PhysMem
 	root uint64 // frame number of the root table (CR3)
 
 	mapped uint64 // number of present leaf entries
+
+	paths [pathSlots]regionPath
+}
+
+const (
+	// regionShift is log2 of the VA span one leaf table maps.
+	regionShift = arch.PageShift + ptIndexBits
+	pathSlots   = 512
+)
+
+// regionPath is one remembered path: tables[i] is the frame of the
+// table at level PTLevels-1-i. A zero leaf-table frame marks an empty
+// slot, since frame 0 is never allocated.
+type regionPath struct {
+	region uint64
+	tables [PTLevels - 1]uint64
 }
 
 // NewPageTable allocates an empty page table in pm.
@@ -96,6 +122,41 @@ func pteAddr(tf uint64, va arch.Addr, level int) arch.Addr {
 	return arch.Addr(tf<<arch.PageShift + indexAt(va, level)*8)
 }
 
+// path returns the frames of the tables below the root on va's way
+// down, as regionPath.tables holds them, and absent = 0. If an
+// upper-level PTE on the way is absent, absent is its level; with
+// alloc, the missing table is allocated and linked in instead.
+func (pt *PageTable) path(va arch.Addr, alloc bool) (tables [PTLevels - 1]uint64, absent int) {
+	region := uint64(va) >> regionShift
+	slot := &pt.paths[region%pathSlots]
+	if slot.region == region && slot.tables[PTLevels-2] != 0 {
+		return slot.tables, 0
+	}
+	tf := pt.root
+	for level := PTLevels; level > 1; level-- {
+		a := pteAddr(tf, va, level)
+		e := PTE(pt.pm.ReadU64(a))
+		if !e.Present() {
+			if !alloc {
+				return tables, level
+			}
+			e = MakePTE(pt.pm.AllocFrame(), true)
+			pt.pm.WriteU64(a, uint64(e))
+		}
+		tf = e.Frame()
+		tables[PTLevels-level] = tf
+	}
+	slot.region, slot.tables = region, tables
+	return tables, 0
+}
+
+// leaf returns the physical address of va's leaf PTE, or ok=false if a
+// table on the way is absent (with alloc, it never is).
+func (pt *PageTable) leaf(va arch.Addr, alloc bool) (a arch.Addr, ok bool) {
+	tables, absent := pt.path(va, alloc)
+	return pteAddr(tables[PTLevels-2], va, 1), absent == 0
+}
+
 // Map installs a translation va -> frame fn. Intermediate table pages
 // are allocated on demand. Mapping an already-mapped page replaces the
 // leaf entry (used when a page is migrated).
@@ -103,20 +164,8 @@ func (pt *PageTable) Map(va arch.Addr, fn uint64, writable bool) {
 	if va.Offset() != 0 {
 		panic(fmt.Sprintf("vm: Map of non-page-aligned address %v", va))
 	}
-	tf := pt.root
-	for level := PTLevels; level > 1; level-- {
-		a := pteAddr(tf, va, level)
-		e := PTE(pt.pm.ReadU64(a))
-		if !e.Present() {
-			nf := pt.pm.AllocFrame()
-			e = MakePTE(nf, true)
-			pt.pm.WriteU64(a, uint64(e))
-		}
-		tf = e.Frame()
-	}
-	a := pteAddr(tf, va, 1)
-	old := PTE(pt.pm.ReadU64(a))
-	if !old.Present() {
+	a, _ := pt.leaf(va, true)
+	if !PTE(pt.pm.ReadU64(a)).Present() {
 		pt.mapped++
 	}
 	pt.pm.WriteU64(a, uint64(MakePTE(fn, writable)))
@@ -126,19 +175,11 @@ func (pt *PageTable) Map(va arch.Addr, fn uint64, writable bool) {
 // pointed to. It panics if the page was not mapped. Intermediate table
 // pages are retained (like Linux, which frees them lazily if at all).
 func (pt *PageTable) Unmap(va arch.Addr) uint64 {
-	tf := pt.root
-	for level := PTLevels; level > 1; level-- {
-		e := PTE(pt.pm.ReadU64(pteAddr(tf, va, level)))
-		if !e.Present() {
-			panic(fmt.Sprintf("vm: Unmap of unmapped address %v", va))
-		}
-		tf = e.Frame()
-	}
-	a := pteAddr(tf, va, 1)
-	e := PTE(pt.pm.ReadU64(a))
-	if !e.Present() {
+	e, ok := pt.Lookup(va)
+	if !ok {
 		panic(fmt.Sprintf("vm: Unmap of unmapped address %v", va))
 	}
+	a, _ := pt.leaf(va, false)
 	pt.pm.WriteU64(a, 0)
 	pt.mapped--
 	return e.Frame()
@@ -149,36 +190,27 @@ func (pt *PageTable) Unmap(va arch.Addr) uint64 {
 // to steps, which it returns. A failed walk still reports the accesses
 // made up to the absent level, as a hardware walker would.
 func (pt *PageTable) Walk(va arch.Addr, steps []WalkStep) (PTE, []WalkStep) {
+	tables, absent := pt.path(va, false)
 	tf := pt.root
-	for level := PTLevels; level >= 1; level-- {
-		a := pteAddr(tf, va, level)
-		steps = append(steps, WalkStep{PTEAddr: a, Level: level})
-		e := PTE(pt.pm.ReadU64(a))
-		if !e.Present() {
+	for level := PTLevels; level > 1; level-- {
+		steps = append(steps, WalkStep{PTEAddr: pteAddr(tf, va, level), Level: level})
+		if level == absent {
 			return 0, steps
 		}
-		if level == 1 {
-			return e, steps
-		}
-		tf = e.Frame()
+		tf = tables[PTLevels-level]
 	}
-	return 0, steps
+	a := pteAddr(tf, va, 1)
+	return PTE(pt.pm.ReadU64(a)), append(steps, WalkStep{PTEAddr: a, Level: 1})
 }
 
 // Lookup is a walk without access recording, for functional use.
 func (pt *PageTable) Lookup(va arch.Addr) (PTE, bool) {
-	tf := pt.root
-	for level := PTLevels; level >= 1; level-- {
-		e := PTE(pt.pm.ReadU64(pteAddr(tf, va, level)))
-		if !e.Present() {
-			return 0, false
-		}
-		if level == 1 {
-			return e, true
-		}
-		tf = e.Frame()
+	a, ok := pt.leaf(va, false)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	e := PTE(pt.pm.ReadU64(a))
+	return e, e.Present()
 }
 
 // Translate resolves va to a physical address, or ok=false if unmapped.

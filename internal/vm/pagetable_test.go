@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -136,5 +137,136 @@ func TestPageTableRandomRoundTrip(t *testing.T) {
 	}
 	if pt.MappedPages() != uint64(len(ref)) {
 		t.Fatalf("MappedPages = %d, want %d", pt.MappedPages(), len(ref))
+	}
+}
+
+// refWalk is the plain four-level descent the remembered paths must
+// agree with: every level read from simulated memory, nothing cached.
+func refWalk(pm *PhysMem, root uint64, va arch.Addr) (PTE, []WalkStep) {
+	var steps []WalkStep
+	tf := root
+	for level := PTLevels; ; level-- {
+		a := pteAddr(tf, va, level)
+		steps = append(steps, WalkStep{PTEAddr: a, Level: level})
+		e := PTE(pm.ReadU64(a))
+		if !e.Present() {
+			return 0, steps
+		}
+		if level == 1 {
+			return e, steps
+		}
+		tf = e.Frame()
+	}
+}
+
+// TestWalkMatchesPlainDescent drives an address space with a seeded
+// random mix of heap growth, reclaim, migration, kernel allocations and
+// sparse maps anywhere in the 48-bit space, and after every step holds
+// Walk, Lookup and Translate of a spread of addresses (mapped pages,
+// unmapped neighbours, absent upper levels, regions that collide in the
+// path cache) to the plain descent.
+func TestWalkMatchesPlainDescent(t *testing.T) {
+	pm := NewPhysMem()
+	as := NewAddressSpace(pm)
+	pt := as.PT
+	rng := rand.New(rand.NewSource(7))
+	var heap, sparse []arch.Addr // mapped pages
+	type kalloc struct {
+		va arch.Addr
+		n  int
+	}
+	var kernel []kalloc
+	collide := arch.Addr(pathSlots << regionShift) // same slot, other region
+	pick := func(pages []arch.Addr) (arch.Addr, int) {
+		i := rng.Intn(len(pages))
+		return pages[i], i
+	}
+	probe := func() arch.Addr {
+		switch rng.Intn(6) {
+		case 0:
+			return arch.Addr(rng.Uint64() & (1<<arch.VABits - 1))
+		case 1:
+			if len(sparse) > 0 {
+				va, _ := pick(sparse)
+				return va + arch.Addr(rng.Intn(4)-2)*collide + arch.Addr(rng.Intn(arch.PageSize))
+			}
+		case 2:
+			return as.brk + arch.Addr(rng.Intn(8<<20))
+		case 3:
+			if len(kernel) > 0 {
+				k := kernel[rng.Intn(len(kernel))]
+				return k.va + arch.Addr(rng.Intn(k.n+arch.PageSize))
+			}
+		}
+		if len(heap) == 0 {
+			return UserHeapBase
+		}
+		va, _ := pick(heap)
+		return va + arch.Addr(rng.Intn(3)-1)*arch.PageSize + arch.Addr(rng.Intn(arch.PageSize))
+	}
+	outcomes := map[int]int{} // level of the last step read; 0 = translated
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 3:
+			before := as.mappedEnd
+			as.Alloc(1 + rng.Intn(3*arch.PageSize))
+			for p := before; p < as.mappedEnd; p += arch.PageSize {
+				heap = append(heap, p)
+			}
+		case op == 3 && len(heap) > 0:
+			va, i := pick(heap)
+			as.UnmapPage(va)
+			heap = append(heap[:i], heap[i+1:]...)
+		case op == 4 && len(heap) > 0:
+			va, _ := pick(heap)
+			as.RemapPage(va)
+		case op == 5:
+			n := 1 + rng.Intn(3*arch.PageSize)
+			va, _ := as.AllocKernel(n)
+			kernel = append(kernel, kalloc{va, n})
+		case op == 6 && len(kernel) > 0:
+			i := rng.Intn(len(kernel))
+			as.FreeKernel(kernel[i].va, kernel[i].n)
+			kernel = append(kernel[:i], kernel[i+1:]...)
+		case op == 7:
+			va := arch.Addr(rng.Uint64()&(1<<arch.VABits-1)) &^ arch.PageMask
+			if rng.Intn(2) == 0 && len(sparse) > 0 {
+				va, _ = pick(sparse)
+				va = (va + arch.Addr(rng.Intn(3)-1)*collide) & (1<<arch.VABits - 1)
+			}
+			if _, ok := pt.Lookup(va); !ok && va >= KernelBase+1<<40 {
+				pt.Map(va, pm.AllocFrame(), rng.Intn(2) == 0)
+				sparse = append(sparse, va)
+			}
+		case op == 8 && len(sparse) > 0:
+			va, i := pick(sparse)
+			pm.FreeFrame(pt.Unmap(va))
+			sparse = append(sparse[:i], sparse[i+1:]...)
+		}
+		for k := 0; k < 8; k++ {
+			va := probe()
+			want, wantSteps := refWalk(pm, pt.RootFrame(), va)
+			got, steps := pt.Walk(va, nil)
+			if got != want || !slices.Equal(steps, wantSteps) {
+				t.Fatalf("step %d: Walk(%v) = %#x %v, plain descent %#x %v", step, va, got, steps, want, wantSteps)
+			}
+			if e, ok := pt.Lookup(va); e != want || ok != want.Present() {
+				t.Fatalf("step %d: Lookup(%v) = %#x %v, plain descent %#x", step, va, e, ok, want)
+			}
+			pa, ok := pt.Translate(va)
+			if ok != want.Present() || ok && pa != want.PhysBase()+arch.Addr(va.Offset()) {
+				t.Fatalf("step %d: Translate(%v) = %v %v, plain descent %#x", step, va, pa, ok, want)
+			}
+			if want.Present() {
+				outcomes[0]++
+			} else {
+				outcomes[wantSteps[len(wantSteps)-1].Level]++
+			}
+		}
+	}
+	for level := 0; level <= PTLevels; level++ {
+		if outcomes[level] == 0 {
+			t.Errorf("no probe ended at level %d (0 = translated): %v", level, outcomes)
+		}
 	}
 }

@@ -16,38 +16,40 @@ import (
 	"addrkv/internal/arch"
 )
 
-// PhysMem is the simulated physical memory: a growable set of 4 KB
-// frames. Frame 0 is reserved so that physical address 0 never refers
-// to valid data (it plays the role of a null PTE target).
+// PhysMem is the simulated physical memory: 4 KB frames handed out in
+// order from 2 MB slabs, so frame fn is page fn%512 of slab fn/512 and
+// frames with adjacent numbers are adjacent in host memory as well. A
+// bitmap says which frames are live; touching one that is not panics.
+// Frame 0 is reserved so that physical address 0 never refers to valid
+// data (it plays the role of a null PTE target).
 type PhysMem struct {
-	frames    [][]byte // frame number -> backing storage (nil = unallocated)
+	slabs     []*[slabSize]byte
+	live      []uint64 // bit fn%64 of word fn/64 is set while frame fn is allocated
+	next      uint64   // first frame never handed out
 	free      []uint64 // free list of frame numbers
 	allocated uint64   // number of currently allocated frames
 	peak      uint64   // high-water mark of allocated frames
 }
 
-// NewPhysMem returns an empty physical memory.
-func NewPhysMem() *PhysMem {
-	pm := &PhysMem{}
-	pm.frames = append(pm.frames, nil) // reserve frame 0
-	return pm
-}
+const (
+	slabSize   = 2 << 20
+	slabFrames = slabSize >> arch.PageShift
+)
 
-// AllocFrame allocates one zeroed frame and returns its frame number.
+// NewPhysMem returns an empty physical memory.
+func NewPhysMem() *PhysMem { return &PhysMem{next: 1} }
+
+// AllocFrame allocates one zeroed frame and returns its frame number:
+// the most recently freed one if any, else the next never-used one.
 func (pm *PhysMem) AllocFrame() uint64 {
-	var fn uint64
-	if n := len(pm.free); n > 0 {
-		fn = pm.free[n-1]
-		pm.free = pm.free[:n-1]
-		pm.frames[fn] = make([]byte, arch.PageSize)
-	} else {
-		fn = uint64(len(pm.frames))
-		pm.frames = append(pm.frames, make([]byte, arch.PageSize))
+	n := len(pm.free)
+	if n == 0 {
+		return pm.AllocContiguous(1)
 	}
-	pm.allocated++
-	if pm.allocated > pm.peak {
-		pm.peak = pm.allocated
-	}
+	fn := pm.free[n-1]
+	pm.free = pm.free[:n-1]
+	pm.take(fn, 1)
+	clear(pm.at(arch.Addr(fn << arch.PageShift)))
 	return fn
 }
 
@@ -59,30 +61,40 @@ func (pm *PhysMem) AllocContiguous(n int) uint64 {
 	if n <= 0 {
 		panic("vm: AllocContiguous with non-positive count")
 	}
-	first := uint64(len(pm.frames))
-	for i := 0; i < n; i++ {
-		pm.frames = append(pm.frames, make([]byte, arch.PageSize))
+	first := pm.next
+	pm.next += uint64(n)
+	for uint64(len(pm.slabs))*slabFrames < pm.next {
+		pm.slabs = append(pm.slabs, new([slabSize]byte))
+		pm.live = append(pm.live, make([]uint64, slabFrames/64)...)
+	}
+	pm.take(first, n)
+	return first
+}
+
+// take marks the n frames from first live.
+func (pm *PhysMem) take(first uint64, n int) {
+	for fn := first; fn < first+uint64(n); fn++ {
+		pm.live[fn/64] |= 1 << (fn % 64)
 	}
 	pm.allocated += uint64(n)
 	if pm.allocated > pm.peak {
 		pm.peak = pm.allocated
 	}
-	return first
 }
 
 // FreeFrame releases a frame back to the allocator.
 func (pm *PhysMem) FreeFrame(fn uint64) {
-	if fn == 0 || fn >= uint64(len(pm.frames)) || pm.frames[fn] == nil {
+	if !pm.FrameAllocated(fn) {
 		panic(fmt.Sprintf("vm: FreeFrame of invalid frame %d", fn))
 	}
-	pm.frames[fn] = nil
+	pm.live[fn/64] &^= 1 << (fn % 64)
 	pm.free = append(pm.free, fn)
 	pm.allocated--
 }
 
 // FrameAllocated reports whether frame fn is currently allocated.
 func (pm *PhysMem) FrameAllocated(fn uint64) bool {
-	return fn != 0 && fn < uint64(len(pm.frames)) && pm.frames[fn] != nil
+	return fn/64 < uint64(len(pm.live)) && pm.live[fn/64]&(1<<(fn%64)) != 0
 }
 
 // AllocatedFrames returns the number of currently allocated frames.
@@ -91,19 +103,22 @@ func (pm *PhysMem) AllocatedFrames() uint64 { return pm.allocated }
 // PeakFrames returns the peak number of simultaneously allocated frames.
 func (pm *PhysMem) PeakFrames() uint64 { return pm.peak }
 
-func (pm *PhysMem) frame(pa arch.Addr) []byte {
+// at returns the bytes from pa to the end of its frame. It panics if
+// the frame is not allocated.
+func (pm *PhysMem) at(pa arch.Addr) []byte {
 	fn := pa.Page()
-	if fn >= uint64(len(pm.frames)) || pm.frames[fn] == nil {
+	if !pm.FrameAllocated(fn) {
 		panic(fmt.Sprintf("vm: access to unallocated physical address %v", pa))
 	}
-	return pm.frames[fn]
+	off := (fn % slabFrames) << arch.PageShift
+	return pm.slabs[fn/slabFrames][off+pa.Offset() : off+arch.PageSize]
 }
 
 // ReadAt copies len(buf) bytes starting at physical address pa into
 // buf. The range may span contiguous frames.
 func (pm *PhysMem) ReadAt(pa arch.Addr, buf []byte) {
 	for len(buf) > 0 {
-		n := copy(buf, pm.frame(pa)[pa.Offset():])
+		n := copy(buf, pm.at(pa))
 		buf = buf[n:]
 		pa += arch.Addr(n)
 	}
@@ -113,7 +128,7 @@ func (pm *PhysMem) ReadAt(pa arch.Addr, buf []byte) {
 // may span contiguous frames.
 func (pm *PhysMem) WriteAt(pa arch.Addr, buf []byte) {
 	for len(buf) > 0 {
-		n := copy(pm.frame(pa)[pa.Offset():], buf)
+		n := copy(pm.at(pa), buf)
 		buf = buf[n:]
 		pa += arch.Addr(n)
 	}
@@ -122,7 +137,7 @@ func (pm *PhysMem) WriteAt(pa arch.Addr, buf []byte) {
 // ReadU64 reads a little-endian 64-bit word at pa (must not span frames
 // unless contiguous).
 func (pm *PhysMem) ReadU64(pa arch.Addr) uint64 {
-	if f := pm.frame(pa)[pa.Offset():]; len(f) >= 8 {
+	if f := pm.at(pa); len(f) >= 8 {
 		return binary.LittleEndian.Uint64(f)
 	}
 	var b [8]byte
@@ -132,7 +147,7 @@ func (pm *PhysMem) ReadU64(pa arch.Addr) uint64 {
 
 // WriteU64 writes a little-endian 64-bit word at pa.
 func (pm *PhysMem) WriteU64(pa arch.Addr, v uint64) {
-	if f := pm.frame(pa)[pa.Offset():]; len(f) >= 8 {
+	if f := pm.at(pa); len(f) >= 8 {
 		binary.LittleEndian.PutUint64(f, v)
 		return
 	}

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"addrkv/internal/arch"
@@ -92,4 +94,82 @@ func TestContiguousFramesAreAdjacent(t *testing.T) {
 			t.Fatalf("frame %d of contiguous range unallocated", i)
 		}
 	}
+}
+
+// TestContiguousAcrossSlabBoundary: a contiguous run that starts near
+// the end of one slab continues in the next, frame numbers and bytes
+// alike.
+func TestContiguousAcrossSlabBoundary(t *testing.T) {
+	pm := NewPhysMem()
+	for pm.next < slabFrames-2 {
+		pm.AllocFrame()
+	}
+	first := pm.AllocContiguous(5)
+	if first != slabFrames-2 || len(pm.slabs) != 2 {
+		t.Fatalf("run starts at frame %d over %d slabs, want %d over 2", first, len(pm.slabs), slabFrames-2)
+	}
+	for i := uint64(0); i < 5; i++ {
+		if !pm.FrameAllocated(first + i) {
+			t.Fatalf("frame %d of the run is not allocated", i)
+		}
+	}
+	base := arch.Addr(first << arch.PageShift)
+	data := make([]byte, 5*arch.PageSize-100)
+	for i := range data {
+		data[i] = byte(i*13 + 1)
+	}
+	pm.WriteAt(base+50, data)
+	got := make([]byte, len(data))
+	pm.ReadAt(base+50, got)
+	if !bytes.Equal(got, data) {
+		t.Fatal("read across the slab boundary differs from what was written")
+	}
+	if v := pm.ReadU64(base + 2*arch.PageSize - 4); v != binary.LittleEndian.Uint64(data[2*arch.PageSize-54:]) {
+		t.Fatalf("ReadU64 across the slab boundary = %#x", v)
+	}
+}
+
+// TestReusedFrameIsZeroed: a frame handed out again after a free reads
+// as zeros, like a fresh one.
+func TestReusedFrameIsZeroed(t *testing.T) {
+	pm := NewPhysMem()
+	fn := pm.AllocFrame()
+	pa := arch.Addr(fn << arch.PageShift)
+	pm.WriteAt(pa, bytes.Repeat([]byte{0xAB}, arch.PageSize))
+	pm.FreeFrame(fn)
+	if again := pm.AllocFrame(); again != fn {
+		t.Fatalf("AllocFrame = %d, want the freed %d", again, fn)
+	}
+	got := make([]byte, arch.PageSize)
+	pm.ReadAt(pa, got)
+	if !bytes.Equal(got, make([]byte, arch.PageSize)) {
+		t.Fatal("reused frame is not zeroed")
+	}
+}
+
+// TestDeadFrameAccessPanics: frame 0, a frame never handed out (inside
+// an existing slab and beyond every slab), and a freed frame all panic
+// on access and on FreeFrame.
+func TestDeadFrameAccessPanics(t *testing.T) {
+	pm := NewPhysMem()
+	live := pm.AllocFrame()
+	freed := pm.AllocFrame()
+	pm.FreeFrame(freed)
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, fn := range []uint64{0, freed, 50, 10 * slabFrames} {
+		pa := arch.Addr(fn << arch.PageShift)
+		panics(fmt.Sprintf("ReadU64 of frame %d", fn), func() { pm.ReadU64(pa) })
+		panics(fmt.Sprintf("WriteAt of frame %d", fn), func() { pm.WriteAt(pa, []byte{1}) })
+		panics(fmt.Sprintf("FreeFrame(%d)", fn), func() { pm.FreeFrame(fn) })
+	}
+	end := arch.Addr(live<<arch.PageShift) + arch.PageSize - 4
+	panics("a read running off a live frame into a dead one", func() { pm.ReadU64(end) })
 }

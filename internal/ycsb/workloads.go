@@ -59,10 +59,6 @@ func MixByName(name string) (Mix, error) {
 	return Mix{}, fmt.Errorf("ycsb: unknown workload %q (want A..F or flood)", name)
 }
 
-// NeedsOrdered reports whether the mix issues Scan ops (and therefore
-// needs an ordered index).
-func (m Mix) NeedsOrdered() bool { return m.Scan > 0 }
-
 // MixGenerator produces a deterministic operation stream for a Mix.
 // Inserts extend the keyspace exactly like the latest distribution's
 // SETs do, so workloads D and E grow their horizon as YCSB specifies.

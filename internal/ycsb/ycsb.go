@@ -71,12 +71,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the paper's default workload shape (zipf,
-// 64-byte values) at the given scale.
-func DefaultConfig(keys int) Config {
-	return Config{Keys: keys, ValueSize: 64, Dist: Zipf, Seed: 42}
-}
-
 // WithPaperSetFraction applies the paper's rule: 5% SETs for latest,
 // all-GET otherwise.
 func (c Config) WithPaperSetFraction() Config {
@@ -185,13 +179,18 @@ const KeyLen = 24
 // Value renders a deterministic value payload of n bytes for a key id
 // and version (so updates change the bytes).
 func Value(id uint64, version uint32, n int) []byte {
-	v := make([]byte, n)
+	return ValueInto(make([]byte, n), id, version)
+}
+
+// ValueInto renders Value(id, version, len(buf)) into buf without
+// allocating and returns buf.
+func ValueInto(buf []byte, id uint64, version uint32) []byte {
 	state := fnv64(id ^ uint64(version)<<40 ^ 0xabcdef)
-	for i := range v {
+	for i := range buf {
 		state = state*6364136223846793005 + 1442695040888963407
-		v[i] = byte(state >> 56)
+		buf[i] = byte(state >> 56)
 	}
-	return v
+	return buf
 }
 
 // fnv64 is FNV-1a over the 8 bytes of x, YCSB's key scrambler.
