@@ -203,20 +203,29 @@ func BenchmarkClusterParallel(b *testing.B) {
 // --- microbenchmarks of the core primitives (real wall-clock cost of
 // the simulator itself, useful for keeping the harness fast) ---
 
-// BenchmarkMicroSimulatedGet prices one simulated GET in host
-// nanoseconds. The 20k leg fits the host's caches; the 200k-redis leg
-// is the repository benchmark's sim-zipf shape (bench/model.go), whose
+// BenchmarkMicroSimulatedGet prices the simulator in host nanoseconds.
+// The 20k leg fits the host's caches; the 200k-redis leg is the
+// repository benchmark's sim-zipf shape (bench/model.go), whose
 // simulated memory does not, and is the one that ranks a change the
-// way the benchmark will. Both report the modeled cycles of the timed
-// ops, so a change that moved a cycle shows beside its nanoseconds.
+// way the benchmark will. The durable-set leg is durable-write's engine
+// side: uniform 256 B SETs over four times the 100k loaded keys on two
+// shards, so most of them insert and the heap keeps mapping pages. The
+// build leg times one New plus Load(200k), the store sim-zipf's
+// recovery_s rebuilds. Every leg reports the modeled cycles of its
+// timed part, so a change that moved a cycle shows beside its
+// nanoseconds.
 func BenchmarkMicroSimulatedGet(b *testing.B) {
+	zipfGets := ycsb.Config{ValueSize: 64, Dist: ycsb.Zipf, Seed: 1}
 	for _, leg := range []struct {
 		name string
 		opts Options
 		warm int
+		ops  ycsb.Config // Keys 0: the loaded keys
 	}{
-		{"20k", Options{Keys: 20000, Index: IndexChainHash}, 0},
-		{"200k-redis", Options{Keys: 200000, Shards: 1, Index: IndexChainHash, RedisLayer: true}, 200000},
+		{"20k", Options{Keys: 20000, Index: IndexChainHash}, 0, zipfGets},
+		{"200k-redis", Options{Keys: 200000, Shards: 1, Index: IndexChainHash, RedisLayer: true}, 200000, zipfGets},
+		{"durable-set", Options{Keys: 100000, Shards: 2, Index: IndexChainHash, RedisLayer: true}, 0,
+			ycsb.Config{Keys: 400000, ValueSize: 256, Dist: ycsb.Uniform, SetFraction: 1, Seed: 1}},
 	} {
 		for _, mode := range []Mode{ModeBaseline, ModeSTLT} {
 			b.Run(leg.name+"/"+string(mode), func(b *testing.B) {
@@ -227,19 +236,35 @@ func BenchmarkMicroSimulatedGet(b *testing.B) {
 					b.Fatal(err)
 				}
 				sys.Load(opts.Keys, 64)
-				g := ycsb.NewGenerator(ycsb.Config{Keys: opts.Keys, ValueSize: 64, Dist: ycsb.Zipf, Seed: 1})
+				wc := leg.ops
+				if wc.Keys == 0 {
+					wc.Keys = opts.Keys
+				}
+				g := ycsb.NewGenerator(wc)
 				for i := 0; i < leg.warm; i++ {
-					sys.Cluster().RunOp(g.Next(), 64)
+					sys.Cluster().RunOp(g.Next(), wc.ValueSize)
 				}
 				sys.MarkMeasurement()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sys.Cluster().RunOp(g.Next(), 64)
+					sys.Cluster().RunOp(g.Next(), wc.ValueSize)
 				}
 				b.ReportMetric(float64(sys.Report().Stats.Machine.Cycles), "modeled-cycles")
 			})
 		}
 	}
+	b.Run("build/stlt", func(b *testing.B) {
+		var cycles float64
+		for i := 0; i < b.N; i++ {
+			sys, err := New(Options{Keys: 200000, Shards: 1, Index: IndexChainHash, Mode: ModeSTLT, RedisLayer: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys.Load(200000, 64)
+			cycles = float64(sys.Report().Stats.Machine.Cycles)
+		}
+		b.ReportMetric(cycles, "modeled-cycles")
+	})
 }
 
 func BenchmarkMicroHashFunctions(b *testing.B) {
