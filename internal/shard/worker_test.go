@@ -474,7 +474,7 @@ func BenchmarkShardFor(b *testing.B) {
 
 // BenchmarkDispatch compares the mutex path against the worker
 // runtime under parallel producers — the contention case the worker
-// runtime exists for. Used by the CI benchstat job (mutex vs worker).
+// runtime exists for.
 func BenchmarkDispatch(b *testing.B) {
 	newCluster := func(b *testing.B) *Cluster {
 		c, err := New(Config{Shards: 4, Engine: kv.Config{

@@ -234,6 +234,8 @@ func TestWalkMatchesPlainDescent(t *testing.T) {
 				va, _ = pick(sparse)
 				va = (va + arch.Addr(rng.Intn(3)-1)*collide) & (1<<arch.VABits - 1)
 			}
+			// Sparse pages stay far above the kernel allocations, so they
+			// never take a page the heap or the kernel will map later.
 			if _, ok := pt.Lookup(va); !ok && va >= KernelBase+1<<40 {
 				pt.Map(va, pm.AllocFrame(), rng.Intn(2) == 0)
 				sparse = append(sparse, va)
