@@ -22,6 +22,7 @@ import (
 
 	"addrkv/internal/harness"
 	"addrkv/internal/hashfn"
+	"addrkv/internal/shard"
 	"addrkv/internal/ycsb"
 )
 
@@ -211,9 +212,12 @@ func BenchmarkClusterParallel(b *testing.B) {
 // side: uniform 256 B SETs over four times the 100k loaded keys on two
 // shards, so most of them insert and the heap keeps mapping pages. The
 // build leg times one New plus Load(200k), the store sim-zipf's
-// recovery_s rebuilds. Every leg reports the modeled cycles of its
-// timed part, so a change that moved a cycle shows beside its
-// nanoseconds.
+// recovery_s rebuilds. The serve-mix leg is a served GET-mostly load
+// in process: zipf over 100k keys on two shards, 10 % SETs of 64 B,
+// every op through Cluster.Do on one reused Req as kvserve issues it,
+// so a GET copies its value out instead of only touching it. Every leg
+// reports the modeled cycles of its timed part, so a change that moved
+// a cycle shows beside its nanoseconds.
 func BenchmarkMicroSimulatedGet(b *testing.B) {
 	zipfGets := ycsb.Config{ValueSize: 64, Dist: ycsb.Zipf, Seed: 1}
 	for _, leg := range []struct {
@@ -221,11 +225,14 @@ func BenchmarkMicroSimulatedGet(b *testing.B) {
 		opts Options
 		warm int
 		ops  ycsb.Config // Keys 0: the loaded keys
+		do   bool        // through Cluster.Do, not Cluster.RunOp
 	}{
-		{"20k", Options{Keys: 20000, Index: IndexChainHash}, 0, zipfGets},
-		{"200k-redis", Options{Keys: 200000, Shards: 1, Index: IndexChainHash, RedisLayer: true}, 200000, zipfGets},
+		{"20k", Options{Keys: 20000, Index: IndexChainHash}, 0, zipfGets, false},
+		{"200k-redis", Options{Keys: 200000, Shards: 1, Index: IndexChainHash, RedisLayer: true}, 200000, zipfGets, false},
 		{"durable-set", Options{Keys: 100000, Shards: 2, Index: IndexChainHash, RedisLayer: true}, 0,
-			ycsb.Config{Keys: 400000, ValueSize: 256, Dist: ycsb.Uniform, SetFraction: 1, Seed: 1}},
+			ycsb.Config{Keys: 400000, ValueSize: 256, Dist: ycsb.Uniform, SetFraction: 1, Seed: 1}, false},
+		{"serve-mix", Options{Keys: 100000, Shards: 2, Index: IndexChainHash, RedisLayer: true}, 100000,
+			ycsb.Config{ValueSize: 64, Dist: ycsb.Zipf, SetFraction: 0.1, Seed: 1}, true},
 	} {
 		for _, mode := range []Mode{ModeBaseline, ModeSTLT} {
 			b.Run(leg.name+"/"+string(mode), func(b *testing.B) {
@@ -241,13 +248,30 @@ func BenchmarkMicroSimulatedGet(b *testing.B) {
 					wc.Keys = opts.Keys
 				}
 				g := ycsb.NewGenerator(wc)
+				c := sys.Cluster()
+				run := func() { c.RunOp(g.Next(), wc.ValueSize) }
+				if leg.do {
+					var r shard.Req
+					var key [ycsb.KeyLen]byte
+					val := make([]byte, wc.ValueSize)
+					run = func() {
+						op := g.Next()
+						r.Kind, r.Key, r.Value = shard.OpGet, ycsb.KeyNameInto(key[:], op.KeyID), nil
+						if op.Type == ycsb.Set {
+							r.Kind, r.Value = shard.OpSet, val
+						}
+						if c.Do(&r); !r.OK {
+							b.Fatalf("%v of loaded key %d missed", r.Kind, op.KeyID)
+						}
+					}
+				}
 				for i := 0; i < leg.warm; i++ {
-					sys.Cluster().RunOp(g.Next(), wc.ValueSize)
+					run()
 				}
 				sys.MarkMeasurement()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sys.Cluster().RunOp(g.Next(), wc.ValueSize)
+					run()
 				}
 				b.ReportMetric(float64(sys.Report().Stats.Machine.Cycles), "modeled-cycles")
 			})

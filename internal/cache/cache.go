@@ -52,11 +52,6 @@ func NewCache(name string, size, ways int) *Cache {
 	return &Cache{sets: sets, ways: ways, data: make([]uint64, 2*sets*ways), missLine: setassoc.NoKey}
 }
 
-// NewCacheSets builds a cache from an explicit set count.
-func NewCacheSets(name string, sets, ways int) *Cache {
-	return NewCache(name, sets*ways*arch.LineSize, ways)
-}
-
 // set returns the tag words and the LRU words of line's set.
 func (c *Cache) set(line uint64) (tags, lrus []uint64) {
 	s := (int(line) & (c.sets - 1)) * 2 * c.ways
@@ -135,13 +130,6 @@ func (c *Cache) MarkDirty(line uint64) bool {
 		tags[i] |= setassoc.FlagDirty
 	}
 	return i >= 0
-}
-
-// IsDirty reports the line's dirty flag (tests).
-func (c *Cache) IsDirty(line uint64) bool {
-	tags, _ := c.set(line)
-	i := setassoc.Find(tags, line+1)
-	return i >= 0 && tags[i]&setassoc.FlagDirty != 0
 }
 
 // Invalidate drops the line if present, returning whether it was.

@@ -6,7 +6,20 @@ import (
 	"testing"
 
 	"addrkv/internal/arch"
+	"addrkv/internal/setassoc"
 )
+
+// NewCacheSets builds a cache from an explicit set count.
+func NewCacheSets(name string, sets, ways int) *Cache {
+	return NewCache(name, sets*ways*arch.LineSize, ways)
+}
+
+// IsDirty reports the line's dirty flag.
+func (c *Cache) IsDirty(line uint64) bool {
+	tags, _ := c.set(line)
+	i := setassoc.Find(tags, line+1)
+	return i >= 0 && tags[i]&setassoc.FlagDirty != 0
+}
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCacheSets("t", 4, 2)

@@ -421,14 +421,17 @@ func (t *STLT) insertFunctional(integer uint64, va arch.Addr) {
 // sptw is the simplified page table walker: the normal walker with
 // exceptions disabled. PTE reads go through the data caches.
 func (t *STLT) sptw(va arch.Addr) vm.PTE {
-	var pte vm.PTE
-	pte, t.walkBuf = t.m.AS.PT.Walk(va, t.walkBuf[:0])
+	var leafAt arch.Addr
+	leafAt, t.walkBuf = t.m.AS.PT.Walk(va, t.walkBuf[:0])
 	var c arch.Cycles
 	for _, st := range t.walkBuf {
 		c += t.m.Caches.Access(st.PTEAddr, false, arch.KindPageTable)
 	}
 	t.m.Compute(c, arch.CatSTLT)
-	return pte
+	if leafAt == 0 {
+		return 0
+	}
+	return vm.PTE(t.m.AS.Phys.ReadU64(leafAt))
 }
 
 // victimWay picks the row insertSTLT writes: a sub-integer match is

@@ -228,11 +228,13 @@ func (m *Machine) Translate(va arch.Addr) arch.Addr {
 
 // walk performs a timed page-table walk: each PTE read is a physical
 // access through the cache hierarchy ("The data cache caches data as
-// well as page table entries, as modern architectures do").
+// well as page table entries, as modern architectures do"). The host
+// fetches the leaf PTE while the steps are charged and reads it last.
 func (m *Machine) walk(va arch.Addr) vm.PTE {
 	m.walks++
-	var pte vm.PTE
-	pte, m.walkBuf = m.AS.PT.Walk(va, m.walkBuf[:0])
+	var leafAt arch.Addr
+	leafAt, m.walkBuf = m.AS.PT.Walk(va, m.walkBuf[:0])
+	m.AS.Phys.Prefetch(leafAt, 8)
 	var c arch.Cycles
 	for _, st := range m.walkBuf {
 		lc := m.Caches.Access(st.PTEAddr, false, arch.KindPageTable)
@@ -250,7 +252,10 @@ func (m *Machine) walk(va arch.Addr) vm.PTE {
 	if m.Trace != nil {
 		m.Trace.Event(trace.EvPageWalk, uint64(m.cycles), int64(len(m.walkBuf)), int64(c), 0)
 	}
-	return pte
+	if leafAt == 0 {
+		return 0
+	}
+	return vm.PTE(m.AS.Phys.ReadU64(leafAt))
 }
 
 // tlbPrefetch trains the distance prefetcher on a full TLB miss and
@@ -277,12 +282,17 @@ func (m *Machine) tlbPrefetch(vpn uint64) {
 // span is the timed part of every load and store: translate va, touch
 // the lines of [va, va+size) up to the end of va's page, and charge
 // their latency to cat. It returns where the bytes are and how many of
-// the size it covered; a caller with more goes round again.
-func (m *Machine) span(va arch.Addr, size int, write bool, kind arch.AccessKind, cat arch.CostCategory) (pa arch.Addr, n int) {
+// the size it covered; a caller with more goes round again. With copies,
+// the caller copies those bytes next, so the host starts fetching them
+// before the model prices their lines.
+func (m *Machine) span(va arch.Addr, size int, write, copies bool, kind arch.AccessKind, cat arch.CostCategory) (pa arch.Addr, n int) {
 	pa = m.Translate(va)
 	n = arch.PageSize - int(va.Offset())
 	if n > size {
 		n = size
+	}
+	if copies {
+		m.AS.Phys.Prefetch(pa, n)
 	}
 	m.charge(m.Caches.AccessRange(pa, n, write, kind), cat)
 	return pa, n
@@ -298,7 +308,7 @@ func (m *Machine) Read(va arch.Addr, buf []byte, kind arch.AccessKind, cat arch.
 	}
 	m.loads++
 	for len(buf) > 0 {
-		pa, n := m.span(va, len(buf), false, kind, cat)
+		pa, n := m.span(va, len(buf), false, true, kind, cat)
 		m.AS.Phys.ReadAt(pa, buf[:n])
 		buf = buf[n:]
 		va += arch.Addr(n)
@@ -313,7 +323,7 @@ func (m *Machine) Write(va arch.Addr, buf []byte, kind arch.AccessKind, cat arch
 	}
 	m.stores++
 	for len(buf) > 0 {
-		pa, n := m.span(va, len(buf), true, kind, cat)
+		pa, n := m.span(va, len(buf), true, true, kind, cat)
 		m.AS.Phys.WriteAt(pa, buf[:n])
 		buf = buf[n:]
 		va += arch.Addr(n)
@@ -331,7 +341,7 @@ func (m *Machine) ReadU64(va arch.Addr, kind arch.AccessKind, cat arch.CostCateg
 		return binary.LittleEndian.Uint64(b[:])
 	}
 	m.loads++
-	pa, _ := m.span(va, 8, false, kind, cat)
+	pa, _ := m.span(va, 8, false, true, kind, cat)
 	return m.AS.Phys.ReadU64(pa)
 }
 
@@ -348,7 +358,7 @@ func (m *Machine) WriteU64(va arch.Addr, v uint64, kind arch.AccessKind, cat arc
 		return
 	}
 	m.stores++
-	pa, _ := m.span(va, 8, true, kind, cat)
+	pa, _ := m.span(va, 8, true, true, kind, cat)
 	m.AS.Phys.WriteU64(pa, v)
 }
 
@@ -365,7 +375,7 @@ func (m *Machine) Touch(va arch.Addr, size int, write bool, kind arch.AccessKind
 		m.loads++
 	}
 	for size > 0 {
-		_, n := m.span(va, size, write, kind, cat)
+		_, n := m.span(va, size, write, false, kind, cat)
 		va += arch.Addr(n)
 		size -= n
 	}

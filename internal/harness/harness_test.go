@@ -10,6 +10,13 @@ import (
 
 func strconvParse(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
+// ResetCache drops all memoized results.
+func ResetCache() {
+	runCacheMu.Lock()
+	defer runCacheMu.Unlock()
+	runCache = map[string]result{}
+}
+
 // tinyScale keeps harness tests fast; shape targets are not asserted
 // at this scale (see EXPERIMENTS.md for calibrated runs), only that
 // every experiment runs end-to-end and produces well-formed tables.

@@ -85,13 +85,6 @@ func (sp spec) key() string {
 		sp.prefetch, sp.tlbPf, sp.hugeTLB, sp.warmOps, sp.measureOps)
 }
 
-// ResetCache drops all memoized results (tests).
-func ResetCache() {
-	runCacheMu.Lock()
-	defer runCacheMu.Unlock()
-	runCache = map[string]result{}
-}
-
 // recorder, when set, receives one RunRecord per run() call — fired on
 // cache hits too, so the record stream mirrors the experiment's
 // logical run sequence rather than the memoizer's behavior.

@@ -22,6 +22,14 @@ func newTimedCtx() *Context {
 	return &Context{M: m, Hash: hashfn.Murmur64A, Seed: 99}
 }
 
+// ReadRecordKey performs a timed read of the record's key.
+func ReadRecordKey(m *cpu.Machine, va arch.Addr, cat arch.CostCategory) []byte {
+	kl, _ := ReadRecordHeader(m, va, cat)
+	k := make([]byte, kl)
+	m.Read(va+RecordHeaderSize, k, arch.KindRecord, cat)
+	return k
+}
+
 // builders for all four structures.
 var builders = []struct {
 	name string

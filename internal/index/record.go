@@ -106,15 +106,6 @@ func KeyCompare(m *cpu.Machine, va arch.Addr, key []byte, cat arch.CostCategory)
 	return bytes.Compare(key, stored)
 }
 
-// ReadRecordKey performs a timed read of the record's key (for ordered
-// structures' comparisons).
-func ReadRecordKey(m *cpu.Machine, va arch.Addr, cat arch.CostCategory) []byte {
-	kl, _ := ReadRecordHeader(m, va, cat)
-	k := make([]byte, kl)
-	m.Read(va+RecordHeaderSize, k, arch.KindRecord, cat)
-	return k
-}
-
 // ReadValue performs a timed read of the record's value, charged to
 // CatData (the paper's "load record" step), and returns it.
 func ReadValue(m *cpu.Machine, va arch.Addr) []byte {

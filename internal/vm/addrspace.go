@@ -38,7 +38,6 @@ type AddressSpace struct {
 	mappedEnd arch.Addr           // heap VAs below this are mapped
 	kernelBrk arch.Addr           // next unmapped kernel VA
 	freeLists map[int][]arch.Addr // size class (power of two) -> free VAs
-	heapInUse uint64              // bytes handed out minus bytes freed
 }
 
 // NewAddressSpace creates an address space with a fresh page table in
@@ -79,7 +78,6 @@ func (as *AddressSpace) Alloc(size int) arch.Addr {
 	if lst := as.freeLists[c]; len(lst) > 0 {
 		va := lst[len(lst)-1]
 		as.freeLists[c] = lst[:len(lst)-1]
-		as.heapInUse += uint64(c)
 		return va
 	}
 	// Carve from the bump pointer, aligned to the class size (or
@@ -91,7 +89,6 @@ func (as *AddressSpace) Alloc(size int) arch.Addr {
 	va := (as.brk + align - 1) &^ (align - 1)
 	as.brk = va + arch.Addr(c)
 	as.ensureMapped(va, c)
-	as.heapInUse += uint64(c)
 	return va
 }
 
@@ -109,11 +106,7 @@ func (as *AddressSpace) Free(va arch.Addr, size int) {
 	}
 	as.WriteU64(va, uint64(prev)|1) // in-block free-list link (tagged)
 	as.freeLists[c] = append(as.freeLists[c], va)
-	as.heapInUse -= uint64(c)
 }
-
-// HeapInUse returns the bytes currently handed out by the allocator.
-func (as *AddressSpace) HeapInUse() uint64 { return as.heapInUse }
 
 // ensureMapped maps every page overlapping [va, va+size).
 func (as *AddressSpace) ensureMapped(va arch.Addr, size int) {

@@ -69,8 +69,9 @@ func (s WalkStep) Leaf() bool { return s.Level == 1 }
 //
 // The host also remembers, per 2 MB region (one leaf table's reach), the
 // frames of the three tables below the root on the region's way down,
-// in a direct-mapped cache. With them Walk, Lookup and Translate read
-// the leaf PTE alone and still report the walk's four steps. An entry
+// in a direct-mapped cache. With them Walk, Lookup and Translate find
+// the leaf PTE without reading the levels above it, and Walk still
+// reports the walk's four steps. An entry
 // cannot go stale: Map writes an upper-level PTE only where it is
 // absent, Unmap only zeroes leaves and no table page is ever freed, so
 // an upper-level PTE once present never changes. A path with an absent
@@ -103,9 +104,6 @@ type regionPath struct {
 func NewPageTable(pm *PhysMem) *PageTable {
 	return &PageTable{pm: pm, root: pm.AllocFrame()}
 }
-
-// RootFrame returns the frame number of the root table (the CR3 value).
-func (pt *PageTable) RootFrame() uint64 { return pt.root }
 
 // MappedPages returns the number of present leaf translations.
 func (pt *PageTable) MappedPages() uint64 { return pt.mapped }
@@ -185,11 +183,13 @@ func (pt *PageTable) Unmap(va arch.Addr) uint64 {
 	return e.Frame()
 }
 
-// Walk performs a functional radix walk for va. It returns the leaf
-// PTE (zero if any level is absent) and appends the PTE accesses made
-// to steps, which it returns. A failed walk still reports the accesses
-// made up to the absent level, as a hardware walker would.
-func (pt *PageTable) Walk(va arch.Addr, steps []WalkStep) (PTE, []WalkStep) {
+// Walk performs a functional radix walk for va. It returns the physical
+// address of va's leaf PTE, or 0 if a level above the leaf is absent,
+// and appends the PTE accesses made to steps, which it returns. It does
+// not read the leaf: the caller reads it there, after whatever it
+// charges for the steps. A failed walk still reports the accesses made
+// up to the absent level, as a hardware walker would.
+func (pt *PageTable) Walk(va arch.Addr, steps []WalkStep) (arch.Addr, []WalkStep) {
 	tables, absent := pt.path(va, false)
 	tf := pt.root
 	for level := PTLevels; level > 1; level-- {
@@ -200,7 +200,7 @@ func (pt *PageTable) Walk(va arch.Addr, steps []WalkStep) (PTE, []WalkStep) {
 		tf = tables[PTLevels-level]
 	}
 	a := pteAddr(tf, va, 1)
-	return PTE(pt.pm.ReadU64(a)), append(steps, WalkStep{PTEAddr: a, Level: 1})
+	return a, append(steps, WalkStep{PTEAddr: a, Level: 1})
 }
 
 // Lookup is a walk without access recording, for functional use.

@@ -44,8 +44,8 @@ func TestMapWalkUnmap(t *testing.T) {
 	fn := pm.AllocFrame()
 	pt.Map(va, fn, true)
 
-	pte, steps := pt.Walk(va, nil)
-	if !pte.Present() || pte.Frame() != fn {
+	leaf, steps := pt.Walk(va, nil)
+	if pte := PTE(pm.ReadU64(leaf)); !pte.Present() || pte.Frame() != fn {
 		t.Fatalf("walk: pte=%#x", pte)
 	}
 	if len(steps) != PTLevels {
@@ -77,9 +77,9 @@ func TestMapWalkUnmap(t *testing.T) {
 func TestWalkAbsentStopsEarly(t *testing.T) {
 	pm := NewPhysMem()
 	pt := NewPageTable(pm)
-	pte, steps := pt.Walk(0xdead000, nil)
-	if pte.Present() {
-		t.Fatal("walk of unmapped VA returned present PTE")
+	leaf, steps := pt.Walk(0xdead000, nil)
+	if leaf != 0 {
+		t.Fatalf("walk of unmapped VA returned leaf PTE address %v", leaf)
 	}
 	if len(steps) != 1 {
 		t.Fatalf("empty table walk touched %d PTEs, want 1 (root miss)", len(steps))
@@ -142,18 +142,18 @@ func TestPageTableRandomRoundTrip(t *testing.T) {
 
 // refWalk is the plain four-level descent the remembered paths must
 // agree with: every level read from simulated memory, nothing cached.
-func refWalk(pm *PhysMem, root uint64, va arch.Addr) (PTE, []WalkStep) {
-	var steps []WalkStep
+// leaf is the leaf PTE's address, 0 if a level above it is absent.
+func refWalk(pm *PhysMem, root uint64, va arch.Addr) (leaf arch.Addr, pte PTE, steps []WalkStep) {
 	tf := root
 	for level := PTLevels; ; level-- {
 		a := pteAddr(tf, va, level)
 		steps = append(steps, WalkStep{PTEAddr: a, Level: level})
 		e := PTE(pm.ReadU64(a))
-		if !e.Present() {
-			return 0, steps
-		}
 		if level == 1 {
-			return e, steps
+			return a, e, steps
+		}
+		if !e.Present() {
+			return 0, 0, steps
 		}
 		tf = e.Frame()
 	}
@@ -247,10 +247,10 @@ func TestWalkMatchesPlainDescent(t *testing.T) {
 		}
 		for k := 0; k < 8; k++ {
 			va := probe()
-			want, wantSteps := refWalk(pm, pt.RootFrame(), va)
-			got, steps := pt.Walk(va, nil)
-			if got != want || !slices.Equal(steps, wantSteps) {
-				t.Fatalf("step %d: Walk(%v) = %#x %v, plain descent %#x %v", step, va, got, steps, want, wantSteps)
+			wantLeaf, want, wantSteps := refWalk(pm, pt.root, va)
+			leaf, steps := pt.Walk(va, nil)
+			if leaf != wantLeaf || !slices.Equal(steps, wantSteps) {
+				t.Fatalf("step %d: Walk(%v) = %v %v, plain descent %v %v", step, va, leaf, steps, wantLeaf, wantSteps)
 			}
 			if e, ok := pt.Lookup(va); e != want || ok != want.Present() {
 				t.Fatalf("step %d: Lookup(%v) = %#x %v, plain descent %#x", step, va, e, ok, want)

@@ -23,12 +23,10 @@ import (
 // Frame 0 is reserved so that physical address 0 never refers to valid
 // data (it plays the role of a null PTE target).
 type PhysMem struct {
-	slabs     []*[slabSize]byte
-	live      []uint64 // bit fn%64 of word fn/64 is set while frame fn is allocated
-	next      uint64   // first frame never handed out
-	free      []uint64 // free list of frame numbers
-	allocated uint64   // number of currently allocated frames
-	peak      uint64   // high-water mark of allocated frames
+	slabs []*[slabSize]byte
+	live  []uint64 // bit fn%64 of word fn/64 is set while frame fn is allocated
+	next  uint64   // first frame never handed out
+	free  []uint64 // free list of frame numbers
 }
 
 const (
@@ -76,10 +74,6 @@ func (pm *PhysMem) take(first uint64, n int) {
 	for fn := first; fn < first+uint64(n); fn++ {
 		pm.live[fn/64] |= 1 << (fn % 64)
 	}
-	pm.allocated += uint64(n)
-	if pm.allocated > pm.peak {
-		pm.peak = pm.allocated
-	}
 }
 
 // FreeFrame releases a frame back to the allocator.
@@ -89,19 +83,12 @@ func (pm *PhysMem) FreeFrame(fn uint64) {
 	}
 	pm.live[fn/64] &^= 1 << (fn % 64)
 	pm.free = append(pm.free, fn)
-	pm.allocated--
 }
 
 // FrameAllocated reports whether frame fn is currently allocated.
 func (pm *PhysMem) FrameAllocated(fn uint64) bool {
 	return fn/64 < uint64(len(pm.live)) && pm.live[fn/64]&(1<<(fn%64)) != 0
 }
-
-// AllocatedFrames returns the number of currently allocated frames.
-func (pm *PhysMem) AllocatedFrames() uint64 { return pm.allocated }
-
-// PeakFrames returns the peak number of simultaneously allocated frames.
-func (pm *PhysMem) PeakFrames() uint64 { return pm.peak }
 
 // at returns the bytes from pa to the end of its frame. It panics if
 // the frame is not allocated.
@@ -112,6 +99,23 @@ func (pm *PhysMem) at(pa arch.Addr) []byte {
 	}
 	off := (fn % slabFrames) << arch.PageShift
 	return pm.slabs[fn/slabFrames][off+pa.Offset() : off+arch.PageSize]
+}
+
+// Prefetch asks the host to start fetching the lines of [pa, pa+n) that
+// lie in pa's frame into its caches, so that a copy made after other
+// work finds them there. It is a hint and nothing else: it reads no
+// simulated state, changes nothing and never panics. A frame beyond the
+// slabs is skipped; the access that follows still checks the frame.
+func (pm *PhysMem) Prefetch(pa arch.Addr, n int) {
+	fn := pa.Page()
+	if fn >= uint64(len(pm.slabs))*slabFrames {
+		return
+	}
+	f := pm.slabs[fn/slabFrames][(fn%slabFrames)<<arch.PageShift:][:arch.PageSize]
+	end := min(int(pa.Offset())+n, arch.PageSize)
+	for off := int(pa.Offset()) &^ arch.LineMask; off < end; off += arch.LineSize {
+		prefetch(&f[off])
+	}
 }
 
 // ReadAt copies len(buf) bytes starting at physical address pa into

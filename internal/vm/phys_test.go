@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"addrkv/internal/arch"
@@ -16,8 +20,8 @@ func TestPhysAllocFree(t *testing.T) {
 	if f1 == 0 || f2 == 0 || f1 == f2 {
 		t.Fatalf("bad frame numbers %d %d", f1, f2)
 	}
-	if pm.AllocatedFrames() != 2 {
-		t.Fatalf("AllocatedFrames = %d", pm.AllocatedFrames())
+	if n := liveFrames(pm); n != 2 {
+		t.Fatalf("%d live frames, want 2", n)
 	}
 	pm.FreeFrame(f1)
 	if pm.FrameAllocated(f1) {
@@ -27,9 +31,17 @@ func TestPhysAllocFree(t *testing.T) {
 	if f3 != f1 {
 		t.Errorf("free list not reused: got %d want %d", f3, f1)
 	}
-	if pm.PeakFrames() != 2 {
-		t.Errorf("PeakFrames = %d, want 2", pm.PeakFrames())
+	if pm.next != 3 {
+		t.Errorf("first never-used frame = %d, want 3: reuse took a new frame", pm.next)
 	}
+}
+
+// liveFrames counts the frames currently allocated.
+func liveFrames(pm *PhysMem) (n int) {
+	for _, w := range pm.live {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func TestPhysFreeInvalidPanics(t *testing.T) {
@@ -172,4 +184,53 @@ func TestDeadFrameAccessPanics(t *testing.T) {
 	}
 	end := arch.Addr(live<<arch.PageShift) + arch.PageSize - 4
 	panics("a read running off a live frame into a dead one", func() { pm.ReadU64(end) })
+}
+
+// TestPrefetchIsInvisible: Prefetch of frame 0, of live, freed and
+// never-allocated frames inside the slabs, of frames beyond them, and
+// of ranges running to and past the end of a frame or a slab, never
+// panics and leaves contents, the live bitmap, the free list and the
+// never-used mark as they were.
+func TestPrefetchIsInvisible(t *testing.T) {
+	pm := NewPhysMem()
+	live := pm.AllocFrame()
+	freed := pm.AllocFrame()
+	pm.FreeFrame(freed)
+	pm.AllocContiguous(int(slabFrames - pm.next)) // slab 0 is full
+	pm.AllocFrame()                               // slab 1 is begun
+	rng := rand.New(rand.NewSource(3))
+	for fn := uint64(1); fn < pm.next; fn++ {
+		if pm.FrameAllocated(fn) {
+			page := make([]byte, arch.PageSize)
+			rng.Read(page)
+			pm.WriteAt(arch.Addr(fn<<arch.PageShift), page)
+		}
+	}
+	var slabs [][]byte
+	for _, s := range pm.slabs {
+		slabs = append(slabs, bytes.Clone(s[:]))
+	}
+	liveBits, free, next := slices.Clone(pm.live), slices.Clone(pm.free), pm.next
+
+	frames := []uint64{0, live, freed, slabFrames - 1, slabFrames, slabFrames + 1, 2 * slabFrames, 10 * slabFrames, 1<<40 - 1}
+	offsets := []int{0, 1, 8, 63, 64, 1000, arch.PageSize - arch.LineSize, arch.PageSize - 8, arch.PageSize - 1}
+	for _, fn := range frames {
+		for _, off := range offsets {
+			pa := arch.Addr(fn<<arch.PageShift + uint64(off))
+			for _, n := range []int{-1, 0, 1, 8, 64, 65, arch.PageSize - off, arch.PageSize, 1 << 20, math.MaxInt} {
+				pm.Prefetch(pa, n)
+			}
+		}
+	}
+	pm.Prefetch(arch.Addr(math.MaxUint64), arch.PageSize)
+
+	for i, s := range pm.slabs {
+		if i >= len(slabs) || !bytes.Equal(s[:], slabs[i]) {
+			t.Fatalf("slab %d changed (%d slabs, were %d)", i, len(pm.slabs), len(slabs))
+		}
+	}
+	if len(pm.slabs) != len(slabs) || !slices.Equal(pm.live, liveBits) || !slices.Equal(pm.free, free) || pm.next != next {
+		t.Fatalf("allocator state changed: %d slabs, %d live frames, free %v, next %d; were %d slabs, free %v, next %d",
+			len(pm.slabs), liveFrames(pm), pm.free, pm.next, len(slabs), free, next)
+	}
 }
