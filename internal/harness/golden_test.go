@@ -36,13 +36,19 @@ type goldenRun struct {
 	// Writebacks is DRAM.Writebacks itself: cpu.Stats.DRAMWritebacks is
 	// declared and never filled in.
 	Writebacks uint64
+	// The run-time loop's decisions and the table's final size, set only
+	// by the monitor run, so the other runs' JSON does not carry them.
+	Decisions, Disables uint64 `json:",omitempty"`
+	Grows, Shrinks      uint64 `json:",omitempty"`
+	Rows                int    `json:",omitempty"`
 }
 
-// goldenSpecs are small enough for tier-1 (six runs, under 2 s together)
-// and between them reach every branch of the set-associative structures
-// a production run reaches: demand fills at all three levels, dirty
-// write-backs (5 % SETs), both LLC prefetchers' low-priority fills and
-// first-touch promotions, and the TLB prefetcher's InsertPrefetched.
+// goldenSpecs are small enough for tier-1 and between them reach every
+// branch of the set-associative structures a production run reaches:
+// demand fills at all three levels, dirty write-backs (5 % SETs), both
+// LLC prefetchers' low-priority fills and first-touch promotions, and the
+// TLB prefetcher's InsertPrefetched. The last three are the fast path's
+// other variants: the Figure 19 ablations and the hardware hash unit.
 func goldenSpecs() map[string]spec {
 	base := spec{keys: 20_000, valueSize: 64, dist: ycsb.Zipf, index: kv.KindChainHash,
 		redis: true, warmOps: 30_000, measureOps: 12_000}
@@ -54,6 +60,9 @@ func goldenSpecs() map[string]spec {
 		"stlt-stride": with(func(sp *spec) { sp.mode = kv.ModeSTLT; sp.prefetch = "stride" }),
 		"stlt-vldp":   with(func(sp *spec) { sp.mode = kv.ModeSTLT; sp.prefetch = "vldp"; sp.index = kv.KindRBTree }),
 		"stlt-tlbpf":  with(func(sp *spec) { sp.mode = kv.ModeSTLT; sp.tlbPf = true; sp.dist = ycsb.Latest }),
+		"stlt-sw":     with(func(sp *spec) { sp.mode = kv.ModeSTLTSW }),
+		"stlt-va":     with(func(sp *spec) { sp.mode = kv.ModeSTLTVA }),
+		"stlt-hwhash": with(func(sp *spec) { sp.mode = kv.ModeSTLT; sp.hwHash = true }),
 	}
 }
 
@@ -85,6 +94,80 @@ func writePathRun(t *testing.T) *kv.Engine {
 	return e
 }
 
+// mixRun is the keyed-verb mix the read-mostly specs never reach: zipf
+// GET, SET, EXISTS, EXPIRE, TTL and DEL over 20 000 loaded keys under a
+// settable clock. SETs grow values from 64 to 256 B past a MaxMemory
+// 224 KB above the loaded size, so records move, deleted keys come back,
+// keys expire lazily and the LFU evicts, all on the measured path.
+func mixRun(t *testing.T, mode kv.Mode) *kv.Engine {
+	const keys, ops, valueSize = 20_000, 30_000, 64
+	maxMemory := int64(keys*index.RecordSize(ycsb.KeyLen, valueSize)) + 224<<10
+	e, err := kv.New(kv.Config{Keys: keys, Index: kv.KindChainHash, Mode: mode, RedisLayer: true,
+		MaxMemory: maxMemory, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := int64(1_000_000_000)
+	e.SetClock(func() int64 { return now })
+	e.Load(keys, valueSize)
+	e.MarkMeasurement()
+	g := ycsb.NewGenerator(ycsb.Config{Keys: keys, ValueSize: valueSize, Dist: ycsb.Zipf, Seed: 42})
+	var buf []byte
+	for i := 0; i < ops; i++ {
+		now += 1_000
+		id := g.Next().KeyID
+		key := ycsb.KeyName(id)
+		switch i % 10 {
+		case 0, 1, 2, 9:
+			buf, _ = e.GetInto(key, buf)
+		case 3, 4:
+			e.Set(key, ycsb.Value(id, uint32(i), 4*valueSize))
+		case 5:
+			e.Exists(key)
+		case 6:
+			e.ExpireAt(key, now+2_000_000)
+		case 7:
+			e.TTL(key)
+		case 8:
+			e.Delete(key)
+		}
+	}
+	if st := e.Stats(); st.Moves == 0 || st.Misses == 0 || st.Expired == 0 || st.Evicted == 0 {
+		t.Errorf("%s mix run: moves %d, misses %d, expired %d, evicted %d; want all > 0",
+			mode, st.Moves, st.Misses, st.Expired, st.Evicted)
+	}
+	return e
+}
+
+// monitorRun is the run-time loop no other run turns on: the monitor and
+// the tuner on an STLT engine through zipf traffic, a flood of absent
+// keys, and zipf traffic again. It counts from the build, with no
+// MarkMeasurement, and pins the loop's decisions and the final row count.
+func monitorRun(t *testing.T) goldenRun {
+	const keys, valueSize = 20_000, 64
+	e, err := kv.New(kv.Config{Keys: keys, Index: kv.KindChainHash, Mode: kv.ModeSTLT, RedisLayer: true,
+		Monitor: true, AutoTune: true, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Load(keys, valueSize)
+	g := ycsb.NewGenerator(ycsb.Config{Keys: keys, ValueSize: valueSize, Dist: ycsb.Zipf, Seed: 42})
+	for i := 0; i < 40_000; i++ {
+		e.RunOp(g.Next(), valueSize)
+	}
+	for i := uint64(0); i < 20_000; i++ {
+		e.GetTouch(ycsb.KeyName(10_000_000 + i))
+	}
+	for i := 0; i < 40_000; i++ {
+		e.RunOp(g.Next(), valueSize)
+	}
+	r := goldenOf(e)
+	r.Decisions, r.Disables = e.Monitor.Decisions, e.Monitor.Disables
+	r.Grows, r.Shrinks = e.Tuner.Grows, e.Tuner.Shrinks
+	r.Rows = e.STLT.Rows()
+	return r
+}
+
 func goldenOf(e *kv.Engine) goldenRun {
 	c, t := e.M.Caches, e.M.TLBs
 	return goldenRun{
@@ -109,6 +192,9 @@ func TestGoldenModel(t *testing.T) {
 		now[name] = goldenOf(simulate(sp))
 	}
 	now["stlt-sets"] = goldenOf(writePathRun(t))
+	now["mix-stlt"] = goldenOf(mixRun(t, kv.ModeSTLT))
+	now["mix-slb"] = goldenOf(mixRun(t, kv.ModeSLB))
+	now["stlt-monitor-tune"] = monitorRun(t)
 	if *update {
 		out, err := json.MarshalIndent(now, "", "  ")
 		if err != nil {
