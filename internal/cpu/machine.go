@@ -34,7 +34,6 @@ type Stats struct {
 	CacheTotal          cache.KindStats
 	DRAMAccesses        uint64
 	DRAMDemand          uint64
-	DRAMWritebacks      uint64
 	MeanDRAMLatency     float64
 	TLBPrefetchIssued   uint64
 	TLBPrefetchHits     uint64
@@ -63,7 +62,6 @@ func (s Stats) Sub(base Stats) Stats {
 	d.CacheTotal.L3Miss -= base.CacheTotal.L3Miss
 	d.DRAMAccesses -= base.DRAMAccesses
 	d.DRAMDemand -= base.DRAMDemand
-	d.DRAMWritebacks -= base.DRAMWritebacks
 	d.TLBPrefetchIssued -= base.TLBPrefetchIssued
 	d.TLBPrefetchHits -= base.TLBPrefetchHits
 	d.CachePrefetchIssued -= base.CachePrefetchIssued
@@ -97,7 +95,6 @@ func (s Stats) Add(o Stats) Stats {
 	}
 	d.DRAMAccesses += o.DRAMAccesses
 	d.DRAMDemand += o.DRAMDemand
-	d.DRAMWritebacks += o.DRAMWritebacks
 	d.TLBPrefetchIssued += o.TLBPrefetchIssued
 	d.TLBPrefetchHits += o.TLBPrefetchHits
 	d.CachePrefetchIssued += o.CachePrefetchIssued

@@ -33,9 +33,7 @@ type goldenRun struct {
 	Stats        kv.Stats
 	L1, L2, L3   levelCounters
 	L1TLB, L2TLB levelCounters
-	// Writebacks is DRAM.Writebacks itself: cpu.Stats.DRAMWritebacks is
-	// declared and never filled in.
-	Writebacks uint64
+	Writebacks   uint64
 	// The run-time loop's decisions and the table's final size, set only
 	// by the monitor run, so the other runs' JSON does not carry them.
 	Decisions, Disables uint64 `json:",omitempty"`
