@@ -60,6 +60,11 @@ func (tu *Tuner) Tick() bool {
 		return false
 	}
 	lookups := st.Stats.Lookups
+	if lookups < tu.lastLookups {
+		// The counters were zeroed (a measurement reset): the window
+		// restarts with them, or its differences would wrap around.
+		tu.lastLookups, tu.lastMisses = 0, 0
+	}
 	if lookups-tu.lastLookups < tu.EvalOps {
 		return false
 	}

@@ -307,6 +307,31 @@ func TestAutoTuneGrowsUndersizedSTLT(t *testing.T) {
 	}
 }
 
+// TestMarkMeasurementRestartsTunerWindow: zeroing the STLT's counters
+// starts the tuner's window afresh. Read against the pre-reset window,
+// the differences wrap around, the miss ratio reads ~1 and the tuner
+// doubles (and clears) a table that was not missing.
+func TestMarkMeasurementRestartsTunerWindow(t *testing.T) {
+	e, err := New(Config{Keys: 20000, Index: KindChainHash, Mode: ModeSTLT, AutoTune: true, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Load(20000, 64)
+	g := ycsb.NewGenerator(ycsb.Config{Keys: 20000, ValueSize: 64, Dist: ycsb.Zipf, Seed: 42})
+	for i := 0; i < 70000; i++ {
+		e.RunOp(g.Next(), 64)
+	}
+	rows, resizes := e.STLT.Rows(), e.Tuner.Grows+e.Tuner.Shrinks
+	e.MarkMeasurement()
+	for e.Stats().STLT.Lookups < e.Tuner.EvalOps {
+		e.RunOp(g.Next(), 64)
+	}
+	if e.STLT.Rows() != rows || e.Tuner.Grows+e.Tuner.Shrinks != resizes {
+		t.Fatalf("resized within the first window after MarkMeasurement: rows %d -> %d, resizes %d -> %d",
+			rows, e.STLT.Rows(), resizes, e.Tuner.Grows+e.Tuner.Shrinks)
+	}
+}
+
 // TestDeleteTinyRecordNoStaleHit pins the allocator-alias regression:
 // freeing a record overwrites its header with a tagged free-list link
 // whose low byte can read back as keyLen=1, so before eager STLT
