@@ -34,7 +34,7 @@ func writeTestBundle(t *testing.T) string {
 		if op.Type == ycsb.Set {
 			e.Set(key, ycsb.Value(op.KeyID, 1, 64))
 		} else {
-			e.Get(key)
+			e.GetInto(key, nil)
 		}
 	}
 

@@ -66,7 +66,7 @@ func main() {
 		}
 		fmt.Printf("%-6s loadVA -> %v (%s)\n", name, got, status)
 		if got != 0 && index.KeyMatches(m, got, key, arch.CatData) {
-			val := index.ReadValue(m, got)
+			val := index.ReadValueInto(m, got, nil)
 			fmt.Printf("        validated, value = %q\n", val)
 		}
 	}

@@ -153,15 +153,25 @@ func (t *STLT) writeRow(s, w int, r Row) {
 	pm.WriteU64(pa+8, uint64(r.PTE))
 }
 
-// chargeSetScan charges the cache traffic and scan logic of reading a
-// whole set. Sets of <=4 ways fit one cache line; wider sets span
-// multiple lines and cost proportionally more (Section III-E).
-func (t *STLT) chargeSetScan(s int, cat arch.CostCategory) {
+// readSet charges reading set s whole, the one set read every STLT
+// operation makes (nothing on an untimed machine). The software table
+// loads it through the ordinary virtual path, paying its own
+// translations. The STU reads it physically: sets of <=4 ways fit one
+// cache line, wider sets span multiple lines and cost proportionally
+// more (Section III-E).
+func (t *STLT) readSet(s int) {
+	if t.m.Fast {
+		return
+	}
+	if t.Variant == VariantSoftware {
+		t.m.Touch(t.setVA(s), t.ways*RowSize, false, arch.KindSTLT, arch.CatSTLT)
+		return
+	}
 	c := t.m.Caches.AccessRange(t.rowPA(s, 0), t.ways*RowSize, false, arch.KindSTLT)
 	// Comparator scan: ~1 extra cycle per 4 ways (one line's worth of
 	// rows compares in parallel; wider sets serialize).
 	c += arch.Cycles(t.ways / 4)
-	t.m.Compute(c, cat)
+	t.m.Compute(c, arch.CatSTLT)
 }
 
 // nextRand is a xorshift64 PRNG standing in for the STU's hardware
@@ -200,22 +210,12 @@ func (t *STLT) LoadVA(integer uint64) arch.Addr {
 		return 0
 	}
 	t.Stats.Lookups++
-	if t.m.Fast {
-		return t.loadVAFunctional(integer)
-	}
 	s := t.setIndex(integer)
 	if t.m.Trace != nil {
 		t.m.Trace.Event(trace.EvLoadVA, uint64(t.m.Cycles()), int64(s), int64(t.ways), 0)
 	}
-	if t.Variant == VariantSoftware {
-		// Software table: branchy scan over the set through the
-		// ordinary virtual load path (pays its own translations).
-		t.m.Compute(swScanCost(t.ways), arch.CatSTLT)
-		t.m.Touch(t.setVA(s), t.ways*RowSize, false, arch.KindSTLT, arch.CatSTLT)
-	} else {
-		t.m.Compute(t.m.Params.LoadVALatency, arch.CatSTLT)
-		t.chargeSetScan(s, arch.CatSTLT)
-	}
+	t.m.Compute(t.opCost(t.m.Params.LoadVALatency), arch.CatSTLT)
+	t.readSet(s)
 
 	sub := subInt(integer)
 	match := -1
@@ -283,24 +283,6 @@ func (t *STLT) setVA(s int) arch.Addr {
 	return t.baseVA + arch.Addr(s*t.ways*RowSize)
 }
 
-// loadVAFunctional is the Fast-mode variant: same table state changes,
-// no timing.
-func (t *STLT) loadVAFunctional(integer uint64) arch.Addr {
-	s := t.setIndex(integer)
-	sub := subInt(integer)
-	for w := 0; w < t.ways; w++ {
-		r := t.readRow(s, w)
-		if r.Valid() && r.SubInt == sub {
-			if t.bumpCounter(&r) {
-				t.writeRow(s, w, r)
-			}
-			t.Stats.Hits++
-			return r.VA
-		}
-	}
-	return 0
-}
-
 // ReportFalseHit records that software validation rejected the VA a
 // LoadVA hit returned (partial-tag alias or stale record). The paper's
 // footnote 2: "Software further validates if the returned VA is the
@@ -321,14 +303,10 @@ func (t *STLT) Invalidate(integer uint64) {
 	}
 	s := t.setIndex(integer)
 	sub := subInt(integer)
-	if !t.m.Fast {
-		if t.Variant == VariantSoftware {
-			t.m.Compute(swScanCost(t.ways), arch.CatSTLT)
-			t.m.Touch(t.setVA(s), t.ways*RowSize, false, arch.KindSTLT, arch.CatSTLT)
-		} else {
-			t.chargeSetScan(s, arch.CatSTLT)
-		}
-	}
+	// The STU has no invalidate latency beyond the set read; the
+	// software table still runs its scan loop.
+	t.m.Compute(t.opCost(0), arch.CatSTLT)
+	t.readSet(s)
 	for w := 0; w < t.ways; w++ {
 		r := t.readRow(s, w)
 		if r.Valid() && r.SubInt == sub {
@@ -346,51 +324,33 @@ func (t *STLT) InsertSTLT(integer uint64, va arch.Addr) {
 	if !t.Enabled {
 		return
 	}
-	if t.m.Fast {
-		t.insertFunctional(integer, va)
+	t.m.Compute(t.opCost(t.m.Params.InsertSTLTLatency), arch.CatSTLT)
+	// The full design's SPTW reuses the page table walker, but a fault
+	// returns PTE=0 instead of raising an exception. The other variants,
+	// and an untimed insert, record the PTE functionally, so scrubbing
+	// stays coherent, without charging a walk.
+	var pte vm.PTE
+	if t.Variant == VariantFull && !t.m.Fast {
+		pte = t.sptw(va)
+	} else {
+		pte, _ = t.m.AS.PT.Lookup(va)
+	}
+	if !pte.Present() {
+		t.Stats.InsertDrops++
 		return
 	}
 
-	var pte vm.PTE
-	switch t.Variant {
-	case VariantFull:
-		t.m.Compute(t.m.Params.InsertSTLTLatency, arch.CatSTLT)
-		// SPTW: reuse the page table walker, but a fault returns
-		// PTE=0 instead of raising an exception.
-		pte = t.sptw(va)
-		if !pte.Present() {
-			t.Stats.InsertDrops++
-			return
-		}
-	case VariantVAOnly:
-		// VA-only rows skip the SPTW; record the PTE functionally so
-		// scrubbing stays coherent, without charging a walk.
-		t.m.Compute(t.m.Params.InsertSTLTLatency, arch.CatSTLT)
-		pte, _ = t.m.AS.PT.Lookup(va)
-		if !pte.Present() {
-			t.Stats.InsertDrops++
-			return
-		}
-	case VariantSoftware:
-		t.m.Compute(swScanCost(t.ways), arch.CatSTLT)
-		pte, _ = t.m.AS.PT.Lookup(va)
-		if !pte.Present() {
-			t.Stats.InsertDrops++
-			return
-		}
-	}
-
 	s := t.setIndex(integer)
-	if t.Variant == VariantSoftware {
-		t.m.Touch(t.setVA(s), t.ways*RowSize, false, arch.KindSTLT, arch.CatSTLT)
-	} else {
-		t.chargeSetScan(s, arch.CatSTLT)
-	}
+	t.readSet(s)
 	w := t.victimWay(s, subInt(integer))
 	if t.readRow(s, w).Valid() {
 		t.Stats.Replaced++
 	}
 	t.writeRow(s, w, Row{Counter: 0, SubInt: subInt(integer), VA: va, PTE: pte})
+	t.Stats.Inserts++
+	if t.m.Fast {
+		return
+	}
 	if t.Variant == VariantSoftware {
 		t.m.Touch(t.setVA(s)+arch.Addr(w*RowSize), RowSize, true, arch.KindSTLT, arch.CatSTLT)
 	} else {
@@ -400,22 +360,6 @@ func (t *STLT) InsertSTLT(integer uint64, va arch.Addr) {
 	if t.m.Trace != nil {
 		t.m.Trace.Event(trace.EvSTLTInsert, uint64(t.m.Cycles()), int64(s), int64(w), 0)
 	}
-	t.Stats.Inserts++
-}
-
-func (t *STLT) insertFunctional(integer uint64, va arch.Addr) {
-	pte, ok := t.m.AS.PT.Lookup(va)
-	if !ok {
-		t.Stats.InsertDrops++
-		return
-	}
-	s := t.setIndex(integer)
-	w := t.victimWay(s, subInt(integer))
-	if t.readRow(s, w).Valid() {
-		t.Stats.Replaced++
-	}
-	t.writeRow(s, w, Row{Counter: 0, SubInt: subInt(integer), VA: va, PTE: pte})
-	t.Stats.Inserts++
 }
 
 // sptw is the simplified page table walker: the normal walker with
@@ -487,17 +431,6 @@ func (t *STLT) scrub() {
 	// rare, so a coarse charge is fine.
 	if !t.m.Fast {
 		t.m.Compute(arch.Cycles(t.sets), arch.CatOther)
-	}
-}
-
-// Clear zeroes every row (used by STLTresize: "STLTresize ... clears
-// the content of STLT as the hash function the application uses is
-// unknown to OS").
-func (t *STLT) Clear() {
-	for s := 0; s < t.sets; s++ {
-		for w := 0; w < t.ways; w++ {
-			t.writeRow(s, w, Row{})
-		}
 	}
 }
 

@@ -33,8 +33,14 @@ func (v Variant) String() string {
 	return "variant(?)"
 }
 
-// swScanCost is the software compute cost of the set-scan loop that
-// the hardware STU eliminates ("the hardware instructions avoid
+// opCost is what an STLT operation computes before its set read: the
+// STU instruction's latency hw, or the software table's set-scan loop,
+// the cost the hardware eliminates ("the hardware instructions avoid
 // frequent branch mispredictions and enable concurrent operations on
 // STLT set scanning").
-func swScanCost(ways int) arch.Cycles { return arch.Cycles(14 + 4*ways) }
+func (t *STLT) opCost(hw arch.Cycles) arch.Cycles {
+	if t.Variant == VariantSoftware {
+		return arch.Cycles(14 + 4*t.ways)
+	}
+	return hw
+}

@@ -45,7 +45,7 @@ var builders = []struct {
 func key(i int) []byte                        { return []byte(fmt.Sprintf("key-%08d-abcdefghijkl", i)) }
 func val(i, ver int) []byte                   { return []byte(fmt.Sprintf("value-%d-%d-0123456789", i, ver)) }
 func bigVal(i int) []byte                     { return bytes.Repeat([]byte{byte(i)}, 300) }
-func readVal(c *Context, va arch.Addr) []byte { return ReadValue(c.M, va) }
+func readVal(c *Context, va arch.Addr) []byte { return ReadValueInto(c.M, va, nil) }
 
 func TestPutGetBasic(t *testing.T) {
 	for _, b := range builders {
@@ -434,7 +434,7 @@ func TestRecordHelpers(t *testing.T) {
 	if got := ReadRecordKey(m, va, arch.CatData); string(got) != "thekey" {
 		t.Fatalf("ReadRecordKey = %q", got)
 	}
-	if got := ReadValue(m, va); string(got) != "thevalue" {
+	if got := ReadValueInto(m, va, nil); string(got) != "thevalue" {
 		t.Fatalf("ReadValue = %q", got)
 	}
 	if KeyCompare(m, va, []byte("thekey"), arch.CatData) != 0 {
@@ -444,7 +444,7 @@ func TestRecordHelpers(t *testing.T) {
 		t.Fatal("KeyCompare ordering wrong")
 	}
 	UpdateValueInPlace(m, va, 6, []byte("newvals!"))
-	if got := ReadValue(m, va); string(got) != "newvals!" {
+	if got := ReadValueInto(m, va, nil); string(got) != "newvals!" {
 		t.Fatalf("after update: %q", got)
 	}
 }

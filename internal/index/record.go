@@ -106,19 +106,10 @@ func KeyCompare(m *cpu.Machine, va arch.Addr, key []byte, cat arch.CostCategory)
 	return bytes.Compare(key, stored)
 }
 
-// ReadValue performs a timed read of the record's value, charged to
-// CatData (the paper's "load record" step), and returns it.
-func ReadValue(m *cpu.Machine, va arch.Addr) []byte {
-	kl, vl := ReadRecordHeader(m, va, arch.CatData)
-	v := make([]byte, vl)
-	m.Read(va+RecordHeaderSize+arch.Addr(kl), v, arch.KindRecord, arch.CatData)
-	return v
-}
-
-// ReadValueInto is ReadValue with a caller-supplied buffer: the value
-// is appended into buf[:0] (reallocated only when cap(buf) is too
-// small), so a steady-state reader with a warm buffer performs zero
-// allocations. The timed traffic is identical to ReadValue.
+// ReadValueInto performs a timed read of the record's value, charged
+// to CatData (the paper's "load record" step). The value is appended
+// into buf[:0] (reallocated only when cap(buf) is too small), so a
+// steady-state reader with a warm buffer performs zero allocations.
 func ReadValueInto(m *cpu.Machine, va arch.Addr, buf []byte) []byte {
 	kl, vl := ReadRecordHeader(m, va, arch.CatData)
 	if cap(buf) < vl {

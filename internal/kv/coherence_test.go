@@ -52,7 +52,7 @@ func TestEngineCoherenceAgainstReference(t *testing.T) {
 						e.Set(k, v)
 						ref[string(k)] = v
 					default: // get
-						v, ok := e.Get(k)
+						v, ok := e.GetInto(k, nil)
 						want := ref[string(k)]
 						if ok != (want != nil) {
 							t.Fatalf("step %d: Get(%d) presence %v want %v (mode=%s)",

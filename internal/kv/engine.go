@@ -235,11 +235,14 @@ type Engine struct {
 	OS  *core.OS
 	Idx index.Index
 
+	// STLT and SLB are the fast path's concrete handles, for callers
+	// that inspect it; the engine itself goes through fast.
 	STLT    *core.STLT
 	SLB     *slb.SLB
 	Monitor *core.Monitor
 	Tuner   *core.Tuner
 
+	fast  fastPath // nil in baseline mode
 	redis *redisLayer
 
 	// tracer, when non-nil, samples the engine's own spans for ops
@@ -325,6 +328,7 @@ func New(cfg Config) (*Engine, error) {
 			t.Variant = core.VariantVAOnly
 		}
 		e.STLT = t
+		e.fast = &stltPath{t: t, m: m, hash: *cfg.FastHash, seed: cfg.Seed ^ 0xFA57, hw: cfg.FastHashHW}
 		if cfg.Monitor {
 			e.Monitor = core.NewMonitor(t)
 		}
@@ -333,6 +337,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 	case ModeSLB:
 		e.SLB = slb.New(m, *cfg.FastHash, cfg.Seed^0xFA57, cfg.SLBEntries)
+		e.fast = slbPath{e.SLB}
 	default:
 		return nil, fmt.Errorf("kv: unknown mode %q", cfg.Mode)
 	}
@@ -357,20 +362,6 @@ func New(cfg Config) (*Engine, error) {
 		e.lfu = newLFUState(cfg.Seed)
 	}
 	return e, nil
-}
-
-// HWHashLatency is the modeled latency of a hardware hash unit
-// (pipelined; a couple of cycles to produce the integer).
-const HWHashLatency arch.Cycles = 2
-
-// fastHash computes the fast-path integer, charging its cost.
-func (e *Engine) fastHash(key []byte) uint64 {
-	if e.Cfg.FastHashHW {
-		e.M.Compute(HWHashLatency, arch.CatHash)
-	} else {
-		e.M.Compute(e.Cfg.FastHash.Cost(len(key)), arch.CatHash)
-	}
-	return e.Cfg.FastHash.Hash(key, e.Cfg.Seed^0xFA57)
 }
 
 // Load bulk-inserts n keys with valueSize-byte values in Fast
@@ -465,27 +456,12 @@ func (e *Engine) traceEnd(op *trace.Op, fastHit, missed bool) {
 	e.tracer.Finish(op, e.tracerShard, fastHit, missed)
 }
 
-// Get performs a timed GET, returning the value.
-func (e *Engine) Get(key []byte) ([]byte, bool) {
-	sp := e.traceBegin("get", key)
-	fh := e.fastHits
-	va, ok := e.get(key)
-	var val []byte
-	if ok {
-		val = index.ReadValue(e.M, va)
-	}
-	e.traceEnd(sp, e.fastHits > fh, !ok)
-	return val, ok
-}
-
-// GetInto is Get with a caller-supplied value buffer: the value is
-// written into buf[:0] (grown only when too small) and returned, so a
-// steady-state caller reusing its buffer performs zero allocations.
-// The timed reads are identical to Get — modeled cycles, stats and
-// trace events match bit-for-bit.
+// GetInto performs a timed GET with a caller-supplied value buffer: the
+// value is written into buf[:0] (grown only when too small) and
+// returned, so a steady-state caller reusing its buffer performs zero
+// allocations.
 func (e *Engine) GetInto(key, buf []byte) ([]byte, bool) {
-	sp := e.traceBegin("get", key)
-	fh := e.fastHits
+	sp, fh := e.traceBegin("get", key), e.fastHits
 	va, ok := e.get(key)
 	var val []byte
 	if ok {
@@ -498,8 +474,7 @@ func (e *Engine) GetInto(key, buf []byte) ([]byte, bool) {
 // GetTouch performs a timed GET charging the value read without
 // materializing it (the harness's hot loop).
 func (e *Engine) GetTouch(key []byte) bool {
-	sp := e.traceBegin("get", key)
-	fh := e.fastHits
+	sp, fh := e.traceBegin("get", key), e.fastHits
 	va, ok := e.get(key)
 	if ok {
 		index.TouchValue(e.M, va)
@@ -508,83 +483,71 @@ func (e *Engine) GetTouch(key []byte) bool {
 	return ok
 }
 
-// get runs the mode-specific addressing path and returns the record VA.
+// get is GET's share of the keyed-read frame: the read and its reply.
+// The caller's value read falls outside the monitor window.
 func (e *Engine) get(key []byte) (arch.Addr, bool) {
+	va, found := e.read(key, len("GET"))
+	if found {
+		e.redis.replyValue(e.M, va)
+	} else {
+		e.redis.reply(0)
+	}
+	e.endRead()
+	return va, found
+}
+
+// read is the front half of every keyed read (GET, EXISTS, EXPIRE,
+// TTL): lazy expiry, the monitor window and the tuner tick, the op
+// counters and the Redis command model, then the addressing path and
+// the miss count or LFU touch. It returns with the monitor window open:
+// the verb models its reply, then calls endRead.
+func (e *Engine) read(key []byte, cmdBytes int) (arch.Addr, bool) {
 	e.expireIfDue(key, false)
 	if e.Monitor != nil {
 		e.Monitor.BeginOp()
-		defer e.Monitor.EndOp()
 	}
 	if e.Tuner != nil {
 		e.Tuner.Tick()
 	}
 	e.ops++
 	e.gets++
-	if e.redis != nil {
-		e.redis.command(key, len("GET"))
-	}
-
+	e.redis.command(key, cmdBytes)
 	va, found := e.lookup(key)
-
-	if !found {
+	if found {
+		e.lfuTouch(key)
+	} else {
 		e.misses++
-		if e.redis != nil {
-			e.redis.reply(0)
-		}
-		return 0, false
 	}
-	e.lfuTouch(key)
-	if e.redis != nil {
-		e.redis.replyValue(e.M, va)
-	}
-	return va, true
+	return va, found
 }
 
-// lookup runs the mode-specific addressing path (fast path plus slow
-// path on a miss), charging all timing, without any command/reply
-// modeling. It is shared by GET and EXISTS.
+// endRead closes the monitor window read opened.
+func (e *Engine) endRead() {
+	if e.Monitor != nil {
+		e.Monitor.EndOp()
+	}
+}
+
+// lookup runs the addressing path, charging all its timing: the fast
+// path's probe and the validation of its VA, then on a miss the index
+// walk and the fast path's fill.
 func (e *Engine) lookup(key []byte) (arch.Addr, bool) {
-	var va arch.Addr
-	found := false
-	switch {
-	case e.STLT != nil:
-		integer := e.fastHash(key)
-		if hit := e.STLT.LoadVA(integer); hit != 0 {
-			if index.KeyMatches(e.M, hit, key, arch.CatData) {
-				va, found = hit, true
-				e.fastHits++
-			} else {
-				e.STLT.ReportFalseHit()
-			}
-		}
-		if !found {
-			va, found = e.idxGet(key)
-			if found {
-				e.STLT.InsertSTLT(integer, va)
-			}
-		}
-	case e.SLB != nil:
-		if hit, ok := e.SLB.Lookup(key); ok {
-			if index.KeyMatches(e.M, hit, key, arch.CatData) {
-				va, found = hit, true
-				e.fastHits++
-			} else {
-				e.SLB.ReportFalseHit(key)
-			}
-		}
-		if !found {
-			va, found = e.idxGet(key)
-			if found {
-				e.SLB.OnMiss(key, va)
-			}
-		}
-	default:
-		va, found = e.idxGet(key)
+	if e.fast == nil {
+		return e.idxGet(key)
 	}
-	if !found {
-		return 0, false
+	hit, h := e.fast.probe(key)
+	if hit != 0 {
+		if index.KeyMatches(e.M, hit, key, arch.CatData) {
+			e.fastHits++
+			return hit, true
+		}
+		e.fast.falseHit(key)
 	}
-	return va, true
+	va, found := e.idxGet(key)
+	if found {
+		e.fast.fill(key, h, va)
+	}
+	return va, found
 }
 
 // idxGet is Idx.Get plus the index.walk timeline event.
@@ -604,30 +567,10 @@ func (e *Engine) idxGet(key []byte) (arch.Addr, bool) {
 // (fast path, slow path, STLT refill) without the value read or the
 // value-copy reply — the cheap path a Redis EXISTS takes.
 func (e *Engine) Exists(key []byte) bool {
-	sp := e.traceBegin("exists", key)
-	e.expireIfDue(key, false)
-	if e.Monitor != nil {
-		e.Monitor.BeginOp()
-		defer e.Monitor.EndOp()
-	}
-	if e.Tuner != nil {
-		e.Tuner.Tick()
-	}
-	e.ops++
-	e.gets++
-	if e.redis != nil {
-		e.redis.command(key, len("EXISTS"))
-	}
-	fh := e.fastHits
-	_, found := e.lookup(key)
-	if !found {
-		e.misses++
-	} else {
-		e.lfuTouch(key)
-	}
-	if e.redis != nil {
-		e.redis.reply(4) // ":1\r\n" / ":0\r\n"
-	}
+	sp, fh := e.traceBegin("exists", key), e.fastHits
+	_, found := e.read(key, len("EXISTS"))
+	e.redis.reply(4) // ":1\r\n" / ":0\r\n"
+	e.endRead()
 	e.traceEnd(sp, e.fastHits > fh, !found)
 	return found
 }
@@ -643,9 +586,7 @@ func (e *Engine) Set(key, value []byte) {
 	}
 	e.ops++
 	e.sets++
-	if e.redis != nil {
-		e.redis.command(key, len("SET")+len(value))
-	}
+	e.redis.command(key, len("SET")+len(value))
 	res := e.Idx.Put(key, value)
 	if e.M.Trace != nil {
 		moved := int64(0)
@@ -656,22 +597,17 @@ func (e *Engine) Set(key, value []byte) {
 	}
 	if res.Moved {
 		e.moves++
-		// Record-move protocol (Section III-F): refresh the STLT row
-		// once the move finishes; drop stale SLB entries.
-		if e.STLT != nil {
-			e.STLT.InsertSTLT(e.fastHash(key), res.RecordVA)
-		}
-		if e.SLB != nil {
-			e.SLB.Invalidate(key)
+		// Record-move protocol (Section III-F): the fast path refreshes
+		// its entry once the move finishes.
+		if e.fast != nil {
+			e.fast.moved(key, res.RecordVA)
 		}
 	}
 	if len(e.expires) != 0 {
 		e.disarmDeadline(key)
 	}
 	e.lfuAccount(key, value)
-	if e.redis != nil {
-		e.redis.reply(5) // "+OK\r\n"
-	}
+	e.redis.reply(5) // "+OK\r\n"
 	e.maybeEvict()
 	e.traceEnd(sp, false, false)
 }
@@ -690,25 +626,28 @@ func (e *Engine) Delete(key []byte) bool {
 		e.M.Trace.Event(trace.EvIndexWalk, uint64(e.M.Cycles()), f, 0, 0)
 	}
 	if ok {
-		// Deallocation-side coherence (Section III-F): drop the fast-path
-		// entry so a dangling VA can never be returned. Software
-		// validation is not enough on its own — the allocator's tagged
-		// free-list link overwrites the freed record's header and its low
-		// byte can alias a legal key length, letting a stale STLT row
-		// validate against its own freed record.
-		if e.STLT != nil {
-			e.STLT.Invalidate(e.fastHash(key))
-		}
-		if e.SLB != nil {
-			e.SLB.Invalidate(key)
-		}
-		if len(e.expires) != 0 {
-			e.disarmDeadline(key)
-		}
-		e.lfuForget(key)
+		e.forget(key)
 	}
 	e.traceEnd(sp, false, !ok)
 	return ok
+}
+
+// forget is what every removal does once the index has let go of key,
+// Delete's and RemoveOne's alike (expiry, eviction and migration use the
+// latter). Deallocation-side coherence (Section III-F): the fast path
+// drops its entry so a dangling VA can never be returned. Software
+// validation is not enough on its own — the allocator's tagged
+// free-list link overwrites the freed record's header and its low byte
+// can alias a legal key length, letting a stale entry validate against
+// its own freed record. The key's deadline and LFU state go with it.
+func (e *Engine) forget(key []byte) {
+	if e.fast != nil {
+		e.fast.forget(key)
+	}
+	if len(e.expires) != 0 {
+		e.disarmDeadline(key)
+	}
+	e.lfuForget(key)
 }
 
 // RunOp executes one generated workload operation. Scan ops on an
@@ -757,11 +696,8 @@ func (e *Engine) MarkMeasurement() {
 	e.M.ResetStats()
 	e.ops, e.gets, e.sets, e.misses, e.fastHits, e.moves = 0, 0, 0, 0, 0, 0
 	e.scans, e.expired, e.evicted = 0, 0, 0
-	if e.STLT != nil {
-		e.STLT.Stats = core.Stats{}
-	}
-	if e.SLB != nil {
-		e.SLB.Stats = slb.Stats{}
+	if e.fast != nil {
+		e.fast.resetStats()
 	}
 }
 
@@ -779,11 +715,8 @@ func (e *Engine) Stats() Stats {
 		Evicted:  e.evicted,
 		Machine:  e.M.Stats(),
 	}
-	if e.STLT != nil {
-		s.STLT = e.STLT.Stats
-	}
-	if e.SLB != nil {
-		s.SLB = e.SLB.Stats
+	if e.fast != nil {
+		e.fast.stats(&s)
 	}
 	return s
 }

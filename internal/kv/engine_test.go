@@ -57,7 +57,7 @@ func TestLoadThenGetAllModes(t *testing.T) {
 			e := newEngine(t, mode, kind, false)
 			e.Load(500, 64)
 			for id := uint64(0); id < 500; id += 97 {
-				v, ok := e.Get(ycsb.KeyName(id))
+				v, ok := e.GetInto(ycsb.KeyName(id), nil)
 				if !ok {
 					t.Fatalf("%s/%s: key %d missing", mode, kind, id)
 				}
@@ -65,7 +65,7 @@ func TestLoadThenGetAllModes(t *testing.T) {
 					t.Fatalf("%s/%s: wrong value for key %d", mode, kind, id)
 				}
 			}
-			if _, ok := e.Get([]byte("user99999999999999999999")); ok {
+			if _, ok := e.GetInto([]byte("user99999999999999999999"), nil); ok {
 				t.Fatalf("%s/%s: phantom key", mode, kind)
 			}
 		}
@@ -76,9 +76,9 @@ func TestSTLTFastPathActuallyHits(t *testing.T) {
 	e := newEngine(t, ModeSTLT, KindChainHash, false)
 	e.Load(500, 64)
 	key := ycsb.KeyName(7)
-	e.Get(key) // miss -> insertSTLT
+	e.GetInto(key, nil) // miss -> insertSTLT
 	e.MarkMeasurement()
-	e.Get(key) // must be a fast-path hit
+	e.GetInto(key, nil) // must be a fast-path hit
 	st := e.Stats()
 	if st.FastHits != 1 {
 		t.Fatalf("FastHits = %d", st.FastHits)
@@ -119,7 +119,7 @@ func TestRecordMoveRefreshesSTLT(t *testing.T) {
 	e := newEngine(t, ModeSTLT, KindChainHash, false)
 	e.Load(100, 64)
 	key := ycsb.KeyName(3)
-	e.Get(key) // prime STLT
+	e.GetInto(key, nil) // prime STLT
 
 	// Grow the value so the record moves.
 	big := bytes.Repeat([]byte{0xAB}, 500)
@@ -130,12 +130,12 @@ func TestRecordMoveRefreshesSTLT(t *testing.T) {
 	}
 	// The next GET must return the new value and still work via the
 	// refreshed fast path.
-	v, ok := e.Get(key)
+	v, ok := e.GetInto(key, nil)
 	if !ok || !bytes.Equal(v, big) {
 		t.Fatal("value after move wrong")
 	}
 	e.MarkMeasurement()
-	e.Get(key)
+	e.GetInto(key, nil)
 	if e.Stats().FastHits != 1 {
 		t.Fatal("fast path not refreshed after record move")
 	}
@@ -145,11 +145,11 @@ func TestRecordMoveInvalidatesSLB(t *testing.T) {
 	e := newEngine(t, ModeSLB, KindChainHash, false)
 	e.Load(100, 64)
 	key := ycsb.KeyName(3)
-	e.Get(key)
-	e.Get(key) // second touch admits into SLB (freq)
+	e.GetInto(key, nil)
+	e.GetInto(key, nil) // second touch admits into SLB (freq)
 	big := bytes.Repeat([]byte{0xCD}, 500)
 	e.Set(key, big)
-	v, ok := e.Get(key)
+	v, ok := e.GetInto(key, nil)
 	if !ok || !bytes.Equal(v, big) {
 		t.Fatal("SLB returned stale record after move")
 	}
@@ -160,12 +160,12 @@ func TestDeleteKeepsFastPathsCoherent(t *testing.T) {
 		e := newEngine(t, mode, KindChainHash, false)
 		e.Load(100, 64)
 		key := ycsb.KeyName(5)
-		e.Get(key)
-		e.Get(key)
+		e.GetInto(key, nil)
+		e.GetInto(key, nil)
 		if !e.Delete(key) {
 			t.Fatal("delete failed")
 		}
-		if _, ok := e.Get(key); ok {
+		if _, ok := e.GetInto(key, nil); ok {
 			t.Fatalf("%s: deleted key still visible", mode)
 		}
 	}
@@ -344,13 +344,13 @@ func TestDeleteTinyRecordNoStaleHit(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Set([]byte("a"), []byte("1"))
-		if v, ok := e.Get([]byte("a")); !ok || string(v) != "1" { // warm the fast path
+		if v, ok := e.GetInto([]byte("a"), nil); !ok || string(v) != "1" { // warm the fast path
 			t.Fatalf("%s: warm GET = %q, %v", mode, v, ok)
 		}
 		if !e.Delete([]byte("a")) {
 			t.Fatalf("%s: delete failed", mode)
 		}
-		if v, ok := e.Get([]byte("a")); ok {
+		if v, ok := e.GetInto([]byte("a"), nil); ok {
 			t.Fatalf("%s: deleted key served stale value %q", mode, v)
 		}
 	}

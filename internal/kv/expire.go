@@ -215,31 +215,13 @@ func (e *Engine) armDeadline(key []byte, deadline int64) {
 // that just lazily expired). Recovery tail replay calls it with the
 // logged deadline, reproducing the timed work bit-for-bit.
 func (e *Engine) ExpireAt(key []byte, deadline int64) int {
-	sp := e.traceBegin("expire", key)
-	e.expireIfDue(key, false)
-	if e.Monitor != nil {
-		e.Monitor.BeginOp()
-		defer e.Monitor.EndOp()
-	}
-	if e.Tuner != nil {
-		e.Tuner.Tick()
-	}
-	e.ops++
-	e.gets++
-	if e.redis != nil {
-		e.redis.command(key, len("PEXPIREAT")+8)
-	}
-	fh := e.fastHits
-	_, found := e.lookup(key)
-	if !found {
-		e.misses++
-	} else {
-		e.lfuTouch(key)
+	sp, fh := e.traceBegin("expire", key), e.fastHits
+	_, found := e.read(key, len("PEXPIREAT")+8)
+	if found {
 		e.armDeadline(key, deadline)
 	}
-	if e.redis != nil {
-		e.redis.reply(4) // ":1\r\n" / ":0\r\n"
-	}
+	e.redis.reply(4) // ":1\r\n" / ":0\r\n"
+	e.endRead()
 	e.traceEnd(sp, e.fastHits > fh, !found)
 	if found {
 		return 1
@@ -252,25 +234,10 @@ func (e *Engine) ExpireAt(key []byte, deadline int64) int {
 // expired), -1 when present without a deadline, and the remaining
 // nanoseconds (> 0) otherwise.
 func (e *Engine) TTL(key []byte) int64 {
-	sp := e.traceBegin("ttl", key)
-	e.expireIfDue(key, false)
-	if e.Monitor != nil {
-		e.Monitor.BeginOp()
-		defer e.Monitor.EndOp()
-	}
-	if e.Tuner != nil {
-		e.Tuner.Tick()
-	}
-	e.ops++
-	e.gets++
-	if e.redis != nil {
-		e.redis.command(key, len("PTTL"))
-	}
-	fh := e.fastHits
-	_, found := e.lookup(key)
+	sp, fh := e.traceBegin("ttl", key), e.fastHits
+	_, found := e.read(key, len("PTTL"))
 	var ret int64 = -2
 	if found {
-		e.lfuTouch(key)
 		ret = -1
 		if dl, ok := e.expires[string(key)]; ok {
 			if rem := dl - e.now(); rem > 0 {
@@ -279,12 +246,9 @@ func (e *Engine) TTL(key []byte) int64 {
 				ret = 1 // due but not yet reaped; round up to the minimum
 			}
 		}
-	} else {
-		e.misses++
 	}
-	if e.redis != nil {
-		e.redis.reply(16)
-	}
+	e.redis.reply(16)
+	e.endRead()
 	e.traceEnd(sp, e.fastHits > fh, !found)
 	return ret
 }

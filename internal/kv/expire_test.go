@@ -57,14 +57,14 @@ func TestExpireLazyAndSweep(t *testing.T) {
 	}
 
 	// Before the deadline both keys serve.
-	if _, ok := e.Get([]byte("alpha")); !ok {
+	if _, ok := e.GetInto([]byte("alpha"), nil); !ok {
 		t.Fatal("alpha missing before deadline")
 	}
 
 	clk.now += 200 // both deadlines pass
 
 	// Lazy path: the access itself reaps alpha.
-	if _, ok := e.Get([]byte("alpha")); ok {
+	if _, ok := e.GetInto([]byte("alpha"), nil); ok {
 		t.Fatal("alpha served after its deadline")
 	}
 	if !e.MaintPending() {
@@ -79,7 +79,7 @@ func TestExpireLazyAndSweep(t *testing.T) {
 	if reaped := e.SweepExpired(64); reaped != 1 {
 		t.Fatalf("SweepExpired reaped %d, want 1", reaped)
 	}
-	if _, ok := e.Get([]byte("beta")); ok {
+	if _, ok := e.GetInto([]byte("beta"), nil); ok {
 		t.Fatal("beta served after sweep")
 	}
 	maint = e.TakeMaint(maint)
@@ -90,7 +90,7 @@ func TestExpireLazyAndSweep(t *testing.T) {
 		t.Fatalf("ExpiresArmed after reaping = %d, want 0", got)
 	}
 	// gamma (no deadline) is untouched by all of this.
-	if _, ok := e.Get([]byte("gamma")); !ok {
+	if _, ok := e.GetInto([]byte("gamma"), nil); !ok {
 		t.Fatal("gamma lost")
 	}
 	if st := e.Stats(); st.Expired != 2 {
@@ -102,7 +102,7 @@ func TestExpireLazyAndSweep(t *testing.T) {
 	e.ExpireAt([]byte("gamma"), clk.now+50)
 	e.Set([]byte("gamma"), []byte("v2"))
 	clk.now += 100
-	if _, ok := e.Get([]byte("gamma")); !ok {
+	if _, ok := e.GetInto([]byte("gamma"), nil); !ok {
 		t.Fatal("SET did not discard the pending TTL")
 	}
 }
@@ -257,7 +257,7 @@ func TestLFUVictimMatchesSTLTRule(t *testing.T) {
 			}
 			evictions += len(got)
 		default:
-			if _, ok := e.Get(kb); ok {
+			if _, ok := e.GetInto(kb, nil); ok {
 				ref.touch(key)
 			}
 		}
@@ -301,7 +301,7 @@ func TestEvictionChurnLowersSTLTHitRate(t *testing.T) {
 			if i%4 == 0 {
 				e.Set(keyBuf, val)
 			} else {
-				e.Get(keyBuf)
+				e.GetInto(keyBuf, nil)
 			}
 		}
 		st := e.Stats()

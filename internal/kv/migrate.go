@@ -52,16 +52,7 @@ func (e *Engine) RemoveOne(key []byte) bool {
 	e.M.Fast = true
 	ok := e.Idx.Delete(key)
 	if ok {
-		if e.STLT != nil {
-			e.STLT.Invalidate(e.fastHash(key))
-		}
-		if e.SLB != nil {
-			e.SLB.Invalidate(key)
-		}
-		if len(e.expires) != 0 {
-			e.disarmDeadline(key)
-		}
-		e.lfuForget(key)
+		e.forget(key)
 	}
 	e.M.Fast = wasFast
 	return ok
@@ -70,19 +61,18 @@ func (e *Engine) RemoveOne(key []byte) bool {
 // RewarmOne re-inserts key's STLT row from the index, functionally —
 // the software analog of the paper's insertSTLT() after a record
 // move: the destination of a migration replays this per record so its
-// fast path is warm before the first client GET arrives. Returns
-// whether a row was inserted (false when the key is absent or the
-// engine has no STLT).
+// fast path is warm before the first client GET arrives. It is the
+// record-move refresh SET makes, so an SLB drops any stale entry
+// instead. Returns whether a row was inserted (false when the key is
+// absent or the engine has no STLT).
 func (e *Engine) RewarmOne(key []byte) bool {
-	if e.STLT == nil {
+	if e.fast == nil {
 		return false
 	}
 	wasFast := e.M.Fast
 	e.M.Fast = true
 	rec, ok := e.Idx.Get(key)
-	if ok {
-		e.STLT.InsertSTLT(e.fastHash(key), rec)
-	}
+	ok = ok && e.fast.moved(key, rec)
 	e.M.Fast = wasFast
 	return ok
 }

@@ -18,6 +18,9 @@ import (
 // matching the paper's Unix-socket + pipelining setup) plus real
 // memory traffic on simulated input/output ring buffers, which enjoy
 // the high locality real Redis I/O buffers have.
+//
+// A nil *redisLayer is an engine without the Redis layer: every method
+// charges nothing.
 type redisLayer struct {
 	m *cpu.Machine
 
@@ -52,6 +55,9 @@ func newRedisLayer(m *cpu.Machine) *redisLayer {
 // command charges the cost of receiving and parsing one command whose
 // payload (key + inline arguments) is n bytes beyond the key.
 func (r *redisLayer) command(key []byte, extra int) {
+	if r == nil {
+		return
+	}
 	size := 32 + len(key) + extra // RESP framing + verb + key + args
 	if r.inOff+size > redisBufSize {
 		r.inOff = 0
@@ -64,6 +70,9 @@ func (r *redisLayer) command(key []byte, extra int) {
 // reply charges the cost of emitting an n-byte reply (status lines,
 // errors, nil).
 func (r *redisLayer) reply(n int) {
+	if r == nil {
+		return
+	}
 	size := 16 + n
 	if r.outOff+size > redisBufSize {
 		r.outOff = 0
@@ -78,6 +87,9 @@ func (r *redisLayer) reply(n int) {
 // (CatData); here we charge the destination stores and the memcpy
 // compute.
 func (r *redisLayer) replyValue(m *cpu.Machine, recVA arch.Addr) {
+	if r == nil {
+		return
+	}
 	_, vl := index.ReadRecordHeader(m, recVA, arch.CatOther)
 	size := 16 + vl
 	if r.outOff+size > redisBufSize {

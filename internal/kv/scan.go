@@ -103,9 +103,7 @@ func (e *Engine) Scan(start []byte, limit int, fn func(key []byte) bool) (int, e
 	sp := e.traceBegin("scan", start)
 	e.ops++
 	e.scans++
-	if e.redis != nil {
-		e.redis.command(start, len("SCAN")+8)
-	}
+	e.redis.command(start, len("SCAN")+8)
 	skipTTL := len(e.expires) != 0
 	var now int64
 	if skipTTL {
@@ -120,9 +118,7 @@ func (e *Engine) Scan(start []byte, limit int, fn func(key []byte) bool) (int, e
 				return true
 			}
 		}
-		if e.redis != nil {
-			e.redis.reply(len(key))
-		}
+		e.redis.reply(len(key))
 		n++
 		if !fn(key) {
 			return false
@@ -148,9 +144,7 @@ func (e *Engine) Range(start, end []byte, limit int, fn func(key, value []byte) 
 	sp := e.traceBegin("range", start)
 	e.ops++
 	e.scans++
-	if e.redis != nil {
-		e.redis.command(start, len("RANGE")+len(end))
-	}
+	e.redis.command(start, len("RANGE")+len(end))
 	skipTTL := len(e.expires) != 0
 	var now int64
 	if skipTTL {
@@ -170,9 +164,7 @@ func (e *Engine) Range(start, end []byte, limit int, fn func(key, value []byte) 
 		}
 		val := index.ReadValueInto(e.M, rec, e.scanVal)
 		e.scanVal = val[:0]
-		if e.redis != nil {
-			e.redis.replyValue(e.M, rec)
-		}
+		e.redis.replyValue(e.M, rec)
 		n++
 		if !fn(key, val) {
 			return false

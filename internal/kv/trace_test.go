@@ -42,8 +42,8 @@ func TestTracedEngineMatchesUntraced(t *testing.T) {
 			plain.Set(keyP, ycsb.Value(opP.KeyID, 1, 64))
 			traced.Set(keyT, ycsb.Value(opT.KeyID, 1, 64))
 		} else {
-			vp, okP := plain.Get(keyP)
-			vt, okT := traced.Get(keyT)
+			vp, okP := plain.GetInto(keyP, nil)
+			vt, okT := traced.GetInto(keyT, nil)
 			if okP != okT || !bytes.Equal(vp, vt) {
 				t.Fatalf("op %d: replies diverged (ok %v/%v)", i, okP, okT)
 			}

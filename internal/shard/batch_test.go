@@ -58,7 +58,7 @@ func TestBatchMatchesSequentialSingleShard(t *testing.T) {
 			reqs = batchReqs(OpGet, keys, nil)
 			c.DoBatch(reqs)
 			for i, k := range keys {
-				wantV, wantOK := e.Get(k)
+				wantV, wantOK := e.GetInto(k, nil)
 				if reqs[i].OK != wantOK || string(reqs[i].Val) != string(wantV) {
 					t.Fatalf("round %d GET %q: (%q,%v) != (%q,%v)",
 						round, k, reqs[i].Val, reqs[i].OK, wantV, wantOK)
@@ -80,7 +80,7 @@ func TestBatchMatchesSequentialSingleShard(t *testing.T) {
 			}
 		case 3: // single GET
 			gotV, gotOK := c.Get(keys[0])
-			wantV, wantOK := e.Get(keys[0])
+			wantV, wantOK := e.GetInto(keys[0], nil)
 			if gotOK != wantOK || string(gotV) != string(wantV) {
 				t.Fatalf("round %d single GET %q diverged", round, keys[0])
 			}
