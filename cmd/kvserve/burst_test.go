@@ -70,9 +70,8 @@ func TestBurstIntegrity(t *testing.T) {
 // a few bursts is held to the bound in case the reader is preempted
 // mid-burst. A reader that cuts the burst misses it every time.
 func TestBurstIntegrityFsyncs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := newPersistServer(t, 2, t.TempDir(), "always", true)
-	t.Cleanup(func() { shutdownPersist(s) })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // after newServer, which gives -aof two
 	r, _, conn := tcpClient(t, tcpFrontend(t, s))
 
 	raw, keys := setBurst(16)

@@ -42,11 +42,9 @@ import (
 // clusterState is the server's cluster runtime: the node's slot view,
 // the bus it serves, and its handles to every peer's bus.
 type clusterState struct {
-	node   *cluster.Node
-	bus    *cluster.BusServer
-	peers  []*cluster.Peer // node index -> bus handle, nil at self
-	rewarm bool
-	batch  int
+	node  *cluster.Node
+	bus   *cluster.BusServer
+	peers []*cluster.Peer // node index -> bus handle, nil at self
 
 	// migMu serializes operator-issued CLUSTER MIGRATE commands: one
 	// migration at a time is the supported regime (concurrent sources
@@ -59,7 +57,6 @@ type clusterState struct {
 	// batch call on the per-peer mutex and turns falsely suspect.
 	health  *health.Tracker
 	hbPeers []*cluster.Peer // node index -> heartbeat bus handle, nil at self
-	hbEvery time.Duration   // heartbeat period (0 = heartbeats off)
 	hbOn    atomic.Bool     // runtime toggle (CLUSTER HEARTBEAT ON|OFF)
 	hbStop  chan struct{}
 	hbWG    sync.WaitGroup
@@ -97,50 +94,30 @@ func parseClusterNodes(spec string) ([]cluster.NodeInfo, error) {
 	return nodes, nil
 }
 
-// clusterOpts bundles setupCluster's tuning knobs.
-type clusterOpts struct {
-	assign    string        // initial slot assignment override (-cluster-slots)
-	rewarm    bool          // re-warm the STLT for migrated records
-	batch     int           // keys per migration batch (0 = default)
-	hbEvery   time.Duration // heartbeat period (0 = heartbeats off)
-	hbSuspect int           // missed intervals before suspect (0 = default)
-	hbDown    int           // missed intervals before down (0 = default)
-}
-
-// setupCluster brings the cluster runtime up: the initial slot map
-// (even split unless o.assign overrides it), the bus listener, peer
-// handles (plus the dedicated heartbeat handles), the health tracker,
-// the shard op gate, the cluster series, and the heartbeat loops.
-func (s *server) setupCluster(nodes []cluster.NodeInfo, self int, o clusterOpts) error {
-	if self < 0 || self >= len(nodes) {
-		return fmt.Errorf("cluster: -cluster-self %d out of range (%d nodes)", self, len(nodes))
-	}
-	m := cluster.NewSlotMap(nodes)
-	if o.assign != "" {
-		if err := cluster.ParseAssignment(m, o.assign); err != nil {
-			return err
-		}
-	}
+// setupCluster brings the cluster runtime up: the evenly split slot
+// map, the bus listener, peer handles (plus the dedicated heartbeat
+// handles), the health tracker, the shard op gate, the cluster series,
+// and the heartbeat loops.
+func (s *server) setupCluster() error {
+	cfg := &s.cfg
+	nodes, self := cfg.nodes, cfg.self
 	ln, err := net.Listen("tcp", nodes[self].Bus)
 	if err != nil {
 		return fmt.Errorf("cluster: bus listen: %w", err)
 	}
 	cl := &clusterState{
-		node:    cluster.NewNode(self, m),
+		node:    cluster.NewNode(self, cluster.NewSlotMap(nodes)),
 		peers:   make([]*cluster.Peer, len(nodes)),
 		hbPeers: make([]*cluster.Peer, len(nodes)),
-		rewarm:  o.rewarm,
-		batch:   o.batch,
-		hbEvery: o.hbEvery,
 		health: health.NewTracker(len(nodes), self, health.Config{
-			Interval:     o.hbEvery,
-			SuspectAfter: o.hbSuspect,
-			DownAfter:    o.hbDown,
+			Interval:     cfg.hbEvery,
+			SuspectAfter: cfg.hbSuspect,
+			DownAfter:    cfg.hbDown,
 		}),
 	}
 	// A heartbeat call should fail fast relative to its own period —
 	// detection is receiver-side anyway, so a slow call buys nothing.
-	hbTimeout := 2 * o.hbEvery
+	hbTimeout := 2 * cfg.hbEvery
 	if hbTimeout < time.Second {
 		hbTimeout = time.Second
 	}
@@ -370,7 +347,7 @@ func (s *server) clusterCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, 
 		}
 		switch strings.ToLower(string(args[2])) {
 		case "on":
-			if s.clus.hbEvery <= 0 {
+			if s.cfg.hbEvery <= 0 {
 				return fail(w, "ERR heartbeats disabled (-heartbeat-interval 0)")
 			}
 			s.clus.hbOn.Store(true)
@@ -451,8 +428,8 @@ func (s *server) clusterMigrate(slot uint16, dest int) (cluster.MigrationResult,
 		}
 		return cl.peers[i]
 	}, slot, dest, cluster.MigrateOpts{
-		BatchKeys: cl.batch,
-		Rewarm:    cl.rewarm,
+		BatchKeys: s.cfg.migBatch,
+		Rewarm:    s.cfg.rewarm,
 		// One mig.progress span per shipped batch (plus one at commit):
 		// records shipped so far, the run's work list, and the slot, so
 		// TRACE DUMP reconstructs the migration's advancement timeline.

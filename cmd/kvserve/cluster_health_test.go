@@ -12,13 +12,13 @@ import (
 	"addrkv/internal/health"
 )
 
-// hbTestOpts is the live-heartbeat cluster config the health tests
-// use: a fast interval so down-detection deadlines land in fractions
-// of a second, with the suspect/down multiples widened (8 and 16, vs
-// the production 2 and 4) so -race scheduler stalls during the heavy
-// differential legs cannot fake a missed-deadline verdict.
-func hbTestOpts() clusterOpts {
-	return clusterOpts{rewarm: true, batch: 8, hbEvery: 25 * time.Millisecond, hbSuspect: 8, hbDown: 16}
+// heartbeats turns on the live heartbeats the health tests use: a fast
+// interval so down-detection deadlines land in fractions of a second,
+// with the suspect/down multiples widened (8 and 16, vs the production
+// 2 and 4) so -race scheduler stalls during the heavy differential legs
+// cannot fake a missed-deadline verdict.
+func heartbeats(c *config) {
+	c.hbEvery, c.hbSuspect, c.hbDown = 25*time.Millisecond, 8, 16
 }
 
 // runDiffOps replays ops against one server on the matching dispatch
@@ -81,7 +81,7 @@ func TestClusterHeartbeatDifferential(t *testing.T) {
 		for _, n := range []int{1, 3} {
 			t.Run(fmt.Sprintf("workers=%v/nodes=%d", workers, n), func(t *testing.T) {
 				off := newTestCluster(t, n, workers)
-				on := newTestClusterOpts(t, n, workers, hbTestOpts())
+				on := newTestClusterOpts(t, n, workers, heartbeats)
 
 				ops := diffOps(t)
 				ro := runDiffOps(t, off[0], ops, workers)
@@ -123,7 +123,7 @@ func TestClusterHeartbeatDifferential(t *testing.T) {
 // line format, CLUSTER HEARTBEAT ON/OFF/STATUS, and the heartbeat and
 // liveness fields added to CLUSTER INFO.
 func TestClusterHealthSurfaces(t *testing.T) {
-	srvs := newTestClusterOpts(t, 3, false, hbTestOpts())
+	srvs := newTestClusterOpts(t, 3, false, heartbeats)
 	s0 := srvs[0]
 	cs := &connState{id: 1}
 	waitFor(t, 5*time.Second, "first heartbeat round", func() bool {
@@ -198,7 +198,7 @@ func TestClusterHeartbeatDisabledRefusesOn(t *testing.T) {
 // digest-derived series vanish from /cluster/metrics while its
 // liveness series stay (up 0, state 2).
 func TestClusterDownDetection(t *testing.T) {
-	srvs := newTestClusterOpts(t, 3, false, hbTestOpts())
+	srvs := newTestClusterOpts(t, 3, false, heartbeats)
 	s0 := srvs[0]
 	cs := &connState{id: 1}
 	waitFor(t, 5*time.Second, "heartbeats from all peers", func() bool {
@@ -214,7 +214,7 @@ func TestClusterDownDetection(t *testing.T) {
 	}
 
 	killed := time.Now()
-	srvs[2].closeCluster()
+	srvs[2].close()
 	waitFor(t, 10*time.Second, "node 2 declared down", func() bool {
 		return s0.clus.health.State(2) == health.StateDown
 	})
@@ -303,7 +303,7 @@ func TestClusterMigrateStatus(t *testing.T) {
 // per-node digests for reachable nodes, and the migration block once
 // one has run.
 func TestClusterSnapshotEndpoint(t *testing.T) {
-	srvs := newTestClusterOpts(t, 2, false, hbTestOpts())
+	srvs := newTestClusterOpts(t, 2, false, heartbeats)
 	s0 := srvs[0]
 	cs := &connState{id: 1}
 	keys := keysInSlot(t, 7, 5)

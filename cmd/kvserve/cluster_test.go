@@ -25,35 +25,37 @@ func reserveAddr(t *testing.T) string {
 	return addr
 }
 
-// newTestCluster builds n in-process cluster servers (2 shards each)
-// with live buses and an even slot split. Client addresses in the slot
-// map are symbolic ("node-i") — redirect tests match on them; nothing
-// dials them.
-func newTestCluster(t *testing.T, n int, workers bool) []*server {
-	return newTestClusterOpts(t, n, workers, clusterOpts{rewarm: true, batch: 8})
+// clusterConfig is node 0's config in an n-node cluster of 2-shard
+// servers with live buses, an even slot split, rewarm on, heartbeats
+// off and 8 keys per migration batch. Client addresses in the slot map
+// are symbolic ("node-i") — redirect tests match on them; nothing dials
+// them.
+func clusterConfig(t *testing.T, n int) config {
+	t.Helper()
+	cfg := testConfig(2)
+	cfg.nodes = make([]cluster.NodeInfo, n)
+	for i := range cfg.nodes {
+		cfg.nodes[i] = cluster.NodeInfo{Addr: fmt.Sprintf("node-%d", i), Bus: reserveAddr(t)}
+	}
+	cfg.rewarm, cfg.migBatch = true, 8
+	return cfg
 }
 
-// newTestClusterOpts is newTestCluster with explicit cluster options —
-// the heartbeat tests pass a live interval here.
-func newTestClusterOpts(t *testing.T, n int, workers bool, o clusterOpts) []*server {
+// newTestCluster builds the n servers of clusterConfig(t, n).
+func newTestCluster(t *testing.T, n int, workers bool) []*server {
+	return newTestClusterOpts(t, n, workers, func(*config) {})
+}
+
+// newTestClusterOpts is newTestCluster with edit applied to every
+// node's config — the heartbeat tests pass heartbeats here.
+func newTestClusterOpts(t *testing.T, n int, workers bool, edit func(*config)) []*server {
 	t.Helper()
-	nodes := make([]cluster.NodeInfo, n)
-	for i := range nodes {
-		nodes[i] = cluster.NodeInfo{Addr: fmt.Sprintf("node-%d", i), Bus: reserveAddr(t)}
-	}
+	cfg := clusterConfig(t, n)
+	edit(&cfg)
 	srvs := make([]*server, n)
 	for i := range srvs {
-		var s *server
-		if workers {
-			s = newWorkerServer(t, 2)
-		} else {
-			s = newTestServerShards(t, 2)
-		}
-		if err := s.setupCluster(nodes, i, o); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.closeCluster)
-		srvs[i] = s
+		cfg.self = i
+		srvs[i] = newConfigServer(t, cfg, workers)
 	}
 	return srvs
 }

@@ -90,7 +90,7 @@ func (s *server) buildDigest() *health.Digest {
 // report per peer.
 func (s *server) clusterDigest() (*health.Digest, []byte) {
 	cl := s.clus
-	ttl := cl.hbEvery / 2
+	ttl := s.cfg.hbEvery / 2
 	if ttl <= 0 {
 		ttl = 100 * time.Millisecond
 	}
@@ -113,7 +113,7 @@ func (s *server) clusterDigest() (*health.Digest, []byte) {
 // interval is zero (heartbeats disabled).
 func (s *server) startHeartbeats() {
 	cl := s.clus
-	if cl.hbEvery <= 0 {
+	if s.cfg.hbEvery <= 0 {
 		return
 	}
 	cl.hbOn.Store(true)
@@ -135,7 +135,7 @@ func (s *server) startHeartbeats() {
 func (s *server) heartbeatLoop(peer int, p *cluster.Peer) {
 	cl := s.clus
 	defer cl.hbWG.Done()
-	t := time.NewTicker(cl.hbEvery)
+	t := time.NewTicker(s.cfg.hbEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -157,13 +157,10 @@ func (s *server) heartbeatLoop(peer int, p *cluster.Peer) {
 }
 
 // stopHeartbeats stops the loops and waits for in-flight sends.
-// Idempotent: a node killed explicitly by a test is closed again by
-// its cleanup hook.
 func (cl *clusterState) stopHeartbeats() {
 	if cl.hbStop != nil {
 		close(cl.hbStop)
 		cl.hbWG.Wait()
-		cl.hbStop = nil
 	}
 }
 
@@ -308,9 +305,9 @@ func (s *server) clusterSnapshotPayload() *clusterSnapshot {
 		MapVersion: cl.node.Version(),
 		State:      cl.stateName(),
 		Heartbeat: heartbeatSnapshot{
-			Enabled:    cl.hbEvery > 0,
+			Enabled:    s.cfg.hbEvery > 0,
 			On:         cl.hbOn.Load(),
-			IntervalMS: float64(cl.hbEvery) / 1e6,
+			IntervalMS: float64(s.cfg.hbEvery) / 1e6,
 			DownAfter:  cl.health.DownAfter(),
 			Sent:       cl.hbSent.Load(),
 			Failures:   cl.hbFails.Load(),

@@ -204,13 +204,11 @@ func TestSurfaceLayout(t *testing.T) {
 	})
 	t.Run("aof", func(t *testing.T) {
 		s := newPersistServer(t, 2, t.TempDir(), "always", true)
-		t.Cleanup(func() { shutdownPersist(s) })
 		layoutScript(t, s)
 		checkLayout(t, "aof", surfaceLayout(t, s, "aof"))
 	})
 	t.Run("cluster", func(t *testing.T) {
-		o := hbTestOpts()
-		s := newTestClusterOpts(t, 1, true, o)[0]
+		s := newTestClusterOpts(t, 1, true, heartbeats)[0]
 		layoutScript(t, s)
 		checkLayout(t, "cluster", surfaceLayout(t, s, "cluster"))
 	})

@@ -9,16 +9,16 @@
 // parallel with only per-shard locking.
 //
 // The connection path is pipelined: each serve loop drains every
-// command a client has in flight (up to -pipeline), dispatches them
-// all, and flushes the replies in one write — the amortization that
-// makes Figure 1's pipelined Redis setup fast, applied to the real
+// command a client has in flight (up to maxPipeline, 1024), dispatches
+// them all, and flushes the replies in one write — the amortization
+// that makes Figure 1's pipelined Redis setup fast, applied to the real
 // network front-end. Multi-key commands (MGET/MSET/DEL) group their
 // keys by home shard and execute one locked batch per shard, charging
-// exactly the modeled cycles of N sequential ops. Backpressure knobs:
-// -pipeline bounds in-flight commands per drain, -writebuf sizes the
-// reply buffer (a burst's replies beyond it flush early),
-// -idle-timeout reaps silent connections, and -maxconns sheds new
-// clients gracefully with an error reply.
+// exactly the modeled cycles of N sequential ops. A connection's reply
+// buffer is resp.IOBufLen (16 KiB), the size of its read buffer: a
+// burst's replies beyond it flush early. -idle-timeout reaps silent
+// connections, and -maxconns sheds new clients gracefully with an
+// error reply.
 //
 // Commands: PING, ECHO, GET, SET, DEL, EXISTS, MGET, MSET, DBSIZE,
 // SCAN cursor [MATCH pat] [COUNT n], RANGE start end [limit], EXPIRE,
@@ -35,22 +35,21 @@
 // after the last key), so a cursor walk under concurrent writes never
 // duplicates a key and covers every key present for the whole walk.
 // EXPIRE/PEXPIRE arm per-key TTLs: expired keys are reaped lazily on
-// access plus by an active sweep — a ticker every -sweep-interval, so
-// an idle server still reaps, and one pass per worker drain burst, so
-// a busy shard reaps at traffic speed (-sweep-interval 0 = lazy only).
-// -maxmemory caps each shard's record bytes, evicting by the STLT's
-// in-set LFU rule once a SET crosses the cap.
+// access plus by an active sweep — a ticker every 100 ms, so an idle
+// server still reaps, and one pass per worker drain burst, so a busy
+// shard reaps at traffic speed. -maxmemory caps each shard's record
+// bytes, evicting by the STLT's in-set LFU rule once a SET crosses the
+// cap.
 //
 // With -cluster-nodes the server joins a hash-slot cluster: keys map
-// to 16384 slots, each node owns a share and redirects the rest with
-// -MOVED/-ASK, and CLUSTER MIGRATE moves a live slot between nodes
-// while both keep serving it (see cluster.go).
+// to 16384 slots, split evenly between the nodes, each node redirects
+// the slots it does not own with -MOVED/-ASK, and CLUSTER MIGRATE moves
+// a live slot between nodes while both keep serving it (see cluster.go).
 //
 // With -aof every mutation is appended to a per-shard append-only log
 // (group-committed once per worker drain burst, fsynced per
-// -aof-fsync) and replayed on startup; BGSAVE — or a positive
-// -snapshot-interval — compacts each shard's log into a snapshot
-// generation in the background while traffic continues.
+// -aof-fsync) and replayed on startup; BGSAVE compacts each shard's log
+// into a snapshot generation in the background while traffic continues.
 // INFO reports the *simulated* cycle statistics (aggregate plus a
 // section per shard) alongside real wall-clock latency percentiles and
 // the networking/pipelining counters, so a client can measure the
@@ -59,6 +58,11 @@
 // /metrics (plus /snapshot.json and net/http/pprof). SIGINT/SIGTERM
 // stop the listener, drain in-flight connections, and remove the Unix
 // socket file.
+//
+// main fills one config from the flags; newServer builds a server from
+// it, listen binds, start brings up the expiry ticker and the shard
+// workers, acceptLoop serves, and close tears down. Tests build servers
+// from config literals through the same newServer and close.
 //
 //	kvserve -mode stlt -keys 100000 -shards 4 -sock /tmp/addrkv.sock
 //	kvserve -mode baseline -addr 127.0.0.1:6380 -metrics-addr 127.0.0.1:9090 -maxconns 1024
@@ -72,6 +76,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -82,6 +87,7 @@ import (
 	"time"
 
 	"addrkv"
+	"addrkv/internal/cluster"
 	"addrkv/internal/resp"
 	"addrkv/internal/shard"
 	"addrkv/internal/trace"
@@ -91,51 +97,73 @@ import (
 // connections before force-closing them.
 const drainTimeout = 5 * time.Second
 
-// defaultSlowlogCap is the default -slowlog capacity.
-const defaultSlowlogCap = 128
+// slowlogCap is how many of the slowest commands SLOWLOG keeps.
+const slowlogCap = 128
 
-// Networking defaults: how many pipelined commands one drain may pick
-// up, and the size of a connection's reply buffer — the same size as
-// its read buffer, so a burst that arrived in one read is by default
-// answered in one write.
-const (
-	defaultMaxPipeline = 1024
-	defaultWriteBufCap = resp.IOBufLen
-)
+// maxPipeline caps the commands one drain picks up (and thus the
+// replies buffered per serve-loop iteration).
+const maxPipeline = 1024
 
 // defaultScanCount is SCAN's page size without an explicit COUNT.
 const defaultScanCount = 10
 
-// defaultSweepLimit is how many armed deadlines each shard samples per
-// active-expiry sweep.
-const defaultSweepLimit = 20
+// Active expiry: every sweepInterval, and after every worker drain
+// burst, each shard samples up to sweepLimit armed deadlines.
+const (
+	sweepInterval = 100 * time.Millisecond
+	sweepLimit    = 20
+)
 
-// netConfig bundles the connection-path backpressure knobs.
-type netConfig struct {
-	// maxPipeline caps commands drained (and thus replies buffered)
-	// per serve-loop iteration.
-	maxPipeline int
-	// writeBufCap is the size of each connection's reply buffer. A
-	// burst whose replies outgrow it is written out as the buffer fills
-	// (counted as early flushes) instead of being held whole, bounding
-	// per-connection memory under deep pipelines of large values.
-	writeBufCap int
+// config is everything a server is built from: main fills it from the
+// flags, tests write it as a literal.
+type config struct {
+	engine addrkv.Options
+	// preload loads engine.Keys YCSB records of vsize bytes into a
+	// store that recovery left empty.
+	preload bool
+	vsize   int
+
+	// Transport: a Unix socket path (the paper's transport) or a TCP
+	// address, plus the optional metrics endpoint.
+	sock, addr, metricsAddr string
 	// idleTimeout, when positive, is the per-connection read deadline:
 	// a client silent for longer is disconnected.
 	idleTimeout time.Duration
-	// maxConns, when positive, sheds connections beyond this count
-	// with an error reply instead of serving them.
+	// maxConns, when positive, sheds connections beyond this count with
+	// an error reply instead of serving them.
 	maxConns int
+
+	// Durability: per-shard logs in aofDir, fsynced per aofFsync.
+	aof      bool
+	aofDir   string
+	aofFsync string
+
+	// Cluster mode (nodes non-empty): this node is nodes[self].
+	nodes   []cluster.NodeInfo
+	self    int
+	rewarm  bool          // re-warm the STLT for migrated records
+	hbEvery time.Duration // heartbeat period (0 = heartbeats off)
+	// migBatch (test-only) stays: the migrate layout golden pins 25 keys in 4 batches; at the default 256 that takes 257 keys of one slot.
+	migBatch int
+	// hbSuspect, hbDown (test-only) stay: at a 25 ms period the defaults (2, 4) turn a -race stall into a false verdict.
+	hbSuspect, hbDown int
+
+	// Span tracing: the initial 1-in-N sampling rate (0 = off), the
+	// flight-recorder dump directory, and the slow-op anomaly trigger in
+	// modeled cycles (0 = off).
+	traceSample uint64
+	traceDir    string
+	traceSlow   uint64
 }
 
 type server struct {
+	cfg          config
 	sys          *addrkv.System
 	tele         *serverTele
-	net          netConfig
 	opsSinceMark atomic.Uint64 // keys of keyed commands plus SCAN/RANGE pages run since RESETSTATS
 
 	// queueCap is the per-shard ring capacity once startWorkers has
-	// brought the worker runtime up (main always does). Nothing in the
+	// brought the worker runtime up (start always does). Nothing in the
 	// server branches on whether it did: single-key commands go to
 	// Cluster.Enqueue either way, and a server that never started the
 	// workers has them executed in place, lock per op — the reference
@@ -168,120 +196,33 @@ type server struct {
 	// Span tracing: the sampling tracer shared with every shard engine,
 	// the flight-recorder dump sink (nil without -trace-dir), and a
 	// connection sequence so spans name the connection they came from.
-	tracer   *trace.Tracer
-	dumper   *trace.Dumper
-	traceDir string
-	connSeq  atomic.Int64
+	tracer  *trace.Tracer
+	dumper  *trace.Dumper
+	connSeq atomic.Int64
 
-	closing atomic.Bool
-	connMu  sync.Mutex
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
+	metrics   *http.Server // nil without -metrics-addr
+	closing   atomic.Bool
+	closeOnce sync.Once
+	connMu    sync.Mutex
+	conns     map[net.Conn]struct{}
+	wg        sync.WaitGroup
 }
 
-func newServer(sys *addrkv.System, slowlogCap int) *server {
-	s := &server{
-		sys: sys,
-		net: netConfig{
-			maxPipeline: defaultMaxPipeline,
-			writeBufCap: defaultWriteBufCap,
-		},
-		tele:  newServerTele(sys.Cluster().NumShards(), slowlogCap),
-		conns: map[net.Conn]struct{}{},
-	}
-	s.initTrace(traceConfig{}) // sampling off until TRACE ON or -trace-sample
-	s.tele.reg.OnScrape(func() { s.tele.view.Store(s.view()) })
-	s.exportSeries(always)
-	return s
-}
-
-func main() {
-	var (
-		mode    = flag.String("mode", "stlt", "baseline|stlt|slb|stlt-sw|stlt-va")
-		index   = flag.String("index", "chainhash", "chainhash|densehash|rbtree|btree")
-		keys    = flag.Int("keys", 100_000, "index/STLT sizing hint (and preload count with -preload)")
-		shards  = flag.Int("shards", 1, "number of simulated machines the key space is hashed across")
-		pre     = flag.Bool("preload", false, "preload -keys YCSB records before serving")
-		vsize   = flag.Int("vsize", 64, "preload value size")
-		sock    = flag.String("sock", "", "Unix socket path (the paper's transport)")
-		addr    = flag.String("addr", "", "TCP address, e.g. 127.0.0.1:6380")
-		maddr   = flag.String("metrics-addr", "", "HTTP address for /metrics, /snapshot.json and /debug/pprof, e.g. 127.0.0.1:9090")
-		slowCap = flag.Int("slowlog", defaultSlowlogCap, "how many slowest commands SLOWLOG keeps")
-
-		maxPipe  = flag.Int("pipeline", defaultMaxPipeline, "max pipelined commands drained per read batch")
-		writeBuf = flag.Int("writebuf", defaultWriteBufCap, "per-connection reply buffer size in bytes; a burst's replies beyond it are flushed early")
-		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
-		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")
-
-		maxMem     = flag.Int64("maxmemory", 0, "per-shard record-byte cap; past it SETs evict keys by the STLT's in-set LFU rule (0 = unlimited)")
-		fastHash   = flag.String("fast-hash", "", "STLT/SLB fast-path hash: sipHash|murmurHash|xxh64|djb2|xxh3 (default xxh3)")
-		sweepEvery = flag.Duration("sweep-interval", 100*time.Millisecond, "active TTL sweep ticker period; busy shards also sweep once per drain burst (0 = lazy expiry only)")
-
-		aof       = flag.Bool("aof", false, "enable the per-shard append-only log (durability)")
-		aofDir    = flag.String("aof-dir", "aof", "directory for AOF segments and snapshots")
-		aofFsync  = flag.String("aof-fsync", "everysec", "fsync policy: always|everysec|no")
-		snapEvery = flag.Duration("snapshot-interval", 0, "run a compacting BGSAVE this often (0 = only on demand)")
-
-		clusterNodes  = flag.String("cluster-nodes", "", "join a cluster: comma-separated clientAddr@busAddr per node, ordered by node index")
-		clusterSelf   = flag.Int("cluster-self", 0, "this node's index into -cluster-nodes")
-		clusterSlots  = flag.String("cluster-slots", "", "initial slot assignment overrides, e.g. '0:0-8191,1:8192-16383' (default: even split)")
-		clusterRewarm = flag.Bool("cluster-rewarm", true, "re-warm the STLT for records arriving via slot migration")
-		hbEvery       = flag.Duration("heartbeat-interval", defaultHeartbeatEvery, "cluster heartbeat period H (0 = heartbeats off)")
-
-		traceSample = flag.Uint64("trace-sample", 0, "trace 1 in N single-key ops (1 = every op, 0 = off; TRACE ON/OFF adjusts at runtime)")
-		traceDir    = flag.String("trace-dir", "", "directory for flight-recorder dump bundles (TRACE DUMP, anomaly auto-dumps, final dump on shutdown)")
-		traceSlow   = flag.Uint64("trace-anomaly-cycles", 0, "auto-dump when a traced op exceeds this many modeled cycles (0 = off)")
-	)
-	flag.Parse()
-
-	if *maxPipe < 1 || *writeBuf < 1 || *shards < 1 {
-		fmt.Fprintln(os.Stderr, "kvserve: -pipeline, -writebuf and -shards must be >= 1")
-		os.Exit(2)
-	}
-
-	if (*sock == "") == (*addr == "") {
-		fmt.Fprintln(os.Stderr, "kvserve: exactly one of -sock or -addr is required")
-		os.Exit(2)
-	}
-	if *clusterNodes != "" {
-		// Cluster nodes advertise TCP client addresses in the slot map,
-		// and slot migration would bypass the AOF (migrated-away keys
-		// would replay on restart) — keep the two features apart.
-		if *addr == "" {
-			fmt.Fprintln(os.Stderr, "kvserve: cluster mode requires -addr (peers redirect clients to TCP addresses)")
-			os.Exit(2)
-		}
-		if *aof {
-			fmt.Fprintln(os.Stderr, "kvserve: cluster mode does not compose with -aof yet")
-			os.Exit(2)
-		}
-	}
-
-	sys, err := addrkv.New(addrkv.Options{
-		Keys:         *keys,
-		Shards:       *shards,
-		Index:        addrkv.IndexKind(*index),
-		Mode:         addrkv.Mode(*mode),
-		RedisLayer:   true,
-		MaxMemory:    *maxMem,
-		FastHashName: *fastHash,
-	})
+// newServer builds a server from cfg, in dependency order: the engines;
+// durability, whose recovery needs fresh engines and so runs before any
+// preload; the telemetry and the tracer; then the cluster runtime. From
+// here on the logs (the everysec syncer) and the peers (the bus and the
+// heartbeats) are served in the background; the expiry ticker and the
+// shard workers wait for start.
+func newServer(cfg config) (*server, error) {
+	sys, err := addrkv.New(cfg.engine)
 	if err != nil {
-		log.Fatalf("kvserve: %v", err)
+		return nil, err
 	}
-	// Recovery must run against fresh engines, so durability comes up
-	// before any preload; a preload on top of recovered data would
-	// double-apply, so it only runs into an empty store.
-	var ps *persistState
-	if *aof {
-		ps, err = openPersistence(sys, persistOpts{
-			dir:      *aofDir,
-			fsync:    *aofFsync,
-			interval: *snapEvery,
-			shards:   *shards,
-		})
-		if err != nil {
-			log.Fatalf("kvserve: %v", err)
+	s := &server{cfg: cfg, sys: sys, conns: map[net.Conn]struct{}{}}
+	if cfg.aof {
+		if s.persist, err = openPersistence(sys, cfg.aofDir, cfg.aofFsync); err != nil {
+			return nil, err
 		}
 		// A worker inside the log's barrier holds its P in a system call
 		// that is over before the runtime's monitor would hand the P on
@@ -293,101 +234,220 @@ func main() {
 			runtime.GOMAXPROCS(2)
 		}
 	}
-	if *pre {
-		if ps != nil && ps.recovered.Ops() > 0 {
-			log.Printf("kvserve: skipping -preload, %d keys recovered from %s", sys.Len(), *aofDir)
+	// A preload on top of recovered data would double-apply, so it only
+	// runs into an empty store.
+	if cfg.preload {
+		if s.persist != nil && s.persist.recovered.Ops() > 0 {
+			log.Printf("kvserve: skipping -preload, %d keys recovered from %s", sys.Len(), cfg.aofDir)
 		} else {
-			log.Printf("preloading %d keys (%dB values)...", *keys, *vsize)
-			sys.Load(*keys, *vsize)
+			log.Printf("preloading %d keys (%dB values)...", cfg.engine.Keys, cfg.vsize)
+			sys.Load(cfg.engine.Keys, cfg.vsize)
 		}
 	}
-	s := newServer(sys, *slowCap)
-	s.persist = ps
-	if ps != nil {
+	s.tele = newServerTele(sys.Cluster().NumShards(), slowlogCap)
+	s.initTrace()
+	s.tele.reg.OnScrape(func() { s.tele.view.Store(s.view()) })
+	s.exportSeries(always)
+	if s.persist != nil {
 		s.tele.registerPersistMetrics(s)
-		s.startSnapshotter()
 	}
-	s.net = netConfig{
-		maxPipeline: *maxPipe,
-		writeBufCap: *writeBuf,
-		idleTimeout: *idleTO,
-		maxConns:    *maxConns,
-	}
-	s.initTrace(traceConfig{
-		sampleEvery: *traceSample,
-		dir:         *traceDir,
-		slowCycles:  *traceSlow,
-	})
-	if *traceSample > 0 {
-		log.Printf("kvserve: tracing 1 in %d ops (ring %d/shard, dir %q)",
-			*traceSample, defaultTraceRing, *traceDir)
-	}
-	if *clusterNodes != "" {
-		nodes, err := parseClusterNodes(*clusterNodes)
-		if err != nil {
-			log.Fatalf("kvserve: %v", err)
-		}
-		if err := s.setupCluster(nodes, *clusterSelf, clusterOpts{
-			assign:  *clusterSlots,
-			rewarm:  *clusterRewarm,
-			hbEvery: *hbEvery,
-		}); err != nil {
-			log.Fatalf("kvserve: %v", err)
+	if len(cfg.nodes) > 0 {
+		if err := s.setupCluster(); err != nil {
+			return nil, err
 		}
 		log.Printf("kvserve: cluster node %d/%d, bus on %s, owning %d slots, heartbeat every %v",
-			*clusterSelf, len(nodes), s.clus.bus.Addr(), s.clus.node.OwnedSlots(), *hbEvery)
+			cfg.self, len(cfg.nodes), s.clus.bus.Addr(), s.clus.node.OwnedSlots(), cfg.hbEvery)
 	}
-	s.startExpiry(*sweepEvery)
-	if err := s.startWorkers(); err != nil {
-		log.Fatalf("kvserve: %v", err)
-	}
-	log.Printf("kvserve: worker runtime up (%d shard workers, ring cap %d)",
-		*shards, s.queueCap)
+	return s, nil
+}
 
-	if *maddr != "" {
-		msrv, bound, err := startMetricsServer(*maddr, s)
+// listen binds the metrics endpoint, when configured, and the client
+// listener: the Unix socket (replacing a stale file) or the TCP address.
+func (s *server) listen() (net.Listener, error) {
+	if s.cfg.metricsAddr != "" {
+		msrv, bound, err := startMetricsServer(s.cfg.metricsAddr, s)
 		if err != nil {
-			log.Fatalf("kvserve: metrics listener: %v", err)
+			return nil, fmt.Errorf("metrics listener: %w", err)
 		}
-		defer msrv.Close()
+		s.metrics = msrv
 		log.Printf("kvserve: metrics on http://%s/metrics (pprof on /debug/pprof/)", bound)
 	}
-
 	var ln net.Listener
-	if *sock != "" {
-		_ = os.Remove(*sock)
-		ln, err = net.Listen("unix", *sock)
+	var err error
+	if s.cfg.sock != "" {
+		_ = os.Remove(s.cfg.sock)
+		ln, err = net.Listen("unix", s.cfg.sock)
 	} else {
-		ln, err = net.Listen("tcp", *addr)
+		ln, err = net.Listen("tcp", s.cfg.addr)
 	}
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("kvserve: %s engine on %s, %d shard(s), serving %s",
+		s.cfg.engine.Mode, s.cfg.engine.Index, s.cfg.engine.Shards, ln.Addr())
+	return ln, nil
+}
+
+// start brings up what serves in the background: active expiry (the
+// sweepInterval ticker and the per-drain sweep), then the per-shard
+// workers. The lock-per-op reference model is a server start never ran
+// on; a test that needs a settable clock and workers but no ticker calls
+// startWorkers alone.
+func (s *server) start() error {
+	s.startExpiry(sweepInterval)
+	if err := s.startWorkers(); err != nil {
+		return err
+	}
+	log.Printf("kvserve: worker runtime up (%d shard workers, ring cap %d)",
+		s.sys.Cluster().NumShards(), s.queueCap)
+	return nil
+}
+
+// close stops the server: it wakes every connection and drains them,
+// then stops the sweeper (before the logs close: sweeps append expiry
+// records), the workers (after the drain: no connection is producing
+// anymore), the logs (after the workers: nothing appends; sync and
+// close), the cluster runtime (last: peers may still be mid-call into
+// the bus while draining), and writes the final trace dump. Idempotent.
+func (s *server) close() {
+	s.closeOnce.Do(func() {
+		s.closing.Store(true)
+		s.nudgeConns() // wake readers blocked on idle connections
+		s.drain()
+		s.stopSweeper()
+		s.stopWorkers()
+		s.closePersistence()
+		s.closeCluster()
+		s.finalTraceDump()
+		if s.metrics != nil {
+			s.metrics.Close()
+		}
+		if s.cfg.sock != "" {
+			_ = os.Remove(s.cfg.sock)
+		}
+	})
+}
+
+func main() {
+	s, err := newServer(parseFlags())
 	if err != nil {
 		log.Fatalf("kvserve: %v", err)
 	}
-	log.Printf("kvserve: %s engine on %s, %d shard(s), serving %s",
-		*mode, *index, *shards, ln.Addr())
-
+	ln, err := s.listen()
+	if err != nil {
+		log.Fatalf("kvserve: %v", err)
+	}
+	if err := s.start(); err != nil {
+		log.Fatalf("kvserve: %v", err)
+	}
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		sig := <-sigCh
 		log.Printf("kvserve: %v — stopping accept, draining connections", sig)
-		s.closing.Store(true)
 		ln.Close()
-		s.nudgeConns() // wake readers blocked on idle connections
 	}()
-
 	s.acceptLoop(ln)
-
-	s.drain()
-	s.stopSweeper()      // before the logs close: sweeps append expiry records
-	s.stopWorkers()      // after drain: no connection is producing anymore
-	s.closePersistence() // after workers: nothing appends; sync + close the logs
-	s.closeCluster()     // last: peers may still be mid-call into the bus while draining
-	s.finalTraceDump()
-	if *sock != "" {
-		_ = os.Remove(*sock)
-	}
+	s.close()
 	log.Printf("kvserve: shutdown complete")
+}
+
+// parseFlags fills a config from the command line. A value kvserve
+// cannot serve with exits 2, as an unknown flag does, before anything
+// is built or bound.
+func parseFlags() config {
+	var (
+		mode   = flag.String("mode", "stlt", "baseline|stlt|slb|stlt-sw|stlt-va")
+		index  = flag.String("index", "chainhash", "chainhash|densehash|rbtree|btree")
+		keys   = flag.Int("keys", 100_000, "index/STLT sizing hint (and preload count with -preload)")
+		shards = flag.Int("shards", 1, "number of simulated machines the key space is hashed across")
+		pre    = flag.Bool("preload", false, "preload -keys YCSB records before serving")
+		vsize  = flag.Int("vsize", 64, "preload value size")
+		sock   = flag.String("sock", "", "Unix socket path (the paper's transport)")
+		addr   = flag.String("addr", "", "TCP address, e.g. 127.0.0.1:6380")
+		maddr  = flag.String("metrics-addr", "", "HTTP address for /metrics, /snapshot.json and /debug/pprof, e.g. 127.0.0.1:9090")
+
+		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
+		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")
+
+		maxMem   = flag.Int64("maxmemory", 0, "per-shard record-byte cap; past it SETs evict keys by the STLT's in-set LFU rule (0 = unlimited)")
+		fastHash = flag.String("fast-hash", "", "STLT/SLB fast-path hash: sipHash|murmurHash|xxh64|djb2|xxh3 (default xxh3)")
+
+		aof      = flag.Bool("aof", false, "enable the per-shard append-only log (durability)")
+		aofDir   = flag.String("aof-dir", "aof", "directory for AOF segments and snapshots")
+		aofFsync = flag.String("aof-fsync", "everysec", "fsync policy: always|everysec|no")
+
+		clusterNodes  = flag.String("cluster-nodes", "", "join a cluster: comma-separated clientAddr@busAddr per node, ordered by node index")
+		clusterSelf   = flag.Int("cluster-self", 0, "this node's index into -cluster-nodes")
+		clusterRewarm = flag.Bool("cluster-rewarm", true, "re-warm the STLT for records arriving via slot migration")
+		hbEvery       = flag.Duration("heartbeat-interval", defaultHeartbeatEvery, "cluster heartbeat period H (0 = heartbeats off)")
+
+		traceSample = flag.Uint64("trace-sample", 0, "trace 1 in N single-key ops (1 = every op, 0 = off; TRACE ON/OFF adjusts at runtime)")
+		traceDir    = flag.String("trace-dir", "", "directory for flight-recorder dump bundles (TRACE DUMP, anomaly auto-dumps, final dump on shutdown)")
+		traceSlow   = flag.Uint64("trace-anomaly-cycles", 0, "auto-dump when a traced op exceeds this many modeled cycles (0 = off)")
+	)
+	flag.Parse()
+	cfg := config{
+		engine: addrkv.Options{
+			Keys:         *keys,
+			Shards:       *shards,
+			Index:        addrkv.IndexKind(*index),
+			Mode:         addrkv.Mode(*mode),
+			RedisLayer:   true,
+			MaxMemory:    *maxMem,
+			FastHashName: *fastHash,
+		},
+		preload:     *pre,
+		vsize:       *vsize,
+		sock:        *sock,
+		addr:        *addr,
+		metricsAddr: *maddr,
+		idleTimeout: *idleTO,
+		maxConns:    *maxConns,
+		aof:         *aof,
+		aofDir:      *aofDir,
+		aofFsync:    *aofFsync,
+		self:        *clusterSelf,
+		rewarm:      *clusterRewarm,
+		hbEvery:     *hbEvery,
+		traceSample: *traceSample,
+		traceDir:    *traceDir,
+		traceSlow:   *traceSlow,
+	}
+	var err error
+	if *clusterNodes != "" {
+		cfg.nodes, err = parseClusterNodes(*clusterNodes)
+	}
+	if err == nil {
+		err = cfg.validate()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kvserve: %v\n", err)
+		os.Exit(2)
+	}
+	return cfg
+}
+
+// validate rejects a configuration main cannot serve with.
+func (c *config) validate() error {
+	switch {
+	case c.engine.Shards < 1:
+		return errors.New("-shards must be >= 1")
+	case (c.sock == "") == (c.addr == ""):
+		return errors.New("exactly one of -sock or -addr is required")
+	case len(c.nodes) == 0:
+		return nil
+	// Cluster nodes advertise TCP client addresses in the slot map, and
+	// slot migration would bypass the AOF (migrated-away keys would
+	// replay on restart) — keep the two features apart.
+	case c.addr == "":
+		return errors.New("cluster mode requires -addr (peers redirect clients to TCP addresses)")
+	case c.aof:
+		return errors.New("cluster mode does not compose with -aof yet")
+	case c.self < 0 || c.self >= len(c.nodes):
+		return fmt.Errorf("-cluster-self %d out of range (%d nodes)", c.self, len(c.nodes))
+	}
+	return nil
 }
 
 // acceptLoop accepts until the listener closes, shedding past the
@@ -419,7 +479,7 @@ func (s *server) acceptLoop(ln net.Listener) {
 // ceiling is reached; the caller then sheds it gracefully.
 func (s *server) track(conn net.Conn) bool {
 	s.connMu.Lock()
-	if s.net.maxConns > 0 && len(s.conns) >= s.net.maxConns {
+	if s.cfg.maxConns > 0 && len(s.conns) >= s.cfg.maxConns {
 		s.connMu.Unlock()
 		return false
 	}
@@ -483,18 +543,15 @@ func (s *server) drain() {
 
 // startExpiry starts active TTL expiry; it must run before
 // startWorkers, whose workers read the drain-burst limit
-// unsynchronised. Two sources sample up to defaultSweepLimit armed
-// deadlines per shard and reap the dead ones (Redis's
-// activeExpireCycle): a ticker, so a shard with no traffic still
-// reaps, and every worker drain burst on its own shard, so a busy
-// shard reaps at traffic speed. SweepExpired takes each shard's own
-// mutex, so the ticker needs no coordination with the workers.
-// every == 0 leaves expiry lazy-only.
+// unsynchronised. Two sources sample up to sweepLimit armed deadlines
+// per shard and reap the dead ones (Redis's activeExpireCycle): a
+// ticker every period (start passes sweepInterval), so a shard with no
+// traffic still reaps, and every worker drain burst on its own shard,
+// so a busy shard reaps at traffic speed. SweepExpired takes each
+// shard's own mutex, so the ticker needs no coordination with the
+// workers.
 func (s *server) startExpiry(every time.Duration) {
-	if every <= 0 {
-		return
-	}
-	s.sys.Cluster().SetSweepLimit(defaultSweepLimit)
+	s.sys.Cluster().SetSweepLimit(sweepLimit)
 	s.sweepStop = make(chan struct{})
 	s.sweepDone = make(chan struct{})
 	go func() {
@@ -504,7 +561,7 @@ func (s *server) startExpiry(every time.Duration) {
 		for {
 			select {
 			case <-t.C:
-				n := s.sys.SweepExpired(defaultSweepLimit)
+				n := s.sys.SweepExpired(sweepLimit)
 				s.sweepCycles.Add(1)
 				s.sweepReaped.Add(uint64(n))
 				s.sweepLastReaped.Store(uint64(n))
@@ -530,7 +587,7 @@ func (s *server) stopSweeper() {
 // write. A whole N-deep pipeline therefore costs one read burst and
 // one flush instead of N of each — the per-request amortization the
 // batching literature (LaKe, the SmartNIC KV offloads) attributes
-// most of its networking win to. The reply buffer's size (-writebuf)
+// most of its networking win to. The reply buffer (resp.IOBufLen)
 // bounds reply memory: once full it writes itself out early instead
 // of holding an entire deep pipeline of bulk values.
 func (s *server) serve(conn net.Conn) {
@@ -543,7 +600,7 @@ func (s *server) serve(conn net.Conn) {
 	ctx, task := rtrace.NewTask(context.Background(), "kvserve.conn")
 	defer task.End()
 	src := io.Reader(conn)
-	if s.net.idleTimeout > 0 {
+	if s.cfg.idleTimeout > 0 {
 		// Re-arm the read deadline before every read, not once per
 		// burst: "idle" means no BYTES for the timeout, so a client
 		// trickling a large pipelined burst slower than the timeout is
@@ -551,12 +608,13 @@ func (s *server) serve(conn net.Conn) {
 		src = &idleConn{conn: conn, s: s}
 	}
 	r := resp.NewReader(src)
-	w := s.newReplyWriter(conn)
+	w := resp.NewWriter(conn)
+	w.OnSpill(s.tele.earlyFlush.Inc) // the buffer filled before the burst's own flush
 	for {
 		// The arena-reuse read path: everything cmds references is valid
 		// until the next ReadPipelineReuse call, i.e. across this whole
 		// burst (including the pending-window flush below).
-		cmds, rerr := r.ReadPipelineReuse(s.net.maxPipeline)
+		cmds, rerr := r.ReadPipelineReuse(maxPipeline)
 		reg := rtrace.StartRegion(ctx, "pipeline.batch")
 		quit, monitor, werr := s.runBurstCmds(w, cs, cmds)
 		reg.End()
@@ -607,15 +665,6 @@ func (s *server) runBurstCmds(w *resp.Writer, cs *connState, cmds [][][]byte) (q
 	return false, false, s.flushPending(w, cs)
 }
 
-// newReplyWriter builds a connection's reply writer: a -writebuf sized
-// buffer whose early flushes (it filled before the burst's own flush)
-// feed the early_flushes counter.
-func (s *server) newReplyWriter(conn net.Conn) *resp.Writer {
-	w := resp.NewWriterSize(conn, s.net.writeBufCap)
-	w.OnSpill(s.tele.earlyFlush.Inc)
-	return w
-}
-
 // idleConn arms the -idle-timeout read deadline before every
 // underlying read. During shutdown the immediate deadline nudgeConns
 // set must win, so the re-arm is undone when closing is observed (the
@@ -627,7 +676,7 @@ type idleConn struct {
 }
 
 func (ic *idleConn) Read(p []byte) (int, error) {
-	_ = ic.conn.SetReadDeadline(time.Now().Add(ic.s.net.idleTimeout))
+	_ = ic.conn.SetReadDeadline(time.Now().Add(ic.s.cfg.idleTimeout))
 	if ic.s.closing.Load() {
 		_ = ic.conn.SetReadDeadline(time.Now())
 	}

@@ -23,19 +23,39 @@ import (
 	"addrkv/internal/telemetry"
 )
 
-func newTestServerShards(t *testing.T, shards int) *server {
-	t.Helper()
-	sys, err := addrkv.New(addrkv.Options{
+// testConfig is what every test server starts from: 2000 keys of STLT
+// over chainhash, on the given number of shards.
+func testConfig(shards int) config {
+	return config{engine: addrkv.Options{
 		Keys:       2000,
 		Shards:     shards,
 		Index:      addrkv.IndexChainHash,
 		Mode:       addrkv.ModeSTLT,
 		RedisLayer: true,
-	})
+	}}
+}
+
+// newConfigServer builds a server from cfg through newServer, brings
+// the worker runtime up when workers is set (without it the server is
+// the lock-per-op reference model), and closes it when the test ends.
+func newConfigServer(t *testing.T, cfg config, workers bool) *server {
+	t.Helper()
+	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(sys, defaultSlowlogCap)
+	t.Cleanup(s.close)
+	if workers {
+		if err := s.startWorkers(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+func newTestServerShards(t *testing.T, shards int) *server {
+	t.Helper()
+	return newConfigServer(t, testConfig(shards), false)
 }
 
 func newTestServer(t *testing.T) *server { return newTestServerShards(t, 1) }
@@ -96,7 +116,12 @@ func TestMainRejectsBadFlags(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "kv.sock")
 	for _, tc := range []struct{ args, want string }{
 		{"-shards 0", "-shards must be >= 1"},
-		{"-pipeline 0", "-pipeline"},
+		{"-pipeline 8", "not defined: -pipeline"},
+		{"-writebuf 4096", "not defined: -writebuf"},
+		{"-slowlog 16", "not defined: -slowlog"},
+		{"-sweep-interval 0", "not defined: -sweep-interval"},
+		{"-snapshot-interval 1s", "not defined: -snapshot-interval"},
+		{"-cluster-slots 0:0-16383", "not defined: -cluster-slots"},
 		{"-dispatch mutex", "not defined: -dispatch"},
 		{"-queue 64", "not defined: -queue"},
 		{"-trace-ring 8", "not defined: -trace-ring"},
@@ -763,9 +788,8 @@ func pipeClient(t *testing.T, s *server) (*resp.Reader, *resp.Writer, net.Conn) 
 	return resp.NewReader(client), resp.NewWriter(client), client
 }
 
-// tcpFrontend serves s on a real TCP listener through acceptLoop and
-// registers main's shutdown sequence: closing, listener close, nudge,
-// drain.
+// tcpFrontend serves s on a real TCP listener through acceptLoop. The
+// listener closes when the test ends, before the server's own close.
 func tcpFrontend(t *testing.T, s *server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -773,12 +797,7 @@ func tcpFrontend(t *testing.T, s *server) string {
 		t.Fatal(err)
 	}
 	go s.acceptLoop(ln)
-	t.Cleanup(func() {
-		s.closing.Store(true)
-		ln.Close()
-		s.nudgeConns()
-		s.drain()
-	})
+	t.Cleanup(func() { ln.Close() })
 	return ln.Addr().String()
 }
 
@@ -835,15 +854,18 @@ func TestServePipelinedConnection(t *testing.T) {
 	}
 }
 
-// TestServePipelineDepthCap: -pipeline bounds how many commands one
-// drain may pick up.
+// TestServePipelineDepthCap: one drain picks up at most maxPipeline
+// commands. 1100 PINGs (15 400 bytes) reach the server in one read, so
+// without the cap they would be one batch.
 func TestServePipelineDepthCap(t *testing.T) {
 	s := newTestServer(t)
-	s.net.maxPipeline = 4
 	r, w, _ := pipeClient(t, s)
-	const n = 10
+	const n = maxPipeline + 76
 	for i := 0; i < n; i++ {
 		w.WriteCommand([]byte("PING"))
+	}
+	if w.Buffered() >= resp.IOBufLen {
+		t.Fatalf("the burst is %d bytes: it no longer fits one read", w.Buffered())
 	}
 	w.Flush()
 	for i := 0; i < n; i++ {
@@ -851,36 +873,33 @@ func TestServePipelineDepthCap(t *testing.T) {
 			t.Fatalf("reply %d = %v, %v", i, v, err)
 		}
 	}
-	if max := s.tele.pipeDepth.Quantile(1.0); max > 4 {
-		t.Fatalf("drained %d commands in one batch despite cap 4", max)
+	if b, c := s.tele.pipeBatches.Load(), s.tele.pipeCmds.Load(); b != 2 || c != n {
+		t.Fatalf("%d commands drained as %d batch(es) holding %d, want 2 (cap %d)", n, b, c, maxPipeline)
 	}
 }
 
 // TestServeWriteBufEarlyFlush: a burst whose replies outgrow the
-// -writebuf sized reply buffer is flushed early instead of being held
-// whole — at a tiny size and at the default one.
+// connection's reply buffer (resp.IOBufLen) is flushed early instead of
+// being held whole.
 func TestServeWriteBufEarlyFlush(t *testing.T) {
-	for _, size := range []int{64, defaultWriteBufCap} {
-		s := newTestServer(t)
-		s.net.writeBufCap = size
-		r, w, _ := pipeClient(t, s)
-		big := strings.Repeat("x", size/4+200) // 8 of them overflow the buffer
-		w.WriteCommand([]byte("SET"), []byte("big"), []byte(big))
-		for i := 0; i < 8; i++ {
-			w.WriteCommand([]byte("GET"), []byte("big"))
+	s := newTestServer(t)
+	r, w, _ := pipeClient(t, s)
+	big := strings.Repeat("x", resp.IOBufLen/4+200) // 8 of them overflow the buffer
+	w.WriteCommand([]byte("SET"), []byte("big"), []byte(big))
+	for i := 0; i < 8; i++ {
+		w.WriteCommand([]byte("GET"), []byte("big"))
+	}
+	w.Flush()
+	if v, err := r.ReadReply(); err != nil || v != "OK" {
+		t.Fatalf("SET reply = %v, %v", v, err)
+	}
+	for i := 0; i < 8; i++ {
+		if v, err := r.ReadReply(); err != nil || string(v.([]byte)) != big {
+			t.Fatalf("GET %d reply wrong: %v", i, err)
 		}
-		w.Flush()
-		if v, err := r.ReadReply(); err != nil || v != "OK" {
-			t.Fatalf("writebuf %d: SET reply = %v, %v", size, v, err)
-		}
-		for i := 0; i < 8; i++ {
-			if v, err := r.ReadReply(); err != nil || string(v.([]byte)) != big {
-				t.Fatalf("writebuf %d: GET %d reply wrong: %v", size, i, err)
-			}
-		}
-		if s.tele.earlyFlush.Load() == 0 {
-			t.Fatalf("writebuf %d: no early flush though the replies outgrew the buffer", size)
-		}
+	}
+	if s.tele.earlyFlush.Load() == 0 {
+		t.Fatal("no early flush though the replies outgrew the buffer")
 	}
 }
 
@@ -888,8 +907,9 @@ func TestServeWriteBufEarlyFlush(t *testing.T) {
 // error reply and a close; tracked connections still work; a freed
 // slot becomes available again.
 func TestServerMaxConnsShed(t *testing.T) {
-	s := newTestServer(t)
-	s.net.maxConns = 1
+	cfg := testConfig(1)
+	cfg.maxConns = 1
+	s := newConfigServer(t, cfg, false)
 	r1, w1, _ := pipeClient(t, s)
 
 	// Second connection: the accept loop would refuse and shed it.
@@ -944,8 +964,9 @@ func TestServerMaxConnsShed(t *testing.T) {
 // TestServerIdleTimeout: a client silent past -idle-timeout is
 // disconnected.
 func TestServerIdleTimeout(t *testing.T) {
-	s := newTestServer(t)
-	s.net.idleTimeout = 30 * time.Millisecond
+	cfg := testConfig(1)
+	cfg.idleTimeout = 30 * time.Millisecond
+	s := newConfigServer(t, cfg, false)
 	r, w, _ := pipeClient(t, s)
 	w.WriteCommand([]byte("PING"))
 	w.Flush()
@@ -994,9 +1015,10 @@ func TestIdleTimeoutMidBurst(t *testing.T) {
 	raw := burst.Bytes()
 
 	t.Run("goroutine", func(t *testing.T) {
-		s := newTestServerShards(t, 1)
 		const idle = 120 * time.Millisecond
-		s.net.idleTimeout = idle
+		cfg := testConfig(1)
+		cfg.idleTimeout = idle
+		s := newConfigServer(t, cfg, false)
 		addr := tcpFrontend(t, s)
 
 		// Trickling connection: ~30ms per chunk, total well past the
@@ -1035,10 +1057,6 @@ func TestIdleTimeoutMidBurst(t *testing.T) {
 // once.
 func TestServeMonitorSocket(t *testing.T) {
 	s := newWorkerServer(t, 1)
-	// Burst cap 1: a command pipelined behind MONITOR stays UNPARSED in
-	// the reader's buffer, where monitorLoop's own read finds it. (At
-	// larger caps it parses into the same burst and is dropped.)
-	s.net.maxPipeline = 1
 	addr := tcpFrontend(t, s)
 
 	// Live monitor: sees another connection's traffic.
@@ -1076,18 +1094,32 @@ func TestServeMonitorSocket(t *testing.T) {
 		t.Fatalf("monitor conn still open after detach command: %v", err)
 	}
 
-	// Pipelined MONITOR+PING in one segment: PING waits in the reader's
-	// buffer, monitorLoop reads it, and the monitor detaches at once.
-	lr, lw, lconn := tcpClient(t, addr)
+	// MONITOR as the last command a burst can hold, PING right behind
+	// it: the cap leaves PING UNPARSED in the reader's buffer, where
+	// monitorLoop's own read finds it, and the monitor detaches at once.
+	// (A PING parsed into MONITOR's burst is dropped.) net.Pipe hands the
+	// server the whole write in one read.
+	lr, lw, lconn := pipeClient(t, s)
+	for i := 0; i < maxPipeline-1; i++ {
+		lw.WriteCommand([]byte("PING"))
+	}
 	lw.WriteCommand([]byte("MONITOR"))
 	lw.WriteCommand([]byte("PING"))
+	if lw.Buffered() >= resp.IOBufLen {
+		t.Fatalf("the burst is %d bytes: it no longer fits one read", lw.Buffered())
+	}
 	if err := lw.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	lconn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < maxPipeline-1; i++ {
+		if v, err := lr.ReadReply(); err != nil || v != "PONG" {
+			t.Fatalf("PING %d ahead of MONITOR: %v, %v", i, v, err)
+		}
 	}
 	if v, err := lr.ReadReply(); err != nil || v != "OK" {
 		t.Fatalf("pipelined MONITOR ack: %v, %v", v, err)
 	}
-	lconn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
 		v, err := lr.ReadReply()
 		if err != nil {

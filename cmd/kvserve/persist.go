@@ -2,9 +2,8 @@
 // append-only log (internal/wal), recovering any existing data in
 // -aof-dir before the listener comes up and logging every mutation
 // after it. BGSAVE compacts the logs into snapshot generations in the
-// background (shard by shard, so traffic keeps flowing), LASTSAVE
-// reports the oldest shard's last completed save, and a positive
-// -snapshot-interval runs BGSAVE on a timer. INFO gains a
+// background (shard by shard, so traffic keeps flowing), and LASTSAVE
+// reports the oldest shard's last completed save. INFO gains a
 // "# persistence" section and /metrics the aof_* series (the rows are in
 // series.go), including the fsync latency histogram the
 // everysec-vs-always tradeoff is judged by.
@@ -23,65 +22,45 @@ import (
 	"addrkv/internal/wal"
 )
 
-// persistOpts carries the -aof* flag values.
-type persistOpts struct {
-	dir      string
-	fsync    string
-	interval time.Duration
-	shards   int
-}
-
 // persistState is the server's durability runtime: the recovered
-// summary, the background-save gate, and the periodic snapshotter.
+// summary and the background-save gate.
 type persistState struct {
-	dir      string
-	policy   wal.Policy
-	interval time.Duration
+	policy wal.Policy
 
 	recovered shard.RecoveryApplyStats
 	tornBytes int64
-	tornShard int
 
 	// saving gates BGSAVE: one background save at a time, Redis-style.
 	saving   atomic.Bool
 	saves    atomic.Uint64
 	saveErrs atomic.Uint64
 	saveWG   sync.WaitGroup
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
-// openPersistence opens (or creates) the per-shard logs in opts.dir,
+// openPersistence opens (or creates) the per-shard logs in dir,
 // replays any surviving snapshot+tail streams into the cluster, and
 // attaches the logs so subsequent mutations are recorded. Call before
 // preloading and before serving: recovery requires fresh engines.
-func openPersistence(sys *addrkv.System, opts persistOpts) (*persistState, error) {
-	policy, err := wal.ParsePolicy(opts.fsync)
+func openPersistence(sys *addrkv.System, dir, fsync string) (*persistState, error) {
+	policy, err := wal.ParsePolicy(fsync)
 	if err != nil {
 		return nil, err
 	}
-	existing, err := wal.DetectShards(opts.dir)
-	if err != nil {
-		return nil, fmt.Errorf("aof dir %s: %w", opts.dir, err)
-	}
-	if existing > 0 && existing != opts.shards {
-		return nil, fmt.Errorf("aof dir %s holds %d shard log(s) but -shards is %d; restart with -shards %d or point -aof-dir elsewhere",
-			opts.dir, existing, opts.shards, existing)
-	}
-	ps := &persistState{
-		dir:       opts.dir,
-		policy:    policy,
-		interval:  opts.interval,
-		tornShard: -1,
-		stop:      make(chan struct{}),
-	}
 	c := sys.Cluster()
-	logs := make([]*wal.Log, opts.shards)
+	shards := c.NumShards()
+	existing, err := wal.DetectShards(dir)
+	if err != nil {
+		return nil, fmt.Errorf("aof dir %s: %w", dir, err)
+	}
+	if existing > 0 && existing != shards {
+		return nil, fmt.Errorf("aof dir %s holds %d shard log(s) but -shards is %d; restart with -shards %d or point -aof-dir elsewhere",
+			dir, existing, shards, existing)
+	}
+	ps := &persistState{policy: policy}
+	logs := make([]*wal.Log, shards)
 	start := time.Now()
-	for i := 0; i < opts.shards; i++ {
-		l, rec, err := wal.OpenShard(opts.dir, i, policy)
+	for i := 0; i < shards; i++ {
+		l, rec, err := wal.OpenShard(dir, i, policy)
 		if err != nil {
 			closeLogs(logs[:i])
 			return nil, fmt.Errorf("aof shard %d: %w", i, err)
@@ -90,7 +69,6 @@ func openPersistence(sys *addrkv.System, opts persistOpts) (*persistState, error
 			log.Printf("kvserve: aof shard %d: dropped %d torn trailing byte(s) (%v) — last write did not survive the crash",
 				i, rec.TornBytes, rec.TornErr)
 			ps.tornBytes += rec.TornBytes
-			ps.tornShard = i
 		}
 		st, err := c.ApplyRecovery(i, rec)
 		if err != nil {
@@ -107,10 +85,10 @@ func openPersistence(sys *addrkv.System, opts persistOpts) (*persistState, error
 	}
 	if n := ps.recovered.Ops(); n > 0 {
 		log.Printf("kvserve: recovered %d record(s) from %s in %v (%d snapshot loads, %d sets, %d dels, %d flushes; %d keys live)",
-			n, opts.dir, time.Since(start).Round(time.Millisecond),
+			n, dir, time.Since(start).Round(time.Millisecond),
 			ps.recovered.Loads, ps.recovered.Sets, ps.recovered.Dels, ps.recovered.Flushes, c.Len())
 	} else {
-		log.Printf("kvserve: aof enabled in %s (fsync %s), no prior data", opts.dir, policy)
+		log.Printf("kvserve: aof enabled in %s (fsync %s), no prior data", dir, policy)
 	}
 	return ps, nil
 }
@@ -121,33 +99,6 @@ func closeLogs(logs []*wal.Log) {
 			l.Close()
 		}
 	}
-}
-
-// startSnapshotter launches the periodic BGSAVE loop when
-// -snapshot-interval is positive. Call after the server is built.
-func (s *server) startSnapshotter() {
-	ps := s.persist
-	if ps == nil || ps.interval <= 0 {
-		return
-	}
-	ps.wg.Add(1)
-	go func() {
-		defer ps.wg.Done()
-		tick := time.NewTicker(ps.interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				if !s.beginSave() {
-					continue // previous save still running
-				}
-				s.runSave("periodic")
-			case <-ps.stop:
-				return
-			}
-		}
-	}()
-	log.Printf("kvserve: snapshotting every %v", ps.interval)
 }
 
 // beginSave claims the single background-save slot.
@@ -164,30 +115,28 @@ func (s *server) beginSave() bool {
 }
 
 // runSave compacts every shard's log (the caller holds the save slot).
-func (s *server) runSave(origin string) {
+func (s *server) runSave() {
 	ps := s.persist
 	defer ps.saveWG.Done()
 	defer ps.saving.Store(false)
 	start := time.Now()
 	if err := s.sys.Cluster().SnapshotAll(); err != nil {
 		ps.saveErrs.Add(1)
-		log.Printf("kvserve: %s snapshot failed: %v", origin, err)
+		log.Printf("kvserve: bgsave snapshot failed: %v", err)
 		return
 	}
 	ps.saves.Add(1)
-	log.Printf("kvserve: %s snapshot complete in %v", origin, time.Since(start).Round(time.Millisecond))
+	log.Printf("kvserve: bgsave snapshot complete in %v", time.Since(start).Round(time.Millisecond))
 }
 
-// closePersistence is the shutdown barrier: stop the snapshotter, wait
-// out any in-flight save, then sync and close every log. Call after
-// drain and stopWorkers — nothing may be appending anymore.
+// closePersistence is the shutdown barrier: wait out any in-flight
+// save, then sync and close every log. Call after drain and
+// stopWorkers — nothing may be appending anymore.
 func (s *server) closePersistence() {
 	ps := s.persist
 	if ps == nil {
 		return
 	}
-	ps.stopOnce.Do(func() { close(ps.stop) })
-	ps.wg.Wait()
 	ps.saveWG.Wait()
 	c := s.sys.Cluster()
 	if err := c.SyncWAL(); err != nil {
@@ -237,7 +186,7 @@ func (s *server) bgsaveCmd(w *resp.Writer, _ [][]byte, _ *connState) (quit, moni
 	if !s.beginSave() {
 		return fail(w, "ERR background save already in progress")
 	}
-	go s.runSave("bgsave")
+	go s.runSave()
 	w.WriteSimple("Background saving started")
 	return false, false, false
 }

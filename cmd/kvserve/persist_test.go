@@ -13,35 +13,9 @@ import (
 // whatever dir already holds.
 func newPersistServer(t *testing.T, shards int, dir, fsync string, workers bool) *server {
 	t.Helper()
-	sys, err := addrkv.New(addrkv.Options{
-		Keys:       2000,
-		Shards:     shards,
-		Index:      addrkv.IndexChainHash,
-		Mode:       addrkv.ModeSTLT,
-		RedisLayer: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := openPersistence(sys, persistOpts{dir: dir, fsync: fsync, shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(sys, defaultSlowlogCap)
-	s.persist = ps
-	s.tele.registerPersistMetrics(s)
-	if workers {
-		if err := s.startWorkers(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
-// shutdownPersist mirrors main's shutdown ordering.
-func shutdownPersist(s *server) {
-	s.stopWorkers()
-	s.closePersistence()
+	cfg := testConfig(shards)
+	cfg.aof, cfg.aofDir, cfg.aofFsync = true, dir, fsync
+	return newConfigServer(t, cfg, workers)
 }
 
 // TestPersistRestartRoundTrip: data set through the server survives a
@@ -73,10 +47,9 @@ func TestPersistRestartRoundTrip(t *testing.T) {
 	}
 	// More writes after the snapshot land in the new generation's tail.
 	call(t, s, "SET", "post-snap", "tail-value")
-	shutdownPersist(s)
+	s.close()
 
 	s2 := newPersistServer(t, 2, dir, "everysec", false)
-	defer shutdownPersist(s2)
 	if got := call(t, s2, "DBSIZE"); got.(int64) != 50 {
 		t.Fatalf("recovered DBSIZE = %v, want 50", got)
 	}
@@ -101,15 +74,10 @@ func TestPersistShardCountMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := newPersistServer(t, 2, dir, "no", false)
 	call(t, s, "SET", "k", "v")
-	shutdownPersist(s)
-	sys, err := addrkv.New(addrkv.Options{
-		Keys: 2000, Shards: 3,
-		Index: addrkv.IndexChainHash, Mode: addrkv.ModeSTLT, RedisLayer: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openPersistence(sys, persistOpts{dir: dir, fsync: "no", shards: 3}); err == nil {
+	s.close()
+	cfg := testConfig(3)
+	cfg.aof, cfg.aofDir, cfg.aofFsync = true, dir, "no"
+	if _, err := newServer(cfg); err == nil {
 		t.Fatal("shard-count mismatch accepted")
 	}
 }
@@ -189,7 +157,7 @@ func TestSnapshotDuringTraffic(t *testing.T) {
 		// dispatching that chunk's pipelined commands.
 		transcript, want := persistScript(t, s, nCmds, func(chunk int) {
 			if chunk%3 == 1 && s.beginSave() {
-				s.runSave("test")
+				s.runSave()
 			}
 		})
 		transcripts[workers] = transcript
@@ -213,7 +181,7 @@ func TestSnapshotDuringTraffic(t *testing.T) {
 		if err := s.sys.Cluster().WALErr(); err != nil {
 			t.Fatal(err)
 		}
-		shutdownPersist(s)
+		s.close()
 
 		// Recovered view: replay the logs into a fresh system.
 		sys2, err := addrkv.New(addrkv.Options{

@@ -14,30 +14,12 @@ import (
 	"addrkv/internal/telemetry"
 )
 
-// startTestWorkers brings the per-shard worker runtime up on s — what
-// main always does — and tears it down (drain first: no producers
-// while the rings empty out) when the test ends. A test server without
-// it is the lock-per-op reference model the differentials compare
-// against.
-func startTestWorkers(t *testing.T, s *server) {
-	t.Helper()
-	if err := s.startWorkers(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s.closing.Store(true)
-		s.nudgeConns()
-		s.drain()
-		s.stopWorkers()
-	})
-}
-
-// newWorkerServer builds a test server with the worker runtime up.
+// newWorkerServer builds a test server with the worker runtime up — a
+// test server without it is the lock-per-op reference model the
+// differentials compare against.
 func newWorkerServer(t *testing.T, shards int) *server {
 	t.Helper()
-	s := newTestServerShards(t, shards)
-	startTestWorkers(t, s)
-	return s
+	return newConfigServer(t, testConfig(shards), true)
 }
 
 // renderReply turns a decoded RESP reply into a comparable string.
@@ -308,7 +290,7 @@ func TestServerHotPathZeroAlloc(t *testing.T) {
 	s := newWorkerServer(t, 1)
 	// Raise the slowlog floor so nanosecond-scale ops never qualify and
 	// the entry construction (which allocates) is skipped.
-	for i := 0; i < defaultSlowlogCap; i++ {
+	for i := 0; i < slowlogCap; i++ {
 		s.tele.slowlog.Note(telemetry.SlowlogEntry{Duration: time.Hour})
 	}
 

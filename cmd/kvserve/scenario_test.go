@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"addrkv"
-	"addrkv/internal/cluster"
 	"addrkv/internal/resp"
 	"addrkv/internal/telemetry"
 )
@@ -22,22 +21,9 @@ import (
 // mode.
 func newScenarioServer(t *testing.T, shards int, index addrkv.IndexKind, maxMem int64, workers bool) *server {
 	t.Helper()
-	sys, err := addrkv.New(addrkv.Options{
-		Keys:       2000,
-		Shards:     shards,
-		Index:      index,
-		Mode:       addrkv.ModeSTLT,
-		RedisLayer: true,
-		MaxMemory:  maxMem,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(sys, defaultSlowlogCap)
-	if workers {
-		startTestWorkers(t, s)
-	}
-	return s
+	cfg := testConfig(shards)
+	cfg.engine.Index, cfg.engine.MaxMemory = index, maxMem
+	return newConfigServer(t, cfg, workers)
 }
 
 // scanCursorFor renders the continuation cursor SCAN would return
@@ -340,8 +326,9 @@ func TestServerIdleExpiry(t *testing.T) {
 		call(t, s, "PEXPIRE", fmt.Sprintf("k:%02d", i), "200")
 	}
 	s.startExpiry(time.Millisecond)
-	t.Cleanup(s.stopSweeper)
-	startTestWorkers(t, s)
+	if err := s.startWorkers(); err != nil {
+		t.Fatal(err)
+	}
 
 	clock.Add(3_000_000_000) // every deadline is now dead; send nothing
 	waitFor(t, 5*time.Second, "the idle server to reap all 8 keys", func() bool {
@@ -403,12 +390,9 @@ func TestServerDrainBurstSweep(t *testing.T) {
 		t.Fatalf("the ticker ran %d cycle(s); the drain bursts were meant to reap", n)
 	}
 	conn.Close()
-	s.drain()
-	s.stopSweeper()
-	shutdownPersist(s)
+	s.close()
 
 	re := newPersistServer(t, 2, dir, "always", false)
-	defer shutdownPersist(re)
 	if got := re.persist.recovered.ExpireDels; got != armed {
 		t.Fatalf("recovery replayed %d logged expiry removals, want %d", got, armed)
 	}
@@ -493,12 +477,9 @@ func TestClusterScanTTLSingleNodeDifferential(t *testing.T) {
 	for _, workers := range []bool{false, true} {
 		t.Run(fmt.Sprintf("workers=%v", workers), func(t *testing.T) {
 			sa := newScenarioServer(t, 2, addrkv.IndexBTree, 0, workers)
-			cl := newScenarioServer(t, 2, addrkv.IndexBTree, 0, workers)
-			nodes := []cluster.NodeInfo{{Addr: "node-0", Bus: reserveAddr(t)}}
-			if err := cl.setupCluster(nodes, 0, clusterOpts{rewarm: true, batch: 8}); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(cl.closeCluster)
+			cfg := clusterConfig(t, 1)
+			cfg.engine.Index = addrkv.IndexBTree
+			cl := newConfigServer(t, cfg, workers)
 
 			var saClock, clClock atomic.Int64
 			saClock.Store(5_000_000_000)
@@ -667,7 +648,7 @@ func TestServerScanExpireHotPathAllocs(t *testing.T) {
 	s := newScenarioServer(t, 1, addrkv.IndexBTree, 0, true)
 	// Raise the slowlog floor so nanosecond-scale ops never qualify and
 	// the entry construction (which allocates) is skipped.
-	for i := 0; i < defaultSlowlogCap; i++ {
+	for i := 0; i < slowlogCap; i++ {
 		s.tele.slowlog.Note(telemetry.SlowlogEntry{Duration: time.Hour})
 	}
 	for i := 0; i < 8; i++ {

@@ -55,7 +55,6 @@ func samples(t *testing.T, body string) map[string]float64 {
 // table tests read: between them every section has live values.
 func aofServerAfterScript(t *testing.T) *server {
 	s := newPersistServer(t, 2, t.TempDir(), "always", true)
-	t.Cleanup(func() { shutdownPersist(s) })
 	layoutScript(t, s)
 	return s
 }

@@ -20,30 +20,18 @@ import (
 // completed traces each shard keeps.
 const defaultTraceRing = 64
 
-// traceConfig bundles the tracing knobs from the -trace-* flags.
-type traceConfig struct {
-	// sampleEvery is the initial 1-in-N sampling rate (0 = off).
-	sampleEvery uint64
-	// dir, when non-empty, receives flight-recorder dump bundles
-	// (TRACE DUMP, anomaly auto-dumps, and the final dump on
-	// shutdown) plus the Chrome trace_event export.
-	dir string
-	// slowCycles arms the slow-op anomaly trigger (0 = off).
-	slowCycles uint64
-}
-
-// initTrace builds the server's tracer and dump sink.
-func (s *server) initTrace(cfg traceConfig) {
-	tr := trace.NewTracer(s.sys.Cluster().NumShards(), defaultTraceRing, cfg.sampleEvery)
+// initTrace builds the server's tracer and dump sink from the config.
+func (s *server) initTrace() {
+	cfg := s.cfg
+	tr := trace.NewTracer(s.sys.Cluster().NumShards(), defaultTraceRing, cfg.traceSample)
 	tr.SetAnomalyConfig(trace.AnomalyConfig{
-		SlowCycles: cfg.slowCycles,
+		SlowCycles: cfg.traceSlow,
 		WalkInWarm: true,
 	})
 	s.tracer = tr
-	s.traceDir = cfg.dir
 	s.sys.Cluster().SetTracer(tr)
-	if cfg.dir != "" {
-		s.dumper = trace.NewDumper(cfg.dir, "kvserve")
+	if cfg.traceDir != "" {
+		s.dumper = trace.NewDumper(cfg.traceDir, "kvserve")
 		tr.SetDumpFunc(func(reason string) {
 			if path, err := s.dumper.Dump(tr, reason); err != nil {
 				log.Printf("kvserve: trace auto-dump (%s): %v", reason, err)
@@ -51,6 +39,10 @@ func (s *server) initTrace(cfg traceConfig) {
 				log.Printf("kvserve: trace auto-dump (%s) -> %s", reason, path)
 			}
 		})
+	}
+	if cfg.traceSample > 0 {
+		log.Printf("kvserve: tracing 1 in %d ops (ring %d/shard, dir %q)",
+			cfg.traceSample, defaultTraceRing, cfg.traceDir)
 	}
 }
 
@@ -76,8 +68,8 @@ func (s *server) finalTraceDump() {
 // writeChromeTrace renders the current flight-recorder contents as
 // Chrome trace_event JSON under the dump directory.
 func (s *server) writeChromeTrace(label string) (string, error) {
-	path := filepath.Join(s.traceDir, fmt.Sprintf("kvserve-chrome-%s.json", label))
-	if err := os.MkdirAll(s.traceDir, 0o755); err != nil {
+	path := filepath.Join(s.cfg.traceDir, fmt.Sprintf("kvserve-chrome-%s.json", label))
+	if err := os.MkdirAll(s.cfg.traceDir, 0o755); err != nil {
 		return "", err
 	}
 	b, err := json.MarshalIndent(trace.ChromeTraceOf(s.tracer.Snapshot("kvserve", label)), "", " ")
@@ -115,7 +107,7 @@ func (s *server) traceCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, mo
 		fmt.Fprintf(&b, "anomalies:%d\r\n", s.tracer.AnomalyCount())
 		fmt.Fprintf(&b, "auto_dumps:%d\r\n", s.tracer.Dumps())
 		fmt.Fprintf(&b, "warm_phase:%v\r\n", s.tracer.Warm())
-		fmt.Fprintf(&b, "dump_dir:%s\r\n", s.traceDir)
+		fmt.Fprintf(&b, "dump_dir:%s\r\n", s.cfg.traceDir)
 		for _, k := range traceKindOrder() {
 			if n, ok := counts[k]; ok {
 				fmt.Fprintf(&b, "events_%s:%d\r\n", strings.ReplaceAll(k, ".", "_"), n)

@@ -23,9 +23,10 @@ func tsv(t *testing.T, payload, key string) string {
 }
 
 func TestTraceCommands(t *testing.T) {
-	s := newTestServer(t)
 	dir := t.TempDir()
-	s.initTrace(traceConfig{dir: dir})
+	cfg := testConfig(1)
+	cfg.traceDir = dir
+	s := newConfigServer(t, cfg, false)
 
 	status := string(call(t, s, "TRACE", "STATUS").([]byte))
 	if tsv(t, status, "sample_every") != "0" || tsv(t, status, "traced_ops") != "0" {

@@ -146,8 +146,6 @@ type Peer struct {
 	conn net.Conn
 	br   *bufio.Reader
 	buf  []byte
-
-	calls atomic.Uint64
 }
 
 // DialTimeout bounds one bus connect attempt.
@@ -163,12 +161,6 @@ const CallTimeout = 10 * time.Second
 // NewPeer returns a lazy handle; the connection is established on
 // first Call.
 func NewPeer(addr string) *Peer { return &Peer{addr: addr} }
-
-// BusAddr returns the peer's bus address.
-func (p *Peer) BusAddr() string { return p.addr }
-
-// Calls returns how many calls this peer has completed.
-func (p *Peer) Calls() uint64 { return p.calls.Load() }
 
 func (p *Peer) connect() error {
 	conn, err := net.DialTimeout("tcp", p.addr, DialTimeout)
@@ -216,7 +208,6 @@ func (p *Peer) callRetry(t MsgType, body []byte) (Msg, error) {
 		}
 		m, err := p.call(t, body)
 		if err == nil {
-			p.calls.Add(1)
 			if m.Type == MsgErr {
 				return Msg{}, fmt.Errorf("cluster: peer %s: %s", p.addr, m.Payload)
 			}

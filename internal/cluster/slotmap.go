@@ -14,8 +14,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // NodeInfo identifies one cluster member: the client-facing RESP
@@ -52,9 +50,6 @@ func NewSlotMap(nodes []NodeInfo) *SlotMap {
 
 // Owner returns the owning node index of a slot.
 func (m *SlotMap) Owner(slot uint16) int { return int(m.owners[slot]) }
-
-// OwnerAddr returns the owning node's client address.
-func (m *SlotMap) OwnerAddr(slot uint16) string { return m.Nodes[m.owners[slot]].Addr }
 
 // SetOwner reassigns a slot. Callers bump Version once per ownership
 // change they publish.
@@ -218,35 +213,4 @@ func DecodeSlotMap(b []byte) (*SlotMap, error) {
 		}
 	}
 	return m, nil
-}
-
-// ParseAssignment overrides a map's ownership from a spec like
-// "0:0-8191,1:8192-16383" (node:range, comma-separated; later entries
-// win). Every slot must remain owned by a known node.
-func ParseAssignment(m *SlotMap, spec string) error {
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		ns, rs, found := strings.Cut(part, ":")
-		if !found {
-			return fmt.Errorf("cluster: assignment %q missing node:", part)
-		}
-		node, err := strconv.Atoi(strings.TrimSpace(ns))
-		if err != nil || node < 0 || node >= len(m.Nodes) {
-			return fmt.Errorf("cluster: assignment %q: bad node %q", part, ns)
-		}
-		lo, hi, err := ParseRange(rs)
-		if err != nil {
-			return err
-		}
-		for s := lo; ; s++ {
-			m.SetOwner(s, node)
-			if s == hi {
-				break
-			}
-		}
-	}
-	return nil
 }

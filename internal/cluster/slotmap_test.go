@@ -104,22 +104,6 @@ func TestDecodeSlotMapRejectsBadCoverage(t *testing.T) {
 	}
 }
 
-func TestParseAssignment(t *testing.T) {
-	m := NewSlotMap(nodes3())
-	if err := ParseAssignment(m, "0:0-16383, 2:100-200, 1:150"); err != nil {
-		t.Fatal(err)
-	}
-	if m.Owner(0) != 0 || m.Owner(99) != 0 || m.Owner(100) != 2 ||
-		m.Owner(150) != 1 || m.Owner(151) != 2 || m.Owner(201) != 0 {
-		t.Fatal("assignment not applied in order")
-	}
-	for _, bad := range []string{"3:0-5", "0:5-1", "0:99999", "nope"} {
-		if err := ParseAssignment(m.Clone(), bad); err == nil {
-			t.Fatalf("accepted %q", bad)
-		}
-	}
-}
-
 func TestNodeAdoptVersioning(t *testing.T) {
 	m := NewSlotMap(nodes3())
 	n := NewNode(1, m)

@@ -16,13 +16,7 @@
 // unmodeled inside a node.
 package cluster
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"addrkv/internal/shard"
-)
+import "addrkv/internal/shard"
 
 // NumSlots is the size of the hash-slot space. 2^14 keeps the slot
 // map small enough to ship in one bus frame while giving migrations
@@ -37,28 +31,4 @@ const SlotMask = NumSlots - 1
 // and the migrator all route through this one function.
 func SlotOf(key []byte) uint16 {
 	return uint16(shard.RouteValue(key) & SlotMask)
-}
-
-// ParseRange parses "lo-hi" (or a single "n") into an inclusive slot
-// range, validating bounds and order.
-func ParseRange(s string) (lo, hi uint16, err error) {
-	ls, hs, found := strings.Cut(s, "-")
-	if !found {
-		hs = ls
-	}
-	l, err := strconv.ParseUint(strings.TrimSpace(ls), 10, 16)
-	if err != nil {
-		return 0, 0, fmt.Errorf("cluster: bad slot %q: %v", ls, err)
-	}
-	h, err := strconv.ParseUint(strings.TrimSpace(hs), 10, 16)
-	if err != nil {
-		return 0, 0, fmt.Errorf("cluster: bad slot %q: %v", hs, err)
-	}
-	if l >= NumSlots || h >= NumSlots {
-		return 0, 0, fmt.Errorf("cluster: slot range %q exceeds %d", s, NumSlots-1)
-	}
-	if l > h {
-		return 0, 0, fmt.Errorf("cluster: inverted slot range %q", s)
-	}
-	return uint16(l), uint16(h), nil
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 var errLineTooLong = errors.New("resp: line too long")
@@ -225,10 +226,10 @@ func parseInt(b []byte) (int64, error) {
 		if d > 9 {
 			return 0, fmt.Errorf("resp: bad integer %q", b)
 		}
-		n = n*10 + int64(d)
-		if n < 0 {
+		if n > (math.MaxInt64-int64(d))/10 {
 			return 0, fmt.Errorf("resp: integer overflow in %q", b)
 		}
+		n = n*10 + int64(d)
 	}
 	if neg {
 		n = -n

@@ -307,6 +307,10 @@ func FuzzReadPipelineReuse(f *testing.F) {
 	f.Add([]byte("PING\r\nGET a\r\n*0\r\n*1\r\n$4\r\nQUIT\r\n"), uint16(1))
 	f.Add([]byte("*2\r\n$3\r\nSET\r\n$-1\r\n"), uint16(5))
 	f.Add([]byte("*1\r\n$4\r\nPING\r\n$bad"), uint16(2))
+	// Lengths past MaxInt64 that wrap to small ones (2^64+5 and 2^64+1):
+	// the reference rejects them as out of range.
+	f.Add([]byte("*1\r\n$18446744073709551621\r\nhello\r\n"), uint16(64))
+	f.Add([]byte("*18446744073709551617\r\n$4\r\nPING\r\n"), uint16(64))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
 		cs := int(chunk%512) + 1
 		ref := NewReader(&chunkReader{data: append([]byte(nil), data...), chunk: cs})
