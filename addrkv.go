@@ -182,19 +182,11 @@ func (s *System) Load(n, valueSize int) { s.c.Load(n, valueSize) }
 // Get retrieves a key with full timing, returning its value.
 func (s *System) Get(key []byte) ([]byte, bool) { return s.c.Get(key) }
 
-// GetTouch performs a timed GET charging the value read without
-// materializing it (the hot loop of replayers and benchmarks).
-func (s *System) GetTouch(key []byte) bool { return s.c.GetTouch(key) }
-
 // Set inserts or updates a key with full timing.
 func (s *System) Set(key, value []byte) { s.c.Set(key, value) }
 
 // Delete removes a key with full timing.
 func (s *System) Delete(key []byte) bool { return s.c.Delete(key) }
-
-// Exists performs a timed existence-only check: the addressing path
-// without the value read or value reply.
-func (s *System) Exists(key []byte) bool { return s.c.Exists(key) }
 
 // OpOutcome is the per-operation telemetry report a shard.Req carries
 // (Cluster().Do, DoBatch, Enqueue): home shard, modeled cycle cost,
@@ -230,19 +222,10 @@ func ScanStart(after []byte, resume bool, buf []byte) []byte {
 // MATCH applies it server-side after cursor decode.
 func MatchGlob(pattern, key []byte) bool { return kv.MatchGlob(pattern, key) }
 
-// Ordered reports whether the configured index supports SCAN/RANGE
-// (rbtree and btree do; the hash indexes do not).
-func (s *System) Ordered() bool { return s.c.Ordered() }
-
-// Scan visits up to limit stored keys >= start in ascending order with
+// ScanO visits up to limit stored keys >= start in ascending order with
 // full timing (limit <= 0 = unbounded), calling fn with a copy of each
-// key. Returns keys emitted, or ErrUnordered for a hash index.
-func (s *System) Scan(start []byte, limit int, fn func(key []byte) bool) (int, error) {
-	return s.c.Scan(start, limit, fn)
-}
-
-// ScanO is Scan reporting one OpOutcome per shard walk, appended to
-// *out (out may be nil).
+// key and reporting one OpOutcome per shard walk, appended to *out (out
+// may be nil). Returns keys emitted, or ErrUnordered for a hash index.
 func (s *System) ScanO(start []byte, limit int, fn func(key []byte) bool, out *[]OpOutcome) (int, error) {
 	return s.c.ScanO(start, limit, fn, out)
 }
@@ -254,16 +237,6 @@ func (s *System) ScanO(start []byte, limit int, fn func(key []byte) bool, out *[
 func (s *System) RangeO(start, end []byte, limit int, fn func(key, value []byte) bool, out *[]OpOutcome) (int, error) {
 	return s.c.RangeO(start, end, limit, fn, out)
 }
-
-// ExpireAt arms an absolute TTL deadline (unix ns) on a key with full
-// timing, returning 1 when armed and 0 when the key is absent. Expired
-// keys are reaped lazily on access plus by the active sweep; recovery
-// replays both the arm and the reap, so TTL state survives restarts.
-func (s *System) ExpireAt(key []byte, deadline int64) int { return s.c.ExpireAt(key, deadline) }
-
-// TTL reports a key's remaining TTL in nanoseconds with full timing
-// (-2 absent, -1 present without deadline).
-func (s *System) TTL(key []byte) int64 { return s.c.TTL(key) }
 
 // Now reads the TTL clock (shard 0's time source) — the base servers
 // use to turn relative EXPIRE/PEXPIRE into absolute deadlines.
@@ -458,13 +431,6 @@ func (s *System) Report() Report {
 // (Table I of the paper) as (rows, totalBits).
 func HardwareCost() ([]core.HWComponentCost, int) {
 	return core.HWCost(), core.HWCostTotalBits()
-}
-
-// PaperEquivalentMB converts an STLT row count at a given key scale to
-// the table-size label the paper would use at its 10-million-key
-// scale.
-func PaperEquivalentMB(rows, keys int) float64 {
-	return kv.PaperEquivalentMB(rows, keys)
 }
 
 // String renders a Report compactly.

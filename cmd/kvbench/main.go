@@ -50,13 +50,6 @@ type benchConfig struct {
 	// cluster treats addr as a cluster seed node: the slot table is
 	// bootstrapped from CLUSTER SLOTS and ops are routed per key.
 	cluster bool
-	// mix, when set, drives a YCSB A–F (or flood) operation mix instead
-	// of the plain GET/SET ratio: scans map to RANGE pages, inserts to
-	// SETs of fresh keys, RMWs to GET+SET pairs.
-	mix *ycsb.Mix
-	// ttlMS, when positive, follows every SET with PEXPIRE <ttlMS> so
-	// the run churns the expiry machinery.
-	ttlMS int64
 }
 
 func main() {
@@ -71,8 +64,6 @@ func main() {
 		vsize    = flag.Int("vsize", 64, "SET value size")
 		getRatio = flag.Float64("get-ratio", 0.9, "fraction of GETs (rest are SETs)")
 		seed     = flag.Uint64("seed", 42, "workload seed")
-		workload = flag.String("workload", "", "YCSB core mix A..F or 'flood' (overrides -get-ratio; E needs an ordered server index)")
-		ttl      = flag.Duration("ttl", 0, "follow every SET with PEXPIRE of this duration (0 = no TTLs)")
 		clus     = flag.Bool("cluster", false, "treat -addr as a cluster seed node: route per key via CLUSTER SLOTS, follow MOVED/ASK")
 		jsonPath = flag.String("json", "", "write the sweep artifact to this file")
 
@@ -98,19 +89,6 @@ func main() {
 	if cfg.cluster && *addr == "" {
 		fmt.Fprintln(os.Stderr, "kvbench: -cluster requires -addr (cluster nodes redirect to TCP addresses)")
 		os.Exit(2)
-	}
-	cfg.ttlMS = ttl.Milliseconds()
-	if *workload != "" {
-		mix, err := ycsb.MixByName(*workload)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kvbench:", err)
-			os.Exit(2)
-		}
-		if cfg.cluster {
-			fmt.Fprintln(os.Stderr, "kvbench: -workload does not compose with -cluster (scans have no slot routing)")
-			os.Exit(2)
-		}
-		cfg.mix = &mix
 	}
 	if cfg.conns < 1 || *depth < 1 || cfg.ops < 1 || cfg.keys < 1 {
 		fmt.Fprintln(os.Stderr, "kvbench: -conns, -depth, -ops and -keys must be >= 1")
@@ -347,10 +325,6 @@ func benchConn(cfg benchConfig, depth, ops int, seed uint64, rt, lat *telemetry.
 	ctx, task := rtrace.NewTask(context.Background(), "kvbench.conn")
 	defer task.End()
 	rng := rand.New(rand.NewSource(int64(seed)))
-	var gen *ycsb.MixGenerator
-	if cfg.mix != nil {
-		gen = ycsb.NewMixGenerator(*cfg.mix, cfg.keys, seed)
-	}
 
 	var sent, errs uint64
 	for remaining := ops; remaining > 0; {
@@ -364,14 +338,6 @@ func benchConn(cfg benchConfig, depth, ops int, seed uint64, rt, lat *telemetry.
 			reg := rtrace.StartRegion(ctx, "bench.roundtrip")
 			defer reg.End()
 			for wrote < batch {
-				if gen != nil {
-					n, werr := writeMixOp(w, gen.Next(), cfg, uint32(sent))
-					if werr != nil {
-						return werr
-					}
-					wrote += n
-					continue
-				}
 				id := uint64(rng.Intn(cfg.keys))
 				key := ycsb.KeyName(id)
 				if rng.Float64() < cfg.getRatio {
@@ -410,43 +376,6 @@ func benchConn(cfg benchConfig, depth, ops int, seed uint64, rt, lat *telemetry.
 	return sent, errs, nil
 }
 
-// writeMixOp renders one mixed-workload op as RESP commands, returning
-// how many commands (= expected replies) it wrote. Scans become RANGE
-// pages from the op's start key, inserts plain SETs (the server treats
-// them identically), RMWs a GET+SET pair; -ttl chases every SET with a
-// PEXPIRE.
-func writeMixOp(w *resp.Writer, op ycsb.Op, cfg benchConfig, version uint32) (int, error) {
-	key := ycsb.KeyName(op.KeyID)
-	set := func() (int, error) {
-		if err := w.WriteCommand([]byte("SET"), key, ycsb.Value(op.KeyID, version, cfg.vsize)); err != nil {
-			return 0, err
-		}
-		if cfg.ttlMS <= 0 {
-			return 1, nil
-		}
-		if err := w.WriteCommand([]byte("PEXPIRE"), key, []byte(strconv.FormatInt(cfg.ttlMS, 10))); err != nil {
-			return 1, err
-		}
-		return 2, nil
-	}
-	switch op.Type {
-	case ycsb.Set, ycsb.Insert:
-		return set()
-	case ycsb.Scan:
-		err := w.WriteCommand([]byte("RANGE"), key, []byte("+"), []byte(strconv.Itoa(op.ScanLen)))
-		return 1, err
-	case ycsb.RMW:
-		if err := w.WriteCommand([]byte("GET"), key); err != nil {
-			return 0, err
-		}
-		n, err := set()
-		return 1 + n, err
-	default:
-		err := w.WriteCommand([]byte("GET"), key)
-		return 1, err
-	}
-}
-
 // writeArtifact writes the sweep JSON artifact, host-stamped so a
 // 1-CPU container capture is never mistaken for a multi-core run.
 func writeArtifact(path string, cfg benchConfig, depths []int, results []kvproc.DepthResult, to *kvproc.TraceOverhead) error {
@@ -472,13 +401,6 @@ func writeArtifact(path string, cfg benchConfig, depths []int, results []kvproc.
 		},
 		Sweep:         results,
 		TraceOverhead: to,
-	}
-	if cfg.mix != nil {
-		a.Name = "ycsb-" + cfg.mix.Name
-		a.Params["workload"] = cfg.mix.Name
-	}
-	if cfg.ttlMS > 0 {
-		a.Params["ttl_ms"] = cfg.ttlMS
 	}
 	return kvproc.WriteJSON(path, &a)
 }

@@ -429,7 +429,7 @@ func (s *server) clusterMigrate(slot uint16, dest int) (cluster.MigrationResult,
 		return cl.peers[i]
 	}, slot, dest, cluster.MigrateOpts{
 		BatchKeys: s.cfg.migBatch,
-		Rewarm:    s.cfg.rewarm,
+		Rewarm:    true,
 		// One mig.progress span per shipped batch (plus one at commit):
 		// records shipped so far, the run's work list, and the slot, so
 		// TRACE DUMP reconstructs the migration's advancement timeline.

@@ -2,12 +2,18 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"addrkv/internal/cluster"
+	"addrkv/internal/resp"
 	"addrkv/internal/wal"
 )
 
@@ -37,7 +43,7 @@ func clusterConfig(t *testing.T, n int) config {
 	for i := range cfg.nodes {
 		cfg.nodes[i] = cluster.NodeInfo{Addr: fmt.Sprintf("node-%d", i), Bus: reserveAddr(t)}
 	}
-	cfg.rewarm, cfg.migBatch = true, 8
+	cfg.migBatch = 8
 	return cfg
 }
 
@@ -460,5 +466,265 @@ func TestClusterMigrateOverRESP(t *testing.T) {
 				t.Fatal("no STLT rows rewarmed despite rewarm=true")
 			}
 		})
+	}
+}
+
+// redirClient is a cluster client over in-process connections, one
+// per node: it sends each command to the node it believes owns the
+// slot and follows the redirects the way a Redis cluster client does.
+type redirClient struct {
+	conns                []redirConn // by node index
+	home                 int         // the node MOVED last named
+	moved, ask, tryagain int
+}
+
+type redirConn struct {
+	r *resp.Reader
+	w *resp.Writer
+}
+
+func newRedirClient(t *testing.T, srvs []*server) *redirClient {
+	c := &redirClient{}
+	for _, s := range srvs {
+		r, w, _ := pipeClient(t, s)
+		c.conns = append(c.conns, redirConn{r, w})
+	}
+	return c
+}
+
+// send writes cmds to node in one flush and reads one reply each.
+func (c *redirClient) send(node int, cmds ...[]string) ([]any, error) {
+	cn := c.conns[node]
+	for _, args := range cmds {
+		b := make([][]byte, len(args))
+		for i, a := range args {
+			b[i] = []byte(a)
+		}
+		if err := cn.w.WriteCommand(b...); err != nil {
+			return nil, err
+		}
+	}
+	if err := cn.w.Flush(); err != nil {
+		return nil, err
+	}
+	replies := make([]any, len(cmds))
+	for i := range replies {
+		v, err := cn.r.ReadReply()
+		if err != nil {
+			return nil, err
+		}
+		replies[i] = v
+	}
+	return replies, nil
+}
+
+// do runs args until a node serves it. MOVED re-homes the client,
+// ASK sends ASKING and retries once at the importer, TRYAGAIN retries;
+// any other error reply, and a redirect answered to an ASKING retry,
+// is an error.
+func (c *redirClient) do(args ...string) (any, error) {
+	nodeOf := func(addr string) int {
+		i, _ := strconv.Atoi(strings.TrimPrefix(addr, "node-"))
+		return i
+	}
+	for hop := 0; hop < 1000; hop++ {
+		rep, err := c.send(c.home, args)
+		if err != nil {
+			return nil, err
+		}
+		e, isErr := rep[0].(error)
+		if !isErr {
+			return rep[0], nil
+		}
+		f := strings.Fields(e.Error())
+		switch f[0] {
+		case "MOVED":
+			c.moved++
+			c.home = nodeOf(f[2])
+		case "ASK":
+			c.ask++
+			rep, err := c.send(nodeOf(f[2]), []string{"ASKING"}, args)
+			if err != nil {
+				return nil, err
+			}
+			if rep[0] != "OK" {
+				return nil, fmt.Errorf("ASKING = %v", rep[0])
+			}
+			e, isErr := rep[1].(error)
+			if !isErr {
+				return rep[1], nil
+			}
+			if !strings.HasPrefix(e.Error(), "TRYAGAIN") {
+				return nil, fmt.Errorf("%v after ASKING at %s: %v", args, f[2], e)
+			}
+			c.tryagain++
+		case "TRYAGAIN":
+			c.tryagain++
+			time.Sleep(100 * time.Microsecond)
+		default:
+			return nil, fmt.Errorf("%v: %v", args, e)
+		}
+	}
+	return nil, fmt.Errorf("%v: redirects did not settle", args)
+}
+
+// slowLink forwards connections to addr and holds every chunk of reply
+// for delay before passing it on. It stops when the test ends.
+func slowLink(t *testing.T, addr string, delay time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", addr)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			go func() {
+				io.Copy(up, down)
+				up.Close()
+			}()
+			go func() {
+				defer down.Close()
+				buf := make([]byte, 64<<10)
+				for {
+					n, err := up.Read(buf)
+					time.Sleep(delay)
+					if _, werr := down.Write(buf[:n]); err != nil || werr != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClusterMigrateUnderTrafficOverRESP is the migration audit on the
+// command path: writers run SET-then-GET on a populated slot through the
+// classify-time gate, the op gate, ASKING, TRYAGAIN and the workers
+// while CLUSTER MIGRATE moves the slot, and see no error reply but the
+// redirects they follow. Afterwards every key's last acknowledged value
+// is on node 1 byte for byte and gone from node 0, which answers MOVED
+// for it: no acknowledged write was lost, left stale or duplicated.
+func TestClusterMigrateUnderTrafficOverRESP(t *testing.T) {
+	const slot, nkeys, writers = 42, 64, 2
+	// One key per batch, over a bus link that holds every reply for a
+	// millisecond. ExtractBatch keeps the slot's shard lock across a
+	// batch's round trip; a writer's op that waited on it that long is
+	// handed the lock at the next unlock, so writers run between batches
+	// all through the migration and meet the moved keys (ASK).
+	srvs := newTestClusterOpts(t, 2, true, func(cfg *config) { cfg.migBatch = 1 })
+	srvs[0].clus.peers[1] = cluster.NewPeer(slowLink(t, srvs[1].cfg.nodes[1].Bus, time.Millisecond))
+	keys := keysInSlot(t, slot, nkeys)
+	acked := make([]string, nkeys) // written by key i's writer only, read after wg.Wait
+	seed := newRedirClient(t, srvs)
+	for i, k := range keys {
+		acked[i] = fmt.Sprintf("seed-%d", i)
+		if v, err := seed.do("SET", k, acked[i]); err != nil || v != "OK" {
+			t.Fatalf("seed SET %s = %v, %v", k, v, err)
+		}
+	}
+
+	// Writer w owns keys w, w+writers, ...: the last value it saw
+	// acknowledged is the one the audit expects.
+	var (
+		wg     sync.WaitGroup
+		stop   atomic.Bool
+		rounds [writers]atomic.Int64
+		errs   = make(chan error, writers)
+		cls    = make([]*redirClient, writers)
+	)
+	halt := func() {
+		stop.Store(true)
+		wg.Wait()
+	}
+	defer halt()
+	for w := range cls {
+		cls[w] = newRedirClient(t, srvs)
+		wg.Add(1)
+		go func(w int, c *redirClient) {
+			defer wg.Done()
+			for round := 0; !stop.Load(); round++ {
+				for i := w; i < nkeys; i += writers {
+					val := fmt.Sprintf("w%d-r%d-%d", w, round, i)
+					if v, err := c.do("SET", keys[i], val); err != nil || v != "OK" {
+						errs <- fmt.Errorf("SET %s = %v, %v", keys[i], v, err)
+						return
+					}
+					acked[i] = val
+					v, err := c.do("GET", keys[i])
+					if b, ok := v.([]byte); err != nil || !ok || string(b) != val {
+						errs <- fmt.Errorf("GET %s = %v, %v; want the acknowledged %q", keys[i], v, err, val)
+						return
+					}
+				}
+				rounds[w].Add(1)
+			}
+		}(w, cls[w])
+	}
+	// waitRounds lets every writer finish n more rounds.
+	waitRounds := func(n int64) {
+		var want [writers]int64
+		for w := range want {
+			want[w] = rounds[w].Load() + n
+		}
+		deadline := time.Now().Add(20 * time.Second)
+		for w := range want {
+			for rounds[w].Load() < want[w] && len(errs) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("writer %d stalled at round %d", w, rounds[w].Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	waitRounds(1)
+	rep, err := newRedirClient(t, srvs).send(0, []string{"CLUSTER", "MIGRATE", strconv.Itoa(slot), "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, ok := rep[0].(string); !ok || !strings.HasPrefix(sum, fmt.Sprintf("OK slot=%d dest=1 keys=%d ", slot, nkeys)) {
+		t.Fatalf("CLUSTER MIGRATE = %v", rep[0])
+	}
+	waitRounds(1) // the writers meet the new owner
+	halt()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	moved, ask := 0, 0
+	for _, c := range cls {
+		moved, ask = moved+c.moved, ask+c.ask
+	}
+	if moved == 0 || ask == 0 {
+		t.Errorf("writers followed %d MOVED and %d ASK: the traffic missed the migration", moved, ask)
+	}
+	audit := newRedirClient(t, srvs)
+	for i, k := range keys {
+		if v, ok := srvs[1].sys.Cluster().PeekValue([]byte(k)); !ok || string(v) != acked[i] {
+			t.Errorf("node 1 holds %s = %q (present %v), want the acknowledged %q", k, v, ok, acked[i])
+		}
+		if srvs[0].sys.Cluster().ContainsKey([]byte(k)) {
+			t.Errorf("node 0 still holds %s", k)
+		}
+		rep, err := audit.send(0, []string{"GET", k})
+		want := fmt.Sprintf("MOVED %d node-1", slot)
+		if e, ok := rep[0].(error); err != nil || !ok || e.Error() != want {
+			t.Errorf("node 0 GET %s = %v, %v; want %s", k, rep[0], err, want)
+		}
 	}
 }

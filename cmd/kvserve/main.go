@@ -104,6 +104,9 @@ const slowlogCap = 128
 // replies buffered per serve-loop iteration).
 const maxPipeline = 1024
 
+// preloadVsize is the value size of the records -preload loads.
+const preloadVsize = 64
+
 // defaultScanCount is SCAN's page size without an explicit COUNT.
 const defaultScanCount = 10
 
@@ -118,10 +121,9 @@ const (
 // flags, tests write it as a literal.
 type config struct {
 	engine addrkv.Options
-	// preload loads engine.Keys YCSB records of vsize bytes into a
-	// store that recovery left empty.
+	// preload loads engine.Keys YCSB records of preloadVsize bytes into
+	// a store that recovery left empty.
 	preload bool
-	vsize   int
 
 	// Transport: a Unix socket path (the paper's transport) or a TCP
 	// address, plus the optional metrics endpoint.
@@ -141,19 +143,16 @@ type config struct {
 	// Cluster mode (nodes non-empty): this node is nodes[self].
 	nodes   []cluster.NodeInfo
 	self    int
-	rewarm  bool          // re-warm the STLT for migrated records
 	hbEvery time.Duration // heartbeat period (0 = heartbeats off)
 	// migBatch (test-only) stays: the migrate layout golden pins 25 keys in 4 batches; at the default 256 that takes 257 keys of one slot.
 	migBatch int
 	// hbSuspect, hbDown (test-only) stay: at a 25 ms period the defaults (2, 4) turn a -race stall into a false verdict.
 	hbSuspect, hbDown int
 
-	// Span tracing: the initial 1-in-N sampling rate (0 = off), the
-	// flight-recorder dump directory, and the slow-op anomaly trigger in
-	// modeled cycles (0 = off).
+	// Span tracing: the initial 1-in-N sampling rate (0 = off) and the
+	// flight-recorder dump directory.
 	traceSample uint64
 	traceDir    string
-	traceSlow   uint64
 }
 
 type server struct {
@@ -240,8 +239,8 @@ func newServer(cfg config) (*server, error) {
 		if s.persist != nil && s.persist.recovered.Ops() > 0 {
 			log.Printf("kvserve: skipping -preload, %d keys recovered from %s", sys.Len(), cfg.aofDir)
 		} else {
-			log.Printf("preloading %d keys (%dB values)...", cfg.engine.Keys, cfg.vsize)
-			sys.Load(cfg.engine.Keys, cfg.vsize)
+			log.Printf("preloading %d keys (%dB values)...", cfg.engine.Keys, preloadVsize)
+			sys.Load(cfg.engine.Keys, preloadVsize)
 		}
 	}
 	s.tele = newServerTele(sys.Cluster().NumShards(), slowlogCap)
@@ -361,8 +360,7 @@ func parseFlags() config {
 		index  = flag.String("index", "chainhash", "chainhash|densehash|rbtree|btree")
 		keys   = flag.Int("keys", 100_000, "index/STLT sizing hint (and preload count with -preload)")
 		shards = flag.Int("shards", 1, "number of simulated machines the key space is hashed across")
-		pre    = flag.Bool("preload", false, "preload -keys YCSB records before serving")
-		vsize  = flag.Int("vsize", 64, "preload value size")
+		pre    = flag.Bool("preload", false, "preload -keys YCSB records of 64 bytes before serving")
 		sock   = flag.String("sock", "", "Unix socket path (the paper's transport)")
 		addr   = flag.String("addr", "", "TCP address, e.g. 127.0.0.1:6380")
 		maddr  = flag.String("metrics-addr", "", "HTTP address for /metrics, /snapshot.json and /debug/pprof, e.g. 127.0.0.1:9090")
@@ -370,35 +368,30 @@ func parseFlags() config {
 		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")
 
-		maxMem   = flag.Int64("maxmemory", 0, "per-shard record-byte cap; past it SETs evict keys by the STLT's in-set LFU rule (0 = unlimited)")
-		fastHash = flag.String("fast-hash", "", "STLT/SLB fast-path hash: sipHash|murmurHash|xxh64|djb2|xxh3 (default xxh3)")
+		maxMem = flag.Int64("maxmemory", 0, "per-shard record-byte cap; past it SETs evict keys by the STLT's in-set LFU rule (0 = unlimited)")
 
 		aof      = flag.Bool("aof", false, "enable the per-shard append-only log (durability)")
 		aofDir   = flag.String("aof-dir", "aof", "directory for AOF segments and snapshots")
 		aofFsync = flag.String("aof-fsync", "everysec", "fsync policy: always|everysec|no")
 
-		clusterNodes  = flag.String("cluster-nodes", "", "join a cluster: comma-separated clientAddr@busAddr per node, ordered by node index")
-		clusterSelf   = flag.Int("cluster-self", 0, "this node's index into -cluster-nodes")
-		clusterRewarm = flag.Bool("cluster-rewarm", true, "re-warm the STLT for records arriving via slot migration")
-		hbEvery       = flag.Duration("heartbeat-interval", defaultHeartbeatEvery, "cluster heartbeat period H (0 = heartbeats off)")
+		clusterNodes = flag.String("cluster-nodes", "", "join a cluster: comma-separated clientAddr@busAddr per node, ordered by node index")
+		clusterSelf  = flag.Int("cluster-self", 0, "this node's index into -cluster-nodes")
+		hbEvery      = flag.Duration("heartbeat-interval", defaultHeartbeatEvery, "cluster heartbeat period H (0 = heartbeats off)")
 
 		traceSample = flag.Uint64("trace-sample", 0, "trace 1 in N single-key ops (1 = every op, 0 = off; TRACE ON/OFF adjusts at runtime)")
 		traceDir    = flag.String("trace-dir", "", "directory for flight-recorder dump bundles (TRACE DUMP, anomaly auto-dumps, final dump on shutdown)")
-		traceSlow   = flag.Uint64("trace-anomaly-cycles", 0, "auto-dump when a traced op exceeds this many modeled cycles (0 = off)")
 	)
 	flag.Parse()
 	cfg := config{
 		engine: addrkv.Options{
-			Keys:         *keys,
-			Shards:       *shards,
-			Index:        addrkv.IndexKind(*index),
-			Mode:         addrkv.Mode(*mode),
-			RedisLayer:   true,
-			MaxMemory:    *maxMem,
-			FastHashName: *fastHash,
+			Keys:       *keys,
+			Shards:     *shards,
+			Index:      addrkv.IndexKind(*index),
+			Mode:       addrkv.Mode(*mode),
+			RedisLayer: true,
+			MaxMemory:  *maxMem,
 		},
 		preload:     *pre,
-		vsize:       *vsize,
 		sock:        *sock,
 		addr:        *addr,
 		metricsAddr: *maddr,
@@ -408,11 +401,9 @@ func parseFlags() config {
 		aofDir:      *aofDir,
 		aofFsync:    *aofFsync,
 		self:        *clusterSelf,
-		rewarm:      *clusterRewarm,
 		hbEvery:     *hbEvery,
 		traceSample: *traceSample,
 		traceDir:    *traceDir,
-		traceSlow:   *traceSlow,
 	}
 	var err error
 	if *clusterNodes != "" {

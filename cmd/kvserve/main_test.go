@@ -130,6 +130,10 @@ func TestMainRejectsBadFlags(t *testing.T) {
 		{"-heartbeat-down 2", "not defined: -heartbeat-down"},
 		{"-sweep-limit 5", "not defined: -sweep-limit"},
 		{"-expire-cycle-budget 5", "not defined: -expire-cycle-budget"},
+		{"-cluster-rewarm=false", "not defined: -cluster-rewarm"},
+		{"-vsize 128", "not defined: -vsize"},
+		{"-fast-hash sipHash", "not defined: -fast-hash"},
+		{"-trace-anomaly-cycles 5000", "not defined: -trace-anomaly-cycles"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0])

@@ -118,7 +118,7 @@ func newServerTele(shards, slowlogCap int) *serverTele {
 	t.pipeDepth = r.Histogram("addrkv_pipeline_depth",
 		"Commands per drained pipeline batch.", 1, nil)
 	t.earlyFlush = r.Counter("addrkv_early_flushes_total",
-		"Reply buffers (-writebuf) written out mid-burst because they filled.", nil)
+		"Reply buffers (16 KiB each) written out mid-burst because they filled.", nil)
 	t.batchCmds = r.Counter("addrkv_batch_commands_total",
 		"Multi-key commands (MGET/MSET/DEL) executed via shard batches.", nil)
 	t.batchKeys = r.Counter("addrkv_batched_keys_total",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"addrkv"
 	"addrkv/internal/resp"
 	"addrkv/internal/telemetry"
+	"addrkv/internal/ycsb"
 )
 
 // newScenarioServer builds a test server with a chosen index (SCAN
@@ -725,5 +727,104 @@ func TestServerScanExpireHotPathAllocs(t *testing.T) {
 		if n > c.budget {
 			t.Errorf("%s round trip: %.2f allocs, budget %.0f", c.name, n, c.budget)
 		}
+	}
+}
+
+// TestServeYCSBMixes drives every YCSB core mix (A–F, E's scans against
+// the btree index), the hot-key flood, and mix A with a PEXPIRE after
+// every SET through one preloaded 4-shard server on the worker runtime,
+// 16 ops per pipelined round trip. No reply may be an error; INFO counts
+// E's scans and the TTL leg's deadlines.
+func TestServeYCSBMixes(t *testing.T) {
+	const keys, ops, depth = 2000, 1200, 16
+	cfg := testConfig(4)
+	cfg.engine.Keys, cfg.engine.Index, cfg.preload = keys, addrkv.IndexBTree, true
+	s := newConfigServer(t, cfg, true)
+	r, w, _ := tcpClient(t, tcpFrontend(t, s))
+	do := func(cmds [][][]byte) []any {
+		t.Helper()
+		for _, c := range cmds {
+			w.WriteCommand(c...)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		replies := make([]any, len(cmds))
+		for i := range replies {
+			v, err := r.ReadReply()
+			if err != nil {
+				t.Fatal(err)
+			}
+			replies[i] = v
+		}
+		return replies
+	}
+	info := func(field string) uint64 {
+		t.Helper()
+		b := do([][][]byte{{[]byte("INFO")}})[0].([]byte)
+		_, rest, ok := bytes.Cut(b, []byte("\r\n"+field+":"))
+		end := bytes.IndexByte(rest, '\r')
+		if !ok || end < 0 {
+			t.Fatalf("INFO has no %s line", field)
+		}
+		n, err := strconv.ParseUint(string(rest[:end]), 10, 64)
+		if err != nil {
+			t.Fatalf("INFO %s: %v", field, err)
+		}
+		return n
+	}
+
+	for _, leg := range []struct {
+		mix string
+		ttl bool // chase every SET with PEXPIRE 200
+	}{{"A", false}, {"A", true}, {"B", false}, {"C", false}, {"D", false}, {"E", false}, {"F", false}, {"flood", false}} {
+		mix, err := ycsb.MixByName(leg.mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := do([][][]byte{{[]byte("RESETSTATS")}})[0]; v != "OK" {
+			t.Fatalf("RESETSTATS = %v", v)
+		}
+		gen := ycsb.NewMixGenerator(mix, keys, 42)
+		for sent := 0; sent < ops; {
+			var cmds [][][]byte
+			for n := 0; n < depth && sent < ops; n, sent = n+1, sent+1 {
+				cmds = appendMixOp(cmds, gen.Next(), uint32(sent), leg.ttl)
+			}
+			for i, v := range do(cmds) {
+				if e, isErr := v.(error); isErr {
+					t.Fatalf("mix %s ttl=%v: %q answered %v", leg.mix, leg.ttl, bytes.Join(cmds[i], []byte(" ")), e)
+				}
+			}
+		}
+		if leg.mix == "E" && info("scans") == 0 {
+			t.Error("mix E ran no scans")
+		}
+		if leg.ttl && info("expires_armed")+info("expired_keys") == 0 {
+			t.Error("the TTL leg armed no deadline")
+		}
+	}
+}
+
+// appendMixOp renders one YCSB op as the RESP commands a client sends
+// for it: a scan is one RANGE page from the op's key, an insert a plain
+// SET, an RMW a GET then a SET; with ttl every SET is chased by a
+// PEXPIRE.
+func appendMixOp(cmds [][][]byte, op ycsb.Op, version uint32, ttl bool) [][][]byte {
+	key := ycsb.KeyName(op.KeyID)
+	switch op.Type {
+	case ycsb.Scan:
+		return append(cmds, [][]byte{[]byte("RANGE"), key, []byte("+"), []byte(strconv.Itoa(op.ScanLen))})
+	case ycsb.Set, ycsb.Insert, ycsb.RMW:
+		if op.Type == ycsb.RMW {
+			cmds = append(cmds, [][]byte{[]byte("GET"), key})
+		}
+		cmds = append(cmds, [][]byte{[]byte("SET"), key, ycsb.Value(op.KeyID, version, 64)})
+		if ttl {
+			cmds = append(cmds, [][]byte{[]byte("PEXPIRE"), key, []byte("200")})
+		}
+		return cmds
+	default:
+		return append(cmds, [][]byte{[]byte("GET"), key})
 	}
 }

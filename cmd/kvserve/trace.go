@@ -24,10 +24,7 @@ const defaultTraceRing = 64
 func (s *server) initTrace() {
 	cfg := s.cfg
 	tr := trace.NewTracer(s.sys.Cluster().NumShards(), defaultTraceRing, cfg.traceSample)
-	tr.SetAnomalyConfig(trace.AnomalyConfig{
-		SlowCycles: cfg.traceSlow,
-		WalkInWarm: true,
-	})
+	tr.SetAnomalyConfig(trace.AnomalyConfig{WalkInWarm: true})
 	s.tracer = tr
 	s.sys.Cluster().SetTracer(tr)
 	if cfg.traceDir != "" {

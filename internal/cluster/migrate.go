@@ -54,7 +54,8 @@ type MigrateOpts struct {
 	// Rewarm asks the destination to re-insert each installed
 	// record's STLT row (the paper's insertSTLT step). Off, the
 	// destination serves the migrated slot cold and the warm-up cliff
-	// is visible in its fast-hit rate.
+	// is visible in its fast-hit rate. kvserve always sets it; the off
+	// leg of TestMigrateRewarmWarmsDestinationSTLT holds the cliff claim.
 	Rewarm bool
 	// OnProgress, when set, is called after every shipped batch (and
 	// once more at completion) with the current progress snapshot —

@@ -79,7 +79,7 @@ func Bench(bin string, args ...string) ([]DepthResult, error) {
 	}
 	f.Close()
 	defer os.Remove(f.Name())
-	p, err := spawn(nil, os.Stdout, bin, append(args[:len(args):len(args)], "-json", f.Name())...)
+	p, err := spawn(os.Stdout, bin, append(args[:len(args):len(args)], "-json", f.Name())...)
 	if err != nil {
 		return nil, fmt.Errorf("start %s: %w", bin, err)
 	}
@@ -156,17 +156,4 @@ func (f Fields) Uint(key string) (uint64, error) {
 		return 0, fmt.Errorf("field %q: %w", key, err)
 	}
 	return n, nil
-}
-
-// Float is Uint for a fractional field.
-func (f Fields) Float(key string) (float64, error) {
-	v, ok := f[key]
-	if !ok {
-		return 0, fmt.Errorf("field %q is absent", key)
-	}
-	x, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("field %q: %w", key, err)
-	}
-	return x, nil
 }

@@ -58,15 +58,16 @@ func startCluster(bin string, n int, extra []string) (*Cluster, bool, error) {
 // boot launches every node, then waits for each to answer.
 func (cl *Cluster) boot(bin, spec string, extra []string) error {
 	for i := range cl.Addrs {
-		p, err := launch(nil, bin, append([]string{
+		p, err := spawn(nil, bin, append([]string{
 			"-addr", cl.Addrs[i],
 			"-metrics-addr", cl.Metrics[i],
 			"-cluster-nodes", spec,
 			"-cluster-self", strconv.Itoa(i),
 		}, extra...)...)
 		if err != nil {
-			return err
+			return fmt.Errorf("start %s: %w", bin, err)
 		}
+		p.addr = cl.Addrs[i]
 		cl.Procs = append(cl.Procs, p)
 	}
 	for _, p := range cl.Procs {

@@ -1,7 +1,7 @@
 // Package kvproc is the one place outside bench/ that runs kvserve and
-// kvbench as child processes: the orchestrators under scripts/ start
-// servers, drive the load generator and write their artifacts through
-// it, so "ready", "stopped" and "cleaned up" mean one thing everywhere.
+// kvbench as child processes: scripts/health boots its cluster, drives
+// the load generator and writes its artifacts through it, so "ready",
+// "stopped" and "cleaned up" mean one thing wherever a tool runs them.
 //
 // A server is ready when it answers PING, not when a dial succeeds. It
 // is stopped by SIGINT (kvserve drains and removes its socket), then by
@@ -33,11 +33,9 @@ const readyTimeout = 15 * time.Second
 var stopGrace = 10 * time.Second
 
 // Proc is one child process in its own process group, its stderr the
-// tool's. Network and Addr say where a server answers RESP ("unix" or
-// "tcp").
+// tool's. addr is the TCP address a server answers RESP on.
 type Proc struct {
-	Network, Addr string
-
+	addr   string
 	cmd    *exec.Cmd
 	exited chan struct{} // closed once Wait has returned
 }
@@ -51,10 +49,8 @@ var live = struct {
 }{procs: map[*Proc]struct{}{}}
 
 // spawn starts bin in its own process group, registered for teardown.
-// env is appended to the tool's environment.
-func spawn(env []string, stdout io.Writer, bin string, args ...string) (*Proc, error) {
+func spawn(stdout io.Writer, bin string, args ...string) (*Proc, error) {
 	p := &Proc{cmd: exec.Command(bin, args...), exited: make(chan struct{})}
-	p.cmd.Env = append(os.Environ(), env...)
 	p.cmd.Stdout = stdout
 	p.cmd.Stderr = os.Stderr
 	p.cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
@@ -86,49 +82,6 @@ func spawn(env []string, stdout io.Writer, bin string, args ...string) (*Proc, e
 	return p, nil
 }
 
-// launch spawns a kvserve and records where it will answer, which it
-// reads off the -sock or -addr argument.
-func launch(env []string, bin string, args ...string) (*Proc, error) {
-	var network, addr string
-	for i := 0; i+1 < len(args); i++ {
-		switch args[i] {
-		case "-sock":
-			network, addr = "unix", args[i+1]
-		case "-addr":
-			network, addr = "tcp", args[i+1]
-		}
-	}
-	if addr == "" {
-		return nil, errors.New("kvproc: a server needs -sock or -addr among its arguments")
-	}
-	p, err := spawn(env, nil, bin, args...)
-	if err != nil {
-		return nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	p.Network, p.Addr = network, addr
-	return p, nil
-}
-
-// Start runs a kvserve binary with args and returns once it answers
-// PING. The caller owns the child until Stop or Kill.
-func Start(bin string, args ...string) (*Proc, error) {
-	return StartEnv(nil, bin, args...)
-}
-
-// StartEnv is Start with extra "KEY=value" environment entries, e.g.
-// the GOMAXPROCS a scaling sweep gives the server.
-func StartEnv(env []string, bin string, args ...string) (*Proc, error) {
-	p, err := launch(env, bin, args...)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.waitReady(); err != nil {
-		p.Kill()
-		return nil, err
-	}
-	return p, nil
-}
-
 // waitReady polls PING until the server answers, failing at once if
 // the child exits first.
 func (p *Proc) waitReady() error {
@@ -136,10 +89,10 @@ func (p *Proc) waitReady() error {
 	for time.Now().Before(deadline) {
 		select {
 		case <-p.exited:
-			return fmt.Errorf("%s on %s exited before it answered PING: %v", p.cmd.Path, p.Addr, p.cmd.ProcessState)
+			return fmt.Errorf("%s on %s exited before it answered PING: %v", p.cmd.Path, p.addr, p.cmd.ProcessState)
 		default:
 		}
-		if c, err := resp.Dial(p.Network, p.Addr); err == nil {
+		if c, err := resp.Dial("tcp", p.addr); err == nil {
 			v, err := c.Do("PING")
 			c.Close()
 			if err == nil && v == "PONG" {
@@ -148,7 +101,7 @@ func (p *Proc) waitReady() error {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return fmt.Errorf("%s on %s did not answer PING within %s", p.cmd.Path, p.Addr, readyTimeout)
+	return fmt.Errorf("%s on %s did not answer PING within %s", p.cmd.Path, p.addr, readyTimeout)
 }
 
 // signal sends sig to the child's process group unless it has exited.
@@ -166,10 +119,6 @@ func (p *Proc) reaped() {
 	delete(live.procs, p)
 	live.Unlock()
 }
-
-// Stop interrupts the child, kills it if it has not exited within
-// stopGrace, and returns once it is reaped.
-func (p *Proc) Stop() { stop([]*Proc{p}) }
 
 // Kill SIGKILLs the child, with no goodbye, and reaps it.
 func (p *Proc) Kill() {

@@ -41,17 +41,18 @@ func TestMain(m *testing.M) {
 		fakeBench()
 	case "helper":
 		// Start a server, say which pid it has, and die through Fatal.
-		p, err := StartEnv([]string{modeEnv + "=server"}, os.Args[0], "-sock", os.Args[1])
+		os.Setenv(modeEnv, "server")
+		cl, err := StartCluster(os.Args[0], 1)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(3)
 		}
-		fmt.Println(p.cmd.Process.Pid)
+		fmt.Println(cl.Procs[0].cmd.Process.Pid)
 		Fatal("helper", errors.New("boom"))
 	}
 }
 
-// fakeServer listens where -sock or -addr says and answers PING, INFO
+// fakeServer listens where the last -addr says and answers PING, INFO
 // and ARGS (its own command line). With onceEnv naming a file that does
 // not exist yet, it creates the file and dies the way a kvserve that
 // lost the port race does.
@@ -63,16 +64,13 @@ func fakeServer() {
 			os.Exit(1)
 		}
 	}
-	var network, addr string
+	var addr string
 	for i, a := range os.Args[:len(os.Args)-1] {
-		switch a {
-		case "-sock":
-			network, addr = "unix", os.Args[i+1]
-		case "-addr":
-			network, addr = "tcp", os.Args[i+1]
+		if a == "-addr" {
+			addr = os.Args[i+1]
 		}
 	}
-	ln, err := net.Listen(network, addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -131,11 +129,11 @@ func registered() int {
 
 func TestStartDoStop(t *testing.T) {
 	t.Setenv(modeEnv, "server")
-	p, err := Start(os.Args[0], "-sock", filepath.Join(t.TempDir(), "s.sock"))
+	cl, err := StartCluster(os.Args[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := resp.Dial(p.Network, p.Addr)
+	c, err := resp.Dial("tcp", cl.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +149,6 @@ func TestStartDoStop(t *testing.T) {
 	if n, err := info.Uint("ops"); err != nil || n != 7 {
 		t.Errorf("ops = %d, %v", n, err)
 	}
-	if x, err := info.Float("rate"); err != nil || x != 0.5 {
-		t.Errorf("rate = %v, %v", x, err)
-	}
 	if info["state"] != "ok" {
 		t.Errorf("state = %q", info["state"])
 	}
@@ -167,8 +162,8 @@ func TestStartDoStop(t *testing.T) {
 		t.Error("Info accepted a non-bulk reply")
 	}
 
-	pid := p.cmd.Process.Pid
-	p.Stop()
+	pid := cl.Procs[0].cmd.Process.Pid
+	cl.Stop()
 	if !gone(pid) || registered() != 0 {
 		t.Fatalf("after Stop: pid gone %v, %d registered", gone(pid), registered())
 	}
@@ -177,15 +172,13 @@ func TestStartDoStop(t *testing.T) {
 func TestStartFailsWhenChildExits(t *testing.T) {
 	t.Setenv(modeEnv, "server")
 	t0 := time.Now()
-	_, err := Start(os.Args[0], "-sock", filepath.Join(t.TempDir(), "no", "such", "dir", "s.sock"))
+	// The fake listens on the last -addr, which it cannot bind.
+	_, err := StartCluster(os.Args[0], 1, "-addr", "127.0.0.1:-1")
 	if err == nil || !strings.Contains(err.Error(), "exited before") {
 		t.Fatalf("err = %v, want an early-exit error", err)
 	}
 	if time.Since(t0) > readyTimeout/2 || registered() != 0 {
 		t.Fatalf("took %v, %d registered", time.Since(t0), registered())
-	}
-	if _, err := Start(os.Args[0], "-keys", "10"); err == nil {
-		t.Fatal("Start accepted arguments with no -sock or -addr")
 	}
 }
 
@@ -193,12 +186,13 @@ func TestStopEscalatesToKill(t *testing.T) {
 	defer func(d time.Duration) { stopGrace = d }(stopGrace)
 	stopGrace = 50 * time.Millisecond
 	t.Setenv(modeEnv, "stubborn")
-	p, err := Start(os.Args[0], "-sock", filepath.Join(t.TempDir(), "s.sock"))
+	cl, err := StartCluster(os.Args[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := cl.Procs[0]
 	t0 := time.Now()
-	p.Stop()
+	cl.Stop()
 	if d := time.Since(t0); d < stopGrace {
 		t.Fatalf("Stop returned after %v: the child did not ignore SIGINT", d)
 	}
@@ -212,7 +206,7 @@ func TestStopEscalatesToKill(t *testing.T) {
 // fatal was os.Exit(1), which left the servers running and holding the
 // caller's stderr open.
 func TestFatalLeavesNoOrphan(t *testing.T) {
-	helper := exec.Command(os.Args[0], filepath.Join(t.TempDir(), "s.sock"))
+	helper := exec.Command(os.Args[0])
 	helper.Env = append(os.Environ(), modeEnv+"=helper")
 	stdout, err := helper.StdoutPipe()
 	if err != nil {
@@ -274,7 +268,7 @@ func TestStartCluster(t *testing.T) {
 		}
 		args := strings.Fields(string(v.([]byte)))
 		want := []string{"-addr", cl.Addrs[i], "-metrics-addr", cl.Metrics[i], "-cluster-nodes", args[5], "-cluster-self", strconv.Itoa(i), "-shards", "2"}
-		if strings.Join(args, " ") != strings.Join(want, " ") || p.Addr != cl.Addrs[i] {
+		if strings.Join(args, " ") != strings.Join(want, " ") || p.addr != cl.Addrs[i] {
 			t.Fatalf("node %d ran with %q", i, args)
 		}
 		if i > 0 && args[5] != spec {

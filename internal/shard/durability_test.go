@@ -299,9 +299,11 @@ func TestBatchOpsAreLogged(t *testing.T) {
 }
 
 // TestSnapshotMidStreamRecovery: a compacting snapshot taken between
-// two halves of a stream must lose nothing and duplicate nothing, and
+// two halves of a stream must lose nothing and duplicate nothing,
 // recovery from snapshot+tail must be deterministic (two recoveries
-// are bit-for-bit identical).
+// are bit-for-bit identical), and it replays the tail, not the whole
+// history: one load per key live at the snapshot, then exactly the
+// writes made after it.
 func TestSnapshotMidStreamRecovery(t *testing.T) {
 	const shards, nOps = 2, 1000
 	ws := writeStream(nOps)
@@ -319,12 +321,14 @@ func TestSnapshotMidStreamRecovery(t *testing.T) {
 	if err := orig.SnapshotAll(); err != nil {
 		t.Fatal(err)
 	}
+	liveAtSnap := orig.Len()
 	for i := 0; i < shards; i++ {
 		if st := orig.WAL(i).Stats(); st.Gen != 2 || st.Rewrites != 1 {
 			t.Fatalf("shard %d post-snapshot stats %+v", i, st)
 		}
 	}
-	runWrites(t, orig, ws[nOps*3/4:], false)
+	tail := ws[nOps*3/4:]
+	runWrites(t, orig, tail, false)
 
 	// Expected final state, straight off the live engines.
 	want := map[string]string{}
@@ -340,11 +344,14 @@ func TestSnapshotMidStreamRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recoveredA, _ := recoverCluster(t, dir, shards)
+	recoveredA, st := recoverCluster(t, dir, shards)
 	recoveredB, _ := recoverCluster(t, dir, shards)
 
 	if got := recoveredA.Len(); got != total {
 		t.Fatalf("recovered %d keys, want %d", got, total)
+	}
+	if st.Loads != liveAtSnap || st.Sets+st.Dels != len(tail) || st.Ops() != liveAtSnap+len(tail) {
+		t.Fatalf("replayed %+v, want %d loads then the %d tail writes", st, liveAtSnap, len(tail))
 	}
 	seen := 0
 	for i := 0; i < shards; i++ {

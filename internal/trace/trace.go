@@ -260,9 +260,6 @@ func (o *Op) Has(k EventKind) bool {
 
 // AnomalyConfig shapes the flight recorder's triggers.
 type AnomalyConfig struct {
-	// SlowCycles fires when a traced op costs more modeled cycles
-	// (0 disables the trigger).
-	SlowCycles uint64
 	// WalkInWarm fires when a traced op page-walks while the tracer is
 	// in the warm phase (after a measurement mark, when the paper's
 	// methodology says translations should be table-resident).
@@ -423,9 +420,6 @@ func (t *Tracer) Finish(op *Op, shard int, fastHit, missed bool) {
 		case EvSTLTScrub:
 			scrubbed = true
 		}
-	}
-	if t.anomaly.SlowCycles > 0 && op.Cycles > t.anomaly.SlowCycles {
-		op.Anomalies = append(op.Anomalies, "slow_op")
 	}
 	if t.anomaly.WalkInWarm && walked && t.warm.Load() {
 		op.Anomalies = append(op.Anomalies, "page_walk_warm")
