@@ -217,12 +217,18 @@ func (s *server) busHandler(m cluster.Msg) (cluster.MsgType, []byte) {
 		n.CommitImport(slot, sm)
 		return cluster.MsgAck, cluster.EncodeU64(n.Version())
 	case cluster.MsgHeartbeat:
-		d, err := health.DecodeDigest(m.Payload)
-		if err != nil {
-			return cluster.MsgErr, []byte(err.Error())
+		// The body is the sender's index and nothing else; DecodeU64
+		// would read a short body as node 0, so the length is checked
+		// here.
+		if len(m.Payload) != 8 {
+			return cluster.MsgErr, []byte(fmt.Sprintf("heartbeat body is %d bytes, want 8", len(m.Payload)))
 		}
-		s.clus.health.Alive(d.Node, d)
-		return cluster.MsgAck, cluster.EncodeU64(n.Version())
+		from := cluster.DecodeU64(m.Payload)
+		if from >= uint64(len(s.clus.hbPeers)) {
+			return cluster.MsgErr, []byte(fmt.Sprintf("heartbeat from unknown node %d", from))
+		}
+		s.clus.health.Alive(int(from))
+		return cluster.MsgAck, nil
 	case cluster.MsgDigestGet:
 		_, enc := s.clusterDigest()
 		return cluster.MsgDigest, enc

@@ -1,14 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"addrkv/internal/cluster"
 	"addrkv/internal/health"
 )
 
@@ -115,6 +117,38 @@ func TestClusterHeartbeatDifferential(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestHeartbeatCarriesLivenessOnly: a heartbeat's body is the
+// sender's node index, exactly 8 bytes, and its ack is empty. Any other
+// body is refused and counts as no beat — a short body must not read
+// as node 0.
+func TestHeartbeatCarriesLivenessOnly(t *testing.T) {
+	s := newTestCluster(t, 2, false)[0]
+	beats := func() uint64 { return s.clus.health.Snapshot()[1].Beats }
+	beat := func(body []byte) (cluster.MsgType, []byte) {
+		return s.busHandler(cluster.Msg{Type: cluster.MsgHeartbeat, Payload: body})
+	}
+
+	before := beats()
+	if typ, body := beat(cluster.EncodeU64(1)); typ != cluster.MsgAck || len(body) != 0 {
+		t.Fatalf("heartbeat from node 1 = %v %q, want an empty ack", typ, body)
+	}
+	if got := beats(); got != before+1 {
+		t.Fatalf("node 1 beats = %d after an acked heartbeat, want %d", got, before+1)
+	}
+	for name, body := range map[string][]byte{
+		"7 bytes":      cluster.EncodeU64(1)[:7],
+		"9 bytes":      append(cluster.EncodeU64(1), 0),
+		"out of range": cluster.EncodeU64(2),
+	} {
+		if typ, _ := beat(body); typ != cluster.MsgErr {
+			t.Fatalf("%s: heartbeat answered %v, want MsgErr", name, typ)
+		}
+		if got := beats(); got != before+1 {
+			t.Fatalf("%s: node 1 beats moved to %d", name, got)
 		}
 	}
 }
@@ -298,11 +332,11 @@ func TestClusterMigrateStatus(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotEndpoint: /cluster/snapshot.json is valid JSON
-// with the pinned schema — fleet rows in node order, heartbeat config,
-// per-node digests for reachable nodes, and the migration block once
-// one has run.
-func TestClusterSnapshotEndpoint(t *testing.T) {
+// TestClusterHealthAfterMigrate: after a migration, the fleet view a
+// node serves shows both nodes up, the destination holding the migrated
+// keys, and the migration block; the JSON fleet snapshot endpoint that
+// once carried the same values answers 404.
+func TestClusterHealthAfterMigrate(t *testing.T) {
 	srvs := newTestClusterOpts(t, 2, false, heartbeats)
 	s0 := srvs[0]
 	cs := &connState{id: 1}
@@ -317,35 +351,50 @@ func TestClusterSnapshotEndpoint(t *testing.T) {
 	// Digests are cached for half a heartbeat interval, so the
 	// destination's row may briefly predate the batch install; poll
 	// until the migrated keys show up there.
-	var snap clusterSnapshot
+	var rows []map[string]string
 	waitFor(t, 5*time.Second, "destination digest to include migrated keys", func() bool {
-		rec := httptest.NewRecorder()
-		s0.clusterSnapshotHandler(rec, nil)
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("Content-Type = %q", ct)
+		rows = rows[:0]
+		txt := string(callCS(t, s0, cs, "CLUSTER", "HEALTH").([]byte))
+		for _, ln := range strings.Split(strings.TrimRight(txt, "\r\n"), "\r\n") {
+			row := map[string]string{}
+			for _, f := range strings.Fields(ln) {
+				k, v, _ := strings.Cut(f, ":")
+				row[k] = v
+			}
+			rows = append(rows, row)
 		}
-		snap = clusterSnapshot{}
-		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-			t.Fatalf("snapshot is not valid JSON: %v", err)
+		if len(rows) != 2 {
+			return false
 		}
-		return len(snap.Nodes) == 2 && snap.Nodes[1].Digest != nil && snap.Nodes[1].Digest.Keys > 0
+		keys, _ := strconv.Atoi(rows[1]["keys"])
+		return keys >= 5
 	})
-	if snap.Name != "kvserve-cluster" || snap.SourceNode != 0 || snap.State != "ok" {
-		t.Fatalf("snapshot header = %+v", snap)
+	for i, row := range rows {
+		if row["node"] != strconv.Itoa(i) || row["up"] != "1" {
+			t.Fatalf("health row %d = %v, want node:%d up:1", i, row, i)
+		}
 	}
-	if !snap.Heartbeat.Enabled || snap.Heartbeat.IntervalMS != 25 {
-		t.Fatalf("snapshot heartbeat block = %+v", snap.Heartbeat)
+
+	st := string(callCS(t, s0, cs, "CLUSTER", "MIGRATE", "STATUS").([]byte))
+	for _, want := range []string{"migration_slot:7\r\n", "migration_keys_shipped:5\r\n"} {
+		if !strings.Contains(st, want) {
+			t.Fatalf("MIGRATE STATUS missing %q:\n%s", want, st)
+		}
 	}
-	if len(snap.Nodes) != 2 || snap.Nodes[0].Node != 0 || snap.Nodes[1].Node != 1 {
-		t.Fatalf("snapshot nodes = %+v", snap.Nodes)
+
+	srv, addr, err := startMetricsServer("127.0.0.1:0", s0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !snap.Nodes[0].Up || snap.Nodes[0].Digest == nil {
-		t.Fatalf("self row has no digest: %+v", snap.Nodes[0])
-	}
-	if !snap.Nodes[1].Up {
-		t.Fatalf("peer row not up: %+v", snap.Nodes[1])
-	}
-	if snap.Migration == nil || snap.Migration.Slot != 7 || snap.Migration.KeysShipped != 5 {
-		t.Fatalf("snapshot migration block = %+v", snap.Migration)
+	defer srv.Close()
+	for path, code := range map[string]int{"/cluster/metrics": http.StatusOK, "/cluster/snapshot.json": http.StatusNotFound} {
+		res, err := http.Get("http://" + addr.String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != code {
+			t.Fatalf("%s = %s, want %d", path, res.Status, code)
+		}
 	}
 }

@@ -4,31 +4,27 @@
 // Every -heartbeat-interval, one goroutine per peer sends a Heartbeat
 // frame over a DEDICATED bus peer (separate from the migration peers,
 // so a heartbeat never queues behind a long migration batch call on
-// the per-peer mutex and goes falsely suspect). The frame carries this
-// node's telemetry digest (internal/health.Digest); the receiver
-// stamps the sender alive and replies with an ack, which stamps the
+// the per-peer mutex and goes falsely suspect). The frame carries only
+// this node's index and reads no serving state; the receiver stamps
+// the sender alive and replies with an empty ack, which stamps the
 // receiver alive on our side — liveness evidence flows both ways on
 // every exchange. Down-detection is receiver-side (absence of beats),
 // so a dead peer is declared down within DownAfter·Interval without
 // any dial ever having to time out on the deadline path.
 //
-// The digest is built exclusively from read-only surfaces — Report(),
-// RuntimeStats(), the latency histogram snapshot — the same paths a
-// /metrics scrape uses, so a heartbeat-on run stays bit-for-bit
-// identical to a heartbeat-off run (pinned by the differential tests
-// in cluster_health_test.go). Health state lives under the tracker's
-// own mutex; no shard lock is ever taken to publish or read it.
-//
-// Aggregation: /cluster/metrics and /cluster/snapshot.json (and the
-// CLUSTER HEALTH command) fan a DigestGet out to every non-down peer
-// concurrently and merge the digests into one fleet view, Prometheus
-// series labeled node="i". A node that is down or does not answer
-// contributes up=0 and no digest-derived series — a scraper watches
-// series disappear, not go stale.
+// Telemetry travels only when asked for: /cluster/metrics and CLUSTER
+// HEALTH fan a DigestGet out to every non-down peer concurrently and
+// merge the digests (internal/health.Digest) into one fleet view,
+// Prometheus series labeled node="i". A digest is built from read-only
+// surfaces — Report(), which locks each shard once to copy its stats,
+// RuntimeStats(), the latency histogram snapshot — so a scraped or
+// heartbeating run stays bit-for-bit identical to a quiet one (pinned
+// by the differential tests in cluster_health_test.go). A node that is
+// down or does not answer contributes up=0 and no digest-derived
+// series — a scraper watches series disappear, not go stale.
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -51,7 +47,6 @@ func (s *server) buildDigest() *health.Digest {
 	v := s.view()
 	rep := v.rep
 	d := &health.Digest{
-		Node:           cl.node.Self(),
 		MapVersion:     cl.node.Version(),
 		SlotsOwned:     uint32(cl.node.OwnedSlots()),
 		SlotsMigrating: uint32(len(cl.node.MigratingSlots())),
@@ -72,8 +67,8 @@ func (s *server) buildDigest() *health.Digest {
 		d.Keys += sd.Keys
 		d.Shards[i] = sd
 	}
-	// Ops/s over the window since the last digest build — the sender
-	// computes its own rate so the aggregator needs no scrape history.
+	// Ops/s since the previous digest build — the sender computes its
+	// own rate so the aggregator needs no scrape history.
 	now := time.Now()
 	cl.rateMu.Lock()
 	if !cl.lastAt.IsZero() && now.After(cl.lastAt) && rep.Ops >= cl.lastOps {
@@ -85,9 +80,10 @@ func (s *server) buildDigest() *health.Digest {
 }
 
 // clusterDigest returns this node's current digest and its encoding,
-// cached for half a heartbeat interval so concurrent heartbeat loops
-// and DigestGet replies share one build instead of re-snapshotting the
-// report per peer.
+// cached for half a heartbeat interval: concurrent scrapers (each
+// fanning DigestGet out to every node) share one build instead of each
+// re-snapshotting the report, and the cache bounds how short the
+// ops-rate window can get.
 func (s *server) clusterDigest() (*health.Digest, []byte) {
 	cl := s.clus
 	ttl := s.cfg.hbEvery / 2
@@ -103,9 +99,6 @@ func (s *server) clusterDigest() (*health.Digest, []byte) {
 	cl.digCur = d
 	cl.digEnc = d.Encode(nil)
 	cl.digAt = time.Now()
-	// Keep the tracker's own-row digest fresh too, so a snapshot taken
-	// without a fan-out still shows this node's numbers.
-	cl.health.Alive(cl.node.Self(), d)
 	return cl.digCur, cl.digEnc
 }
 
@@ -127,7 +120,7 @@ func (s *server) startHeartbeats() {
 	}
 }
 
-// heartbeatLoop sends this node's digest to one peer every interval.
+// heartbeatLoop sends this node's index to one peer every interval.
 // A successful exchange is liveness evidence for the peer (its ack
 // proves it served the call); a failure only bumps the failure counter
 // — the peer goes suspect/down on the receiver-side deadline, never on
@@ -135,6 +128,7 @@ func (s *server) startHeartbeats() {
 func (s *server) heartbeatLoop(peer int, p *cluster.Peer) {
 	cl := s.clus
 	defer cl.hbWG.Done()
+	self := cluster.EncodeU64(uint64(cl.node.Self()))
 	t := time.NewTicker(s.cfg.hbEvery)
 	defer t.Stop()
 	for {
@@ -143,13 +137,12 @@ func (s *server) heartbeatLoop(peer int, p *cluster.Peer) {
 			if !cl.hbOn.Load() {
 				continue
 			}
-			_, enc := s.clusterDigest()
-			if _, err := p.Call(cluster.MsgHeartbeat, enc); err != nil {
+			if _, err := p.Call(cluster.MsgHeartbeat, self); err != nil {
 				cl.hbFails.Add(1)
 				continue
 			}
 			cl.hbSent.Add(1)
-			cl.health.Alive(peer, nil)
+			cl.health.Alive(peer)
 		case <-cl.hbStop:
 			return
 		}
@@ -198,7 +191,7 @@ func (s *server) collectFleet() []fleetNode {
 				if err != nil {
 					return
 				}
-				cl.health.Alive(i, d)
+				cl.health.Alive(i)
 				out[i].Up, out[i].Digest = true, d
 			}(i, cl.hbPeers[i])
 		}
@@ -223,156 +216,4 @@ func (cl *clusterState) stateName() string {
 func (s *server) clusterMetricsHandler(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(fleetMetrics(s.collectFleet())))
-}
-
-// The /cluster/snapshot.json schema. Field order and node ordering are
-// fixed, so two snapshots of the same fleet state are byte-comparable;
-// kvtop and scripts/health consume this form.
-type clusterSnapshot struct {
-	Name       string                 `json:"name"`
-	SourceNode int                    `json:"source_node"`
-	MapVersion uint64                 `json:"map_version"`
-	State      string                 `json:"cluster_state"`
-	Heartbeat  heartbeatSnapshot      `json:"heartbeat"`
-	Nodes      []fleetNodeSnapshot    `json:"nodes"`
-	Migration  *migrationSnapshotJSON `json:"migration,omitempty"`
-}
-
-type heartbeatSnapshot struct {
-	Enabled    bool    `json:"enabled"`
-	On         bool    `json:"on"`
-	IntervalMS float64 `json:"interval_ms"`
-	DownAfter  int     `json:"down_after"`
-	Sent       uint64  `json:"sent"`
-	Failures   uint64  `json:"failures"`
-}
-
-type fleetNodeSnapshot struct {
-	Node   int             `json:"node"`
-	Addr   string          `json:"addr"`
-	Bus    string          `json:"bus"`
-	State  string          `json:"state"`
-	Up     bool            `json:"up"`
-	AgeMS  float64         `json:"age_ms"`
-	Beats  uint64          `json:"beats"`
-	Digest *digestSnapshot `json:"digest,omitempty"`
-}
-
-type digestSnapshot struct {
-	MapVersion     uint64            `json:"map_version"`
-	SlotsOwned     uint32            `json:"slots_owned"`
-	SlotsMigrating uint32            `json:"slots_migrating"`
-	SlotsImporting uint32            `json:"slots_importing"`
-	Ops            uint64            `json:"ops"`
-	Keys           uint64            `json:"keys"`
-	UsedBytes      uint64            `json:"used_bytes"`
-	HitRate        float64           `json:"hit_rate"`
-	QueueDepth     uint64            `json:"queue_depth"`
-	OpsPerSec      float64           `json:"ops_per_sec"`
-	LatP50US       float64           `json:"lat_p50_us"`
-	LatP99US       float64           `json:"lat_p99_us"`
-	Shards         []shardDigestJSON `json:"shards,omitempty"`
-}
-
-type shardDigestJSON struct {
-	Ops        uint64  `json:"ops"`
-	Keys       uint64  `json:"keys"`
-	HitRate    float64 `json:"hit_rate"`
-	QueueDepth uint32  `json:"queue_depth"`
-}
-
-type migrationSnapshotJSON struct {
-	Slot           uint16 `json:"slot"`
-	Dest           int    `json:"dest"`
-	Active         bool   `json:"active"`
-	Resumed        bool   `json:"resumed"`
-	Failed         bool   `json:"failed"`
-	KeysTotal      int    `json:"keys_total"`
-	KeysShipped    int    `json:"keys_shipped"`
-	BatchesTotal   int    `json:"batches_total"`
-	BatchesShipped int    `json:"batches_shipped"`
-	Bytes          int    `json:"bytes"`
-	ElapsedUS      int64  `json:"elapsed_us"`
-	EtaUS          int64  `json:"eta_us"`
-}
-
-// clusterSnapshotPayload builds the /cluster/snapshot.json value.
-func (s *server) clusterSnapshotPayload() *clusterSnapshot {
-	cl := s.clus
-	snap := &clusterSnapshot{
-		Name:       "kvserve-cluster",
-		SourceNode: cl.node.Self(),
-		MapVersion: cl.node.Version(),
-		State:      cl.stateName(),
-		Heartbeat: heartbeatSnapshot{
-			Enabled:    s.cfg.hbEvery > 0,
-			On:         cl.hbOn.Load(),
-			IntervalMS: float64(s.cfg.hbEvery) / 1e6,
-			DownAfter:  cl.health.DownAfter(),
-			Sent:       cl.hbSent.Load(),
-			Failures:   cl.hbFails.Load(),
-		},
-	}
-	for _, fn := range s.collectFleet() {
-		ns := fleetNodeSnapshot{
-			Node:  fn.Node,
-			Addr:  fn.Info.Addr,
-			Bus:   fn.Info.Bus,
-			State: fn.State.String(),
-			Up:    fn.Up,
-			AgeMS: float64(fn.Age) / 1e6,
-			Beats: fn.Beats,
-		}
-		if d := fn.Digest; d != nil {
-			ds := &digestSnapshot{
-				MapVersion:     d.MapVersion,
-				SlotsOwned:     d.SlotsOwned,
-				SlotsMigrating: d.SlotsMigrating,
-				SlotsImporting: d.SlotsImporting,
-				Ops:            d.Ops,
-				Keys:           d.Keys,
-				UsedBytes:      d.UsedBytes,
-				HitRate:        d.HitRate(),
-				QueueDepth:     d.QueueDepth(),
-				OpsPerSec:      d.OpsPerSec,
-				LatP50US:       d.LatP50US,
-				LatP99US:       d.LatP99US,
-			}
-			for _, sd := range d.Shards {
-				ds.Shards = append(ds.Shards, shardDigestJSON{
-					Ops: sd.Ops, Keys: sd.Keys, HitRate: sd.HitRate(), QueueDepth: sd.QueueDepth,
-				})
-			}
-			ns.Digest = ds
-		}
-		snap.Nodes = append(snap.Nodes, ns)
-	}
-	if mp, ok := cl.node.Progress(); ok {
-		snap.Migration = &migrationSnapshotJSON{
-			Slot:           mp.Slot,
-			Dest:           mp.Dest,
-			Active:         mp.Active,
-			Resumed:        mp.Resumed,
-			Failed:         mp.Failed,
-			KeysTotal:      mp.KeysTotal,
-			KeysShipped:    mp.KeysShipped,
-			BatchesTotal:   mp.BatchesTotal,
-			BatchesShipped: mp.BatchesShipped,
-			Bytes:          mp.Bytes,
-			ElapsedUS:      mp.Elapsed.Microseconds(),
-			EtaUS:          mp.ETA.Microseconds(),
-		}
-	}
-	return snap
-}
-
-// clusterSnapshotHandler serves /cluster/snapshot.json.
-func (s *server) clusterSnapshotHandler(w http.ResponseWriter, _ *http.Request) {
-	b, err := json.MarshalIndent(s.clusterSnapshotPayload(), "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(b, '\n'))
 }

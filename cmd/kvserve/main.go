@@ -55,7 +55,7 @@
 // the networking/pipelining counters, so a client can measure the
 // modeled speedup while talking real RESP over a real socket. With
 // -metrics-addr the same numbers are served as Prometheus text on
-// /metrics (plus /snapshot.json and net/http/pprof). SIGINT/SIGTERM
+// /metrics (plus /cluster/metrics and net/http/pprof). SIGINT/SIGTERM
 // stop the listener, drain in-flight connections, and remove the Unix
 // socket file.
 //
@@ -363,7 +363,7 @@ func parseFlags() config {
 		pre    = flag.Bool("preload", false, "preload -keys YCSB records of 64 bytes before serving")
 		sock   = flag.String("sock", "", "Unix socket path (the paper's transport)")
 		addr   = flag.String("addr", "", "TCP address, e.g. 127.0.0.1:6380")
-		maddr  = flag.String("metrics-addr", "", "HTTP address for /metrics, /snapshot.json and /debug/pprof, e.g. 127.0.0.1:9090")
+		maddr  = flag.String("metrics-addr", "", "HTTP address for /metrics, /cluster/metrics and /debug/pprof, e.g. 127.0.0.1:9090")
 
 		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")

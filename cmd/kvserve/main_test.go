@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -406,7 +405,8 @@ func TestServerMonitorFeed(t *testing.T) {
 }
 
 // TestServerMetricsEndpoint: a live /metrics scrape exposes per-shard
-// op counters, hit-rate gauges, and the latency histograms.
+// op counters, hit-rate gauges, and the latency histograms; the JSON
+// snapshot endpoint answers 404.
 func TestServerMetricsEndpoint(t *testing.T) {
 	s := newTestServerShards(t, 2)
 	srv, addr, err := startMetricsServer("127.0.0.1:0", s)
@@ -448,24 +448,14 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		}
 	}
 
+	// The JSON snapshot is gone: every quantity it copied is a series.
 	res, err = http.Get("http://" + addr.String() + "/snapshot.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err = io.ReadAll(res.Body)
 	res.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap telemetry.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("snapshot.json invalid: %v\n%s", err, body)
-	}
-	if snap.Kind != "server" || len(snap.Runs) != 1 || snap.Runs[0].Ops != 64 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.Latency["wall_ns"].Count != 64 || snap.Latency["op_cycles"].Count != 64 {
-		t.Fatalf("snapshot latency = %+v", snap.Latency)
+	if res.StatusCode != http.StatusNotFound {
+		t.Fatalf("/snapshot.json = %s, want 404", res.Status)
 	}
 }
 

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -289,9 +288,9 @@ func (t *serverTele) resetWindow() {
 	t.slowlog.Reset()
 }
 
-// startMetricsServer serves /metrics (Prometheus text), /snapshot.json
-// (a telemetry.Snapshot of the current window), and net/http/pprof
-// under /debug/pprof/ on addr. It returns the bound listener address
+// startMetricsServer serves /metrics (Prometheus text), in cluster
+// mode /cluster/metrics (the fleet view), and net/http/pprof under
+// /debug/pprof/ on addr. It returns the bound listener address
 // (addr may be ":0").
 func startMetricsServer(addr string, s *server) (*http.Server, net.Addr, error) {
 	mux := http.NewServeMux()
@@ -299,19 +298,8 @@ func startMetricsServer(addr string, s *server) (*http.Server, net.Addr, error) 
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.tele.reg.WritePrometheus(w)
 	})
-	mux.HandleFunc("/snapshot.json", func(w http.ResponseWriter, _ *http.Request) {
-		snap := s.benchSnapshot()
-		w.Header().Set("Content-Type", "application/json")
-		b, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write(append(b, '\n'))
-	})
 	if s.clus != nil {
 		mux.HandleFunc("/cluster/metrics", s.clusterMetricsHandler)
-		mux.HandleFunc("/cluster/snapshot.json", s.clusterSnapshotHandler)
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -325,30 +313,4 @@ func startMetricsServer(addr string, s *server) (*http.Server, net.Addr, error) 
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr(), nil
-}
-
-// benchSnapshot renders the current stats window as a JSON snapshot
-// (the /snapshot.json payload).
-func (s *server) benchSnapshot() *telemetry.Snapshot {
-	v := s.view()
-	return &telemetry.Snapshot{
-		Name:     "kvserve",
-		Kind:     "server",
-		UnixTime: time.Now().Unix(),
-		Params: map[string]any{
-			"shards": v.rep.Shards,
-		},
-		Runs: []telemetry.RunRecord{{
-			Spec:           "live",
-			Ops:            v.rep.Ops,
-			Cycles:         v.rep.Cycles,
-			CyclesPerOp:    v.rep.CyclesPerOp,
-			FastPathHits:   v.rep.Stats.FastHits,
-			TableMissRate:  v.rep.TableMissRate,
-			TLBMissesPerOp: v.rep.TLBMissesPerOp,
-			PageWalksPerOp: v.rep.PageWalksPerOp,
-			LLCMissesPerOp: v.rep.CacheMissesPerOp,
-		}},
-		Latency: map[string]telemetry.Quantiles{"wall_ns": v.lat, "op_cycles": v.cyc},
-	}
 }

@@ -11,10 +11,8 @@
 // statsMu.RLock, so no surface — /metrics included — can mix the two
 // sides of a RESETSTATS. Not rendered from the table, on purpose: the
 // hot-path instruments (the Counter/Histogram fields of serverTele
-// register their own families; a row that shows one just reads it), the
-// JSON snapshots (each is one struct declaration already, decoded by
-// struct in kvtop and scripts/health), health.Digest's wire encoding,
-// TRACE STATUS and SLOWLOG.
+// register their own families; a row that shows one just reads it),
+// health.Digest's wire encoding, TRACE STATUS and SLOWLOG.
 package main
 
 import (
@@ -108,8 +106,8 @@ type view struct {
 
 // view collects the snapshot every reporting surface renders from — the
 // one place reporting reads sys.Report(). Read-only: no modeled cycle
-// is charged, so a scraped or heartbeating run stays bit-for-bit
-// identical to a silent one.
+// is charged, so a scraped run stays bit-for-bit identical to a silent
+// one.
 func (s *server) view() *view {
 	c := s.sys.Cluster()
 	v := &view{s: s, cl: s.clus, keys: make([]int, c.NumShards())}
@@ -638,7 +636,7 @@ var fleetRows = []row[fleetNode]{
 		digest(func(d *health.Digest, _ int) any { return d.HitRate() })},
 	{"queue_depth", "%d", "addrkv_fleet_queue_depth", "Worker ring depth summed over the node's shards.",
 		digest(func(d *health.Digest, _ int) any { return d.QueueDepth() })},
-	{"ops_per_sec", "%.1f", "addrkv_fleet_ops_per_sec", "Node-reported op rate over its heartbeat window.",
+	{"ops_per_sec", "%.1f", "addrkv_fleet_ops_per_sec", "Node-reported op rate since its previous digest.",
 		digest(func(d *health.Digest, _ int) any { return d.OpsPerSec })},
 	{"lat_p50_us", "%.1f", "addrkv_fleet_latency_p50_us", "Node-reported wall-clock command latency p50.",
 		digest(func(d *health.Digest, _ int) any { return d.LatP50US })},

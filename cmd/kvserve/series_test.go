@@ -70,10 +70,10 @@ func migratedCluster(t *testing.T) *server {
 	return s
 }
 
-// TestScrapeTakesStatsMu: /metrics collects under statsMu like INFO,
-// /snapshot.json and the heartbeat digest, so a scrape cannot mix the
-// two sides of a RESETSTATS. (The parent read sys.Report() in its scrape
-// hook without the lock.)
+// TestScrapeTakesStatsMu: /metrics collects under statsMu like INFO
+// and the fleet digest, so a scrape cannot mix the two sides of a
+// RESETSTATS. (The parent read sys.Report() in its scrape hook without
+// the lock.)
 func TestScrapeTakesStatsMu(t *testing.T) {
 	s := newTestServer(t)
 	s.statsMu.Lock()

@@ -1,188 +1,200 @@
 // Command kvtop is a terminal fleet monitor for cluster-mode kvserve.
-// It polls one node's /cluster/snapshot.json (the aggregated fleet
-// view that node collects over the bus) and renders a per-node table:
-// liveness state, heartbeat age, slot counts, key counts, op rates,
-// fast-path hit rate, queue depth, and latency quantiles, plus the
-// migration progress block when a migration is running.
+// It polls one node over RESP for the fleet view that node collects
+// over the bus and renders a per-node table: liveness state, heartbeat
+// age, slot counts, key counts, op rates, fast-path hit rate, queue
+// depth, and latency quantiles, plus the migration progress block once
+// a migration has run on the node.
 //
-//	kvtop -url http://127.0.0.1:9090            # live, refreshes every second
-//	kvtop -url http://127.0.0.1:9090 -once      # one frame, no screen clear
-//	kvtop -url http://127.0.0.1:9090 -interval 250ms
+//	kvtop -addr 127.0.0.1:6380            # live, refreshes every second
+//	kvtop -addr 127.0.0.1:6380 -once      # one frame, no screen clear
+//	kvtop -addr 127.0.0.1:6380 -interval 250ms
 //
-// The -url flag takes the node's -metrics-addr base URL; kvtop appends
-// /cluster/snapshot.json. Any node works — each aggregates the whole
-// fleet — but a partition is easiest to see by watching a survivor.
+// The -addr flag takes the node's client address. Each frame reads four
+// replies, all rendered from kvserve's series table: CLUSTER HEALTH,
+// CLUSTER INFO, CLUSTER HEARTBEAT STATUS and CLUSTER MIGRATE STATUS.
+// Any node works — each aggregates the whole fleet — but a partition is
+// easiest to see by watching a survivor.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net/http"
+	"net"
 	"os"
+	"strconv"
 	"strings"
 	"time"
+
+	"addrkv/internal/kvproc"
+	"addrkv/internal/resp"
 )
 
-// The /cluster/snapshot.json schema, mirrored from kvserve. Only the
-// fields the table renders are listed; unknown fields are ignored so
-// the two binaries can skew across versions.
-type snapshot struct {
-	Name       string         `json:"name"`
-	SourceNode int            `json:"source_node"`
-	MapVersion uint64         `json:"map_version"`
-	State      string         `json:"cluster_state"`
-	Heartbeat  heartbeatInfo  `json:"heartbeat"`
-	Nodes      []nodeRow      `json:"nodes"`
-	Migration  *migrationInfo `json:"migration"`
+// frame is one poll's replies, parsed into key:value fields.
+type frame struct {
+	nodes []kvproc.Fields // CLUSTER HEALTH, one per node in index order
+	info  kvproc.Fields   // CLUSTER INFO
+	hb    kvproc.Fields   // CLUSTER HEARTBEAT STATUS
+	mig   kvproc.Fields   // CLUSTER MIGRATE STATUS; nil before any migration
 }
 
-type heartbeatInfo struct {
-	Enabled    bool    `json:"enabled"`
-	On         bool    `json:"on"`
-	IntervalMS float64 `json:"interval_ms"`
-	DownAfter  int     `json:"down_after"`
+// parseHealth splits a CLUSTER HEALTH reply: one line per node, fields
+// separated by spaces.
+func parseHealth(txt string) []kvproc.Fields {
+	var nodes []kvproc.Fields
+	for _, line := range strings.Split(strings.TrimRight(txt, "\r\n"), "\r\n") {
+		row := kvproc.Fields{}
+		for _, f := range strings.Fields(line) {
+			k, v, _ := strings.Cut(f, ":")
+			row[k] = v
+		}
+		nodes = append(nodes, row)
+	}
+	return nodes
 }
 
-type nodeRow struct {
-	Node   int         `json:"node"`
-	Addr   string      `json:"addr"`
-	State  string      `json:"state"`
-	Up     bool        `json:"up"`
-	AgeMS  float64     `json:"age_ms"`
-	Beats  uint64      `json:"beats"`
-	Digest *digestInfo `json:"digest"`
-}
+// pollTimeout bounds one frame's dial and four round trips, so a wedged
+// node shows as an error frame instead of freezing the monitor.
+const pollTimeout = 10 * time.Second
 
-type digestInfo struct {
-	SlotsOwned     uint32  `json:"slots_owned"`
-	SlotsMigrating uint32  `json:"slots_migrating"`
-	SlotsImporting uint32  `json:"slots_importing"`
-	Ops            uint64  `json:"ops"`
-	Keys           uint64  `json:"keys"`
-	UsedBytes      uint64  `json:"used_bytes"`
-	HitRate        float64 `json:"hit_rate"`
-	QueueDepth     uint64  `json:"queue_depth"`
-	OpsPerSec      float64 `json:"ops_per_sec"`
-	LatP50US       float64 `json:"lat_p50_us"`
-	LatP99US       float64 `json:"lat_p99_us"`
-}
-
-type migrationInfo struct {
-	Slot           uint16 `json:"slot"`
-	Dest           int    `json:"dest"`
-	Active         bool   `json:"active"`
-	Failed         bool   `json:"failed"`
-	KeysTotal      int    `json:"keys_total"`
-	KeysShipped    int    `json:"keys_shipped"`
-	BatchesTotal   int    `json:"batches_total"`
-	BatchesShipped int    `json:"batches_shipped"`
-	Bytes          int    `json:"bytes"`
-	ElapsedUS      int64  `json:"elapsed_us"`
-	EtaUS          int64  `json:"eta_us"`
-}
-
-// fetch pulls and decodes one snapshot.
-func fetch(c *http.Client, url string) (*snapshot, error) {
-	resp, err := c.Get(url)
+// fetch reads one frame from the node at addr.
+func fetch(addr string) (*frame, error) {
+	conn, err := net.DialTimeout("tcp", addr, pollTimeout)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	var s snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(pollTimeout)); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	c := &resp.Client{R: resp.NewReader(conn), W: resp.NewWriter(conn)}
+	v, err := c.Do("CLUSTER", "HEALTH")
+	if err != nil {
+		return nil, err
+	}
+	b, ok := v.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("CLUSTER HEALTH: reply %T (%v), want a bulk string", v, v)
+	}
+	f := &frame{nodes: parseHealth(string(b))}
+	if f.info, err = kvproc.Info(c, "CLUSTER", "INFO"); err != nil {
+		return nil, err
+	}
+	if f.hb, err = kvproc.Info(c, "CLUSTER", "HEARTBEAT", "STATUS"); err != nil {
+		return nil, err
+	}
+	// An error reply here means no migration has run on the node.
+	if v, err = c.Do("CLUSTER", "MIGRATE", "STATUS"); err != nil {
+		return nil, err
+	}
+	if b, ok := v.([]byte); ok {
+		f.mig = kvproc.ParseInfo(b)
+	}
+	return f, nil
 }
 
 // render writes one frame: a fleet header, the per-node table, and the
-// migration progress line when one is running.
-func render(w io.Writer, s *snapshot) {
+// migration progress line when one has run. It returns the keys the
+// replies lacked and names them under the frame, so a series row
+// renamed in kvserve shows up instead of rendering as an empty column.
+func render(w io.Writer, f *frame) (missing []string) {
+	get := func(r kvproc.Fields, key string) string {
+		v, ok := r[key]
+		if !ok {
+			missing = append(missing, key)
+		}
+		return v
+	}
+	num := func(r kvproc.Fields, key string) float64 {
+		x, _ := strconv.ParseFloat(get(r, key), 64)
+		return x
+	}
+	ms := func(r kvproc.Fields, key string, unit time.Duration) time.Duration {
+		return time.Duration(num(r, key) * float64(unit)).Round(time.Millisecond)
+	}
+
 	hb := "off"
-	if s.Heartbeat.Enabled {
-		hb = fmt.Sprintf("%.0fms x%d", s.Heartbeat.IntervalMS, s.Heartbeat.DownAfter)
-		if !s.Heartbeat.On {
+	if get(f.hb, "heartbeat_enabled") == "1" {
+		hb = get(f.hb, "heartbeat_interval_ms") + "ms x" + get(f.hb, "heartbeat_down_after")
+		if get(f.hb, "heartbeat_on") != "1" {
 			hb += " (paused)"
 		}
 	}
-	fmt.Fprintf(w, "%s  state=%s  map=v%d  heartbeat=%s  source=node%d\n\n",
-		s.Name, s.State, s.MapVersion, hb, s.SourceNode)
+	fmt.Fprintf(w, "kvserve-cluster  state=%s  map=v%s  heartbeat=%s  source=node%s\n\n",
+		get(f.info, "cluster_state"), get(f.info, "cluster_map_version"), hb, get(f.info, "cluster_node_index"))
 
 	fmt.Fprintf(w, "%-4s %-16s %-7s %-3s %8s %7s %6s %5s %9s %9s %6s %6s %9s %9s\n",
 		"NODE", "ADDR", "STATE", "UP", "AGE", "BEATS", "SLOTS", "MIG", "KEYS", "OPS/S", "HIT%", "QDEPTH", "P50us", "P99us")
-	for _, n := range s.Nodes {
+	for _, n := range f.nodes {
 		up := "no"
-		if n.Up {
+		if get(n, "up") == "1" {
 			up = "yes"
 		}
-		age := time.Duration(n.AgeMS * float64(time.Millisecond)).Round(time.Millisecond)
-		if n.Digest == nil {
-			fmt.Fprintf(w, "%-4d %-16s %-7s %-3s %8s %7d %6s %5s %9s %9s %6s %6s %9s %9s\n",
-				n.Node, n.Addr, n.State, up, age, n.Beats, "-", "-", "-", "-", "-", "-", "-", "-")
+		fmt.Fprintf(w, "%-4s %-16s %-7s %-3s %8s %7s ",
+			get(n, "node"), get(n, "addr"), get(n, "state"), up, ms(n, "age_ms", time.Millisecond), get(n, "beats"))
+		if up == "no" {
+			// No digest: placeholders, never stale numbers.
+			fmt.Fprintf(w, "%6s %5s %9s %9s %6s %6s %9s %9s\n", "-", "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}
-		d := n.Digest
-		mig := fmt.Sprintf("%d/%d", d.SlotsMigrating, d.SlotsImporting)
-		fmt.Fprintf(w, "%-4d %-16s %-7s %-3s %8s %7d %6d %5s %9d %9.0f %6.1f %6d %9.1f %9.1f\n",
-			n.Node, n.Addr, n.State, up, age, n.Beats, d.SlotsOwned, mig,
-			d.Keys, d.OpsPerSec, 100*d.HitRate, d.QueueDepth, d.LatP50US, d.LatP99US)
+		fmt.Fprintf(w, "%6s %5s %9s %9.0f %6.1f %6s %9s %9s\n",
+			get(n, "slots_owned"), get(n, "slots_migrating")+"/"+get(n, "slots_importing"), get(n, "keys"),
+			num(n, "ops_per_sec"), 100*num(n, "hit_rate"), get(n, "queue_depth"),
+			get(n, "lat_p50_us"), get(n, "lat_p99_us"))
 	}
 
-	if m := s.Migration; m != nil {
+	if m := f.mig; m != nil {
 		status := "done"
-		if m.Active {
+		if get(m, "migration_active") == "1" {
 			status = "active"
 		}
-		if m.Failed {
+		if get(m, "migration_failed") == "1" {
 			status = "FAILED"
 		}
 		pct := 100.0
-		if m.KeysTotal > 0 {
-			pct = 100 * float64(m.KeysShipped) / float64(m.KeysTotal)
+		if total := num(m, "migration_keys_total"); total > 0 {
+			pct = 100 * num(m, "migration_keys_shipped") / total
 		}
-		fmt.Fprintf(w, "\nmigration slot %d -> node %d: %s  %d/%d keys (%.0f%%)  %d/%d batches  %d bytes  elapsed %v  eta %v\n",
-			m.Slot, m.Dest, status, m.KeysShipped, m.KeysTotal, pct,
-			m.BatchesShipped, m.BatchesTotal, m.Bytes,
-			(time.Duration(m.ElapsedUS) * time.Microsecond).Round(time.Millisecond),
-			(time.Duration(m.EtaUS) * time.Microsecond).Round(time.Millisecond))
+		fmt.Fprintf(w, "\nmigration slot %s -> node %s: %s  %s/%s keys (%.0f%%)  %s/%s batches  %s bytes  elapsed %v  eta %v\n",
+			get(m, "migration_slot"), get(m, "migration_dest"), status,
+			get(m, "migration_keys_shipped"), get(m, "migration_keys_total"), pct,
+			get(m, "migration_batches_shipped"), get(m, "migration_batches_total"), get(m, "migration_bytes"),
+			ms(m, "migration_elapsed_us", time.Microsecond), ms(m, "migration_eta_us", time.Microsecond))
 	}
+	if len(missing) > 0 {
+		fmt.Fprintf(w, "\nkvtop: fields absent from the server's replies: %s\n", strings.Join(missing, " "))
+	}
+	return missing
 }
 
 func main() {
 	var (
-		url      = flag.String("url", "", "kvserve -metrics-addr base URL, e.g. http://127.0.0.1:9090")
+		addr     = flag.String("addr", "", "a cluster node's client address, e.g. 127.0.0.1:6380")
 		interval = flag.Duration("interval", time.Second, "poll period")
 		once     = flag.Bool("once", false, "render one frame and exit")
 	)
 	flag.Parse()
-	if *url == "" {
-		fmt.Fprintln(os.Stderr, "kvtop: -url is required")
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "kvtop: -addr is required")
 		os.Exit(2)
 	}
-	target := strings.TrimRight(*url, "/") + "/cluster/snapshot.json"
-	client := &http.Client{Timeout: 10 * time.Second}
 
 	if *once {
-		s, err := fetch(client, target)
+		f, err := fetch(*addr)
 		if err != nil {
 			log.Fatalf("kvtop: %v", err)
 		}
-		render(os.Stdout, s)
+		render(os.Stdout, f)
 		return
 	}
 	for {
-		s, err := fetch(client, target)
+		f, err := fetch(*addr)
 		fmt.Print("\x1b[2J\x1b[H") // clear + home, one frame per screen
 		if err != nil {
 			fmt.Printf("kvtop: %v (retrying every %v)\n", err, *interval)
 		} else {
-			render(os.Stdout, s)
+			render(os.Stdout, f)
 		}
 		time.Sleep(*interval)
 	}

@@ -1,54 +1,87 @@
 package main
 
 import (
-	"net/http"
-	"net/http/httptest"
+	"net"
+	"os"
 	"strings"
 	"testing"
+
+	"addrkv/internal/kvproc"
+	"addrkv/internal/resp"
 )
 
-// sampleSnapshot is a canned /cluster/snapshot.json payload: a healthy
-// node with a digest, a dead node without one, and a finished
+// sampleReplies are canned replies in kvserve's RESP text form: a
+// healthy node with a digest, a dead node without one, and a finished
 // migration — the three rendering shapes kvtop distinguishes.
-const sampleSnapshot = `{
-  "name": "kvserve-cluster",
-  "source_node": 0,
-  "map_version": 3,
-  "cluster_state": "degraded",
-  "heartbeat": {"enabled": true, "on": true, "interval_ms": 500, "down_after": 4, "sent": 120, "failures": 2},
-  "nodes": [
-    {"node": 0, "addr": "127.0.0.1:6380", "bus": "127.0.0.1:7380", "state": "ok", "up": true,
-     "age_ms": 0, "beats": 60,
-     "digest": {"map_version": 3, "slots_owned": 8192, "slots_migrating": 1, "slots_importing": 0,
-                "ops": 5000, "keys": 1234, "used_bytes": 99000, "hit_rate": 0.875,
-                "queue_depth": 3, "ops_per_sec": 2500, "lat_p50_us": 11.5, "lat_p99_us": 90.25}},
-    {"node": 1, "addr": "127.0.0.1:6381", "bus": "127.0.0.1:7381", "state": "down", "up": false,
-     "age_ms": 4200, "beats": 31}
-  ],
-  "migration": {"slot": 42, "dest": 1, "active": false, "failed": false,
-                "keys_total": 40, "keys_shipped": 40, "batches_total": 5, "batches_shipped": 5,
-                "bytes": 4096, "elapsed_us": 1500, "eta_us": 0}
-}`
+var sampleReplies = map[string]string{
+	"CLUSTER HEALTH": "node:0 addr:127.0.0.1:6380 bus:127.0.0.1:7380 state:ok age_ms:0 beats:60 up:1 map_version:3" +
+		" slots_owned:8192 slots_migrating:1 slots_importing:0 ops:5000 keys:1234 used_bytes:99000 hit_rate:0.8750" +
+		" queue_depth:3 ops_per_sec:2500.0 lat_p50_us:11.5 lat_p99_us:90.2\r\n" +
+		"node:1 addr:127.0.0.1:6381 bus:127.0.0.1:7381 state:down age_ms:4200 beats:31 up:0\r\n",
+	"CLUSTER INFO": "cluster_state:degraded\r\n# cluster\r\ncluster_enabled:1\r\ncluster_node_index:0\r\n" +
+		"cluster_known_nodes:2\r\ncluster_map_version:3\r\n",
+	"CLUSTER HEARTBEAT STATUS": "heartbeat_enabled:1\r\nheartbeat_on:1\r\nheartbeat_interval_ms:500\r\n" +
+		"heartbeat_down_after:4\r\nheartbeats_sent:120\r\nheartbeat_failures:2\r\n",
+	"CLUSTER MIGRATE STATUS": "migration_slot:42\r\nmigration_dest:1\r\nmigration_active:0\r\nmigration_resumed:0\r\n" +
+		"migration_failed:0\r\nmigration_keys_total:40\r\nmigration_keys_shipped:40\r\nmigration_keys_remaining:0\r\n" +
+		"migration_batches_total:5\r\nmigration_batches_shipped:5\r\nmigration_bytes:4096\r\n" +
+		"migration_elapsed_us:1500\r\nmigration_eta_us:0\r\n",
+}
 
-// TestFetchAndRender drives the full path — HTTP fetch, JSON decode,
-// table render — against a stub server and pins the table content.
-func TestFetchAndRender(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/cluster/snapshot.json" {
-			http.NotFound(w, r)
-			return
+// stubNode answers each command on a loopback RESP listener with its
+// entry in replies as a bulk string, and anything else with an error
+// reply. It returns the listener's address.
+func stubNode(t *testing.T, replies map[string]string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r, w := resp.NewReader(conn), resp.NewWriter(conn)
+				for {
+					args, err := r.ReadCommand()
+					if err != nil {
+						return
+					}
+					cmd := make([]string, len(args))
+					for i, a := range args {
+						cmd[i] = string(a)
+					}
+					if rep, ok := replies[strings.Join(cmd, " ")]; ok {
+						w.WriteBulk([]byte(rep))
+					} else {
+						w.WriteError("ERR no migration has run on this node")
+					}
+					if w.Flush() != nil {
+						return
+					}
+				}
+			}()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(sampleSnapshot))
-	}))
-	defer srv.Close()
+	}()
+	return ln.Addr().String()
+}
 
-	s, err := fetch(srv.Client(), srv.URL+"/cluster/snapshot.json")
+// TestFetchAndRender drives the full path — RESP fetch, field parse,
+// table render — against a stub node and pins the table content.
+func TestFetchAndRender(t *testing.T) {
+	f, err := fetch(stubNode(t, sampleReplies))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	render(&b, s)
+	if missing := render(&b, f); len(missing) > 0 {
+		t.Fatalf("render read absent fields %v", missing)
+	}
 	out := b.String()
 
 	for _, want := range []string{
@@ -68,17 +101,76 @@ func TestFetchAndRender(t *testing.T) {
 			t.Fatalf("dead node row has no placeholder fields: %s", ln)
 		}
 	}
+
+	// Before any migration the node answers MIGRATE STATUS with an
+	// error reply: the frame has no migration block.
+	noMig := map[string]string{}
+	for k, v := range sampleReplies {
+		if k != "CLUSTER MIGRATE STATUS" {
+			noMig[k] = v
+		}
+	}
+	if f, err = fetch(stubNode(t, noMig)); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	render(&b, f)
+	if f.mig != nil || strings.Contains(b.String(), "migration") {
+		t.Fatalf("frame without a migration renders one:\n%s", b.String())
+	}
 }
 
-// TestFetchErrors: non-200 responses and unreachable servers surface
-// as errors, not empty frames.
+// TestFetchErrors: a node without cluster support and an unreachable
+// address surface as errors, not empty frames.
 func TestFetchErrors(t *testing.T) {
-	srv := httptest.NewServer(http.NotFoundHandler())
-	if _, err := fetch(srv.Client(), srv.URL+"/cluster/snapshot.json"); err == nil {
-		t.Fatal("404 did not error")
+	if _, err := fetch(stubNode(t, nil)); err == nil {
+		t.Fatal("an error reply to CLUSTER HEALTH did not error")
 	}
-	srv.Close()
-	if _, err := fetch(http.DefaultClient, srv.URL+"/cluster/snapshot.json"); err == nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if _, err := fetch(addr); err == nil {
 		t.Fatal("dead server did not error")
+	}
+}
+
+// layoutSection returns the lines of section "== name ==" of one of
+// kvserve's captured surface layouts.
+func layoutSection(t *testing.T, file, name string) string {
+	t.Helper()
+	b, err := os.ReadFile("../kvserve/testdata/" + file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(b), "== "+name+" ==\n")
+	if !ok {
+		t.Fatalf("%s has no %q section", file, name)
+	}
+	if i := strings.Index(rest, "\n== "); i >= 0 {
+		rest = rest[:i+1]
+	}
+	return strings.ReplaceAll(rest, "\n", "\r\n")
+}
+
+// TestReadsOnlyServedKeys holds every key kvtop reads against the
+// replies kvserve's surface layouts pin (a 1-node cluster for CLUSTER
+// HEALTH, INFO and HEARTBEAT STATUS, a 2-node migration for MIGRATE
+// STATUS): renaming a series row kvtop renders fails here.
+func TestReadsOnlyServedKeys(t *testing.T) {
+	f := &frame{
+		nodes: parseHealth(layoutSection(t, "cluster.layout", "CLUSTER HEALTH")),
+		info:  kvproc.ParseInfo([]byte(layoutSection(t, "cluster.layout", "CLUSTER INFO"))),
+		hb:    kvproc.ParseInfo([]byte(layoutSection(t, "cluster.layout", "CLUSTER HEARTBEAT STATUS"))),
+		mig:   kvproc.ParseInfo([]byte(layoutSection(t, "migrate.layout", "CLUSTER MIGRATE STATUS"))),
+	}
+	var b strings.Builder
+	if missing := render(&b, f); len(missing) > 0 {
+		t.Fatalf("kvtop reads keys kvserve does not serve: %v\n%s", missing, b.String())
+	}
+	if out := b.String(); !strings.Contains(out, "node-0") || !strings.Contains(out, "yes") || !strings.Contains(out, "migration slot 42") {
+		t.Fatalf("the layout frame lacks the node row or the migration line:\n%s", out)
 	}
 }

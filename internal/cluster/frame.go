@@ -52,10 +52,9 @@ const (
 	MsgAck MsgType = 8
 	// MsgErr rejects a request; body: utf-8 reason.
 	MsgErr MsgType = 9
-	// MsgHeartbeat announces the sender is alive; body: an encoded
-	// health.Digest (the sender's telemetry snapshot). Reply: MsgAck
-	// with the receiver's map version — a successful round-trip is
-	// liveness evidence in both directions.
+	// MsgHeartbeat announces the sender is alive; body: the sender's
+	// node index (EncodeU64), nothing else. Reply: an empty MsgAck — a
+	// successful round-trip is liveness evidence in both directions.
 	MsgHeartbeat MsgType = 10
 	// MsgDigestGet requests the receiver's current telemetry digest
 	// (fleet aggregation fan-out); empty body. Reply: MsgDigest.

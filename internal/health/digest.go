@@ -1,9 +1,9 @@
-// The heartbeat digest: a compact, fixed-layout snapshot of one
-// node's serving telemetry, carried in every Heartbeat frame and
-// returned on demand by DigestGet. The digest is built from existing
-// read-only surfaces (Report, queue depths, latency histograms), so
-// carrying it never charges modeled cycles — a heartbeat-on run stays
-// bit-for-bit identical to a heartbeat-off run.
+// The fleet digest: a compact, fixed-layout snapshot of one node's
+// serving telemetry, returned on demand by DigestGet (heartbeats carry
+// only the sender's index). The digest is built from existing read-only
+// surfaces (Report, queue depths, latency histograms), so building it
+// never charges modeled cycles — a scraped run stays bit-for-bit
+// identical to an unscraped one.
 //
 // Encoding is little-endian with a leading version byte, the same
 // armor philosophy as the bus frames that carry it: decode exactly or
@@ -21,7 +21,7 @@ import (
 
 // digestVersion is the wire version byte; a decoder refuses digests
 // from a different layout generation instead of misreading them.
-const digestVersion = 1
+const digestVersion = 2
 
 // maxDigestShards bounds the decoded shard-entry count so a hostile
 // count prefix cannot force a giant allocation.
@@ -48,9 +48,9 @@ func (s ShardDigest) HitRate() float64 {
 	return float64(s.FastHits) / float64(s.Gets)
 }
 
-// Digest is one node's telemetry snapshot.
+// Digest is one node's telemetry snapshot. It names no node: the
+// collector knows which node it asked.
 type Digest struct {
-	Node       int    // sender's node index
 	MapVersion uint64 // sender's installed slot map epoch
 
 	SlotsOwned     uint32
@@ -63,7 +63,7 @@ type Digest struct {
 	Keys      uint64 // keys resident across shards
 	UsedBytes uint64 // record bytes tracked by eviction (0 without -maxmemory)
 
-	OpsPerSec float64 // sender-computed rate over its heartbeat window
+	OpsPerSec float64 // sender-computed rate since its previous digest
 	LatP50US  float64 // wall-clock command latency percentiles
 	LatP99US  float64
 
@@ -91,7 +91,6 @@ func (d *Digest) QueueDepth() uint64 {
 // extended slice.
 func (d *Digest) Encode(buf []byte) []byte {
 	buf = append(buf, digestVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(d.Node))
 	buf = binary.LittleEndian.AppendUint64(buf, d.MapVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, d.SlotsOwned)
 	buf = binary.LittleEndian.AppendUint32(buf, d.SlotsMigrating)
@@ -115,10 +114,10 @@ func (d *Digest) Encode(buf []byte) []byte {
 	return buf
 }
 
-// digestHeaderSize is the fixed prefix: version byte, node u16, map
-// version u64, three u32 slot counts, five u64 counters, three f64
-// rates, and the u16 shard count.
-const digestHeaderSize = 1 + 2 + 8 + 3*4 + 5*8 + 3*8 + 2
+// digestHeaderSize is the fixed prefix: version byte, map version
+// u64, three u32 slot counts, five u64 counters, three f64 rates, and
+// the u16 shard count.
+const digestHeaderSize = 1 + 8 + 3*4 + 5*8 + 3*8 + 2
 
 // shardDigestSize is one per-shard entry: four u64 counters + u32.
 const shardDigestSize = 4*8 + 4
@@ -133,20 +132,19 @@ func DecodeDigest(b []byte) (*Digest, error) {
 		return nil, fmt.Errorf("%w: version %d", ErrBadDigest, b[0])
 	}
 	d := &Digest{}
-	d.Node = int(binary.LittleEndian.Uint16(b[1:]))
-	d.MapVersion = binary.LittleEndian.Uint64(b[3:])
-	d.SlotsOwned = binary.LittleEndian.Uint32(b[11:])
-	d.SlotsMigrating = binary.LittleEndian.Uint32(b[15:])
-	d.SlotsImporting = binary.LittleEndian.Uint32(b[19:])
-	d.Ops = binary.LittleEndian.Uint64(b[23:])
-	d.Gets = binary.LittleEndian.Uint64(b[31:])
-	d.FastHits = binary.LittleEndian.Uint64(b[39:])
-	d.Keys = binary.LittleEndian.Uint64(b[47:])
-	d.UsedBytes = binary.LittleEndian.Uint64(b[55:])
-	d.OpsPerSec = math.Float64frombits(binary.LittleEndian.Uint64(b[63:]))
-	d.LatP50US = math.Float64frombits(binary.LittleEndian.Uint64(b[71:]))
-	d.LatP99US = math.Float64frombits(binary.LittleEndian.Uint64(b[79:]))
-	shards := int(binary.LittleEndian.Uint16(b[87:]))
+	d.MapVersion = binary.LittleEndian.Uint64(b[1:])
+	d.SlotsOwned = binary.LittleEndian.Uint32(b[9:])
+	d.SlotsMigrating = binary.LittleEndian.Uint32(b[13:])
+	d.SlotsImporting = binary.LittleEndian.Uint32(b[17:])
+	d.Ops = binary.LittleEndian.Uint64(b[21:])
+	d.Gets = binary.LittleEndian.Uint64(b[29:])
+	d.FastHits = binary.LittleEndian.Uint64(b[37:])
+	d.Keys = binary.LittleEndian.Uint64(b[45:])
+	d.UsedBytes = binary.LittleEndian.Uint64(b[53:])
+	d.OpsPerSec = math.Float64frombits(binary.LittleEndian.Uint64(b[61:]))
+	d.LatP50US = math.Float64frombits(binary.LittleEndian.Uint64(b[69:]))
+	d.LatP99US = math.Float64frombits(binary.LittleEndian.Uint64(b[77:]))
+	shards := int(binary.LittleEndian.Uint16(b[85:]))
 	if shards > maxDigestShards {
 		return nil, fmt.Errorf("%w: %d shard entries", ErrBadDigest, shards)
 	}

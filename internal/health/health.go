@@ -71,25 +71,21 @@ const (
 
 // NodeHealth is one peer's tracked state snapshot.
 type NodeHealth struct {
-	Node     int
-	State    State
-	Age      time.Duration // time since last heard (0 for self)
-	Beats    uint64        // heartbeats/acks observed from this peer
-	Digest   *Digest       // latest digest received, nil before the first
-	DigestAt time.Time     // when Digest arrived
+	Node  int
+	State State
+	Age   time.Duration // time since last heard (0 for self)
+	Beats uint64        // heartbeats/acks observed from this peer
 }
 
 // Tracker derives peer liveness from heartbeat arrivals.
 type Tracker struct {
-	self    int
-	cfg     Config
-	now     func() time.Time
-	mu      sync.Mutex
-	last    []time.Time // last heard, per node; zero until first beat
-	beats   []uint64
-	digests []*Digest
-	digAt   []time.Time
-	start   time.Time
+	self  int
+	cfg   Config
+	now   func() time.Time
+	mu    sync.Mutex
+	last  []time.Time // last heard, per node; zero until first beat
+	beats []uint64
+	start time.Time
 }
 
 // NewTracker builds a tracker for a fleet of nodes, with self pinned
@@ -106,14 +102,12 @@ func NewTracker(nodes, self int, cfg Config) *Tracker {
 		now = time.Now
 	}
 	return &Tracker{
-		self:    self,
-		cfg:     cfg,
-		now:     now,
-		last:    make([]time.Time, nodes),
-		beats:   make([]uint64, nodes),
-		digests: make([]*Digest, nodes),
-		digAt:   make([]time.Time, nodes),
-		start:   now(),
+		self:  self,
+		cfg:   cfg,
+		now:   now,
+		last:  make([]time.Time, nodes),
+		beats: make([]uint64, nodes),
+		start: now(),
 	}
 }
 
@@ -124,9 +118,8 @@ func (t *Tracker) Interval() time.Duration { return t.cfg.Interval }
 func (t *Tracker) DownAfter() int { return t.cfg.DownAfter }
 
 // Alive records evidence that node is alive right now: a heartbeat
-// arrival, a heartbeat ack, or any successful bus exchange. d is the
-// digest carried by the evidence, nil when it carried none.
-func (t *Tracker) Alive(node int, d *Digest) {
+// arrival, a heartbeat ack, or any successful bus exchange.
+func (t *Tracker) Alive(node int) {
 	if node < 0 || node >= len(t.last) {
 		return
 	}
@@ -134,10 +127,6 @@ func (t *Tracker) Alive(node int, d *Digest) {
 	t.mu.Lock()
 	t.last[node] = now
 	t.beats[node]++
-	if d != nil {
-		t.digests[node] = d
-		t.digAt[node] = now
-	}
 	t.mu.Unlock()
 }
 
@@ -184,14 +173,7 @@ func (t *Tracker) Snapshot() []NodeHealth {
 	out := make([]NodeHealth, len(t.last))
 	for i := range t.last {
 		st, age := t.stateOf(i, now)
-		out[i] = NodeHealth{
-			Node:     i,
-			State:    st,
-			Age:      age,
-			Beats:    t.beats[i],
-			Digest:   t.digests[i],
-			DigestAt: t.digAt[i],
-		}
+		out[i] = NodeHealth{Node: i, State: st, Age: age, Beats: t.beats[i]}
 	}
 	return out
 }

@@ -9,7 +9,6 @@ import (
 
 func sampleDigest() *Digest {
 	return &Digest{
-		Node:           2,
 		MapVersion:     17,
 		SlotsOwned:     5461,
 		SlotsMigrating: 1,
@@ -40,7 +39,7 @@ func TestDigestRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", d, got)
 	}
 	// No shards: Shards must stay nil, not empty-slice.
-	d2 := &Digest{Node: 1, MapVersion: 3}
+	d2 := &Digest{MapVersion: 3}
 	got2, err := DecodeDigest(d2.Encode(nil))
 	if err != nil {
 		t.Fatalf("decode empty-shard digest: %v", err)
@@ -105,7 +104,7 @@ func TestTrackerStateMachine(t *testing.T) {
 	}
 	// Node 1 beats, node 2 stays silent.
 	clk.advance(h)
-	tr.Alive(1, nil)
+	tr.Alive(1)
 	clk.advance(h) // 2h since start: node 2 hits the suspect deadline
 	if st := tr.State(2); st != StateSuspect {
 		t.Fatalf("silent node at 2H = %v, want suspect", st)
@@ -122,7 +121,7 @@ func TestTrackerStateMachine(t *testing.T) {
 		t.Fatalf("node 1 at 3H since beat = %v, want suspect", st)
 	}
 	// A beat resurrects immediately.
-	tr.Alive(2, nil)
+	tr.Alive(2)
 	if st := tr.State(2); st != StateOK {
 		t.Fatalf("resurrected node = %v, want ok", st)
 	}
@@ -132,18 +131,17 @@ func TestTrackerStateMachine(t *testing.T) {
 		t.Fatalf("self = %v, want ok", st)
 	}
 	// Out-of-range probes read down, and Alive ignores them.
-	tr.Alive(99, nil)
+	tr.Alive(99)
 	if st := tr.State(99); st != StateDown {
 		t.Fatalf("out of range = %v, want down", st)
 	}
 }
 
-func TestTrackerSnapshotAndDigest(t *testing.T) {
+func TestTrackerSnapshot(t *testing.T) {
 	const h = 50 * time.Millisecond
 	clk := newFakeClock()
 	tr := trackerAt(clk, 2, 0, h)
-	d := sampleDigest()
-	tr.Alive(1, d)
+	tr.Alive(1)
 	clk.advance(h)
 	snap := tr.Snapshot()
 	if len(snap) != 2 {
@@ -152,13 +150,12 @@ func TestTrackerSnapshotAndDigest(t *testing.T) {
 	if snap[0].State != StateOK || snap[0].Age != 0 {
 		t.Fatalf("self snapshot: %+v", snap[0])
 	}
-	if snap[1].Digest != d || snap[1].Beats != 1 || snap[1].Age != h {
+	if snap[1].Beats != 1 || snap[1].Age != h {
 		t.Fatalf("peer snapshot: %+v", snap[1])
 	}
-	// Alive without a digest keeps the last digest.
-	tr.Alive(1, nil)
-	if got := tr.Snapshot()[1]; got.Digest != d || got.Beats != 2 {
-		t.Fatalf("digest not retained: %+v", got)
+	tr.Alive(1)
+	if got := tr.Snapshot()[1]; got.Beats != 2 || got.Age != 0 {
+		t.Fatalf("second beat not counted: %+v", got)
 	}
 }
 
@@ -166,8 +163,8 @@ func TestTrackerDegraded(t *testing.T) {
 	const h = 100 * time.Millisecond
 	clk := newFakeClock()
 	tr := trackerAt(clk, 3, 0, h)
-	tr.Alive(1, nil)
-	tr.Alive(2, nil)
+	tr.Alive(1)
+	tr.Alive(2)
 	if tr.Degraded([]int{0, 1, 2}) {
 		t.Fatal("fully-alive fleet reported degraded")
 	}

@@ -135,13 +135,19 @@ func Info(c *resp.Client, cmd ...string) (Fields, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s: reply %T (%v), want a bulk string", strings.Join(cmd, " "), v, v)
 	}
+	return ParseInfo(b), nil
+}
+
+// ParseInfo parses an INFO-shaped bulk reply, for a caller that must
+// tell an error reply from a failed connection before parsing.
+func ParseInfo(b []byte) Fields {
 	f := Fields{}
 	for _, line := range strings.Split(string(b), "\n") {
 		if k, val, ok := strings.Cut(strings.TrimRight(line, "\r"), ":"); ok {
 			f[k] = val
 		}
 	}
-	return f, nil
+	return f
 }
 
 // Uint returns the field as an integer. An absent field is an error: a

@@ -14,15 +14,15 @@
 //     deadline is down_after x interval plus one bus RTT; the script
 //     asserts detection within that bound plus a scheduling margin,
 //     verifies the dead node's digest-derived series disappeared from
-//     /cluster/metrics while its liveness series report down, and
-//     saves the survivor's /cluster/snapshot.json.
+//     /cluster/metrics while its liveness series report down, and keeps
+//     the survivor's CLUSTER HEALTH line for the dead node.
 //
 // Usage (from the repo root):
 //
 //	go build -o /tmp/kvserve ./cmd/kvserve
 //	go build -o /tmp/kvbench ./cmd/kvbench
 //	go run ./scripts/health -kvserve /tmp/kvserve -kvbench /tmp/kvbench \
-//	    -json results/BENCH_health.json -snapshot results/cluster_snapshot.json
+//	    -json results/BENCH_health.json
 //
 // A missed detection deadline, surviving dead-node series, or an
 // overhead above -max-overhead exits 1, so CI can gate on it.
@@ -35,7 +35,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -64,7 +63,6 @@ type downDetection struct {
 	SeriesDropped  bool    `json:"series_dropped"`
 	StateDegraded  bool    `json:"state_degraded"`
 	SurvivorsUp    int     `json:"survivors_up"`
-	SnapshotSaved  string  `json:"snapshot_saved"`
 	HealthLineDown string  `json:"health_line_down"`
 }
 
@@ -79,7 +77,6 @@ func main() {
 		kvserve  = flag.String("kvserve", "", "path to a built kvserve binary (required)")
 		kvbench  = flag.String("kvbench", "", "path to a built kvbench binary (required)")
 		out      = flag.String("json", "results/BENCH_health.json", "artifact path")
-		snapOut  = flag.String("snapshot", "results/cluster_snapshot.json", "where to save the survivor's /cluster/snapshot.json")
 		hbMS     = flag.Int("hb-ms", 250, "heartbeat interval (ms)")
 		ops      = flag.Int("ops", 20_000, "operations per overhead leg")
 		conns    = flag.Int("conns", 4, "kvbench connections")
@@ -122,7 +119,7 @@ func main() {
 		report.Overhead.OverheadFrac, *maxOver)
 
 	// Phase 3: kill node 2 and time the survivor's verdict.
-	report.Detection = detectDown(cl, *snapOut, *hbMS, *marginMS)
+	report.Detection = detectDown(cl, *hbMS, *marginMS)
 	fmt.Printf("node %d killed: down in %.0fms (deadline %.0fms), series dropped %v, cluster degraded %v\n",
 		report.Detection.KilledNode, report.Detection.DetectedMS, report.Detection.DeadlineMS,
 		report.Detection.SeriesDropped, report.Detection.StateDegraded)
@@ -277,9 +274,8 @@ func measureOverhead(cl *fleet, kvbench string, ops, conns, depth, keys, rounds 
 }
 
 // detectDown SIGKILLs node 2 and times the survivor's state:down
-// verdict, then verifies the metric-series drop and saves the
-// survivor's snapshot.
-func detectDown(cl *fleet, snapOut string, hbMS, marginMS int) downDetection {
+// verdict, then verifies the metric-series drop.
+func detectDown(cl *fleet, hbMS, marginMS int) downDetection {
 	const victim = 2
 	det := downDetection{KilledNode: victim, IntervalMS: float64(hbMS)}
 
@@ -323,15 +319,6 @@ func detectDown(cl *fleet, snapOut string, hbMS, marginMS int) downDetection {
 	}
 
 	det.StateDegraded = must(kvproc.Info(cl.nodes[0], "CLUSTER", "INFO"))["cluster_state"] == "degraded"
-
-	snap := httpGet("http://" + cl.Metrics[0] + "/cluster/snapshot.json")
-	if err := os.MkdirAll(filepath.Dir(snapOut), 0o755); err != nil {
-		kvproc.Fatal("health", err)
-	}
-	if err := os.WriteFile(snapOut, []byte(snap), 0o644); err != nil {
-		kvproc.Fatal("health", err)
-	}
-	det.SnapshotSaved = snapOut
 	return det
 }
 
