@@ -32,7 +32,6 @@ import (
 
 	"addrkv/internal/arch"
 	"addrkv/internal/core"
-	"addrkv/internal/hashfn"
 	"addrkv/internal/kv"
 	"addrkv/internal/shard"
 	"addrkv/internal/ycsb"
@@ -72,10 +71,13 @@ const (
 	DistUniform = ycsb.Uniform
 )
 
-// Options configures a System. Zero values pick the paper's defaults.
+// Options configures a System. Zero values pick the paper's defaults:
+// an STLT of at least 3.2 rows per key, the xxh3 fast-path hash and seed 42, so
+// a run is a function of its inputs. The experiments that vary the
+// paper's other knobs build a kv.Config directly (internal/harness).
 type Options struct {
 	// Keys is the expected number of distinct keys across the whole
-	// system (sizes the indexes and the default STLTs). Required.
+	// system (sizes the indexes and the STLTs). Required.
 	Keys int
 	// Shards is the number of independent simulated machines the key
 	// space is hashed across (default 1, the paper's single-core
@@ -89,39 +91,11 @@ type Options struct {
 	Mode Mode
 	// RedisLayer adds the modeled Redis command-processing costs.
 	RedisLayer bool
-	// STLTRows / STLTWays size the STLT (defaults: the scaled
-	// equivalent of the paper's 512 MB table, 4-way).
-	STLTRows int
-	STLTWays int
-	// SLBEntries sizes the SLB cache table (default: the paper's
-	// Figure 11 setup).
-	SLBEntries int
-	// FastHashName picks the STLT/SLB fast-path hash from Table IV:
-	// "sipHash", "murmurHash", "xxh64", "djb2", "xxh3" (default).
-	FastHashName string
-	// SlowHashName overrides the index's own hash function (defaults:
-	// sipHash with RedisLayer, murmurHash otherwise).
-	SlowHashName string
-	// EnableMonitor turns on the runtime performance monitor
-	// (Section III-F "Performance guarantee").
-	EnableMonitor bool
-	// AutoTune turns on the miss-ratio-driven STLT resizer
-	// (Section III-F performance tuning).
-	AutoTune bool
-	// DataPrefetcher: "", "stride", or "vldp" (Section IV-F).
-	DataPrefetcher string
-	// TLBPrefetch enables distance TLB prefetching (Section IV-F).
-	TLBPrefetch bool
-	// MachineParams overrides the simulated architecture (defaults to
-	// Table III via arch.DefaultMachineParams).
-	MachineParams *arch.MachineParams
 	// MaxMemory, when positive, caps the PER-SHARD record bytes: once a
 	// SET pushes a shard past the cap, keys are evicted by the STLT's
 	// in-set LFU rule (4-bit probabilistic counters, first-minimum
 	// victim) until it fits. 0 disables eviction.
 	MaxMemory int64
-	// Seed makes runs deterministic (default 42).
-	Seed uint64
 }
 
 // System is a simulated key-value store instance: a shard.Cluster of
@@ -134,39 +108,12 @@ type System struct {
 // New builds a System.
 func New(o Options) (*System, error) {
 	cfg := kv.Config{
-		Keys:           o.Keys,
-		Index:          o.Index,
-		Mode:           o.Mode,
-		RedisLayer:     o.RedisLayer,
-		STLTRows:       o.STLTRows,
-		STLTWays:       o.STLTWays,
-		SLBEntries:     o.SLBEntries,
-		Monitor:        o.EnableMonitor,
-		AutoTune:       o.AutoTune,
-		DataPrefetcher: o.DataPrefetcher,
-		TLBPrefetch:    o.TLBPrefetch,
-		MaxMemory:      o.MaxMemory,
-		Seed:           o.Seed,
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	if o.MachineParams != nil {
-		cfg.Params = *o.MachineParams
-	}
-	if o.FastHashName != "" {
-		f, err := hashfn.ByName(o.FastHashName)
-		if err != nil {
-			return nil, err
-		}
-		cfg.FastHash = &f
-	}
-	if o.SlowHashName != "" {
-		f, err := hashfn.ByName(o.SlowHashName)
-		if err != nil {
-			return nil, err
-		}
-		cfg.SlowHash = &f
+		Keys:       o.Keys,
+		Index:      o.Index,
+		Mode:       o.Mode,
+		RedisLayer: o.RedisLayer,
+		MaxMemory:  o.MaxMemory,
+		Seed:       42,
 	}
 	c, err := shard.New(shard.Config{Shards: o.Shards, Engine: cfg})
 	if err != nil {

@@ -58,12 +58,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("zero Keys accepted")
 	}
-	if _, err := New(Options{Keys: 10, FastHashName: "nope"}); err == nil {
-		t.Error("unknown fast hash accepted")
-	}
-	if _, err := New(Options{Keys: 10, SlowHashName: "nope"}); err == nil {
-		t.Error("unknown slow hash accepted")
-	}
 }
 
 func TestHardwareCostExport(t *testing.T) {

@@ -1,5 +1,6 @@
-// Command kvreplay replays a ycsbgen text trace ("GET <key>" /
-// "SET <key> <valueSize>" lines) through a simulated System and prints
+// Command kvreplay replays a ycsbgen text trace ("GET <key>",
+// "SET <key> <valueSize>", "RMW <key> <valueSize>" and
+// "SCAN <key> <len>" lines) through a simulated System and prints
 // the modeled statistics — useful for running *recorded* production
 // traces against the STLT design, which is how one would evaluate it
 // for a real deployment.
@@ -17,7 +18,9 @@
 // fixed trace and flags it is byte-for-byte reproducible (pinned by
 // the golden-file test).
 //
-// A malformed trace line aborts the replay with exit code 1.
+// A malformed trace line aborts the replay with exit code 1, and so
+// does a SCAN on a hash index, which has no key order to walk. Blank
+// lines are skipped.
 //
 // With -format aof the input is an addrkv append-only log instead of a
 // text trace: -f may name a kvserve -aof-dir (every shard's snapshot
@@ -135,38 +138,69 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 		ops      int
 		setsSeen int
 		missing  int
+		scanned  int
+		outs     []shard.OpOutcome
 	)
 	value := make([]byte, cfg.vsize)
+	get := func(key []byte) uint64 {
+		req.Kind, req.Key = shard.OpGetTouch, key
+		if c.Do(&req); !req.OK {
+			missing++
+		}
+		return req.Out.Cycles
+	}
+	set := func(key []byte, n int) uint64 {
+		if n >= 0 && n != len(value) {
+			value = make([]byte, n)
+		}
+		req.Kind, req.Key, req.Value = shard.OpSet, key, value
+		c.Do(&req)
+		setsSeen++
+		return req.Out.Cycles
+	}
 	for sc.Scan() {
 		line := sc.Bytes()
-		sp := bytes.IndexByte(line, ' ')
-		if sp < 0 {
+		if len(line) == 0 {
 			continue
 		}
-		verb := string(line[:sp])
-		rest := line[sp+1:]
-		switch verb {
+		verb, rest, ok := bytes.Cut(line, []byte{' '})
+		if !ok {
+			return fmt.Errorf("bad trace line %q", line)
+		}
+		key, n := rest, -1
+		if k, arg, ok := bytes.Cut(rest, []byte{' '}); ok {
+			key = k
+			if v, err := strconv.Atoi(string(arg)); err == nil {
+				n = v
+			}
+		}
+		var cycles uint64
+		switch string(verb) {
 		case "GET":
-			req.Kind, req.Key = shard.OpGetTouch, rest
-			if c.Do(&req); !req.OK {
-				missing++
-			}
+			cycles = get(rest)
 		case "SET":
-			key := rest
-			if sp2 := bytes.IndexByte(rest, ' '); sp2 >= 0 {
-				key = rest[:sp2]
-				if n, err := strconv.Atoi(string(rest[sp2+1:])); err == nil && n != len(value) {
-					value = make([]byte, n)
-				}
+			cycles = set(key, n)
+		case "RMW": // a GET then a SET, as Engine.RunOp replays it
+			cycles = get(key)
+			cycles += set(key, n)
+		case "SCAN":
+			if n < 0 {
+				return fmt.Errorf("bad trace line %q", line)
 			}
-			req.Kind, req.Key, req.Value = shard.OpSet, key, value
-			c.Do(&req)
-			setsSeen++
+			outs = outs[:0]
+			k, err := c.ScanO(key, n, func([]byte) bool { return true }, &outs)
+			if err != nil {
+				return fmt.Errorf("trace line %q: %w", line, err)
+			}
+			scanned += k
+			for _, o := range outs {
+				cycles += o.Cycles
+			}
 		default:
 			return fmt.Errorf("bad trace line %q", line)
 		}
 		if cycleHist != nil {
-			cycleHist.Observe(req.Out.Cycles)
+			cycleHist.Observe(cycles)
 		}
 		ops++
 		if cfg.warm > 0 && ops == cfg.warm {
@@ -181,7 +215,7 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 	}
 
 	rep := sys.Report()
-	fmt.Fprintf(out, "replayed %d ops (%d SETs, %d GET misses)\n", ops, setsSeen, missing)
+	fmt.Fprintf(out, "replayed %d ops (%d SETs, %d GET misses, %d keys scanned)\n", ops, setsSeen, missing, scanned)
 	fmt.Fprintln(out, rep)
 	if rep.Shards > 1 {
 		fmt.Fprintf(out, "cluster: %d shards, max shard cycles %d (modeled wall-clock bound), %.3f ops/kcycle\n",

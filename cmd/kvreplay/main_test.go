@@ -2,13 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"addrkv"
 	"addrkv/internal/telemetry"
+	"addrkv/internal/ycsb"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden snapshot from the current replay")
@@ -81,15 +85,39 @@ func TestReplayGolden(t *testing.T) {
 	}
 }
 
-// TestReplayMalformedLine: a bad verb aborts with an error naming the
-// line (main maps this to exit code 1).
+// TestReplayMalformedLine: a bad verb, or a verb with no argument,
+// aborts with an error naming the line (main maps this to exit code 1).
 func TestReplayMalformedLine(t *testing.T) {
 	cfg := testCfg()
 	cfg.shards = 1
-	in := strings.NewReader("GET user00000000000000000001\nFROB x\n")
-	err := run(cfg, in, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), `bad trace line "FROB x"`) {
-		t.Fatalf("err = %v", err)
+	for _, bad := range []string{"FROB x", "FROB", "GET", "SCAN user00000000000000000001"} {
+		in := strings.NewReader("GET user00000000000000000001\n\n" + bad + "\n")
+		err := run(cfg, in, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bad trace line %q", bad)) {
+			t.Errorf("%q: err = %v", bad, err)
+		}
+	}
+}
+
+// TestReplayScanAndRMW: the lines ycsbgen writes for workloads E (SCAN)
+// and F (RMW) replay on an ordered index; on a hash index a SCAN aborts
+// the replay with the index's error.
+func TestReplayScanAndRMW(t *testing.T) {
+	cfg := testCfg()
+	cfg.index = "btree"
+	k1, k2 := ycsb.KeyName(1), ycsb.KeyName(2)
+	trace := fmt.Sprintf("RMW %s 96\nSCAN %s 10\nGET %s\n", k1, k2, k1)
+	var out strings.Builder
+	if err := run(cfg, strings.NewReader(trace), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "replayed 3 ops (1 SETs, 0 GET misses, 10 keys scanned)") {
+		t.Fatalf("report:\n%s", out.String())
+	}
+	cfg.index = "chainhash"
+	err := run(cfg, strings.NewReader(trace), &strings.Builder{})
+	if !errors.Is(err, addrkv.ErrUnordered) {
+		t.Fatalf("SCAN on a hash index: err = %v", err)
 	}
 }
 

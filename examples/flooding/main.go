@@ -1,9 +1,11 @@
 // flooding demonstrates the security story of Section III-H: the STLT
 // uses a cheap hash (xxh3) on its fast path, yet a hash-flooding
-// attacker gains nothing — colliding or absent keys simply miss the
-// STLT and fall back to the store's own SipHash-protected table, and
-// the runtime monitor switches the STLT off entirely when it stops
-// paying, removing even the constant probe overhead.
+// attacker gains little — absent keys simply miss the STLT and fall back
+// to the store's own SipHash-protected table. The same sequence (zipf
+// traffic, a flood of absent keys, zipf traffic again) runs on the
+// baseline and on a statically sized STLT, and prints cycles/op per
+// phase: the flood costs the STLT a bounded probe per request, and the
+// fast path pays again as soon as the flood stops.
 //
 //	go run ./examples/flooding
 package main
@@ -16,56 +18,57 @@ import (
 	"addrkv/internal/ycsb"
 )
 
-func main() {
-	const keys = 40_000
+const (
+	keys      = 40_000
+	floodOps  = 40_000
+	floodBase = 10_000_000 // key ids the store never holds
+)
 
+var phases = []string{"zipf", "flood", "zipf again"}
+
+func main() {
+	base, stlt := run(addrkv.ModeBaseline), run(addrkv.ModeSTLT)
+	fmt.Printf("%-12s %9s %9s   (cycles/op)\n", "phase", "baseline", "stlt")
+	for i, p := range phases {
+		fmt.Printf("%-12s %9.0f %9.0f\n", p, base[i], stlt[i])
+	}
+	fmt.Printf("\nUnder the flood every STLT probe misses: %.0f cycles/op over the baseline,\n", stlt[1]-base[1])
+	fmt.Println("one wasted probe per request, a bounded cost (paper, Section III-H). Once")
+	fmt.Println("the flood stops the fast path pays again.")
+}
+
+// run builds a store in mode and returns the cycles/op of each phase.
+func run(mode addrkv.Mode) []float64 {
 	sys, err := addrkv.New(addrkv.Options{
-		Keys:          keys,
-		Index:         addrkv.IndexChainHash,
-		Mode:          addrkv.ModeSTLT,
-		RedisLayer:    true,
-		EnableMonitor: true,
+		Keys:       keys,
+		Index:      addrkv.IndexChainHash,
+		Mode:       mode,
+		RedisLayer: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	sys.Load(keys, 64)
 	eng := sys.Engine()
-
-	// Phase 1: legitimate zipfian traffic. The monitor should keep
-	// the STLT enabled.
 	legit := ycsb.NewGenerator(ycsb.Config{Keys: keys, ValueSize: 64, Dist: ycsb.Zipf, Seed: 1})
-	for i := 0; i < 3*keys; i++ {
-		eng.RunOp(legit.Next(), 64)
+	zipf := func() {
+		for i := 0; i < 3*keys; i++ {
+			eng.RunOp(legit.Next(), 64)
+		}
 	}
-	fmt.Printf("after legitimate traffic:  monitor decisions=%d  STLT enabled=%v\n",
-		eng.Monitor.Decisions, eng.Monitor.Enabled())
-
-	// Phase 2: flood. The attacker fires GETs for keys that do not
-	// exist (the worst case for the fast path: every probe misses,
-	// every lookup still walks the SipHash-protected dict).
-	eng.MarkMeasurement()
-	floodID := uint64(10_000_000)
-	for i := 0; i < 40_000; i++ {
-		eng.GetTouch(ycsb.KeyName(floodID + uint64(i)))
+	// The attacker fires GETs for keys that do not exist: the worst
+	// case for the fast path, since every probe misses and every lookup
+	// still walks the SipHash-protected dict.
+	flood := func() {
+		for i := uint64(0); i < floodOps; i++ {
+			eng.GetTouch(ycsb.KeyName(floodBase + i))
+		}
 	}
-	st := eng.Stats()
-	fmt.Printf("after flood:               monitor decisions=%d  disables=%d  STLT enabled=%v\n",
-		eng.Monitor.Decisions, eng.Monitor.Disables, eng.Monitor.Enabled())
-	fmt.Printf("flood window: %d ops, %.0f cycles/op, STLT probes=%d (suppressed once disabled)\n",
-		st.Ops, st.CyclesPerOp(), st.STLT.Lookups)
-
-	// Phase 3: the attack subsides; the monitor re-probes and turns
-	// the fast path back on.
-	for i := 0; i < 3*keys; i++ {
-		eng.RunOp(legit.Next(), 64)
+	var cpo []float64
+	for _, phase := range []func(){zipf, flood, zipf} {
+		eng.MarkMeasurement()
+		phase()
+		cpo = append(cpo, eng.Stats().CyclesPerOp())
 	}
-	fmt.Printf("after recovery traffic:    monitor decisions=%d  STLT enabled=%v\n",
-		eng.Monitor.Decisions, eng.Monitor.Enabled())
-
-	if !eng.Monitor.Enabled() {
-		fmt.Println("(monitor is mid-probe; run longer to see it settle)")
-	}
-	fmt.Println("\nWorst case under flooding is a bounded constant probe cost per request —")
-	fmt.Println("and with monitoring, even that is removed (paper, Section III-H).")
+	return cpo
 }

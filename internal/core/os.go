@@ -47,9 +47,6 @@ func NewOS(m *cpu.Machine) *OS {
 // Machine returns the machine this OS manages.
 func (o *OS) Machine() *cpu.Machine { return o.m }
 
-// STLT returns the process's table, or nil before STLTAlloc.
-func (o *OS) STLT() *STLT { return o.stlt }
-
 // STLTAlloc implements the STLTalloc(n) system call: allocate a
 // physically contiguous, page-aligned table of rows×ways geometry in
 // kernel memory, update CR_S, and return the table handle.
@@ -62,41 +59,17 @@ func (o *OS) STLTAlloc(rows, ways int) (*STLT, error) {
 	}
 	va, pa := o.m.AS.AllocKernel(rows * RowSize)
 	t := &STLT{
-		m:       o.m,
-		os:      o,
-		crs:     CRS{BasePA: pa, Rows: rows},
-		baseVA:  va,
-		ways:    ways,
-		sets:    rows / ways,
-		setBits: log2(rows / ways),
-		Enabled: true,
-		rng:     0x9E3779B97F4A7C15,
+		m:      o.m,
+		os:     o,
+		crs:    CRS{BasePA: pa, Rows: rows},
+		baseVA: va,
+		ways:   ways,
+		sets:   rows / ways,
+		rng:    0x9E3779B97F4A7C15,
 	}
 	o.stlt = t
 	o.m.Compute(SyscallCost, arch.CatOther)
 	return t, nil
-}
-
-// STLTResize implements STLTresize(n): reallocate to the new row
-// count, clearing contents (the OS cannot rehash because it does not
-// know the application's hash function).
-func (o *OS) STLTResize(rows int) error {
-	t := o.stlt
-	if t == nil {
-		return fmt.Errorf("core: STLTresize without an STLT")
-	}
-	if err := validateGeometry(rows, t.ways); err != nil {
-		return err
-	}
-	oldVA, oldSize := t.baseVA, t.SizeBytes()
-	va, pa := o.m.AS.AllocKernel(rows * RowSize)
-	t.baseVA = va
-	t.crs = CRS{BasePA: pa, Rows: rows}
-	t.sets = rows / t.ways
-	t.setBits = log2(t.sets)
-	o.m.AS.FreeKernel(oldVA, oldSize)
-	o.m.Compute(SyscallCost, arch.CatOther)
-	return nil
 }
 
 // STLTFree implements STLTfree(): release the table.

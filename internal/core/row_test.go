@@ -80,12 +80,22 @@ func TestSetIndexUsesBitsAboveSubInteger(t *testing.T) {
 	if st.setIndex(0) == st.setIndex(1<<SubIntegerBits) {
 		t.Fatal("set index ignores bit 12")
 	}
-	// Resize: index field widens, sub-integer stays the 12 LSBs.
-	if err := o.STLTResize(512); err != nil {
-		t.Fatal(err)
+	// A larger table widens the index field upward; the sub-integer
+	// stays the 12 LSBs.
+	o2, _ := newOSM(t)
+	wide := allocSTLT(t, o2, 512, 4) // 128 sets
+	if wide.Sets() != 128 {
+		t.Fatalf("sets = %d", wide.Sets())
 	}
-	if st.Sets() != 128 {
-		t.Fatalf("sets = %d after resize", st.Sets())
+	top := uint64(1) << (SubIntegerBits + 6) // the bit the 128-set index adds
+	if st.setIndex(0xABC000|top) != st.setIndex(0xABC000) {
+		t.Fatal("64-set index reads a bit above its field")
+	}
+	if wide.setIndex(0xABC000|top) == wide.setIndex(0xABC000) {
+		t.Fatal("128-set index ignores its widest bit")
+	}
+	if wide.setIndex(0xABC000)%64 != st.setIndex(0xABC000) {
+		t.Fatal("widening moved the low index bits")
 	}
 	if subInt(0x123456) != 0x456 {
 		t.Fatal("sub-integer moved")

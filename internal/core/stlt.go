@@ -2,7 +2,7 @@
 // translation lookaside table (STLT) and its two instructions, loadVA
 // and insertSTLT, executed by the system translation unit (STU), plus
 // the OS support (system calls, lazy page-table coherence via the IPB,
-// context switching) and the runtime performance monitor.
+// context switching).
 //
 // The STLT is a set-associative table in simulated *kernel* memory,
 // physically contiguous, whose base physical address and size live in
@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"addrkv/internal/arch"
 	"addrkv/internal/cpu"
@@ -77,16 +76,10 @@ type STLT struct {
 	m  *cpu.Machine
 	os *OS
 
-	crs     CRS
-	baseVA  arch.Addr // kernel virtual base (for OS-side scrubbing)
-	ways    int
-	sets    int
-	setBits int
-
-	// Enabled gates the fast path; the runtime monitor (monitor.go)
-	// flips it. When disabled, LoadVA reports a miss without
-	// touching the table and InsertSTLT is a no-op.
-	Enabled bool
+	crs    CRS
+	baseVA arch.Addr // kernel virtual base (for OS-side scrubbing)
+	ways   int
+	sets   int
 
 	// Variant selects the ablation configuration of Figure 19:
 	// the full design, the VA-only hardware design (no PTE caching,
@@ -121,7 +114,7 @@ func (t *STLT) rowPA(s, w int) arch.Addr {
 // setIndex extracts the set number from a hash integer. The
 // sub-integer occupies the low SubIntegerBits bits and the set index
 // the bits directly above it (Figure 6), so the two never overlap and
-// resizing only widens/narrows the index field.
+// a larger table only widens the index field.
 func (t *STLT) setIndex(integer uint64) int {
 	return int((integer >> SubIntegerBits) & uint64(t.sets-1))
 }
@@ -206,9 +199,6 @@ func (t *STLT) bumpCounter(r *Row) bool {
 // VA (0 on miss). The caller (the key-value store's fast path) must
 // validate that the record at the returned VA actually holds the key.
 func (t *STLT) LoadVA(integer uint64) arch.Addr {
-	if !t.Enabled {
-		return 0
-	}
 	t.Stats.Lookups++
 	s := t.setIndex(integer)
 	if t.m.Trace != nil {
@@ -298,9 +288,6 @@ func (t *STLT) ReportFalseHit() { t.Stats.FalseHits++ }
 // validate against its own freed record. Clearing a colliding
 // neighbor's row is harmless — the next access re-inserts it.
 func (t *STLT) Invalidate(integer uint64) {
-	if !t.Enabled {
-		return
-	}
 	s := t.setIndex(integer)
 	sub := subInt(integer)
 	// The STU has no invalidate latency beyond the set read; the
@@ -321,9 +308,6 @@ func (t *STLT) Invalidate(integer uint64) {
 // the insertion buffer writes a 16-byte row, replacing the
 // least-frequently-used row of the set.
 func (t *STLT) InsertSTLT(integer uint64, va arch.Addr) {
-	if !t.Enabled {
-		return
-	}
 	t.m.Compute(t.opCost(t.m.Params.InsertSTLTLatency), arch.CatSTLT)
 	// The full design's SPTW reuses the page table walker, but a fault
 	// returns PTE=0 instead of raising an exception. The other variants,
@@ -470,5 +454,3 @@ func validateGeometry(rows, ways int) error {
 	}
 	return nil
 }
-
-func log2(n int) int { return bits.Len(uint(n)) - 1 }

@@ -264,25 +264,6 @@ func TestContextSwitchReplaysIPB(t *testing.T) {
 	}
 }
 
-func TestResizeClearsTable(t *testing.T) {
-	o, m := newOSM(t)
-	st := allocSTLT(t, o, 256, 4)
-	va := m.AS.Alloc(64)
-	st.InsertSTLT(1, va)
-	if err := o.STLTResize(512); err != nil {
-		t.Fatal(err)
-	}
-	if st.Rows() != 512 {
-		t.Fatalf("rows = %d", st.Rows())
-	}
-	if st.LoadVA(1) != 0 {
-		t.Fatal("content survived resize (must clear: OS cannot rehash)")
-	}
-	if st.Occupancy() != 0 {
-		t.Fatal("occupancy nonzero after resize")
-	}
-}
-
 func TestSTLTFree(t *testing.T) {
 	o, _ := newOSM(t)
 	allocSTLT(t, o, 64, 4)
@@ -295,21 +276,6 @@ func TestSTLTFree(t *testing.T) {
 	// A new table can be allocated afterwards.
 	if _, err := o.STLTAlloc(64, 4); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDisabledSTLTIsInert(t *testing.T) {
-	o, m := newOSM(t)
-	st := allocSTLT(t, o, 64, 4)
-	va := m.AS.Alloc(64)
-	st.Enabled = false
-	st.InsertSTLT(1, va)
-	if st.LoadVA(1) != 0 {
-		t.Fatal("disabled table served a hit")
-	}
-	st.Enabled = true
-	if st.LoadVA(1) != 0 {
-		t.Fatal("disabled insert persisted")
 	}
 }
 

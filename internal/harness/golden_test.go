@@ -34,11 +34,6 @@ type goldenRun struct {
 	L1, L2, L3   levelCounters
 	L1TLB, L2TLB levelCounters
 	Writebacks   uint64
-	// The run-time loop's decisions and the table's final size, set only
-	// by the monitor run, so the other runs' JSON does not carry them.
-	Decisions, Disables uint64 `json:",omitempty"`
-	Grows, Shrinks      uint64 `json:",omitempty"`
-	Rows                int    `json:",omitempty"`
 }
 
 // goldenSpecs are small enough for tier-1 and between them reach every
@@ -137,14 +132,13 @@ func mixRun(t *testing.T, mode kv.Mode) *kv.Engine {
 	return e
 }
 
-// monitorRun is the run-time loop no other run turns on: the monitor and
-// the tuner on an STLT engine through zipf traffic, a flood of absent
-// keys, and zipf traffic again. It counts from the build, with no
-// MarkMeasurement, and pins the loop's decisions and the final row count.
-func monitorRun(t *testing.T) goldenRun {
+// floodRun is the traffic no other run sends: an STLT engine through
+// zipf traffic, a flood of absent keys (every probe misses, Section
+// III-H), and zipf traffic again. It counts from the build, with no
+// MarkMeasurement.
+func floodRun(t *testing.T) *kv.Engine {
 	const keys, valueSize = 20_000, 64
-	e, err := kv.New(kv.Config{Keys: keys, Index: kv.KindChainHash, Mode: kv.ModeSTLT, RedisLayer: true,
-		Monitor: true, AutoTune: true, Seed: 42})
+	e, err := kv.New(kv.Config{Keys: keys, Index: kv.KindChainHash, Mode: kv.ModeSTLT, RedisLayer: true, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +153,7 @@ func monitorRun(t *testing.T) goldenRun {
 	for i := 0; i < 40_000; i++ {
 		e.RunOp(g.Next(), valueSize)
 	}
-	r := goldenOf(e)
-	r.Decisions, r.Disables = e.Monitor.Decisions, e.Monitor.Disables
-	r.Grows, r.Shrinks = e.Tuner.Grows, e.Tuner.Shrinks
-	r.Rows = e.STLT.Rows()
-	return r
+	return e
 }
 
 func goldenOf(e *kv.Engine) goldenRun {
@@ -192,7 +182,7 @@ func TestGoldenModel(t *testing.T) {
 	now["stlt-sets"] = goldenOf(writePathRun(t))
 	now["mix-stlt"] = goldenOf(mixRun(t, kv.ModeSTLT))
 	now["mix-slb"] = goldenOf(mixRun(t, kv.ModeSLB))
-	now["stlt-monitor-tune"] = monitorRun(t)
+	now["stlt-flood"] = goldenOf(floodRun(t))
 	if *update {
 		out, err := json.MarshalIndent(now, "", "  ")
 		if err != nil {

@@ -92,12 +92,6 @@ type Config struct {
 	SLBEntries int
 	// RedisLayer adds the Redis command-processing cost model.
 	RedisLayer bool
-	// Monitor enables the runtime on/off performance monitor.
-	Monitor bool
-	// AutoTune enables the miss-ratio-driven STLT resizer (Section
-	// III-F: "monitor STLT miss ratio and tune the performance
-	// factors").
-	AutoTune bool
 	// DataPrefetcher: "", "stride" or "vldp" (Figure 19 right).
 	DataPrefetcher string
 	// TLBPrefetch enables distance TLB prefetching (Section IV-F).
@@ -237,10 +231,8 @@ type Engine struct {
 
 	// STLT and SLB are the fast path's concrete handles, for callers
 	// that inspect it; the engine itself goes through fast.
-	STLT    *core.STLT
-	SLB     *slb.SLB
-	Monitor *core.Monitor
-	Tuner   *core.Tuner
+	STLT *core.STLT
+	SLB  *slb.SLB
 
 	fast  fastPath // nil in baseline mode
 	redis *redisLayer
@@ -329,12 +321,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.STLT = t
 		e.fast = &stltPath{t: t, m: m, hash: *cfg.FastHash, seed: cfg.Seed ^ 0xFA57, hw: cfg.FastHashHW}
-		if cfg.Monitor {
-			e.Monitor = core.NewMonitor(t)
-		}
-		if cfg.AutoTune {
-			e.Tuner = core.NewTuner(o)
-		}
 	case ModeSLB:
 		e.SLB = slb.New(m, *cfg.FastHash, cfg.Seed^0xFA57, cfg.SLBEntries)
 		e.fast = slbPath{e.SLB}
@@ -484,7 +470,7 @@ func (e *Engine) GetTouch(key []byte) bool {
 }
 
 // get is GET's share of the keyed-read frame: the read and its reply.
-// The caller's value read falls outside the monitor window.
+// The caller reads the value.
 func (e *Engine) get(key []byte) (arch.Addr, bool) {
 	va, found := e.read(key, len("GET"))
 	if found {
@@ -492,23 +478,15 @@ func (e *Engine) get(key []byte) (arch.Addr, bool) {
 	} else {
 		e.redis.reply(0)
 	}
-	e.endRead()
 	return va, found
 }
 
 // read is the front half of every keyed read (GET, EXISTS, EXPIRE,
-// TTL): lazy expiry, the monitor window and the tuner tick, the op
-// counters and the Redis command model, then the addressing path and
-// the miss count or LFU touch. It returns with the monitor window open:
-// the verb models its reply, then calls endRead.
+// TTL): lazy expiry, the op counters and the Redis command model, then
+// the addressing path and the miss count or LFU touch. The verb models
+// its own reply.
 func (e *Engine) read(key []byte, cmdBytes int) (arch.Addr, bool) {
 	e.expireIfDue(key, false)
-	if e.Monitor != nil {
-		e.Monitor.BeginOp()
-	}
-	if e.Tuner != nil {
-		e.Tuner.Tick()
-	}
 	e.ops++
 	e.gets++
 	e.redis.command(key, cmdBytes)
@@ -519,13 +497,6 @@ func (e *Engine) read(key []byte, cmdBytes int) (arch.Addr, bool) {
 		e.misses++
 	}
 	return va, found
-}
-
-// endRead closes the monitor window read opened.
-func (e *Engine) endRead() {
-	if e.Monitor != nil {
-		e.Monitor.EndOp()
-	}
 }
 
 // lookup runs the addressing path, charging all its timing: the fast
@@ -570,7 +541,6 @@ func (e *Engine) Exists(key []byte) bool {
 	sp, fh := e.traceBegin("exists", key), e.fastHits
 	_, found := e.read(key, len("EXISTS"))
 	e.redis.reply(4) // ":1\r\n" / ":0\r\n"
-	e.endRead()
 	e.traceEnd(sp, e.fastHits > fh, !found)
 	return found
 }
@@ -580,10 +550,6 @@ func (e *Engine) Exists(key []byte) bool {
 func (e *Engine) Set(key, value []byte) {
 	sp := e.traceBegin("set", key)
 	e.expireIfDue(key, false)
-	if e.Monitor != nil {
-		e.Monitor.BeginOp()
-		defer e.Monitor.EndOp()
-	}
 	e.ops++
 	e.sets++
 	e.redis.command(key, len("SET")+len(value))

@@ -188,28 +188,6 @@ func TestRedisLayerAddsOverhead(t *testing.T) {
 	}
 }
 
-func TestMonitorDisablesUnderMissFlood(t *testing.T) {
-	e, err := New(Config{Keys: 1000, Index: KindChainHash, Mode: ModeSTLT, Monitor: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Load(1000, 64)
-	if e.Monitor == nil {
-		t.Fatal("monitor not attached")
-	}
-	// Hash-flooding-like traffic: every GET misses the store entirely
-	// (absent keys), so the STLT never pays.
-	for i := uint64(100000); i < 108000; i++ {
-		e.GetTouch(ycsb.KeyName(i))
-	}
-	if e.Monitor.Decisions == 0 {
-		t.Fatal("monitor never decided")
-	}
-	if e.Monitor.Disables == 0 {
-		t.Fatal("monitor kept a useless STLT enabled")
-	}
-}
-
 func TestStatsPerOpAccounting(t *testing.T) {
 	e := newEngine(t, ModeBaseline, KindChainHash, false)
 	e.Load(100, 64)
@@ -268,67 +246,6 @@ func TestLatestWorkloadInsertsNewKeys(t *testing.T) {
 	st := e.Stats()
 	if st.Sets == 0 || st.Misses != 0 {
 		t.Fatalf("sets=%d misses=%d", st.Sets, st.Misses)
-	}
-}
-
-func TestAutoTuneGrowsUndersizedSTLT(t *testing.T) {
-	// A deliberately tiny STLT thrashes on a uniform workload; the
-	// tuner must grow it and the miss rate must improve.
-	e, err := New(Config{
-		Keys: 20000, Index: KindChainHash, Mode: ModeSTLT,
-		STLTRows: 4096, AutoTune: true, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Load(20000, 64)
-	if e.Tuner == nil {
-		t.Fatal("tuner not attached")
-	}
-	e.Tuner.EvalOps = 4096
-	before := e.STLT.Rows()
-	g := ycsb.NewGenerator(ycsb.Config{Keys: 20000, ValueSize: 64, Dist: ycsb.Uniform, Seed: 9})
-	for i := 0; i < 120000; i++ {
-		e.RunOp(g.Next(), 64)
-	}
-	if e.Tuner.Grows == 0 {
-		t.Fatal("tuner never grew the thrashing STLT")
-	}
-	if e.STLT.Rows() <= before {
-		t.Fatalf("rows %d not grown from %d", e.STLT.Rows(), before)
-	}
-	// Measure the miss rate after tuning settles.
-	e.MarkMeasurement()
-	for i := 0; i < 20000; i++ {
-		e.RunOp(g.Next(), 64)
-	}
-	if mr := e.Stats().STLT.MissRate(); mr > 0.5 {
-		t.Fatalf("post-tuning miss rate %.2f still thrashing", mr)
-	}
-}
-
-// TestMarkMeasurementRestartsTunerWindow: zeroing the STLT's counters
-// starts the tuner's window afresh. Read against the pre-reset window,
-// the differences wrap around, the miss ratio reads ~1 and the tuner
-// doubles (and clears) a table that was not missing.
-func TestMarkMeasurementRestartsTunerWindow(t *testing.T) {
-	e, err := New(Config{Keys: 20000, Index: KindChainHash, Mode: ModeSTLT, AutoTune: true, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Load(20000, 64)
-	g := ycsb.NewGenerator(ycsb.Config{Keys: 20000, ValueSize: 64, Dist: ycsb.Zipf, Seed: 42})
-	for i := 0; i < 70000; i++ {
-		e.RunOp(g.Next(), 64)
-	}
-	rows, resizes := e.STLT.Rows(), e.Tuner.Grows+e.Tuner.Shrinks
-	e.MarkMeasurement()
-	for e.Stats().STLT.Lookups < e.Tuner.EvalOps {
-		e.RunOp(g.Next(), 64)
-	}
-	if e.STLT.Rows() != rows || e.Tuner.Grows+e.Tuner.Shrinks != resizes {
-		t.Fatalf("resized within the first window after MarkMeasurement: rows %d -> %d, resizes %d -> %d",
-			rows, e.STLT.Rows(), resizes, e.Tuner.Grows+e.Tuner.Shrinks)
 	}
 }
 

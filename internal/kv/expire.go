@@ -221,7 +221,6 @@ func (e *Engine) ExpireAt(key []byte, deadline int64) int {
 		e.armDeadline(key, deadline)
 	}
 	e.redis.reply(4) // ":1\r\n" / ":0\r\n"
-	e.endRead()
 	e.traceEnd(sp, e.fastHits > fh, !found)
 	if found {
 		return 1
@@ -248,7 +247,6 @@ func (e *Engine) TTL(key []byte) int64 {
 		}
 	}
 	e.redis.reply(16)
-	e.endRead()
 	e.traceEnd(sp, e.fastHits > fh, !found)
 	return ret
 }
