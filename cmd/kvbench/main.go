@@ -10,8 +10,8 @@
 //	kvbench -addr 127.0.0.1:6380 -sweep 1,4,16,64 -json sweep.json
 //
 // With -sweep, each depth runs as its own measurement point and the
-// -json artifact holds the whole sweep (telemetry.Snapshot-style:
-// name/kind/params plus one record per depth).
+// -json artifact holds the whole sweep (a kvproc.BenchArtifact: the
+// kvproc.Header's name/kind/params plus one record per depth).
 package main
 
 import (

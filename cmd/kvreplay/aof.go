@@ -13,7 +13,6 @@ import (
 
 	"addrkv"
 	"addrkv/internal/shard"
-	"addrkv/internal/telemetry"
 	"addrkv/internal/wal"
 )
 
@@ -82,11 +81,9 @@ func runAOF(cfg replayConfig, in io.Reader, out io.Writer) error {
 		return err
 	}
 	var agg shard.RecoveryApplyStats
-	var torn int64
 	for i, rec := range recs {
 		if rec.TornBytes > 0 {
 			fmt.Fprintf(out, "shard %d: dropped %d torn trailing byte(s): %v\n", i, rec.TornBytes, rec.TornErr)
-			torn += rec.TornBytes
 		}
 		st, err := sys.Cluster().ApplyRecovery(i, rec)
 		if err != nil {
@@ -98,46 +95,10 @@ func runAOF(cfg replayConfig, in io.Reader, out io.Writer) error {
 	rep := sys.Report()
 	fmt.Fprintf(out, "replayed %d aof records (%d snapshot loads, %d sets, %d dels, %d flushes); %d keys live\n",
 		agg.Ops(), agg.Loads, agg.Sets, agg.Dels, agg.Flushes, sys.Len())
-	fmt.Fprintln(out, rep)
+	printReport(out, rep)
 	if rep.Shards > 1 {
 		fmt.Fprintf(out, "cluster: %d shards, max shard cycles %d (modeled wall-clock bound)\n",
 			rep.Shards, rep.MaxShardCycles)
-	}
-
-	if cfg.jsonOut != "" {
-		snap := &telemetry.Snapshot{
-			Name: "replay-aof",
-			Kind: "replay",
-			Params: map[string]any{
-				"format":  "aof",
-				"mode":    cfg.mode,
-				"index":   cfg.index,
-				"keys":    cfg.keys,
-				"shards":  shards,
-				"records": agg.Ops(),
-				"loads":   agg.Loads,
-				"sets":    agg.Sets,
-				"dels":    agg.Dels,
-				"flushes": agg.Flushes,
-				"torn":    torn,
-				"live":    sys.Len(),
-			},
-			Runs: []telemetry.RunRecord{{
-				Spec:           fmt.Sprintf("replay-aof/%s/%s/%d/%d", cfg.mode, cfg.index, cfg.keys, shards),
-				Ops:            rep.Ops,
-				Cycles:         rep.Cycles,
-				CyclesPerOp:    rep.CyclesPerOp,
-				FastPathHits:   rep.Stats.FastHits,
-				TableMissRate:  rep.TableMissRate,
-				TLBMissesPerOp: rep.TLBMissesPerOp,
-				PageWalksPerOp: rep.PageWalksPerOp,
-				LLCMissesPerOp: rep.CacheMissesPerOp,
-			}},
-		}
-		if err := snap.WriteFile(cfg.jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(json: %s)\n", cfg.jsonOut)
 	}
 	return nil
 }

@@ -10,13 +10,13 @@
 // are reported, including the modeled wall-clock bound (busiest
 // shard's cycles).
 //
-// With -json PATH the run also writes a telemetry snapshot: the
-// aggregate RunRecord plus a per-op modeled cycle distribution
-// (p50/p99/p999), gathered through the engine's outcome probes —
-// which read counters only, so the modeled totals are identical to a
-// run without -json. The snapshot carries no timestamps, so for a
-// fixed trace and flags it is byte-for-byte reproducible (pinned by
-// the golden-file test).
+// The report closes with the exact cycle and fast-hit totals and the
+// per-op modeled cycle distribution (count, p50 ... p999, max) of the
+// measured window, gathered through the engine's outcome probes —
+// which read counters only, so the modeled totals are what an
+// unprobed run computes. The report carries no timestamps or wall
+// times, so for a fixed trace and flags it is byte-for-byte
+// reproducible (pinned by the golden-file tests).
 //
 // A malformed trace line aborts the replay with exit code 1, and so
 // does a SCAN on a hash index, which has no key order to walk. Blank
@@ -35,8 +35,8 @@
 //	ycsbgen -keys 200000 -ops 2000000 -dist zipf > trace.txt
 //	kvreplay -mode baseline -keys 200000 < trace.txt
 //	kvreplay -mode stlt     -keys 200000 -warm 600000 < trace.txt
-//	kvreplay -mode stlt     -keys 200000 -shards 4 -json replay.json < trace.txt
-//	kvreplay -format aof -keys 200000 -f ./aof -json recovered.json
+//	kvreplay -mode stlt     -keys 200000 -shards 4 < trace.txt
+//	kvreplay -format aof -keys 200000 -f ./aof
 package main
 
 import (
@@ -56,15 +56,14 @@ import (
 
 // replayConfig shapes one replay run (the parsed flag set).
 type replayConfig struct {
-	mode    string
-	index   string
-	keys    int
-	shards  int
-	vsize   int
-	warm    int
-	format  string
-	file    string
-	jsonOut string
+	mode   string
+	index  string
+	keys   int
+	shards int
+	vsize  int
+	warm   int
+	format string
+	file   string
 }
 
 func main() {
@@ -80,7 +79,6 @@ func main() {
 	flag.IntVar(&cfg.warm, "warm", 0, "trace ops to treat as warm-up (stats reset after)")
 	flag.StringVar(&file, "f", "", "trace file, or AOF file/directory with -format aof (default stdin)")
 	flag.StringVar(&cfg.format, "format", "trace", "trace: ycsbgen text lines; aof: addrkv append-only log")
-	flag.StringVar(&cfg.jsonOut, "json", "", "write a telemetry snapshot JSON to this path")
 	flag.Parse()
 
 	cfg.file = file
@@ -107,10 +105,9 @@ func main() {
 	}
 }
 
-// run replays the trace on in, writing the human report to out and,
-// when configured, the JSON snapshot to cfg.jsonOut. It returns an
-// error (rather than exiting) on a malformed trace so main can map it
-// to exit code 1 and tests can assert on it.
+// run replays the trace on in, writing the report to out. It returns
+// an error (rather than exiting) on a malformed trace so main can map
+// it to exit code 1 and tests can assert on it.
 func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 	sys, err := addrkv.New(addrkv.Options{
 		Keys:   cfg.keys,
@@ -123,12 +120,7 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 	}
 	sys.Load(cfg.keys, cfg.vsize)
 
-	// The cycle histogram costs two atomic adds per op; skip it
-	// without -json.
-	var cycleHist *telemetry.Histogram
-	if cfg.jsonOut != "" {
-		cycleHist = &telemetry.Histogram{}
-	}
+	var cycleHist telemetry.Histogram
 	c := sys.Cluster()
 	var req shard.Req // reused: one in-place op at a time
 
@@ -199,15 +191,11 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 		default:
 			return fmt.Errorf("bad trace line %q", line)
 		}
-		if cycleHist != nil {
-			cycleHist.Observe(cycles)
-		}
+		cycleHist.Observe(cycles)
 		ops++
 		if cfg.warm > 0 && ops == cfg.warm {
 			sys.MarkMeasurement()
-			if cycleHist != nil {
-				cycleHist.Reset() // the warm-up ops were not measurement
-			}
+			cycleHist.Reset() // the warm-up ops were not measurement
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -216,7 +204,7 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 
 	rep := sys.Report()
 	fmt.Fprintf(out, "replayed %d ops (%d SETs, %d GET misses, %d keys scanned)\n", ops, setsSeen, missing, scanned)
-	fmt.Fprintln(out, rep)
+	printReport(out, rep)
 	if rep.Shards > 1 {
 		fmt.Fprintf(out, "cluster: %d shards, max shard cycles %d (modeled wall-clock bound), %.3f ops/kcycle\n",
 			rep.Shards, rep.MaxShardCycles, 1000*rep.ModeledThroughput())
@@ -232,39 +220,15 @@ func run(cfg replayConfig, in io.Reader, out io.Writer) error {
 		}
 	}
 
-	if cfg.jsonOut != "" {
-		q := telemetry.QuantilesOf(cycleHist.Snapshot())
-		fmt.Fprintf(out, "op cycles: p50=%d p99=%d p999=%d max=%d\n", q.P50, q.P99, q.P999, q.Max)
-		snap := &telemetry.Snapshot{
-			Name: "replay",
-			Kind: "replay",
-			Params: map[string]any{
-				"mode":   cfg.mode,
-				"index":  cfg.index,
-				"keys":   cfg.keys,
-				"shards": cfg.shards,
-				"warm":   cfg.warm,
-				"ops":    ops,
-				"sets":   setsSeen,
-				"misses": missing,
-			},
-			Runs: []telemetry.RunRecord{{
-				Spec:           fmt.Sprintf("replay/%s/%s/%d/%d", cfg.mode, cfg.index, cfg.keys, cfg.shards),
-				Ops:            rep.Ops,
-				Cycles:         rep.Cycles,
-				CyclesPerOp:    rep.CyclesPerOp,
-				FastPathHits:   rep.Stats.FastHits,
-				TableMissRate:  rep.TableMissRate,
-				TLBMissesPerOp: rep.TLBMissesPerOp,
-				PageWalksPerOp: rep.PageWalksPerOp,
-				LLCMissesPerOp: rep.CacheMissesPerOp,
-			}},
-			Latency: map[string]telemetry.Quantiles{"op_cycles": q},
-		}
-		if err := snap.WriteFile(cfg.jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(json: %s)\n", cfg.jsonOut)
-	}
+	q := telemetry.QuantilesOf(cycleHist.Snapshot())
+	fmt.Fprintf(out, "op cycles: n=%d p50=%d p90=%d p99=%d p999=%d max=%d\n",
+		q.Count, q.P50, q.P90, q.P99, q.P999, q.Max)
 	return nil
+}
+
+// printReport writes the modeled summary line and the exact totals it
+// rounds.
+func printReport(out io.Writer, rep addrkv.Report) {
+	fmt.Fprintln(out, rep)
+	fmt.Fprintf(out, "cycles=%d fastHits=%d\n", rep.Cycles, rep.Stats.FastHits)
 }

@@ -1,21 +1,19 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"addrkv"
-	"addrkv/internal/telemetry"
 	"addrkv/internal/ycsb"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden snapshot from the current replay")
+var update = flag.Bool("update", false, "rewrite the golden reports from the current replay")
 
 func testCfg() replayConfig {
 	return replayConfig{
@@ -28,11 +26,11 @@ func testCfg() replayConfig {
 	}
 }
 
-// TestReplayGolden replays testdata/trace.txt and compares the -json
-// snapshot byte-for-byte against the committed golden file. The
-// simulation is deterministic and the snapshot carries no timestamps,
-// so any diff is a real change to the modeled counters — run with
-// -update to accept one deliberately.
+// TestReplayGolden replays testdata/trace.txt and compares the report
+// byte-for-byte against the committed golden file. The simulation is
+// deterministic and the report carries no timestamps, so any diff is a
+// real change to the modeled counters — run with -update to accept one
+// deliberately.
 func TestReplayGolden(t *testing.T) {
 	trace, err := os.Open("testdata/trace.txt")
 	if err != nil {
@@ -40,48 +38,36 @@ func TestReplayGolden(t *testing.T) {
 	}
 	defer trace.Close()
 
-	cfg := testCfg()
-	cfg.jsonOut = filepath.Join(t.TempDir(), "replay.json")
 	var out strings.Builder
-	if err := run(cfg, trace, &out); err != nil {
+	if err := run(testCfg(), trace, &out); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "testdata/replay_golden.txt", out.String())
 
-	got, err := os.ReadFile(cfg.jsonOut)
-	if err != nil {
-		t.Fatal(err)
+	// The report's shape, independent of golden bytes.
+	for _, want := range []string{"replayed 2000 ops", "cluster: 2 shards", "op cycles: n=1500 "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, out.String())
+		}
 	}
-	const golden = "testdata/replay_golden.json"
+}
+
+// checkGolden compares got with the golden file at path, rewriting the
+// file first under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(want) {
-		t.Fatalf("snapshot diverged from %s (rerun with -update to accept):\ngot:\n%s\nwant:\n%s",
-			golden, got, want)
-	}
-
-	// Sanity on the snapshot's shape, independent of golden bytes.
-	var snap telemetry.Snapshot
-	if err := json.Unmarshal(got, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Name != "replay" || len(snap.Runs) != 1 || snap.Runs[0].Ops == 0 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if _, ok := snap.Latency["op_cycles"]; !ok {
-		t.Fatal("snapshot missing op_cycles latency")
-	}
-	if !strings.Contains(out.String(), "replayed 2000 ops") {
-		t.Fatalf("report missing op count:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "cluster: 2 shards") {
-		t.Fatalf("report missing cluster section:\n%s", out.String())
+	if got != string(want) {
+		t.Fatalf("report diverged from %s (rerun with -update to accept):\ngot:\n%s\nwant:\n%s",
+			path, got, want)
 	}
 }
 
@@ -131,20 +117,21 @@ func TestReplayBadMode(t *testing.T) {
 	}
 }
 
-// TestReplayWithoutJSON: the no-probe path (oc == nil) replays fine
-// and reports the same op counts.
+// TestReplayWithoutJSON: the text report is a replay's one output, and
+// a second replay of the same trace prints it byte for byte — the
+// property the golden files rely on.
 func TestReplayWithoutJSON(t *testing.T) {
-	trace, err := os.Open("testdata/trace.txt")
+	data, err := os.ReadFile("testdata/trace.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer trace.Close()
-	cfg := testCfg()
-	var out strings.Builder
-	if err := run(cfg, trace, &out); err != nil {
-		t.Fatal(err)
+	var first, second strings.Builder
+	for _, out := range []*strings.Builder{&first, &second} {
+		if err := run(testCfg(), bytes.NewReader(data), out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !strings.Contains(out.String(), "replayed 2000 ops") {
-		t.Fatalf("report:\n%s", out.String())
+	if first.String() != second.String() || !strings.Contains(first.String(), "replayed 2000 ops") {
+		t.Fatalf("reports differ or lack the op count:\n%s\n---\n%s", first.String(), second.String())
 	}
 }

@@ -4,11 +4,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -24,7 +21,6 @@ const defaultTraceRing = 64
 func (s *server) initTrace() {
 	cfg := s.cfg
 	tr := trace.NewTracer(s.sys.Cluster().NumShards(), defaultTraceRing, cfg.traceSample)
-	tr.SetAnomalyConfig(trace.AnomalyConfig{WalkInWarm: true})
 	s.tracer = tr
 	s.sys.Cluster().SetTracer(tr)
 	if cfg.traceDir != "" {
@@ -43,8 +39,8 @@ func (s *server) initTrace() {
 	}
 }
 
-// finalTraceDump writes the shutdown bundle (plus its Chrome export)
-// when a dump directory is configured and anything was traced.
+// finalTraceDump writes the shutdown bundle when a dump directory is
+// configured and anything was traced.
 func (s *server) finalTraceDump() {
 	if s.dumper == nil || s.tracer.Traced() == 0 {
 		return
@@ -55,25 +51,6 @@ func (s *server) finalTraceDump() {
 		return
 	}
 	log.Printf("kvserve: final trace dump -> %s", path)
-	if cpath, err := s.writeChromeTrace("final"); err != nil {
-		log.Printf("kvserve: chrome trace export: %v", err)
-	} else {
-		log.Printf("kvserve: chrome trace -> %s", cpath)
-	}
-}
-
-// writeChromeTrace renders the current flight-recorder contents as
-// Chrome trace_event JSON under the dump directory.
-func (s *server) writeChromeTrace(label string) (string, error) {
-	path := filepath.Join(s.cfg.traceDir, fmt.Sprintf("kvserve-chrome-%s.json", label))
-	if err := os.MkdirAll(s.cfg.traceDir, 0o755); err != nil {
-		return "", err
-	}
-	b, err := json.MarshalIndent(trace.ChromeTraceOf(s.tracer.Snapshot("kvserve", label)), "", " ")
-	if err != nil {
-		return "", err
-	}
-	return path, os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // traceCmd handles TRACE ON [1-in-N] / OFF / STATUS / DUMP.
@@ -124,9 +101,6 @@ func (s *server) traceCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, mo
 		path, err := s.dumper.Dump(s.tracer, reason)
 		if err != nil {
 			return fail(w, fmt.Sprintf("ERR trace dump: %v", err))
-		}
-		if _, err := s.writeChromeTrace(reason); err != nil {
-			log.Printf("kvserve: chrome trace export: %v", err)
 		}
 		w.WriteBulk([]byte(path))
 	default:

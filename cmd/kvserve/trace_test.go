@@ -1,9 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
+	"io/fs"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -52,7 +52,7 @@ func TestTraceCommands(t *testing.T) {
 		}
 	}
 
-	// DUMP writes a parsable bundle plus a Chrome trace next to it.
+	// DUMP writes a parsable bundle, which kvtrace chrome converts.
 	path := string(call(t, s, "TRACE", "DUMP").([]byte))
 	b, err := trace.ParseBundleFile(path)
 	if err != nil {
@@ -69,13 +69,8 @@ func TestTraceCommands(t *testing.T) {
 			t.Fatalf("span missing front-end events: %+v", op.Events)
 		}
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "kvserve-chrome-manual.json"))
-	if err != nil {
-		t.Fatalf("no chrome trace next to the dump: %v", err)
-	}
-	var ct trace.ChromeTrace
-	if err := json.Unmarshal(raw, &ct); err != nil || len(ct.TraceEvents) == 0 {
-		t.Fatalf("chrome trace invalid (err %v, %d events)", err, len(ct.TraceEvents))
+	if ct := trace.ChromeTraceOf(b); len(ct.TraceEvents) == 0 {
+		t.Fatal("chrome trace of the bundle has no events")
 	}
 
 	if got := call(t, s, "TRACE", "OFF"); got != "OK" {
@@ -92,6 +87,36 @@ func TestTraceCommands(t *testing.T) {
 	}
 	if got := call(t, s, "TRACE", "BOGUS"); !strings.HasPrefix(got.(error).Error(), "ERR") {
 		t.Fatalf("TRACE BOGUS accepted: %v", got)
+	}
+}
+
+// TestTraceDumpStaysInDir: a client-chosen dump reason names the file
+// only through the dumper's sanitiser, so a reason full of "../"
+// cannot write outside -trace-dir.
+func TestTraceDumpStaysInDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b")
+	cfg := testConfig(1)
+	cfg.traceDir = dir
+	s := newConfigServer(t, cfg, false)
+	call(t, s, "TRACE", "ON")
+	call(t, s, "SET", "k", "v")
+
+	path := string(call(t, s, "TRACE", "DUMP", "../../../../escaped").([]byte))
+	if filepath.Dir(path) != dir || !regexp.MustCompile(`^kvserve-\d{3}-_+escaped\.json$`).MatchString(filepath.Base(path)) {
+		t.Fatalf("dump path %q is not a sanitised bundle name under %s", path, dir)
+	}
+	if _, err := trace.ParseBundleFile(path); err != nil {
+		t.Fatalf("dumped bundle unparsable: %v", err)
+	}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Dir(p) != dir {
+			t.Errorf("file written outside -trace-dir: %s", p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,7 +8,6 @@
 //	stltbench -exp fig13 -keys 600000 -measure 128000
 //	stltbench -exp fig14 -quick     # trimmed sweeps
 //	stltbench -exp fig11 -csv out/  # also write CSV files
-//	stltbench -exp fig11 -json      # also write BENCH_fig11.json
 package main
 
 import (
@@ -17,11 +16,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"addrkv/internal/harness"
-	"addrkv/internal/telemetry"
 )
 
 func main() {
@@ -34,8 +31,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "trim sweep experiments for a fast pass")
 		verbose = flag.Bool("v", false, "log each simulation run")
 		csvDir  = flag.String("csv", "", "directory to also write CSV outputs into")
-		jsonOut = flag.Bool("json", false, "also write BENCH_<exp>.json per experiment")
-		jsonDir = flag.String("json-dir", ".", "directory BENCH_<exp>.json files go into")
 	)
 	flag.Parse()
 
@@ -77,30 +72,11 @@ func main() {
 		}
 	}
 
-	// With -json, collect one RunRecord per simulation run. The records
-	// come from the engine's own deterministic counters (UnixTime stays
-	// zero), so a BENCH_<exp>.json is byte-identical across runs of the
-	// same binary and scale.
-	var (
-		recMu   sync.Mutex
-		records []telemetry.RunRecord
-	)
-	if *jsonOut {
-		harness.SetRecorder(func(r telemetry.RunRecord) {
-			recMu.Lock()
-			records = append(records, r)
-			recMu.Unlock()
-		})
-		defer harness.SetRecorder(nil)
-	}
-
 	for _, e := range exps {
 		start := time.Now()
 		fmt.Printf("### %s — %s\n", e.ID, e.Title)
 		fmt.Printf("    paper shape: %s\n\n", e.Shape)
-		records = records[:0]
-		tables := e.Run(sc)
-		for i, t := range tables {
+		for i, t := range e.Run(sc) {
 			fmt.Println(t.Render())
 			if *csvDir != "" {
 				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -115,32 +91,6 @@ func main() {
 				}
 				fmt.Printf("(csv: %s)\n", path)
 			}
-		}
-		if *jsonOut {
-			snap := &telemetry.Snapshot{
-				Name: e.ID,
-				Kind: "harness",
-				Params: map[string]any{
-					"keys":        sc.Keys,
-					"warm_factor": sc.WarmFactor,
-					"measure_ops": sc.MeasureOps,
-					"quick":       sc.Quick,
-				},
-				Runs: records,
-			}
-			for _, t := range tables {
-				snap.Tables = append(snap.Tables, t.Data())
-			}
-			if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "stltbench:", err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*jsonDir, fmt.Sprintf("BENCH_%s.json", e.ID))
-			if err := snap.WriteFile(path); err != nil {
-				fmt.Fprintln(os.Stderr, "stltbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("(json: %s, %d runs)\n", path, len(records))
 		}
 		fmt.Printf("[%s done in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}

@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"addrkv/internal/telemetry"
 )
 
 func strconvParse(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
@@ -122,6 +120,29 @@ func TestFig1Runs(t *testing.T) {
 	}
 }
 
+// TestFig11Runs drives the paper's headline experiment end to end:
+// every workload row and the average carry a positive speedup for
+// both tables.
+func TestFig11Runs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	ResetCache()
+	e, _ := ByID("fig11")
+	tables := e.Run(tinyScale())
+	rows := tables[0].Rows
+	if len(rows) != len(fig11Dists)*len(fig11Sizes)+1 || rows[len(rows)-1][0] != "AVERAGE" {
+		t.Fatalf("unexpected rows:\n%s", tables[0].Render())
+	}
+	for _, r := range rows {
+		for _, cell := range r[1:] {
+			if v, err := strconvParse(cell); err != nil || v <= 0 {
+				t.Fatalf("row %s: bad speedup %q:\n%s", r[0], cell, tables[0].Render())
+			}
+		}
+	}
+}
+
 func TestFig18Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -182,47 +203,5 @@ func TestRunCacheMemoizes(t *testing.T) {
 	r2 := run(sc, sp)
 	if r1.CPO != r2.CPO {
 		t.Fatal("memoized run differs")
-	}
-}
-
-// TestRecorderObservesRunsWithoutPerturbing: the recorder must see one
-// record per logical run — cache hits included — with cycle counts
-// bit-for-bit identical to an unrecorded run of the same spec.
-func TestRecorderObservesRunsWithoutPerturbing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	sc := Scale{Keys: 2_000, WarmFactor: 1, MeasureOps: 1_000, Quick: true}
-	sp := spec{}
-
-	ResetCache()
-	unrecorded := run(sc, sp)
-
-	ResetCache()
-	var recs []struct {
-		spec   string
-		cycles uint64
-	}
-	SetRecorder(func(r telemetry.RunRecord) {
-		recs = append(recs, struct {
-			spec   string
-			cycles uint64
-		}{r.Spec, r.Cycles})
-	})
-	defer SetRecorder(nil)
-	run(sc, sp) // cache miss: simulates
-	run(sc, sp) // cache hit: recalled, still recorded
-
-	if len(recs) != 2 {
-		t.Fatalf("recorder saw %d runs, want 2", len(recs))
-	}
-	want := uint64(unrecorded.Stats.Machine.Cycles)
-	for i, r := range recs {
-		if r.cycles != want {
-			t.Fatalf("record %d cycles = %d, unrecorded run = %d", i, r.cycles, want)
-		}
-		if r.spec != recs[0].spec {
-			t.Fatalf("record specs differ: %q vs %q", r.spec, recs[0].spec)
-		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"addrkv/internal/arch"
 	"addrkv/internal/hashfn"
 	"addrkv/internal/kv"
-	"addrkv/internal/telemetry"
 	"addrkv/internal/ycsb"
 )
 
@@ -85,58 +84,6 @@ func (sp spec) key() string {
 		sp.prefetch, sp.tlbPf, sp.hugeTLB, sp.warmOps, sp.measureOps)
 }
 
-// recorder, when set, receives one RunRecord per run() call — fired on
-// cache hits too, so the record stream mirrors the experiment's
-// logical run sequence rather than the memoizer's behavior.
-var (
-	recorderMu sync.Mutex
-	recorder   func(telemetry.RunRecord)
-)
-
-// SetRecorder installs (nil: removes) a hook observing every run.
-// stltbench uses it to assemble BENCH_<exp>.json artifacts. The hook
-// only reads finished results, so recorded runs stay bit-for-bit
-// identical to unrecorded ones.
-func SetRecorder(f func(telemetry.RunRecord)) {
-	recorderMu.Lock()
-	recorder = f
-	recorderMu.Unlock()
-}
-
-func record(spec string, r result) {
-	recorderMu.Lock()
-	f := recorder
-	recorderMu.Unlock()
-	if f != nil {
-		f(recordOf(spec, r))
-	}
-}
-
-// recordOf converts a run result to its JSON record.
-func recordOf(spec string, r result) telemetry.RunRecord {
-	st := r.Stats
-	rec := telemetry.RunRecord{
-		Spec:         spec,
-		Ops:          st.Ops,
-		Cycles:       uint64(st.Machine.Cycles),
-		CyclesPerOp:  r.CPO,
-		FastPathHits: st.FastHits,
-	}
-	switch {
-	case st.STLT.Lookups > 0:
-		rec.TableMissRate = st.STLT.MissRate()
-	case st.SLB.Lookups > 0:
-		rec.TableMissRate = st.SLB.MissRate()
-	}
-	if st.Ops > 0 {
-		ops := float64(st.Ops)
-		rec.TLBMissesPerOp = float64(st.Machine.TLBMisses) / ops
-		rec.PageWalksPerOp = float64(st.Machine.PageWalks) / ops
-		rec.LLCMissesPerOp = float64(st.Machine.DRAMDemand) / ops
-	}
-	return rec
-}
-
 // run executes (or recalls) a simulation run.
 func run(sc Scale, sp spec) result {
 	if sp.keys == 0 {
@@ -158,7 +105,6 @@ func run(sc Scale, sp spec) result {
 	runCacheMu.Lock()
 	if r, ok := runCache[k]; ok {
 		runCacheMu.Unlock()
-		record(k, r)
 		return r
 	}
 	runCacheMu.Unlock()
@@ -173,7 +119,6 @@ func run(sc Scale, sp spec) result {
 	runCacheMu.Lock()
 	runCache[k] = r
 	runCacheMu.Unlock()
-	record(k, r)
 	return r
 }
 

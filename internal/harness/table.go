@@ -8,8 +8,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-
-	"addrkv/internal/telemetry"
 )
 
 // Table is a simple column-aligned result table that can render as
@@ -92,16 +90,6 @@ func (t *Table) Render() string {
 		line(r)
 	}
 	return b.String()
-}
-
-// Data returns the table as its JSON snapshot form.
-func (t *Table) Data() telemetry.TableData {
-	return telemetry.TableData{
-		Title:   t.Title,
-		Note:    t.Note,
-		Columns: t.Columns,
-		Rows:    t.Rows,
-	}
 }
 
 // CSV returns the comma-separated form.

@@ -162,3 +162,27 @@ func (s HistSnapshot) Mean() float64 {
 	}
 	return float64(s.Sum) / float64(s.Count)
 }
+
+// Quantiles summarizes a histogram for a report or a JSON artifact.
+type Quantiles struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   uint64  `json:"p50"`
+	P90   uint64  `json:"p90"`
+	P99   uint64  `json:"p99"`
+	P999  uint64  `json:"p999"`
+	Max   uint64  `json:"max"`
+}
+
+// QuantilesOf summarizes a histogram snapshot.
+func QuantilesOf(s HistSnapshot) Quantiles {
+	return Quantiles{
+		Count: s.Count,
+		Mean:  s.Mean(),
+		P50:   s.Quantile(0.50),
+		P90:   s.Quantile(0.90),
+		P99:   s.Quantile(0.99),
+		P999:  s.Quantile(0.999),
+		Max:   s.Max(),
+	}
+}

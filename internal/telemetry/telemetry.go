@@ -2,7 +2,7 @@
 // stack: a lock-free metrics registry (atomic counters, log-bucketed
 // histograms, and gauges or counters read at scrape time) with
 // Prometheus text-format rendering, a slowlog of the slowest commands,
-// a MONITOR-style command feed, and JSON benchmark snapshots.
+// and a MONITOR-style command feed.
 //
 // Everything on the record path is a handful of atomic operations, so
 // instrumentation can sit inside the per-shard serving loop without

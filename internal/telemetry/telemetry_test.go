@@ -1,10 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -263,44 +260,4 @@ func TestFeed(t *testing.T) {
 		t.Fatal("feed still active")
 	}
 	f.Unsubscribe(id) // double-unsubscribe is a no-op
-}
-
-func TestSnapshotWriteFile(t *testing.T) {
-	var h Histogram
-	for i := uint64(1); i <= 100; i++ {
-		h.Observe(i * 100)
-	}
-	s := &Snapshot{
-		Name:   "fig11",
-		Kind:   "harness",
-		Params: map[string]any{"keys": 1000},
-		Runs: []RunRecord{{
-			Spec: "1000/64/zipf/stlt/chainhash", Ops: 5000, Cycles: 123456,
-			CyclesPerOp: 24.7,
-		}},
-		Tables: []TableData{{
-			Title: "demo", Columns: []string{"a", "b"},
-			Rows: [][]string{{"1", "2"}},
-		}},
-		Latency: map[string]Quantiles{"op_cycles": QuantilesOf(h.Snapshot())},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_fig11.json")
-	if err := s.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "fig11" || back.Runs[0].Cycles != 123456 ||
-		back.Tables[0].Rows[0][1] != "2" {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-	if q := back.Latency["op_cycles"]; q.Count != 100 || q.P50 == 0 {
-		t.Fatalf("latency quantiles lost: %+v", q)
-	}
 }

@@ -45,25 +45,17 @@ func (k EventKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }
 
-// UnmarshalJSON accepts a wire name (or a legacy integer).
+// UnmarshalJSON accepts a wire name.
 func (k *EventKind) UnmarshalJSON(b []byte) error {
 	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		kind, ok := KindByName(s)
-		if !ok {
-			return fmt.Errorf("trace: unknown event kind %q", s)
-		}
-		*k = kind
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(b, &n); err != nil {
+	if err := json.Unmarshal(b, &s); err != nil {
 		return fmt.Errorf("trace: bad event kind %s", b)
 	}
-	if n < 0 || n >= NumEventKinds {
-		return fmt.Errorf("trace: event kind %d out of range", n)
+	kind, ok := KindByName(s)
+	if !ok {
+		return fmt.Errorf("trace: unknown event kind %q", s)
 	}
-	*k = EventKind(n)
+	*k = kind
 	return nil
 }
 

@@ -258,14 +258,6 @@ func (o *Op) Has(k EventKind) bool {
 	return false
 }
 
-// AnomalyConfig shapes the flight recorder's triggers.
-type AnomalyConfig struct {
-	// WalkInWarm fires when a traced op page-walks while the tracer is
-	// in the warm phase (after a measurement mark, when the paper's
-	// methodology says translations should be table-resident).
-	WalkInWarm bool
-}
-
 // Anomaly is one recorded trigger firing.
 type Anomaly struct {
 	UnixNS int64  `json:"unix_ns"`
@@ -295,10 +287,9 @@ type Tracer struct {
 	ctr    atomic.Uint64
 	nextID atomic.Uint64
 
-	// warm marks the measurement phase for the WalkInWarm trigger.
+	// warm marks the measurement phase: a traced op that page-walks
+	// while it is set fires the page_walk_warm trigger.
 	warm atomic.Bool
-
-	anomaly AnomalyConfig
 
 	traced     atomic.Uint64
 	kindCounts [NumEventKinds]atomic.Uint64
@@ -330,9 +321,6 @@ func NewTracer(shards, ringCap int, sampleEvery uint64) *Tracer {
 	return t
 }
 
-// SetAnomalyConfig installs the flight-recorder triggers.
-func (t *Tracer) SetAnomalyConfig(c AnomalyConfig) { t.anomaly = c }
-
 // SetDumpFunc installs the auto-dump sink the anomaly path calls
 // (asynchronously, at most maxAutoDumps times).
 func (t *Tracer) SetDumpFunc(f func(reason string)) { t.dump = f }
@@ -343,7 +331,9 @@ func (t *Tracer) SetSample(every uint64) { t.sample.Store(every) }
 // Sample returns the current 1-in-N sampling rate.
 func (t *Tracer) Sample() uint64 { return t.sample.Load() }
 
-// SetWarm flips the warm-phase flag for the WalkInWarm trigger.
+// SetWarm flips the warm-phase flag: after a measurement mark the
+// paper's methodology says translations should be table-resident, so
+// a traced op that still page-walks fires page_walk_warm.
 func (t *Tracer) SetWarm(v bool) { t.warm.Store(v) }
 
 // Warm reports the warm-phase flag.
@@ -421,7 +411,7 @@ func (t *Tracer) Finish(op *Op, shard int, fastHit, missed bool) {
 			scrubbed = true
 		}
 	}
-	if t.anomaly.WalkInWarm && walked && t.warm.Load() {
+	if walked && t.warm.Load() {
 		op.Anomalies = append(op.Anomalies, "page_walk_warm")
 	}
 	if scrubbed {

@@ -119,6 +119,7 @@ func TestParseBundleRejectsBadInput(t *testing.T) {
 		`{"version":1,"kind":"trace-bundle","ops":[null]}`,
 		`{"version":1,"kind":"trace-bundle","ops":[{"id":1}]}`,
 		`{"version":1,"kind":"trace-bundle","ops":[{"id":1,"op":"get","events":[{"kind":"bogus"}]}]}`,
+		`{"version":1,"kind":"trace-bundle","ops":[{"id":1,"op":"get","events":[{"kind":3}]}]}`,
 		`{"version":1,"kind":"trace-bundle","ops":[{"id":1,"op":"get","wall_ns":-5}]}`,
 		`not json`,
 	}
@@ -131,7 +132,6 @@ func TestParseBundleRejectsBadInput(t *testing.T) {
 
 func TestAnomalyTriggers(t *testing.T) {
 	tr := NewTracer(1, 8, 1)
-	tr.SetAnomalyConfig(AnomalyConfig{WalkInWarm: true})
 	dumped := make(chan string, 8)
 	tr.SetDumpFunc(func(reason string) { dumped <- reason })
 
