@@ -149,10 +149,9 @@ type config struct {
 	// hbSuspect, hbDown (test-only) stay: at a 25 ms period the defaults (2, 4) turn a -race stall into a false verdict.
 	hbSuspect, hbDown int
 
-	// Span tracing: the initial 1-in-N sampling rate (0 = off) and the
-	// flight-recorder dump directory.
-	traceSample uint64
-	traceDir    string
+	// traceDir is the flight-recorder dump directory. Tracing starts
+	// off; TRACE ON [N] sets the rate.
+	traceDir string
 }
 
 type server struct {
@@ -378,8 +377,7 @@ func parseFlags() config {
 		clusterSelf  = flag.Int("cluster-self", 0, "this node's index into -cluster-nodes")
 		hbEvery      = flag.Duration("heartbeat-interval", defaultHeartbeatEvery, "cluster heartbeat period H (0 = heartbeats off)")
 
-		traceSample = flag.Uint64("trace-sample", 0, "trace 1 in N single-key ops (1 = every op, 0 = off; TRACE ON/OFF adjusts at runtime)")
-		traceDir    = flag.String("trace-dir", "", "directory for flight-recorder dump bundles (TRACE DUMP, anomaly auto-dumps, final dump on shutdown)")
+		traceDir = flag.String("trace-dir", "", "directory for flight-recorder dump bundles (TRACE DUMP, anomaly auto-dumps, final dump on shutdown); TRACE ON [N] traces 1 in N single-key ops")
 	)
 	flag.Parse()
 	cfg := config{
@@ -402,7 +400,6 @@ func parseFlags() config {
 		aofFsync:    *aofFsync,
 		self:        *clusterSelf,
 		hbEvery:     *hbEvery,
-		traceSample: *traceSample,
 		traceDir:    *traceDir,
 	}
 	var err error

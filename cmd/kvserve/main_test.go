@@ -133,6 +133,7 @@ func TestMainRejectsBadFlags(t *testing.T) {
 		{"-vsize 128", "not defined: -vsize"},
 		{"-fast-hash sipHash", "not defined: -fast-hash"},
 		{"-trace-anomaly-cycles 5000", "not defined: -trace-anomaly-cycles"},
+		{"-trace-sample 1", "not defined: -trace-sample"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0])

@@ -90,20 +90,17 @@ func (s *server) enqueue(cs *connState, c *command, args [][]byte) {
 	if c.op == shard.OpSet {
 		req.Value = args[2]
 	}
-	// The sampling decision uses the connection's own counter against
-	// the shared rate, so an unsampled op costs one atomic load and
-	// never writes a shared cache line. A sampled op's span opens with
-	// dispatch here, collects the shard's events while the op runs
-	// under its shard lock (via Out.Trace), and is closed by
+	// The one place an op span begins: the connection's own counter
+	// against the shared rate, so an unsampled op costs one atomic
+	// load and never writes a shared cache line. A sampled op's span
+	// opens with dispatch here, collects the shard's events while the
+	// op runs under its shard lock (via Out.Trace), and is closed by
 	// flushPending with reply.flush.
 	var sp *trace.Op
-	if every := s.tracer.Sample(); every != 0 {
-		cs.ops++
-		if cs.ops%every == 0 {
-			sp = s.tracer.BeginSampled(c.name, key)
-			sp.Conn = cs.id
-			sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
-		}
+	if s.tracer.Sampled(&cs.ops) {
+		sp = s.tracer.BeginSampled(c.name, key)
+		sp.Conn = cs.id
+		sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
 	}
 	req.Out = addrkv.OpOutcome{Shard: -1, Trace: sp, Bypass: bypass}
 	s.opsSinceMark.Add(1)

@@ -1,10 +1,10 @@
 // THE series table of kvserve: every quantity the server reports is
 // declared once here — its text key and format verb, its Prometheus
 // family and HELP, and ONE getter — and every reporting surface renders
-// from that declaration: INFO, CLUSTER INFO, CLUSTER HEARTBEAT STATUS
-// and CLUSTER MIGRATE STATUS through renderText, /metrics through
-// exportSeries, CLUSTER HEALTH and /cluster/metrics through the fleet
-// rows at the end. A new quantity is one row; a surface cannot list a
+// from that declaration: INFO, CLUSTER INFO, CLUSTER HEARTBEAT STATUS,
+// CLUSTER MIGRATE STATUS and TRACE STATUS through renderText, /metrics
+// through exportSeries, CLUSTER HEALTH and /cluster/metrics through the
+// fleet rows at the end. A new quantity is one row; a surface cannot list a
 // field another forgot, and cannot spell it differently.
 //
 // Node rows read a view: the one snapshot s.view() takes under
@@ -12,7 +12,8 @@
 // sides of a RESETSTATS. Not rendered from the table, on purpose: the
 // hot-path instruments (the Counter/Histogram fields of serverTele
 // register their own families; a row that shows one just reads it),
-// health.Digest's wire encoding, TRACE STATUS and SLOWLOG.
+// health.Digest's wire encoding, TRACE STATUS's per-kind events_*
+// lines (they follow the tracer's event-kind enum) and SLOWLOG.
 package main
 
 import (
@@ -144,6 +145,7 @@ const (
 	onClusterInfo
 	onHeartbeat // CLUSTER HEARTBEAT STATUS
 	onMigrate   // CLUSTER MIGRATE STATUS
+	onTrace     // TRACE STATUS, ahead of its events_* lines
 )
 
 // group says which servers have a section at all: its text is absent
@@ -540,7 +542,7 @@ var series = []section{
 		{"", "", "addrkv_cluster_migration_eta_seconds", "Estimated remaining ship time (0 when idle).",
 			func(v *view, _ int) any { return v.mig.ETA.Seconds() }},
 	}},
-	{title: "# tracing", on: onInfo, rows: []row[*view]{
+	{title: "# tracing", on: onInfo | onTrace, rows: []row[*view]{
 		{"trace_sample_every", "%d", "addrkv_trace_sample_every", "1-in-N trace sampling rate (0 = off).",
 			func(v *view, _ int) any { return v.s.tracer.Sample() }},
 		{"trace_ops", "%d", "addrkv_traced_ops_total", "Ops completed with a trace span attached.",
@@ -550,6 +552,9 @@ var series = []section{
 		{"trace_auto_dumps", "%d", "addrkv_trace_auto_dumps_total", "Auto-dumps requested by anomaly triggers.",
 			func(v *view, _ int) any { return v.s.tracer.Dumps() }},
 		{"trace_warm_phase", "%v", "", "", func(v *view, _ int) any { return v.s.tracer.Warm() }},
+	}},
+	{on: onTrace, rows: []row[*view]{
+		{"trace_dump_dir", "%s", "", "", func(v *view, _ int) any { return v.s.cfg.traceDir }},
 	}},
 	{title: "# shard %d", on: onInfo, perShard: true, rows: []row[*view]{
 		{"shard%d_ops", "%d", "", "", func(v *view, i int) any { return v.rep.PerShard[i].Ops }},

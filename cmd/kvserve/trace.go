@@ -1,6 +1,7 @@
-// Span-tracing wiring for kvserve: the -trace-* flags, the TRACE
-// ON/OFF/STATUS/DUMP command, the flight-recorder dump sink, and the
-// INFO/Prometheus surfaces for tracing state.
+// Span-tracing wiring for kvserve: the TRACE ON/OFF/STATUS/DUMP
+// command and the flight-recorder dump sink under -trace-dir. The
+// tracing state's INFO, /metrics and TRACE STATUS rows are series.go's
+// "# tracing" section; spans begin only in enqueue.
 package main
 
 import (
@@ -19,12 +20,10 @@ const defaultTraceRing = 64
 
 // initTrace builds the server's tracer and dump sink from the config.
 func (s *server) initTrace() {
-	cfg := s.cfg
-	tr := trace.NewTracer(s.sys.Cluster().NumShards(), defaultTraceRing, cfg.traceSample)
+	tr := trace.NewTracer(s.sys.Cluster().NumShards(), defaultTraceRing)
 	s.tracer = tr
-	s.sys.Cluster().SetTracer(tr)
-	if cfg.traceDir != "" {
-		s.dumper = trace.NewDumper(cfg.traceDir, "kvserve")
+	if s.cfg.traceDir != "" {
+		s.dumper = trace.NewDumper(s.cfg.traceDir, "kvserve")
 		tr.SetDumpFunc(func(reason string) {
 			if path, err := s.dumper.Dump(tr, reason); err != nil {
 				log.Printf("kvserve: trace auto-dump (%s): %v", reason, err)
@@ -32,10 +31,6 @@ func (s *server) initTrace() {
 				log.Printf("kvserve: trace auto-dump (%s) -> %s", reason, path)
 			}
 		})
-	}
-	if cfg.traceSample > 0 {
-		log.Printf("kvserve: tracing 1 in %d ops (ring %d/shard, dir %q)",
-			cfg.traceSample, defaultTraceRing, cfg.traceDir)
 	}
 }
 
@@ -73,15 +68,9 @@ func (s *server) traceCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, mo
 		s.tracer.SetSample(0)
 		w.WriteSimple("OK")
 	case "status":
-		counts := s.tracer.EventCounts()
 		var b strings.Builder
-		fmt.Fprintf(&b, "sample_every:%d\r\n", s.tracer.Sample())
-		fmt.Fprintf(&b, "traced_ops:%d\r\n", s.tracer.Traced())
-		fmt.Fprintf(&b, "shards:%d\r\n", s.tracer.Shards())
-		fmt.Fprintf(&b, "anomalies:%d\r\n", s.tracer.AnomalyCount())
-		fmt.Fprintf(&b, "auto_dumps:%d\r\n", s.tracer.Dumps())
-		fmt.Fprintf(&b, "warm_phase:%v\r\n", s.tracer.Warm())
-		fmt.Fprintf(&b, "dump_dir:%s\r\n", s.cfg.traceDir)
+		b.WriteString(renderText(s.view(), onTrace))
+		counts := s.tracer.EventCounts()
 		for _, k := range traceKindOrder() {
 			if n, ok := counts[k]; ok {
 				fmt.Fprintf(&b, "events_%s:%d\r\n", strings.ReplaceAll(k, ".", "_"), n)

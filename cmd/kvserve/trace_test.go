@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"io/fs"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,7 +31,7 @@ func TestTraceCommands(t *testing.T) {
 	s := newConfigServer(t, cfg, false)
 
 	status := string(call(t, s, "TRACE", "STATUS").([]byte))
-	if tsv(t, status, "sample_every") != "0" || tsv(t, status, "traced_ops") != "0" {
+	if tsv(t, status, "trace_sample_every") != "0" || tsv(t, status, "trace_ops") != "0" {
 		t.Fatalf("fresh tracer not idle:\n%s", status)
 	}
 
@@ -43,7 +45,7 @@ func TestTraceCommands(t *testing.T) {
 	call(t, s, "EXISTS", "k")
 
 	status = string(call(t, s, "TRACE", "STATUS").([]byte))
-	if tsv(t, status, "sample_every") != "1" || tsv(t, status, "traced_ops") != "5" {
+	if tsv(t, status, "trace_sample_every") != "1" || tsv(t, status, "trace_ops") != "5" {
 		t.Fatalf("TRACE STATUS after 5 single-key ops:\n%s", status)
 	}
 	for _, k := range []string{"events_dispatch", "events_engine_op", "events_reply_flush"} {
@@ -78,7 +80,7 @@ func TestTraceCommands(t *testing.T) {
 	}
 	call(t, s, "SET", "k2", "v")
 	status = string(call(t, s, "TRACE", "STATUS").([]byte))
-	if tsv(t, status, "traced_ops") != "5" || tsv(t, status, "sample_every") != "0" {
+	if tsv(t, status, "trace_ops") != "5" || tsv(t, status, "trace_sample_every") != "0" {
 		t.Fatalf("TRACE OFF still sampling:\n%s", status)
 	}
 
@@ -129,27 +131,40 @@ func TestTraceDumpWithoutDirFails(t *testing.T) {
 }
 
 // TestServerTracedMatchesUntraced is the server-layer leg of the
-// bit-for-bit invariant: an identical command stream with 100%
-// sampling must leave the engines in exactly the state an untraced
-// server reaches, while every span agrees with its op's outcome.
+// bit-for-bit invariant: an identical command stream, traced 1 in 1 or
+// 1 in 4 on one connection, must leave the engines in exactly the
+// state an untraced server reaches, on the reference server and with
+// workers. The front-end is the only sampler: exactly 1 in N ops
+// carries a span, and every span has the whole front-end timeline.
 func TestServerTracedMatchesUntraced(t *testing.T) {
-	plain := newTestServerShards(t, 2)
-	traced := newTestServerShards(t, 2)
-	if got := call(t, traced, "TRACE", "ON"); got != "OK" {
-		t.Fatalf("TRACE ON = %v", got)
+	for _, workers := range []bool{false, true} {
+		for _, every := range []int{1, 4} {
+			t.Run(fmt.Sprintf("workers=%v/every=%d", workers, every), func(t *testing.T) {
+				testTracedMatchesUntraced(t, workers, every)
+			})
+		}
+	}
+}
+
+func testTracedMatchesUntraced(t *testing.T, workers bool, every int) {
+	plain := newConfigServer(t, testConfig(2), workers)
+	traced := newConfigServer(t, testConfig(2), workers)
+	if got := call(t, traced, "TRACE", "ON", strconv.Itoa(every)); got != "OK" {
+		t.Fatalf("TRACE ON %d = %v", every, got)
 	}
 
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	run := func(s *server) []any {
+		cs := &connState{id: 1} // one connection: one sampling counter
 		var out []any
 		for round := 0; round < 20; round++ {
 			for _, k := range keys {
-				out = append(out, call(t, s, "SET", k, strings.Repeat("x", 64)))
-				out = append(out, call(t, s, "GET", k))
-				out = append(out, call(t, s, "EXISTS", k))
+				out = append(out, callCS(t, s, cs, "SET", k, strings.Repeat("x", 64)))
+				out = append(out, callCS(t, s, cs, "GET", k))
+				out = append(out, callCS(t, s, cs, "EXISTS", k))
 			}
-			out = append(out, call(t, s, "DEL", keys[round%len(keys)]))
-			out = append(out, call(t, s, "GET", "missing"))
+			out = append(out, callCS(t, s, cs, "DEL", keys[round%len(keys)]))
+			out = append(out, callCS(t, s, cs, "GET", "missing"))
 		}
 		return out
 	}
@@ -168,14 +183,17 @@ func TestServerTracedMatchesUntraced(t *testing.T) {
 	}
 
 	const nOps = 20 * (5*3 + 2) // every op in run() is single-key
-	if n := traced.tracer.Traced(); n != nOps {
-		t.Fatalf("traced %d ops, want %d", n, nOps)
+	n := traced.tracer.Traced()
+	if n != nOps/uint64(every) {
+		t.Fatalf("traced %d of %d ops at 1 in %d, want %d", n, nOps, every, nOps/every)
 	}
 	counts := traced.tracer.EventCounts()
-	if counts["dispatch"] != nOps || counts["reply.flush"] != nOps || counts["shard.lock"] != nOps {
-		t.Fatalf("front-end event counts off: %v", counts)
+	for _, k := range []string{"dispatch", "shard.lock", "engine.op", "reply.flush"} {
+		if counts[k] != n {
+			t.Fatalf("%s events %d != traced ops %d: %v", k, counts[k], n, counts)
+		}
 	}
-	if counts["page.walk"] != got.Agg.Machine.PageWalks {
+	if every == 1 && counts["page.walk"] != got.Agg.Machine.PageWalks {
 		t.Fatalf("page.walk events %d != machine walks %d", counts["page.walk"], got.Agg.Machine.PageWalks)
 	}
 }
@@ -222,8 +240,8 @@ func TestWarmPhaseAnomaly(t *testing.T) {
 		t.Skip("no page walk occurred in the warm phase (workload fits TLB)")
 	}
 	status := string(call(t, s, "TRACE", "STATUS").([]byte))
-	if tsv(t, status, "warm_phase") != "true" {
-		t.Fatalf("STATUS warm_phase wrong:\n%s", status)
+	if tsv(t, status, "trace_warm_phase") != "true" {
+		t.Fatalf("STATUS trace_warm_phase wrong:\n%s", status)
 	}
 	call(t, s, "FLUSHALL")
 	if s.tracer.Warm() {

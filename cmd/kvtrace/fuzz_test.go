@@ -12,9 +12,9 @@ import (
 // disk and every kvtrace subcommand).
 func FuzzParseBundle(f *testing.F) {
 	// Seed with a realistic bundle...
-	tr := trace.NewTracer(2, 8, 1)
+	tr := trace.NewTracer(2, 8)
 	for i := 0; i < 4; i++ {
-		op := tr.Begin("get", []byte("seed-key"))
+		op := tr.BeginSampled("get", []byte("seed-key"))
 		op.SetBase(100)
 		op.Event(trace.EvEngineOp, 100, 0, 0, 0)
 		op.Event(trace.EvSTLTProbe, 112, 3, 1, 0)

@@ -9,33 +9,38 @@ import (
 	"testing"
 
 	"addrkv/internal/kv"
+	"addrkv/internal/shard"
 	"addrkv/internal/trace"
 	"addrkv/internal/ycsb"
 )
 
-// writeTestBundle runs a real 100%-sampled engine workload and dumps
-// the resulting flight-recorder bundle, so the CLI tests exercise the
-// same artifact shape kvserve produces.
+// writeTestBundle runs a real workload on a one-shard cluster with a
+// span on every op, begun, attached and finished the way kvserve's
+// front-end does, and dumps the resulting flight-recorder bundle, so
+// the CLI tests exercise the same artifact shape kvserve produces.
 func writeTestBundle(t *testing.T) string {
 	t.Helper()
-	e, err := kv.New(kv.Config{Keys: 2000, Index: kv.KindChainHash, Mode: kv.ModeSTLT, Seed: 7})
+	c, err := shard.New(shard.Config{Shards: 1, Engine: kv.Config{Keys: 2000, Index: kv.KindChainHash, Mode: kv.ModeSTLT, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.NewTracer(1, 256, 1)
-	e.SetTracer(tr, 0)
-	e.Load(2000, 64)
+	tr := trace.NewTracer(1, 256)
+	c.Load(2000, 64)
 
 	g := ycsb.NewGenerator(ycsb.Config{Keys: 2000, ValueSize: 64, Dist: ycsb.Zipf, Seed: 5, SetFraction: 0.2})
 	var buf [ycsb.KeyLen]byte
 	for i := 0; i < 4000; i++ {
 		op := g.Next()
-		key := ycsb.KeyNameInto(buf[:], op.KeyID)
+		r, name := shard.Req{Kind: shard.OpGet, Key: ycsb.KeyNameInto(buf[:], op.KeyID)}, "get"
 		if op.Type == ycsb.Set {
-			e.Set(key, ycsb.Value(op.KeyID, 1, 64))
-		} else {
-			e.GetInto(key, nil)
+			r.Kind, r.Value, name = shard.OpSet, ycsb.Value(op.KeyID, 1, 64), "set"
 		}
+		sp := tr.BeginSampled(name, r.Key)
+		sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
+		r.Out.Trace = sp
+		c.Do(&r)
+		sp.EventRel(trace.EvReplyFlush, sp.Cycles, 0, 0, 0)
+		tr.Finish(sp, r.Out.Shard, r.Out.FastHit, r.Out.Missed)
 	}
 
 	dir := t.TempDir()

@@ -237,16 +237,6 @@ type Engine struct {
 	fast  fastPath // nil in baseline mode
 	redis *redisLayer
 
-	// tracer, when non-nil, samples the engine's own spans for ops
-	// that arrive without an externally attached trace (standalone
-	// engine use; the cluster/server attach their own spans instead).
-	// traceCtr is the engine-local sampling counter: ops run under the
-	// shard lock, so counting locally keeps the unsampled fast path off
-	// the tracer's shared counter cache line.
-	tracer      *trace.Tracer
-	tracerShard int
-	traceCtr    uint64
-
 	ops, gets, sets, misses, fastHits, moves uint64
 	scans, expired, evicted                  uint64
 	keyBuf                                   [ycsb.KeyLen]byte
@@ -382,20 +372,11 @@ func (e *Engine) Reset() error {
 		return err
 	}
 	ne.MarkMeasurement()
-	tr, sh, clk := e.tracer, e.tracerShard, e.clock
+	clk := e.clock
 	*e = *ne
-	e.tracer, e.tracerShard, e.clock = tr, sh, clk
+	e.clock = clk
 	return nil
 }
-
-// SetTracer installs a span tracer for the engine's own sampling; ops
-// it begins are filed under ring shard (0 for a standalone engine).
-func (e *Engine) SetTracer(t *trace.Tracer, shard int) {
-	e.tracer, e.tracerShard = t, shard
-}
-
-// Tracer returns the engine's own tracer (nil when not set).
-func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // AttachTrace points the machine's event hooks at an externally owned
 // span (the cluster attaches the front-end's span under the shard
@@ -405,41 +386,12 @@ func (e *Engine) AttachTrace(op *trace.Op) { e.M.Trace = op }
 // DetachTrace disconnects the machine's event hooks.
 func (e *Engine) DetachTrace() { e.M.Trace = nil }
 
-// traceBegin starts an engine-owned span when the engine has its own
-// tracer and no external span is attached; either way it stamps the
-// engine.op timeline event on whatever span is live. Returns nil when
-// this op does not own a span (unsampled, or externally traced).
-func (e *Engine) traceBegin(name string, key []byte) *trace.Op {
-	if e.M.Trace == nil && e.tracer != nil {
-		every := e.tracer.Sample()
-		if every == 0 {
-			return nil
-		}
-		e.traceCtr++
-		if e.traceCtr%every != 0 {
-			return nil
-		}
-		op := e.tracer.BeginSampled(name, key)
-		op.SetBase(uint64(e.M.Cycles()))
-		e.M.Trace = op
-		op.Event(trace.EvEngineOp, uint64(e.M.Cycles()), 0, 0, 0)
-		return op
-	}
+// stampOp stamps engine.op, entry into an op body, on the attached
+// span. The engine never begins a span of its own.
+func (e *Engine) stampOp() {
 	if e.M.Trace != nil {
 		e.M.Trace.Event(trace.EvEngineOp, uint64(e.M.Cycles()), 0, 0, 0)
 	}
-	return nil
-}
-
-// traceEnd completes an engine-owned span from traceBegin (no-op for
-// nil).
-func (e *Engine) traceEnd(op *trace.Op, fastHit, missed bool) {
-	if op == nil {
-		return
-	}
-	e.M.Trace = nil
-	op.End(uint64(e.M.Cycles()))
-	e.tracer.Finish(op, e.tracerShard, fastHit, missed)
 }
 
 // GetInto performs a timed GET with a caller-supplied value buffer: the
@@ -447,25 +399,23 @@ func (e *Engine) traceEnd(op *trace.Op, fastHit, missed bool) {
 // returned, so a steady-state caller reusing its buffer performs zero
 // allocations.
 func (e *Engine) GetInto(key, buf []byte) ([]byte, bool) {
-	sp, fh := e.traceBegin("get", key), e.fastHits
+	e.stampOp()
 	va, ok := e.get(key)
 	var val []byte
 	if ok {
 		val = index.ReadValueInto(e.M, va, buf)
 	}
-	e.traceEnd(sp, e.fastHits > fh, !ok)
 	return val, ok
 }
 
 // GetTouch performs a timed GET charging the value read without
 // materializing it (the harness's hot loop).
 func (e *Engine) GetTouch(key []byte) bool {
-	sp, fh := e.traceBegin("get", key), e.fastHits
+	e.stampOp()
 	va, ok := e.get(key)
 	if ok {
 		index.TouchValue(e.M, va)
 	}
-	e.traceEnd(sp, e.fastHits > fh, !ok)
 	return ok
 }
 
@@ -538,17 +488,16 @@ func (e *Engine) idxGet(key []byte) (arch.Addr, bool) {
 // (fast path, slow path, STLT refill) without the value read or the
 // value-copy reply — the cheap path a Redis EXISTS takes.
 func (e *Engine) Exists(key []byte) bool {
-	sp, fh := e.traceBegin("exists", key), e.fastHits
+	e.stampOp()
 	_, found := e.read(key, len("EXISTS"))
 	e.redis.reply(4) // ":1\r\n" / ":0\r\n"
-	e.traceEnd(sp, e.fastHits > fh, !found)
 	return found
 }
 
 // Set performs a timed SET. Like Redis, SET discards any TTL armed on
 // the key.
 func (e *Engine) Set(key, value []byte) {
-	sp := e.traceBegin("set", key)
+	e.stampOp()
 	e.expireIfDue(key, false)
 	e.ops++
 	e.sets++
@@ -575,12 +524,11 @@ func (e *Engine) Set(key, value []byte) {
 	e.lfuAccount(key, value)
 	e.redis.reply(5) // "+OK\r\n"
 	e.maybeEvict()
-	e.traceEnd(sp, false, false)
 }
 
 // Delete removes a key, keeping the fast paths coherent.
 func (e *Engine) Delete(key []byte) bool {
-	sp := e.traceBegin("del", key)
+	e.stampOp()
 	e.expireIfDue(key, false)
 	e.ops++
 	ok := e.Idx.Delete(key)
@@ -594,7 +542,6 @@ func (e *Engine) Delete(key []byte) bool {
 	if ok {
 		e.forget(key)
 	}
-	e.traceEnd(sp, false, !ok)
 	return ok
 }
 

@@ -215,13 +215,12 @@ func (e *Engine) armDeadline(key []byte, deadline int64) {
 // that just lazily expired). Recovery tail replay calls it with the
 // logged deadline, reproducing the timed work bit-for-bit.
 func (e *Engine) ExpireAt(key []byte, deadline int64) int {
-	sp, fh := e.traceBegin("expire", key), e.fastHits
+	e.stampOp()
 	_, found := e.read(key, len("PEXPIREAT")+8)
 	if found {
 		e.armDeadline(key, deadline)
 	}
 	e.redis.reply(4) // ":1\r\n" / ":0\r\n"
-	e.traceEnd(sp, e.fastHits > fh, !found)
 	if found {
 		return 1
 	}
@@ -233,7 +232,7 @@ func (e *Engine) ExpireAt(key []byte, deadline int64) int {
 // expired), -1 when present without a deadline, and the remaining
 // nanoseconds (> 0) otherwise.
 func (e *Engine) TTL(key []byte) int64 {
-	sp, fh := e.traceBegin("ttl", key), e.fastHits
+	e.stampOp()
 	_, found := e.read(key, len("PTTL"))
 	var ret int64 = -2
 	if found {
@@ -247,7 +246,6 @@ func (e *Engine) TTL(key []byte) int64 {
 		}
 	}
 	e.redis.reply(16)
-	e.traceEnd(sp, e.fastHits > fh, !found)
 	return ret
 }
 

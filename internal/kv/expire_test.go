@@ -286,11 +286,11 @@ func TestEvictionChurnLowersSTLTHitRate(t *testing.T) {
 	free, _ := newTTLEngine(t, 0)
 	tight, _ := newTTLEngine(t, 8*1024) // holds well under nKeys records
 
-	tr := trace.NewTracer(1, 64, 1)
-	tight.SetTracer(tr, 0)
+	tr := trace.NewTracer(1, 64)
 
 	val := make([]byte, 48)
-	run := func(e *Engine) (hits, gets uint64) {
+	// run traces every op of the tight engine (tr non-nil).
+	run := func(e *Engine, tr *trace.Tracer) (hits, gets uint64) {
 		x := uint64(99)
 		var keyBuf []byte
 		for i := 0; i < nOps; i++ {
@@ -298,17 +298,21 @@ func TestEvictionChurnLowersSTLTHitRate(t *testing.T) {
 			x ^= x >> 7
 			x ^= x << 17
 			keyBuf = fmt.Appendf(keyBuf[:0], "churn:%04d", (x>>8)%nKeys)
+			op := func() { e.GetInto(keyBuf, nil) }
 			if i%4 == 0 {
-				e.Set(keyBuf, val)
+				op = func() { e.Set(keyBuf, val) }
+			}
+			if tr != nil {
+				runTraced(tr, e, "op", keyBuf, op)
 			} else {
-				e.GetInto(keyBuf, nil)
+				op()
 			}
 		}
 		st := e.Stats()
 		return st.FastHits, st.Gets
 	}
-	fh, fg := run(free)
-	th, tg := run(tight)
+	fh, fg := run(free, nil)
+	th, tg := run(tight, tr)
 	if tight.Stats().Evicted == 0 {
 		t.Fatal("tight engine never evicted; test shape is wrong")
 	}

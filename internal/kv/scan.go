@@ -22,7 +22,6 @@ import (
 
 	"addrkv/internal/arch"
 	"addrkv/internal/index"
-	"addrkv/internal/trace"
 )
 
 // ErrUnordered reports a SCAN/RANGE against a hash index, which has no
@@ -100,7 +99,6 @@ func (e *Engine) Scan(start []byte, limit int, fn func(key []byte) bool) (int, e
 	if !ok {
 		return 0, ErrUnordered
 	}
-	sp := e.traceBegin("scan", start)
 	e.ops++
 	e.scans++
 	e.redis.command(start, len("SCAN")+8)
@@ -125,10 +123,6 @@ func (e *Engine) Scan(start []byte, limit int, fn func(key []byte) bool) (int, e
 		}
 		return limit <= 0 || n < limit
 	})
-	if e.M.Trace != nil {
-		e.M.Trace.Event(trace.EvIndexWalk, uint64(e.M.Cycles()), int64(n), 0, 0)
-	}
-	e.traceEnd(sp, false, n == 0)
 	return n, nil
 }
 
@@ -141,7 +135,6 @@ func (e *Engine) Range(start, end []byte, limit int, fn func(key, value []byte) 
 	if !ok {
 		return 0, ErrUnordered
 	}
-	sp := e.traceBegin("range", start)
 	e.ops++
 	e.scans++
 	e.redis.command(start, len("RANGE")+len(end))
@@ -171,10 +164,6 @@ func (e *Engine) Range(start, end []byte, limit int, fn func(key, value []byte) 
 		}
 		return limit <= 0 || n < limit
 	})
-	if e.M.Trace != nil {
-		e.M.Trace.Event(trace.EvIndexWalk, uint64(e.M.Cycles()), int64(n), 0, 0)
-	}
-	e.traceEnd(sp, false, n == 0)
 	return n, nil
 }
 

@@ -8,9 +8,25 @@ import (
 	"addrkv/internal/ycsb"
 )
 
-// TestTracedEngineMatchesUntraced: a 100%-sampled engine must produce
-// bit-for-bit identical replies and modeled cycles to an untraced one —
-// trace hooks read counters, never charge cycles.
+// runTraced runs op on e under a span the caller begins and finishes,
+// the way the shard layer runs a front-end span: anchor, attach, op,
+// end, detach, Finish with the outcome read off the probe delta.
+func runTraced(tr *trace.Tracer, e *Engine, name string, key []byte, op func()) {
+	sp := tr.BeginSampled(name, key)
+	before := e.Probe()
+	sp.SetBase(uint64(e.M.Cycles()))
+	e.AttachTrace(sp)
+	op()
+	sp.End(uint64(e.M.Cycles()))
+	e.DetachTrace()
+	after := e.Probe()
+	tr.Finish(sp, 0, after.FastHits > before.FastHits, after.Misses > before.Misses)
+}
+
+// TestTracedEngineMatchesUntraced: an engine with a span attached to
+// every op must produce bit-for-bit identical replies and modeled
+// cycles to an untraced one — trace hooks read counters, never charge
+// cycles — and stamp engine.op once per op.
 func TestTracedEngineMatchesUntraced(t *testing.T) {
 	cfg := Config{Keys: 4000, Index: KindChainHash, Mode: ModeSTLT, Seed: 42}
 	const loadN, nOps = 4000, 8000
@@ -23,8 +39,7 @@ func TestTracedEngineMatchesUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.NewTracer(1, 64, 1)
-	traced.SetTracer(tr, 0)
+	tr := trace.NewTracer(1, 64)
 
 	plain.Load(loadN, 64)
 	traced.Load(loadN, 64)
@@ -40,10 +55,12 @@ func TestTracedEngineMatchesUntraced(t *testing.T) {
 		keyT := ycsb.KeyNameInto(bufT[:], opT.KeyID)
 		if opP.Type == ycsb.Set {
 			plain.Set(keyP, ycsb.Value(opP.KeyID, 1, 64))
-			traced.Set(keyT, ycsb.Value(opT.KeyID, 1, 64))
+			runTraced(tr, traced, "set", keyT, func() { traced.Set(keyT, ycsb.Value(opT.KeyID, 1, 64)) })
 		} else {
 			vp, okP := plain.GetInto(keyP, nil)
-			vt, okT := traced.GetInto(keyT, nil)
+			var vt []byte
+			var okT bool
+			runTraced(tr, traced, "get", keyT, func() { vt, okT = traced.GetInto(keyT, nil) })
 			if okP != okT || !bytes.Equal(vp, vt) {
 				t.Fatalf("op %d: replies diverged (ok %v/%v)", i, okP, okT)
 			}
@@ -85,26 +102,5 @@ func TestTracedEngineMatchesUntraced(t *testing.T) {
 			}
 			prev = e.Cycles
 		}
-	}
-}
-
-// TestEngineTracerSurvivesReset: FLUSHALL rebuilds the engine in place;
-// the installed tracer must keep working afterwards.
-func TestEngineTracerSurvivesReset(t *testing.T) {
-	e, err := New(Config{Keys: 100, Index: KindChainHash, Mode: ModeBaseline, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.NewTracer(1, 8, 1)
-	e.SetTracer(tr, 0)
-	if err := e.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Tracer() != tr {
-		t.Fatal("Reset dropped the engine's tracer")
-	}
-	e.Set([]byte("k"), []byte("v"))
-	if tr.Traced() != 1 {
-		t.Fatalf("post-reset op not traced (traced=%d)", tr.Traced())
 	}
 }

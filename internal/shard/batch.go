@@ -55,7 +55,7 @@ func (c *Cluster) DoBatch(reqs []*Req) (ok bool) {
 		wrote := c.runChained(i, s, g, 0)
 		s.mu.Unlock()
 		if wrote {
-			c.walCommit(i, nil, len(g))
+			c.walCommit(i, g, len(g))
 		}
 	}
 	return true

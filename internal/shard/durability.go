@@ -2,9 +2,10 @@
 // log. Each shard's mutations append to its own wal.Log under the
 // shard lock — so log order equals engine execution order by
 // construction — and commits follow the dispatch mode's natural batch
-// boundary: the worker runtime commits once per drain burst (group
-// commit: one fsync covers every op of the burst, across connections),
-// Do commits per op and DoBatch once per shard group.
+// boundary, every one through walCommit: the worker runtime commits
+// once per drain burst (group commit: one fsync covers every op of the
+// burst, across connections), Do per op, DoBatch once per shard group,
+// and Load, SweepExpired and Reset once per shard.
 //
 // Replay discipline: recovery applies records through the same engine
 // entry points live traffic uses — RecLoad through the untimed bulk
@@ -112,23 +113,29 @@ func (c *Cluster) walOp(i int, s *shardSlot, opKind wal.Kind, key, value []byte,
 	return c.logs != nil
 }
 
-// walCommit publishes shard i's pending records (Do: one commit per op;
-// DoBatch: one per shard group). covered is the record count the barrier
-// covers, stamped on the traced op's wal.fsync event under the always
-// policy.
-func (c *Cluster) walCommit(i int, out *OpOutcome, covered int) {
+// walCommit publishes shard i's pending records: the one barrier every
+// path takes. Under the always policy the barrier's fsync wall time
+// and covered, the records it made durable, are stamped as wal.fsync
+// on every traced op of reqs.
+func (c *Cluster) walCommit(i int, reqs []*Req, covered int) {
 	if c.logs == nil {
 		return
 	}
 	l := c.logs[i]
-	traced := out != nil && out.Trace != nil && l.Policy() == wal.FsyncAlways
+	always := l.Policy() == wal.FsyncAlways
 	var t0 time.Time
-	if traced {
+	if always {
 		t0 = time.Now()
 	}
 	l.Commit() //nolint:errcheck // sticky; surfaced via WALErr
-	if traced {
-		out.Trace.EventRel(trace.EvWALFsync, out.Cycles, time.Since(t0).Nanoseconds(), int64(covered), 0)
+	if !always {
+		return
+	}
+	ns := time.Since(t0).Nanoseconds()
+	for _, r := range reqs {
+		if r.Out.Trace != nil {
+			r.Out.Trace.EventRel(trace.EvWALFsync, r.Out.Cycles, ns, int64(covered), 0)
+		}
 	}
 }
 

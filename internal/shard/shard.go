@@ -179,10 +179,8 @@ func (c *Cluster) Load(n, valueSize int) {
 		c.walAppend(i, s.e, wal.RecLoad, key, val, nil)
 		s.mu.Unlock()
 	}
-	if c.logs != nil {
-		for _, l := range c.logs {
-			l.Commit() //nolint:errcheck // sticky; surfaced via WALErr
-		}
+	for i := range c.shards {
+		c.walCommit(i, nil, 0)
 	}
 }
 
@@ -338,7 +336,7 @@ func (c *Cluster) Do(r *Req) {
 	}
 	observeDelta(i, &r.Out, before, s.e.Probe())
 	if wrote {
-		c.walCommit(i, &r.Out, 1)
+		c.walCommit(i, []*Req{r}, 1)
 	}
 }
 
@@ -490,18 +488,6 @@ func (c *Cluster) Len() int {
 		s.mu.Unlock()
 	}
 	return total
-}
-
-// SetTracer installs tr as every shard engine's own span tracer
-// (engine-begun ops on shard i file into ring i). Front-end spans via
-// OpOutcome.Trace take precedence per op, so a server that creates its
-// own spans can share the same tracer without double-tracing.
-func (c *Cluster) SetTracer(tr *trace.Tracer) {
-	for i, s := range c.shards {
-		s.mu.Lock()
-		s.e.SetTracer(tr, i)
-		s.mu.Unlock()
-	}
 }
 
 // MarkMeasurement resets every shard's counters: everything before

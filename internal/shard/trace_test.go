@@ -5,6 +5,7 @@ import (
 
 	"addrkv/internal/kv"
 	"addrkv/internal/trace"
+	"addrkv/internal/wal"
 	"addrkv/internal/ycsb"
 )
 
@@ -30,7 +31,7 @@ func TestTracedOpsMatchUntraced(t *testing.T) {
 	plain.MarkMeasurement()
 	traced.MarkMeasurement()
 
-	tr := trace.NewTracer(2, 64, 1)
+	tr := trace.NewTracer(2, 64)
 
 	gcfg := ycsb.Config{Keys: loadN, ValueSize: 64, Dist: ycsb.Zipf, Seed: 9, SetFraction: 0.1}
 	gp, gt := ycsb.NewGenerator(gcfg), ycsb.NewGenerator(gcfg)
@@ -47,10 +48,7 @@ func TestTracedOpsMatchUntraced(t *testing.T) {
 		if opT.Type == ycsb.Set {
 			name = "set"
 		}
-		sp := tr.Begin(name, keyT)
-		if sp == nil {
-			t.Fatalf("op %d: 100%% sampling returned no span", i)
-		}
+		sp := tr.BeginSampled(name, keyT)
 		sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
 		req := Req{Kind: OpGetTouch, Key: keyT, Out: OpOutcome{Trace: sp}}
 
@@ -115,31 +113,51 @@ func TestTracedOpsMatchUntraced(t *testing.T) {
 	}
 }
 
-// TestClusterSetTracerSamplesEngineOps: with no front-end span, the
-// engines' own tracer (installed cluster-wide) samples ops and files
-// them under the serving shard's ring.
-func TestClusterSetTracerSamplesEngineOps(t *testing.T) {
-	c, err := New(Config{Shards: 2, Engine: kv.Config{Keys: 1000, Index: kv.KindChainHash, Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Load(1000, 64)
-	tr := trace.NewTracer(2, 16, 1)
-	c.SetTracer(tr)
-
-	var buf [ycsb.KeyLen]byte
-	for id := uint64(0); id < 200; id++ {
-		c.GetTouch(ycsb.KeyNameInto(buf[:], id))
-	}
-	if tr.Traced() != 200 {
-		t.Fatalf("traced %d ops, want 200", tr.Traced())
-	}
-	b := tr.Snapshot("unit", "manual")
-	shards := map[int]int{}
-	for _, op := range b.Ops {
-		shards[op.Shard]++
-	}
-	if shards[0] == 0 || shards[1] == 0 {
-		t.Fatalf("expected spans on both shards, got %v", shards)
+// TestWALCommitStampsTracedOps: walCommit is the one barrier, in place
+// and from a worker's drain. Under the always policy a traced write
+// carries wal.append and then wal.fsync, whose B is the records the
+// barrier covered; a read that wrote no frame waits on no barrier and
+// carries neither.
+func TestWALCommitStampsTracedOps(t *testing.T) {
+	for _, workers := range []bool{false, true} {
+		c, err := New(Config{Shards: 1, Engine: durTestCfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs, _ := openLogs(t, t.TempDir(), 1, wal.FsyncAlways)
+		if err := c.AttachWAL(logs); err != nil {
+			t.Fatal(err)
+		}
+		if workers {
+			if err := c.StartWorkers(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr := trace.NewTracer(1, 8)
+		run := func(kind OpKind, name string) *trace.Op {
+			req := NewReq()
+			req.Kind, req.Key, req.Value = kind, []byte("k"), []byte("v")
+			req.Out.Trace = tr.BeginSampled(name, req.Key)
+			c.Enqueue(req) // one producer, waiting: a burst of one
+			req.Wait()
+			return req.Out.Trace
+		}
+		set, get := run(OpSet, "set"), run(OpGet, "get")
+		c.StopWorkers()
+		if err := c.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		var fsync *trace.Event
+		for i, e := range set.Events {
+			if e.Kind == trace.EvWALFsync {
+				fsync = &set.Events[i]
+			}
+		}
+		if !set.Has(trace.EvWALAppend) || fsync == nil || fsync.B != 1 {
+			t.Fatalf("workers=%v: traced SET lacks wal.append or a wal.fsync covering 1 record: %+v", workers, set.Events)
+		}
+		if get.Has(trace.EvWALAppend) || get.Has(trace.EvWALFsync) {
+			t.Fatalf("workers=%v: traced GET waited on a barrier: %+v", workers, get.Events)
+		}
 	}
 }

@@ -28,10 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
-
-	"addrkv/internal/trace"
-	"addrkv/internal/wal"
 )
 
 // DefaultQueueCap is the per-shard ring capacity StartWorkers uses
@@ -264,22 +260,8 @@ func (c *Cluster) serveBurst(i int, s *shardSlot, w *worker, burst []*Req) {
 	// Group commit: one write and (under the always policy) one fsync
 	// cover every mutation of the burst. Completions are signalled only
 	// after the barrier, so an acknowledged op is on durable storage.
-	if wrote && c.logs != nil {
-		l := c.logs[i]
-		always := l.Policy() == wal.FsyncAlways
-		var t0 time.Time
-		if always {
-			t0 = time.Now()
-		}
-		l.Commit() //nolint:errcheck // sticky; surfaced via WALErr
-		if always {
-			ns := time.Since(t0).Nanoseconds()
-			for _, r := range burst {
-				if r.Out.Trace != nil {
-					r.Out.Trace.EventRel(trace.EvWALFsync, r.Out.Cycles, ns, int64(n), 0)
-				}
-			}
-		}
+	if wrote {
+		c.walCommit(i, burst, n)
 	}
 	w.drains.Add(1)
 	w.drainedOps.Add(uint64(n))

@@ -350,7 +350,7 @@ func TestWorkerTraceEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.StopWorkers()
-	tr := trace.NewTracer(2, 8, 1)
+	tr := trace.NewTracer(2, 8)
 	sp := tr.BeginSampled("get", []byte("user0000000000000001"))
 	req := NewReq()
 	req.Kind = OpGet

@@ -19,10 +19,10 @@
 //     READ machine counters (cycle stamps), never charge cycles, and
 //     every hook site is a single nil-pointer check when the op is
 //     unsampled.
-//  2. The record path is lock-free: sampling is an atomic counter,
-//     completed spans go into per-shard rings of atomic pointers, and
-//     event appends happen on a span owned by exactly one goroutine
-//     (the one holding the shard lock).
+//  2. The record path is lock-free: sampling reads one atomic rate
+//     against the caller's own counter, completed spans go into
+//     per-shard rings of atomic pointers, and event appends happen on
+//     a span owned by exactly one goroutine at a time.
 //  3. This is a leaf package (standard library only), so every layer
 //     from internal/vm to cmd/kvserve can emit into it without import
 //     cycles.
@@ -183,8 +183,8 @@ type Event struct {
 type Op struct {
 	ID    uint64 `json:"id"`
 	Shard int    `json:"shard"`
-	// Conn is the front-end connection that issued the op (0 for
-	// engine-embedded tracing).
+	// Conn is the front-end connection that issued the op (0 for a
+	// span no connection began, such as a migration record).
 	Conn int64  `json:"conn,omitempty"`
 	Name string `json:"op"`
 	Key  string `json:"key,omitempty"`
@@ -284,7 +284,6 @@ type Tracer struct {
 
 	// sample is the 1-in-N sampling rate (0 = off, 1 = every op).
 	sample atomic.Uint64
-	ctr    atomic.Uint64
 	nextID atomic.Uint64
 
 	// warm marks the measurement phase: a traced op that page-walks
@@ -304,9 +303,9 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer for shards shards with ringCap completed
-// traces retained per shard. sampleEvery is the initial 1-in-N rate
-// (0 = off).
-func NewTracer(shards, ringCap int, sampleEvery uint64) *Tracer {
+// traces retained per shard. Sampling starts off; SetSample sets the
+// rate.
+func NewTracer(shards, ringCap int) *Tracer {
 	if shards < 1 {
 		shards = 1
 	}
@@ -317,7 +316,6 @@ func NewTracer(shards, ringCap int, sampleEvery uint64) *Tracer {
 	for i := range t.rings {
 		t.rings[i].init(ringCap)
 	}
-	t.sample.Store(sampleEvery)
 	return t
 }
 
@@ -345,29 +343,22 @@ func (t *Tracer) Traced() uint64 { return t.traced.Load() }
 // Dumps returns how many auto-dumps the anomaly path has requested.
 func (t *Tracer) Dumps() uint64 { return t.dumpCount.Load() }
 
-// Shards returns the ring count.
-func (t *Tracer) Shards() int { return t.shards }
-
-// Begin makes the sampling decision for one op and, when sampled,
-// returns a fresh span (nil otherwise). The key is copied, so callers
-// may reuse their buffer.
-func (t *Tracer) Begin(name string, key []byte) *Op {
+// Sampled is the 1-in-N rule: it advances the caller's own op counter
+// against the current rate and reports whether this op is the Nth. A
+// counter owned by the caller (one RESP connection) keeps the unsampled
+// path to one atomic load, never a write to a shared cache line.
+func (t *Tracer) Sampled(ctr *uint64) bool {
 	every := t.sample.Load()
 	if every == 0 {
-		return nil
+		return false
 	}
-	if t.ctr.Add(1)%every != 0 {
-		return nil
-	}
-	return t.BeginSampled(name, key)
+	*ctr++
+	return *ctr%every == 0
 }
 
 // BeginSampled creates a span unconditionally: the caller has already
-// made the sampling decision. High-rate callers with a natural
-// per-goroutine home (e.g. one RESP connection) keep a LOCAL op
-// counter against Sample() and call this only on the sampled op, so
-// the unsampled fast path never writes the shared sampling counter's
-// cache line.
+// made the sampling decision (Sampled). The key is copied, so callers
+// may reuse their buffer.
 func (t *Tracer) BeginSampled(name string, key []byte) *Op {
 	now := time.Now()
 	return &Op{

@@ -10,29 +10,40 @@ import (
 	"time"
 )
 
+// TestSamplingRate: Sampled picks exactly 1 in N against each caller's
+// own counter, and nothing while the rate is 0.
 func TestSamplingRate(t *testing.T) {
-	tr := NewTracer(1, 8, 4)
+	tr := NewTracer(1, 8)
+	if tr.Sample() != 0 {
+		t.Fatalf("new tracer samples 1 in %d, want off", tr.Sample())
+	}
+	tr.SetSample(4)
+	var a, b uint64
 	n := 0
 	for i := 0; i < 100; i++ {
-		if op := tr.Begin("get", []byte("k")); op != nil {
+		if tr.Sampled(&a) {
 			n++
-			op.End(0)
-			tr.Finish(op, 0, false, false)
 		}
 	}
 	if n != 25 {
-		t.Fatalf("sample 1-in-4 traced %d of 100 ops", n)
+		t.Fatalf("sample 1-in-4 picked %d of 100 ops", n)
+	}
+	// A second counter starts its own count: its 4th op is sampled.
+	for i := 1; i <= 4; i++ {
+		if got := tr.Sampled(&b); got != (i == 4) {
+			t.Fatalf("second counter op %d sampled=%v", i, got)
+		}
 	}
 	tr.SetSample(0)
-	if op := tr.Begin("get", []byte("k")); op != nil {
-		t.Fatal("sample 0 still traced an op")
+	if tr.Sampled(&a) || a != 100 {
+		t.Fatalf("sample 0 picked an op or advanced the counter (ctr %d)", a)
 	}
 }
 
 func TestRingKeepsLastN(t *testing.T) {
-	tr := NewTracer(1, 4, 1)
+	tr := NewTracer(1, 4)
 	for i := 0; i < 10; i++ {
-		op := tr.Begin("get", []byte("k"))
+		op := tr.BeginSampled("get", []byte("k"))
 		tr.Finish(op, 0, false, false)
 	}
 	ops := tr.rings[0].snapshot()
@@ -45,14 +56,14 @@ func TestRingKeepsLastN(t *testing.T) {
 }
 
 func TestRingConcurrentPush(t *testing.T) {
-	tr := NewTracer(2, 64, 1)
+	tr := NewTracer(2, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				op := tr.Begin("set", []byte("k"))
+				op := tr.BeginSampled("set", []byte("k"))
 				op.Event(EvEngineOp, 0, 0, 0, 0)
 				tr.Finish(op, i%2, false, false)
 			}
@@ -70,7 +81,7 @@ func TestRingConcurrentPush(t *testing.T) {
 
 // newTestOp builds a span with a representative timeline.
 func newTestOp(tr *Tracer) *Op {
-	op := tr.Begin("get", []byte("usertable-key-00042"))
+	op := tr.BeginSampled("get", []byte("usertable-key-00042"))
 	op.SetBase(1000)
 	op.Event(EvEngineOp, 1000, 0, 0, 0)
 	op.Event(EvLoadVA, 1002, 3, 0, 0)
@@ -84,7 +95,7 @@ func newTestOp(tr *Tracer) *Op {
 }
 
 func TestBundleRoundTrip(t *testing.T) {
-	tr := NewTracer(2, 8, 1)
+	tr := NewTracer(2, 8)
 	op := newTestOp(tr)
 	tr.Finish(op, 1, true, false)
 
@@ -131,12 +142,12 @@ func TestParseBundleRejectsBadInput(t *testing.T) {
 }
 
 func TestAnomalyTriggers(t *testing.T) {
-	tr := NewTracer(1, 8, 1)
+	tr := NewTracer(1, 8)
 	dumped := make(chan string, 8)
 	tr.SetDumpFunc(func(reason string) { dumped <- reason })
 
 	// Page walk while cold: no trigger.
-	op := tr.Begin("get", []byte("k"))
+	op := tr.BeginSampled("get", []byte("k"))
 	op.SetBase(0)
 	op.Event(EvPageWalk, 10, 4, 0, 0)
 	op.End(20)
@@ -144,7 +155,7 @@ func TestAnomalyTriggers(t *testing.T) {
 
 	// Page walk while warm: trigger.
 	tr.SetWarm(true)
-	op = tr.Begin("get", []byte("k"))
+	op = tr.BeginSampled("get", []byte("k"))
 	op.SetBase(0)
 	op.Event(EvPageWalk, 10, 4, 0, 0)
 	op.End(20)
@@ -165,7 +176,7 @@ func TestAnomalyTriggers(t *testing.T) {
 
 func TestDumperWritesParsableBundles(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracer(1, 8, 1)
+	tr := NewTracer(1, 8)
 	op := newTestOp(tr)
 	tr.Finish(op, 0, true, false)
 	d := NewDumper(dir, "kvserve")
@@ -189,10 +200,10 @@ func TestDumperWritesParsableBundles(t *testing.T) {
 // requires: a traceEvents array whose entries all carry name/ph/ts and
 // pid/tid, with "X" events carrying a non-negative dur.
 func TestChromeTraceSchema(t *testing.T) {
-	tr := NewTracer(2, 8, 1)
+	tr := NewTracer(2, 8)
 	op := newTestOp(tr)
 	tr.Finish(op, 1, true, false)
-	op2 := tr.Begin("set", []byte("other"))
+	op2 := tr.BeginSampled("set", []byte("other"))
 	op2.SetBase(5000)
 	op2.Event(EvEngineOp, 5000, 0, 0, 0)
 	op2.Event(EvPageWalk, 5100, 4, 80, 0)
@@ -241,8 +252,8 @@ func TestChromeTraceSchema(t *testing.T) {
 
 func TestBundleMerge(t *testing.T) {
 	mk := func(start int64) *Bundle {
-		tr := NewTracer(1, 4, 1)
-		op := tr.Begin("get", []byte("k"))
+		tr := NewTracer(1, 4)
+		op := tr.BeginSampled("get", []byte("k"))
 		op.StartUnixNS = start
 		tr.Finish(op, 0, false, false)
 		return tr.Snapshot("m", "manual")
@@ -258,8 +269,8 @@ func TestBundleMerge(t *testing.T) {
 }
 
 func TestOpWallClock(t *testing.T) {
-	tr := NewTracer(1, 4, 1)
-	op := tr.Begin("get", []byte("k"))
+	tr := NewTracer(1, 4)
+	op := tr.BeginSampled("get", []byte("k"))
 	time.Sleep(time.Millisecond)
 	op.Event(EvEngineOp, 0, 0, 0, 0)
 	tr.Finish(op, 0, false, false)
