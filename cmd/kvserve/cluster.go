@@ -18,9 +18,9 @@
 // CLUSTER MIGRATE <slot> <node> runs a live migration: records stream
 // to the destination in CRC'd batches while the slot dual-serves,
 // ownership flips atomically at commit, and the destination re-warms
-// its STLT from the migrated records (the paper's insertSTLT step) —
-// each installed batch emits an stlt.rewarm trace span so the warm-up
-// cliff is measurable.
+// its STLT from the migrated records (the paper's insertSTLT step);
+// the cluster_import_* rows count the batches, records and re-warmed
+// rows, and CLUSTER MIGRATE STATUS the source's advancement.
 package main
 
 import (
@@ -35,7 +35,6 @@ import (
 	"addrkv/internal/cluster"
 	"addrkv/internal/health"
 	"addrkv/internal/resp"
-	"addrkv/internal/trace"
 	"addrkv/internal/wal"
 )
 
@@ -52,7 +51,7 @@ type clusterState struct {
 	migMu sync.Mutex
 
 	// Fleet observability (see health.go). hbPeers are DEDICATED bus
-	// handles for heartbeats and digest collection — separate from the
+	// handles for heartbeats and report collection — separate from the
 	// migration peers, so a heartbeat never waits behind a migration
 	// batch call on the per-peer mutex and turns falsely suspect.
 	health  *health.Tracker
@@ -63,14 +62,11 @@ type clusterState struct {
 	hbSent  atomic.Uint64
 	hbFails atomic.Uint64
 
-	// Cached own digest (see clusterDigest) and the ops-rate window.
-	digMu   sync.Mutex
-	digCur  *health.Digest
-	digEnc  []byte
-	digAt   time.Time
-	rateMu  sync.Mutex
-	lastOps uint64
-	lastAt  time.Time
+	// The cached own report and its ops-rate window (see clusterReport).
+	repMu  sync.Mutex
+	repEnc []byte
+	repOps uint64
+	repAt  time.Time
 }
 
 // parseClusterNodes parses the -cluster-nodes spec: comma-separated
@@ -198,13 +194,7 @@ func (s *server) busHandler(m cluster.Msg) (cluster.MsgType, []byte) {
 		if res.Valid != int64(len(frames)) {
 			return cluster.MsgErr, []byte("torn migration batch")
 		}
-		// One stlt.rewarm span per installed batch: how many records
-		// landed and how many STLT rows were warmed, so TRACE DUMP shows
-		// the destination's warm-up (or, with rewarm off, its absence).
-		sp := s.tracer.BeginSampled("stlt.rewarm", nil)
 		installed, rewarmed := s.sys.Cluster().InstallRecords(res.Records, rewarm)
-		sp.EventRel(trace.EvSTLTRewarm, 0, int64(installed), int64(rewarmed), int64(slot))
-		s.tracer.Finish(sp, -1, false, false)
 		n.Metrics.ImpBatches.Add(1)
 		n.Metrics.ImpRecords.Add(uint64(installed))
 		n.Metrics.ImpRewarmed.Add(uint64(rewarmed))
@@ -230,8 +220,7 @@ func (s *server) busHandler(m cluster.Msg) (cluster.MsgType, []byte) {
 		s.clus.health.Alive(int(from))
 		return cluster.MsgAck, nil
 	case cluster.MsgDigestGet:
-		_, enc := s.clusterDigest()
-		return cluster.MsgDigest, enc
+		return cluster.MsgDigest, s.clusterReport()
 	}
 	return cluster.MsgErr, []byte(fmt.Sprintf("unhandled bus message type %d", m.Type))
 }
@@ -436,13 +425,5 @@ func (s *server) clusterMigrate(slot uint16, dest int) (cluster.MigrationResult,
 	}, slot, dest, cluster.MigrateOpts{
 		BatchKeys: s.cfg.migBatch,
 		Rewarm:    true,
-		// One mig.progress span per shipped batch (plus one at commit):
-		// records shipped so far, the run's work list, and the slot, so
-		// TRACE DUMP reconstructs the migration's advancement timeline.
-		OnProgress: func(mp cluster.MigrationProgress) {
-			sp := s.tracer.BeginSampled("mig.progress", nil)
-			sp.EventRel(trace.EvMigProgress, 0, int64(mp.KeysShipped), int64(mp.KeysTotal), int64(mp.Slot))
-			s.tracer.Finish(sp, -1, false, false)
-		},
 	})
 }

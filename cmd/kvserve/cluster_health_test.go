@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,8 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"addrkv"
 	"addrkv/internal/cluster"
 	"addrkv/internal/health"
+	"addrkv/internal/kv"
+	"addrkv/internal/shard"
 )
 
 // heartbeats turns on the live heartbeats the health tests use: a fast
@@ -153,26 +159,105 @@ func TestHeartbeatCarriesLivenessOnly(t *testing.T) {
 	}
 }
 
+// healthRows reads s's CLUSTER HEALTH, one key -> value map per line.
+func healthRows(t *testing.T, s *server, cs *connState) []map[string]string {
+	t.Helper()
+	var rows []map[string]string
+	txt := string(callCS(t, s, cs, "CLUSTER", "HEALTH").([]byte))
+	for _, ln := range strings.Split(strings.TrimRight(txt, "\r\n"), "\r\n") {
+		row := map[string]string{}
+		for _, f := range strings.Fields(ln) {
+			k, v, _ := strings.Cut(f, ":")
+			row[k] = v
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// ownedKeys returns count keys whose slots node self owns.
+func ownedKeys(s *server, self, count int) []string {
+	var keys []string
+	for i := 0; len(keys) < count; i++ {
+		k := fmt.Sprintf("own%d:%d", self, i)
+		if s.clus.node.Map().Owner(cluster.SlotOf([]byte(k))) == self {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestClusterHealthSurfaces covers the command plane: CLUSTER HEALTH
 // line format, CLUSTER HEARTBEAT ON/OFF/STATUS, and the heartbeat and
-// liveness fields added to CLUSTER INFO.
+// liveness fields added to CLUSTER INFO. Each node then serves its own
+// traffic, and once the fleet is quiet node 0's CLUSTER HEALTH line and
+// /cluster/metrics series for every node carry what that node's own
+// INFO and DBSIZE say: each report crossed the bus intact.
 func TestClusterHealthSurfaces(t *testing.T) {
-	srvs := newTestClusterOpts(t, 3, false, heartbeats)
+	srvs := newTestClusterOpts(t, 3, false, func(c *config) {
+		heartbeats(c)
+		c.engine.MaxMemory = 1 << 20 // so used_bytes is tracked
+	})
 	s0 := srvs[0]
 	cs := &connState{id: 1}
 	waitFor(t, 5*time.Second, "first heartbeat round", func() bool {
 		return s0.clus.hbSent.Load() >= 2
 	})
 
-	txt := string(callCS(t, s0, cs, "CLUSTER", "HEALTH").([]byte))
-	lines := strings.Split(strings.TrimRight(txt, "\r\n"), "\r\n")
-	if len(lines) != 3 {
-		t.Fatalf("CLUSTER HEALTH rendered %d lines, want 3:\n%s", len(lines), txt)
+	rows := healthRows(t, s0, cs)
+	if len(rows) != 3 {
+		t.Fatalf("CLUSTER HEALTH rendered %d lines, want 3: %v", len(rows), rows)
 	}
-	for i, ln := range lines {
-		for _, want := range []string{fmt.Sprintf("node:%d ", i), "state:ok", "up:1", "slots_owned:", "ops_per_sec:"} {
-			if !strings.Contains(ln, want) {
-				t.Fatalf("health line %d missing %q: %s", i, want, ln)
+	for i, row := range rows {
+		if row["node"] != strconv.Itoa(i) || row["state"] != "ok" || row["up"] != "1" || row["slots_owned"] == "" || row["ops_per_sec"] == "" {
+			t.Fatalf("health line %d = %v, want node:%d state:ok up:1 with slots_owned and ops_per_sec", i, row, i)
+		}
+	}
+
+	for j, s := range srvs {
+		keys := ownedKeys(s, j, 8*(j+1))
+		for i, k := range keys {
+			if got := callCS(t, s, cs, "SET", k, strings.Repeat("v", 10*(j+1)+i)); got != "OK" {
+				t.Fatalf("node %d SET %s = %v", j, k, got)
+			}
+		}
+		for round := 0; round < j+2; round++ { // a key's first GET warms its STLT row
+			for _, k := range keys[:4*(j+1)] {
+				callCS(t, s, cs, "GET", k)
+			}
+		}
+		callCS(t, s, cs, "GET", ownedKeys(s, j, 200)[199]) // a key never set
+	}
+	time.Sleep(2 * s0.cfg.hbEvery) // past every node's report cache
+	rows = healthRows(t, s0, cs)
+	fleet := samples(t, fleetScrape(s0))
+	for j, s := range srvs {
+		info := map[string]string{}
+		for _, line := range strings.Split(string(callCS(t, s, cs, "INFO").([]byte)), "\r\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok {
+				info[k] = v
+			}
+		}
+		for key, want := range map[string]string{
+			"map_version": info["cluster_map_version"],
+			"slots_owned": info["cluster_slots_owned"],
+			"ops":         info["ops"],
+			"keys":        fmt.Sprint(callCS(t, s, cs, "DBSIZE")),
+			"used_bytes":  info["used_bytes"],
+			"hit_rate":    info["fast_path_hit_rate"],
+		} {
+			if rows[j][key] != want {
+				t.Errorf("node 0 reports node %d %s:%s, node %d itself %q", j, key, rows[j][key], j, want)
+			}
+		}
+		if rows[j]["used_bytes"] == "0" || rows[j]["hit_rate"] == "0.0000" {
+			t.Errorf("node %d served no traffic: %v", j, rows[j])
+		}
+		for i := 0; i < s.sys.Cluster().NumShards(); i++ {
+			want, _ := strconv.ParseFloat(info[fmt.Sprintf("shard%d_fast_hit_rate", i)], 64) // absent: no GETs, 0
+			got, ok := fleet[fmt.Sprintf("addrkv_fleet_shard_hit_rate{node=\"%d\",shard=\"%d\"}", j, i)]
+			if !ok || math.Abs(got-want) > 5e-5 {
+				t.Errorf("node 0 exports node %d shard %d hit rate %g (present %v), node %d itself %g", j, i, got, ok, j, want)
 			}
 		}
 	}
@@ -348,21 +433,12 @@ func TestClusterHealthAfterMigrate(t *testing.T) {
 		t.Fatalf("CLUSTER MIGRATE = %v", rep)
 	}
 
-	// Digests are cached for half a heartbeat interval, so the
+	// Reports are cached for half a heartbeat interval, so the
 	// destination's row may briefly predate the batch install; poll
 	// until the migrated keys show up there.
 	var rows []map[string]string
-	waitFor(t, 5*time.Second, "destination digest to include migrated keys", func() bool {
-		rows = rows[:0]
-		txt := string(callCS(t, s0, cs, "CLUSTER", "HEALTH").([]byte))
-		for _, ln := range strings.Split(strings.TrimRight(txt, "\r\n"), "\r\n") {
-			row := map[string]string{}
-			for _, f := range strings.Fields(ln) {
-				k, v, _ := strings.Cut(f, ":")
-				row[k] = v
-			}
-			rows = append(rows, row)
-		}
+	waitFor(t, 5*time.Second, "destination report to include migrated keys", func() bool {
+		rows = healthRows(t, s0, cs)
 		if len(rows) != 2 {
 			return false
 		}
@@ -397,4 +473,187 @@ func TestClusterHealthAfterMigrate(t *testing.T) {
 			t.Fatalf("%s = %s, want %d", path, res.Status, code)
 		}
 	}
+}
+
+// TestClusterHealthUnparsableReport: a peer that answers a report which
+// does not parse is shown like one that did not answer — up:0, no
+// report fields on its CLUSTER HEALTH line, no report series.
+func TestClusterHealthUnparsableReport(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := cluster.ServeBus(ln, func(cluster.Msg) (cluster.MsgType, []byte) {
+		return cluster.MsgDigest, []byte("map_version one\n")
+	})
+	defer bus.Close()
+	cfg := clusterConfig(t, 2)
+	cfg.nodes[1].Bus = ln.Addr().String()
+	s := newConfigServer(t, cfg, false)
+
+	rows := healthRows(t, s, &connState{id: 1})
+	if rows[0]["up"] != "1" || rows[1]["up"] != "0" {
+		t.Fatalf("up = %s and %s, want 1 and 0", rows[0]["up"], rows[1]["up"])
+	}
+	for _, r := range reportRows {
+		if _, ok := rows[1][r.key]; ok {
+			t.Errorf("node 1 shows report field %s: %v", r.key, rows[1])
+		}
+	}
+	body := fleetScrape(s)
+	if !strings.Contains(body, `addrkv_fleet_up{node="1"} 0`) || !strings.Contains(body, `addrkv_fleet_ops{node="0"}`) {
+		t.Fatalf("liveness series wrong:\n%s", body)
+	}
+	if strings.Contains(body, `addrkv_fleet_ops{node="1"}`) || strings.Contains(body, `{node="1",shard=`) {
+		t.Fatalf("node 1's report series are exported:\n%s", body)
+	}
+}
+
+// TestReportRoundTrip: every report row reads back from the payload with
+// the value the node's own view holds — integers exactly, floats to the
+// bit — and one value per shard row per shard.
+func TestReportRoundTrip(t *testing.T) {
+	for _, workers := range []bool{false, true} {
+		s := migratedCluster(t, workers)
+		v := s.view()
+		v.opsPerSec = 1.0 / 3 // a float no decimal rendering shortens
+		rep, err := parseReport(encodeReport(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(reportRows) + s.sys.Cluster().NumShards()*len(reportShardRows); len(rep) != want {
+			t.Fatalf("workers=%v: %d values read back, want %d", workers, len(rep), want)
+		}
+		for n, got := range rep {
+			r, i := rowAt(n)
+			want := r.get(v, i)
+			if fmt.Sprintf(r.verb, got) != fmt.Sprintf(r.verb, want) || math.Float64bits(sample(got)) != math.Float64bits(sample(want)) {
+				t.Errorf("workers=%v: %s = %v, the view holds %v", workers, indexed(r.key, i), got, want)
+			}
+		}
+	}
+}
+
+// TestReportDecodeRejects: a payload is taken whole or not at all.
+func TestReportDecodeRejects(t *testing.T) {
+	good := string(encodeReport(migratedCluster(t, false).view()))
+	if _, err := parseReport([]byte(good)); err != nil {
+		t.Fatalf("a node's own report does not parse: %v", err)
+	}
+	lines := strings.SplitAfter(good, "\n")
+	rest := strings.Join(lines[1:], "")
+	for name, b := range map[string]string{
+		"empty":                 "",
+		"no final newline":      strings.TrimSuffix(good, "\n"),
+		"a shard row short":     strings.Join(lines[:len(lines)-2], ""),
+		"a line more":           good + "extra 1\n",
+		"rows swapped":          lines[1] + lines[0] + strings.Join(lines[2:], ""),
+		"a float in an integer": "map_version 1.5\n" + rest,
+		"no value":              "map_version\n" + rest,
+		"a shard out of order":  strings.Replace(good, "shard0_", "shard1_", 1),
+	} {
+		if _, err := parseReport([]byte(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReportDerived: the report's derived values — the node-wide hit
+// rate, each shard's hit rate and the node's summed queue depth — come
+// out of the counters they are derived from, and read 0 where a shard
+// ran no GETs or the worker runtime is down.
+func TestReportDerived(t *testing.T) {
+	get := func(rows []row[*view], key string, v *view, i int) any {
+		for _, r := range rows {
+			if r.key == key {
+				return r.get(v, i)
+			}
+		}
+		t.Fatalf("no report row %s", key)
+		return nil
+	}
+	v := &view{
+		rep: addrkv.Report{FastPathHitRate: 0.75, PerShard: []kv.Stats{{Gets: 10, FastHits: 5}, {}}},
+		ws:  []shard.WorkerStats{{Depth: 1}, {Depth: 2}},
+	}
+	if got := get(reportRows, "hit_rate", v, 0); got != 0.75 {
+		t.Errorf("hit_rate = %v, want the report's 0.75", got)
+	}
+	if got := get(reportRows, "queue_depth", v, 0); got != 3 {
+		t.Errorf("queue_depth = %v, want 3", got)
+	}
+	for i, want := range []float64{0.5, 0} {
+		if got := get(reportShardRows, "shard%d_hit_rate", v, i); got != want {
+			t.Errorf("shard%d_hit_rate = %v, want %v", i, got, want)
+		}
+		if got := get(reportShardRows, "shard%d_queue_depth", v, i); got != i+1 {
+			t.Errorf("shard%d_queue_depth = %v, want %d", i, got, i+1)
+		}
+	}
+	v.ws = nil // worker runtime down
+	if got := get(reportRows, "queue_depth", v, 0); got != 0 {
+		t.Errorf("queue_depth without workers = %v, want 0", got)
+	}
+	if got := get(reportShardRows, "shard%d_queue_depth", v, 0); got != 0 {
+		t.Errorf("shard0_queue_depth without workers = %v, want 0", got)
+	}
+	if got := newTestServer(t).view().rep.FastPathHitRate; got != 0 {
+		t.Errorf("a fresh server's hit rate = %v, want 0 before any GET", got)
+	}
+}
+
+// canonical re-renders a parsed report in the encoder's form.
+func canonical(rep report) []byte {
+	var b []byte
+	for n, v := range rep {
+		r, i := rowAt(n)
+		b = append(b, indexed(r.key, i)+" "...)
+		if x, ok := v.(int64); ok {
+			b = strconv.AppendInt(b, x, 10)
+		} else {
+			b = strconv.AppendFloat(b, v.(float64), 'g', -1, 64)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// FuzzParseReport: a report is bus input from another process, so no
+// payload may panic the parser or the fleet surfaces that read what it
+// accepts, and what it accepts has one canonical form.
+func FuzzParseReport(f *testing.F) {
+	var seed []byte
+	put := func(r row[*view], i int) {
+		val := "0.5"
+		if r.verb == "%d" {
+			val = "7"
+		}
+		seed = fmt.Appendf(seed, "%s %s\n", indexed(r.key, i), val)
+	}
+	for _, r := range reportRows {
+		put(r, 0)
+	}
+	f.Add(append([]byte{}, seed...))
+	for i := 0; i < 2; i++ {
+		for _, r := range reportShardRows {
+			put(r, i)
+		}
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rep, err := parseReport(b)
+		if err != nil {
+			return
+		}
+		fleet := []fleetNode{{Report: rep}}
+		fleetText(fleet)
+		fleetMetrics(fleet)
+		again, err := parseReport(canonical(rep))
+		if err != nil {
+			t.Fatalf("re-encoded report does not parse: %v", err)
+		}
+		if !bytes.Equal(canonical(again), canonical(rep)) {
+			t.Fatalf("canonical form moved:\n%s\n%s", canonical(rep), canonical(again))
+		}
+	})
 }

@@ -465,6 +465,12 @@ func TestClusterMigrateOverRESP(t *testing.T) {
 			if m.ImpRewarmed.Load() == 0 {
 				t.Fatal("no STLT rows rewarmed despite rewarm=true")
 			}
+			// A migration begins no trace span: tracing was never on.
+			for i, s := range srvs {
+				if got := tsv(t, string(call(t, s, "INFO").([]byte)), "trace_ops"); got != "0" {
+					t.Fatalf("node %d trace_ops:%s after a migration with tracing off, want 0", i, got)
+				}
+			}
 		})
 	}
 }

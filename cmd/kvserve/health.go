@@ -13,15 +13,15 @@
 // any dial ever having to time out on the deadline path.
 //
 // Telemetry travels only when asked for: /cluster/metrics and CLUSTER
-// HEALTH fan a DigestGet out to every non-down peer concurrently and
-// merge the digests (internal/health.Digest) into one fleet view,
-// Prometheus series labeled node="i". A digest is built from read-only
-// surfaces — Report(), which locks each shard once to copy its stats,
-// RuntimeStats(), the latency histogram snapshot — so a scraped or
-// heartbeating run stays bit-for-bit identical to a quiet one (pinned
-// by the differential tests in cluster_health_test.go). A node that is
-// down or does not answer contributes up=0 and no digest-derived
-// series — a scraper watches series disappear, not go stale.
+// HEALTH fan a DigestGet out to every non-down peer concurrently, parse
+// each answer (series.go's report rows as "key value" lines; this
+// node's own report goes through the same parser) and render one fleet
+// view, Prometheus series labeled node="i". A report reads the view
+// every surface reads, so a scraped or heartbeating run stays
+// bit-for-bit identical to a quiet one (pinned by the differential
+// tests in cluster_health_test.go). A node that is down, does not
+// answer, or answers what does not parse contributes up=0 and no
+// report series — a scraper watches series disappear, not go stale.
 package main
 
 import (
@@ -39,67 +39,30 @@ import (
 // measurements.
 const defaultHeartbeatEvery = 500 * time.Millisecond
 
-// buildDigest snapshots this node's serving telemetry into a digest.
-// Read-only: the engine is never written, no shard worker is disturbed,
-// and no modeled cycles are charged.
-func (s *server) buildDigest() *health.Digest {
-	cl := s.clus
-	v := s.view()
-	rep := v.rep
-	d := &health.Digest{
-		MapVersion:     cl.node.Version(),
-		SlotsOwned:     uint32(cl.node.OwnedSlots()),
-		SlotsMigrating: uint32(len(cl.node.MigratingSlots())),
-		SlotsImporting: uint32(len(cl.node.ImportingSlots())),
-		Ops:            rep.Ops,
-		Gets:           rep.Stats.Gets,
-		FastHits:       rep.Stats.FastHits,
-		UsedBytes:      uint64(v.used),
-		LatP50US:       us(v.lat.P50),
-		LatP99US:       us(v.lat.P99),
-		Shards:         make([]health.ShardDigest, len(rep.PerShard)),
-	}
-	for i, st := range rep.PerShard {
-		sd := health.ShardDigest{Ops: st.Ops, Gets: st.Gets, FastHits: st.FastHits, Keys: uint64(v.keys[i])}
-		if i < len(v.ws) {
-			sd.QueueDepth = uint32(v.ws[i].Depth)
-		}
-		d.Keys += sd.Keys
-		d.Shards[i] = sd
-	}
-	// Ops/s since the previous digest build — the sender computes its
-	// own rate so the aggregator needs no scrape history.
-	now := time.Now()
-	cl.rateMu.Lock()
-	if !cl.lastAt.IsZero() && now.After(cl.lastAt) && rep.Ops >= cl.lastOps {
-		d.OpsPerSec = float64(rep.Ops-cl.lastOps) / now.Sub(cl.lastAt).Seconds()
-	}
-	cl.lastOps, cl.lastAt = rep.Ops, now
-	cl.rateMu.Unlock()
-	return d
-}
-
-// clusterDigest returns this node's current digest and its encoding,
-// cached for half a heartbeat interval: concurrent scrapers (each
-// fanning DigestGet out to every node) share one build instead of each
-// re-snapshotting the report, and the cache bounds how short the
-// ops-rate window can get.
-func (s *server) clusterDigest() (*health.Digest, []byte) {
+// clusterReport returns this node's encoded report, cached for half a
+// heartbeat interval: concurrent scrapers (each fanning DigestGet out to
+// every node) share one build instead of each re-snapshotting the
+// report, and the cache bounds how short the ops-rate window can get.
+func (s *server) clusterReport() []byte {
 	cl := s.clus
 	ttl := s.cfg.hbEvery / 2
 	if ttl <= 0 {
 		ttl = 100 * time.Millisecond
 	}
-	cl.digMu.Lock()
-	defer cl.digMu.Unlock()
-	if cl.digCur != nil && time.Since(cl.digAt) < ttl {
-		return cl.digCur, cl.digEnc
+	cl.repMu.Lock()
+	defer cl.repMu.Unlock()
+	if cl.repEnc != nil && time.Since(cl.repAt) < ttl {
+		return cl.repEnc
 	}
-	d := s.buildDigest()
-	cl.digCur = d
-	cl.digEnc = d.Encode(nil)
-	cl.digAt = time.Now()
-	return cl.digCur, cl.digEnc
+	v := s.view()
+	// Ops/s since the previous report — the sender computes its own
+	// rate so the collector needs no scrape history.
+	now := time.Now()
+	if !cl.repAt.IsZero() && now.After(cl.repAt) && v.rep.Ops >= cl.repOps {
+		v.opsPerSec = float64(v.rep.Ops-cl.repOps) / now.Sub(cl.repAt).Seconds()
+	}
+	cl.repEnc, cl.repOps, cl.repAt = encodeReport(v), v.rep.Ops, now
+	return cl.repEnc
 }
 
 // startHeartbeats launches one heartbeat loop per peer. No-op when the
@@ -159,8 +122,8 @@ func (cl *clusterState) stopHeartbeats() {
 
 // collectFleet fans a DigestGet out to every peer the tracker does not
 // already consider down (dialing a declared-dead node would stall the
-// aggregation behind connect timeouts for no information) and merges
-// the replies with this node's own digest. Peers are queried
+// aggregation behind connect timeouts for no information) and parses
+// the replies beside this node's own report. Peers are queried
 // concurrently; the wall clock cost is one bus round trip, not N.
 func (s *server) collectFleet() []fleetNode {
 	cl := s.clus
@@ -172,10 +135,9 @@ func (s *server) collectFleet() []fleetNode {
 		out[i] = fleetNode{Node: i, Info: m.Nodes[i], State: nh.State, Age: nh.Age, Beats: nh.Beats}
 		switch {
 		case i == cl.node.Self():
-			d, _ := s.clusterDigest()
-			out[i].Up, out[i].Digest = true, d
+			out[i].Report, _ = parseReport(s.clusterReport())
 		case nh.State == health.StateDown || cl.hbPeers[i] == nil:
-			// up=0, no digest series.
+			// up=0, no report series.
 		default:
 			wg.Add(1)
 			go func(i int, p *cluster.Peer) {
@@ -187,12 +149,9 @@ func (s *server) collectFleet() []fleetNode {
 				if err != nil || rep.Type != cluster.MsgDigest {
 					return
 				}
-				d, err := health.DecodeDigest(rep.Payload)
-				if err != nil {
-					return
+				if out[i].Report, err = parseReport(rep.Payload); err == nil {
+					cl.health.Alive(i)
 				}
-				cl.health.Alive(i)
-				out[i].Up, out[i].Digest = true, d
 			}(i, cl.hbPeers[i])
 		}
 	}

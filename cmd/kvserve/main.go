@@ -609,11 +609,11 @@ func (s *server) serve(conn net.Conn) {
 		if werr != nil {
 			return
 		}
-		if err := w.Flush(); err != nil || quit || s.closing.Load() {
+		if monitor && !quit && !s.closing.Load() {
+			s.monitorLoop(r, w) // it flushes the +OK
 			return
 		}
-		if monitor {
-			s.monitorLoop(r, w)
+		if err := w.Flush(); err != nil || quit || s.closing.Load() {
 			return
 		}
 		if rerr != nil {
@@ -706,10 +706,14 @@ type connState struct {
 // monitorLoop streams the command feed to a MONITOR client until the
 // client sends another command (QUIT/RESET per Redis, but any input
 // detaches), disconnects, or the server drains. Lines a slow client
-// cannot absorb are dropped by the feed, never blocking dispatch.
+// cannot absorb are dropped by the feed, never blocking dispatch. It
+// subscribes before the +OK leaves: a client that read it is watched.
 func (s *server) monitorLoop(r *resp.Reader, w *resp.Writer) {
 	id, ch := s.tele.feed.Subscribe(1024)
 	defer s.tele.feed.Unsubscribe(id)
+	if w.Flush() != nil {
+		return
+	}
 	stop := make(chan struct{})
 	go func() {
 		defer close(stop)

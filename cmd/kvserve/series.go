@@ -4,16 +4,17 @@
 // from that declaration: INFO, CLUSTER INFO, CLUSTER HEARTBEAT STATUS,
 // CLUSTER MIGRATE STATUS and TRACE STATUS through renderText, /metrics
 // through exportSeries, CLUSTER HEALTH and /cluster/metrics through the
-// fleet rows at the end. A new quantity is one row; a surface cannot list a
-// field another forgot, and cannot spell it differently.
+// fleet rows at the end, which read what each node reports of itself
+// through its report rows. A new quantity is one row; a surface cannot
+// list a field another forgot, and cannot spell it differently.
 //
 // Node rows read a view: the one snapshot s.view() takes under
 // statsMu.RLock, so no surface — /metrics included — can mix the two
 // sides of a RESETSTATS. Not rendered from the table, on purpose: the
 // hot-path instruments (the Counter/Histogram fields of serverTele
 // register their own families; a row that shows one just reads it),
-// health.Digest's wire encoding, TRACE STATUS's per-kind events_*
-// lines (they follow the tracer's event-kind enum) and SLOWLOG.
+// TRACE STATUS's per-kind events_* lines (they follow the tracer's
+// event-kind enum) and SLOWLOG.
 package main
 
 import (
@@ -100,9 +101,10 @@ type view struct {
 	lat, cyc, depth telemetry.Quantiles
 	shardCyc        []telemetry.Quantiles
 
-	nodes []health.NodeHealth       // cluster mode
-	mig   cluster.MigrationProgress // zero until a migration has run here
-	migOK bool
+	nodes     []health.NodeHealth       // cluster mode
+	mig       cluster.MigrationProgress // zero until a migration has run here
+	migOK     bool
+	opsPerSec float64 // set by clusterReport only: its ops-rate window
 }
 
 // view collects the snapshot every reporting surface renders from — the
@@ -581,35 +583,150 @@ var series = []section{
 	}},
 }
 
+// reportRows are what a cluster node reports of itself to the fleet.
+// encodeReport renders them into the node's MsgDigest payload,
+// parseReport reads a payload back on the collecting node (itself
+// included), and the fleet rows of CLUSTER HEALTH and /cluster/metrics
+// read the parsed values under the same key, verb, family and HELP.
+var reportRows = []row[*view]{
+	{"map_version", "%d", "addrkv_fleet_map_version", "Slot map epoch installed at the node.",
+		func(v *view, _ int) any { return v.cl.node.Version() }},
+	{"slots_owned", "%d", "addrkv_fleet_slots_owned", "Hash slots owned by the node.",
+		func(v *view, _ int) any { return v.cl.node.OwnedSlots() }},
+	{"slots_migrating", "%d", "addrkv_fleet_slots_migrating", "Slots currently leaving the node.",
+		func(v *view, _ int) any { return len(v.cl.node.MigratingSlots()) }},
+	{"slots_importing", "%d", "addrkv_fleet_slots_importing", "Slots currently arriving at the node.",
+		func(v *view, _ int) any { return len(v.cl.node.ImportingSlots()) }},
+	{"ops", "%d", "addrkv_fleet_ops", "Engine ops since the node's RESETSTATS.",
+		func(v *view, _ int) any { return v.rep.Ops }},
+	{"keys", "%d", "addrkv_fleet_keys", "Keys resident at the node.", func(v *view, _ int) any {
+		n := 0
+		for _, k := range v.keys {
+			n += k
+		}
+		return n
+	}},
+	{"used_bytes", "%d", "addrkv_fleet_used_bytes", "Record bytes tracked by the node's eviction policy.",
+		func(v *view, _ int) any { return v.used }},
+	{"hit_rate", "%.4f", "addrkv_fleet_hit_rate", "Node-wide STLT/SLB fast-path hit rate.",
+		func(v *view, _ int) any { return v.rep.FastPathHitRate }},
+	{"queue_depth", "%d", "addrkv_fleet_queue_depth", "Worker ring depth summed over the node's shards.", func(v *view, _ int) any {
+		n := 0
+		for _, st := range v.ws {
+			n += st.Depth
+		}
+		return n
+	}},
+	{"ops_per_sec", "%.1f", "addrkv_fleet_ops_per_sec", "Node-reported op rate since its previous digest.",
+		func(v *view, _ int) any { return v.opsPerSec }},
+	{"lat_p50_us", "%.1f", "addrkv_fleet_latency_p50_us", "Node-reported wall-clock command latency p50.",
+		func(v *view, _ int) any { return us(v.lat.P50) }},
+	{"lat_p99_us", "%.1f", "addrkv_fleet_latency_p99_us", "Node-reported wall-clock command latency p99.",
+		func(v *view, _ int) any { return us(v.lat.P99) }},
+}
+
+// reportShardRows follow reportRows in the payload once per shard; on
+// the fleet side they are the node="i",shard="j" series only.
+var reportShardRows = []row[*view]{
+	{"shard%d_hit_rate", "%g", "addrkv_fleet_shard_hit_rate", "Per-shard fast-path hit rate, by node.", func(v *view, i int) any {
+		st := v.rep.PerShard[i]
+		if st.Gets == 0 {
+			return 0.0
+		}
+		return float64(st.FastHits) / float64(st.Gets)
+	}},
+	{"shard%d_queue_depth", "%d", "addrkv_fleet_shard_queue_depth", "Per-shard worker ring depth, by node.", func(v *view, i int) any {
+		if v.ws == nil {
+			return 0
+		}
+		return v.ws[i].Depth
+	}},
+}
+
+// rowAt is the report row of payload line n, and its shard index: the
+// report rows, then the shard rows once per shard.
+func rowAt(n int) (row[*view], int) {
+	if n < len(reportRows) {
+		return reportRows[n], 0
+	}
+	n -= len(reportRows)
+	return reportShardRows[n%len(reportShardRows)], n / len(reportShardRows)
+}
+
+// encodeReport renders v's report rows as "key value" lines, losslessly:
+// %v prints an integer in decimal and a float64 in the shortest form
+// that parses back to the same bits.
+func encodeReport(v *view) []byte {
+	var b []byte
+	for n := 0; n < len(reportRows)+len(v.keys)*len(reportShardRows); n++ {
+		r, i := rowAt(n)
+		b = fmt.Appendf(b, "%s %v\n", indexed(r.key, i), r.get(v, i))
+	}
+	return b
+}
+
+// report is a parsed payload, one value per line.
+type report []any
+
+// parseReport parses a payload another process sent. It takes the rows
+// exactly, in order, or rejects the whole payload.
+func parseReport(b []byte) (report, error) {
+	lines := strings.Split(string(b), "\n")
+	rep := make(report, len(lines)-1)
+	if lines[len(rep)] != "" || len(rep) < len(reportRows) || (len(rep)-len(reportRows))%len(reportShardRows) != 0 {
+		return nil, fmt.Errorf("report of %d lines is cut", len(rep))
+	}
+	for n := range rep {
+		r, i := rowAt(n)
+		key, val, _ := strings.Cut(lines[n], " ")
+		var err error
+		switch {
+		case key != indexed(r.key, i):
+			err = fmt.Errorf("report line %q: want %s", lines[n], indexed(r.key, i))
+		case r.verb == "%d":
+			rep[n], err = strconv.ParseInt(val, 10, 64)
+		default:
+			rep[n], err = strconv.ParseFloat(val, 64)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
 // fleetNode is one node's slice of an aggregated fleet view: the local
-// tracker's liveness verdict plus (for reachable nodes) a fresh digest.
+// tracker's liveness verdict plus (for reachable nodes) a fresh report.
 type fleetNode struct {
 	Node   int
 	Info   cluster.NodeInfo
 	State  health.State
 	Age    time.Duration
 	Beats  uint64
-	Up     bool           // digest fetched (self always; down peers never dialed)
-	Digest *health.Digest // nil when !Up
+	Report report // nil unless the node answered one that parses (down peers are never dialed)
 }
 
-// digest reads a field of a reachable node's digest. A node that is
-// down or did not answer has none: its digest fields leave the CLUSTER
-// HEALTH line and its digest series leave the scrape instead of
-// freezing at stale values.
-func digest(f func(d *health.Digest, i int) any) func(fleetNode, int) any {
-	return func(fn fleetNode, i int) any {
-		if fn.Digest == nil {
-			return nil
-		}
-		return f(fn.Digest, i)
+// reported turns report rows into fleet rows that read the parsed
+// values from line base on. A node that is down or did not answer has
+// no report: its report fields leave the CLUSTER HEALTH line and its
+// report series leave the scrape instead of freezing at stale values.
+func reported(rows []row[*view], base int) []row[fleetNode] {
+	out := make([]row[fleetNode], len(rows))
+	for j, r := range rows {
+		out[j] = row[fleetNode]{r.key, r.verb, r.fam, r.help, func(fn fleetNode, i int) any {
+			if fn.Report == nil {
+				return nil
+			}
+			return fn.Report[base+i*len(rows)+j]
+		}}
 	}
+	return out
 }
 
 // fleetRows are the per-node fields of CLUSTER HEALTH (one line per
 // node, fields separated by spaces) and the node="i" series of
-// /cluster/metrics.
-var fleetRows = []row[fleetNode]{
+// /cluster/metrics: the liveness rows, then the report rows.
+var fleetRows = append([]row[fleetNode]{
 	{"node", "%d", "", "", func(fn fleetNode, _ int) any { return fn.Node }},
 	{"addr", "%s", "", "", func(fn fleetNode, _ int) any { return fn.Info.Addr }},
 	{"bus", "%s", "", "", func(fn fleetNode, _ int) any { return fn.Info.Bus }},
@@ -622,40 +739,11 @@ var fleetRows = []row[fleetNode]{
 	{"beats", "%d", "addrkv_fleet_beats_total", "Heartbeats/acks observed from the node.",
 		func(fn fleetNode, _ int) any { return fn.Beats }},
 	{"up", "%d", "addrkv_fleet_up", "1 when the node answered digest collection (self included).",
-		func(fn fleetNode, _ int) any { return b2i(fn.Up) }},
-	{"map_version", "%d", "addrkv_fleet_map_version", "Slot map epoch installed at the node.",
-		digest(func(d *health.Digest, _ int) any { return d.MapVersion })},
-	{"slots_owned", "%d", "addrkv_fleet_slots_owned", "Hash slots owned by the node.",
-		digest(func(d *health.Digest, _ int) any { return d.SlotsOwned })},
-	{"slots_migrating", "%d", "addrkv_fleet_slots_migrating", "Slots currently leaving the node.",
-		digest(func(d *health.Digest, _ int) any { return d.SlotsMigrating })},
-	{"slots_importing", "%d", "addrkv_fleet_slots_importing", "Slots currently arriving at the node.",
-		digest(func(d *health.Digest, _ int) any { return d.SlotsImporting })},
-	{"ops", "%d", "addrkv_fleet_ops", "Engine ops since the node's RESETSTATS.",
-		digest(func(d *health.Digest, _ int) any { return d.Ops })},
-	{"keys", "%d", "addrkv_fleet_keys", "Keys resident at the node.",
-		digest(func(d *health.Digest, _ int) any { return d.Keys })},
-	{"used_bytes", "%d", "addrkv_fleet_used_bytes", "Record bytes tracked by the node's eviction policy.",
-		digest(func(d *health.Digest, _ int) any { return d.UsedBytes })},
-	{"hit_rate", "%.4f", "addrkv_fleet_hit_rate", "Node-wide STLT/SLB fast-path hit rate.",
-		digest(func(d *health.Digest, _ int) any { return d.HitRate() })},
-	{"queue_depth", "%d", "addrkv_fleet_queue_depth", "Worker ring depth summed over the node's shards.",
-		digest(func(d *health.Digest, _ int) any { return d.QueueDepth() })},
-	{"ops_per_sec", "%.1f", "addrkv_fleet_ops_per_sec", "Node-reported op rate since its previous digest.",
-		digest(func(d *health.Digest, _ int) any { return d.OpsPerSec })},
-	{"lat_p50_us", "%.1f", "addrkv_fleet_latency_p50_us", "Node-reported wall-clock command latency p50.",
-		digest(func(d *health.Digest, _ int) any { return d.LatP50US })},
-	{"lat_p99_us", "%.1f", "addrkv_fleet_latency_p99_us", "Node-reported wall-clock command latency p99.",
-		digest(func(d *health.Digest, _ int) any { return d.LatP99US })},
-}
+		func(fn fleetNode, _ int) any { return b2i(fn.Report != nil) }},
+}, reported(reportRows, 0)...)
 
 // fleetShardRows are the node="i",shard="j" series of /cluster/metrics.
-var fleetShardRows = []row[fleetNode]{
-	{"", "", "addrkv_fleet_shard_hit_rate", "Per-shard fast-path hit rate, by node.",
-		digest(func(d *health.Digest, i int) any { return d.Shards[i].HitRate() })},
-	{"", "", "addrkv_fleet_shard_queue_depth", "Per-shard worker ring depth, by node.",
-		digest(func(d *health.Digest, i int) any { return d.Shards[i].QueueDepth })},
-}
+var fleetShardRows = reported(reportShardRows, len(reportRows))
 
 // fleetText renders CLUSTER HEALTH: one parse-friendly line per node,
 // nodes in index order.
@@ -670,7 +758,7 @@ func fleetText(fleet []fleetNode) string {
 }
 
 // fleetMetrics renders /cluster/metrics. Every node contributes its
-// liveness series; only reachable nodes contribute digest series.
+// liveness series; only reachable nodes contribute report series.
 func fleetMetrics(fleet []fleetNode) string {
 	var b strings.Builder
 	families := func(rows []row[fleetNode], perShard bool) {
@@ -686,7 +774,7 @@ func fleetMetrics(fleet []fleetNode) string {
 					}
 					continue
 				}
-				for i := 0; fn.Digest != nil && i < len(fn.Digest.Shards); i++ {
+				for i := 0; fn.Report != nil && i < (len(fn.Report)-len(reportRows))/len(reportShardRows); i++ {
 					fmt.Fprintf(&b, "%s{node=\"%d\",shard=\"%d\"} %g\n", r.fam, fn.Node, i, sample(r.get(fn, i)))
 				}
 			}

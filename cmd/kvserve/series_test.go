@@ -59,8 +59,8 @@ func aofServerAfterScript(t *testing.T) *server {
 	return s
 }
 
-func migratedCluster(t *testing.T) *server {
-	s := newTestCluster(t, 2, false)[0]
+func migratedCluster(t *testing.T, workers bool) *server {
+	s := newTestCluster(t, 2, workers)[0]
 	for i, k := range keysInSlot(t, 42, 25) {
 		call(t, s, "SET", k, fmt.Sprintf("v-%d", i))
 	}
@@ -101,7 +101,7 @@ func TestScrapeTakesStatsMu(t *testing.T) {
 // is named *_total. (The parent typed 29 *_total families gauge, by
 // which helper had registered them.)
 func TestTotalFamiliesAreCounters(t *testing.T) {
-	cl := migratedCluster(t)
+	cl := migratedCluster(t, false)
 	for name, body := range map[string]string{
 		"aof /metrics":             scrape(t, aofServerAfterScript(t)),
 		"cluster /metrics":         scrape(t, cl),
@@ -210,7 +210,7 @@ func TestSeriesTable(t *testing.T) {
 // end to end from a quiescent server, so the registration (family,
 // shard label, counter or gauge function) is checked with the getter.
 func TestSeriesRenderingsAgree(t *testing.T) {
-	for name, s := range map[string]*server{"aof": aofServerAfterScript(t), "cluster": migratedCluster(t)} {
+	for name, s := range map[string]*server{"aof": aofServerAfterScript(t), "cluster": migratedCluster(t, false)} {
 		v := s.view()
 		text := map[string]string{}
 		for _, line := range strings.Split(renderText(v, ^surface(0)), "\r\n") {

@@ -134,7 +134,7 @@ func render(w io.Writer, f *frame) (missing []string) {
 		fmt.Fprintf(w, "%-4s %-16s %-7s %-3s %8s %7s ",
 			get(n, "node"), get(n, "addr"), get(n, "state"), up, ms(n, "age_ms", time.Millisecond), get(n, "beats"))
 		if up == "no" {
-			// No digest: placeholders, never stale numbers.
+			// No report: placeholders, never stale numbers.
 			fmt.Fprintf(w, "%6s %5s %9s %9s %6s %6s %9s %9s\n", "-", "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}

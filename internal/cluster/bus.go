@@ -186,7 +186,7 @@ func (p *Peer) Call(t MsgType, body []byte) (Msg, error) {
 // CallCopy is Call with the reply payload copied into a fresh slice
 // while the peer's lock is still held. A plain Call's payload aliases
 // the peer's reused read buffer, so on a peer shared between
-// goroutines (the heartbeat loop and digest collection) the caller
+// goroutines (the heartbeat loop and report collection) the caller
 // cannot copy it safely after Call returns — the next Call may already
 // be overwriting the buffer.
 func (p *Peer) CallCopy(t MsgType, body []byte) (Msg, error) {

@@ -56,10 +56,10 @@ const (
 	// node index (EncodeU64), nothing else. Reply: an empty MsgAck — a
 	// successful round-trip is liveness evidence in both directions.
 	MsgHeartbeat MsgType = 10
-	// MsgDigestGet requests the receiver's current telemetry digest
-	// (fleet aggregation fan-out); empty body. Reply: MsgDigest.
+	// MsgDigestGet requests the receiver's report of itself (fleet
+	// aggregation fan-out); empty body. Reply: MsgDigest.
 	MsgDigestGet MsgType = 11
-	// MsgDigest carries an encoded health.Digest.
+	// MsgDigest carries the sender's report (kvserve's report rows, as text).
 	MsgDigest MsgType = 12
 )
 

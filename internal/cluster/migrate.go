@@ -57,11 +57,6 @@ type MigrateOpts struct {
 	// is visible in its fast-hit rate. kvserve always sets it; the off
 	// leg of TestMigrateRewarmWarmsDestinationSTLT holds the cliff claim.
 	Rewarm bool
-	// OnProgress, when set, is called after every shipped batch (and
-	// once more at completion) with the current progress snapshot —
-	// the serving layer's hook for mig.progress trace events. Called
-	// from the migration goroutine; must not block.
-	OnProgress func(MigrationProgress)
 }
 
 // MigrationResult reports one completed (or partial) migration.
@@ -128,13 +123,6 @@ func (n *Node) Migrate(c *shard.Cluster, peers func(int) *Peer, slot uint16, des
 	// destination, deleted ones are skipped at extraction.
 	keys := c.CollectKeys(func(k []byte) bool { return SlotOf(k) == slot })
 	n.progressStart(slot, dest, resumed, len(keys), (len(keys)+batch-1)/batch)
-	notify := func() {
-		if o.OnProgress != nil {
-			if mp, ok := n.Progress(); ok {
-				o.OnProgress(mp)
-			}
-		}
-	}
 	shipped := false
 	for lo := 0; lo < len(keys); lo += batch {
 		hi := lo + batch
@@ -151,7 +139,6 @@ func (n *Node) Migrate(c *shard.Cluster, peers func(int) *Peer, slot uint16, des
 			res.Batches++
 			shipped = true
 			n.progressBatch(moved, bytes)
-			notify()
 		}
 		if err != nil {
 			n.Metrics.MigFailed.Add(1)
@@ -182,7 +169,6 @@ func (n *Node) Migrate(c *shard.Cluster, peers func(int) *Peer, slot uint16, des
 	n.Metrics.MigKeys.Add(uint64(res.Keys))
 	n.Metrics.MigBytes.Add(uint64(res.Bytes))
 	n.progressEnd(false)
-	notify()
 	return n.finishCommitted(res, next, peers, start)
 }
 

@@ -1,85 +1,9 @@
 package health
 
 import (
-	"math"
-	"reflect"
 	"testing"
 	"time"
 )
-
-func sampleDigest() *Digest {
-	return &Digest{
-		MapVersion:     17,
-		SlotsOwned:     5461,
-		SlotsMigrating: 1,
-		SlotsImporting: 0,
-		Ops:            123456,
-		Gets:           100000,
-		FastHits:       91234,
-		Keys:           20000,
-		UsedBytes:      1 << 20,
-		OpsPerSec:      54321.5,
-		LatP50US:       12.25,
-		LatP99US:       480.75,
-		Shards: []ShardDigest{
-			{Ops: 60000, Gets: 50000, FastHits: 46000, Keys: 10001, QueueDepth: 3},
-			{Ops: 63456, Gets: 50000, FastHits: 45234, Keys: 9999, QueueDepth: 0},
-		},
-	}
-}
-
-func TestDigestRoundTrip(t *testing.T) {
-	d := sampleDigest()
-	enc := d.Encode(nil)
-	got, err := DecodeDigest(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(d, got) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", d, got)
-	}
-	// No shards: Shards must stay nil, not empty-slice.
-	d2 := &Digest{MapVersion: 3}
-	got2, err := DecodeDigest(d2.Encode(nil))
-	if err != nil {
-		t.Fatalf("decode empty-shard digest: %v", err)
-	}
-	if !reflect.DeepEqual(d2, got2) {
-		t.Fatalf("empty-shard round trip mismatch: %+v vs %+v", d2, got2)
-	}
-}
-
-func TestDigestDecodeRejects(t *testing.T) {
-	enc := sampleDigest().Encode(nil)
-	cases := map[string][]byte{
-		"empty":         {},
-		"short header":  enc[:digestHeaderSize-1],
-		"bad version":   append([]byte{99}, enc[1:]...),
-		"truncated":     enc[:len(enc)-1],
-		"trailing byte": append(append([]byte{}, enc...), 0),
-	}
-	for name, b := range cases {
-		if _, err := DecodeDigest(b); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", name)
-		}
-	}
-}
-
-func TestDigestDerived(t *testing.T) {
-	d := sampleDigest()
-	if got, want := d.HitRate(), float64(d.FastHits)/float64(d.Gets); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("HitRate = %v, want %v", got, want)
-	}
-	if got := d.QueueDepth(); got != 3 {
-		t.Fatalf("QueueDepth = %d, want 3", got)
-	}
-	if (&Digest{}).HitRate() != 0 {
-		t.Fatal("zero-get HitRate must be 0")
-	}
-	if (ShardDigest{Gets: 10, FastHits: 5}).HitRate() != 0.5 {
-		t.Fatal("shard HitRate")
-	}
-}
 
 // fakeClock advances manually for deterministic state transitions.
 type fakeClock struct{ t time.Time }
@@ -196,19 +120,4 @@ func TestStateString(t *testing.T) {
 			t.Fatalf("State(%d).String() = %q, want %q", st, st.String(), want)
 		}
 	}
-}
-
-func FuzzDecodeDigest(f *testing.F) {
-	f.Add(sampleDigest().Encode(nil))
-	f.Add([]byte{digestVersion})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := DecodeDigest(b)
-		if err != nil {
-			return
-		}
-		// Anything that decodes must re-encode to the same bytes.
-		if got := d.Encode(nil); !reflect.DeepEqual(got, b) {
-			t.Fatalf("re-encode mismatch:\n in: %x\nout: %x", b, got)
-		}
-	})
 }

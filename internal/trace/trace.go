@@ -106,14 +106,6 @@ const (
 	// B = records covered by the barrier. Emitted after the engine
 	// section ends, so its cycle stamp equals the op's total.
 	EvWALFsync
-	// EvSTLTRewarm marks a migration batch re-warming the destination
-	// node's STLT from freshly installed records (the paper's
-	// insertSTLT() step of the record-move protocol, replayed per
-	// migrated record); A = records installed, B = STLT rows warmed,
-	// C = the hash slot being migrated. Installation is functional, so
-	// the cycle stamp is always 0 — the span's wall time is the
-	// re-warm cost.
-	EvSTLTRewarm
 
 	// EvExpire marks a lazy or sweep expiry removing a dead key:
 	// A = the key's deadline (unix ns), B = 1 when found by the active
@@ -125,23 +117,17 @@ const (
 	// removal is untimed; the event makes eviction churn (and its STLT
 	// hit-rate impact) visible in traces.
 	EvEvict
-	// EvMigProgress marks one shipped slot-migration batch on the
-	// source node: A = records shipped so far this run, B = records in
-	// the run's work list, C = the hash slot. Shipping is front-end
-	// work, so the cycle stamp is always 0; the span's wall time is
-	// the batch round-trip plus extraction.
-	EvMigProgress
 
 	// NumEventKinds bounds the kind space (for per-kind counters).
-	NumEventKinds = int(EvMigProgress) + 1
+	NumEventKinds = int(EvEvict) + 1
 )
 
 var kindNames = [NumEventKinds]string{
 	"dispatch", "queue.wait", "drain", "shard.lock", "engine.op",
 	"stlt.loadva", "stlt.probe", "ipb.check", "stb.hit", "stb.miss",
 	"tlb.refill", "walk.level", "page.walk", "index.walk", "stlt.insert",
-	"stlt.scrub", "reply.flush", "wal.append", "wal.fsync", "stlt.rewarm",
-	"expire", "evict", "mig.progress",
+	"stlt.scrub", "reply.flush", "wal.append", "wal.fsync", "expire",
+	"evict",
 }
 
 // String returns the stable wire name of the kind.

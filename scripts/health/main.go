@@ -4,7 +4,7 @@
 //  1. boots a 3-node heartbeat-enabled cluster (each node with a
 //     metrics listener) and waits until every node's CLUSTER HEALTH
 //     row reports ok/up on a survivor's aggregated view;
-//  2. measures heartbeat + digest-collection overhead with interleaved
+//  2. measures heartbeat + report-collection overhead with interleaved
 //     A/B legs: kvbench -cluster throughput with CLUSTER HEARTBEAT OFF
 //     vs ON (a scraper hammering /cluster/metrics during the ON legs),
 //     paired per round, overhead = 1 - median(on/off) — the same
@@ -13,7 +13,7 @@
 //     survivor takes to flip it to state:down in CLUSTER HEALTH. The
 //     deadline is down_after x interval plus one bus RTT; the script
 //     asserts detection within that bound plus a scheduling margin,
-//     verifies the dead node's digest-derived series disappeared from
+//     verifies the dead node's report series disappeared from
 //     /cluster/metrics while its liveness series report down, and keeps
 //     the survivor's CLUSTER HEALTH line for the dead node.
 //
@@ -99,7 +99,7 @@ func main() {
 	}
 
 	// Phase 1: the fleet converges — a survivor's aggregated view shows
-	// every node ok and answering digest collection.
+	// every node ok and answering report collection.
 	waitHealthy(cl, 3, 20*time.Second)
 	fmt.Printf("fleet healthy: 3 nodes ok on %s\n", cl.Addrs[0])
 
@@ -227,7 +227,7 @@ func setHeartbeats(cl *fleet, on bool) {
 
 // measureOverhead interleaves heartbeat-off and heartbeat-on kvbench
 // legs. During the on legs a scraper loops over /cluster/metrics so
-// the measured cost includes digest collection fan-outs, not just the
+// the measured cost includes report collection fan-outs, not just the
 // background beat.
 func measureOverhead(cl *fleet, kvbench string, ops, conns, depth, keys, rounds int, maxOver float64) overheadResult {
 	var offs, ons, ratios []float64
@@ -306,7 +306,7 @@ func detectDown(cl *fleet, hbMS, marginMS int) downDetection {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The dead node's digest series must be gone; liveness series says
+	// The dead node's report series must be gone; liveness series says
 	// down; survivors still serve theirs.
 	body := httpGet("http://" + cl.Metrics[0] + "/cluster/metrics")
 	det.SeriesDropped = !strings.Contains(body, fmt.Sprintf("addrkv_fleet_ops{node=\"%d\"}", victim)) &&
