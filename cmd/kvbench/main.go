@@ -20,11 +20,9 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/rand"
 	"os"
 	rtrace "runtime/trace"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,10 +64,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		clus     = flag.Bool("cluster", false, "treat -addr as a cluster seed node: route per key via CLUSTER SLOTS, follow MOVED/ASK")
 		jsonPath = flag.String("json", "", "write the sweep artifact to this file")
-
-		ovhd       = flag.Bool("trace-overhead", false, "measure tracing overhead: throughput with TRACE OFF vs TRACE ON <sample> (best of 3 each)")
-		ovhdSample = flag.Uint64("trace-overhead-sample", 1024, "1-in-N sampling rate for the traced leg of -trace-overhead")
-		maxOvhd    = flag.Float64("max-overhead", 0, "exit 1 when the measured trace overhead fraction exceeds this (0 = report only)")
 	)
 	flag.Parse()
 
@@ -103,115 +97,15 @@ func main() {
 		}
 	}
 
-	if *ovhd {
-		to, err := runTraceOverhead(cfg, *depth, *ovhdSample, os.Stdout)
-		if err != nil {
-			log.Fatalf("kvbench: %v", err)
-		}
-		if *jsonPath != "" {
-			if err := writeArtifact(*jsonPath, cfg, depths, nil, to); err != nil {
-				log.Fatalf("kvbench: %v", err)
-			}
-		}
-		if *maxOvhd > 0 && to.OverheadFrac > *maxOvhd {
-			log.Fatalf("kvbench: trace overhead %.2f%% exceeds the %.2f%% budget",
-				100*to.OverheadFrac, 100**maxOvhd)
-		}
-		return
-	}
-
 	results, err := run(cfg, depths, os.Stdout)
 	if err != nil {
 		log.Fatalf("kvbench: %v", err)
 	}
 	if *jsonPath != "" {
-		if err := writeArtifact(*jsonPath, cfg, depths, results, nil); err != nil {
+		if err := writeArtifact(*jsonPath, cfg, depths, results); err != nil {
 			log.Fatalf("kvbench: %v", err)
 		}
 	}
-}
-
-// serverCmd sends one out-of-band command (e.g. TRACE ON 1024) on its
-// own connection and fails on an error reply.
-func serverCmd(cfg benchConfig, args ...string) error {
-	c, err := resp.Dial(cfg.network, cfg.addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	v, err := c.Do(args...)
-	if err != nil {
-		return err
-	}
-	if e, isErr := v.(error); isErr {
-		return fmt.Errorf("%s: %w", strings.Join(args, " "), e)
-	}
-	return nil
-}
-
-// runTraceOverhead measures the cost of armed sampling. Closed-loop
-// throughput is noisy and drifts as the server's fast path warms, so
-// neither a sequential A/B nor best-of-N can resolve a small
-// overhead. Instead, after one unmeasured warmup round, the off/on
-// legs INTERLEAVE with the order flipped every round (off-on, on-off,
-// ...): each adjacent pair shares its warmth/noise regime, the
-// per-pair throughput ratio estimates the overhead with the drift
-// cancelled (alternating which leg runs first cancels any residual
-// within-pair drift direction), and the MEDIAN over pairs discards
-// outlier rounds (GC, scheduler hiccups).
-func runTraceOverhead(cfg benchConfig, depth int, sample uint64, out io.Writer) (*kvproc.TraceOverhead, error) {
-	const rounds = 5
-	if err := serverCmd(cfg, "TRACE", "OFF"); err != nil {
-		return nil, err
-	}
-	if _, err := runDepth(cfg, depth); err != nil { // warmup, unmeasured
-		return nil, err
-	}
-	leg := func(on bool) (kvproc.DepthResult, error) {
-		var err error
-		if on {
-			err = serverCmd(cfg, "TRACE", "ON", strconv.FormatUint(sample, 10))
-		} else {
-			err = serverCmd(cfg, "TRACE", "OFF")
-		}
-		if err != nil {
-			return kvproc.DepthResult{}, err
-		}
-		return runDepth(cfg, depth)
-	}
-	var bestOff, bestOn float64
-	ratios := make([]float64, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		onFirst := i%2 == 1
-		first, err := leg(onFirst)
-		if err != nil {
-			return nil, err
-		}
-		second, err := leg(!onFirst)
-		if err != nil {
-			return nil, err
-		}
-		roff, ron := first, second
-		if onFirst {
-			roff, ron = second, first
-		}
-		bestOff = math.Max(bestOff, roff.OpsPerSec)
-		bestOn = math.Max(bestOn, ron.OpsPerSec)
-		ratios = append(ratios, ron.OpsPerSec/roff.OpsPerSec)
-	}
-	if err := serverCmd(cfg, "TRACE", "OFF"); err != nil {
-		return nil, err
-	}
-	sort.Float64s(ratios)
-	to := &kvproc.TraceOverhead{
-		SampleEvery:  sample,
-		OpsPerSecOff: bestOff,
-		OpsPerSecOn:  bestOn,
-		OverheadFrac: 1 - ratios[len(ratios)/2],
-	}
-	fmt.Fprintf(out, "trace overhead @1/%d sampling: best %.0f ops/sec untraced, %.0f traced, median paired overhead %.2f%%\n",
-		sample, bestOff, bestOn, 100*to.OverheadFrac)
-	return to, nil
 }
 
 // parseSweep parses "1,4,16,64" into pipeline depths.
@@ -378,14 +272,10 @@ func benchConn(cfg benchConfig, depth, ops int, seed uint64, rt, lat *telemetry.
 
 // writeArtifact writes the sweep JSON artifact, host-stamped so a
 // 1-CPU container capture is never mistaken for a multi-core run.
-func writeArtifact(path string, cfg benchConfig, depths []int, results []kvproc.DepthResult, to *kvproc.TraceOverhead) error {
-	name := "pipeline-sweep"
-	if to != nil {
-		name = "trace-overhead"
-	}
+func writeArtifact(path string, cfg benchConfig, depths []int, results []kvproc.DepthResult) error {
 	a := kvproc.BenchArtifact{
 		Header: kvproc.Header{
-			Name: name,
+			Name: "pipeline-sweep",
 			Kind: "kvbench",
 			Params: map[string]any{
 				"addr":      cfg.addr,
@@ -399,8 +289,7 @@ func writeArtifact(path string, cfg benchConfig, depths []int, results []kvproc.
 				"depths":    depths,
 			},
 		},
-		Sweep:         results,
-		TraceOverhead: to,
+		Sweep: results,
 	}
 	return kvproc.WriteJSON(path, &a)
 }

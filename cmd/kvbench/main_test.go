@@ -18,10 +18,9 @@ import (
 // anything else an error. It records the largest burst one drain
 // picked up so tests can verify the client actually pipelines.
 type miniServer struct {
-	ln        net.Listener
-	cmds      atomic.Uint64
-	traceCmds atomic.Uint64
-	maxBurst  atomic.Uint64
+	ln       net.Listener
+	cmds     atomic.Uint64
+	maxBurst atomic.Uint64
 }
 
 func startMiniServer(t *testing.T) *miniServer {
@@ -63,9 +62,6 @@ func (ms *miniServer) serve(conn net.Conn) {
 					w.WriteBulk([]byte("value"))
 				}
 			case "SET":
-				w.WriteSimple("OK")
-			case "TRACE":
-				ms.traceCmds.Add(1)
 				w.WriteSimple("OK")
 			default:
 				w.WriteError("ERR unknown command")
@@ -189,7 +185,7 @@ func TestWriteArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	if err := writeArtifact(path, cfg, []int{2}, results, nil); err != nil {
+	if err := writeArtifact(path, cfg, []int{2}, results); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -208,45 +204,5 @@ func TestWriteArtifact(t *testing.T) {
 	}
 	if a.Params["conns"].(float64) != 2 {
 		t.Fatalf("params = %+v", a.Params)
-	}
-}
-
-// TestTraceOverheadMode: the A/B comparison toggles TRACE on the
-// server around the measured legs and lands in the artifact.
-func TestTraceOverheadMode(t *testing.T) {
-	ms := startMiniServer(t)
-	cfg := testConfig(ms.ln.Addr().String())
-	cfg.ops = 200
-
-	var out strings.Builder
-	to, err := runTraceOverhead(cfg, 8, 1024, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 initial OFF + (OFF, ON) per interleaved round + 1 final OFF.
-	if ms.traceCmds.Load() != 12 {
-		t.Fatalf("server saw %d TRACE commands, want 12", ms.traceCmds.Load())
-	}
-	if to.SampleEvery != 1024 || to.OpsPerSecOff <= 0 || to.OpsPerSecOn <= 0 {
-		t.Fatalf("overhead result = %+v", to)
-	}
-	if !strings.Contains(out.String(), "trace overhead @1/1024") {
-		t.Fatalf("report line missing:\n%s", out.String())
-	}
-
-	path := filepath.Join(t.TempDir(), "overhead.json")
-	if err := writeArtifact(path, cfg, []int{8}, nil, to); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a kvproc.BenchArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Name != "trace-overhead" || a.TraceOverhead == nil || a.TraceOverhead.SampleEvery != 1024 {
-		t.Fatalf("artifact = %+v", a)
 	}
 }

@@ -56,7 +56,6 @@ type clusterState struct {
 	// batch call on the per-peer mutex and turns falsely suspect.
 	health  *health.Tracker
 	hbPeers []*cluster.Peer // node index -> heartbeat bus handle, nil at self
-	hbOn    atomic.Bool     // runtime toggle (CLUSTER HEARTBEAT ON|OFF)
 	hbStop  chan struct{}
 	hbWG    sync.WaitGroup
 	hbSent  atomic.Uint64
@@ -304,7 +303,7 @@ func (s *server) clusterTryAgain(w *resp.Writer) (quit, monitor, isErr bool) {
 	return fail(w, "TRYAGAIN slot is migrating, retry")
 }
 
-// clusterCmd handles CLUSTER SLOTS | INFO | HEALTH | HEARTBEAT |
+// clusterCmd handles CLUSTER SLOTS | INFO | HEALTH | HEARTBEAT STATUS |
 // MIGRATE <slot> <node> | MIGRATE STATUS.
 func (s *server) clusterCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, monitor, isErr bool) {
 	if s.clus == nil {
@@ -337,25 +336,11 @@ func (s *server) clusterCmd(w *resp.Writer, args [][]byte, _ *connState) (quit, 
 		}
 		w.WriteBulk([]byte(fleetText(s.collectFleet())))
 	case "heartbeat":
-		if len(args) != 3 {
-			return fail(w, "ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
+		if len(args) != 3 || !strings.EqualFold(string(args[2]), "status") {
+			return fail(w, "ERR usage: CLUSTER HEARTBEAT STATUS")
 		}
-		switch strings.ToLower(string(args[2])) {
-		case "on":
-			if s.cfg.hbEvery <= 0 {
-				return fail(w, "ERR heartbeats disabled (-heartbeat-interval 0)")
-			}
-			s.clus.hbOn.Store(true)
-			w.WriteSimple("OK")
-		case "off":
-			s.clus.hbOn.Store(false)
-			w.WriteSimple("OK")
-		case "status":
-			status := renderText(s.view(), onHeartbeat)
-			w.WriteBulk([]byte(strings.ReplaceAll(status, "cluster_heartbeat", "heartbeat")))
-		default:
-			return fail(w, "ERR usage: CLUSTER HEARTBEAT ON|OFF|STATUS")
-		}
+		status := renderText(s.view(), onHeartbeat)
+		w.WriteBulk([]byte(strings.ReplaceAll(status, "cluster_heartbeat", "heartbeat")))
 	case "migrate":
 		if len(args) == 3 && strings.EqualFold(string(args[2]), "status") {
 			v := s.view()

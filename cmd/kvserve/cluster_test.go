@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"reflect"
 	"strconv"
@@ -574,9 +573,15 @@ func (c *redirClient) do(args ...string) (any, error) {
 	return nil, fmt.Errorf("%v: redirects did not settle", args)
 }
 
-// slowLink forwards connections to addr and holds every chunk of reply
-// for delay before passing it on. It stops when the test ends.
-func slowLink(t *testing.T, addr string, delay time.Duration) string {
+// linkCount is what a proxyLink carried each way. A chunk is counted
+// before it is passed on, so once a call through the link has returned,
+// both counts hold its request and its reply.
+type linkCount struct{ out, in atomic.Int64 }
+
+// proxyLink forwards connections to addr, counting into n every byte it
+// carries and holding every chunk of reply for delay. It stops when the
+// test ends.
+func proxyLink(t *testing.T, addr string, delay time.Duration, n *linkCount) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -594,24 +599,26 @@ func slowLink(t *testing.T, addr string, delay time.Duration) string {
 				down.Close()
 				continue
 			}
-			go func() {
-				io.Copy(up, down)
-				up.Close()
-			}()
-			go func() {
-				defer down.Close()
-				buf := make([]byte, 64<<10)
-				for {
-					n, err := up.Read(buf)
-					time.Sleep(delay)
-					if _, werr := down.Write(buf[:n]); err != nil || werr != nil {
-						return
-					}
-				}
-			}()
+			go pump(up, down, 0, &n.out)
+			go pump(down, up, delay, &n.in)
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// pump copies src to dst chunk by chunk, counting each chunk into n and
+// then holding it for delay, and closes dst when src ends.
+func pump(dst, src net.Conn, delay time.Duration, n *atomic.Int64) {
+	defer dst.Close()
+	buf := make([]byte, 64<<10)
+	for {
+		k, err := src.Read(buf)
+		n.Add(int64(k))
+		time.Sleep(delay)
+		if _, werr := dst.Write(buf[:k]); err != nil || werr != nil {
+			return
+		}
+	}
 }
 
 // TestClusterMigrateUnderTrafficOverRESP is the migration audit on the
@@ -629,7 +636,7 @@ func TestClusterMigrateUnderTrafficOverRESP(t *testing.T) {
 	// handed the lock at the next unlock, so writers run between batches
 	// all through the migration and meet the moved keys (ASK).
 	srvs := newTestClusterOpts(t, 2, true, func(cfg *config) { cfg.migBatch = 1 })
-	srvs[0].clus.peers[1] = cluster.NewPeer(slowLink(t, srvs[1].cfg.nodes[1].Bus, time.Millisecond))
+	srvs[0].clus.peers[1] = cluster.NewPeer(proxyLink(t, srvs[1].cfg.nodes[1].Bus, time.Millisecond, new(linkCount)))
 	keys := keysInSlot(t, slot, nkeys)
 	acked := make([]string, nkeys) // written by key i's writer only, read after wg.Wait
 	seed := newRedirClient(t, srvs)

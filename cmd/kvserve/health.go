@@ -72,7 +72,6 @@ func (s *server) startHeartbeats() {
 	if s.cfg.hbEvery <= 0 {
 		return
 	}
-	cl.hbOn.Store(true)
 	cl.hbStop = make(chan struct{})
 	for i, p := range cl.hbPeers {
 		if p == nil {
@@ -97,9 +96,6 @@ func (s *server) heartbeatLoop(peer int, p *cluster.Peer) {
 	for {
 		select {
 		case <-t.C:
-			if !cl.hbOn.Load() {
-				continue
-			}
 			if _, err := p.Call(cluster.MsgHeartbeat, self); err != nil {
 				cl.hbFails.Add(1)
 				continue
@@ -112,11 +108,13 @@ func (s *server) heartbeatLoop(peer int, p *cluster.Peer) {
 	}
 }
 
-// stopHeartbeats stops the loops and waits for in-flight sends.
+// stopHeartbeats stops the loops and waits for in-flight sends. A
+// second call, or one without running loops, is a no-op.
 func (cl *clusterState) stopHeartbeats() {
 	if cl.hbStop != nil {
 		close(cl.hbStop)
 		cl.hbWG.Wait()
+		cl.hbStop = nil
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -287,9 +288,62 @@ func TestServerHotPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on channel handoffs")
 	}
+	roundTrip := hotPathConn(t, newWorkerServer(t, 1))
+	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
+		t.Errorf("SET+GET round trip: %.2f allocs, budget 0", n)
+	}
+}
+
+// TestServerTracingArmedZeroAlloc holds what leaving the sampler armed
+// at 1/1024 costs the ops it does not sample, by counting that work
+// instead of timing it: the round trip of TestServerHotPathZeroAlloc
+// still allocates nothing, and after N single-key ops exactly N/1024
+// spans exist, numbered 1 to N/1024. So an unsampled op begins no span,
+// draws no span ID and reads no tracer clock (all three happen only in
+// BeginSampled). A wall-clock A/B of the same cost spread wider between
+// runs of one binary than its whole 2 % budget; a busy-wait that does
+// none of the three is not caught here either.
+func TestServerTracingArmedZeroAlloc(t *testing.T) {
+	const every, spans = 1024, 16
 	s := newWorkerServer(t, 1)
-	// Raise the slowlog floor so nanosecond-scale ops never qualify and
-	// the entry construction (which allocates) is skipped.
+	if got := callCS(t, s, &connState{id: 9}, "TRACE", "ON", strconv.Itoa(every)); got != "OK" {
+		t.Fatalf("TRACE ON %d = %v", every, got)
+	}
+	roundTrip := hotPathConn(t, s)
+	trips := hotPathWarmTrips
+	counted := func() { roundTrip(); trips++ }
+	if !raceEnabled { // race instrumentation allocates on channel handoffs
+		if n := testing.AllocsPerRun(200, counted); n != 0 {
+			t.Errorf("SET+GET round trip with TRACE ON %d: %.2f allocs, budget 0", every, n)
+		}
+	}
+	for 2*trips < every*spans {
+		counted()
+	}
+	if got := s.tracer.Traced(); got != spans {
+		t.Fatalf("%d ops at 1/%d traced %d spans, want %d", 2*trips, every, got, spans)
+	}
+	ops := s.tracer.Snapshot("t", "t").Ops
+	if len(ops) != spans {
+		t.Fatalf("%d spans retained, want %d", len(ops), spans)
+	}
+	for i, op := range ops {
+		if op.ID != uint64(i+1) {
+			t.Fatalf("span %d has ID %d, want %d: an unsampled op drew an ID", i, op.ID, i+1)
+		}
+	}
+}
+
+// hotPathWarmTrips is how many round trips hotPathConn runs before it
+// returns, warming the arena, slab and reply buffers.
+const hotPathWarmTrips = 64
+
+// hotPathConn opens a warm pipe connection to s and returns one served
+// SET+GET pipeline round trip on it. The slowlog floor is raised so
+// nanosecond-scale ops never qualify and the entry construction (which
+// allocates) is skipped.
+func hotPathConn(t *testing.T, s *server) func() {
+	t.Helper()
 	for i := 0; i < slowlogCap; i++ {
 		s.tele.slowlog.Note(telemetry.SlowlogEntry{Duration: time.Hour})
 	}
@@ -322,13 +376,11 @@ func TestServerHotPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ { // warm the arena, slab, and reply buffers
+	for i := 0; i < hotPathWarmTrips; i++ {
 		roundTrip()
 	}
 	if !bytes.Equal(reply, wantRep) {
 		t.Fatalf("reply = %q, want %q", reply, wantRep)
 	}
-	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
-		t.Errorf("SET+GET round trip: %.2f allocs, budget 0", n)
-	}
+	return roundTrip
 }

@@ -490,7 +490,6 @@ var series = []section{
 	// the only surface with the down-after threshold.
 	{on: onInfo | onClusterInfo | onHeartbeat, when: withCluster, rows: []row[*view]{
 		{"cluster_heartbeat_enabled", "%d", "", "", func(v *view, _ int) any { return b2i(v.s.cfg.hbEvery > 0) }},
-		{"cluster_heartbeat_on", "%d", "", "", func(v *view, _ int) any { return b2i(v.cl.hbOn.Load()) }},
 		{"cluster_heartbeat_interval_ms", "%.0f", "", "", func(v *view, _ int) any { return float64(v.s.cfg.hbEvery) / 1e6 }},
 	}},
 	{on: onHeartbeat, when: withCluster, rows: []row[*view]{

@@ -117,9 +117,6 @@ func render(w io.Writer, f *frame) (missing []string) {
 	hb := "off"
 	if get(f.hb, "heartbeat_enabled") == "1" {
 		hb = get(f.hb, "heartbeat_interval_ms") + "ms x" + get(f.hb, "heartbeat_down_after")
-		if get(f.hb, "heartbeat_on") != "1" {
-			hb += " (paused)"
-		}
 	}
 	fmt.Fprintf(w, "kvserve-cluster  state=%s  map=v%s  heartbeat=%s  source=node%s\n\n",
 		get(f.info, "cluster_state"), get(f.info, "cluster_map_version"), hb, get(f.info, "cluster_node_index"))

@@ -20,7 +20,7 @@ var sampleReplies = map[string]string{
 		"node:1 addr:127.0.0.1:6381 bus:127.0.0.1:7381 state:down age_ms:4200 beats:31 up:0\r\n",
 	"CLUSTER INFO": "cluster_state:degraded\r\n# cluster\r\ncluster_enabled:1\r\ncluster_node_index:0\r\n" +
 		"cluster_known_nodes:2\r\ncluster_map_version:3\r\n",
-	"CLUSTER HEARTBEAT STATUS": "heartbeat_enabled:1\r\nheartbeat_on:1\r\nheartbeat_interval_ms:500\r\n" +
+	"CLUSTER HEARTBEAT STATUS": "heartbeat_enabled:1\r\nheartbeat_interval_ms:500\r\n" +
 		"heartbeat_down_after:4\r\nheartbeats_sent:120\r\nheartbeat_failures:2\r\n",
 	"CLUSTER MIGRATE STATUS": "migration_slot:42\r\nmigration_dest:1\r\nmigration_active:0\r\nmigration_resumed:0\r\n" +
 		"migration_failed:0\r\nmigration_keys_total:40\r\nmigration_keys_shipped:40\r\nmigration_keys_remaining:0\r\n" +
@@ -120,11 +120,16 @@ func TestFetchAndRender(t *testing.T) {
 	}
 }
 
-// TestFetchErrors: a node without cluster support and an unreachable
-// address surface as errors, not empty frames.
+// TestFetchErrors: a node without cluster support, an error reply to an
+// INFO-shaped command and an unreachable address surface as errors, not
+// empty frames.
 func TestFetchErrors(t *testing.T) {
 	if _, err := fetch(stubNode(t, nil)); err == nil {
 		t.Fatal("an error reply to CLUSTER HEALTH did not error")
+	}
+	healthOnly := map[string]string{"CLUSTER HEALTH": sampleReplies["CLUSTER HEALTH"]}
+	if _, err := fetch(stubNode(t, healthOnly)); err == nil || !strings.Contains(err.Error(), "want a bulk string") {
+		t.Fatalf("an error reply to CLUSTER INFO = %v, want a refusal", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,3 +1,8 @@
+// Package kvproc holds what the command-line tools share about their
+// results: Header, the host-stamped opening of every JSON artifact
+// (kvbench's sweep), and the parser for kvserve's INFO-shaped replies
+// (INFO, CLUSTER INFO, CLUSTER HEARTBEAT STATUS) that kvtop reads. It
+// starts no process.
 package kvproc
 
 import (
@@ -5,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"addrkv/internal/hostmeta"
@@ -24,8 +28,7 @@ type Header struct {
 
 func (h *Header) stamp() { h.Host = hostmeta.Collect() }
 
-// DepthResult is one kvbench measurement point: what kvbench writes
-// and what every orchestrator reads back, one type on both sides.
+// DepthResult is one kvbench measurement point.
 type DepthResult struct {
 	Depth     int     `json:"depth"`
 	Conns     int     `json:"conns"`
@@ -49,62 +52,10 @@ type DepthResult struct {
 	Repairs uint64 `json:"repairs,omitempty"`
 }
 
-// TraceOverhead compares server throughput with tracing off vs
-// sampling 1 in SampleEvery ops — the cost of leaving the flight
-// recorder armed in production.
-type TraceOverhead struct {
-	SampleEvery  uint64  `json:"sample_every"`
-	OpsPerSecOff float64 `json:"ops_per_sec_off"`
-	OpsPerSecOn  float64 `json:"ops_per_sec_on"`
-	// OverheadFrac is 1 - median(on/off) over the interleaved round
-	// pairs; negative values mean the traced leg measured faster
-	// (noise).
-	OverheadFrac float64 `json:"overhead_frac"`
-}
-
 // BenchArtifact is kvbench's -json output.
 type BenchArtifact struct {
 	Header
-	Sweep         []DepthResult  `json:"sweep"`
-	TraceOverhead *TraceOverhead `json:"trace_overhead,omitempty"`
-}
-
-// Bench runs a kvbench binary to completion with "-json <temp file>"
-// appended to args and returns the sweep it measured. A failed run, an
-// empty sweep and any error reply are all errors.
-func Bench(bin string, args ...string) ([]DepthResult, error) {
-	f, err := os.CreateTemp("", "kvbench-*.json")
-	if err != nil {
-		return nil, err
-	}
-	f.Close()
-	defer os.Remove(f.Name())
-	p, err := spawn(os.Stdout, bin, append(args[:len(args):len(args)], "-json", f.Name())...)
-	if err != nil {
-		return nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	<-p.exited
-	p.reaped()
-	if !p.cmd.ProcessState.Success() {
-		return nil, fmt.Errorf("%s: %v", bin, p.cmd.ProcessState)
-	}
-	raw, err := os.ReadFile(f.Name())
-	if err != nil {
-		return nil, err
-	}
-	var art BenchArtifact
-	if err := json.Unmarshal(raw, &art); err != nil {
-		return nil, fmt.Errorf("parse %s output: %w", bin, err)
-	}
-	if len(art.Sweep) == 0 {
-		return nil, fmt.Errorf("%s wrote an empty sweep", bin)
-	}
-	for _, d := range art.Sweep {
-		if d.Errors > 0 {
-			return nil, fmt.Errorf("%s: depth %d saw %d error replies", bin, d.Depth, d.Errors)
-		}
-	}
-	return art.Sweep, nil
+	Sweep []DepthResult `json:"sweep"`
 }
 
 // WriteJSON stamps the host fingerprint into v's Header and writes v,
@@ -148,18 +99,4 @@ func ParseInfo(b []byte) Fields {
 		}
 	}
 	return f
-}
-
-// Uint returns the field as an integer. An absent field is an error: a
-// renamed series row must fail the job, not write a zero.
-func (f Fields) Uint(key string) (uint64, error) {
-	v, ok := f[key]
-	if !ok {
-		return 0, fmt.Errorf("field %q is absent", key)
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("field %q: %w", key, err)
-	}
-	return n, nil
 }

@@ -126,9 +126,6 @@ func (c *Cluster) StopWorkers() {
 	c.wwg.Wait()
 }
 
-// WorkersRunning reports whether the worker runtime is active.
-func (c *Cluster) WorkersRunning() bool { return c.wset.Load() != nil }
-
 // SetSweepLimit sets how many armed TTL deadlines each worker examines
 // per drain burst (0 disables the drain-loop sweep). Set before
 // StartWorkers. A shard with no traffic drains nothing, so callers
@@ -160,16 +157,6 @@ func (c *Cluster) Enqueue(r *Req) {
 		runtime.Gosched()
 	}
 	w.kick()
-}
-
-// QueueDepth returns shard i's approximate queued request count (0
-// when the runtime is down).
-func (c *Cluster) QueueDepth(i int) int {
-	set := c.wset.Load()
-	if set == nil {
-		return 0
-	}
-	return set.ws[i].q.depth()
 }
 
 // RuntimeStats snapshots every worker's counters (nil when the

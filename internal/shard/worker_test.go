@@ -325,8 +325,8 @@ func TestWorkerStopDrainsQueue(t *testing.T) {
 			t.Fatalf("request %d not completed", i)
 		}
 	}
-	if c.WorkersRunning() {
-		t.Fatal("WorkersRunning after StopWorkers")
+	if c.wset.Load() != nil {
+		t.Fatal("worker set still installed after StopWorkers")
 	}
 	// Restart works.
 	if err := c.StartWorkers(16); err != nil {
