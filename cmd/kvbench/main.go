@@ -45,9 +45,6 @@ type benchConfig struct {
 	vsize    int // SET value size
 	getRatio float64
 	seed     uint64
-	// cluster treats addr as a cluster seed node: the slot table is
-	// bootstrapped from CLUSTER SLOTS and ops are routed per key.
-	cluster bool
 }
 
 func main() {
@@ -62,7 +59,6 @@ func main() {
 		vsize    = flag.Int("vsize", 64, "SET value size")
 		getRatio = flag.Float64("get-ratio", 0.9, "fraction of GETs (rest are SETs)")
 		seed     = flag.Uint64("seed", 42, "workload seed")
-		clus     = flag.Bool("cluster", false, "treat -addr as a cluster seed node: route per key via CLUSTER SLOTS, follow MOVED/ASK")
 		jsonPath = flag.String("json", "", "write the sweep artifact to this file")
 	)
 	flag.Parse()
@@ -78,11 +74,6 @@ func main() {
 	}
 	if *addr != "" {
 		cfg.network, cfg.addr = "tcp", *addr
-	}
-	cfg.cluster = *clus
-	if cfg.cluster && *addr == "" {
-		fmt.Fprintln(os.Stderr, "kvbench: -cluster requires -addr (cluster nodes redirect to TCP addresses)")
-		os.Exit(2)
 	}
 	if cfg.conns < 1 || *depth < 1 || cfg.ops < 1 || cfg.keys < 1 {
 		fmt.Fprintln(os.Stderr, "kvbench: -conns, -depth, -ops and -keys must be >= 1")
@@ -132,10 +123,6 @@ func run(cfg benchConfig, depths []int, out io.Writer) ([]kvproc.DepthResult, er
 		}
 		fmt.Fprintf(out, "depth %3d: %9.0f ops/sec  (%d ops, %d conns, %d errors, lat p50 %dus p99 %dus p999 %dus)\n",
 			d, r.OpsPerSec, r.Ops, r.Conns, r.Errors, r.LatencyUS.P50, r.LatencyUS.P99, r.LatencyUS.P999)
-		if r.Moved+r.Ask+r.TryAgain+r.Repairs > 0 {
-			fmt.Fprintf(out, "           redirects: %d moved, %d ask, %d tryagain, %d down-node repairs\n",
-				r.Moved, r.Ask, r.TryAgain, r.Repairs)
-		}
 		results = append(results, r)
 	}
 	return results, nil
@@ -153,28 +140,15 @@ func runDepth(cfg benchConfig, depth int) (kvproc.DepthResult, error) {
 		done     uint64
 		errCount uint64
 		rt, lat  telemetry.Histogram
-		cc       clusterCounters
-		st       slotTable
 		firstErr error
 		errOnce  sync.Once
 	)
-	if cfg.cluster {
-		if err := st.refresh(cfg.network, cfg.addr); err != nil {
-			return kvproc.DepthResult{}, fmt.Errorf("slot table bootstrap: %w", err)
-		}
-	}
 	start := time.Now()
 	for c := 0; c < cfg.conns; c++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			var n, errs uint64
-			var err error
-			if cfg.cluster {
-				n, errs, err = benchClusterConn(cfg, depth, perConn, cfg.seed+uint64(id)*7919, &rt, &lat, &st, &cc)
-			} else {
-				n, errs, err = benchConn(cfg, depth, perConn, cfg.seed+uint64(id)*7919, &rt, &lat)
-			}
+			n, errs, err := benchConn(cfg, depth, perConn, cfg.seed+uint64(id)*7919, &rt, &lat)
 			atomic.AddUint64(&done, n)
 			atomic.AddUint64(&errCount, errs)
 			if err != nil {
@@ -196,10 +170,6 @@ func runDepth(cfg benchConfig, depth int) (kvproc.DepthResult, error) {
 		OpsPerSec:   float64(done) / elapsed.Seconds(),
 		RoundtripUS: telemetry.QuantilesOf(rt.Snapshot()),
 		LatencyUS:   telemetry.QuantilesOf(lat.Snapshot()),
-		Moved:       cc.moved.Load(),
-		Ask:         cc.ask.Load(),
-		TryAgain:    cc.tryagain.Load(),
-		Repairs:     cc.repairs.Load(),
 	}, nil
 }
 
@@ -285,7 +255,6 @@ func writeArtifact(path string, cfg benchConfig, depths []int, results []kvproc.
 				"vsize":     cfg.vsize,
 				"get_ratio": cfg.getRatio,
 				"seed":      cfg.seed,
-				"cluster":   cfg.cluster,
 				"depths":    depths,
 			},
 		},

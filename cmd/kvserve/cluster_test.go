@@ -731,7 +731,7 @@ func TestClusterMigrateUnderTrafficOverRESP(t *testing.T) {
 		if v, ok := srvs[1].sys.Cluster().PeekValue([]byte(k)); !ok || string(v) != acked[i] {
 			t.Errorf("node 1 holds %s = %q (present %v), want the acknowledged %q", k, v, ok, acked[i])
 		}
-		if srvs[0].sys.Cluster().ContainsKey([]byte(k)) {
+		if _, ok := srvs[0].sys.Cluster().PeekValue([]byte(k)); ok {
 			t.Errorf("node 0 still holds %s", k)
 		}
 		rep, err := audit.send(0, []string{"GET", k})

@@ -42,9 +42,6 @@ func (a Addr) PageBase() Addr { return a &^ Addr(PageMask) }
 // Line returns the cache-line number of a.
 func (a Addr) Line() uint64 { return uint64(a) >> LineShift }
 
-// LineBase returns the address of the start of a's cache line.
-func (a Addr) LineBase() Addr { return a &^ Addr(LineMask) }
-
 // Offset returns the offset of a within its page.
 func (a Addr) Offset() uint64 { return uint64(a) & PageMask }
 

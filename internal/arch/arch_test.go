@@ -95,3 +95,6 @@ func TestEnumStrings(t *testing.T) {
 		t.Error("out-of-range enums should still render")
 	}
 }
+
+// LineBase returns the address of the start of a's cache line.
+func (a Addr) LineBase() Addr { return a &^ Addr(LineMask) }

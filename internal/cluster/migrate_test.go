@@ -131,6 +131,12 @@ func peersOf(tns []*testNode, self int) func(int) *Peer {
 	}
 }
 
+// importing reports whether slot is arriving at n.
+func importing(n *Node, slot uint16) bool {
+	_, ok := n.ImportingFrom(slot)
+	return ok
+}
+
 // keysInSlotOwnedBy fabricates distinct keys landing in slots owned
 // by node `own` under map m, at least count of them.
 func keysOwnedBy(m *SlotMap, own, count int) [][]byte {
@@ -179,7 +185,7 @@ func TestMigrateMovesSlotByteIdentical(t *testing.T) {
 		t.Fatalf("version not bumped: %d/%d", src.n.Map().Version, dst.n.Map().Version)
 	}
 	for _, k := range slotKeys {
-		if src.c.ContainsKey(k) {
+		if _, ok := src.c.PeekValue(k); ok {
 			t.Fatalf("key %q still on source", k)
 		}
 		got, ok := dst.c.PeekValue(k)
@@ -191,7 +197,7 @@ func TestMigrateMovesSlotByteIdentical(t *testing.T) {
 	stay := 0
 	for _, k := range keys {
 		if SlotOf(k) != slot {
-			if !src.c.ContainsKey(k) {
+			if _, ok := src.c.PeekValue(k); !ok {
 				t.Fatalf("unmigrated key %q vanished", k)
 			}
 			stay++
@@ -276,11 +282,11 @@ func TestMigrateUnderTraffic(t *testing.T) {
 		node := src
 		for hop := 0; hop < 8; hop++ {
 			var out shard.OpOutcome
-			if node.n.Map().Owner(SlotOf(k)) != node.idx && !node.n.Importing(SlotOf(k)) {
+			if node.n.Map().Owner(SlotOf(k)) != node.idx && !importing(node.n, SlotOf(k)) {
 				node = nodeOf(node.n.Map().Owner(SlotOf(k)))
 				continue
 			}
-			if node.n.Importing(SlotOf(k)) && node.n.Map().Owner(SlotOf(k)) != node.idx {
+			if importing(node.n, SlotOf(k)) && node.n.Map().Owner(SlotOf(k)) != node.idx {
 				out.Bypass = true // the ASKING path
 			}
 			node.c.SetO(k, v, &out)
@@ -301,11 +307,11 @@ func TestMigrateUnderTraffic(t *testing.T) {
 		node := src
 		for hop := 0; hop < 8; hop++ {
 			var out shard.OpOutcome
-			if node.n.Map().Owner(SlotOf(k)) != node.idx && !node.n.Importing(SlotOf(k)) {
+			if node.n.Map().Owner(SlotOf(k)) != node.idx && !importing(node.n, SlotOf(k)) {
 				node = nodeOf(node.n.Map().Owner(SlotOf(k)))
 				continue
 			}
-			if node.n.Importing(SlotOf(k)) && node.n.Map().Owner(SlotOf(k)) != node.idx {
+			if importing(node.n, SlotOf(k)) && node.n.Map().Owner(SlotOf(k)) != node.idx {
 				out.Bypass = true
 			}
 			v, ok := node.c.GetO(k, &out)
@@ -366,7 +372,7 @@ func TestMigrateUnderTraffic(t *testing.T) {
 		if seq, ok := lastAcked[string(k)]; ok {
 			want = ackVal(k, seq)
 		}
-		if src.c.ContainsKey(k) {
+		if _, ok := src.c.PeekValue(k); ok {
 			t.Fatalf("key %q duplicated on source after migration", k)
 		}
 		got, ok := dst.c.PeekValue(k)
@@ -457,7 +463,7 @@ func TestMigrateInterruptedKeepsMarkAndResumes(t *testing.T) {
 		t.Fatal("resume did not complete")
 	}
 	for _, k := range slotKeys {
-		if src.c.ContainsKey(k) {
+		if _, ok := src.c.PeekValue(k); ok {
 			t.Fatalf("key %q still on source", k)
 		}
 		got, ok := dst.c.PeekValue(k)

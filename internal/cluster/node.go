@@ -278,14 +278,6 @@ func (n *Node) BeginImport(slot uint16, src int) error {
 	return nil
 }
 
-// Importing reports whether a slot is currently arriving here.
-func (n *Node) Importing(slot uint16) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	_, ok := n.importing[slot]
-	return ok
-}
-
 // ImportingFrom returns the source node a slot is arriving from, if
 // any. Batch installs gate on this: a MigBatch for a slot that is not
 // importing here (or importing from someone else) must be refused, so

@@ -418,20 +418,6 @@ func (t *STLT) scrub() {
 	}
 }
 
-// Occupancy returns the fraction of valid rows (diagnostics, Figure 6
-// discussion of the balls-and-bins utilization problem).
-func (t *STLT) Occupancy() float64 {
-	valid := 0
-	for s := 0; s < t.sets; s++ {
-		for w := 0; w < t.ways; w++ {
-			if t.readRow(s, w).Valid() {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(t.Rows())
-}
-
 // MissRate returns misses/lookups over the Stats window.
 func (s Stats) MissRate() float64 {
 	if s.Lookups == 0 {

@@ -367,3 +367,17 @@ func TestOccupancy(t *testing.T) {
 		t.Fatalf("occupancy = %v", occ)
 	}
 }
+
+// Occupancy returns the fraction of valid rows (Figure 6's
+// discussion of the balls-and-bins utilization problem).
+func (t *STLT) Occupancy() float64 {
+	valid := 0
+	for s := 0; s < t.sets; s++ {
+		for w := 0; w < t.ways; w++ {
+			if t.readRow(s, w).Valid() {
+				valid++
+			}
+		}
+	}
+	return float64(valid) / float64(t.Rows())
+}

@@ -56,9 +56,6 @@ func (t *BTree) Name() string { return "btree" }
 // Len implements Index.
 func (t *BTree) Len() int { return t.count }
 
-// Height returns the tree height in levels (diagnostics).
-func (t *BTree) Height() int { return t.height }
-
 // readMeta performs a timed read of the header and used key slots —
 // what a search actually touches.
 func (t *BTree) readMeta(va arch.Addr, nd *btNode) {
@@ -437,61 +434,4 @@ func (t *BTree) recordKeyFunctional(rec arch.Addr) []byte {
 	k := make([]byte, kl)
 	t.ctx.M.AS.ReadAt(rec+RecordHeaderSize, k)
 	return k
-}
-
-// CheckInvariants validates B-tree structure (tests only): key order,
-// uniform leaf depth, and per-node occupancy bounds. It returns the
-// number of keys found.
-func (t *BTree) CheckInvariants() (int, error) {
-	depth := -1
-	var walk func(va arch.Addr, level int, lo, hi []byte) (int, error)
-	walk = func(va arch.Addr, level int, lo, hi []byte) (int, error) {
-		nd := t.readNode(va)
-		if va != t.root && (nd.n < btMinKeys || nd.n > btMaxKeys) {
-			return 0, errorString("btree: node occupancy out of bounds")
-		}
-		var prev []byte
-		if lo != nil {
-			prev = lo
-		}
-		total := nd.n
-		for i := 0; i < nd.n; i++ {
-			k := t.recordKeyFunctional(nd.keys[i])
-			if prev != nil && string(prev) >= string(k) {
-				return 0, errorString("btree: key order violation")
-			}
-			prev = k
-		}
-		if hi != nil && prev != nil && string(prev) >= string(hi) {
-			return 0, errorString("btree: subtree exceeds upper bound")
-		}
-		if nd.leaf {
-			if depth == -1 {
-				depth = level
-			} else if depth != level {
-				return 0, errorString("btree: leaves at unequal depth")
-			}
-			return total, nil
-		}
-		for i := 0; i <= nd.n; i++ {
-			var clo, chi []byte
-			if i > 0 {
-				clo = t.recordKeyFunctional(nd.keys[i-1])
-			} else {
-				clo = lo
-			}
-			if i < nd.n {
-				chi = t.recordKeyFunctional(nd.keys[i])
-			} else {
-				chi = hi
-			}
-			sub, err := walk(nd.children[i], level+1, clo, chi)
-			if err != nil {
-				return 0, err
-			}
-			total += sub
-		}
-		return total, nil
-	}
-	return walk(t.root, 0, nil, nil)
 }

@@ -58,9 +58,6 @@ func (d *DenseHash) Name() string { return "densehash" }
 // Len implements Index.
 func (d *DenseHash) Len() int { return d.count }
 
-// Cap returns the slot count (diagnostics).
-func (d *DenseHash) Cap() int { return d.cap }
-
 func (d *DenseHash) slotVA(idx int) arch.Addr { return d.table + arch.Addr(idx*denseSlotSize) }
 
 // readSlot performs a timed read of the whole 40-byte slot (the pair

@@ -415,50 +415,3 @@ func (t *RBTree) deleteFixup(x arch.Addr) {
 	}
 	t.setColor(x, rbBlack)
 }
-
-// CheckInvariants validates the red-black properties (tests only):
-// root is black, no red node has a red child, and every root-to-leaf
-// path has the same black height. It returns the black height.
-func (t *RBTree) CheckInvariants() (int, error) {
-	if t.root != t.nilN && t.colorOf(t.root) != rbBlack {
-		return 0, errRootRed
-	}
-	return t.checkFrom(t.root)
-}
-
-var (
-	errRootRed  = errorString("rbtree: root is red")
-	errRedRed   = errorString("rbtree: red node with red child")
-	errBlackImb = errorString("rbtree: black-height imbalance")
-)
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
-
-func (t *RBTree) checkFrom(va arch.Addr) (int, error) {
-	if va == t.nilN {
-		return 1, nil
-	}
-	n := t.readNode(va, arch.CatTraverse)
-	if n.color == rbRed {
-		if t.colorOf(n.left) == rbRed || t.colorOf(n.right) == rbRed {
-			return 0, errRedRed
-		}
-	}
-	lh, err := t.checkFrom(n.left)
-	if err != nil {
-		return 0, err
-	}
-	rh, err := t.checkFrom(n.right)
-	if err != nil {
-		return 0, err
-	}
-	if lh != rh {
-		return 0, errBlackImb
-	}
-	if n.color == rbBlack {
-		lh++
-	}
-	return lh, nil
-}

@@ -213,51 +213,3 @@ func (s *SkipList) Delete(key []byte) bool {
 	s.count--
 	return true
 }
-
-// CheckInvariants validates ordering and tower consistency (tests
-// only): level-0 keys strictly ascend, every higher level is a
-// subsequence of level 0, and count matches. It returns the key count.
-func (s *SkipList) CheckInvariants() (int, error) {
-	// Level 0: strict ascending order.
-	seen := map[arch.Addr]bool{}
-	var prevKey []byte
-	n := 0
-	for node := s.readForward(s.head, 0); node != 0; node = s.readForward(node, 0) {
-		rec, _ := s.readNodeMeta(node)
-		k := s.recordKeyFunctional(rec)
-		if prevKey != nil && string(prevKey) >= string(k) {
-			return 0, errorString("skiplist: level-0 order violation")
-		}
-		prevKey = k
-		seen[node] = true
-		n++
-	}
-	if n != s.count {
-		return 0, errorString("skiplist: count mismatch")
-	}
-	for l := 1; l < s.level; l++ {
-		prev := []byte(nil)
-		for node := s.readForward(s.head, l); node != 0; node = s.readForward(node, l) {
-			if !seen[node] {
-				return 0, errorString("skiplist: dangling tower node")
-			}
-			rec, lvl := s.readNodeMeta(node)
-			if lvl <= l {
-				return 0, errorString("skiplist: node present above its level")
-			}
-			k := s.recordKeyFunctional(rec)
-			if prev != nil && string(prev) >= string(k) {
-				return 0, errorString("skiplist: upper-level order violation")
-			}
-			prev = k
-		}
-	}
-	return n, nil
-}
-
-func (s *SkipList) recordKeyFunctional(rec arch.Addr) []byte {
-	kl, _ := headerFunctional(s.ctx.M.AS, rec)
-	k := make([]byte, kl)
-	s.ctx.M.AS.ReadAt(rec+RecordHeaderSize, k)
-	return k
-}

@@ -56,11 +56,6 @@ func IndexKinds() []IndexKind {
 	return []IndexKind{KindChainHash, KindDenseHash, KindRBTree, KindBTree}
 }
 
-// AllIndexKinds additionally includes the extension structures.
-func AllIndexKinds() []IndexKind {
-	return append(IndexKinds(), KindSkipList)
-}
-
 // Config shapes an engine.
 type Config struct {
 	// Params is the simulated machine (DefaultMachineParams if zero).
@@ -155,13 +150,6 @@ func DefaultSTLTRows(keys, ways int) int {
 		sets <<= 1
 	}
 	return sets * ways
-}
-
-// PaperEquivalentMB converts an STLT row count at our key scale into
-// the paper's table-size label at 10M keys:
-// bytes(rows) * 10M / keys.
-func PaperEquivalentMB(rows, keys int) float64 {
-	return float64(rows) * core.RowSize * 1e7 / float64(keys) / (1 << 20)
 }
 
 // Stats aggregates an engine run.

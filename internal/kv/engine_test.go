@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"addrkv/internal/core"
 	"addrkv/internal/ycsb"
 )
 
@@ -271,4 +272,16 @@ func TestDeleteTinyRecordNoStaleHit(t *testing.T) {
 			t.Fatalf("%s: deleted key served stale value %q", mode, v)
 		}
 	}
+}
+
+// AllIndexKinds additionally includes the extension structures.
+func AllIndexKinds() []IndexKind {
+	return append(IndexKinds(), KindSkipList)
+}
+
+// PaperEquivalentMB converts an STLT row count at our key scale into
+// the paper's table-size label at 10M keys:
+// bytes(rows) * 10M / keys.
+func PaperEquivalentMB(rows, keys int) float64 {
+	return float64(rows) * core.RowSize * 1e7 / float64(keys) / (1 << 20)
 }

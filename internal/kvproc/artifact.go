@@ -43,13 +43,6 @@ type DepthResult struct {
 	// depth-D pipelined batch experiences ~the batch's full roundtrip,
 	// so each roundtrip contributes D samples of its duration.
 	LatencyUS telemetry.Quantiles `json:"latency_us"`
-	// Redirect traffic absorbed in cluster mode (zero otherwise).
-	Moved    uint64 `json:"moved,omitempty"`
-	Ask      uint64 `json:"ask,omitempty"`
-	TryAgain uint64 `json:"tryagain,omitempty"`
-	// Repairs counts slot-table rebuilds forced by routing to an
-	// unreachable (killed) node.
-	Repairs uint64 `json:"repairs,omitempty"`
 }
 
 // BenchArtifact is kvbench's -json output.

@@ -240,12 +240,3 @@ func (c *Cluster) PeekValue(key []byte) ([]byte, bool) {
 	}
 	return append([]byte(nil), v...), true
 }
-
-// ContainsKey reports functionally whether key is stored on this
-// node, under the shard lock.
-func (c *Cluster) ContainsKey(key []byte) bool {
-	s := c.slot(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e.Contains(key)
-}

@@ -121,14 +121,6 @@ func (l *Log) SetFsyncObserver(fn func(ns int64)) { l.onFsync = fn }
 // Policy returns the fsync policy.
 func (l *Log) Policy() Policy { return l.policy }
 
-// SegmentPath returns the current generation's log file path
-// (diagnostics and tests).
-func (l *Log) SegmentPath() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return segPath(l.dir, l.shard, l.gen)
-}
-
 // Append encodes one record into the pending buffer. It touches no
 // file and performs no allocation once the buffer has grown to the
 // burst's working size; Commit publishes it. Returns the frame's

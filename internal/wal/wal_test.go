@@ -402,3 +402,10 @@ func TestStickyWriteError(t *testing.T) {
 		t.Fatal("append accepted after sticky error")
 	}
 }
+
+// SegmentPath returns the current generation's log file path.
+func (l *Log) SegmentPath() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return segPath(l.dir, l.shard, l.gen)
+}

@@ -99,9 +99,6 @@ func NewMixGenerator(mix Mix, keys int, seed uint64) *MixGenerator {
 	return g
 }
 
-// KeyCount returns the current keyspace size (including inserts).
-func (g *MixGenerator) KeyCount() uint64 { return g.keyCount }
-
 // Next produces the next operation.
 func (g *MixGenerator) Next() Op {
 	r := g.rng.float64()

@@ -114,10 +114,6 @@ func NewGenerator(cfg Config) *Generator {
 	return g
 }
 
-// KeyCount returns the current number of keys (including ones inserted
-// by the stream itself).
-func (g *Generator) KeyCount() uint64 { return g.keyCount }
-
 // Next produces the next operation.
 func (g *Generator) Next() Op {
 	isSet := g.cfg.SetFraction > 0 && g.rng.float64() < g.cfg.SetFraction

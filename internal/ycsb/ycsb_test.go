@@ -247,3 +247,10 @@ func TestKeySequencePinned(t *testing.T) {
 		}
 	}
 }
+
+// KeyCount returns the current number of keys (including ones inserted
+// by the stream itself).
+func (g *Generator) KeyCount() uint64 { return g.keyCount }
+
+// KeyCount returns the current keyspace size (including inserts).
+func (g *MixGenerator) KeyCount() uint64 { return g.keyCount }
