@@ -1,13 +1,13 @@
-// Command stltbench regenerates the paper's tables and figures.
+// Command stltbench regenerates the paper's tables and figures. Each
+// experiment runs at the one scale it declares (-list prints it), the
+// scale its committed results/<id>_<n>.csv was written at.
 //
 // Usage:
 //
-//	stltbench -list                 # show all experiment ids
-//	stltbench -exp fig11            # run one experiment
-//	stltbench -exp all              # run everything (slow)
-//	stltbench -exp fig13 -keys 600000 -measure 128000
-//	stltbench -exp fig14 -quick     # trimmed sweeps
-//	stltbench -exp fig11 -csv out/  # also write CSV files
+//	stltbench -list                  # show all experiment ids and scales
+//	stltbench -exp fig11             # run one experiment
+//	stltbench -exp fig11,tab5 -v     # run two, logging each simulation
+//	stltbench -exp all -csv results  # rewrite every committed CSV (slow)
 package main
 
 import (
@@ -24,11 +24,7 @@ import (
 func main() {
 	var (
 		exp     = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		keys    = flag.Int("keys", 0, "number of distinct keys (default 400000)")
-		warm    = flag.Float64("warm", 0, "warm-up ops as a multiple of keys (default 3)")
-		measure = flag.Int("measure", 0, "measured operations (default 64000)")
-		quick   = flag.Bool("quick", false, "trim sweep experiments for a fast pass")
+		list    = flag.Bool("list", false, "list experiments and their scales, and exit")
 		verbose = flag.Bool("v", false, "log each simulation run")
 		csvDir  = flag.String("csv", "", "directory to also write CSV outputs into")
 	)
@@ -36,7 +32,13 @@ func main() {
 
 	if *list {
 		for _, e := range harness.All() {
-			fmt.Printf("%-8s %s\n         shape: %s\n", e.ID, e.Title, e.Shape)
+			sc := e.Scale
+			fmt.Printf("%-12s %s\n             scale: %d keys, %gx warm-up, %d measured ops",
+				e.ID, e.Title, sc.Keys, sc.WarmFactor, sc.MeasureOps)
+			if sc.Quick {
+				fmt.Print(", trimmed sweeps")
+			}
+			fmt.Printf("\n             shape: %s\n", e.Shape)
 		}
 		return
 	}
@@ -44,19 +46,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stltbench: -exp required (or -list); e.g. -exp fig11")
 		os.Exit(2)
 	}
-
-	sc := harness.DefaultScale()
-	if *keys > 0 {
-		sc.Keys = *keys
-	}
-	if *warm > 0 {
-		sc.WarmFactor = *warm
-	}
-	if *measure > 0 {
-		sc.MeasureOps = *measure
-	}
-	sc.Quick = *quick
-	sc.Verbose = *verbose
 
 	var exps []harness.Experiment
 	if *exp == "all" {
@@ -76,6 +65,8 @@ func main() {
 		start := time.Now()
 		fmt.Printf("### %s — %s\n", e.ID, e.Title)
 		fmt.Printf("    paper shape: %s\n\n", e.Shape)
+		sc := e.Scale
+		sc.Verbose = *verbose
 		for i, t := range e.Run(sc) {
 			fmt.Println(t.Render())
 			if *csvDir != "" {

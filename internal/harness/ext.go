@@ -14,12 +14,14 @@ func init() {
 		ID:    "ext-hwhash",
 		Title: "Extension: hardware hash unit on the STLT fast path (Section III-B)",
 		Shape: "a fixed ~2-cycle hardware hash recovers most of sipHash's speedup deficit while keeping its conflict resistance; gains over xxh3 are small because xxh3 is already cheap",
+		Scale: mainScale,
 		Run:   runExtHWHash,
 	})
 	register(Experiment{
 		ID:    "ext-hugepage",
 		Title: "Extension: huge-page-reach TLBs vs the STLT (Section V discussion)",
 		Shape: "emulated 2MB-page TLB reach removes most page walks but none of the traversal; the STLT still wins because addressing is more than translation",
+		Scale: mainScale,
 		Run:   runExtHugePage,
 	})
 }
@@ -81,6 +83,7 @@ func init() {
 		ID:    "ext-skiplist",
 		Title: "Extension: STLT on a Redis-zset-style skip list",
 		Shape: "the skip list behaves like the other ordered structures: large baseline addressing cost, tree-class speedups from the STLT",
+		Scale: mainScale,
 		Run:   runExtSkipList,
 	})
 }

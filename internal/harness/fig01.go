@@ -12,6 +12,7 @@ func init() {
 		ID:    "fig1",
 		Title: "Figure 1 (right): breakdown of Redis execution time",
 		Shape: "hashing + indexing traversal + address translation exceed 50% of Redis data-retrieval time",
+		Scale: redisScale,
 		Run:   runFig1,
 	})
 }

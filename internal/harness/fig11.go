@@ -12,18 +12,21 @@ func init() {
 		ID:    "fig11",
 		Title: "Figure 11: Redis speedups from STLT and SLB across 9 workloads",
 		Shape: "STLT averages ~1.38x (up to 1.4x) and beats SLB on every workload",
+		Scale: redisScale,
 		Run:   runFig11,
 	})
 	register(Experiment{
 		ID:    "fig12",
 		Title: "Figure 12: TLB-miss and cache-miss reduction on Redis (128B values)",
 		Shape: "STLT reduces TLB misses 27-31% and cache misses 5-12%; SLB -2.6..10% and -3..3.7%",
+		Scale: redisScale,
 		Run:   runFig12,
 	})
 	register(Experiment{
 		ID:    "tab5",
 		Title: "Table V: STLT and SLB table miss rates by distribution",
 		Shape: "zipf 1.75%/1.42%, latest 0.85%/0.30%, uniform 3.61%/7.47% (STLT/SLB); SLB needs 20x the space for it",
+		Scale: mainScale,
 		Run:   runTab5,
 	})
 }

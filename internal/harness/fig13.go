@@ -12,6 +12,7 @@ func init() {
 		ID:    "fig13",
 		Title: "Figure 13: kernel-benchmark speedups (4 structures x 6 workloads)",
 		Shape: "hash structures: SLB ~1.7x, STLT ~2.4x; trees: SLB ~6.5x, STLT up to ~11-13x; zipf/uniform gain more than latest",
+		Scale: mainScale,
 		Run:   runFig13,
 	})
 }

@@ -11,18 +11,21 @@ func init() {
 		ID:    "fig14",
 		Title: "Figure 14: speedup sensitivity to STLT/SLB space overhead",
 		Shape: "speedups rise steeply to ~256MB-equivalent then flatten; STLT beats SLB at equal space and plateaus higher",
+		Scale: sweepScale,
 		Run:   runFig14,
 	})
 	register(Experiment{
 		ID:    "fig15",
 		Title: "Figure 15: table miss rate vs space",
 		Shape: "STLT and SLB miss-rate curves nearly coincide, approaching ~0 by 512MB-equivalent — STLT's edge is faster translation, not hit rate",
+		Scale: sweepScale,
 		Run:   runFig15,
 	})
 	register(Experiment{
 		ID:    "fig16",
 		Title: "Figure 16: TLB-miss reduction vs STLT space",
 		Shape: "TLB-miss reduction grows with table size and tracks the speedup curves",
+		Scale: sweepScale,
 		Run:   runFig16,
 	})
 }

@@ -11,6 +11,7 @@ func init() {
 		ID:    "fig17",
 		Title: "Figure 17: STLT associativity sensitivity (1/2/4/8-way)",
 		Shape: "1-way competitive when the table is small, 8-way competitive mid-size but pays scan overhead, 4-way the stablest overall",
+		Scale: sweepScale,
 		Run:   runFig17,
 	})
 }

@@ -10,6 +10,7 @@ func init() {
 		ID:    "fig18",
 		Title: "Figure 18: fast-path hash function sensitivity on Redis",
 		Shape: "up to ~19% speedup spread; sipHash has the LOWEST miss rate yet the LOWEST speedup (cost dominates); simple hashes win despite more conflicts",
+		Scale: mainScale,
 		Run:   runFig18,
 	})
 }

@@ -11,12 +11,14 @@ func init() {
 		ID:    "fig19l",
 		Title: "Figure 19 (left): STLT-SW / STLT-VA / STLT improvement over SLB",
 		Shape: "STLT-SW < SLB < STLT-VA < STLT: the instructions beat software scanning slightly, and PTE caching provides the large remaining gain",
+		Scale: mainScale,
 		Run:   runFig19Left,
 	})
 	register(Experiment{
 		ID:    "fig19r",
 		Title: "Figure 19 (right): slowdown from LLC data prefetchers (no STLT)",
 		Shape: "VLDP ~9.4% and stride ~17.7% average slowdown on these pointer-chasing workloads; TLB distance prefetching is ~neutral (accuracy <0.1%)",
+		Scale: sweepScale,
 		Run:   runFig19Right,
 	})
 }

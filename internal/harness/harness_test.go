@@ -46,6 +46,9 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Title == "" || e.Shape == "" || e.Run == nil {
 			t.Errorf("experiment %s incompletely described", e.ID)
 		}
+		if e.Scale.Keys <= 0 {
+			t.Errorf("experiment %s declares no scale", e.ID)
+		}
 	}
 }
 
@@ -74,6 +77,10 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(csv, "xyz,12345") {
 		t.Errorf("csv row wrong: %q", csv)
+	}
+	tb.AddRow("4 entries, 6 bits", 1)
+	if csv := tb.CSV(); !strings.HasSuffix(csv, "\"4 entries, 6 bits\",1\n") {
+		t.Errorf("a cell with a comma is not quoted: %q", csv)
 	}
 }
 
@@ -180,8 +187,8 @@ func TestExtShardsRuns(t *testing.T) {
 	if len(t0.Rows) < 3 {
 		t.Fatalf("expected at least 3 shard counts, got %d rows", len(t0.Rows))
 	}
-	// The 1-shard row normalizes both speedup columns to 1.
-	if t0.Rows[0][3] != "1.000" || t0.Rows[0][5] != "1.000" {
+	// The 1-shard row normalizes the modeled speedup to 1.
+	if t0.Rows[0][3] != "1.000" {
 		t.Fatalf("1-shard speedups not normalized:\n%s", t0.Render())
 	}
 	// Modeled speedup must grow with shards (near-linear scaling).

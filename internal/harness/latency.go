@@ -13,6 +13,7 @@ func init() {
 		ID:    "ext-latency",
 		Title: "Extension: per-operation latency distribution (worst-case query latency)",
 		Shape: "the STLT improves the mean and median strongly; tail operations (STLT misses that pay probe + slow path) stay near the baseline tail — the 'worst-case query latency' factor Section III-F says users can tune",
+		Scale: mainScale,
 		Run:   runExtLatency,
 	})
 }

@@ -13,6 +13,8 @@ type Experiment struct {
 	Title string
 	// Shape is the paper's qualitative result that should reproduce.
 	Shape string
+	// Scale is the one scale results/<ID>_<n>.csv was written at.
+	Scale Scale
 	// Run executes the experiment and returns its tables.
 	Run func(sc Scale) []*Table
 }

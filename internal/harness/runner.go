@@ -11,9 +11,10 @@ import (
 )
 
 // Scale sets the experiment size. The paper runs 10M keys with 100M
-// accesses (80% warm-up) on SniperSim; the default here is a reduced
-// scale whose STLT/SLB sizes are scaled proportionally, with the
-// paper-equivalent MB labels reported (see DESIGN.md "Substitutions").
+// accesses (80% warm-up) on SniperSim; each experiment here declares a
+// reduced scale whose STLT/SLB sizes are scaled proportionally, with
+// the paper-equivalent MB labels reported (see DESIGN.md
+// "Substitutions").
 type Scale struct {
 	// Keys is the number of distinct keys.
 	Keys int
@@ -22,25 +23,24 @@ type Scale struct {
 	// MeasureOps is the measured operation count (the paper measures
 	// 128K accesses after warm-up).
 	MeasureOps int
-	// Quick trims sweep experiments (fewer sizes/apps) so the whole
-	// suite fits in a benchmark run.
+	// Quick trims sweep experiments (fewer sizes/apps).
 	Quick bool
 	// Verbose enables per-run progress lines to stderr.
 	Verbose bool
 }
 
-// DefaultScale is used by cmd/stltbench: large enough that the working
-// set dwarfs the 2 MB L3 and the 6 MB TLB reach, as in the paper.
-func DefaultScale() Scale {
-	return Scale{Keys: 400_000, WarmFactor: 3, MeasureOps: 64_000}
-}
-
-// BenchScale is used by the Go benchmarks: smaller, so the full suite
-// finishes in minutes. Shape targets still hold, with slightly
-// compressed speedup factors (see EXPERIMENTS.md).
-func BenchScale() Scale {
-	return Scale{Keys: 120_000, WarmFactor: 3, MeasureOps: 32_000, Quick: true}
-}
+// The scales of the committed results/ CSVs: each experiment declares
+// one of them as its Scale, and stltbench runs it there.
+var (
+	// redisScale (fig1, fig11, fig12): the working set dwarfs the 2 MB
+	// L3 and the 6 MB TLB reach, as in the paper.
+	redisScale = Scale{Keys: 400_000, WarmFactor: 3, MeasureOps: 64_000}
+	// mainScale: every other experiment.
+	mainScale = Scale{Keys: 200_000, WarmFactor: 2.5, MeasureOps: 48_000}
+	// sweepScale (fig14-fig17, fig19r): mainScale with the sweeps
+	// trimmed to 4 sizes and 2 apps.
+	sweepScale = Scale{Keys: 200_000, WarmFactor: 2.5, MeasureOps: 48_000, Quick: true}
+)
 
 func (s Scale) warmOps() int { return int(s.WarmFactor * float64(s.Keys)) }
 
@@ -71,7 +71,8 @@ type result struct {
 }
 
 // runCache memoizes runs within a harness process so experiments that
-// share configurations (fig14/15/16; fig11/12/tab5) do not re-simulate.
+// share configurations (fig14/15/16; fig11/12; fig18/ext-hwhash) do not
+// re-simulate.
 var (
 	runCacheMu sync.Mutex
 	runCache   = map[string]result{}

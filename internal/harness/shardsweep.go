@@ -2,7 +2,6 @@ package harness
 
 import (
 	"sync"
-	"time"
 
 	"addrkv/internal/kv"
 	"addrkv/internal/shard"
@@ -12,14 +11,15 @@ import (
 // Extension experiment: the sharded multi-core cluster. The paper
 // evaluates one core; this sweep replicates the engine across N
 // shards (each with private TLB/STB/IPB and an STLT sized at keys/N,
-// the per-process table sliced) and measures how modeled and real
-// wall-clock throughput scale with the shard count.
+// the per-process table sliced) and measures how modeled throughput
+// scales with the shard count.
 
 func init() {
 	register(Experiment{
 		ID:    "ext-shards",
 		Title: "Extension: sharded multi-core scaling of the STLT engine",
-		Shape: "modeled throughput (ops per busiest-shard cycle) scales super-linearly with shard count: hash routing balances the zipf key space well, and each shard's keys/N working set fits ever deeper into its private caches and TLB reach, so cycles/op falls as shards rise; real wall-clock throughput rises too, sublinearly (simulator overhead)",
+		Shape: "modeled throughput (ops per busiest-shard cycle) scales super-linearly with shard count: hash routing balances the zipf key space well, and each shard's keys/N working set fits ever deeper into its private caches and TLB reach, so cycles/op falls as shards rise",
+		Scale: mainScale,
 		Run:   runExtShards,
 	})
 }
@@ -30,34 +30,24 @@ func runExtShards(sc Scale) []*Table {
 		counts = []int{1, 2, 4}
 	}
 	t := NewTable("Extension: shard-count sweep (STLT, chainhash, zipf, 64B)",
-		"shards", "cycles/op", "modeled ops/kcycle", "modeled speedup",
-		"real Mops/s", "real speedup", "imbalance")
+		"shards", "cycles/op", "modeled ops/kcycle", "modeled speedup", "imbalance")
 
-	var baseModeled, baseReal float64
+	var baseModeled float64
 	for _, n := range counts {
 		r := runShardedOnce(sc, n)
 		if n == 1 {
-			baseModeled, baseReal = r.modeled, r.real
+			baseModeled = r.modeled
 		}
-		t.AddRow(n, r.cpo, 1000*r.modeled, ratio(r.modeled, baseModeled),
-			r.real/1e6, ratio(r.real, baseReal), r.imbalance)
+		t.AddRow(n, r.cpo, 1000*r.modeled, r.modeled/baseModeled, r.imbalance)
 	}
-	t.Note = "Modeled speedup = ops/max-shard-cycles vs 1 shard (the slowest core bounds wall-clock); real speedup = wall-clock ops/s of one goroutine per shard vs 1 shard. Imbalance = busiest shard's ops / mean. Per-shard STLTs are sized at keys/shards, so total table storage is constant across the sweep. Scaling is super-linear because every shard owns a full private cache/TLB hierarchy (no shared-LLC model) while serving only keys/N of the data — the multi-core analogue of the paper's reach argument."
+	t.Note = "Modeled speedup = ops/max-shard-cycles vs 1 shard (the slowest core bounds wall-clock). Imbalance = busiest shard's ops / mean. Per-shard STLTs are sized at keys/shards, so total table storage is constant across the sweep. Scaling is super-linear because every shard owns a full private cache/TLB hierarchy (no shared-LLC model) while serving only keys/N of the data — the multi-core analogue of the paper's reach argument."
 	return []*Table{t}
-}
-
-func ratio(v, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return v / base
 }
 
 // shardResult is one measured point of the shard sweep.
 type shardResult struct {
 	cpo       float64 // ops-weighted mean cycles per op
 	modeled   float64 // ops per busiest-shard cycle
-	real      float64 // ops per wall-clock second
 	imbalance float64 // busiest shard's ops / mean shard ops
 }
 
@@ -103,7 +93,6 @@ func runShardedOnce(sc Scale, n int) shardResult {
 		parts[s] = append(parts[s], op)
 	}
 
-	start := time.Now()
 	var wg sync.WaitGroup
 	for s := range parts {
 		wg.Add(1)
@@ -115,13 +104,11 @@ func runShardedOnce(sc Scale, n int) shardResult {
 		}(parts[s])
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
 	st := c.Stats()
 	r := shardResult{
 		cpo:     st.CyclesPerOp(),
 		modeled: st.ModeledThroughput(),
-		real:    float64(st.Agg.Ops) / elapsed.Seconds(),
 	}
 	var maxOps uint64
 	for _, s := range st.PerShard {

@@ -11,6 +11,7 @@ func init() {
 		ID:    "tab1",
 		Title: "Table I: on-chip hardware space overhead of the STLT design",
 		Shape: "6,694 bits (837 bytes) total — computed from component geometry, matching the paper exactly",
+		Scale: mainScale,
 		Run:   runTab1,
 	})
 }

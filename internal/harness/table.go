@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"encoding/csv"
 	"fmt"
 	"strings"
 )
@@ -92,14 +93,12 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// CSV returns the comma-separated form.
+// CSV returns the comma-separated form (RFC 4180: a cell holding a
+// comma or a quote is quoted).
 func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
-	}
+	w := csv.NewWriter(&b)
+	w.Write(t.Columns) // a strings.Builder never fails a write
+	w.WriteAll(t.Rows)
 	return b.String()
 }
