@@ -49,7 +49,7 @@ func TestGeometryConstants(t *testing.T) {
 func TestDefaultMachineParams(t *testing.T) {
 	p := DefaultMachineParams()
 	// Table III values.
-	if p.L1TLBEntries != 64 || p.L1TLBWays != 4 || p.L1TLBLatency != 1 {
+	if p.L1TLBEntries != 64 || TLBWays != 4 || p.L1TLBLatency != 1 {
 		t.Errorf("L1 TLB mismatch: %+v", p)
 	}
 	if p.L2TLBEntries != 1536 || p.L2TLBLatency != 7 {
@@ -58,7 +58,7 @@ func TestDefaultMachineParams(t *testing.T) {
 	if p.L1Latency != 4 || p.L2Latency != 12 || p.L3Latency != 40 {
 		t.Errorf("cache latencies mismatch: %+v", p)
 	}
-	if p.L2Size != 256<<10 || p.L3Size != 2<<20 {
+	if p.L2Size != 256<<10 || p.L3Size != 2<<20 || CacheWays != 8 {
 		t.Errorf("cache sizes mismatch: %+v", p)
 	}
 	if p.DRAMLatency != 120 {

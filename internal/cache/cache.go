@@ -17,12 +17,11 @@ import (
 // line address.
 type Cache struct {
 	sets int
-	ways int
 	tick uint64
-	// data holds, set after set, the set's ways tag words and then its
-	// ways LRU words: an 8-way set is 128 contiguous bytes, so a hit
-	// reads one host cache line and writes one word of the next.
-	data []uint64
+	// data holds one set per element: its arch.CacheWays tag words, then
+	// its arch.CacheWays LRU words. A set is 128 contiguous bytes, so a
+	// hit reads one host cache line and writes one word of the next.
+	data [][2 * arch.CacheWays]uint64
 
 	// A missing Access has scanned the set, so it also picks the way the
 	// Fill of that line will replace. Fill uses it only if nothing else
@@ -40,29 +39,27 @@ type Cache struct {
 	PrefetchHits uint64
 }
 
-// NewCache builds a cache of the given total size in bytes and
-// associativity. Size must be a multiple of ways*LineSize and yield a
+// NewCache builds an arch.CacheWays-way cache of the given total size
+// in bytes. Size must be a multiple of CacheWays*LineSize and yield a
 // power-of-two set count.
-func NewCache(name string, size, ways int) *Cache {
-	lines := size / arch.LineSize
-	sets := lines / ways
+func NewCache(name string, size int) *Cache {
+	sets := size / arch.LineSize / arch.CacheWays
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d is not a positive power of two", name, sets))
 	}
-	return &Cache{sets: sets, ways: ways, data: make([]uint64, 2*sets*ways), missLine: setassoc.NoKey}
+	return &Cache{sets: sets, data: make([][2 * arch.CacheWays]uint64, sets), missLine: setassoc.NoKey}
 }
 
 // set returns the tag words and the LRU words of line's set.
-func (c *Cache) set(line uint64) (tags, lrus []uint64) {
-	s := (int(line) & (c.sets - 1)) * 2 * c.ways
-	set := c.data[s : s+2*c.ways]
-	return set[:c.ways], set[c.ways:]
+func (c *Cache) set(line uint64) (tags, lrus *[arch.CacheWays]uint64) {
+	set := &c.data[int(line)&(c.sets-1)]
+	return (*[arch.CacheWays]uint64)(set[:arch.CacheWays]), (*[arch.CacheWays]uint64)(set[arch.CacheWays:])
 }
 
 // Lookup probes for the line without changing replacement state.
 func (c *Cache) Lookup(line uint64) bool {
 	tags, _ := c.set(line)
-	return setassoc.Find(tags, line+1) >= 0
+	return setassoc.Find8(tags, line+1) >= 0
 }
 
 // Access performs a demand access for line, updating LRU and
@@ -71,7 +68,7 @@ func (c *Cache) Lookup(line uint64) bool {
 func (c *Cache) Access(line uint64) bool {
 	c.tick++
 	tags, lrus := c.set(line)
-	i := setassoc.Find(tags, line+1)
+	i := setassoc.Find8(tags, line+1)
 	if i < 0 {
 		c.Misses++
 		c.missLine, c.missTick, c.missWay = line, c.tick, setassoc.Victim(tags, lrus)
@@ -96,7 +93,7 @@ func (c *Cache) Fill(line uint64, prefetched bool) (evictedDirty bool) {
 	if c.missLine != line || c.missTick+1 != c.tick {
 		// Not the fill of the last miss: scan.
 		var present bool
-		if v, present = setassoc.Place(tags, lrus, line+1); present {
+		if v, present = setassoc.Place8(tags, lrus, line+1); present {
 			// Already there (e.g. racing prefetch): refresh.
 			lrus[v] = c.tick
 			return false
@@ -125,7 +122,7 @@ func (c *Cache) Fill(line uint64, prefetched bool) (evictedDirty bool) {
 // MarkDirty flags the line as modified if present.
 func (c *Cache) MarkDirty(line uint64) bool {
 	tags, _ := c.set(line)
-	i := setassoc.Find(tags, line+1)
+	i := setassoc.Find8(tags, line+1)
 	if i >= 0 {
 		tags[i] |= setassoc.FlagDirty
 	}
@@ -135,7 +132,7 @@ func (c *Cache) MarkDirty(line uint64) bool {
 // Invalidate drops the line if present, returning whether it was.
 func (c *Cache) Invalidate(line uint64) bool {
 	tags, _ := c.set(line)
-	i := setassoc.Find(tags, line+1)
+	i := setassoc.Find8(tags, line+1)
 	if i >= 0 {
 		tags[i] = 0
 		c.missLine = setassoc.NoKey

@@ -10,19 +10,19 @@ import (
 )
 
 // NewCacheSets builds a cache from an explicit set count.
-func NewCacheSets(name string, sets, ways int) *Cache {
-	return NewCache(name, sets*ways*arch.LineSize, ways)
+func NewCacheSets(name string, sets int) *Cache {
+	return NewCache(name, sets*arch.CacheWays*arch.LineSize)
 }
 
 // IsDirty reports the line's dirty flag.
 func (c *Cache) IsDirty(line uint64) bool {
 	tags, _ := c.set(line)
-	i := setassoc.Find(tags, line+1)
+	i := setassoc.Find8(tags, line+1)
 	return i >= 0 && tags[i]&setassoc.FlagDirty != 0
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCacheSets("t", 4, 2)
+	c := NewCacheSets("t", 4)
 	if c.Access(100) {
 		t.Fatal("hit in empty cache")
 	}
@@ -36,19 +36,22 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCacheSets("t", 1, 2) // one set, two ways
-	c.Fill(0, false)
-	c.Fill(1, false)
-	c.Access(0)      // 0 is now MRU
-	c.Fill(2, false) // must evict 1
+	c := NewCacheSets("t", 1) // one set: nine lines into eight ways
+	for l := uint64(0); l < arch.CacheWays; l++ {
+		c.Fill(l, false)
+	}
+	c.Access(0)                   // 0 is now MRU, 1 the LRU
+	c.Fill(arch.CacheWays, false) // must evict 1
 	if !c.Lookup(0) {
 		t.Fatal("MRU line evicted")
 	}
 	if c.Lookup(1) {
 		t.Fatal("LRU line survived")
 	}
-	if !c.Lookup(2) {
-		t.Fatal("filled line absent")
+	for l := uint64(2); l <= arch.CacheWays; l++ {
+		if !c.Lookup(l) {
+			t.Fatalf("line %d absent", l)
+		}
 	}
 	if c.Evictions != 1 {
 		t.Fatalf("Evictions = %d", c.Evictions)
@@ -56,12 +59,13 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheSetIsolation(t *testing.T) {
-	c := NewCacheSets("t", 4, 1)
-	// Lines 0..3 map to different sets; filling all must evict none.
-	for l := uint64(0); l < 4; l++ {
+	c := NewCacheSets("t", 4)
+	// Lines 0..31 put eight lines in each of the four sets; filling all
+	// must evict none.
+	for l := uint64(0); l < 4*arch.CacheWays; l++ {
 		c.Fill(l, false)
 	}
-	for l := uint64(0); l < 4; l++ {
+	for l := uint64(0); l < 4*arch.CacheWays; l++ {
 		if !c.Lookup(l) {
 			t.Fatalf("line %d missing", l)
 		}
@@ -72,7 +76,7 @@ func TestCacheSetIsolation(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	c := NewCacheSets("t", 2, 2)
+	c := NewCacheSets("t", 2)
 	c.Fill(5, false)
 	if !c.Invalidate(5) {
 		t.Fatal("Invalidate missed present line")
@@ -86,7 +90,7 @@ func TestCacheInvalidate(t *testing.T) {
 }
 
 func TestCachePrefetchAccounting(t *testing.T) {
-	c := NewCacheSets("t", 2, 2)
+	c := NewCacheSets("t", 2)
 	c.Fill(8, true)
 	if c.PrefetchHits != 0 {
 		t.Fatal("premature prefetch hit")
@@ -104,7 +108,7 @@ func TestCacheGeometryValidation(t *testing.T) {
 			t.Fatal("non-power-of-two set count accepted")
 		}
 	}()
-	NewCache("bad", 3*64, 1)
+	NewCache("bad", 3*arch.CacheWays*arch.LineSize)
 }
 
 func TestDRAMContention(t *testing.T) {
@@ -172,7 +176,7 @@ func TestHierarchyLatencies(t *testing.T) {
 	// Evict from L1 only: touch enough distinct lines mapping to the
 	// same L1 set but different L2 sets.
 	l1sets := h.L1.sets
-	for i := 1; i <= p.L1Ways; i++ {
+	for i := 1; i <= arch.CacheWays; i++ {
 		h.Access(pa+arch.Addr(i*l1sets*arch.LineSize), false, arch.KindOther)
 	}
 	if got := h.Access(pa, false, arch.KindOther); got != p.L1Latency+p.L2Latency {
@@ -306,7 +310,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 	}
 	// Evict it from L3 by filling its set with conflicting lines.
 	l3sets := h.L3.sets
-	for i := 1; i <= p.L3Ways; i++ {
+	for i := 1; i <= arch.CacheWays; i++ {
 		h.Access(pa+arch.Addr(i*l3sets*arch.LineSize), false, arch.KindRecord)
 	}
 	if h.Mem.Writebacks == 0 {
@@ -320,7 +324,7 @@ func TestNoWritebackForCleanLines(t *testing.T) {
 	pa := arch.Addr(0x40000)
 	h.Access(pa, false, arch.KindRecord) // read only
 	l3sets := h.L3.sets
-	for i := 1; i <= p.L3Ways; i++ {
+	for i := 1; i <= arch.CacheWays; i++ {
 		h.Access(pa+arch.Addr(i*l3sets*arch.LineSize), false, arch.KindRecord)
 	}
 	if h.Mem.Writebacks != 0 {
@@ -329,13 +333,15 @@ func TestNoWritebackForCleanLines(t *testing.T) {
 }
 
 func TestDirtyBitClearedOnRefill(t *testing.T) {
-	c := NewCacheSets("t", 1, 1)
-	c.Fill(1, false)
-	c.MarkDirty(1)
-	if got := c.Fill(2, false); !got {
+	c := NewCacheSets("t", 1)
+	for l := uint64(1); l <= arch.CacheWays; l++ {
+		c.Fill(l, false)
+	}
+	c.MarkDirty(1) // dirty, and the LRU way
+	if got := c.Fill(arch.CacheWays+1, false); !got {
 		t.Fatal("dirty eviction not reported")
 	}
-	if c.IsDirty(2) {
+	if c.IsDirty(arch.CacheWays + 1) {
 		t.Fatal("fresh line inherited dirty bit")
 	}
 }

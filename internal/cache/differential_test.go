@@ -21,10 +21,10 @@ type wayState struct {
 // reference's method of the same name does the same for its ways, so
 // the two compare whole.
 func (c *Cache) resident(s int) (out []wayState) {
-	set := c.data[s*2*c.ways : (s+1)*2*c.ways]
-	for i := 0; i < c.ways; i++ {
+	set := &c.data[s]
+	for i := 0; i < arch.CacheWays; i++ {
 		if t := set[i]; t != 0 {
-			out = append(out, wayState{i, t&setassoc.TagMask - 1, set[c.ways+i], t&setassoc.FlagPrefetched != 0, t&setassoc.FlagDirty != 0})
+			out = append(out, wayState{i, t&setassoc.TagMask - 1, set[arch.CacheWays+i], t&setassoc.FlagPrefetched != 0, t&setassoc.FlagDirty != 0})
 		}
 	}
 	return out
@@ -56,8 +56,8 @@ type lockstep struct {
 	step int
 }
 
-func newLockstep(t *testing.T, sets, ways int) *lockstep {
-	return &lockstep{t: t, new: NewCacheSets("new", sets, ways), ref: newRefCacheSets("ref", sets, ways)}
+func newLockstep(t *testing.T, sets int) *lockstep {
+	return &lockstep{t: t, new: NewCacheSets("new", sets), ref: newRefCacheSets("ref", sets, arch.CacheWays)}
 }
 
 func (l *lockstep) same(op string, line uint64, got, want any) {
@@ -101,10 +101,12 @@ func (l *lockstep) invalidate(line uint64) {
 // followed by the Fill of the same line (the hierarchy's pattern, which
 // the remembered victim serves), but often enough by something else
 // that every way of discarding the remembered victim is walked too.
+// Every cache is arch.CacheWays-way, so only the set count varies.
 func TestCacheMatchesReference(t *testing.T) {
-	for _, g := range []struct{ sets, ways int }{{1, 1}, {1, 2}, {4, 1}, {64, 8}, {4096, 8}, {16, 4}, {2, 16}} {
+	for _, sets := range []int{1, 4, 64, 4096, 16, 2} {
+		g := struct{ sets, ways int }{sets, arch.CacheWays}
 		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
-			l := newLockstep(t, g.sets, g.ways)
+			l := newLockstep(t, g.sets)
 			rng := rand.New(rand.NewSource(int64(g.sets*131 + g.ways)))
 			// About three lines per way; bit 40 set on some so tags are
 			// not all small numbers.
@@ -175,30 +177,31 @@ func TestCacheMatchesReference(t *testing.T) {
 // (Invalidate has no non-test caller), but removing it would be a model
 // change, and this PR makes none.
 func TestCacheDuplicateFillQuirk(t *testing.T) {
-	l := newLockstep(t, 1, 4)
-	for line := uint64(10); line < 14; line++ {
-		l.fill(line, false) // ways 0..3
+	l := newLockstep(t, 1)
+	for line := uint64(10); line < 18; line++ {
+		l.fill(line, false) // ways 0..7
 	}
-	l.invalidate(10) // way 0 is free, 13 sits in way 3
-	l.fill(13, false)
-	want := []wayState{{0, 13, 5, false, false}, {1, 11, 2, false, false}, {2, 12, 3, false, false}, {3, 13, 4, false, false}}
+	l.invalidate(10) // way 0 is free, 17 sits in way 7
+	l.fill(17, false)
+	want := []wayState{{0, 17, 9, false, false}, {1, 11, 2, false, false}, {2, 12, 3, false, false}, {3, 13, 4, false, false},
+		{4, 14, 5, false, false}, {5, 15, 6, false, false}, {6, 16, 7, false, false}, {7, 17, 8, false, false}}
 	if got := l.new.resident(0); !slices.Equal(got, want) {
 		t.Fatalf("set holds %+v, want the duplicate: %+v", got, want)
 	}
 	// Both copies answer to the line; the lower way is the one a hit,
 	// MarkDirty and Invalidate reach.
-	l.access(13)
-	l.same("MarkDirty", 13, l.new.MarkDirty(13), l.ref.MarkDirty(13))
-	l.invalidate(13)
-	if !l.new.Lookup(13) {
-		t.Fatal("the second copy of line 13 went with the first")
+	l.access(17)
+	l.same("MarkDirty", 17, l.new.MarkDirty(17), l.ref.MarkDirty(17))
+	l.invalidate(17)
+	if !l.new.Lookup(17) {
+		t.Fatal("the second copy of line 17 went with the first")
 	}
 	// A miss remembers its victim; an Invalidate before the fill must
 	// make the fill scan again (way 0 is free now, the remembered way
 	// was the LRU one).
-	l.invalidate(13)
+	l.invalidate(17)
 	l.fill(10, false)
-	l.fill(13, false) // set full again: 10, 11, 12, 13
+	l.fill(17, false) // set full again: 10, 11, ..., 17
 	if l.access(20) {
 		t.Fatal("line 20 hit")
 	}
@@ -281,8 +284,8 @@ func TestHierarchyDiscardsStaleVictim(t *testing.T) {
 	pf := fillBetween{sets: uint64(h.L3.sets)}
 	h.Prefetcher = pf
 	ref := &refHierarchy{
-		l1: newRefCache("L1D", p.L1Size, p.L1Ways), l2: newRefCache("L2", p.L2Size, p.L2Ways),
-		l3: newRefCache("L3", p.L3Size, p.L3Ways), mem: NewDRAM(p), pf: pf,
+		l1: newRefCache("L1D", p.L1Size, arch.CacheWays), l2: newRefCache("L2", p.L2Size, arch.CacheWays),
+		l3: newRefCache("L3", p.L3Size, arch.CacheWays), mem: NewDRAM(p), pf: pf,
 	}
 	rng := rand.New(rand.NewSource(7))
 	stale := 0

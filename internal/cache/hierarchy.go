@@ -35,9 +35,9 @@ type Hierarchy struct {
 // NewHierarchy builds the hierarchy from machine parameters.
 func NewHierarchy(p arch.MachineParams) *Hierarchy {
 	return &Hierarchy{
-		L1:   NewCache("L1D", p.L1Size, p.L1Ways),
-		L2:   NewCache("L2", p.L2Size, p.L2Ways),
-		L3:   NewCache("L3", p.L3Size, p.L3Ways),
+		L1:   NewCache("L1D", p.L1Size),
+		L2:   NewCache("L2", p.L2Size),
+		L3:   NewCache("L3", p.L3Size),
 		Mem:  NewDRAM(p),
 		lat1: p.L1Latency,
 		lat2: p.L2Latency,

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	"addrkv/internal/arch"
@@ -111,7 +112,7 @@ func run(sc Scale, sp spec) result {
 	runCacheMu.Unlock()
 
 	if sc.Verbose {
-		fmt.Printf("  [run] %s\n", k)
+		fmt.Fprintf(os.Stderr, "  [run] %s\n", k)
 	}
 
 	st := simulate(sp).Stats()

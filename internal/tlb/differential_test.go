@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"addrkv/internal/arch"
 	"addrkv/internal/setassoc"
 	"addrkv/internal/vm"
 )
@@ -19,10 +20,10 @@ type wayState struct {
 }
 
 func (t *TLB) resident(s int) (out []wayState) {
-	set := t.data[s*3*t.ways : (s+1)*3*t.ways]
-	for i := 0; i < t.ways; i++ {
+	set := &t.data[s]
+	for i := 0; i < arch.TLBWays; i++ {
 		if w := set[i]; w != 0 {
-			out = append(out, wayState{i, w&setassoc.TagMask - 1, set[t.ways+i], vm.PTE(set[2*t.ways+i]), w&setassoc.FlagPrefetched != 0})
+			out = append(out, wayState{i, w&setassoc.TagMask - 1, set[arch.TLBWays+i], vm.PTE(set[2*arch.TLBWays+i]), w&setassoc.FlagPrefetched != 0})
 		}
 	}
 	return out
@@ -42,11 +43,13 @@ func (t *refTLB) resident(s int) (out []wayState) {
 // with page numbers above 2^32 in the mix (the 64-bit leg of the set
 // index) and the non-power-of-two 384-set L2 among the geometries.
 // Every return value, every counter and the touched set must agree
-// after every call.
+// after every call. Every TLB is arch.TLBWays-way, so only the set
+// count varies.
 func TestTLBMatchesReference(t *testing.T) {
-	for _, g := range []struct{ sets, ways int }{{16, 4}, {384, 4}, {1, 1}, {3, 2}, {8, 8}} {
+	for _, sets := range []int{16, 384, 1, 3, 8} {
+		g := struct{ sets, ways int }{sets, arch.TLBWays}
 		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
-			n, r := New("new", g.sets*g.ways, g.ways), newRef("ref", g.sets*g.ways, g.ways)
+			n, r := New("new", g.sets*g.ways), newRef("ref", g.sets*g.ways, g.ways)
 			rng := rand.New(rand.NewSource(int64(g.sets*31 + g.ways)))
 			pool := make([]uint64, 3*g.sets*g.ways+2)
 			for i := range pool {

@@ -15,36 +15,34 @@ import (
 // mapping virtual page numbers to PTEs.
 type TLB struct {
 	sets int
-	ways int
 	tick uint64
-	// data holds, set after set, the set's ways tag words (vpn+1 under
-	// setassoc.FlagPrefetched), then its ways LRU words, then its ways
-	// PTEs: a 4-way set is 96 contiguous bytes, of which a lookup scans
-	// the first 32.
-	data []uint64
+	// data holds one set per element: its arch.TLBWays tag words (vpn+1
+	// under setassoc.FlagPrefetched), then its LRU words, then its PTEs.
+	// A set is 96 contiguous bytes, of which a lookup scans the first 32.
+	data [][3 * arch.TLBWays]uint64
 
 	Hits         uint64
 	Misses       uint64
 	PrefetchHits uint64
 }
 
-// New builds a TLB with the given total entry count and associativity.
+// New builds an arch.TLBWays-way TLB with the given total entry count.
 // Unlike the data caches, TLB set counts need not be powers of two
 // (the Table III L2 TLB is 1536-entry 4-way = 384 sets); indexing is
 // by modulo.
-func New(name string, entries, ways int) *TLB {
-	sets := entries / ways
+func New(name string, entries int) *TLB {
+	sets := entries / arch.TLBWays
 	if sets <= 0 {
 		panic(fmt.Sprintf("tlb %s: non-positive set count %d", name, sets))
 	}
-	return &TLB{sets: sets, ways: ways, data: make([]uint64, 3*sets*ways)}
+	return &TLB{sets: sets, data: make([][3 * arch.TLBWays]uint64, sets)}
 }
 
 // set returns the tag, LRU and PTE words of vpn's set. The index is vpn
 // modulo the set count, without the 64-bit divide where it can be had
 // cheaper: a mask for a power of two (L1: 16 sets), a 32-bit modulo
 // while the page number fits (L2: 384 sets).
-func (t *TLB) set(vpn uint64) (tags, lrus, ptes []uint64) {
+func (t *TLB) set(vpn uint64) (tags, lrus, ptes *[arch.TLBWays]uint64) {
 	var s int
 	switch {
 	case t.sets&(t.sets-1) == 0:
@@ -54,15 +52,16 @@ func (t *TLB) set(vpn uint64) (tags, lrus, ptes []uint64) {
 	default:
 		s = int(vpn % uint64(t.sets))
 	}
-	set := t.data[s*3*t.ways : (s+1)*3*t.ways]
-	return set[:t.ways], set[t.ways : 2*t.ways], set[2*t.ways:]
+	set := &t.data[s]
+	const w = arch.TLBWays
+	return (*[w]uint64)(set[:w]), (*[w]uint64)(set[w : 2*w]), (*[w]uint64)(set[2*w:])
 }
 
 // Lookup probes for vpn, updating LRU and hit/miss statistics.
 func (t *TLB) Lookup(vpn uint64) (vm.PTE, bool) {
 	t.tick++
 	tags, lrus, ptes := t.set(vpn)
-	i := setassoc.Find(tags, vpn+1)
+	i := setassoc.Find4(tags, vpn+1)
 	if i < 0 {
 		t.Misses++
 		return 0, false
@@ -79,7 +78,7 @@ func (t *TLB) Lookup(vpn uint64) (vm.PTE, bool) {
 // Probe checks for vpn without touching statistics or LRU state.
 func (t *TLB) Probe(vpn uint64) bool {
 	tags, _, _ := t.set(vpn)
-	return setassoc.Find(tags, vpn+1) >= 0
+	return setassoc.Find4(tags, vpn+1) >= 0
 }
 
 // Insert fills vpn -> pte, evicting LRU if needed.
@@ -91,7 +90,7 @@ func (t *TLB) InsertPrefetched(vpn uint64, pte vm.PTE) { t.insert(vpn, pte, seta
 func (t *TLB) insert(vpn uint64, pte vm.PTE, flag uint64) {
 	t.tick++
 	tags, lrus, ptes := t.set(vpn)
-	v, present := setassoc.Place(tags, lrus, vpn+1)
+	v, present := setassoc.Place4(tags, lrus, vpn+1)
 	if present {
 		flag = tags[v] & setassoc.FlagPrefetched // new PTE and age, the flag stays
 	}
@@ -101,7 +100,7 @@ func (t *TLB) insert(vpn uint64, pte vm.PTE, flag uint64) {
 // InvalidatePage drops the entry for vpn if present (invlpg).
 func (t *TLB) InvalidatePage(vpn uint64) bool {
 	tags, _, _ := t.set(vpn)
-	i := setassoc.Find(tags, vpn+1)
+	i := setassoc.Find4(tags, vpn+1)
 	if i >= 0 {
 		tags[i] = 0
 	}
@@ -132,8 +131,8 @@ type Hierarchy struct {
 // NewHierarchy builds the two-level TLB from machine parameters.
 func NewHierarchy(p arch.MachineParams) *Hierarchy {
 	return &Hierarchy{
-		L1:   New("DTLB", p.L1TLBEntries, p.L1TLBWays),
-		L2:   New("STLB", p.L2TLBEntries, p.L2TLBWays),
+		L1:   New("DTLB", p.L1TLBEntries),
+		L2:   New("STLB", p.L2TLBEntries),
 		lat1: p.L1TLBLatency,
 		lat2: p.L2TLBLatency,
 	}

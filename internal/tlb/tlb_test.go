@@ -8,7 +8,7 @@ import (
 )
 
 func TestTLBBasics(t *testing.T) {
-	tl := New("t", 8, 2)
+	tl := New("t", 8)
 	if _, ok := tl.Lookup(5); ok {
 		t.Fatal("hit in empty TLB")
 	}
@@ -23,7 +23,7 @@ func TestTLBBasics(t *testing.T) {
 }
 
 func TestTLBUpdateInPlace(t *testing.T) {
-	tl := New("t", 8, 2)
+	tl := New("t", 8)
 	tl.Insert(5, vm.MakePTE(1, true))
 	tl.Insert(5, vm.MakePTE(2, true))
 	pte, _ := tl.Lookup(5)
@@ -33,19 +33,19 @@ func TestTLBUpdateInPlace(t *testing.T) {
 }
 
 func TestTLBLRUWithinSet(t *testing.T) {
-	tl := New("t", 2, 2) // 1 set... actually 2 sets of... entries/ways = 1 set
-	// 2 entries, 2 ways => 1 set. vpns 0,1,2 all collide.
-	tl.Insert(0, vm.MakePTE(10, true))
-	tl.Insert(1, vm.MakePTE(11, true))
-	tl.Lookup(0)                       // 0 MRU
-	tl.Insert(2, vm.MakePTE(12, true)) // evicts 1
-	if !tl.Probe(0) || tl.Probe(1) || !tl.Probe(2) {
+	tl := New("t", arch.TLBWays) // one set: vpns 0..4 all collide
+	for vpn := uint64(0); vpn < arch.TLBWays; vpn++ {
+		tl.Insert(vpn, vm.MakePTE(10+vpn, true))
+	}
+	tl.Lookup(0)                                  // 0 MRU, 1 the LRU
+	tl.Insert(arch.TLBWays, vm.MakePTE(20, true)) // evicts 1
+	if !tl.Probe(0) || tl.Probe(1) || !tl.Probe(2) || !tl.Probe(3) || !tl.Probe(arch.TLBWays) {
 		t.Fatal("LRU eviction wrong")
 	}
 }
 
 func TestTLBInvalidateAndFlush(t *testing.T) {
-	tl := New("t", 8, 2)
+	tl := New("t", 8)
 	tl.Insert(3, vm.MakePTE(1, true))
 	if !tl.InvalidatePage(3) {
 		t.Fatal("invalidate missed")
@@ -61,7 +61,7 @@ func TestTLBInvalidateAndFlush(t *testing.T) {
 }
 
 func TestTLBNonPow2Sets(t *testing.T) {
-	tl := New("t", 1536, 4) // 384 sets, the Table III L2 TLB
+	tl := New("t", 1536) // 384 sets, the Table III L2 TLB
 	for vpn := uint64(0); vpn < 2000; vpn++ {
 		tl.Insert(vpn, vm.MakePTE(vpn+1, true))
 	}
